@@ -85,7 +85,7 @@ func main() {
 	// The HTTP face: a single gateway, or a fleet of them behind the
 	// consistent-hash ring.
 	var content http.Handler
-	var pin func(data []byte) (fmt.Stringer, error)
+	var pinner *ipfs.Gateway // where -pin files go: the (first) instance's node store
 	if *fleetN > 1 {
 		nodes := []*ipfs.Node{node}
 		for i := 1; i < *fleetN; i++ {
@@ -115,13 +115,11 @@ func main() {
 			RetryAfter:       *retryAfter,
 			Registry:         node.Telemetry().Registry(),
 		})
-		content = fleet
-		pin = func(data []byte) (fmt.Stringer, error) { return fleet.Gateway(0).Pin(data) }
+		content, pinner = fleet, fleet.Gateway(0)
 		fmt.Printf("fleet of %d gateway instances, shared cache %d MiB\n", fleet.Size(), *sharedMB)
 	} else {
-		gw := ipfs.NewTCPGateway(node, *cacheMB<<20)
-		content = gw
-		pin = func(data []byte) (fmt.Stringer, error) { return gw.Pin(data) }
+		pinner = ipfs.NewTCPGateway(node, *cacheMB<<20)
+		content = pinner
 	}
 
 	if *pins != "" {
@@ -130,7 +128,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			c, err := pin(data)
+			c, err := pinner.Pin(data)
 			if err != nil {
 				fatal(err)
 			}

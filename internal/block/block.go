@@ -5,8 +5,9 @@
 // Four Store implementations cover the deployment spectrum:
 //
 //   - MemStore: unbounded in-memory map, the simulator default.
-//   - LRUStore: bounded in-memory store with least-recently-used
-//     eviction — the edge-cache tier of a gateway fleet.
+//   - LRUStore: byte-capped in-memory store with least-recently-used
+//     eviction (a verifying adapter over internal/lru) — the node store
+//     of a fleet's edge gateways.
 //   - FSStore (fsstore.go): file-per-block flatfs layout.
 //   - PackStore (packstore.go): the pack-engine store — append-only
 //     pack volumes, an in-memory CID index rebuilt from volume scans,
@@ -14,12 +15,12 @@
 package block
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/cid"
+	"repro/internal/lru"
 	"repro/internal/multicodec"
 )
 
@@ -206,109 +207,44 @@ func (s *MemStore) TotalBytes() int64 {
 	return n
 }
 
-// LRUStore is a bounded blockstore with least-recently-used eviction —
-// the replacement strategy of the gateway's nginx web cache (§3.4).
+// LRUStore is a bounded in-memory blockstore with least-recently-used
+// eviction: the verifying Store face of an lru.Cache keyed by CID.
+// Blocks larger than the whole capacity are accepted and not kept.
 type LRUStore struct {
-	mu       sync.Mutex
-	capacity int64 // bytes
-	used     int64
-	order    *list.List // front = most recently used; values are string keys
-	entries  map[string]*lruEntry
-}
-
-type lruEntry struct {
-	block Block
-	elem  *list.Element
+	cache *lru.Cache[Block]
 }
 
 // NewLRUStore returns an LRU store bounded to capacityBytes.
 func NewLRUStore(capacityBytes int64) *LRUStore {
-	return &LRUStore{
-		capacity: capacityBytes,
-		order:    list.New(),
-		entries:  make(map[string]*lruEntry),
-	}
+	return &LRUStore{cache: lru.New[Block](capacityBytes)}
 }
 
 // Put implements Store, evicting least-recently-used blocks as needed.
-// Blocks larger than the capacity are not cached.
 func (s *LRUStore) Put(b Block) error {
 	if !b.cid.Verify(b.data) {
 		return ErrHashMismatch
 	}
-	if int64(b.Size()) > s.capacity {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := b.cid.Key()
-	if e, ok := s.entries[key]; ok {
-		s.order.MoveToFront(e.elem)
-		return nil
-	}
-	for s.used+int64(b.Size()) > s.capacity {
-		s.evictOldest()
-	}
-	elem := s.order.PushFront(key)
-	s.entries[key] = &lruEntry{block: b, elem: elem}
-	s.used += int64(b.Size())
+	s.cache.Put(b.cid.Key(), b, int64(b.Size()))
 	return nil
-}
-
-func (s *LRUStore) evictOldest() {
-	back := s.order.Back()
-	if back == nil {
-		return
-	}
-	key := back.Value.(string)
-	s.order.Remove(back)
-	if e, ok := s.entries[key]; ok {
-		s.used -= int64(e.block.Size())
-		delete(s.entries, key)
-	}
 }
 
 // Get implements Store and refreshes recency.
 func (s *LRUStore) Get(c cid.Cid) (Block, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[c.Key()]
+	b, ok := s.cache.Get(c.Key())
 	if !ok {
 		return Block{}, ErrNotFound
 	}
-	s.order.MoveToFront(e.elem)
-	return e.block, nil
+	return b, nil
 }
 
 // Has implements Store without refreshing recency.
-func (s *LRUStore) Has(c cid.Cid) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[c.Key()]
-	return ok
-}
+func (s *LRUStore) Has(c cid.Cid) bool { return s.cache.Has(c.Key()) }
 
 // Delete implements Store.
-func (s *LRUStore) Delete(c cid.Cid) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[c.Key()]; ok {
-		s.order.Remove(e.elem)
-		s.used -= int64(e.block.Size())
-		delete(s.entries, c.Key())
-	}
-}
+func (s *LRUStore) Delete(c cid.Cid) { s.cache.Delete(c.Key()) }
 
 // Len implements Store.
-func (s *LRUStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *LRUStore) Len() int { return s.cache.Len() }
 
 // UsedBytes returns the current cache occupancy.
-func (s *LRUStore) UsedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
+func (s *LRUStore) UsedBytes() int64 { return s.cache.Used() }

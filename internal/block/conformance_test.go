@@ -18,6 +18,8 @@ func TestStoreConformance(t *testing.T) {
 		mk   func(t *testing.T) Store
 	}{
 		{"mem", func(t *testing.T) Store { return NewMemStore() }},
+		// Capped far above what the suite stores, so nothing is evicted.
+		{"lru", func(t *testing.T) Store { return NewLRUStore(1 << 20) }},
 		{"fs", func(t *testing.T) Store {
 			s, err := NewFSStore(t.TempDir())
 			if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -91,7 +92,7 @@ func TestFleetNegativeCache(t *testing.T) {
 		if first.Err == nil {
 			t.Error("fetch of unpublished CID succeeded")
 		}
-		if first.NegativeHit {
+		if errors.Is(first.Err, gwfleet.ErrKnownMissing) {
 			t.Error("first fetch was a negative hit; want a real origin attempt")
 		}
 		if cost == 0 {
@@ -103,8 +104,8 @@ func TestFleetNegativeCache(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			var resp gwfleet.Response
 			cost := lookupsDuring(ctx, func() { resp = fleet.Fetch(ctx, req) })
-			if !resp.NegativeHit {
-				t.Errorf("fetch %d inside TTL window: NegativeHit = false", i)
+			if !errors.Is(resp.Err, gwfleet.ErrKnownMissing) {
+				t.Errorf("fetch %d inside TTL window: err = %v, want ErrKnownMissing", i, resp.Err)
 			}
 			if cost != 0 {
 				t.Errorf("fetch %d inside TTL window cost %d origin RPCs, want 0", i, cost)
@@ -118,7 +119,7 @@ func TestFleetNegativeCache(t *testing.T) {
 		}
 		var again gwfleet.Response
 		cost = lookupsDuring(ctx, func() { again = fleet.Fetch(ctx, req) })
-		if again.NegativeHit {
+		if errors.Is(again.Err, gwfleet.ErrKnownMissing) {
 			t.Error("fetch after TTL expiry was a negative hit; want a fresh origin attempt")
 		}
 		if cost == 0 {
@@ -131,15 +132,15 @@ func TestFleetNegativeCache(t *testing.T) {
 		if !fleet.Shared().KnownMissing(root) {
 			t.Error("negative window not re-opened after the expired-window fetch failed")
 		}
-		if _, err := fleet.Node(0).AddAndPublish(ctx, data); err != nil {
+		if _, err := fleet.Gateway(0).Node().AddAndPublish(ctx, data); err != nil {
 			t.Errorf("publish: %v", err)
 		}
 		if fleet.Shared().KnownMissing(root) {
 			t.Error("publish did not invalidate the negative-cache entry")
 		}
 		resp := fleet.Fetch(ctx, req)
-		if resp.Err != nil || resp.NegativeHit {
-			t.Errorf("fetch after publish: err=%v negativeHit=%v, want served", resp.Err, resp.NegativeHit)
+		if resp.Err != nil {
+			t.Errorf("fetch after publish: err=%v, want served", resp.Err)
 		}
 	})
 	if err != nil {

@@ -92,7 +92,7 @@ func RunGateway(cfg GatewayConfig) *GatewayResults {
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	gwNode := tn.AddVantage("US", cfg.Seed+2) // the sampled gateway is US-located (§4.2)
-	gw := gateway.New(gwNode, cfg.CacheBytes, tn.Base)
+	gw := gateway.New(gwNode, cfg.CacheBytes, tn.Time)
 
 	// Materialize and publish the catalog.
 	ctx := context.Background()

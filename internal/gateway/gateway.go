@@ -1,14 +1,20 @@
 // Package gateway implements the HTTP entry point of §3.4: a bridge
-// between plain HTTP clients and the P2P network. Each gateway runs two
-// forms of content storage — an nginx-style LRU web cache consulted
-// first, and the IPFS node store holding pinned content (the Web3/NFT
-// Storage uploads) — falling through to a full P2P retrieval otherwise.
-// Requests are access-logged with the fields the §4.2 dataset carries.
+// between plain HTTP clients and the P2P network.
+//
+// Every request is served by FetchData walking one ordered list of
+// CacheTier values: the nginx-style LRU web cache, the IPFS node store
+// holding pinned content (the Web3/NFT Storage uploads), any tiers the
+// caller of New slots in (internal/gwfleet's shared object and negative
+// caches), and last a full P2P retrieval. The first tier that answers
+// wins and the tiers above it are filled. That walk is also the one
+// place a request is accounted: it names the answering tier and appends
+// the access-log entry (the §4.2 dataset's fields, in a bounded ring)
+// that Summarize turns into Table 5.
 package gateway
 
 import (
-	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -19,6 +25,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/lru"
 	"repro/internal/merkledag"
 	"repro/internal/simtime"
 )
@@ -83,32 +90,48 @@ type LogEntry struct {
 	Tier     Tier
 }
 
+// ErrMiss is what a CacheTier's Get returns to pass the request on to
+// the next tier of the cascade.
+var ErrMiss = errors.New("gateway: tier miss")
+
+// CacheTier is one stage of the serving cascade. FetchData asks the
+// tiers in order; the first whose Get does not return ErrMiss answers
+// the request, and every tier above it is then offered the object.
+type CacheTier interface {
+	// Tier names the stage in responses, log entries and HTTP headers.
+	Tier() Tier
+	// Get answers the request with the object and the retrieval delay,
+	// returns ErrMiss to ask the next tier, or returns a terminal error
+	// (a negative-cache entry, a failed retrieval) that ends the walk.
+	Get(ctx context.Context, req Request) (data []byte, latency time.Duration, err error)
+	// Put offers the tier an object a lower tier produced.
+	Put(req Request, data []byte)
+}
+
+// logCap bounds the access log: a long-running daemon keeps the most
+// recent logCap requests, and every experiment replays far fewer
+// through one gateway.
+const logCap = 1 << 16
+
 // Gateway bridges HTTP to a core node.
 type Gateway struct {
 	node  *core.Node
 	src   simtime.Source
-	cache *objectCache
+	tiers []CacheTier
 
-	mu  sync.Mutex
-	log []LogEntry
+	mu      sync.Mutex
+	log     []LogEntry // a ring once it holds logCap entries
+	logHead int        // index of the oldest entry
 }
 
-// New creates a gateway in front of node with an nginx cache bounded to
-// cacheBytes. The legacy Base is wrapped into a real-scaled Source;
-// simulated deployments should prefer NewWithSource with the testnet's
-// unified time surface so request timestamps and latencies stay on the
-// simulated clock.
-func New(node *core.Node, cacheBytes int64, base simtime.Base) *Gateway {
-	return NewWithSource(node, cacheBytes, simtime.NewBaseSource(base, nil))
-}
-
-// NewWithSource creates a gateway whose timestamps and measurements run
-// on the given time source (the event scheduler in fleet scenarios).
-func NewWithSource(node *core.Node, cacheBytes int64, src simtime.Source) *Gateway {
-	if src == nil {
-		src = simtime.BaseSource{}
-	}
-	return &Gateway{node: node, src: src, cache: newObjectCache(cacheBytes)}
+// New creates a gateway in front of node whose cascade is an nginx
+// cache bounded to cacheBytes, the node's own store, the mid tiers (a
+// fleet's shared caches; none for a single gateway) and finally the P2P
+// network. HTTP requests are stamped on src.
+func New(node *core.Node, cacheBytes int64, src simtime.Source, mid ...CacheTier) *Gateway {
+	tiers := []CacheTier{nginxTier{lru.New[[]byte](cacheBytes)}, storeTier{node}}
+	tiers = append(tiers, mid...)
+	return &Gateway{node: node, src: src, tiers: append(tiers, networkTier{node})}
 }
 
 // Node returns the backing node (the "DHT server" half of the bridge).
@@ -125,8 +148,9 @@ func (g *Gateway) Pin(data []byte) (cid.Cid, error) {
 	return root, nil
 }
 
-// cacheKey identifies a (root, path) response in the nginx cache.
-func cacheKey(req Request) string { return req.Cid.Key() + "\x00" + req.Path }
+// Key identifies the (root, path) object a request names: what the
+// object caches index by and a fleet's ring places by.
+func (r Request) Key() string { return r.Cid.Key() + "\x00" + r.Path }
 
 // Fetch serves one request through the tier cascade.
 func (g *Gateway) Fetch(ctx context.Context, req Request) Response {
@@ -135,88 +159,92 @@ func (g *Gateway) Fetch(ctx context.Context, req Request) Response {
 }
 
 // FetchData serves one request through the tier cascade and also
-// returns the assembled bytes, so fleet-level caches can deposit the
-// response without racing the per-instance cache's eviction.
+// returns the object: the first tier to answer is named in the
+// response, the tiers above it are filled in order, and exactly one log
+// entry is written.
 func (g *Gateway) FetchData(ctx context.Context, req Request) (Response, []byte) {
-	if resp, data, ok := g.FetchLocal(req); ok {
+	for i, t := range g.tiers {
+		data, latency, err := t.Get(ctx, req)
+		if errors.Is(err, ErrMiss) {
+			continue
+		}
+		resp := Response{Tier: t.Tier(), Latency: latency, Err: err}
+		if err != nil {
+			data = nil
+		} else {
+			resp.Bytes = len(data)
+			for _, above := range g.tiers[:i] {
+				above.Put(req, data)
+			}
+		}
+		g.append(req, resp)
 		return resp, data
 	}
-	return g.fetchNetwork(ctx, req)
+	panic("gateway: the network tier reported a miss")
 }
 
-// FetchLocal tries only the instance-local tiers — the nginx web cache
-// and the node store — reporting ok=false on a miss instead of falling
-// through to the network. Fleet instances use it so the shared cache
-// tier slots between the local tiers and the P2P origin.
-func (g *Gateway) FetchLocal(req Request) (Response, []byte, bool) {
-	// Tier 1: nginx web cache. Hits have a retrieval delay of 0 (§6.3).
-	if data, ok := g.cache.get(cacheKey(req)); ok {
-		resp := Response{Tier: TierNginx, Latency: 0, Bytes: len(data)}
-		g.append(req, resp)
-		return resp, data, true
-	}
+// nginxTier is the "default nginx web cache, with a Least Recently
+// Used replacement strategy" (§3.4). Hits have a retrieval delay of 0
+// (§6.3).
+type nginxTier struct{ cache *lru.Cache[[]byte] }
 
-	// Tier 2: the gateway's own IPFS node store (pinned content),
-	// "resulting consistently in a delay below 24 ms".
-	if data, err := g.assembleLocal(req); err == nil {
-		resp := Response{Tier: TierNodeStore, Latency: NodeStoreLatency, Bytes: len(data)}
-		g.cache.put(cacheKey(req), data)
-		g.append(req, resp)
-		return resp, data, true
+func (nginxTier) Tier() Tier { return TierNginx }
+
+func (t nginxTier) Get(_ context.Context, req Request) ([]byte, time.Duration, error) {
+	if data, ok := t.cache.Get(req.Key()); ok {
+		return data, 0, nil
 	}
-	return Response{}, nil, false
+	return nil, 0, ErrMiss
 }
 
-// fetchNetwork is the final tier of the cascade.
-func (g *Gateway) fetchNetwork(ctx context.Context, req Request) (Response, []byte) {
-	var resp Response
-	// Tier 3: full P2P retrieval through the co-located node. The root
-	// DAG is fetched, then the path (if any) resolved locally.
-	_, rres, err := g.node.Retrieve(ctx, req.Cid)
+func (t nginxTier) Put(req Request, data []byte) { t.cache.Put(req.Key(), data, int64(len(data))) }
+
+// storeTier is the gateway's own IPFS node store (pinned content),
+// "resulting consistently in a delay below 24 ms". It is filled by
+// pinning and by the node's retrievals, never by the cascade.
+type storeTier struct{ node *core.Node }
+
+func (storeTier) Tier() Tier { return TierNodeStore }
+
+func (t storeTier) Get(_ context.Context, req Request) ([]byte, time.Duration, error) {
+	data, err := assembleLocal(t.node, req)
 	if err != nil {
-		resp = Response{Tier: TierNetwork, Latency: rres.Total, Err: err}
-		g.append(req, resp)
-		return resp, nil
+		return nil, 0, ErrMiss
 	}
-	data, err := g.assembleLocal(req)
+	return data, NodeStoreLatency, nil
+}
+
+func (storeTier) Put(Request, []byte) {}
+
+// networkTier is the end of every cascade: a full P2P retrieval of the
+// root DAG through the co-located node, after which the path (if any)
+// resolves locally. It never misses; a failed retrieval is terminal.
+type networkTier struct{ node *core.Node }
+
+func (networkTier) Tier() Tier { return TierNetwork }
+
+func (t networkTier) Get(ctx context.Context, req Request) ([]byte, time.Duration, error) {
+	_, res, err := t.node.Retrieve(ctx, req.Cid)
 	if err != nil {
-		resp = Response{Tier: TierNetwork, Latency: rres.Total, Err: err}
-		g.append(req, resp)
-		return resp, nil
+		return nil, res.Total, err
 	}
-	resp = Response{Tier: TierNetwork, Latency: rres.Total, Bytes: len(data)}
-	g.cache.put(cacheKey(req), data)
-	g.append(req, resp)
-	return resp, data
+	data, err := assembleLocal(t.node, req)
+	return data, res.Total, err
 }
 
-// Inject deposits an externally fetched response into the gateway's
-// nginx cache and logs it under the given tier — how a fleet's shared
-// cache tier warms the owning instance without a duplicate retrieval.
-func (g *Gateway) Inject(req Request, tier Tier, latency time.Duration, data []byte) Response {
-	g.cache.put(cacheKey(req), data)
-	resp := Response{Tier: tier, Latency: latency, Bytes: len(data)}
-	g.append(req, resp)
-	return resp
-}
-
-// CacheKey exposes the (root, path) cache key so fleet-shared caches
-// index exactly as the per-instance cache does.
-func CacheKey(req Request) string { return cacheKey(req) }
+func (networkTier) Put(Request, []byte) {}
 
 // assembleLocal serves a request from the node store alone: the raw
 // DAG for path-less requests, or the file beneath the UnixFS path.
-func (g *Gateway) assembleLocal(req Request) ([]byte, error) {
+func assembleLocal(node *core.Node, req Request) ([]byte, error) {
 	if req.Path == "" {
-		return merkledag.Assemble(g.node.Store(), req.Cid)
+		return merkledag.Assemble(node.Store(), req.Cid)
 	}
-	return g.node.CatPath(req.Cid, req.Path)
+	return node.CatPath(req.Cid, req.Path)
 }
 
 func (g *Gateway) append(req Request, resp Response) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.log = append(g.log, LogEntry{
+	e := LogEntry{
 		Time:     req.Time,
 		UserID:   req.UserID,
 		Country:  req.Country,
@@ -225,27 +253,39 @@ func (g *Gateway) append(req Request, resp Response) {
 		Bytes:    resp.Bytes,
 		Latency:  resp.Latency,
 		Tier:     resp.Tier,
-	})
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.log) < logCap {
+		g.log = append(g.log, e)
+		return
+	}
+	g.log[g.logHead] = e
+	g.logHead = (g.logHead + 1) % logCap
 }
 
-// Log returns a copy of the access log.
+// Log returns a copy of the access log, oldest entry first: the most
+// recent logCap requests.
 func (g *Gateway) Log() []LogEntry {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]LogEntry(nil), g.log...)
+	out := make([]LogEntry, 0, len(g.log))
+	out = append(out, g.log[g.logHead:]...)
+	return append(out, g.log[:g.logHead]...)
 }
 
-// ServeHTTP implements the public HTTP face:
-// GET /ipfs/{CID} (§3.4).
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// ParseRequest reads GET /ipfs/{CID}[/path] (§3.4) into a Request
+// stamped now. On anything else it writes the 4xx answer itself and
+// reports false.
+func ParseRequest(w http.ResponseWriter, r *http.Request, now time.Time) (Request, bool) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+		return Request{}, false
 	}
 	full := strings.TrimPrefix(r.URL.Path, "/ipfs/")
 	if full == r.URL.Path || full == "" {
 		http.Error(w, "usage: GET /ipfs/{CID}[/path]", http.StatusBadRequest)
-		return
+		return Request{}, false
 	}
 	cidPart, subPath := full, ""
 	if i := strings.IndexByte(full, '/'); i >= 0 {
@@ -254,85 +294,37 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c, err := cid.Parse(cidPart)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("invalid CID: %v", err), http.StatusBadRequest)
-		return
+		return Request{}, false
 	}
-	req := Request{
+	return Request{
 		Cid:      c,
 		Path:     subPath,
-		Time:     g.src.Now(),
+		Time:     now,
 		Referrer: r.Referer(),
 		UserID:   r.RemoteAddr + "|" + r.UserAgent(),
-	}
-	resp, data := g.FetchData(r.Context(), req)
+	}, true
+}
+
+// WriteResponse writes a fetch outcome: 404 for a failed one, otherwise
+// the object with the answering tier in X-Ipfs-Gateway-Tier.
+func WriteResponse(w http.ResponseWriter, resp Response, data []byte) {
 	if resp.Err != nil {
 		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
 		return
-	}
-	if data == nil {
-		// Large objects may already have been evicted; refetch locally.
-		if data, err = g.assembleLocal(req); err != nil {
-			http.Error(w, "cache race", http.StatusInternalServerError)
-			return
-		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Ipfs-Gateway-Tier", resp.Tier.String())
 	w.Write(data)
 }
 
-// objectCache is a byte-bounded LRU over assembled objects, keyed by
-// CID — the "default nginx web cache, with a Least Recently Used
-// replacement strategy" (§3.4).
-type objectCache struct {
-	mu      sync.Mutex
-	cap     int64
-	used    int64
-	order   *list.List
-	entries map[string]*cacheEntry
-}
-
-type cacheEntry struct {
-	data []byte
-	elem *list.Element
-}
-
-func newObjectCache(capBytes int64) *objectCache {
-	return &objectCache{cap: capBytes, order: list.New(), entries: make(map[string]*cacheEntry)}
-}
-
-func (c *objectCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+// ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path].
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	req, ok := ParseRequest(w, r, g.src.Now())
 	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(e.elem)
-	return e.data, true
-}
-
-func (c *objectCache) put(key string, data []byte) {
-	if int64(len(data)) > c.cap {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.order.MoveToFront(e.elem)
-		return
-	}
-	for c.used+int64(len(data)) > c.cap {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		k := oldest.Value.(string)
-		c.used -= int64(len(c.entries[k].data))
-		delete(c.entries, k)
-		c.order.Remove(oldest)
-	}
-	c.entries[key] = &cacheEntry{data: data, elem: c.order.PushFront(key)}
-	c.used += int64(len(data))
+	resp, data := g.FetchData(r.Context(), req)
+	WriteResponse(w, resp, data)
 }
 
 // TierStats aggregates the access log into the Table 5 summary.

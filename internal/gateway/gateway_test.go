@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,7 @@ func buildGateway(t *testing.T, cacheBytes int64) (*Gateway, *testnet.Testnet) {
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	gwNode := tn.AddVantage("US", 777)
-	return New(gwNode, cacheBytes, tn.Base), tn
+	return New(gwNode, cacheBytes, tn.Time), tn
 }
 
 func TestFetchFromNodeStoreThenNginx(t *testing.T) {
@@ -223,10 +224,105 @@ func TestServeHTTPWithPath(t *testing.T) {
 	}
 }
 
-func TestObjectCacheOversized(t *testing.T) {
-	c := newObjectCache(10)
-	c.put("big", make([]byte, 100))
-	if _, ok := c.get("big"); ok {
-		t.Error("oversized object should not be cached")
+// fakeTier is a scripted cascade stage that records what it was asked
+// and offered.
+type fakeTier struct {
+	tier Tier
+	data []byte // non-nil: answer with it
+	err  error  // otherwise: return this (ErrMiss passes the request on)
+	gets int
+	puts [][]byte
+}
+
+func (f *fakeTier) Tier() Tier { return f.tier }
+
+func (f *fakeTier) Get(context.Context, Request) ([]byte, time.Duration, error) {
+	f.gets++
+	if f.data != nil {
+		return f.data, time.Duration(f.tier+1) * time.Millisecond, nil
+	}
+	return nil, time.Second, f.err
+}
+
+func (f *fakeTier) Put(_ Request, data []byte) { f.puts = append(f.puts, data) }
+
+// TestCascadeOrder pins the walk itself, on the fleet's five-stage
+// shape (local, local, shared, negative, origin): tiers are asked in
+// order and only until one answers; a hit at tier i fills exactly the
+// tiers above it; a terminal error ends the walk and fills nothing; and
+// every request leaves exactly one log entry naming the answering tier.
+func TestCascadeOrder(t *testing.T) {
+	object := []byte("object")
+	errGone := errors.New("known missing")
+	shape := []Tier{TierNginx, TierNodeStore, TierShared, TierNetwork, TierNetwork}
+	for answering := range shape {
+		for _, fail := range []bool{false, true} {
+			tiers := make([]*fakeTier, len(shape))
+			g := &Gateway{}
+			for i, tier := range shape {
+				tiers[i] = &fakeTier{tier: tier, err: ErrMiss}
+				g.tiers = append(g.tiers, tiers[i])
+			}
+			if fail {
+				tiers[answering].err = errGone
+			} else {
+				tiers[answering].data = object
+			}
+
+			resp, data := g.FetchData(context.Background(), Request{Time: day, UserID: "u"})
+
+			if resp.Tier != shape[answering] {
+				t.Errorf("tier %d answers (fail=%v): Response.Tier = %v, want %v", answering, fail, resp.Tier, shape[answering])
+			}
+			if fail {
+				if !errors.Is(resp.Err, errGone) || data != nil || resp.Bytes != 0 {
+					t.Errorf("tier %d fails: resp = %+v, data = %q; want the tier's error and no data", answering, resp, data)
+				}
+			} else if resp.Err != nil || !bytes.Equal(data, object) || resp.Bytes != len(object) ||
+				resp.Latency != time.Duration(shape[answering]+1)*time.Millisecond {
+				t.Errorf("tier %d hits: resp = %+v, data = %q", answering, resp, data)
+			}
+			for i, ft := range tiers {
+				wantGets, wantPuts := 0, 0
+				if i <= answering {
+					wantGets = 1
+				}
+				if i < answering && !fail {
+					wantPuts = 1
+				}
+				if ft.gets != wantGets || len(ft.puts) != wantPuts {
+					t.Errorf("tier %d answers (fail=%v): tier %d asked %d times and offered %d objects, want %d and %d",
+						answering, fail, i, ft.gets, len(ft.puts), wantGets, wantPuts)
+				}
+				if wantPuts == 1 && len(ft.puts) == 1 && !bytes.Equal(ft.puts[0], object) {
+					t.Errorf("tier %d was offered %q, want the object", i, ft.puts[0])
+				}
+			}
+			log := g.Log()
+			if len(log) != 1 || log[0].Tier != shape[answering] || log[0].Bytes != resp.Bytes || log[0].UserID != "u" {
+				t.Errorf("tier %d answers (fail=%v): log = %+v, want one entry for the answering tier", answering, fail, log)
+			}
+		}
+	}
+}
+
+// TestLogIsBoundedRing drives more requests through a gateway than the
+// access log holds: the log keeps exactly the newest logCap entries,
+// oldest first.
+func TestLogIsBoundedRing(t *testing.T) {
+	g := &Gateway{tiers: []CacheTier{&fakeTier{tier: TierNginx, data: []byte("x")}}}
+	ctx := context.Background()
+	const extra = 10
+	for i := 0; i < logCap+extra; i++ {
+		g.FetchData(ctx, Request{Time: day.Add(time.Duration(i) * time.Second)})
+	}
+	log := g.Log()
+	if len(log) != logCap {
+		t.Fatalf("len(Log()) = %d after %d requests, want %d", len(log), logCap+extra, logCap)
+	}
+	for i, e := range log {
+		if want := day.Add(time.Duration(i+extra) * time.Second); !e.Time.Equal(want) {
+			t.Fatalf("Log()[%d].Time = %v, want %v (the first %d requests dropped, order kept)", i, e.Time, want, extra)
+		}
 	}
 }

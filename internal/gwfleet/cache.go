@@ -1,11 +1,13 @@
 package gwfleet
 
 import (
-	"container/list"
+	"context"
 	"sync"
 	"time"
 
 	"repro/internal/cid"
+	"repro/internal/gateway"
+	"repro/internal/lru"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -30,7 +32,7 @@ import (
 type SharedCache struct {
 	src simtime.Source
 
-	objects *byteLRU
+	objects *lru.Cache[[]byte]
 
 	mu        sync.Mutex
 	negative  map[string]time.Time // CID key -> expiry
@@ -49,22 +51,12 @@ type provEntry struct {
 	expiry time.Time
 }
 
-// NewSharedCache builds the shared tier. Zero TTLs select the defaults
-// (negative 1 min, providers 10 min); reg may be nil for an unmetered
-// cache.
+// NewSharedCache builds the shared tier (Config.withDefaults holds the
+// default sizes and TTLs); reg may be nil for an unmetered cache.
 func NewSharedCache(capacityBytes int64, negTTL, provTTL time.Duration, src simtime.Source, reg *telemetry.Registry) *SharedCache {
-	if src == nil {
-		src = simtime.BaseSource{}
-	}
-	if negTTL <= 0 {
-		negTTL = time.Minute
-	}
-	if provTTL <= 0 {
-		provTTL = 10 * time.Minute
-	}
 	return &SharedCache{
 		src:       src,
-		objects:   newByteLRU(capacityBytes),
+		objects:   lru.New[[]byte](capacityBytes),
 		negative:  make(map[string]time.Time),
 		providers: make(map[string]provEntry),
 		negTTL:    negTTL,
@@ -75,23 +67,6 @@ func NewSharedCache(capacityBytes int64, negTTL, provTTL time.Duration, src simt
 		provHits:  reg.Counter("gwfleet_provider_hits"),
 	}
 }
-
-// GetObject returns the cached assembled response for key, if any.
-func (c *SharedCache) GetObject(key string) ([]byte, bool) {
-	data, ok := c.objects.get(key)
-	if ok {
-		c.objHits.Inc()
-	} else {
-		c.objMisses.Inc()
-	}
-	return data, ok
-}
-
-// PutObject caches an assembled response.
-func (c *SharedCache) PutObject(key string, data []byte) { c.objects.put(key, data) }
-
-// ObjectBytes returns the current object-cache occupancy.
-func (c *SharedCache) ObjectBytes() int64 { return c.objects.usedBytes() }
 
 // KnownMissing reports whether c is inside a negative-cache window:
 // the origin failed to resolve it recently and no publish has
@@ -180,62 +155,52 @@ func (c *SharedCache) sweepLocked() {
 	}
 }
 
-// byteLRU is a byte-bounded LRU over opaque values, the same shape as
-// the gateway's per-instance nginx cache but shared fleet-wide.
-type byteLRU struct {
-	mu      sync.Mutex
-	cap     int64
-	used    int64
-	order   *list.List // front = most recently used; values are string keys
-	entries map[string]*lruVal
-}
+// objectTier is the shared object cache as a stage of every instance's
+// serving cascade, between the instance's own tiers and the negative
+// cache. A hit costs one intra-fleet hop.
+type objectTier struct{ c *SharedCache }
 
-type lruVal struct {
-	data []byte
-	elem *list.Element
-}
+func (objectTier) Tier() gateway.Tier { return gateway.TierShared }
 
-func newByteLRU(capBytes int64) *byteLRU {
-	return &byteLRU{cap: capBytes, order: list.New(), entries: make(map[string]*lruVal)}
-}
-
-func (c *byteLRU) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+func (t objectTier) Get(ctx context.Context, req gateway.Request) ([]byte, time.Duration, error) {
+	data, ok := t.c.objects.Get(req.Key())
 	if !ok {
-		return nil, false
+		t.c.objMisses.Inc()
+		return nil, 0, gateway.ErrMiss
 	}
-	c.order.MoveToFront(e.elem)
-	return e.data, true
+	t.c.objHits.Inc()
+	// The hop is spent here, before the cascade fills the instance's
+	// nginx cache: until it has elapsed the object is not local.
+	spend(ctx, t.c.src, SharedCacheLatency)
+	return data, SharedCacheLatency, nil
 }
 
-func (c *byteLRU) put(key string, data []byte) {
-	if int64(len(data)) > c.cap {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.order.MoveToFront(e.elem)
-		return
-	}
-	for c.used+int64(len(data)) > c.cap {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		k := oldest.Value.(string)
-		c.used -= int64(len(c.entries[k].data))
-		delete(c.entries, k)
-		c.order.Remove(oldest)
-	}
-	c.entries[key] = &lruVal{data: data, elem: c.order.PushFront(key)}
-	c.used += int64(len(data))
+func (t objectTier) Put(req gateway.Request, data []byte) {
+	t.c.objects.Put(req.Key(), data, int64(len(data)))
 }
 
-func (c *byteLRU) usedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+// negativeTier is the negative cache as the last stage before the P2P
+// origin: inside a known-missing window it ends the walk with
+// ErrKnownMissing. The cascade offers tiers only objects, so the window
+// is opened by Fleet.serve when the origin fails.
+type negativeTier struct{ c *SharedCache }
+
+func (negativeTier) Tier() gateway.Tier { return gateway.TierNetwork }
+
+func (t negativeTier) Get(_ context.Context, req gateway.Request) ([]byte, time.Duration, error) {
+	if t.c.KnownMissing(req.Cid) {
+		return nil, 0, ErrKnownMissing
+	}
+	return nil, 0, gateway.ErrMiss
+}
+
+func (negativeTier) Put(gateway.Request, []byte) {}
+
+// spend parks for a modelled latency, on a simulated clock only: a
+// daemon on the wall clock reports the model in Response.Latency
+// without throttling real clients to it.
+func spend(ctx context.Context, src simtime.Source, d time.Duration) {
+	if simtime.SchedulerOf(src) != nil {
+		src.Sleep(ctx, d)
+	}
 }

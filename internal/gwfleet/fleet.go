@@ -1,13 +1,20 @@
 // Package gwfleet scales the single HTTP gateway of §3.4 to a fleet:
 // consistent-hash request placement over N gateway instances (Ring), a
-// fleet-shared cache tier between the per-instance nginx caches and
-// the P2P origin (SharedCache: assembled objects, provider records,
+// fleet-shared cache (SharedCache: assembled objects, provider records,
 // and negative entries for known-missing CIDs), and admission control
 // that sheds excess load with 503 + Retry-After instead of letting a
-// flash crowd melt the origin. All fleet metrics report through the
-// internal/telemetry registry; the viral-CID scenario in
-// internal/experiments measures the fleet against the paper's Table 5
-// gateway tiers at 100x steady-state load.
+// flash crowd melt the origin.
+//
+// The fleet has no serving cascade of its own. It contributes two
+// gateway.CacheTier values, the shared object cache and the negative
+// cache, to each instance's gateway, which walks them between its node
+// store and the P2P origin; Fleet.serve is one FetchData call plus the
+// fleet's tally. The provider cache sits below the cascade, behind
+// CachingRouter.
+//
+// All fleet metrics report through the internal/telemetry registry; the
+// viral-CID scenario in internal/experiments measures the fleet against
+// the paper's Table 5 gateway tiers at 100x steady-state load.
 package gwfleet
 
 import (
@@ -15,16 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cid"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -125,12 +128,6 @@ type Response struct {
 	// GW is the instance that served (or, when Shed, the owner that
 	// rejected last).
 	GW int
-	// SharedHit marks a response served from the fleet-shared object
-	// cache.
-	SharedHit bool
-	// NegativeHit marks a fail-fast from the negative cache (Err is
-	// ErrKnownMissing).
-	NegativeHit bool
 	// Spilled marks a response served by a ring successor because the
 	// owner was shedding.
 	Spilled bool
@@ -146,7 +143,6 @@ type Response struct {
 // instance is one gateway plus its admission-control state.
 type instance struct {
 	gw       *gateway.Gateway
-	node     *core.Node
 	inflight atomic.Int64
 	shedding atomic.Bool
 
@@ -158,7 +154,6 @@ type instance struct {
 // one cache tier.
 type Fleet struct {
 	cfg    Config
-	src    simtime.Source
 	ring   *Ring
 	insts  []*instance
 	shared *SharedCache
@@ -170,12 +165,8 @@ type Fleet struct {
 	ttfbHist *telemetry.Hist
 
 	// deterministic scenario-facing tallies (the registry mirrors them)
-	nReq, nShed, nSpill, nNeg     atomic.Int64
-	nLocal, nShared, nStore, nNet atomic.Int64
-	nNetFail                      atomic.Int64
-
-	ttfbMu sync.Mutex
-	ttfb   *stats.Sample
+	nReq, nShed, nSpill, nNeg, nNetFail atomic.Int64
+	served                              [gateway.TierShared + 1]atomic.Int64 // by answering Tier
 }
 
 // New builds a fleet over the given gateway nodes: each node gets a
@@ -191,7 +182,6 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 	shared := NewSharedCache(cfg.SharedCacheBytes, cfg.NegativeTTL, cfg.ProviderTTL, cfg.Time, reg)
 	f := &Fleet{
 		cfg:    cfg,
-		src:    cfg.Time,
 		ring:   NewRing(len(nodes), cfg.VNodes),
 		shared: shared,
 		tierHits: map[gateway.Tier]*telemetry.Counter{
@@ -204,14 +194,12 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 		spillCtr: reg.Counter("gwfleet_spills"),
 		shedCtr:  reg.Counter("gwfleet_shed_total"),
 		ttfbHist: reg.Histogram("gwfleet_ttfb_seconds", 0.25),
-		ttfb:     stats.NewSample(),
 	}
 	reg.Gauge("gwfleet_gateways").Set(float64(len(nodes)))
 	for i, n := range nodes {
 		n.SetRouter(NewCachingRouter(n.Router(), shared))
 		f.insts = append(f.insts, &instance{
-			gw:       gateway.NewWithSource(n, cfg.LocalCacheBytes, cfg.Time),
-			node:     n,
+			gw:       gateway.New(n, cfg.LocalCacheBytes, cfg.Time, objectTier{shared}, negativeTier{shared}),
 			requests: reg.Counter("gwfleet_requests", "gw", fmt.Sprint(i)),
 			shed:     reg.Counter("gwfleet_shed", "gw", fmt.Sprint(i)),
 		})
@@ -222,30 +210,19 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 // Size returns the instance count.
 func (f *Fleet) Size() int { return len(f.insts) }
 
-// Ring exposes the placement ring.
-func (f *Fleet) Ring() *Ring { return f.ring }
-
 // Shared exposes the fleet cache tier.
 func (f *Fleet) Shared() *SharedCache { return f.shared }
 
-// Gateway returns instance i's gateway (its access log feeds the Table
-// 5 style summaries).
+// Gateway returns instance i's gateway: its access log feeds the Table
+// 5 style summaries, its Node is the instance's backing node.
 func (f *Fleet) Gateway(i int) *gateway.Gateway { return f.insts[i].gw }
-
-// Node returns instance i's backing node.
-func (f *Fleet) Node(i int) *core.Node { return f.insts[i].node }
-
-// InvalidateNegative drops any negative-cache window for root — wired
-// to publish events so fresh content is immediately retrievable.
-func (f *Fleet) InvalidateNegative(root cid.Cid) { f.shared.Invalidate(root) }
 
 // Fetch serves one request: the CID's ring owner first, spilling to up
 // to Config.Spill ring successors while the owner sheds, rejecting with
 // Shed when every candidate is over its watermarks.
 func (f *Fleet) Fetch(ctx context.Context, req gateway.Request) Response {
 	f.nReq.Add(1)
-	key := gateway.CacheKey(req)
-	candidates := f.ring.Successors(key, 1+f.cfg.Spill)
+	candidates := f.ring.Successors(req.Key(), 1+f.cfg.Spill)
 	for hop, gwIdx := range candidates {
 		inst := f.insts[gwIdx]
 		release, ok := f.admit(inst)
@@ -253,25 +230,23 @@ func (f *Fleet) Fetch(ctx context.Context, req gateway.Request) Response {
 			inst.shed.Inc()
 			continue
 		}
-		resp := f.serve(ctx, inst, gwIdx, req, key)
+		resp := f.serve(ctx, inst, gwIdx, req)
 		release()
 		resp.Spilled = hop > 0
 		if resp.Spilled {
 			f.nSpill.Add(1)
 			f.spillCtr.Inc()
 		}
-		f.record(resp)
 		return resp
 	}
 	f.nShed.Add(1)
 	f.shedCtr.Inc()
-	resp := Response{
+	return Response{
 		Response:   gateway.Response{Err: ErrShed},
 		GW:         candidates[0],
 		Shed:       true,
 		RetryAfter: f.cfg.RetryAfter,
 	}
-	return resp
 }
 
 // admit applies the per-instance admission control: requests beyond
@@ -293,85 +268,36 @@ func (f *Fleet) admit(inst *instance) (release func(), ok bool) {
 	return func() { inst.inflight.Add(-1) }, true
 }
 
-// serve runs the tier cascade on one admitted instance: local nginx +
-// node store, then the fleet-shared object cache, then the negative
-// cache, then the P2P origin (filling the shared tiers on the way
-// back).
-func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gateway.Request, key string) Response {
+// serve runs one admitted instance's cascade (its nginx cache and node
+// store, the fleet-shared object cache, the negative cache, then the
+// P2P origin) and tallies the outcome under the tier the cascade named.
+func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gateway.Request) Response {
 	inst.requests.Inc()
-
-	if resp, data, ok := inst.gw.FetchLocal(req); ok {
-		// The cache tiers' modelled latencies (0 nginx, 8 ms node store)
-		// are slept, not just reported, so fleet TTFB measured on the
-		// simulated clock matches the tier model and cache hits hold
-		// their admission slot for their true duration.
-		f.src.Sleep(ctx, resp.Latency)
-		return Response{Response: resp, GW: gwIdx, Data: data}
-	}
-
-	if data, ok := f.shared.GetObject(key); ok {
-		f.src.Sleep(ctx, SharedCacheLatency)
-		resp := inst.gw.Inject(req, gateway.TierShared, SharedCacheLatency, data)
-		return Response{Response: resp, GW: gwIdx, SharedHit: true, Data: data}
-	}
-
-	if f.shared.KnownMissing(req.Cid) {
+	resp, data := inst.gw.FetchData(ctx, req)
+	switch {
+	case errors.Is(resp.Err, ErrKnownMissing):
 		f.nNeg.Add(1)
 		f.negCtr.Inc()
-		return Response{
-			Response:    gateway.Response{Tier: gateway.TierNetwork, Err: ErrKnownMissing},
-			GW:          gwIdx,
-			NegativeHit: true,
-		}
-	}
-
-	resp, data := inst.gw.FetchData(ctx, req)
-	if resp.Err != nil {
+	case resp.Err != nil:
+		f.nNetFail.Add(1)
 		// Only a root-level origin failure is a definitive miss worth a
 		// negative window; a bad sub-path under a resolvable root is the
 		// client's problem, not the content's absence.
 		if req.Path == "" {
 			f.shared.NoteMissing(req.Cid)
 		}
-		return Response{Response: resp, GW: gwIdx}
-	}
-	f.shared.PutObject(key, data)
-	return Response{Response: resp, GW: gwIdx, Data: data}
-}
-
-// record tallies a served (non-shed) response.
-func (f *Fleet) record(resp Response) {
-	if resp.NegativeHit {
-		return // tallied at serve time under its own tier
-	}
-	switch {
-	case resp.SharedHit:
-		f.nShared.Add(1)
-	case resp.Tier == gateway.TierNginx:
-		f.nLocal.Add(1)
-	case resp.Tier == gateway.TierNodeStore:
-		f.nStore.Add(1)
-	case resp.Tier == gateway.TierNetwork && resp.Err == nil:
-		f.nNet.Add(1)
 	default:
-		f.nNetFail.Add(1)
-	}
-	if ctr := f.tierHits[effectiveTier(resp)]; ctr != nil && resp.Err == nil {
-		ctr.Inc()
-	}
-	if resp.Err == nil {
+		if resp.Tier == gateway.TierNginx || resp.Tier == gateway.TierNodeStore {
+			// The instance-local tiers only report their modelled latency
+			// (0 nginx, 8 ms node store). Spending it keeps fleet TTFB true
+			// to the tier model and holds the admission slot as long.
+			spend(ctx, f.cfg.Time, resp.Latency)
+		}
+		f.served[resp.Tier].Add(1)
+		f.tierHits[resp.Tier].Inc()
 		f.ttfbHist.ObserveDuration(resp.Latency)
-		f.ttfbMu.Lock()
-		f.ttfb.AddDuration(resp.Latency)
-		f.ttfbMu.Unlock()
 	}
-}
-
-func effectiveTier(resp Response) gateway.Tier {
-	if resp.SharedHit {
-		return gateway.TierShared
-	}
-	return resp.Tier
+	return Response{Response: resp, GW: gwIdx, Data: data}
 }
 
 // Stats is a point-in-time tally of fleet behaviour.
@@ -422,62 +348,31 @@ func (f *Fleet) Stats() Stats {
 		Requests:     f.nReq.Load(),
 		Shed:         f.nShed.Load(),
 		Spilled:      f.nSpill.Load(),
-		LocalHits:    f.nLocal.Load(),
-		SharedHits:   f.nShared.Load(),
-		NodeStore:    f.nStore.Load(),
-		OriginFetch:  f.nNet.Load(),
+		LocalHits:    f.served[gateway.TierNginx].Load(),
+		SharedHits:   f.served[gateway.TierShared].Load(),
+		NodeStore:    f.served[gateway.TierNodeStore].Load(),
+		OriginFetch:  f.served[gateway.TierNetwork].Load(),
 		OriginFail:   f.nNetFail.Load(),
 		NegativeHits: f.nNeg.Load(),
 	}
-}
-
-// TTFBPercentile returns the given percentile of serving latency
-// across all successful responses, in seconds.
-func (f *Fleet) TTFBPercentile(p float64) float64 {
-	f.ttfbMu.Lock()
-	defer f.ttfbMu.Unlock()
-	return f.ttfb.Percentile(p)
 }
 
 // ServeHTTP implements the fleet's public HTTP face — the same
 // GET /ipfs/{CID}[/path] surface as a single gateway, with shed
 // requests answered 503 + Retry-After.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	req, ok := gateway.ParseRequest(w, r, f.cfg.Time.Now())
+	if !ok {
 		return
 	}
-	full := strings.TrimPrefix(r.URL.Path, "/ipfs/")
-	if full == r.URL.Path || full == "" {
-		http.Error(w, "usage: GET /ipfs/{CID}[/path]", http.StatusBadRequest)
-		return
-	}
-	cidPart, subPath := full, ""
-	if i := strings.IndexByte(full, '/'); i >= 0 {
-		cidPart, subPath = full[:i], strings.Trim(full[i+1:], "/")
-	}
-	c, err := cid.Parse(cidPart)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("invalid CID: %v", err), http.StatusBadRequest)
-		return
-	}
-	resp := f.Fetch(r.Context(), gateway.Request{
-		Cid:      c,
-		Path:     subPath,
-		Time:     f.src.Now(),
-		Referrer: r.Referer(),
-		UserID:   r.RemoteAddr + "|" + r.UserAgent(),
-	})
-	switch {
-	case resp.Shed:
+	resp := f.Fetch(r.Context(), req)
+	if resp.Shed {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(resp.RetryAfter.Seconds()+0.5)))
 		http.Error(w, "fleet over capacity, retry later", http.StatusServiceUnavailable)
-	case resp.Err != nil:
-		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
-	default:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Ipfs-Gateway-Tier", effectiveTier(resp).String())
-		w.Header().Set("X-Ipfs-Fleet-Gw", fmt.Sprint(resp.GW))
-		w.Write(resp.Data)
+		return
 	}
+	if resp.Err == nil {
+		w.Header().Set("X-Ipfs-Fleet-Gw", fmt.Sprint(resp.GW))
+	}
+	gateway.WriteResponse(w, resp.Response, resp.Data)
 }

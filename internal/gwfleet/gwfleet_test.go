@@ -1,6 +1,8 @@
 package gwfleet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,8 +10,9 @@ import (
 	"time"
 
 	"repro/internal/cid"
+	"repro/internal/gateway"
 	"repro/internal/simtime"
-	"repro/internal/stats"
+	"repro/internal/testnet"
 	"repro/internal/wire"
 )
 
@@ -132,27 +135,100 @@ func TestSharedCacheTTLs(t *testing.T) {
 	}
 }
 
-func TestByteLRUEviction(t *testing.T) {
-	lru := newByteLRU(1000)
-	lru.put("a", make([]byte, 400))
-	lru.put("b", make([]byte, 400))
-	if _, ok := lru.get("a"); !ok { // refresh a: b becomes the eviction victim
-		t.Fatal("a missing before capacity pressure")
+// countingSource is a wall-clock Source (not a Scheduler) whose Sleep
+// only counts.
+type countingSource struct {
+	simtime.BaseSource
+	slept []time.Duration
+}
+
+func (s *countingSource) Sleep(_ context.Context, d time.Duration) error {
+	s.slept = append(s.slept, d)
+	return nil
+}
+
+// wallClockFleet builds a one-instance fleet over a small testnet, on a
+// countingSource.
+func wallClockFleet(t *testing.T) (*Fleet, *countingSource) {
+	t.Helper()
+	tn := testnet.Build(testnet.Config{
+		N: 20, Seed: 5, Scale: 0.0004,
+		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
+	})
+	src := &countingSource{}
+	return New(tn.AddGatewayFleet(1, 900, nil), Config{Time: src}), src
+}
+
+// TestFleetTierOrder pins where the fleet slots its two tiers: below
+// the instance's node store, the shared object cache above the
+// negative cache, both above the origin.
+func TestFleetTierOrder(t *testing.T) {
+	f, _ := wallClockFleet(t)
+	ctx := context.Background()
+	data := []byte("pinned, shared and known missing all at once")
+	root, err := f.Gateway(0).Pin(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lru.put("c", make([]byte, 400))
-	if _, ok := lru.get("b"); ok {
-		t.Error("b survived eviction despite being least recently used")
+	req := gateway.Request{Cid: root}
+	objectTier{f.shared}.Put(req, data)
+	f.shared.NoteMissing(root)
+	if resp := f.Fetch(ctx, req); resp.Tier != gateway.TierNodeStore || resp.Err != nil {
+		t.Errorf("pinned + shared + negative: served by %v (err %v), want the node store", resp.Tier, resp.Err)
 	}
-	if _, ok := lru.get("a"); !ok {
-		t.Error("a evicted despite being recently used")
+
+	onlyShared := gateway.Request{Cid: cid.SumV0([]byte("shared and known missing"))}
+	objectTier{f.shared}.Put(onlyShared, []byte("shared and known missing"))
+	f.shared.NoteMissing(onlyShared.Cid)
+	if resp := f.Fetch(ctx, onlyShared); resp.Tier != gateway.TierShared || resp.Err != nil {
+		t.Errorf("shared + negative: served by %v (err %v), want the shared cache", resp.Tier, resp.Err)
 	}
-	if used := lru.usedBytes(); used > 1000 {
-		t.Errorf("used %d bytes, capacity 1000", used)
+
+	missing := gateway.Request{Cid: cid.SumV0([]byte("known missing"))}
+	f.shared.NoteMissing(missing.Cid)
+	if resp := f.Fetch(ctx, missing); !errors.Is(resp.Err, ErrKnownMissing) {
+		t.Errorf("negative only: err = %v, want ErrKnownMissing before any origin attempt", resp.Err)
 	}
-	// Oversized objects are refused outright, not cached.
-	lru.put("huge", make([]byte, 2000))
-	if _, ok := lru.get("huge"); ok {
-		t.Error("object larger than the whole cache was admitted")
+	if st := f.Stats(); st.NodeStore != 1 || st.SharedHits != 1 || st.NegativeHits != 1 || st.OriginFetch+st.OriginFail != 0 {
+		t.Errorf("stats = %+v, want one node-store, one shared, one negative hit and no origin attempt", st)
+	}
+	if n := len(f.Gateway(0).Log()); n != 3 {
+		t.Errorf("instance logged %d entries for 3 requests", n)
+	}
+}
+
+// TestWallClockFleetDoesNotSleepModelledLatency pins the daemon's side
+// of the tier model: off the simulated clock a node-store hit and a
+// shared-cache hit still report their modelled latency, and sleep none
+// of it.
+func TestWallClockFleetDoesNotSleepModelledLatency(t *testing.T) {
+	f, src := wallClockFleet(t)
+	ctx := context.Background()
+
+	pinned, err := f.Gateway(0).Pin([]byte("pinned at the edge"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := f.Fetch(ctx, gateway.Request{Cid: pinned})
+	if resp.Err != nil || resp.Tier != gateway.TierNodeStore || resp.Latency != gateway.NodeStoreLatency {
+		t.Errorf("pinned fetch = %+v, want a node-store hit reporting %v", resp.Response, gateway.NodeStoreLatency)
+	}
+
+	shared := gateway.Request{Cid: cid.SumV0([]byte("held by the fleet"))}
+	objectTier{f.shared}.Put(shared, []byte("held by the fleet"))
+	resp = f.Fetch(ctx, shared)
+	if resp.Err != nil || resp.Tier != gateway.TierShared || resp.Latency != SharedCacheLatency {
+		t.Errorf("shared fetch = %+v, want a shared-cache hit reporting %v", resp.Response, SharedCacheLatency)
+	}
+	if again := f.Fetch(ctx, shared); again.Tier != gateway.TierNginx {
+		t.Errorf("repeat fetch served from %v, want the nginx cache the shared hit filled", again.Tier)
+	}
+
+	if len(src.slept) != 0 {
+		t.Errorf("fleet on the wall clock slept %v; modelled latencies must only be reported", src.slept)
+	}
+	if st := f.Stats(); st.NodeStore != 1 || st.SharedHits != 1 || st.LocalHits != 1 {
+		t.Errorf("stats = %+v, want one hit each at node store, shared and nginx", st)
 	}
 }
 
@@ -163,11 +239,9 @@ func TestServeHTTPShed(t *testing.T) {
 	cfg := Config{MaxInflight: 1, QueueHigh: 1, RetryAfter: 2 * time.Second}.withDefaults()
 	f := &Fleet{
 		cfg:    cfg,
-		src:    cfg.Time,
 		ring:   NewRing(2, 16),
 		insts:  []*instance{{}, {}},
-		shared: NewSharedCache(1<<20, 0, 0, cfg.Time, nil),
-		ttfb:   stats.NewSample(),
+		shared: NewSharedCache(1<<20, cfg.NegativeTTL, cfg.ProviderTTL, cfg.Time, nil),
 	}
 	// Saturate both instances past the high watermark and latch them.
 	for _, inst := range f.insts {

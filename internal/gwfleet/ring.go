@@ -58,9 +58,6 @@ func NewRing(n, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the instance count.
-func (r *Ring) Nodes() int { return r.n }
-
 // Place returns the owning instance for key.
 func (r *Ring) Place(key string) int {
 	return r.points[r.search(hash64(key))].node

@@ -195,7 +195,7 @@ func (s *SimNetwork) Testnet() *testnet.Testnet { return s.tn }
 // given region with an nginx-style cache of cacheBytes.
 func (s *SimNetwork) NewGateway(region Region, cacheBytes int64, seed int64) *Gateway {
 	node := s.tn.AddVantage(region, seed)
-	return gateway.New(node, cacheBytes, s.tn.Base)
+	return gateway.New(node, cacheBytes, s.tn.Time)
 }
 
 // NewCrawler builds a §4.1 crawler attached to the network.
@@ -282,7 +282,7 @@ func NewTCPNode(cfg TCPNodeConfig) (*Node, error) {
 
 // NewTCPGateway builds an HTTP gateway over a TCP node.
 func NewTCPGateway(node *Node, cacheBytes int64) *Gateway {
-	return gateway.New(node, cacheBytes, simtime.Realtime)
+	return gateway.New(node, cacheBytes, simtime.BaseSource{})
 }
 
 // ParsePeerInfo parses "peerID@/ip4/../tcp/../p2p/.." or a bare
