@@ -9,6 +9,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/experiments"
 	"repro/internal/gateway"
+	"repro/internal/geo"
 	"repro/internal/gwload"
 	"repro/internal/kbucket"
 	"repro/internal/merkledag"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/testnet"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -655,21 +658,55 @@ func BenchmarkPackStoreServe(b *testing.B) {
 	}
 }
 
-// BenchmarkKBucketNearest measures closest-peer selection over a full
-// routing table.
+// BenchmarkKBucketNearest measures closest-peer selection — what a
+// responder does for every FIND_NODE / GET_PROVIDERS hop — at the table
+// sizes the 2000-peer simnet (≈150 entries) and perfbench's isolated
+// probe (500) see.
 func BenchmarkKBucketNearest(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	self := peer.MustNewIdentity(rng)
-	table := kbucket.NewTable(self.ID, 20)
-	for i := 0; i < 500; i++ {
-		table.Add(peer.MustNewIdentity(rng).ID)
-	}
-	key := kbucket.KeyForBytes([]byte("target"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = table.NearestPeers(key, 20)
+	for _, n := range []int{150, 500} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			table := kbucket.NewTable(peer.MustNewIdentity(rng).ID, 20)
+			for i := 0; i < n; i++ {
+				table.Add(peer.MustNewIdentity(rng).ID)
+			}
+			key := kbucket.KeyForBytes([]byte("target"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = table.NearestPeers(key, 20)
+			}
+		})
 	}
 }
+
+// BenchmarkDHTWalkConverge measures whole FIND_NODE walks on a 300-peer
+// event-driven simnet: virtual time makes the RPCs free, so what is
+// left is the walk's own bookkeeping (closestUnqueried, converged,
+// closestSeen) and the responders' NearestPeers.
+func BenchmarkDHTWalkConverge(b *testing.B) {
+	tn := testnet.Build(testnet.Config{N: 300, Seed: 1, EventDriven: true})
+	walker := tn.AddVantage(geo.EuCentral1, 2).DHT()
+	b.ReportAllocs()
+	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			key := []byte(fmt.Sprintf("walk-target-%d", i))
+			closest, _, err := walker.WalkClosest(ctx, kbucket.KeyForBytes(key), key)
+			if err != nil || len(closest) == 0 {
+				b.Errorf("walk %d: %d peers, err %v", i, len(closest), err)
+				return
+			}
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchSink keeps the compiler from dropping a measured call.
+var benchSink []peer.ID
 
 // BenchmarkWireMarshal measures message encode+decode round trips.
 func BenchmarkWireMarshal(b *testing.B) {

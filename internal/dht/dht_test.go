@@ -137,6 +137,39 @@ func TestProvideStoresOnClosestPeers(t *testing.T) {
 	}
 }
 
+// TestWalkClosestMatchesSortByDistance checks the walk's stored
+// distances against the hashing reference: on a converged net the k
+// peers a walk returns are the k globally closest, in the order
+// SortByDistance gives them.
+func TestWalkClosestMatchesSortByDistance(t *testing.T) {
+	tn := buildNet(t, 40, nil)
+	walker := tn.nodes[7]
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		key := []byte("walk-target-" + name)
+		target := kbucket.KeyForBytes(key)
+		closest, _, err := walker.WalkClosest(context.Background(), target, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []peer.ID
+		for _, d := range tn.nodes {
+			if d != walker {
+				want = append(want, d.ident.ID)
+			}
+		}
+		kbucket.SortByDistance(want, target)
+		want = want[:walker.cfg.K]
+		if len(closest) != len(want) {
+			t.Fatalf("target %s: walk returned %d peers, want %d", name, len(closest), len(want))
+		}
+		for i, info := range closest {
+			if info.ID != want[i] {
+				t.Errorf("target %s: closest[%d] = %s, SortByDistance gives %s", name, i, info.ID.Short(), want[i].Short())
+			}
+		}
+	}
+}
+
 func TestFindProvidersAfterProvide(t *testing.T) {
 	tn := buildNet(t, 40, nil)
 	publisher, requester := tn.nodes[0], tn.nodes[25]

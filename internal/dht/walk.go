@@ -32,8 +32,13 @@ const (
 	stateFailed
 )
 
+// candidate is a peer a walk has heard of. dist is its XOR distance to
+// the walk's target, computed once when addCandidate admits it: every
+// ranking the walk does afterwards compares stored distances and never
+// hashes.
 type candidate struct {
 	info  wire.PeerInfo
+	dist  kbucket.Key
 	state candState
 	depth int
 }
@@ -71,7 +76,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			}
 			return
 		}
-		cands[info.ID] = &candidate{info: info, depth: depth}
+		cands[info.ID] = &candidate{info: info, dist: kbucket.XOR(kbucket.KeyForPeer(info.ID), target), depth: depth}
 	}
 
 	// Seed with the k closest peers from our own routing table.
@@ -86,43 +91,39 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	// closestUnqueried returns the unqueried candidate nearest target.
 	closestUnqueried := func() *candidate {
 		var best *candidate
-		var bestDist kbucket.Key
 		for _, c := range cands {
-			if c.state != stateCandidate {
-				continue
-			}
-			dist := kbucket.XOR(kbucket.KeyForPeer(c.info.ID), target)
-			if best == nil || kbucket.Less(dist, bestDist) {
-				best, bestDist = c, dist
+			if c.state == stateCandidate && (best == nil || kbucket.Less(c.dist, best.dist)) {
+				best = c
 			}
 		}
 		return best
 	}
 
 	// converged reports whether the k closest non-failed candidates
-	// have all been queried.
+	// have all been queried: the closest one still unanswered, if any,
+	// must have k answered candidates in front of it.
 	converged := func() bool {
-		type distCand struct {
-			c    *candidate
-			dist kbucket.Key
-		}
-		var live []distCand
+		var pending *candidate
+		live := 0
 		for _, c := range cands {
 			if c.state == stateFailed {
 				continue
 			}
-			live = append(live, distCand{c, kbucket.XOR(kbucket.KeyForPeer(c.info.ID), target)})
-		}
-		sort.Slice(live, func(i, j int) bool { return kbucket.Less(live[i].dist, live[j].dist) })
-		if len(live) > d.cfg.K {
-			live = live[:d.cfg.K]
-		}
-		for _, dc := range live {
-			if dc.c.state != stateDone {
-				return false
+			live++
+			if c.state != stateDone && (pending == nil || kbucket.Less(c.dist, pending.dist)) {
+				pending = c
 			}
 		}
-		return len(live) > 0
+		if pending == nil {
+			return live > 0
+		}
+		ahead := 0
+		for _, c := range cands {
+			if c.state == stateDone && kbucket.Less(c.dist, pending.dist) {
+				ahead++
+			}
+		}
+		return ahead >= d.cfg.K
 	}
 
 	// Buffered to the query cap so responders never block: a query
@@ -174,7 +175,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 		if !ok {
 			info.Duration = src.Since(start)
 			info.Launched = launched
-			return d.closestSeen(cands, target), final, info
+			return d.closestSeen(cands), final, info
 		}
 		inflight--
 		c := cands[res.id]
@@ -211,23 +212,23 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	cancel()
 	info.Duration = src.Since(start)
 	info.Launched = launched
-	return d.closestSeen(cands, target), final, info
+	return d.closestSeen(cands), final, info
 }
 
 // closestSeen returns the k closest candidates observed during the
 // walk, regardless of whether they answered.
-func (d *DHT) closestSeen(cands map[peer.ID]*candidate, target kbucket.Key) []wire.PeerInfo {
-	infos := make([]wire.PeerInfo, 0, len(cands))
-	ids := make([]peer.ID, 0, len(cands))
-	for id := range cands {
-		ids = append(ids, id)
+func (d *DHT) closestSeen(cands map[peer.ID]*candidate) []wire.PeerInfo {
+	seen := make([]*candidate, 0, len(cands))
+	for _, c := range cands {
+		seen = append(seen, c)
 	}
-	kbucket.SortByDistance(ids, target)
-	if len(ids) > d.cfg.K {
-		ids = ids[:d.cfg.K]
+	sort.Slice(seen, func(i, j int) bool { return kbucket.Less(seen[i].dist, seen[j].dist) })
+	if len(seen) > d.cfg.K {
+		seen = seen[:d.cfg.K]
 	}
-	for _, id := range ids {
-		infos = append(infos, cands[id].info)
+	infos := make([]wire.PeerInfo, len(seen))
+	for i, c := range seen {
+		infos[i] = c.info
 	}
 	return infos
 }

@@ -24,8 +24,17 @@ const (
 type Key [KeyLen]byte
 
 // KeyForPeer derives the DHT key of a peer: SHA256 of its binary PeerID.
+// It is the one derivation of a peer's key; callers compute it where a
+// peer enters a table or a walk and keep the result, never inside a
+// comparator.
 func KeyForPeer(id peer.ID) Key {
-	return sha256.Sum256([]byte(id))
+	// A PeerID is a 34-byte multihash: hashing it from a stack buffer
+	// spares the heap copy a []byte(id) conversion of that length makes.
+	var buf [64]byte
+	if len(id) > len(buf) {
+		return sha256.Sum256([]byte(id))
+	}
+	return sha256.Sum256(buf[:copy(buf[:], id)])
 }
 
 // KeyForBytes derives the DHT key for arbitrary bytes (e.g. a binary
@@ -57,9 +66,13 @@ func CommonPrefixLen(a, b Key) int {
 	return NumBuckets
 }
 
-// Entry is one routing-table slot.
+// Entry is one routing-table slot. Key is KeyForPeer(ID), computed once
+// when Add admits the peer and kept for as long as the entry lives
+// (including across the move-to-back refresh), so ranking the table
+// never hashes.
 type Entry struct {
-	ID peer.ID
+	ID  peer.ID
+	Key Key
 }
 
 // Table is a thread-safe Kademlia routing table.
@@ -113,7 +126,7 @@ func (t *Table) Add(id peer.ID) bool {
 	if len(bucket) >= t.k {
 		return false
 	}
-	t.buckets[idx] = append(bucket, Entry{ID: id})
+	t.buckets[idx] = append(bucket, Entry{ID: id, Key: key})
 	return true
 }
 
@@ -149,29 +162,78 @@ func (t *Table) Contains(id peer.ID) bool {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.size()
+}
+
+func (t *Table) size() int {
 	n := 0
-	for _, b := range t.buckets {
-		n += len(b)
+	for i := range t.buckets {
+		n += len(t.buckets[i])
 	}
 	return n
 }
 
+// ranked is a peer decorated with its XOR distance to a target.
+type ranked struct {
+	dist Key
+	id   peer.ID
+}
+
 // NearestPeers returns up to count peers closest to key by XOR
-// distance, closest first.
+// distance, closest first. It ranks the keys the entries store — no
+// hashing, no sort of the whole table — and sweeps the buckets in
+// distance order, so it stops as soon as count peers are held.
+//
+// With cpl the number of leading bits key shares with the local key,
+// peers in bucket cpl share more than cpl bits with key, peers in the
+// buckets beyond it share exactly cpl, and peers in a bucket i < cpl
+// share exactly i: every peer of one group is closer than every peer of
+// the next, and only within a group does the order need working out.
 func (t *Table) NearestPeers(key Key, count int) []peer.ID {
 	t.mu.RLock()
-	all := make([]peer.ID, 0, 64)
-	for _, b := range t.buckets {
-		for _, e := range b {
-			all = append(all, e.ID)
+	defer t.mu.RUnlock()
+	if n := t.size(); count > n {
+		count = n
+	}
+	if count <= 0 {
+		return nil
+	}
+	best := make([]ranked, 0, count)
+	cpl := t.bucketIndex(key)
+	best = keepNearest(best, t.buckets[cpl], key)
+	if len(best) < count {
+		for i := cpl + 1; i < NumBuckets; i++ {
+			best = keepNearest(best, t.buckets[i], key)
 		}
 	}
-	t.mu.RUnlock()
-	SortByDistance(all, key)
-	if len(all) > count {
-		all = all[:count]
+	for i := cpl - 1; i >= 0 && len(best) < count; i-- {
+		best = keepNearest(best, t.buckets[i], key)
 	}
-	return all
+	out := make([]peer.ID, len(best))
+	for i, r := range best {
+		out[i] = r.id
+	}
+	return out
+}
+
+// keepNearest merges bucket into best, which is sorted by distance to
+// key and never grows past its capacity: a peer enters a full best only
+// by displacing its farthest.
+func keepNearest(best []ranked, bucket []Entry, key Key) []ranked {
+	for _, e := range bucket {
+		dist := XOR(e.Key, key)
+		i := len(best)
+		if i < cap(best) {
+			best = append(best, ranked{})
+		} else if i--; !Less(dist, best[i].dist) {
+			continue
+		}
+		for ; i > 0 && Less(dist, best[i-1].dist); i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = ranked{dist: dist, id: e.ID}
+	}
+	return best
 }
 
 // AllPeers returns every peer in the table. The crawler uses this to
@@ -202,11 +264,17 @@ func (t *Table) BucketSizes() map[int]int {
 	return out
 }
 
-// SortByDistance sorts ids in place by XOR distance from key.
+// SortByDistance sorts ids in place by XOR distance from key. Each id is
+// hashed once, up front; the comparator compares the stored distances.
 func SortByDistance(ids []peer.ID, key Key) {
-	sort.Slice(ids, func(i, j int) bool {
-		return Less(XOR(KeyForPeer(ids[i]), key), XOR(KeyForPeer(ids[j]), key))
-	})
+	byDist := make([]ranked, len(ids))
+	for i, id := range ids {
+		byDist[i] = ranked{dist: XOR(KeyForPeer(id), key), id: id}
+	}
+	sort.Slice(byDist, func(i, j int) bool { return Less(byDist[i].dist, byDist[j].dist) })
+	for i, r := range byDist {
+		ids[i] = r.id
+	}
 }
 
 // Closer reports whether a is strictly closer to key than b.

@@ -2,6 +2,8 @@ package kbucket
 
 import (
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,9 +158,17 @@ func TestNearestPeersFewerThanCount(t *testing.T) {
 func TestKeySpaceSharedBetweenCidsAndPeers(t *testing.T) {
 	// §2.3: CIDs and PeerIDs are indexed by the SHA256 of their binary
 	// representation, so both map into the same 256-bit key space.
-	id := newPeers(1, 7)[0]
-	if KeyForPeer(id) != KeyForBytes([]byte(id)) {
+	ids := newPeers(2, 7)
+	if KeyForPeer(ids[0]) != KeyForBytes([]byte(ids[0])) {
 		t.Error("peer keys must be the SHA256 of the binary PeerID")
+	}
+	if KeyForPeer(ids[0]) == KeyForPeer(ids[1]) {
+		t.Error("distinct peers must map to distinct DHT keys")
+	}
+	// Ids longer than a PeerID take KeyForPeer's copying path.
+	long := peer.ID(strings.Repeat("x", 100))
+	if KeyForPeer(long) != KeyForBytes([]byte(long)) {
+		t.Error("long ids must hash the same way")
 	}
 }
 
@@ -190,5 +200,99 @@ func TestDefaultK(t *testing.T) {
 	table := NewTable(newPeers(1, 9)[0], 0)
 	if table.K() != DefaultK {
 		t.Errorf("K = %d, want %d", table.K(), DefaultK)
+	}
+}
+
+// referenceNearest is NearestPeers written the obvious way: hash every
+// id in the table, sort all of them by distance, truncate.
+func referenceNearest(table *Table, target Key, count int) []peer.ID {
+	all := table.AllPeers()
+	sort.Slice(all, func(i, j int) bool {
+		return Less(XOR(KeyForBytes([]byte(all[i])), target), XOR(KeyForBytes([]byte(all[j])), target))
+	})
+	if len(all) > count {
+		all = all[:count]
+	}
+	return all
+}
+
+// checkStoredKeys asserts the invariant the cached keys rest on: every
+// entry's Key is the hash of its ID, and it sits in that key's bucket.
+func checkStoredKeys(t *testing.T, table *Table) {
+	t.Helper()
+	for idx, bucket := range table.buckets {
+		for _, e := range bucket {
+			if e.Key != KeyForPeer(e.ID) {
+				t.Fatalf("entry %s stores a key that is not its hash", e.ID.Short())
+			}
+			if table.bucketIndex(e.Key) != idx {
+				t.Fatalf("entry %s is in bucket %d, its key belongs in %d", e.ID.Short(), idx, table.bucketIndex(e.Key))
+			}
+		}
+	}
+}
+
+// TestNearestPeersMatchesBruteForce: after random removes and refreshing
+// adds, selection over stored keys returns exactly what hashing and
+// sorting the whole table returns, element for element.
+func TestNearestPeersMatchesBruteForce(t *testing.T) {
+	for _, n := range []int{0, 1, 19, 20, 21, 500} {
+		rng := rand.New(rand.NewSource(int64(100 + n)))
+		peers := newPeers(n+1, int64(n))
+		table := NewTable(peers[0], DefaultK)
+		for _, p := range peers[1:] {
+			table.Add(p)
+			checkStoredKeys(t, table)
+		}
+		for i := 0; i < n/2; i++ {
+			p := peers[1+rng.Intn(n)]
+			if rng.Intn(3) == 0 {
+				table.Remove(p)
+			} else {
+				table.Add(p) // a refresh when present, a re-add when removed
+			}
+			checkStoredKeys(t, table)
+		}
+		size := table.Len()
+		for i := 0; i < 200; i++ {
+			var target Key
+			rng.Read(target[:])
+			switch i % 4 {
+			case 1: // the key of a peer in the table, or the local key itself
+				target = KeyForPeer(peers[rng.Intn(n+1)])
+			case 2: // the local key with one bit flipped: every sweep start
+				target = KeyForPeer(peers[0])
+				bit := rng.Intn(NumBuckets)
+				target[bit/8] ^= 0x80 >> (bit % 8)
+			}
+			for _, count := range []int{1, 20, 50, size + 5} {
+				got, want := table.NearestPeers(target, count), referenceNearest(table, target, count)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d count=%d: got %d peers, want %d", n, count, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("n=%d count=%d: NearestPeers[%d] = %s, brute force = %s", n, count, j, got[j].Short(), want[j].Short())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNearestPeersAllocs bounds what a lookup hop allocates on the
+// responder: the selection scratch and the result, whatever the table size.
+func TestNearestPeersAllocs(t *testing.T) {
+	peers := newPeers(501, 10)
+	table := NewTable(peers[0], DefaultK)
+	for _, p := range peers[1:] {
+		table.Add(p)
+	}
+	target := KeyForBytes([]byte("some cid"))
+	if allocs := testing.AllocsPerRun(100, func() { table.NearestPeers(target, DefaultK) }); allocs > 4 {
+		t.Errorf("NearestPeers allocates %.0f times per call, want <= 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { KeyForPeer(peers[1]) }); allocs != 0 {
+		t.Errorf("KeyForPeer allocates %.0f times per call, want 0", allocs)
 	}
 }

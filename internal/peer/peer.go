@@ -96,14 +96,6 @@ func Verify(expected ID, pub ed25519.PublicKey, msg, sig []byte) error {
 // Multihash returns the ID's underlying multihash bytes.
 func (id ID) Multihash() multihash.Multihash { return multihash.Multihash(id) }
 
-// DHTKey returns the 256-bit key under which this peer is indexed in the
-// DHT: the SHA256 of its binary representation (§2.3).
-func (id ID) DHTKey() []byte {
-	mh := multihash.SumSHA256([]byte(id))
-	dec, _ := multihash.Decode(mh)
-	return dec.Digest
-}
-
 // String renders the ID in base58btc, the familiar "Qm..."-style form.
 func (id ID) String() string {
 	if id == "" {

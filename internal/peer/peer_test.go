@@ -64,26 +64,6 @@ func TestParseIDErrors(t *testing.T) {
 	}
 }
 
-func TestDHTKey(t *testing.T) {
-	id := MustNewIdentity(rand.New(rand.NewSource(5)))
-	k := id.ID.DHTKey()
-	if len(k) != 32 {
-		t.Errorf("DHT key length = %d, want 32 (256-bit keyspace)", len(k))
-	}
-	other := MustNewIdentity(rand.New(rand.NewSource(6)))
-	k2 := other.ID.DHTKey()
-	same := true
-	for i := range k {
-		if k[i] != k2[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("distinct peers must map to distinct DHT keys")
-	}
-}
-
 func TestShort(t *testing.T) {
 	id := MustNewIdentity(rand.New(rand.NewSource(9)))
 	if len(id.ID.Short()) != 8 {

@@ -388,9 +388,12 @@ type deadlineCtx struct {
 	deadline   time.Time
 	stopParent func() bool
 
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes cancel
 	done chan struct{}
-	err  error
+	// err is published before done closes, so Err — which the
+	// dispatcher polls on every parked waiter at every quiescent
+	// instant — is one atomic load, not a lock.
+	err atomic.Pointer[error]
 }
 
 func (c *deadlineCtx) Deadline() (time.Time, bool) {
@@ -403,12 +406,19 @@ func (c *deadlineCtx) Deadline() (time.Time, bool) {
 func (c *deadlineCtx) Done() <-chan struct{} { return c.done }
 
 func (c *deadlineCtx) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	if err := c.err.Load(); err != nil {
+		return *err
 	}
-	return c.parent.Err()
+	perr := c.parent.Err()
+	if perr != nil {
+		// The two reads are not one: this context may have ended on its
+		// own and the parent after it since the load above. Its own
+		// cause came first and is what every later call reports.
+		if err := c.err.Load(); err != nil {
+			return *err
+		}
+	}
+	return perr
 }
 
 func (c *deadlineCtx) Value(key any) any { return c.parent.Value(key) }
@@ -418,8 +428,8 @@ func (c *deadlineCtx) cancel(err error) {
 		err = context.Canceled
 	}
 	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
+	if c.err.Load() == nil {
+		c.err.Store(&err)
 		close(c.done)
 	}
 	c.mu.Unlock()

@@ -349,3 +349,67 @@ func TestSchedulerCloseUnwindsWaiters(t *testing.T) {
 		t.Fatalf("sleep on closed scheduler: %v", err)
 	}
 }
+
+// TestDeadlineCtxErrConcurrent pins what the lock-free Err must keep:
+// while one goroutine ends a WithTimeout context, others poll Err and
+// Done; Err never goes back to nil, is non-nil once Done is closed, and
+// reports the cause it always reported — DeadlineExceeded at the virtual
+// deadline, Canceled from the CancelFunc, the parent's error when the
+// parent ends first. Run under -race.
+func TestDeadlineCtxErrConcurrent(t *testing.T) {
+	cases := []struct {
+		name string
+		want error
+		end  func(s *Scheduler, tctx context.Context, cancelParent, cancel context.CancelFunc)
+	}{
+		{"deadline", context.DeadlineExceeded, func(s *Scheduler, tctx context.Context, _, _ context.CancelFunc) {
+			if err := s.Sleep(tctx, time.Minute); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("sleep across deadline: err %v", err)
+			}
+		}},
+		{"cancel", context.Canceled, func(_ *Scheduler, _ context.Context, _, cancel context.CancelFunc) { cancel() }},
+		{"parent", context.Canceled, func(_ *Scheduler, _ context.Context, cancelParent, _ context.CancelFunc) { cancelParent() }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+				parent, cancelParent := context.WithCancel(ctx)
+				defer cancelParent()
+				tctx, cancel := s.WithTimeout(parent, 10*time.Second)
+				defer cancel()
+				// The pollers hold no lease: they spin on real time and
+				// never park, so the dispatcher neither sees nor waits
+				// for them.
+				for i := 0; i < 8; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var seen error
+						for closed := false; !closed; {
+							select {
+							case <-tctx.Done():
+								closed = true
+							default:
+							}
+							err := tctx.Err()
+							if closed && err != tc.want {
+								t.Errorf("Err() = %v after Done() closed, want %v", err, tc.want)
+							}
+							if seen != nil && err != seen {
+								t.Errorf("Err() changed from %v to %v", seen, err)
+								return
+							}
+							seen = err
+						}
+					}()
+				}
+				tc.end(s, tctx, cancelParent, cancel)
+			})
+			// Parent cancellation reaches tctx on context.AfterFunc's own
+			// goroutine: the pollers leave only once Done has closed.
+			wg.Wait()
+		})
+	}
+}
