@@ -658,6 +658,115 @@ func BenchmarkPackStoreServe(b *testing.B) {
 	}
 }
 
+// BenchmarkPackStoreDelete measures what one Delete costs a pack store
+// that already holds many tombstones: the Delete plus the candidate scan
+// its kick wakes (CompactNow, called inline; the background loop is
+// off). Every case builds at least eight sealed volumes and checks that
+// none of them is compactable, so each scan finds nothing and ns/op is
+// the scan's own cost.
+//
+//   - tombstones=N: N tombstones spread over the sealed volumes, each
+//     masking a put one volume back, every volume near a 0.35 dead
+//     ratio. No volume reaches the threshold on its raw dead bytes, so
+//     the scan must stay O(volumes): ns/op flat in N.
+//   - small-blocks: 256 B blocks and a GC-sweep burst whose tombstones
+//     fill one sealed volume. Its raw dead ratio is past the threshold
+//     but every tombstone in it is still needed, so each scan walks
+//     them: ns/op is that volume's tombstone count times one O(1)
+//     tombstoneNeeded.
+//
+// The deleted victims are 64 B blocks put into the active volume before
+// the timer starts; the store is reopened at the default volume cap
+// first, so their records never seal a volume mid-measurement.
+func BenchmarkPackStoreDelete(b *testing.B) {
+	cases := []struct {
+		name      string
+		blockSize int
+		spread    int // tombstones spread over the sealed volumes
+		burst     int // tombstones appended in one sweep at the end
+	}{
+		{"tombstones=1000", 512, 1000, 0},
+		{"tombstones=20000", 512, 20000, 0},
+		{"small-blocks", 256, 0, 4000},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			// One block in three (spread) or two in five (burst) dies.
+			standing := 3*tc.spread + 5*tc.burst/2
+			perVolume := standing / 10
+			standing += perVolume            // the spread deletes lag one volume behind
+			recLen := 15 + 36 + tc.blockSize // record header, CIDv1 sha2-256, payload
+			dir := b.TempDir()
+			cfg := block.PackConfig{VolumeSizeCap: int64(perVolume * recLen), DisableBackground: true}
+			ps, err := block.NewPackStore(dir, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, tc.blockSize)
+			put := func(tag byte, i int) cid.Cid {
+				buf[0], buf[1], buf[2], buf[3], buf[4] = tag, byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+				blk := block.New(multicodec.Raw, buf)
+				if err := ps.Put(blk); err != nil {
+					b.Fatal(err)
+				}
+				return blk.Cid()
+			}
+			// sealActive pads the active volume with live blocks until it
+			// rotates.
+			sealActive := func(tag byte) {
+				for i, n := 0, ps.VolumeCount(); ps.VolumeCount() == n; i++ {
+					put(tag, i)
+				}
+			}
+			cids := make([]cid.Cid, standing)
+			for i := range cids {
+				cids[i] = put('s', i)
+				if j := i - perVolume; tc.spread > 0 && j >= 0 && j%3 == 0 {
+					ps.Delete(cids[j])
+				}
+			}
+			if tc.burst > 0 {
+				sealActive('p')
+				for i, c := range cids {
+					if i%5 < 2 {
+						ps.Delete(c)
+					}
+				}
+				sealActive('q')
+			}
+			if err := ps.Close(); err != nil {
+				b.Fatal(err)
+			}
+
+			cfg.VolumeSizeCap = 0
+			if ps, err = block.NewPackStore(dir, cfg); err != nil {
+				b.Fatal(err)
+			}
+			defer ps.Close()
+			buf = make([]byte, 64)
+			victims := make([]cid.Cid, b.N)
+			for i := range victims {
+				victims[i] = put('v', i)
+			}
+			volumes := ps.VolumeCount()
+			if err := ps.CompactNow(); err != nil {
+				b.Fatal(err)
+			}
+			if got := ps.VolumeCount(); got != volumes || volumes < 9 {
+				b.Fatalf("set-up: %d volumes, %d after CompactNow; want >= 9 and nothing to compact", volumes, got)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps.Delete(victims[i])
+				if err := ps.CompactNow(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKBucketNearest measures closest-peer selection — what a
 // responder does for every FIND_NODE / GET_PROVIDERS hop — at the table
 // sizes the 2000-peer simnet (≈150 entries) and perfbench's isolated

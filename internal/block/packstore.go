@@ -44,18 +44,28 @@ type PackStore struct {
 	dir string
 	reg atomic.Pointer[telemetry.Registry]
 
-	// mu guards the index, the volumes map and the pin set. Readers
-	// hold it (shared) across the pread, so the compactor — which takes
-	// it exclusively before dropping a volume from the map — can never
-	// close a file under an in-flight read.
+	// mu guards the index, the volumes map, each volume's tombs and
+	// stale sets, staleRefs and the pin set. Readers hold it (shared)
+	// across the pread, so the compactor — which takes it exclusively
+	// before dropping a volume from the map — can never close a file
+	// under an in-flight read.
 	mu       sync.RWMutex
 	index    map[string]packLoc
 	volumes  map[int]*packVolume
 	pins     map[string]struct{}
 	activeID int
+	// staleRefs counts, per key, the volumes whose stale set holds it:
+	// staleRefs[k] == |{v : k ∈ v.stale}|, with no zero entries. It is
+	// the whole-store answer tombstoneNeeded would otherwise collect by
+	// asking every volume. Only markStale increments it, only compactVolume
+	// decrements it (where it drops the volume), and open rebuilds it
+	// through markStale.
+	staleRefs map[string]int
 
 	// wmu serializes appends, rotation and the index mutations that
-	// follow an append. Lock order: wmu before mu, always.
+	// follow an append — Put, Delete and every record compaction copies —
+	// so the order of records on disk is the order the index saw them.
+	// Lock order: cmu, then wmu, then mu, always.
 	wmu    sync.Mutex
 	active *packVolume
 	dirty  bool
@@ -133,12 +143,12 @@ type packVolume struct {
 	// can re-write a still-needed tombstone before dropping the file.
 	tombs map[string]struct{}
 	// stale remembers which keys have a dead put record in this volume
-	// (overwritten, deleted, or a compaction copy that lost a race). A
-	// tombstone is only worth carrying while some other volume holds a
-	// stale put for its key — otherwise a reopen has nothing to
-	// resurrect and the tombstone can be dropped, which is what lets
-	// compaction terminate instead of shuttling tombstones between
-	// volumes forever.
+	// (overwritten, deleted, or moved out by compaction). A tombstone is
+	// only worth carrying while some other volume holds a stale put for
+	// its key — otherwise a reopen has nothing to resurrect and the
+	// tombstone can be dropped, which is what lets compaction terminate
+	// instead of shuttling tombstones between volumes forever. Written
+	// only by markStale, which keeps PackStore.staleRefs in step.
 	stale map[string]struct{}
 }
 
@@ -156,13 +166,14 @@ func NewPackStore(dir string, cfg PackConfig) (*PackStore, error) {
 		return nil, fmt.Errorf("block: packstore: %w", err)
 	}
 	s := &PackStore{
-		cfg:     cfg,
-		dir:     dir,
-		index:   make(map[string]packLoc),
-		volumes: make(map[int]*packVolume),
-		pins:    make(map[string]struct{}),
-		stop:    make(chan struct{}),
-		kick:    make(chan struct{}, 1),
+		cfg:       cfg,
+		dir:       dir,
+		index:     make(map[string]packLoc),
+		volumes:   make(map[int]*packVolume),
+		pins:      make(map[string]struct{}),
+		staleRefs: make(map[string]int),
+		stop:      make(chan struct{}),
+		kick:      make(chan struct{}, 1),
 	}
 	if err := s.open(); err != nil {
 		return nil, err
@@ -279,17 +290,13 @@ func (s *PackStore) scanVolume(v *packVolume) int64 {
 		switch kind {
 		case recPut:
 			if old, ok := s.index[key]; ok {
-				ov := s.volumes[old.vol]
-				ov.dead.Add(packRecLen(key, old.n))
-				ov.stale[key] = struct{}{}
+				s.markStale(key, old)
 			}
 			s.index[key] = packLoc{vol: v.id, off: off + packHeaderLen + int64(cidLen), n: int32(dataLen)}
 			delete(v.tombs, key) // a re-put supersedes this volume's tombstone
 		case recTombstone:
 			if old, ok := s.index[key]; ok {
-				ov := s.volumes[old.vol]
-				ov.dead.Add(packRecLen(key, old.n))
-				ov.stale[key] = struct{}{}
+				s.markStale(key, old)
 				delete(s.index, key)
 			}
 			v.dead.Add(recLen) // the tombstone itself is dead weight
@@ -305,6 +312,22 @@ func (s *PackStore) scanVolume(v *packVolume) int64 {
 // bytes) is key and whose payload is dataLen bytes.
 func packRecLen(key string, dataLen int32) int64 {
 	return int64(packHeaderLen + len(key) + int(dataLen))
+}
+
+// markStale accounts for the put record at loc having just died —
+// superseded on replay, deleted, or moved out by compaction: its bytes
+// turn dead, and its volume joins the set of volumes holding a stale
+// put for key. It is the only writer of a volume's stale set and the
+// only place staleRefs grows, which is what keeps staleRefs[key] equal
+// to the number of volumes whose stale holds key. Caller holds mu
+// exclusively (open runs before the store is shared).
+func (s *PackStore) markStale(key string, loc packLoc) {
+	v := s.volumes[loc.vol]
+	v.dead.Add(packRecLen(key, loc.n))
+	if _, ok := v.stale[key]; !ok {
+		v.stale[key] = struct{}{}
+		s.staleRefs[key]++
+	}
 }
 
 func encodeRecord(kind byte, cidB, data []byte) []byte {
@@ -431,12 +454,14 @@ func (s *PackStore) Has(c cid.Cid) bool {
 
 // Delete implements Store. It appends a tombstone and drops the index
 // entry; the record's bytes are reclaimed later by compaction. Pinned
-// blocks are not deleted.
+// blocks are not deleted. Every Delete kicks the background loop; what
+// the kick wakes is compactCandidate's scan, O(volumes) while no volume
+// is past the threshold, however many tombstones the store holds.
 func (s *PackStore) Delete(c cid.Cid) {
 	key := c.Key()
 	s.wmu.Lock()
 	s.mu.RLock()
-	_, ok := s.index[key]
+	loc, ok := s.index[key]
 	_, pinned := s.pins[key]
 	s.mu.RUnlock()
 	if !ok || pinned {
@@ -451,13 +476,8 @@ func (s *PackStore) Delete(c cid.Cid) {
 		return
 	}
 	s.mu.Lock()
-	// Re-read the loc: the compactor may have moved it since the check
-	// above (Put/Delete themselves serialize on wmu).
-	loc := s.index[key]
-	if ov := s.volumes[loc.vol]; ov != nil {
-		ov.dead.Add(packRecLen(key, loc.n))
-		ov.stale[key] = struct{}{}
-	}
+	// loc is still current: every index write happens under wmu.
+	s.markStale(key, loc)
 	delete(s.index, key)
 	v.dead.Add(packRecLen(key, 0))
 	v.tombs[key] = struct{}{}
@@ -523,28 +543,35 @@ func (s *PackStore) kickCompaction() {
 // tombstoneNeeded reports whether a tombstone for key must be carried
 // forward when its volume (exclude) is dropped: the key is not live and
 // some other volume still holds a stale put record a reopen would
-// otherwise replay. Caller holds mu (shared suffices).
-func (s *PackStore) tombstoneNeeded(key string, exclude int) bool {
-	if _, live := s.index[key]; live {
-		return false // a rewrite after the re-put record would kill it
+// otherwise replay. staleRefs makes that O(1): the number of volumes
+// holding a stale put for key, less exclude's own. Caller holds mu
+// (shared suffices).
+func (s *PackStore) tombstoneNeeded(key string, exclude *packVolume) bool {
+	refs := s.staleRefs[key]
+	if _, own := exclude.stale[key]; own {
+		refs--
 	}
-	for id, w := range s.volumes {
-		if id == exclude {
-			continue
-		}
-		if _, ok := w.stale[key]; ok {
-			return true
-		}
+	if refs <= 0 {
+		return false
 	}
-	return false
+	_, live := s.index[key]
+	return !live // a rewrite after the re-put record would kill it
 }
 
 // compactCandidate picks the sealed volume with the worst reclaimable
-// ratio at or past the threshold, or nil. Dead bytes belonging to
-// still-needed tombstones are not reclaimable — compaction would just
-// rewrite them into the active volume — so a volume of nothing but
-// needed tombstones is not a candidate; it becomes one when the stale
-// puts its tombstones mask are compacted away themselves.
+// ratio at or past the threshold (the oldest on a tie), or nil. Dead
+// bytes belonging to still-needed tombstones are not reclaimable —
+// compaction would just rewrite them into the active volume — so a
+// volume of nothing but needed tombstones is not a candidate; it
+// becomes one when the stale puts its tombstones mask are compacted
+// away themselves.
+//
+// Needed-tombstone bytes are only ever subtracted from dead, so the raw
+// dead/size ratio is an upper bound on the reclaimable one: a volume
+// under the threshold on the raw ratio is skipped before any of its
+// tombstones is looked at. The scan every Delete's kick wakes is
+// therefore O(volumes) atomic loads, plus O(its tombstones) for each
+// volume already past the raw threshold.
 func (s *PackStore) compactCandidate() *packVolume {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -559,12 +586,16 @@ func (s *PackStore) compactCandidate() *packVolume {
 			continue
 		}
 		reclaim := v.dead.Load()
+		if float64(reclaim)/float64(size) < s.cfg.CompactThreshold {
+			continue // under it on the upper bound: no tombstone can matter
+		}
 		for key := range v.tombs {
-			if s.tombstoneNeeded(key, v.id) {
+			if s.tombstoneNeeded(key, v) {
 				reclaim -= packRecLen(key, 0)
 			}
 		}
-		if ratio := float64(reclaim) / float64(size); ratio >= s.cfg.CompactThreshold && ratio > bestRatio {
+		ratio := float64(reclaim) / float64(size)
+		if ratio >= s.cfg.CompactThreshold && (ratio > bestRatio || (ratio == bestRatio && id < best.id)) {
 			best, bestRatio = v, ratio
 		}
 	}
@@ -590,9 +621,17 @@ func (s *PackStore) CompactNow() error {
 
 // compactVolume moves v's live records to the active volume, rewrites
 // any of v's tombstones that still mask an older put, then removes the
-// volume file. Readers are never blocked for the duration: they hold
-// mu shared across their preads, and the file is closed only after the
-// index no longer references the volume.
+// volume file.
+//
+// Each record is copied under wmu, held across check, pread, append and
+// index swap. Put and Delete append under the same lock, so a Delete
+// lands either before the check (the record is skipped) or after the
+// swap (its tombstone follows the copy on disk): replay order equals
+// the order the index saw, and a reopen brings back nothing a Delete
+// returned from. Writers wait for one record's copy at a time. Readers
+// wait only for the index swap: they hold mu shared across their
+// preads, and the file is closed only after the index no longer
+// references the volume.
 func (s *PackStore) compactVolume(v *packVolume) error {
 	type liveRec struct {
 		key string
@@ -614,37 +653,9 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 	sort.Strings(tombs)
 
 	for _, r := range live {
-		s.mu.RLock()
-		loc, ok := s.index[r.key]
-		if !ok || loc != r.loc {
-			s.mu.RUnlock()
-			continue // deleted or already moved
-		}
-		data := make([]byte, loc.n)
-		_, err := v.f.ReadAt(data, loc.off)
-		s.mu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("block: packstore: compact %s: %w", v.path, err)
-		}
-		rec := encodeRecord(recPut, []byte(r.key), data)
-		s.wmu.Lock()
-		nv, off, err := s.appendLocked(rec)
-		if err != nil {
-			s.wmu.Unlock()
+		if err := s.moveRecord(v, r.key, r.loc); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		if cur, ok := s.index[r.key]; ok && cur == r.loc {
-			s.index[r.key] = packLoc{vol: nv.id, off: off + packHeaderLen + int64(len(r.key)), n: loc.n}
-			v.dead.Add(packRecLen(r.key, loc.n))
-		} else {
-			// Deleted while we copied: the fresh copy is born dead, and
-			// it is a stale put the delete's tombstone must keep masking.
-			nv.dead.Add(int64(len(rec)))
-			nv.stale[r.key] = struct{}{}
-		}
-		s.mu.Unlock()
-		s.wmu.Unlock()
 	}
 
 	// A tombstone must outlive its volume while another volume still
@@ -658,7 +669,7 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 	for _, key := range tombs {
 		s.wmu.Lock()
 		s.mu.RLock()
-		needed := s.tombstoneNeeded(key, v.id)
+		needed := s.tombstoneNeeded(key, v)
 		s.mu.RUnlock()
 		if !needed {
 			s.wmu.Unlock()
@@ -683,6 +694,11 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 		return err
 	}
 	s.mu.Lock()
+	for key := range v.stale {
+		if s.staleRefs[key]--; s.staleRefs[key] == 0 {
+			delete(s.staleRefs, key)
+		}
+	}
 	delete(s.volumes, v.id)
 	s.mu.Unlock()
 	v.f.Close()
@@ -692,6 +708,33 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 	if rmErr != nil {
 		return fmt.Errorf("block: packstore: %w", rmErr)
 	}
+	return nil
+}
+
+// moveRecord re-appends the record compactVolume found at loc in v and
+// points the index at the copy, unless the key was deleted since the
+// snapshot. It holds wmu throughout (see compactVolume).
+func (s *PackStore) moveRecord(v *packVolume, key string, loc packLoc) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.RLock()
+	cur, ok := s.index[key]
+	s.mu.RUnlock()
+	if !ok || cur != loc {
+		return nil // deleted (and perhaps re-put) since the snapshot
+	}
+	data := make([]byte, loc.n)
+	if _, err := v.f.ReadAt(data, loc.off); err != nil {
+		return fmt.Errorf("block: packstore: compact %s: %w", v.path, err)
+	}
+	nv, off, err := s.appendLocked(encodeRecord(recPut, []byte(key), data))
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.index[key] = packLoc{vol: nv.id, off: off + packHeaderLen + int64(len(key)), n: loc.n}
+	s.markStale(key, loc)
+	s.mu.Unlock()
 	return nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,32 @@ func volumeFiles(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// loopCompactNow runs CompactNow back to back on its own goroutine, the
+// way a busy background loop would; the returned function stops it and
+// waits for it to exit.
+func loopCompactNow(t *testing.T, s *PackStore) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				if err := s.CompactNow(); err != nil {
+					t.Errorf("compact: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // TestPackStoreReopenRebuildsIndex: the index is purely in-memory, so
@@ -442,22 +470,7 @@ func TestPackStoreConcurrentStress(t *testing.T) {
 	const workers = 4
 	const perWorker = 300
 	var wg sync.WaitGroup
-	stopCompact := make(chan struct{})
-	compactDone := make(chan struct{})
-	go func() {
-		defer close(compactDone)
-		for {
-			select {
-			case <-stopCompact:
-				return
-			default:
-				if err := s.CompactNow(); err != nil {
-					t.Errorf("compact: %v", err)
-					return
-				}
-			}
-		}
-	}()
+	stopCompactor := loopCompactNow(t, s)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -491,24 +504,286 @@ func TestPackStoreConcurrentStress(t *testing.T) {
 	}
 	// Stop the compactor only after the workers are done.
 	wg.Wait()
-	close(stopCompact)
-	<-compactDone
+	stopCompactor()
 
-	// Whatever survived must read back correctly and survive a reopen.
+	// Whatever survived must read back correctly and survive a reopen —
+	// the same set of keys, not just as many.
 	liveBefore := s.Len()
+	present := make(map[int]bool)
 	for i := 0; i < 100; i++ {
 		b := packBlock(i)
 		got, err := s.Get(b.Cid())
 		if err == nil && string(got.Data()) != string(b.Data()) {
 			t.Fatal("corrupt block after stress")
 		}
+		present[i] = err == nil
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r := newPackStore(t, dir, PackConfig{})
 	if r.Len() != liveBefore {
-		t.Fatalf("reopen Len = %d, want %d", r.Len(), liveBefore)
+		t.Errorf("reopen Len = %d, want %d", r.Len(), liveBefore)
+	}
+	for i := 0; i < 100; i++ {
+		if got := r.Has(packBlock(i).Cid()); got != present[i] {
+			t.Errorf("block %d: present after reopen = %v, before Close = %v", i, got, present[i])
+		}
+	}
+}
+
+// TestPackStoreDeleteRacesCompactionNoResurrect: Deletes running in the
+// order the compactor copies (oldest first) while CompactNow loops must
+// not leave a put record after its tombstone on disk — a reopen may
+// bring back nothing a Delete returned from. Fresh Puts ride between
+// the Deletes as in a node's steady state: they pace the deleter so the
+// compactor keeps meeting it inside a volume, and they keep the volumes
+// that receive the copies live enough to survive until the reopen.
+func TestPackStoreDeleteRacesCompactionNoResurrect(t *testing.T) {
+	const (
+		rounds        = 4
+		preload       = 400
+		deletes       = 300
+		putsPerDelete = 4
+	)
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		s := newPackStore(t, dir, PackConfig{VolumeSizeCap: 4096, CompactThreshold: 0.3})
+		rng := rand.New(rand.NewSource(int64(round)))
+		var all []Block
+		put := func() {
+			data := make([]byte, 48+rng.Intn(80))
+			rng.Read(data)
+			copy(data, fmt.Sprintf("r%d-%05d", round, len(all)))
+			b := New(multicodec.Raw, data)
+			if err := s.Put(b); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, b)
+		}
+		for i := 0; i < preload; i++ {
+			put()
+		}
+		stopCompactor := loopCompactNow(t, s)
+		for i := 0; i < deletes; i++ {
+			s.Delete(all[i].Cid())
+			for j := 0; j < putsPerDelete; j++ {
+				put()
+			}
+		}
+		stopCompactor()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r := newPackStore(t, dir, PackConfig{})
+		back := 0
+		for _, b := range all[:deletes] {
+			if r.Has(b.Cid()) {
+				back++
+			}
+		}
+		if back > 0 {
+			t.Errorf("round %d: %d of %d deleted blocks are back after reopen", round, back, deletes)
+		}
+		for i, b := range all[deletes:] {
+			got, err := r.Get(b.Cid())
+			if err != nil {
+				t.Fatalf("round %d: survivor %d: %v", round, deletes+i, err)
+			}
+			if string(got.Data()) != string(b.Data()) {
+				t.Fatalf("round %d: survivor %d reads back different bytes", round, deletes+i)
+			}
+		}
+	}
+}
+
+// modelBlock is key i of the model test: payloads of 10–100 bytes, so
+// records straddle the 1–2 KiB volumes unevenly.
+func modelBlock(i int) Block {
+	return New(multicodec.Raw, []byte(fmt.Sprintf("model-%02d-%s", i, strings.Repeat("x", i*7%91))))
+}
+
+// refCompactCandidate is compactCandidate the way it was first written:
+// walk every tombstone of every sealed volume and ask every other
+// volume's stale set whether it is still needed. Oldest volume on a tie.
+func refCompactCandidate(s *PackStore) *packVolume {
+	ids := make([]int, 0, len(s.volumes))
+	for id := range s.volumes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var best *packVolume
+	var bestRatio float64
+	for _, id := range ids {
+		v := s.volumes[id]
+		size := v.size.Load()
+		if id == s.activeID || size == 0 {
+			continue
+		}
+		reclaim := v.dead.Load()
+		for key := range v.tombs {
+			if _, live := s.index[key]; live {
+				continue
+			}
+			for wid, w := range s.volumes {
+				if _, ok := w.stale[key]; ok && wid != id {
+					reclaim -= packRecLen(key, 0)
+					break
+				}
+			}
+		}
+		if ratio := float64(reclaim) / float64(size); ratio >= s.cfg.CompactThreshold && ratio > bestRatio {
+			best, bestRatio = v, ratio
+		}
+	}
+	return best
+}
+
+// checkPackInvariants asserts the bookkeeping contract the O(1)
+// tombstoneNeeded and the O(volumes) candidate scan rest on. The store
+// must be quiescent.
+func checkPackInvariants(t *testing.T, s *PackStore) {
+	t.Helper()
+	want := make(map[string]int)
+	for _, v := range s.volumes {
+		for key := range v.stale {
+			want[key]++
+		}
+	}
+	for key, n := range s.staleRefs {
+		if n <= 0 {
+			t.Errorf("staleRefs[%x] = %d: zero or negative entry kept", key, n)
+		}
+		if n != want[key] {
+			t.Errorf("staleRefs[%x] = %d, but %d volumes hold a stale put for it", key, n, want[key])
+		}
+	}
+	for key, n := range want {
+		if _, ok := s.staleRefs[key]; !ok {
+			t.Errorf("staleRefs misses %x, stale in %d volumes", key, n)
+		}
+	}
+	for key, loc := range s.index {
+		v := s.volumes[loc.vol]
+		if v == nil {
+			t.Errorf("index[%x] points into volume %d, which does not exist", key, loc.vol)
+		} else if end := loc.off + int64(loc.n); end > v.size.Load() {
+			t.Errorf("index[%x] ends at %d, past volume %d's %d bytes", key, end, loc.vol, v.size.Load())
+		}
+	}
+	got, ref := s.compactCandidate(), refCompactCandidate(s)
+	if got != ref {
+		id := func(v *packVolume) int {
+			if v == nil {
+				return -1
+			}
+			return v.id
+		}
+		t.Errorf("compactCandidate = volume %d, reference = volume %d (-1 is none)", id(got), id(ref))
+	}
+}
+
+// TestPackStoreModel drives seeded random operation sequences against
+// a MemStore oracle holding the same pins, and after every step checks
+// both what the store answers and what it keeps (checkPackInvariants) —
+// across reopens too, where everything is rebuilt from the volumes.
+func TestPackStoreModel(t *testing.T) {
+	const (
+		steps = 400
+		keys  = 64
+	)
+	seeds := 24
+	if testing.Short() {
+		seeds = 3
+	}
+	blocks := make([]Block, keys)
+	for i := range blocks {
+		blocks[i] = modelBlock(i)
+	}
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			dir := t.TempDir()
+			cfg := PackConfig{VolumeSizeCap: int64(1024 + rng.Intn(1025)), CompactThreshold: 0.3 + 0.4*rng.Float64()}
+			s := newPackStore(t, dir, cfg)
+			oracle := NewMemStore()
+			for step := 0; step < steps; step++ {
+				b := blocks[rng.Intn(keys)]
+				var op string
+				switch x := rng.Intn(100); {
+				case x < 40:
+					op = "put"
+					if x >= 30 { // re-put: the first absent key, if any
+						for _, d := range blocks {
+							if !oracle.Has(d.Cid()) {
+								b = d
+								break
+							}
+						}
+					}
+					if err := s.Put(b); err != nil {
+						t.Fatal(err)
+					}
+					oracle.Put(b)
+				case x < 68:
+					op = "delete"
+					s.Delete(b.Cid())
+					oracle.Delete(b.Cid())
+				case x < 73:
+					op = "pin"
+					s.Pin(b.Cid())
+					oracle.Pin(b.Cid())
+				case x < 78:
+					op = "unpin"
+					s.Unpin(b.Cid())
+					oracle.Unpin(b.Cid())
+				case x < 90:
+					op = "compact"
+					if err := s.CompactNow(); err != nil {
+						t.Fatal(err)
+					}
+				case x < 95:
+					op = "flush"
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					op = "reopen"
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					s = newPackStore(t, dir, cfg)
+					// Pins live in memory only: a reopen forgets them.
+					for _, d := range blocks {
+						oracle.Unpin(d.Cid())
+					}
+				}
+
+				if s.Len() != oracle.Len() {
+					t.Errorf("Len = %d, oracle %d", s.Len(), oracle.Len())
+				}
+				for i, d := range blocks {
+					want, werr := oracle.Get(d.Cid())
+					got, gerr := s.Get(d.Cid())
+					switch {
+					case s.Has(d.Cid()) != (werr == nil):
+						t.Errorf("key %d: Has = %v, oracle %v", i, s.Has(d.Cid()), werr == nil)
+					case werr != nil && !errors.Is(gerr, ErrNotFound):
+						t.Errorf("key %d: Get = %v, want ErrNotFound", i, gerr)
+					case werr == nil && (gerr != nil || string(got.Data()) != string(want.Data())):
+						t.Errorf("key %d: Get = %q, %v, oracle holds %q", i, got.Data(), gerr, want.Data())
+					}
+					if s.Pinned(d.Cid()) != oracle.Pinned(d.Cid()) {
+						t.Errorf("key %d: Pinned = %v, oracle %v", i, s.Pinned(d.Cid()), oracle.Pinned(d.Cid()))
+					}
+				}
+				checkPackInvariants(t, s)
+				if t.Failed() {
+					t.Fatalf("after step %d (%s, key %s), volumes=%d", step, op, b.Cid(), len(s.volumes))
+				}
+			}
+		})
 	}
 }
 
