@@ -7,10 +7,12 @@
 package repro
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -30,6 +32,7 @@ import (
 	"repro/internal/testnet"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/ipfs"
 )
 
 // benchPerf runs a small §4.3 experiment; reused by the Table 1/4 and
@@ -831,6 +834,100 @@ func BenchmarkWireMarshal(b *testing.B) {
 		if _, err := wire.Unmarshal(raw); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWireFrameBlock256K measures one served block's trip through
+// the frame path the TCP transport uses: WriteFrame of a 256 KiB TBlock
+// into a loopback socket, ReadFrame out of the other end. One op is one
+// block; B/op counts both ends (one payload-sized buffer, the reader's).
+func BenchmarkWireFrameBlock256K(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	payload := make([]byte, 256<<10)
+	rand.New(rand.NewSource(3)).Read(payload)
+	msg := wire.Message{Type: wire.TBlock, Key: bytes.Repeat([]byte{9}, 36), BlockData: payload}
+	n := b.N
+	werr := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			werr <- err
+			return
+		}
+		defer c.Close()
+		for i := 0; i < n; i++ {
+			if err := wire.WriteFrame(c, msg); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	r := bufio.NewReader(c)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < n; i++ {
+		got, err := wire.ReadFrame(r)
+		if err != nil || len(got.BlockData) != len(payload) {
+			b.Fatalf("frame %d: %d bytes, %v", i, len(got.BlockData), err)
+		}
+	}
+	b.StopTimer()
+	if err := <-werr; err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkTCPRetrieve1MiB measures a whole Retrieve of a 1 MiB object
+// (five blocks) between two connected TCP nodes in this process — the
+// wire codec, the TCP framing, Bitswap, block construction, the store
+// and the DAG assembly, without the DHT: the provider is a connected
+// neighbour, so discovery is one WANT-HAVE. The requester's store is
+// cleared after every op so each one fetches every block.
+func BenchmarkTCPRetrieve1MiB(b *testing.B) {
+	provider, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer provider.Close()
+	requester, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer requester.Close()
+	ctx := context.Background()
+	if _, _, err := requester.Swarm().Connect(ctx, provider.ID(), provider.Addrs()); err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(4)).Read(data)
+	root, err := provider.Add(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := requester.Retrieve(ctx, root)
+		if err != nil || len(got) != len(data) {
+			b.Fatalf("retrieve %d: %d bytes, %v", i, len(got), err)
+		}
+		requester.ClearStore()
+	}
+	b.StopTimer()
+	if got, _, err := requester.Retrieve(ctx, root); err != nil || !bytes.Equal(got, data) {
+		b.Fatalf("retrieved object differs from the one added: %v", err)
 	}
 }
 

@@ -497,6 +497,10 @@ func (b *Bitswap) fetchDirect(ctx context.Context, from wire.PeerInfo, c cid.Cid
 	if resp.Type != wire.TBlock {
 		return block.Block{}, ErrNotFound
 	}
+	// The response's payload becomes the block as it is: NewWithCid
+	// hashes it (the one hash a received block gets) and takes the
+	// buffer over — on TCP the frame nobody else holds, on simnet the
+	// provider's own immutable block bytes.
 	blk, err := block.NewWithCid(c, resp.BlockData)
 	if err != nil {
 		// Self-certification (§2.1): data not matching the CID is

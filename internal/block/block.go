@@ -1,13 +1,22 @@
 // Package block provides content-addressed blocks and blockstores. A
-// block is an immutable (CID, bytes) pair; stores verify on insertion so
-// everything read back is self-certified (§2.1).
+// block is an immutable (CID, bytes) pair that matched when it entered
+// this process, so everything read back is self-certified (§2.1).
+//
+// A Block is a proof-carrying value. Outside this package the only way
+// to obtain one with a defined CID is a constructor — New, NewOwned,
+// NewWithCid — and every constructor hashes the bytes against the CID
+// before it returns. Bytes are therefore hashed once, at the boundary
+// where they enter the process (caller → Add, socket → node, disk →
+// node); after that the Block owns them, nobody writes them, and a
+// layer that is handed a Block checks which CID it carries instead of
+// hashing it again.
 //
 // Four Store implementations cover the deployment spectrum:
 //
 //   - MemStore: unbounded in-memory map, the simulator default.
 //   - LRUStore: byte-capped in-memory store with least-recently-used
-//     eviction (a verifying adapter over internal/lru) — the node store
-//     of a fleet's edge gateways.
+//     eviction (an adapter over internal/lru) — the node store of a
+//     fleet's edge gateways.
 //   - FSStore (fsstore.go): file-per-block flatfs layout.
 //   - PackStore (packstore.go): the pack-engine store — append-only
 //     pack volumes, an in-memory CID index rebuilt from volume scans,
@@ -28,6 +37,11 @@ import (
 type Block struct {
 	cid  cid.Cid
 	data []byte
+	// hashed records that a constructor hashed data against cid. Only
+	// the constructors set it and nothing clears it; the zero value and
+	// a literal built inside this package (the tests' mismatched block)
+	// carry false, and Put hashes those itself.
+	hashed bool
 }
 
 // Errors returned by blockstores.
@@ -36,32 +50,67 @@ var (
 	ErrHashMismatch = errors.New("block: data does not match CID")
 )
 
-// New creates a block from data under the given codec, computing its CID.
+// New creates a block from a copy of data under the given codec,
+// computing its CID. The caller keeps data and may reuse it.
 func New(codec multicodec.Code, data []byte) Block {
-	d := append([]byte(nil), data...)
-	return Block{cid: cid.Sum(codec, d), data: d}
+	return NewOwned(codec, append([]byte(nil), data...))
 }
 
-// NewWithCid wraps data with a caller-supplied CID, verifying the pair.
+// NewOwned is New without the copy: the block takes ownership of data,
+// which the caller must neither write nor hand to another owner
+// afterwards. It is the constructor for a buffer built to become the
+// block — a node the DAG builder has just encoded.
+func NewOwned(codec multicodec.Code, data []byte) Block {
+	return Block{cid: cid.Sum(codec, data), data: data, hashed: true}
+}
+
+// NewWithCid wraps data with a caller-supplied CID, hashing data to
+// verify the pair: the constructor for bytes that arrived from a peer
+// or from disk. Like NewOwned it takes ownership of data — a decoded
+// frame's BlockData, a buffer just read from a file — and does not
+// copy it.
 func NewWithCid(c cid.Cid, data []byte) (Block, error) {
 	if !c.Verify(data) {
 		return Block{}, ErrHashMismatch
 	}
-	return Block{cid: c, data: append([]byte(nil), data...)}, nil
+	return Block{cid: c, data: data, hashed: true}, nil
 }
 
-// Cid returns the block's content identifier.
+// Cid returns the block's content identifier. Because every constructor
+// hashes, a Block whose Cid equals the CID a caller asked for is that
+// content; comparing the two is the whole check.
 func (b Block) Cid() cid.Cid { return b.cid }
 
-// Data returns the block payload. Callers must not modify it.
+// Data returns the block payload. The block owns it and it is never
+// written after construction: callers must not modify it, and may alias
+// it (a served frame, a decoded node) for as long as they like. Stores
+// and the blocks of other nodes in the same process may share these
+// bytes.
 func (b Block) Data() []byte { return b.data }
+
+// checkPut is the admission check of every Store.Put: a defined CID,
+// and bytes that match it — by the constructor's hash when the block
+// carries one, by hashing here otherwise.
+func (b Block) checkPut() error {
+	if !b.cid.Defined() {
+		return fmt.Errorf("block: undefined CID")
+	}
+	if !b.hashed && !b.cid.Verify(b.data) {
+		return ErrHashMismatch
+	}
+	return nil
+}
 
 // Size returns the payload length in bytes.
 func (b Block) Size() int { return len(b.data) }
 
 // Store is the interface all blockstores implement.
 type Store interface {
-	// Put stores a block. Implementations verify CID/data consistency.
+	// Put stores a block whose bytes match its CID. A Block from a
+	// constructor was hashed there and is not hashed again; any other
+	// (the zero value) is hashed here and refused with ErrHashMismatch
+	// or an undefined-CID error. An in-memory store keeps the block's
+	// bytes, not a copy.
 	Put(Block) error
 	// Get returns the block for c or ErrNotFound.
 	Get(c cid.Cid) (Block, error)
@@ -115,11 +164,8 @@ func NewMemStore() *MemStore {
 
 // Put implements Store.
 func (s *MemStore) Put(b Block) error {
-	if !b.cid.Defined() {
-		return fmt.Errorf("block: undefined CID")
-	}
-	if !b.cid.Verify(b.data) {
-		return ErrHashMismatch
+	if err := b.checkPut(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,7 +254,7 @@ func (s *MemStore) TotalBytes() int64 {
 }
 
 // LRUStore is a bounded in-memory blockstore with least-recently-used
-// eviction: the verifying Store face of an lru.Cache keyed by CID.
+// eviction: the Store face of an lru.Cache keyed by CID.
 // Blocks larger than the whole capacity are accepted and not kept.
 type LRUStore struct {
 	cache *lru.Cache[Block]
@@ -221,8 +267,8 @@ func NewLRUStore(capacityBytes int64) *LRUStore {
 
 // Put implements Store, evicting least-recently-used blocks as needed.
 func (s *LRUStore) Put(b Block) error {
-	if !b.cid.Verify(b.data) {
-		return ErrHashMismatch
+	if err := b.checkPut(); err != nil {
+		return err
 	}
 	s.cache.Put(b.cid.Key(), b, int64(b.Size()))
 	return nil

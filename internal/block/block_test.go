@@ -134,3 +134,62 @@ func TestQuickStoreRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOwningConstructors: NewOwned and NewWithCid keep the slice they
+// are given (New copies), and neither yields a block without hashing —
+// NewWithCid refuses a mismatch, NewOwned's CID is the hash of its
+// bytes.
+func TestOwningConstructors(t *testing.T) {
+	data := []byte("owned bytes")
+	owned := NewOwned(multicodec.Raw, data)
+	if &owned.Data()[0] != &data[0] {
+		t.Error("NewOwned copied its input")
+	}
+	if !owned.Cid().Equal(cid.Sum(multicodec.Raw, data)) || !owned.hashed {
+		t.Error("NewOwned: CID is not the hash of the data, or the block is unmarked")
+	}
+	copied := New(multicodec.Raw, data)
+	if &copied.Data()[0] == &data[0] {
+		t.Error("New must keep its defensive copy")
+	}
+	got, err := NewWithCid(owned.Cid(), data)
+	if err != nil || &got.Data()[0] != &data[0] || !got.hashed {
+		t.Errorf("NewWithCid of matching data: err %v, copied %v", err, &got.Data()[0] != &data[0])
+	}
+	if bad, err := NewWithCid(owned.Cid(), []byte("other bytes")); err != ErrHashMismatch || bad.hashed || bad.Cid().Defined() {
+		t.Errorf("NewWithCid of a mismatch = %+v, %v", bad, err)
+	}
+}
+
+// TestPutHashesOnlyUnmarkedBlocks observes whether Put hashes by
+// breaking, on purpose, the rule that a block's bytes are never written:
+// a constructed (marked) block whose bytes were flipped afterwards is
+// accepted by every backend, so Put did not hash it again; the same
+// CID and bytes as an unmarked literal are refused, so the hash of
+// anything a constructor did not vouch for is still there.
+func TestPutHashesOnlyUnmarkedBlocks(t *testing.T) {
+	pack, err := NewPackStore(t.TempDir(), PackConfig{DisableBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pack.Close()
+	stores := map[string]Store{"mem": NewMemStore(), "lru": NewLRUStore(1 << 20), "fs": newFSStore(t), "pack": pack}
+	for name, s := range stores {
+		b := New(multicodec.Raw, []byte("hashed once, by the constructor"))
+		b.data[0] ^= 0xff
+		if err := s.Put(Block{cid: b.cid, data: b.data}); err != ErrHashMismatch {
+			t.Errorf("%s: Put of the unmarked literal = %v, want ErrHashMismatch", name, err)
+		}
+		if err := s.Put(b); err != nil {
+			t.Errorf("%s: Put re-hashed a block its constructor had hashed: %v", name, err)
+		}
+	}
+	// The disk boundary still hashes: what the two persistent stores
+	// wrote above does not match its CID, and Get says so.
+	b := New(multicodec.Raw, []byte("hashed once, by the constructor"))
+	for _, name := range []string{"fs", "pack"} {
+		if _, err := stores[name].Get(b.Cid()); err == nil {
+			t.Errorf("%s: Get served bytes that do not match their CID", name)
+		}
+	}
+}

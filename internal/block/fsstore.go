@@ -13,8 +13,10 @@ import (
 
 // FSStore is a filesystem-backed blockstore in the flatfs layout kubo
 // uses: blocks live in two-character shard directories keyed by the
-// tail of the base32 CID, one file per block. It verifies on Put and
-// on Get, so on-disk corruption is detected by self-certification.
+// tail of the base32 CID, one file per block. Get hashes what it read
+// (the disk is a trust boundary), so on-disk corruption is detected by
+// self-certification; Put relies on the block's constructor having
+// hashed it.
 //
 // The store is lock-free: Put writes to a uniquely named temp file and
 // renames it into place, so readers only ever observe a whole block
@@ -51,11 +53,8 @@ func (s *FSStore) shardPath(c cid.Cid) (dir, file string) {
 
 // Put implements Store.
 func (s *FSStore) Put(b Block) error {
-	if !b.Cid().Defined() {
-		return fmt.Errorf("block: undefined CID")
-	}
-	if !b.Cid().Verify(b.Data()) {
-		return ErrHashMismatch
+	if err := b.checkPut(); err != nil {
+		return err
 	}
 	dir, file := s.shardPath(b.Cid())
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -384,11 +384,8 @@ func (s *PackStore) rotateLocked() (*packVolume, error) {
 // Put implements Store. Content addressing makes Put of an already
 // stored CID a no-op: the same CID certifies the same bytes.
 func (s *PackStore) Put(b Block) error {
-	if !b.cid.Defined() {
-		return fmt.Errorf("block: undefined CID")
-	}
-	if !b.cid.Verify(b.data) {
-		return ErrHashMismatch
+	if err := b.checkPut(); err != nil {
+		return err
 	}
 	key := b.cid.Key()
 	s.wmu.Lock()

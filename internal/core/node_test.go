@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/geo"
+	"repro/internal/merkledag"
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/routing"
@@ -411,5 +412,80 @@ func TestRetrieveRouterWithoutProvidersFallsBackToBroadcast(t *testing.T) {
 	}
 	if !res.BitswapHit || res.RoutedSession {
 		t.Errorf("result = %+v, want a broadcast hit", res)
+	}
+}
+
+// TestRetrievedBytesAreTheCallersOwn: blocks own their bytes and are
+// shared, uncopied, between a provider's store, the simulated wire and
+// the requester's store, so what Retrieve returns must be a fresh
+// copy. Overwriting every returned byte leaves every block on both
+// nodes — the provider's above all — matching its CID, for a single-leaf
+// object (whose root block is the whole payload) and a multi-block one.
+// The network runs on virtual time, so the one-second Bitswap window
+// the retrievals rely on does not depend on how loaded the host is.
+func TestRetrievedBytesAreTheCallersOwn(t *testing.T) {
+	tn := testnet.Build(testnet.Config{
+		N: 20, Seed: 11, EventDriven: true,
+		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
+	})
+	holder, requester := tn.Nodes[0], tn.Nodes[1]
+	type object struct {
+		root      cid.Cid
+		data, got []byte
+	}
+	var objects []*object
+	for _, size := range []int{2048, 600 << 10} {
+		o := &object{data: make([]byte, size)}
+		rand.New(rand.NewSource(int64(size))).Read(o.data)
+		root, err := holder.Add(o.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.root = root
+		objects = append(objects, o)
+	}
+	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
+		if _, _, err := requester.Swarm().Connect(ctx, holder.ID(), holder.Addrs()); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, o := range objects {
+			got, _, err := requester.Retrieve(ctx, o.root)
+			if err != nil {
+				t.Errorf("size %d: retrieve: %v", len(o.data), err)
+				return
+			}
+			o.got = got
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objects {
+		if !bytes.Equal(o.got, o.data) {
+			t.Fatalf("size %d: retrieved bytes differ", len(o.data))
+		}
+		for i := range o.got {
+			o.got[i] ^= 0xff
+		}
+		for name, n := range map[string]*core.Node{"provider": holder, "requester": requester} {
+			cids, err := merkledag.AllCids(n.Store(), o.root)
+			if err != nil {
+				t.Fatalf("size %d: %s: %v", len(o.data), name, err)
+			}
+			for _, c := range cids {
+				blk, err := n.Store().Get(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.Verify(blk.Data()) {
+					t.Errorf("size %d: writing the retrieved bytes corrupted the %s's block %s", len(o.data), name, c)
+				}
+			}
+		}
+		// And the provider still serves the object it was given.
+		if again, err := holder.Cat(o.root); err != nil || !bytes.Equal(again, o.data) {
+			t.Errorf("size %d: provider's copy changed: %v", len(o.data), err)
+		}
 	}
 }

@@ -217,19 +217,24 @@ func (t storeTier) Get(_ context.Context, req Request) ([]byte, time.Duration, e
 func (storeTier) Put(Request, []byte) {}
 
 // networkTier is the end of every cascade: a full P2P retrieval of the
-// root DAG through the co-located node, after which the path (if any)
-// resolves locally. It never misses; a failed retrieval is terminal.
+// root DAG through the co-located node. A path-less request is answered
+// with the object Retrieve assembled — one walk, and no dependence on
+// the node store still holding every block afterwards; a path resolves
+// locally once the DAG is in. It never misses; a failed retrieval is
+// terminal.
 type networkTier struct{ node *core.Node }
 
 func (networkTier) Tier() Tier { return TierNetwork }
 
 func (t networkTier) Get(ctx context.Context, req Request) ([]byte, time.Duration, error) {
-	_, res, err := t.node.Retrieve(ctx, req.Cid)
+	data, res, err := t.node.Retrieve(ctx, req.Cid)
+	if err == nil && req.Path != "" {
+		data, err = t.node.CatPath(req.Cid, req.Path)
+	}
 	if err != nil {
 		return nil, res.Total, err
 	}
-	data, err := assembleLocal(t.node, req)
-	return data, res.Total, err
+	return data, res.Total, nil
 }
 
 func (networkTier) Put(Request, []byte) {}

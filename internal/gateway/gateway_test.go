@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/cid"
+	"repro/internal/merkledag"
 	"repro/internal/multicodec"
 	"repro/internal/testnet"
 )
@@ -79,6 +82,40 @@ func TestFetchFromNetwork(t *testing.T) {
 	r2 := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u4"})
 	if r2.Tier != TierNginx {
 		t.Errorf("second fetch tier = %v", r2.Tier)
+	}
+}
+
+// TestNetworkTierServesObjectLargerThanNodeStore: the network tier
+// answers a path-less miss with the object the retrieval assembled. It
+// used to throw that away and assemble again from the node store, which
+// fails when the store is an LRU smaller than the object — the first
+// blocks are gone before the second walk starts.
+func TestNetworkTierServesObjectLargerThanNodeStore(t *testing.T) {
+	tn := testnet.Build(testnet.Config{
+		N: 30, Seed: 31, Scale: 0.0004,
+		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
+	})
+	store := block.NewLRUStore(600 << 10)
+	g := New(tn.AddVantageStore("US", 777, store), 4<<20, tn.Time)
+	ctx := context.Background()
+	data := make([]byte, 1<<20) // five distinct blocks at the default 256 KiB chunk
+	rand.New(rand.NewSource(6)).Read(data)
+	publisher := tn.Nodes[0]
+	pub, err := publisher.AddAndPublish(ctx, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publisher.PublishPeerRecord(ctx)
+
+	r, body := g.FetchData(ctx, Request{Cid: pub.Cid, Time: day, Country: "US", UserID: "u6"})
+	if r.Tier != TierNetwork || r.Err != nil {
+		t.Fatalf("network fetch = %+v", r)
+	}
+	if !bytes.Equal(body, data) {
+		t.Errorf("network tier returned %d bytes that differ from the %d published", len(body), len(data))
+	}
+	if _, err := merkledag.Assemble(store, pub.Cid); err == nil {
+		t.Fatal("the node store still holds the whole object: the test no longer covers the evicted case")
 	}
 }
 

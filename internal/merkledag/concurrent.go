@@ -2,7 +2,7 @@ package merkledag
 
 import (
 	"context"
-	"fmt"
+	"slices"
 
 	"repro/internal/cid"
 	"repro/internal/simtime"
@@ -11,7 +11,8 @@ import (
 // AssembleConcurrent reassembles the DAG rooted at root like Assemble,
 // but fetches sibling subtrees with up to workers concurrent fetches —
 // how Bitswap sessions overlap block requests in practice. Output
-// ordering is preserved; every block is verified against its CID.
+// ordering is preserved; every block is checked against the CID that
+// named it, and the result is the caller's own allocation.
 func AssembleConcurrent(f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	return AssembleConcurrentOn(context.Background(), nil, f, root, workers)
 }
@@ -30,36 +31,32 @@ func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, ro
 	if src == nil {
 		src = simtime.NewBaseSource(simtime.Realtime, nil)
 	}
-	// The semaphore bounds concurrent Get calls only; it is never held
-	// across the recursive descent, so ancestors waiting on descendants
-	// cannot starve them of slots. Slots are prefilled tokens: acquiring
-	// is a receive (instrumented under the scheduler) and releasing a
-	// deposit into the freed capacity, which never blocks.
+	// The semaphore bounds concurrent fetches (a Get and the decode of
+	// what it returned) only; it is never held across the recursive
+	// descent, so ancestors waiting on descendants cannot starve them of
+	// slots. Slots are prefilled tokens: acquiring is a receive
+	// (instrumented under the scheduler) and releasing a deposit into
+	// the freed capacity, which never blocks.
 	sem := make(chan struct{}, workers)
 	for i := 0; i < workers; i++ {
 		sem <- struct{}{}
 	}
-	var fetch func(ctx context.Context, c cid.Cid) ([]byte, error)
-	fetch = func(ctx context.Context, c cid.Cid) ([]byte, error) {
+	// fetch returns the leaves under c in order, as the slices the
+	// fetched blocks own; only the final concatenation copies payload.
+	var fetch func(ctx context.Context, c cid.Cid) ([][]byte, error)
+	fetch = func(ctx context.Context, c cid.Cid) ([][]byte, error) {
 		if _, ok := simtime.Recv(ctx, src, sem); !ok {
 			return nil, ctx.Err()
 		}
-		blk, err := f.Get(c)
+		n, err := fetchNode(f, c)
 		sem <- struct{}{}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrMissing, c, err)
-		}
-		if !c.Verify(blk.Data()) {
-			return nil, fmt.Errorf("merkledag: block %s failed verification", c)
-		}
-		n, err := DecodeNode(blk.Data())
 		if err != nil {
 			return nil, err
 		}
 		if len(n.Links) == 0 {
-			return n.Data, nil
+			return [][]byte{n.Data}, nil
 		}
-		parts := make([][]byte, len(n.Links))
+		parts := make([][][]byte, len(n.Links))
 		errs := make([]error, len(n.Links))
 		g := simtime.NewGroup(src)
 		for i, l := range n.Links {
@@ -69,14 +66,16 @@ func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, ro
 			})
 		}
 		g.Wait(ctx)
-		var out []byte
-		for i := range parts {
-			if errs[i] != nil {
-				return nil, errs[i]
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
-			out = append(out, parts[i]...)
 		}
-		return out, nil
+		return slices.Concat(parts...), nil
 	}
-	return fetch(ctx, root)
+	leaves, err := fetch(ctx, root)
+	if err != nil {
+		return nil, err
+	}
+	return concat(leaves), nil
 }

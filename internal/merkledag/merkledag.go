@@ -11,6 +11,7 @@
 package merkledag
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -53,23 +54,32 @@ const (
 	innerMarker = 0x01
 )
 
-// Encode serializes a node deterministically.
+// Encode serializes a node deterministically into one allocation of
+// exactly the encoded size, so the builder can hand the buffer to
+// block.NewOwned as it is.
 func (n *Node) Encode() []byte {
-	out := []byte{nodeMagic}
+	size := 2 + varint.Len(uint64(len(n.Data))) + len(n.Data)
+	if len(n.Links) > 0 {
+		size += varint.Len(uint64(len(n.Links)))
+		for _, l := range n.Links {
+			cl := len(l.Cid.Key())
+			size += varint.Len(uint64(cl)) + cl + varint.Len(l.Size) + varint.Len(uint64(len(l.Name))) + len(l.Name)
+		}
+	}
+	out := append(make([]byte, 0, size), nodeMagic)
 	if len(n.Links) == 0 {
 		out = append(out, leafMarker)
-		out = varint.Append(out, uint64(len(n.Data)))
-		return append(out, n.Data...)
-	}
-	out = append(out, innerMarker)
-	out = varint.Append(out, uint64(len(n.Links)))
-	for _, l := range n.Links {
-		raw := l.Cid.Bytes()
-		out = varint.Append(out, uint64(len(raw)))
-		out = append(out, raw...)
-		out = varint.Append(out, l.Size)
-		out = varint.Append(out, uint64(len(l.Name)))
-		out = append(out, l.Name...)
+	} else {
+		out = append(out, innerMarker)
+		out = varint.Append(out, uint64(len(n.Links)))
+		for _, l := range n.Links {
+			raw := l.Cid.Key()
+			out = varint.Append(out, uint64(len(raw)))
+			out = append(out, raw...)
+			out = varint.Append(out, l.Size)
+			out = varint.Append(out, uint64(len(l.Name)))
+			out = append(out, l.Name...)
+		}
 	}
 	out = varint.Append(out, uint64(len(n.Data)))
 	return append(out, n.Data...)
@@ -184,7 +194,7 @@ func (b *Builder) Add(data []byte) (cid.Cid, error) {
 	level := make([]Link, 0, len(chunks))
 	for _, c := range chunks {
 		leaf := &Node{Data: c}
-		blk := block.New(multicodec.DagPB, leaf.Encode())
+		blk := block.NewOwned(multicodec.DagPB, leaf.Encode())
 		if err := b.store.Put(blk); err != nil {
 			return cid.Cid{}, fmt.Errorf("merkledag: storing leaf: %w", err)
 		}
@@ -200,7 +210,7 @@ func (b *Builder) Add(data []byte) (cid.Cid, error) {
 				end = len(level)
 			}
 			inner := &Node{Links: append([]Link(nil), level[off:end]...)}
-			blk := block.New(multicodec.DagPB, inner.Encode())
+			blk := block.NewOwned(multicodec.DagPB, inner.Encode())
 			if err := b.store.Put(blk); err != nil {
 				return cid.Cid{}, fmt.Errorf("merkledag: storing inner node: %w", err)
 			}
@@ -217,34 +227,56 @@ type Fetcher interface {
 	Get(c cid.Cid) (block.Block, error)
 }
 
-// Assemble walks the DAG rooted at root depth-first, verifying every
-// block against its CID, and returns the reassembled content.
+// Assemble walks the DAG rooted at root depth-first, checking every
+// block against the CID that named it, and returns the reassembled
+// content in one allocation of exactly its size. The result is always
+// the caller's own: it never aliases a block's bytes, which stores and
+// other nodes share.
 func Assemble(f Fetcher, root cid.Cid) ([]byte, error) {
-	var out []byte
+	var leaves [][]byte
 	err := Walk(f, root, func(c cid.Cid, n *Node) error {
 		if len(n.Links) == 0 {
-			out = append(out, n.Data...)
+			leaves = append(leaves, n.Data)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return concat(leaves), nil
+}
+
+// concat copies the leaves, in order, into one new buffer: the only
+// payload copy an assembly makes, and the allocation the caller gets to
+// keep. It is sized from the leaves held, never from a link's declared
+// Size, which is remote input. (bytes.Join rather than slices.Concat:
+// it does not zero the megabytes it is about to overwrite.)
+func concat(leaves [][]byte) []byte {
+	return bytes.Join(leaves, nil)
+}
+
+// fetchNode gets the block for c from f and decodes it. A block.Block
+// can only come from a constructor that hashed its bytes against its
+// CID, so the check here is that the fetcher answered with the block
+// asked for, not a hash: a valid block for another CID (or the zero
+// Block) is refused, and the bytes are not hashed a second time.
+func fetchNode(f Fetcher, c cid.Cid) (*Node, error) {
+	blk, err := f.Get(c)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrMissing, c, err)
+	}
+	if !blk.Cid().Equal(c) {
+		return nil, fmt.Errorf("merkledag: block %s failed verification", c)
+	}
+	return DecodeNode(blk.Data())
 }
 
 // Walk visits every node of the DAG rooted at root in depth-first
-// pre-order, invoking fn for each. Blocks are verified against their
-// CIDs as they are fetched.
+// pre-order, invoking fn for each. Blocks are checked against the CIDs
+// that named them as they are fetched (see fetchNode); a Node's Data
+// aliases its block and must not be written.
 func Walk(f Fetcher, root cid.Cid, fn func(cid.Cid, *Node) error) error {
-	blk, err := f.Get(root)
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrMissing, root, err)
-	}
-	if !root.Verify(blk.Data()) {
-		return fmt.Errorf("merkledag: block %s failed verification", root)
-	}
-	n, err := DecodeNode(blk.Data())
+	n, err := fetchNode(f, root)
 	if err != nil {
 		return err
 	}
@@ -282,11 +314,7 @@ func Statistics(f Fetcher, root cid.Cid) (Stat, error) {
 	var st Stat
 	var depth func(c cid.Cid) (int, error)
 	depth = func(c cid.Cid) (int, error) {
-		blk, err := f.Get(c)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s: %v", ErrMissing, c, err)
-		}
-		n, err := DecodeNode(blk.Data())
+		n, err := fetchNode(f, c)
 		if err != nil {
 			return 0, err
 		}

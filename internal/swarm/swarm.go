@@ -206,19 +206,29 @@ func (s *Swarm) Request(ctx context.Context, id peer.ID, addrs []multiaddr.Multi
 	resp, err := c.Request(ctx, req)
 	if err != nil {
 		// Drop the broken connection so future attempts redial.
-		s.Disconnect(id)
+		s.drop(id, c)
 		return wire.Message{}, err
 	}
 	return resp, nil
 }
 
 // Disconnect closes and forgets the connection to id.
-func (s *Swarm) Disconnect(id peer.ID) {
+func (s *Swarm) Disconnect(id peer.ID) { s.drop(id, nil) }
+
+// drop closes c and forgets it if it is still the connection registered
+// for id; a nil c means whichever is registered. Sibling requests that
+// fail on one shared connection all land here with the same c, so the
+// replacement one of them has already redialled stays registered and
+// open.
+func (s *Swarm) drop(id peer.ID, c transport.Conn) {
 	s.mu.Lock()
-	c, ok := s.conns[id]
-	delete(s.conns, id)
+	cur, ok := s.conns[id]
+	if ok && (c == nil || cur == c) {
+		delete(s.conns, id)
+		c = cur
+	}
 	s.mu.Unlock()
-	if ok {
+	if c != nil {
 		c.Close()
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"context"
 	"crypto/ed25519"
+	"crypto/rand"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -122,15 +122,26 @@ func (e *TCPEndpoint) acceptLoop() {
 // challenge nonce, IPNSData the public key, BlockData the signature
 // over the peer's own nonce response.
 
-func newNonce() []byte {
-	// The nonce needs only to be unpredictable per handshake.
+// newNonce draws a handshake challenge from the system CSPRNG: the
+// signature over it proves possession of the key only if the challenge
+// cannot be predicted or made to repeat.
+func newNonce() ([]byte, error) {
 	buf := make([]byte, 16)
-	rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(rand.Uint64()))).Read(buf)
-	return buf
+	if _, err := rand.Read(buf); err != nil {
+		return nil, fmt.Errorf("transport: handshake nonce: %w", err)
+	}
+	return buf, nil
 }
 
+// handshakeTimeout bounds each side's half of the handshake, so a
+// connection that never completes it cannot hold a goroutine and a file
+// descriptor for ever. A variable only so tests can shorten it.
+var handshakeTimeout = 10 * time.Second
+
 // serveConn performs the listener half of the handshake, then serves
-// request frames until the peer disconnects.
+// request frames until the peer disconnects. Responses are written
+// straight to the connection: every frame is one Write (or one writev),
+// so there is nothing for a write buffer to coalesce.
 func (e *TCPEndpoint) serveConn(c net.Conn) {
 	defer c.Close()
 	if !e.track(c) {
@@ -138,7 +149,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	}
 	defer e.untrack(c)
 	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
 
 	// 1. Receive the dialer's hello with its challenge.
 	hello, err := wire.ReadFrame(r)
@@ -149,7 +160,10 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	challenge := hello.Key
 
 	// 2. Answer with our identity proof and our own challenge.
-	myNonce := newNonce()
+	myNonce, err := newNonce()
+	if err != nil {
+		return
+	}
 	resp := wire.Message{
 		Type:      wire.TIdentify,
 		Key:       myNonce,
@@ -157,7 +171,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		IPNSData:  e.ident.Public,
 		BlockData: e.ident.Sign(challenge),
 	}
-	if err := wire.WriteFrame(w, resp); err != nil || w.Flush() != nil {
+	if err := wire.WriteFrame(c, resp); err != nil {
 		return
 	}
 
@@ -169,6 +183,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	if peer.Verify(dialerID, ed25519.PublicKey(proof.IPNSData), myNonce, proof.BlockData) != nil {
 		return
 	}
+	c.SetDeadline(time.Time{})
 
 	// Serve requests.
 	for {
@@ -185,10 +200,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		} else {
 			out = h(context.Background(), dialerID, req)
 		}
-		if err := wire.WriteFrame(w, out); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		if err := wire.WriteFrame(c, out); err != nil {
 			return
 		}
 	}
@@ -229,20 +241,19 @@ func (e *TCPEndpoint) Dial(ctx context.Context, target peer.ID, addrs []multiadd
 // handshakeOut performs the dialer half of the handshake.
 func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 	r := bufio.NewReader(nc)
-	w := bufio.NewWriter(nc)
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer nc.SetDeadline(time.Time{})
 
-	challenge := newNonce()
+	challenge, err := newNonce()
+	if err != nil {
+		return nil, err
+	}
 	hello := wire.Message{
 		Type:  wire.TIdentify,
 		Key:   challenge,
 		Peers: []wire.PeerInfo{{ID: e.ident.ID, Addrs: e.Addrs()}},
 	}
-	if err := wire.WriteFrame(w, hello); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
+	if err := wire.WriteFrame(nc, hello); err != nil {
 		return nil, err
 	}
 
@@ -263,13 +274,10 @@ func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 		IPNSData:  e.ident.Public,
 		BlockData: e.ident.Sign(resp.Key),
 	}
-	if err := wire.WriteFrame(w, proof); err != nil {
+	if err := wire.WriteFrame(nc, proof); err != nil {
 		return nil, err
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return &tcpConn{nc: nc, r: r, w: w, remote: remoteID}, nil
+	return &tcpConn{nc: nc, r: r, remote: remoteID}, nil
 }
 
 // tcpConn is a dialer-side connection; RPCs are serialized per
@@ -278,7 +286,6 @@ func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 type tcpConn struct {
 	nc     net.Conn
 	r      *bufio.Reader
-	w      *bufio.Writer
 	remote peer.ID
 
 	mu     sync.Mutex
@@ -318,11 +325,7 @@ func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, 
 		c.nc.SetDeadline(dl)
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(c.w, req); err != nil {
-		record(err)
-		return wire.Message{}, err
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := wire.WriteFrame(c.nc, req); err != nil {
 		record(err)
 		return wire.Message{}, err
 	}

@@ -61,7 +61,7 @@ func MakeDirectory(store block.Store, entries []Entry) (cid.Cid, error) {
 	for _, e := range sorted {
 		n.Links = append(n.Links, merkledag.Link{Cid: e.Cid, Size: e.Size, Name: e.Name})
 	}
-	blk := block.New(multicodec.DagPB, n.Encode())
+	blk := block.NewOwned(multicodec.DagPB, n.Encode())
 	if err := store.Put(blk); err != nil {
 		return cid.Cid{}, err
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"repro/internal/multiaddr"
@@ -191,9 +192,13 @@ func appendPeerInfos(dst []byte, infos []PeerInfo) []byte {
 	return dst
 }
 
-// Marshal encodes the message body (without outer framing).
-func (m Message) Marshal() []byte {
-	out := []byte{byte(m.Type)}
+// A message body is head ‖ BlockData ‖ tail: the head carries every
+// field up to and including BlockData's length, the tail the fields
+// after the payload. Marshal and WriteFrame share the two appenders, so
+// the one wire format has one encoder.
+
+func (m Message) appendHead(out []byte) []byte {
+	out = append(out, byte(m.Type))
 	out = appendBytes(out, m.Key)
 	out = appendPeerInfos(out, m.Peers)
 	out = appendPeerInfos(out, m.Providers)
@@ -212,7 +217,10 @@ func (m Message) Marshal() []byte {
 		out = append(out, 0)
 	}
 	out = appendBytes(out, m.IPNSData)
-	out = appendBytes(out, m.BlockData)
+	return varint.Append(out, uint64(len(m.BlockData)))
+}
+
+func (m Message) appendTail(out []byte) []byte {
 	out = appendBytes(out, []byte(m.ErrMsg))
 	out = varint.Append(out, uint64(len(m.Keys)))
 	for _, k := range m.Keys {
@@ -225,6 +233,22 @@ func (m Message) Marshal() []byte {
 		out = varint.Append(out, uint64(r.Published.UnixNano()))
 	}
 	return out
+}
+
+// sizeHint estimates the encoded size of everything but BlockData, so
+// the usual message is marshalled into one allocation: the byte fields
+// exactly, a peer with one address at about 128 bytes. A low guess only
+// costs append a regrowth.
+func (m Message) sizeHint() int {
+	return 64 + len(m.Key) + len(m.IPNSData) + len(m.ErrMsg) + 128*(len(m.Peers)+len(m.Providers))
+}
+
+// Marshal encodes the message body (without outer framing) into a new
+// buffer; it copies BlockData and keeps no reference to m's slices.
+func (m Message) Marshal() []byte {
+	out := m.appendHead(make([]byte, 0, m.sizeHint()+len(m.BlockData)))
+	out = append(out, m.BlockData...)
+	return m.appendTail(out)
 }
 
 type reader struct {
@@ -302,7 +326,11 @@ func (r *reader) peerInfos() ([]PeerInfo, error) {
 	return out, nil
 }
 
-// Unmarshal decodes a message body.
+// Unmarshal decodes a message body. The returned Message aliases buf —
+// Key, Keys, IPNSData, BlockData and the record keys are sub-slices of
+// it, not copies — so buf belongs to the Message from here on and must
+// not be written or reused while the Message, or anything built from
+// its slices (a block.Block over BlockData), is alive.
 func Unmarshal(buf []byte) (Message, error) {
 	if len(buf) == 0 {
 		return Message{}, ErrMalformed
@@ -432,20 +460,63 @@ func Unmarshal(buf []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes a length-prefixed message to w.
+// inlineBlockMax is the largest BlockData WriteFrame copies into the
+// frame's own buffer. Anything bigger (a served block) is cheaper to
+// describe to the kernel than to copy; anything smaller (a handshake
+// signature, a relayed request) is cheaper to copy than to describe.
+const inlineBlockMax = 4 << 10
+
+// WriteFrame writes a length-prefixed message to w. A payload above
+// inlineBlockMax is not copied: the frame goes out as prefix+head ‖
+// BlockData ‖ tail through net.Buffers — one writev on a TCP
+// connection, so a served block travels from the store's slice to the
+// kernel with no user-space copy; three Writes on any other writer.
+// WriteFrame only reads m's slices and keeps none of them.
 func WriteFrame(w io.Writer, m Message) error {
-	body := m.Marshal()
-	if len(body) > MaxMessageSize {
+	var payload []byte // the part of the body sent from where it lies
+	if len(m.BlockData) > inlineBlockMax {
+		payload = m.BlockData
+	}
+	// The length prefix is written last, right-aligned against the body
+	// in the room reserved here for the longest one.
+	buf := make([]byte, varint.MaxLen, varint.MaxLen+m.sizeHint()+len(m.BlockData)-len(payload))
+	buf = m.appendHead(buf)
+	if payload == nil {
+		buf = append(buf, m.BlockData...)
+	}
+	headEnd := len(buf)
+	buf = m.appendTail(buf)
+	n := len(buf) - varint.MaxLen + len(payload)
+	if n > MaxMessageSize {
 		return ErrTooLarge
 	}
-	frame := varint.Append(make([]byte, 0, len(body)+5), uint64(len(body)))
-	frame = append(frame, body...)
-	_, err := w.Write(frame)
+	start := varint.MaxLen - varint.Len(uint64(n))
+	varint.Append(buf[start:start], uint64(n)) // in place: the capacity is the reserved room
+	if payload == nil {
+		_, err := w.Write(buf[start:])
+		return err
+	}
+	bufs := net.Buffers{buf[start:headEnd], payload, buf[headEnd:]}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r io.ByteReader) (Message, error) {
+// FrameReader is what ReadFrame reads from: single bytes for the length
+// prefix, bulk reads for the body. *bufio.Reader, *bytes.Reader and
+// *bytes.Buffer satisfy it.
+type FrameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// ReadFrame reads one length-prefixed message from r. The prefix is
+// checked against MaxMessageSize before the body is allocated; the body
+// is then read whole into one buffer of exactly its size, which the
+// returned Message aliases (see Unmarshal) and owns: ReadFrame never
+// recycles it, so a block built over BlockData may keep it for good. A
+// stream that ends inside a frame is io.ErrUnexpectedEOF; one that ends
+// before the prefix is io.EOF.
+func ReadFrame(r FrameReader) (Message, error) {
 	n, err := varint.ReadUvarint(r)
 	if err != nil {
 		return Message{}, err
@@ -454,15 +525,11 @@ func ReadFrame(r io.ByteReader) (Message, error) {
 		return Message{}, ErrTooLarge
 	}
 	buf := make([]byte, n)
-	for i := range buf {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Message{}, err
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		buf[i] = b
+		return Message{}, err
 	}
 	return Unmarshal(buf)
 }
