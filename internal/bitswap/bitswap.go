@@ -50,11 +50,6 @@ type Config struct {
 	OpportunisticTimeout time.Duration
 	// SessionPeerTarget bounds routed candidates per consult (default 3).
 	SessionPeerTarget int
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Time is the unified time surface the ask waves run on; nil
-	// derives it from Base.
-	Time simtime.Source
 }
 
 func (c Config) withDefaults() Config {
@@ -64,12 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionPeerTarget <= 0 {
 		c.SessionPeerTarget = DefaultSessionPeerTarget
 	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, nil)
-	}
 	return c
 }
 
@@ -77,6 +66,7 @@ func (c Config) withDefaults() Config {
 type Bitswap struct {
 	cfg   Config
 	sw    *swarm.Swarm
+	src   simtime.Source // the swarm's: the ask waves run and are measured on it
 	store block.Store
 
 	mu       sync.Mutex
@@ -104,11 +94,13 @@ var (
 	ErrTimeout  = errors.New("bitswap: opportunistic discovery timed out")
 )
 
-// New creates a Bitswap engine over the swarm and blockstore.
+// New creates a Bitswap engine over the swarm and blockstore, running
+// on the swarm's time source.
 func New(sw *swarm.Swarm, store block.Store, cfg Config) *Bitswap {
 	return &Bitswap{
 		cfg:      cfg.withDefaults(),
 		sw:       sw,
+		src:      sw.Time(),
 		store:    store,
 		wantlist: make(map[string]struct{}),
 		asks:     make(map[string]*askFlight),
@@ -251,7 +243,7 @@ type askFlight struct {
 // deployed. Concurrent asks for the same CID join the in-flight
 // discovery instead of broadcasting twice.
 func (b *Bitswap) AskConnected(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, error) {
-	start := b.cfg.Time.Stamp()
+	start := b.src.Stamp()
 	key := c.Key()
 	b.askMu.Lock()
 	if fl, ok := b.asks[key]; ok {
@@ -276,7 +268,7 @@ func (b *Bitswap) AskConnected(ctx context.Context, c cid.Cid) (wire.PeerInfo, A
 // duplicate would have sent — what the leader actually sent, targeted
 // or broadcast — so the accounting stays honest in routed setups.
 func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight, start time.Time) (wire.PeerInfo, AskStats, error) {
-	src := b.cfg.Time
+	src := b.src
 	if err := simtime.AwaitClosed(ctx, src, fl.done); err != nil {
 		return wire.PeerInfo{}, AskStats{Duration: src.Since(start)}, err
 	}
@@ -305,7 +297,7 @@ func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight, start t
 
 // ask runs one deduplicated session-peer discovery.
 func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, error) {
-	start := b.cfg.Time.Stamp()
+	start := b.src.Stamp()
 	var st AskStats
 	ctx, asp := telemetry.StartSpan(ctx, "bitswap-ask")
 	defer func() {
@@ -329,7 +321,7 @@ func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, 
 
 	info, asked, ok := b.askWave(ctx, c, routed, broadcast, nil, &st)
 	if ok {
-		st.Duration = b.cfg.Time.Since(start)
+		st.Duration = b.src.Since(start)
 		return info, st, nil
 	}
 	// Routed candidates all stale and the broadcast was skipped: fail
@@ -339,11 +331,11 @@ func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, 
 	// asked are excluded — they answered once.
 	if len(routed) > 0 && !broadcast {
 		if info, _, ok := b.askWave(ctx, c, nil, true, asked, &st); ok {
-			st.Duration = b.cfg.Time.Since(start)
+			st.Duration = b.src.Since(start)
 			return info, st, nil
 		}
 	}
-	st.Duration = b.cfg.Time.Since(start)
+	st.Duration = b.src.Since(start)
 	return wire.PeerInfo{}, st, ErrTimeout
 }
 
@@ -392,7 +384,7 @@ func (b *Bitswap) askWave(ctx context.Context, c cid.Cid, routed []wire.PeerInfo
 		telemetry.A("targets", fmt.Sprint(len(targets))),
 		telemetry.A("broadcast", fmt.Sprint(broadcastRan)))
 	defer wsp.End()
-	src := b.cfg.Time
+	src := b.src
 	actx, cancel := src.WithTimeout(wctx, b.cfg.OpportunisticTimeout)
 	defer cancel()
 	found := make(chan wire.PeerInfo, len(targets))
@@ -413,50 +405,22 @@ func (b *Bitswap) askWave(ctx context.Context, c cid.Cid, routed []wire.PeerInfo
 			telemetry.A("routed", fmt.Sprint(fromRouter[pi.ID])))
 		return pi, seen, true
 	}
-	if s := simtime.SchedulerOf(src); s != nil {
-		// Event-driven wait: wake on the first HAVE, on every target
-		// having answered, or on the opportunistic timeout.
-		err := s.Await(actx, func() bool { return len(found) > 0 || g.Idle() })
-		select {
-		case pi := <-found:
-			return win(pi)
-		default:
-		}
-		if err == nil && broadcastRan && ctx.Err() == nil {
-			// The deployed client has no all-answered signal: a
-			// broadcast miss pays the full opportunistic timeout
-			// before the DHT fallback (§3.2, §6.2).
-			s.Await(actx, func() bool { return false })
-		}
-		return wire.PeerInfo{}, seen, false
-	}
-	allDone := make(chan struct{})
-	go func() { g.Wait(context.Background()); close(allDone) }()
+	// Wake on the first HAVE, on every target having answered, or on the
+	// opportunistic timeout; a HAVE deposited right at the end is found
+	// by the drain whichever of the three ended the wait.
+	err := g.Await(actx, func() bool { return len(found) > 0 || g.Idle() })
 	select {
 	case pi := <-found:
 		return win(pi)
-	case <-allDone:
-		// Every target answered; a HAVE may still sit in the buffer.
-		select {
-		case pi := <-found:
-			return win(pi)
-		default:
-		}
-		if broadcastRan && ctx.Err() == nil {
-			// The deployed client has no all-answered signal: a
-			// broadcast miss pays the full opportunistic timeout
-			// before the DHT fallback (§3.2, §6.2).
-			<-actx.Done()
-		}
-		return wire.PeerInfo{}, seen, false
-	case <-actx.Done():
-		select {
-		case pi := <-found:
-			return win(pi)
-		default:
-		}
-		return wire.PeerInfo{}, seen, false
+	default:
 	}
+	if err == nil && broadcastRan && ctx.Err() == nil {
+		// The deployed client has no all-answered signal: a broadcast
+		// miss pays the full opportunistic timeout before the DHT
+		// fallback (§3.2, §6.2).
+		g.Await(actx, func() bool { return false })
+	}
+	return wire.PeerInfo{}, seen, false
 }
 
 // FetchBlock retrieves one block from a specific peer using the full

@@ -32,16 +32,21 @@ type testPeer struct {
 
 func buildPeers(t *testing.T, n int) (*simnet.Network, []*testPeer) {
 	t.Helper()
-	base := simtime.New(0.001)
-	net := simnet.New(simnet.Config{Base: base, Seed: 3})
+	return buildPeersOn(simtime.Scaled(0.001, nil), n)
+}
+
+// buildPeersOn builds n connected-capable Bitswap peers on a simulated
+// network running on src.
+func buildPeersOn(src simtime.Source, n int) (*simnet.Network, []*testPeer) {
+	net := simnet.New(simnet.Config{Time: src, Seed: 3})
 	rng := rand.New(rand.NewSource(8))
 	peers := make([]*testPeer, n)
 	for i := range peers {
 		ident := peer.MustNewIdentity(rng)
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "US", Dialable: true})
-		sw := swarm.New(ident, ep, simtime.NewBaseSource(base, nil))
+		sw := swarm.New(ident, ep, src)
 		store := block.NewMemStore()
-		bs := New(sw, store, Config{Base: base})
+		bs := New(sw, store, Config{})
 		ep.SetHandler(bs.HandleMessage)
 		peers[i] = &testPeer{ident: ident, sw: sw, store: store, bs: bs, info: wire.PeerInfo{ID: ident.ID, Addrs: ep.Addrs()}}
 	}
@@ -104,54 +109,84 @@ func TestFetchBlockNotHeld(t *testing.T) {
 	}
 }
 
-func TestAskConnectedFindsHolder(t *testing.T) {
-	_, ps := buildPeers(t, 4)
-	requester := ps[0]
-	holder := ps[2]
-	blk := block.New(multicodec.Raw, []byte("neighbourhood content"))
-	holder.store.Put(blk)
-	ctx := context.Background()
-	for _, p := range ps[1:] {
-		if _, _, err := requester.sw.Connect(ctx, p.ident.ID, p.info.Addrs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, st, err := requester.bs.AskConnected(ctx, blk.Cid())
-	if err != nil {
+// inScheduler runs body inside a fresh scheduler's Run, so every
+// duration body sees is virtual — exact and independent of host load —
+// and demands zero stalls. body reports through t.Error only: it is not
+// on the test's goroutine.
+func inScheduler(t *testing.T, body func(ctx context.Context, sched *simtime.Scheduler)) {
+	t.Helper()
+	sched := simtime.NewScheduler(nil, simtime.SchedulerOpts{})
+	if err := sched.Run(context.Background(), func(ctx context.Context) { body(ctx, sched) }); err != nil {
 		t.Fatal(err)
 	}
-	if info.ID != holder.ident.ID {
-		t.Errorf("holder = %s", info.ID.Short())
-	}
-	if st.Duration <= 0 || st.Duration > 500*time.Millisecond {
-		t.Errorf("opportunistic hit took %v", st.Duration)
-	}
-	if !st.Broadcast || st.Routed {
-		t.Errorf("stats = %+v, want a broadcast hit", st)
-	}
-	if st.WantHaves != 3 {
-		t.Errorf("broadcast sent %d WANT-HAVEs, want one per connected peer (3)", st.WantHaves)
+	if n := sched.Stalls(); n != 0 {
+		t.Errorf("dispatcher stalled %d times: an uninstrumented wait on the ask path", n)
 	}
 }
 
-func TestAskConnectedTimesOut(t *testing.T) {
-	_, ps := buildPeers(t, 3)
-	requester := ps[0]
-	ctx := context.Background()
-	for _, p := range ps[1:] {
-		if _, _, err := requester.sw.Connect(ctx, p.ident.ID, p.info.Addrs); err != nil {
-			t.Fatal(err)
+// onScheduler runs body inside a scheduler run with n peers built on an
+// event-driven simulated network.
+func onScheduler(t *testing.T, n int, body func(ctx context.Context, ps []*testPeer)) {
+	t.Helper()
+	inScheduler(t, func(ctx context.Context, sched *simtime.Scheduler) {
+		_, ps := buildPeersOn(sched, n)
+		body(ctx, ps)
+	})
+}
+
+func TestAskConnectedFindsHolder(t *testing.T) {
+	onScheduler(t, 4, func(ctx context.Context, ps []*testPeer) {
+		requester := ps[0]
+		holder := ps[2]
+		blk := block.New(multicodec.Raw, []byte("neighbourhood content"))
+		holder.store.Put(blk)
+		for _, p := range ps[1:] {
+			if _, _, err := requester.sw.Connect(ctx, p.ident.ID, p.info.Addrs); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-	}
-	missing := cid.Sum(multicodec.Raw, []byte("nobody has this"))
-	_, st, err := requester.bs.AskConnected(ctx, missing)
-	if err != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	// The full 1 s opportunistic timeout must elapse (§3.2).
-	if st.Duration < 900*time.Millisecond || st.Duration > 2*time.Second {
-		t.Errorf("timeout took %v simulated, want ~1s", st.Duration)
-	}
+		info, st, err := requester.bs.AskConnected(ctx, blk.Cid())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if info.ID != holder.ident.ID {
+			t.Errorf("holder = %s", info.ID.Short())
+		}
+		// One same-region round trip, far inside the 1 s window.
+		if st.Duration <= 0 || st.Duration > 500*time.Millisecond {
+			t.Errorf("opportunistic hit took %v", st.Duration)
+		}
+		if !st.Broadcast || st.Routed {
+			t.Errorf("stats = %+v, want a broadcast hit", st)
+		}
+		if st.WantHaves != 3 {
+			t.Errorf("broadcast sent %d WANT-HAVEs, want one per connected peer (3)", st.WantHaves)
+		}
+	})
+}
+
+func TestAskConnectedTimesOut(t *testing.T) {
+	onScheduler(t, 3, func(ctx context.Context, ps []*testPeer) {
+		requester := ps[0]
+		for _, p := range ps[1:] {
+			if _, _, err := requester.sw.Connect(ctx, p.ident.ID, p.info.Addrs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		missing := cid.Sum(multicodec.Raw, []byte("nobody has this"))
+		_, st, err := requester.bs.AskConnected(ctx, missing)
+		if err != ErrTimeout {
+			t.Errorf("err = %v, want ErrTimeout", err)
+		}
+		// The full 1 s opportunistic timeout must elapse (§3.2), and on
+		// virtual time it is exactly that.
+		if st.Duration != DefaultOpportunisticTimeout {
+			t.Errorf("timeout took %v simulated, want exactly %v", st.Duration, DefaultOpportunisticTimeout)
+		}
+	})
 }
 
 func TestAskConnectedNoPeers(t *testing.T) {
@@ -187,8 +222,7 @@ func TestSessionAssemblesDAG(t *testing.T) {
 func TestCorruptBlockRejected(t *testing.T) {
 	// A peer serving bytes that do not match the CID must be caught by
 	// self-certification (§2.1).
-	base := simtime.New(0.001)
-	net := simnet.New(simnet.Config{Base: base, Seed: 9})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 9})
 	rng := rand.New(rand.NewSource(10))
 	evil := peer.MustNewIdentity(rng)
 	victim := peer.MustNewIdentity(rng)
@@ -205,8 +239,8 @@ func TestCorruptBlockRejected(t *testing.T) {
 	})
 
 	vEp := net.AddNode(victim.ID, simnet.NodeOpts{Region: geo.Region("US"), Dialable: true})
-	vSw := swarm.New(victim, vEp, simtime.NewBaseSource(base, nil))
-	vBs := New(vSw, block.NewMemStore(), Config{Base: base})
+	vSw := swarm.New(victim, vEp, net.Time())
+	vBs := New(vSw, block.NewMemStore(), Config{})
 
 	want := cid.Sum(multicodec.Raw, []byte("the real content"))
 	_, err := vBs.FetchBlock(context.Background(), wire.PeerInfo{ID: evil.ID, Addrs: evilEp.Addrs()}, want)
@@ -256,7 +290,7 @@ func (f *fakeRouting) setPeers(peers []wire.PeerInfo) {
 // default is only ~1 ms of real time, which race-detector scheduling
 // overhead can blow.
 func slowAskEngine(p *testPeer) *Bitswap {
-	return New(p.sw, p.store, Config{Base: p.bs.cfg.Base, OpportunisticTimeout: 30 * time.Second})
+	return New(p.sw, p.store, Config{OpportunisticTimeout: 30 * time.Second})
 }
 
 func TestAskConnectedRoutedSkipsBroadcast(t *testing.T) {

@@ -54,7 +54,7 @@ func TestRetrieveHandsConsultMissToFindProviders(t *testing.T) {
 	getter := tn.AddVantage("US", 700)
 
 	fb := &stubFallback{}
-	accel := routing.NewAccelerated(getter.Swarm(), fb, routing.AcceleratedConfig{Base: tn.Base})
+	accel := routing.NewAccelerated(getter.Swarm(), fb, routing.AcceleratedConfig{})
 	const snapSize = 5
 	var infos []wire.PeerInfo
 	for _, n := range tn.Nodes[:snapSize] {

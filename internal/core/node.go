@@ -72,32 +72,12 @@ type Config struct {
 	// the indexer router: each CID routes to its shard's replica group
 	// instead of the flat Indexers list.
 	IndexerSet *routing.IndexerSet
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Now supplies the clock for record expiry (legacy; folded into
-	// Time).
-	Now func() time.Time
-	// Time is the unified time surface every subsystem of the node
-	// (swarm, DHT, Bitswap, routing, telemetry) runs on. When nil it is
-	// derived from Base/Now; scenario runs pass the event scheduler so
-	// the whole node sleeps on the event queue.
+	// Time is the node's one time source: the swarm is built over it and
+	// every subsystem (DHT, Bitswap, routers, telemetry) reads it from
+	// there, so every sleep, spawn, timeout, record stamp and TTL of the
+	// node runs on it. Scenario runs pass the event scheduler; nil is
+	// the wall clock.
 	Time simtime.Source
-}
-
-func (c Config) withDefaults() Config {
-	if c.BitswapTimeout <= 0 {
-		c.BitswapTimeout = bitswap.DefaultOpportunisticTimeout
-	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, c.Now)
-	}
-	return c
 }
 
 // Node is one IPFS peer.
@@ -105,6 +85,7 @@ type Node struct {
 	cfg     Config
 	ident   peer.Identity
 	sw      *swarm.Swarm
+	src     simtime.Source // the swarm's (cfg.Time with nil resolved)
 	dht     *dht.DHT
 	bswap   *bitswap.Bitswap
 	store   block.Store
@@ -122,8 +103,8 @@ type Node struct {
 // New assembles a node over the given transport endpoint and installs
 // its message dispatcher.
 func New(ident peer.Identity, ep transport.Endpoint, cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	sw := swarm.New(ident, ep, cfg.Time)
+	src := sw.Time()
 	store := cfg.Store
 	if store == nil {
 		store = block.NewMemStore()
@@ -132,27 +113,23 @@ func New(ident peer.Identity, ep transport.Endpoint, cfg Config) *Node {
 		K:                 cfg.K,
 		Alpha:             cfg.Alpha,
 		QueryTimeout:      cfg.QueryTimeout,
-		Base:              cfg.Base,
-		Now:               cfg.Now,
-		Time:              cfg.Time,
 		OmitProviderAddrs: cfg.OmitProviderAddrs,
 	})
-	d.SetIPNSValidator(ipns.ValidatorFor(cfg.Now))
+	d.SetIPNSValidator(ipns.ValidatorFor(src.Now))
 	bs := bitswap.New(sw, store, bitswap.Config{
 		OpportunisticTimeout: cfg.BitswapTimeout,
 		SessionPeerTarget:    cfg.Alpha,
-		Base:                 cfg.Base,
-		Time:                 cfg.Time,
 	})
 	n := &Node{
 		cfg:     cfg,
 		ident:   ident,
 		sw:      sw,
+		src:     src,
 		dht:     d,
 		bswap:   bs,
 		store:   store,
 		builder: merkledag.NewBuilder(store, cfg.ChunkSize, cfg.Fanout),
-		tel:     telemetry.NewRecorder(cfg.Time),
+		tel:     telemetry.NewRecorder(src),
 	}
 	if p, ok := store.(block.Pinner); ok {
 		n.pin = p
@@ -184,18 +161,12 @@ func (n *Node) buildRouter() routing.Router {
 			K:           n.cfg.K,
 			Parallelism: n.cfg.Alpha,
 			RPCTimeout:  n.cfg.QueryTimeout,
-			Base:        n.cfg.Base,
-			Now:         n.cfg.Now,
-			Time:        n.cfg.Time,
 		})
 		return n.accel
 	}
 	newIndexer := func(fallback routing.Router) *routing.IndexerRouter {
 		r := routing.NewIndexerRouter(n.sw, n.cfg.Indexers, fallback, routing.IndexerRouterConfig{
 			RPCTimeout: n.cfg.QueryTimeout,
-			Base:       n.cfg.Base,
-			Now:        n.cfg.Now,
-			Time:       n.cfg.Time,
 		})
 		if n.cfg.IndexerSet != nil {
 			r.SetIndexerSet(n.cfg.IndexerSet)
@@ -214,7 +185,7 @@ func (n *Node) buildRouter() routing.Router {
 		if len(n.cfg.Indexers) > 0 || n.cfg.IndexerSet != nil {
 			members = append(members, newIndexer(nil))
 		}
-		return routing.NewParallel(members...)
+		return routing.NewParallel(n.src, members...)
 	default:
 		return base
 	}
@@ -457,7 +428,7 @@ func (n *Node) CheckNATAndSetMode(ctx context.Context) dht.Mode {
 // PublishIPNS points our IPNS name at root (§3.3).
 func (n *Node) PublishIPNS(ctx context.Context, root cid.Cid) error {
 	n.ipnsSeq++
-	rec := ipns.NewRecord(n.ident, root, n.ipnsSeq, n.cfg.Now(), 0)
+	rec := ipns.NewRecord(n.ident, root, n.ipnsSeq, n.src.Now(), 0)
 	_, err := n.dht.PutIPNS(ctx, ipns.Name(n.ident.ID), rec.Marshal())
 	return err
 }
@@ -472,7 +443,7 @@ func (n *Node) ResolveIPNS(ctx context.Context, publisher peer.ID) (cid.Cid, err
 	if err != nil {
 		return cid.Cid{}, err
 	}
-	if err := rec.Validate(ipns.Name(publisher), n.cfg.Now()); err != nil {
+	if err := rec.Validate(ipns.Name(publisher), n.src.Now()); err != nil {
 		return cid.Cid{}, err
 	}
 	return rec.Value, nil

@@ -262,12 +262,11 @@ func TestIPNSPublishResolve(t *testing.T) {
 }
 
 func TestCheckNATAndSetMode(t *testing.T) {
-	base := simtime.New(0.001)
-	net := simnet.New(simnet.Config{Base: base, Seed: 5})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 5})
 	mk := func(seed int64, dialable bool) *core.Node {
 		ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "US", Dialable: dialable})
-		return core.New(ident, ep, core.Config{Mode: dht.ModeClient, Base: base, Region: "US"})
+		return core.New(ident, ep, core.Config{Mode: dht.ModeClient, Time: net.Time(), Region: "US"})
 	}
 	natted := mk(1, false)
 	ctx := context.Background()

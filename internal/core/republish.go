@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -32,6 +33,9 @@ func (r *republisher) track(c cid.Cid) {
 	r.cids[c.Key()] = c
 }
 
+// list returns the tracked CIDs sorted by key. The batch order decides
+// the order of a republish cycle's walks and store RPCs, which a seeded
+// event-driven run must replay; map iteration order would not.
 func (r *republisher) list() []cid.Cid {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -39,10 +43,12 @@ func (r *republisher) list() []cid.Cid {
 	for _, c := range r.cids {
 		out = append(out, c)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
-// Provided returns the CIDs this node currently republishes.
+// Provided returns the CIDs this node currently republishes, sorted by
+// key.
 func (n *Node) Provided() []cid.Cid { return n.repub.list() }
 
 // RepublishStats summarizes one §3.1 republish cycle.
@@ -122,8 +128,8 @@ func (n *Node) StartRepublisher(ctx context.Context, interval time.Duration) {
 	cycle = func(cctx context.Context) {
 		n.Republish(cctx)
 		if cctx.Err() == nil {
-			n.cfg.Time.AfterFunc(cctx, interval, cycle)
+			n.src.AfterFunc(cctx, interval, cycle)
 		}
 	}
-	n.cfg.Time.AfterFunc(ctx, jitter+interval, cycle)
+	n.src.AfterFunc(ctx, jitter+interval, cycle)
 }

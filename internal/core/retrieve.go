@@ -95,11 +95,13 @@ var ErrNotFound = errors.New("core: content not found")
 // providerStream runs a router's provider stream on its own goroutine:
 // the first discovered provider is delivered on first, later ones
 // accumulate as session fail-over candidates, and the stream's message
-// cost is collected once at Finish.
+// cost is collected once at Finish. Depositing the first provider and
+// winding down each notify sig, which discovery waits on.
 type providerStream struct {
 	cancel context.CancelFunc
 	src    simtime.Source
 	sctx   context.Context // the stream's context; carries the scheduler lease
+	sig    *simtime.Signal
 	first  chan wire.PeerInfo
 	done   chan struct{}
 	st     *routing.StreamInfo
@@ -108,29 +110,32 @@ type providerStream struct {
 	extras []wire.PeerInfo
 }
 
-// startProviderStream launches the streaming lookup for root. The
-// stream stops itself after one session provider plus enough fail-over
-// candidates (the Bitswap session peer target), or when Finish cancels
-// it.
-func (n *Node) startProviderStream(ctx context.Context, root cid.Cid) *providerStream {
+// startProviderStream launches the streaming lookup for root, notifying
+// sig of its first provider and of its wind-down. The stream stops
+// itself after one session provider plus enough fail-over candidates
+// (the Bitswap session peer target), or when Finish cancels it.
+func (n *Node) startProviderStream(ctx context.Context, root cid.Cid, sig *simtime.Signal) *providerStream {
 	sctx, cancel := context.WithCancel(ctx)
 	seq, st := n.router.FindProvidersStream(sctx, root)
 	ps := &providerStream{
 		cancel: cancel,
-		src:    n.cfg.Time,
+		src:    n.src,
 		sctx:   sctx,
+		sig:    sig,
 		first:  make(chan wire.PeerInfo, 1),
 		done:   make(chan struct{}),
 		st:     st,
 	}
 	total := 1 + n.bswap.SessionPeerTarget() // the session provider plus fail-over candidates
-	n.cfg.Time.Go(sctx, func(context.Context) {
+	n.src.Go(sctx, func(context.Context) {
+		defer sig.Notify()
 		defer close(ps.done)
 		count := 0
 		seq(func(batch []wire.PeerInfo) bool {
 			for _, p := range batch {
 				if count == 0 {
 					ps.first <- p
+					sig.Notify()
 				} else {
 					ps.mu.Lock()
 					ps.extras = append(ps.extras, p)
@@ -174,30 +179,24 @@ func (ps *providerStream) Finish() routing.LookupInfo {
 	return ps.st.Info()
 }
 
+// woundDown reports, without blocking, whether the stream has ended.
+func (ps *providerStream) woundDown() bool {
+	select {
+	case <-ps.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // awaitFirst blocks until the stream hands over its first provider or
 // winds down dry, returning ok=false in the latter case. A provider
-// yielded right at stream end sits in the hand-off buffer, so the
-// wound-down path re-checks it before giving up.
+// yielded right at stream end sits in the hand-off buffer, which the
+// drain checks whichever of the two ended the wait. Cancellation reaches
+// the stream through its own context and closes done, so the wait
+// itself runs detached.
 func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) {
-	closed := func() bool {
-		select {
-		case <-ps.done:
-			return true
-		default:
-			return false
-		}
-	}
-	if s := simtime.SchedulerOf(ps.src); s != nil {
-		// Cancellation reaches the stream through its own context and
-		// closes done, so the wait itself runs detached.
-		s.Await(simtime.Detach(ctx), func() bool { return len(ps.first) > 0 || closed() })
-	} else {
-		select {
-		case p := <-ps.first:
-			return p, true
-		case <-ps.done:
-		}
-	}
+	ps.sig.Wait(simtime.Detach(ctx), func() bool { return len(ps.first) > 0 || ps.woundDown() })
 	select {
 	case p := <-ps.first:
 		return p, true
@@ -215,7 +214,7 @@ func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) 
 // exchange over Bitswap.
 func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
-	src := n.cfg.Time
+	src := n.src
 	start := src.Stamp()
 	ctx, trsp := n.tel.StartTrace(ctx, "retrieve",
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
@@ -396,10 +395,10 @@ func (n *Node) discover(ctx context.Context, root cid.Cid, res *RetrieveResult) 
 	if ask.ConsultMiss {
 		fctx = routing.WithSessionMiss(ctx, root)
 	}
-	ps := n.startProviderStream(fctx, root)
-	lookupStart := n.cfg.Time.Stamp()
+	ps := n.startProviderStream(fctx, root, simtime.NewSignal(n.src))
+	lookupStart := n.src.Stamp()
 	p, ok := ps.awaitFirst(ctx)
-	res.ProviderWalk = n.cfg.Time.Since(lookupStart)
+	res.ProviderWalk = n.src.Since(lookupStart)
 	if ok {
 		// First provider in hand: Bitswap starts now, the stream keeps
 		// draining fail-over candidates in the background.
@@ -424,7 +423,7 @@ func wrapDiscoveryErr(err error, root cid.Cid) error {
 // loses is cancelled and its RPCs are charged (the ask's here, the
 // stream's at Finish).
 func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *RetrieveResult) (wire.PeerInfo, *providerStream, error) {
-	src := n.cfg.Time
+	src := n.src
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
 	type askOutcome struct {
@@ -433,11 +432,13 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		err  error
 	}
 	askCh := make(chan askOutcome, 1)
+	sig := simtime.NewSignal(src)
 	src.Go(actx, func(gctx context.Context) {
 		info, ask, err := n.bswap.AskConnected(gctx, root)
 		askCh <- askOutcome{info: info, ask: ask, err: err}
+		sig.Notify()
 	})
-	ps := n.startProviderStream(ctx, root)
+	ps := n.startProviderStream(ctx, root, sig)
 	lookupStart := src.Stamp()
 
 	chargeAsk := func(o askOutcome) {
@@ -469,59 +470,23 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		// Finish.
 		return o.info, ps, nil
 	}
-	if s := simtime.SchedulerOf(src); s != nil {
-		// Event-driven merge of the two racers: park until the ask
-		// outcome, the stream's first provider, or the stream's
-		// wind-down is available, then handle whatever arrived. Both
-		// racers observe ctx themselves, so the park runs detached.
-		streamClosed := func() bool {
-			select {
-			case <-ps.done:
-				return true
-			default:
-				return false
-			}
-		}
-		for !askDone || !streamDone {
-			if err := s.Await(simtime.Detach(ctx), func() bool {
-				return (!askDone && len(askCh) > 0) || len(ps.first) > 0 || (!streamDone && streamClosed())
-			}); err != nil {
-				break // scheduler shut down underneath us
-			}
-			select {
-			case p := <-ps.first:
-				return streamWin(p)
-			default:
-			}
-			if !askDone && len(askCh) > 0 {
-				o := <-askCh
-				askDone = true
-				chargeAsk(o)
-				if o.err == nil {
-					return askWon(o)
-				}
-				if firstErr == nil {
-					firstErr = o.err
-				}
-			}
-			if !streamDone && streamClosed() {
-				select {
-				case p := <-ps.first:
-					return streamWin(p)
-				default:
-				}
-				streamDone = true
-				if err := ps.st.Err(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		return wire.PeerInfo{}, ps, wrapDiscoveryErr(firstErr, root)
-	}
-	doneCh := ps.done // nilled once drained: a closed channel is always ready
+	// Merge the two racers: park until the ask outcome, the stream's
+	// first provider, or the stream's wind-down is available, then handle
+	// whatever arrived. Both racers observe ctx themselves, so the park
+	// runs detached.
 	for !askDone || !streamDone {
+		if err := sig.Wait(simtime.Detach(ctx), func() bool {
+			return (!askDone && len(askCh) > 0) || len(ps.first) > 0 || (!streamDone && ps.woundDown())
+		}); err != nil {
+			break // scheduler shut down underneath us
+		}
 		select {
-		case o := <-askCh:
+		case p := <-ps.first:
+			return streamWin(p)
+		default:
+		}
+		if !askDone && len(askCh) > 0 {
+			o := <-askCh
 			askDone = true
 			chargeAsk(o)
 			if o.err == nil {
@@ -530,15 +495,13 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 			if firstErr == nil {
 				firstErr = o.err
 			}
-		case p := <-ps.first:
-			return streamWin(p)
-		case <-doneCh:
+		}
+		if !streamDone && ps.woundDown() {
 			select {
 			case p := <-ps.first:
 				return streamWin(p)
 			default:
 			}
-			doneCh = nil
 			streamDone = true
 			if err := ps.st.Err(); err != nil && firstErr == nil {
 				firstErr = err

@@ -1,0 +1,317 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/cid"
+	"repro/internal/dht"
+	"repro/internal/multicodec"
+	"repro/internal/peer"
+	"repro/internal/routing"
+	"repro/internal/simnet"
+	"repro/internal/simtime"
+	"repro/internal/wire"
+)
+
+var testEpoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
+
+// onBothEngines runs body on scaled real time and inside a scheduler
+// run, where it also demands zero stalls. body reports through t.Error
+// only: on the scheduler it is not on the test's goroutine.
+func onBothEngines(t *testing.T, body func(t *testing.T, ctx context.Context, src simtime.Source)) {
+	t.Run("wall", func(t *testing.T) { body(t, context.Background(), simtime.Scaled(0.01, nil)) })
+	t.Run("scheduler", func(t *testing.T) {
+		sched := simtime.NewScheduler(simtime.NewClock(testEpoch), simtime.SchedulerOpts{})
+		if err := sched.Run(context.Background(), func(ctx context.Context) { body(t, ctx, sched) }); err != nil {
+			t.Fatal(err)
+		}
+		if n := sched.Stalls(); n != 0 {
+			t.Errorf("dispatcher stalled %d times", n)
+		}
+	})
+}
+
+// testNodes attaches n server nodes to a fresh simulated network on src.
+// Nothing but Time carries the clock: whatever cfg sets, every node is
+// built with Config.Time = src and no other time value exists to set.
+func testNodes(src simtime.Source, n int, cfg Config) []*Node {
+	net := simnet.New(simnet.Config{Time: src, Seed: 12})
+	rng := rand.New(rand.NewSource(34))
+	cfg.Time = src
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		ident := peer.MustNewIdentity(rng)
+		nodes[i] = New(ident, net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true}), cfg)
+	}
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				a.DHT().Seed(b.Info())
+			}
+		}
+	}
+	return nodes
+}
+
+// streamStep is one scripted provider batch, yielded after its own
+// simulated delay.
+type streamStep struct {
+	after time.Duration
+	peers []wire.PeerInfo
+}
+
+// scriptRouter is a content router whose provider stream follows a
+// script on src: the steps in order, then — after endAfter — a last
+// batch (when set) handed over as the stream's final act, or the
+// terminal error. It knows no session peers, so asks broadcast.
+type scriptRouter struct {
+	src      simtime.Source
+	steps    []streamStep
+	endAfter time.Duration
+	last     []wire.PeerInfo
+	err      error
+}
+
+func (r *scriptRouter) Name() string        { return "script" }
+func (r *scriptRouter) WantBroadcast() bool { return true }
+func (r *scriptRouter) Provide(context.Context, cid.Cid) (routing.ProvideResult, error) {
+	return routing.ProvideResult{}, errors.New("script router does not publish")
+}
+func (r *scriptRouter) ProvideMany(context.Context, []cid.Cid) (routing.ProvideManyResult, error) {
+	return routing.ProvideManyResult{}, errors.New("script router does not publish")
+}
+func (r *scriptRouter) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, int, error) {
+	return nil, 0, routing.ErrNoSessionPeers
+}
+func (r *scriptRouter) FindProvidersStream(ctx context.Context, _ cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
+	end, st := routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
+		info := routing.LookupInfo{Queried: 7}
+		if err := r.src.Sleep(ctx, r.endAfter); err != nil {
+			return nil, info, err
+		}
+		return r.last, info, r.err
+	})
+	seq := func(yield func([]wire.PeerInfo) bool) {
+		for _, s := range r.steps {
+			if r.src.Sleep(ctx, s.after) != nil || !yield(s.peers) {
+				break
+			}
+		}
+		end(yield)
+	}
+	return seq, st
+}
+
+// TestAwaitFirst pins the one wait the serial discovery blocks on —
+// the stream's first provider, or its wind-down — on both engines.
+func TestAwaitFirst(t *testing.T) {
+	p := []wire.PeerInfo{{ID: "provider"}}
+	cases := []struct {
+		name   string
+		router scriptRouter
+		ok     bool
+		took   time.Duration
+	}{
+		{"provider, then the stream winds down", scriptRouter{steps: []streamStep{{time.Second, p}}, endAfter: 2 * time.Second}, true, time.Second},
+		{"the stream winds down dry", scriptRouter{endAfter: 2 * time.Second}, false, 2 * time.Second},
+		{"provider deposited as the stream's final act", scriptRouter{endAfter: 2 * time.Second, last: p}, true, 2 * time.Second},
+	}
+	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
+		n := testNodes(src, 1, Config{})[0]
+		for _, tc := range cases {
+			r := tc.router
+			r.src = src
+			n.SetRouter(&r)
+			start := src.Stamp()
+			ps := n.startProviderStream(ctx, cid.Sum(multicodec.Raw, []byte(tc.name)), simtime.NewSignal(src))
+			got, ok := ps.awaitFirst(ctx)
+			took := src.Since(start)
+			info := ps.Finish()
+
+			if ok != tc.ok || (ok && got.ID != "provider") {
+				t.Errorf("%s: awaitFirst = %q, %v; want ok=%v", tc.name, got.ID, ok, tc.ok)
+			}
+			if info.Queried != 7 {
+				t.Errorf("%s: Finish reports %d lookup RPCs, want the stream's 7", tc.name, info.Queried)
+			}
+			if simtime.SchedulerOf(src) != nil && took != tc.took {
+				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+			}
+		}
+	})
+}
+
+// TestDiscoverParallel pins the §6.2 race of the Bitswap ask against
+// the provider stream on both engines: whichever answers first wins,
+// the loser is called off with its RPCs still charged, and when both
+// fail the error is the one that arrived first.
+func TestDiscoverParallel(t *testing.T) {
+	const window = 10 * time.Second
+	streamDown := errors.New("stream lookup failed")
+	content := []byte("raced content")
+	cases := []struct {
+		name      string
+		held      bool // the connected neighbour holds the content
+		router    scriptRouter
+		hit       bool          // the ask won
+		wantErr   error         // both failed
+		walk      time.Duration // exact ProviderWalk when the stream won
+		took      time.Duration // exact virtual duration (0: one round trip, not asserted)
+		wantHaves int
+	}{{
+		name: "the ask wins", held: true,
+		router: scriptRouter{steps: []streamStep{{5 * time.Second, []wire.PeerInfo{{ID: "far"}}}}},
+		hit:    true, wantHaves: 1,
+	}, {
+		name:   "the stream wins",
+		router: scriptRouter{steps: []streamStep{{time.Second, []wire.PeerInfo{{ID: "far"}}}}, endAfter: time.Second},
+		walk:   time.Second, took: time.Second, wantHaves: 1,
+	}, {
+		name:    "both fail: the stream's error came first",
+		router:  scriptRouter{endAfter: time.Second, err: streamDown},
+		wantErr: streamDown, took: window, wantHaves: 1,
+	}, {
+		name:    "both fail: the ask's timeout came first",
+		router:  scriptRouter{endAfter: 2 * window, err: streamDown},
+		wantErr: ErrNotFound, took: 2 * window, wantHaves: 1,
+	}}
+	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
+		for _, tc := range cases {
+			nodes := testNodes(src, 2, Config{ParallelDiscovery: true, BitswapTimeout: window})
+			getter, neighbour := nodes[0], nodes[1]
+			root := cid.Sum(multicodec.Raw, content)
+			if tc.held {
+				root, _ = neighbour.Add(content)
+			}
+			if _, _, err := getter.Swarm().Connect(ctx, neighbour.ID(), neighbour.Addrs()); err != nil {
+				t.Errorf("%s: connect: %v", tc.name, err)
+				continue
+			}
+			r := tc.router
+			r.src = src
+			getter.SetRouter(&r)
+
+			var res RetrieveResult
+			start := src.Stamp()
+			got, ps, err := getter.discoverParallel(ctx, root, &res)
+			took := src.Since(start)
+			info := ps.Finish()
+
+			switch {
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+				}
+			case err != nil:
+				t.Errorf("%s: %v", tc.name, err)
+			case tc.hit && (got.ID != neighbour.ID() || !res.BitswapHit):
+				t.Errorf("%s: provider %s (bitswap hit %v), want the neighbour's HAVE", tc.name, got.ID.Short(), res.BitswapHit)
+			case !tc.hit && (got.ID != "far" || res.BitswapHit || res.ProviderWalk <= 0):
+				t.Errorf("%s: provider %q (bitswap hit %v, walk %v), want the streamed one", tc.name, got.ID, res.BitswapHit, res.ProviderWalk)
+			}
+			// The loser's RPCs: the ask's WANT-HAVE lands on the result
+			// here, the stream's lookup messages are Finish's to report.
+			if res.WantHaves != tc.wantHaves || info.Queried != 7 {
+				t.Errorf("%s: charged %d WANT-HAVEs and %d lookup RPCs, want %d and 7", tc.name, res.WantHaves, info.Queried, tc.wantHaves)
+			}
+			if simtime.SchedulerOf(src) == nil {
+				continue
+			}
+			if tc.took > 0 && took != tc.took {
+				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+			}
+			if res.ProviderWalk != tc.walk {
+				t.Errorf("%s: ProviderWalk = %v, want exactly %v", tc.name, res.ProviderWalk, tc.walk)
+			}
+		}
+	})
+}
+
+// TestProvidedOrderIsStable is the regression test for the republish
+// batch riding on map iteration order: Provided — and so every
+// RepublishRecords batch — is the same sequence on every call and on
+// every node tracking the same CIDs, whatever order they were published
+// in.
+func TestProvidedOrderIsStable(t *testing.T) {
+	cids := make([]cid.Cid, 16)
+	for i := range cids {
+		cids[i] = cid.Sum(multicodec.Raw, []byte(fmt.Sprint("tracked ", i)))
+	}
+	var a, b Node
+	for _, c := range cids {
+		a.repub.track(c)
+	}
+	for _, i := range rand.New(rand.NewSource(3)).Perm(len(cids)) {
+		b.repub.track(cids[i])
+	}
+	want := fmt.Sprint(a.Provided())
+	if len(a.Provided()) != len(cids) {
+		t.Fatalf("Provided lists %d CIDs, want %d", len(a.Provided()), len(cids))
+	}
+	for call := 0; call < 50; call++ {
+		if got := fmt.Sprint(a.Provided()); got != want {
+			t.Fatalf("call %d: Provided order changed:\n%s\nvs\n%s", call, got, want)
+		}
+	}
+	if got := fmt.Sprint(b.Provided()); got != want {
+		t.Errorf("two nodes tracking the same CIDs list them differently:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRecordsLiveOnTheNodesOneClock builds nodes with Config.Time and
+// nothing else — parallel router included — and checks that what they
+// stamp and expire follows that source: a provider record published on
+// the scheduler carries the virtual instant and is gone once virtual
+// time passes its TTL, with the wall clock years away from both.
+func TestRecordsLiveOnTheNodesOneClock(t *testing.T) {
+	sched := simtime.NewScheduler(simtime.NewClock(testEpoch), simtime.SchedulerOpts{})
+	nodes := testNodes(sched, 4, Config{Mode: dht.ModeServer, Routing: routing.KindParallel})
+	pub := nodes[0]
+	root, err := pub.Add([]byte("stamped on virtual time"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holders := func() (n int, stamps []time.Time) {
+		for _, node := range nodes[1:] {
+			for _, rec := range node.DHT().Providers().Get(root) {
+				n++
+				stamps = append(stamps, rec.Published)
+			}
+		}
+		return n, stamps
+	}
+	err = sched.Run(context.Background(), func(ctx context.Context) {
+		if _, err := pub.Publish(ctx, root); err != nil {
+			t.Errorf("publish: %v", err)
+			return
+		}
+		n, stamps := holders()
+		if n == 0 {
+			t.Error("no peer stored the provider record")
+		}
+		for _, at := range stamps {
+			if at.Before(testEpoch) || at.After(sched.Now()) {
+				t.Errorf("record stamped %v, want the virtual instant of the publish (%v .. %v)", at, testEpoch, sched.Now())
+			}
+		}
+		sched.Sleep(ctx, 23*time.Hour)
+		if n, _ := holders(); n == 0 {
+			t.Error("record expired before its 24 h TTL of virtual time")
+		}
+		sched.Sleep(ctx, 2*time.Hour)
+		if n, _ := holders(); n != 0 {
+			t.Errorf("%d records outlived 25 h of virtual time: the TTL is not running on the node's source", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sched.Stalls(); n != 0 {
+		t.Errorf("dispatcher stalled %d times: some wait of the node is not on its source", n)
+	}
+}

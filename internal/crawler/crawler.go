@@ -58,10 +58,6 @@ type Config struct {
 	// TCP dial timeout, below the websocket handshake timeout — the
 	// crawler gives up on those, as the nebula crawler does).
 	ConnectTimeout time.Duration
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Time is the unified time surface; nil derives it from Base.
-	Time simtime.Source
 }
 
 func (c Config) withDefaults() Config {
@@ -70,12 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ConnectTimeout <= 0 {
 		c.ConnectTimeout = 8 * time.Second
-	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, nil)
 	}
 	return c
 }
@@ -87,7 +77,8 @@ type Crawler struct {
 }
 
 // New creates a crawler over the given swarm (the crawler is itself a
-// peer with an endpoint on the network).
+// peer with an endpoint on the network), running on the swarm's time
+// source.
 func New(sw *swarm.Swarm, cfg Config) *Crawler {
 	return &Crawler{cfg: cfg.withDefaults(), sw: sw}
 }
@@ -96,7 +87,7 @@ func New(sw *swarm.Swarm, cfg Config) *Crawler {
 // breadth-first enumeration with bounded concurrency that terminates
 // when no undiscovered peers remain.
 func (c *Crawler) Crawl(ctx context.Context, bootstrap []wire.PeerInfo) *Report {
-	src := c.cfg.Time
+	src := c.sw.Time()
 	start := src.Stamp()
 	// Crawl traffic — snapshot refreshes included — lands under the
 	// refresh budget category in the simulator's network-wide report.
@@ -147,7 +138,7 @@ func (c *Crawler) Crawl(ctx context.Context, bootstrap []wire.PeerInfo) *Report 
 // visit dials one peer, enumerates its k-buckets, and feeds newly
 // discovered peers back into the crawl.
 func (c *Crawler) visit(ctx context.Context, info wire.PeerInfo, report *Report, mu *sync.Mutex, enqueue func(wire.PeerInfo)) {
-	src := c.cfg.Time
+	src := c.sw.Time()
 	dctx, cancel := src.WithTimeout(ctx, c.cfg.ConnectTimeout)
 	defer cancel()
 

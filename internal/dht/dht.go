@@ -38,13 +38,6 @@ type Config struct {
 	Alpha        int           // lookup concurrency (3)
 	QueryTimeout time.Duration // per-RPC budget during walks (10 s)
 	RecordTTL    time.Duration // provider/peer record expiry (24 h)
-	Base         simtime.Base  // time compression (legacy; folded into Time)
-	Now          func() time.Time
-	// Time is the unified time surface: walks sleep, time out and
-	// measure through it. When nil it is derived from Base/Now, so
-	// legacy callers keep their real-scaled behaviour; scenario runs
-	// pass the event scheduler and the whole DHT becomes event-driven.
-	Time simtime.Source
 	// OmitProviderAddrs publishes provider records without our
 	// multiaddresses, forcing requestors through the second (peer
 	// discovery) walk. The §4.3 experiments enable it to model the
@@ -66,15 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.RecordTTL <= 0 {
 		c.RecordTTL = record.DefaultExpireInterval
 	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, c.Now)
-	}
 	return c
 }
 
@@ -87,6 +71,7 @@ type DHT struct {
 	cfg   Config
 	ident peer.Identity
 	sw    *swarm.Swarm
+	src   simtime.Source // the swarm's: walks sleep, time out, measure and stamp records on it
 	table *kbucket.Table
 	mode  atomic.Int32 // holds a Mode; AutoNAT flips it while RPCs are in flight
 
@@ -101,16 +86,19 @@ type DHT struct {
 	seq   uint64
 }
 
-// New creates a DHT participant in the given mode.
+// New creates a DHT participant in the given mode. It runs on the
+// swarm's time source.
 func New(ident peer.Identity, sw *swarm.Swarm, mode Mode, cfg Config) *DHT {
 	cfg = cfg.withDefaults()
+	src := sw.Time()
 	d := &DHT{
 		cfg:       cfg,
 		ident:     ident,
 		sw:        sw,
+		src:       src,
 		table:     kbucket.NewTable(ident.ID, cfg.K),
-		providers: record.NewProviderStore(cfg.RecordTTL, cfg.Now),
-		peerRecs:  record.NewPeerStore(cfg.RecordTTL, cfg.Now),
+		providers: record.NewProviderStore(cfg.RecordTTL, src.Now),
+		peerRecs:  record.NewPeerStore(cfg.RecordTTL, src.Now),
 		ipns:      make(map[string][]byte),
 	}
 	d.mode.Store(int32(mode))
@@ -130,15 +118,8 @@ func (d *DHT) Table() *kbucket.Table { return d.table }
 // Swarm returns the underlying swarm.
 func (d *DHT) Swarm() *swarm.Swarm { return d.sw }
 
-// Base returns the DHT's simulated-time base.
-func (d *DHT) Base() simtime.Base { return d.cfg.Base }
-
-// Time returns the DHT's unified time source.
-func (d *DHT) Time() simtime.Source { return d.cfg.Time }
-
-// Clock returns the DHT's wall clock (the movable simulated clock in
-// scenario runs).
-func (d *DHT) Clock() func() time.Time { return d.cfg.Now }
+// Time returns the DHT's time source — its swarm's.
+func (d *DHT) Time() simtime.Source { return d.src }
 
 // SetIPNSValidator installs the validator for PUT_IPNS payloads.
 func (d *DHT) SetIPNSValidator(v IPNSValidator) { d.validator = v }
@@ -203,7 +184,7 @@ func (d *DHT) HandleMessage(ctx context.Context, from peer.ID, req wire.Message)
 			if err != nil {
 				return wire.ErrorMessage("bad cid: %v", err)
 			}
-			d.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: d.cfg.Now()})
+			d.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: d.src.Now()})
 			stored++
 		}
 		if stored == 0 {

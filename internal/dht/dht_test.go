@@ -28,9 +28,8 @@ type testNet struct {
 // classFn may mark some peers with a behaviour class.
 func buildNet(t *testing.T, n int, classFn func(i int) simnet.Class) *testNet {
 	t.Helper()
-	base := simtime.New(0.0005)
-	net := simnet.New(simnet.Config{Base: base, Seed: 7})
-	cfg := Config{Base: base, QueryTimeout: 10 * time.Second}
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.0005, nil), Seed: 7})
+	cfg := Config{QueryTimeout: 10 * time.Second}
 	rng := rand.New(rand.NewSource(99))
 
 	tn := &testNet{net: net}
@@ -47,7 +46,7 @@ func buildNet(t *testing.T, n int, classFn func(i int) simnet.Class) *testNet {
 			Dialable: true,
 			Class:    class,
 		})
-		sw := swarm.New(ident, ep, simtime.NewBaseSource(base, nil))
+		sw := swarm.New(ident, ep, net.Time())
 		d := New(ident, sw, ModeServer, cfg)
 		ep.SetHandler(d.HandleMessage)
 		tn.nodes = append(tn.nodes, d)
@@ -330,11 +329,10 @@ func TestGetIPNSMissing(t *testing.T) {
 
 func TestBootstrapPopulatesTable(t *testing.T) {
 	tn := buildNet(t, 25, nil)
-	base := tn.net.Base()
 	ident := peer.MustNewIdentity(rand.New(rand.NewSource(4242)))
 	ep := tn.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	sw := swarm.New(ident, ep, simtime.NewBaseSource(base, nil))
-	d := New(ident, sw, ModeServer, Config{Base: base})
+	sw := swarm.New(ident, ep, tn.net.Time())
+	d := New(ident, sw, ModeServer, Config{})
 	ep.SetHandler(d.HandleMessage)
 
 	boot := []wire.PeerInfo{
@@ -383,8 +381,8 @@ func TestRequesterLearnedByResponder(t *testing.T) {
 	tn := buildNet(t, 10, nil)
 	newcomer := peer.MustNewIdentity(rand.New(rand.NewSource(777)))
 	ep := tn.net.AddNode(newcomer.ID, simnet.NodeOpts{Region: "US", Dialable: true})
-	sw := swarm.New(newcomer, ep, simtime.NewBaseSource(tn.net.Base(), nil))
-	d := New(newcomer, sw, ModeServer, Config{Base: tn.net.Base()})
+	sw := swarm.New(newcomer, ep, tn.net.Time())
+	d := New(newcomer, sw, ModeServer, Config{})
 	ep.SetHandler(d.HandleMessage)
 
 	responder := tn.nodes[0]

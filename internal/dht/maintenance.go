@@ -51,8 +51,8 @@ func (d *DHT) StartMaintenance(ctx context.Context, interval time.Duration, seed
 		d.providers.GC()
 		i++
 		if cctx.Err() == nil {
-			d.cfg.Time.AfterFunc(cctx, interval, cycle)
+			d.src.AfterFunc(cctx, interval, cycle)
 		}
 	}
-	d.cfg.Time.AfterFunc(ctx, interval, cycle)
+	d.src.AfterFunc(ctx, interval, cycle)
 }

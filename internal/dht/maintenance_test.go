@@ -9,7 +9,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/peer"
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/wire"
 )
@@ -19,8 +18,8 @@ func TestRefreshPopulatesSparseTable(t *testing.T) {
 	// A newcomer knowing only two bootstrap peers.
 	ident := peer.MustNewIdentity(rand.New(rand.NewSource(31337)))
 	ep := tn.net.AddNode(ident.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
-	sw := swarm.New(ident, ep, simtime.NewBaseSource(tn.net.Base(), nil))
-	d := New(ident, sw, ModeServer, Config{Base: tn.net.Base()})
+	sw := swarm.New(ident, ep, tn.net.Time())
+	d := New(ident, sw, ModeServer, Config{})
 	ep.SetHandler(d.HandleMessage)
 	for _, b := range tn.nodes[:2] {
 		d.Seed(wire.PeerInfo{ID: b.ident.ID, Addrs: b.Swarm().Addrs()})

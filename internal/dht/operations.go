@@ -50,7 +50,7 @@ type ProvideResult struct {
 // RPCs (§3.1).
 func (d *DHT) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	src := d.cfg.Time
+	src := d.src
 	start := src.Stamp()
 	key := c.Bytes()
 	target := kbucket.KeyForBytes(key)
@@ -187,7 +187,7 @@ func (d *DHT) FindPeer(ctx context.Context, id peer.ID) (wire.PeerInfo, WalkInfo
 // the same CID-to-PeerID procedure" (§3.1).
 func (d *DHT) PublishPeerRecord(ctx context.Context) (ProvideResult, error) {
 	var res ProvideResult
-	src := d.cfg.Time
+	src := d.src
 	start := src.Stamp()
 	key := []byte(d.ident.ID)
 	target := kbucket.KeyForBytes(key)
@@ -197,7 +197,7 @@ func (d *DHT) PublishPeerRecord(ctx context.Context) (ProvideResult, error) {
 	if err != nil {
 		return res, err
 	}
-	rec := record.NewPeerRecord(d.ident, d.sw.Addrs(), d.nextSeq(), d.cfg.Now())
+	rec := record.NewPeerRecord(d.ident, d.sw.Addrs(), d.nextSeq(), d.src.Now())
 
 	batchStart := src.Stamp()
 	g := simtime.NewGroup(src)
@@ -238,7 +238,7 @@ func (d *DHT) PutIPNS(ctx context.Context, key []byte, data []byte) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	src := d.cfg.Time
+	src := d.src
 	g := simtime.NewGroup(src)
 	var mu sync.Mutex
 	ok := 0

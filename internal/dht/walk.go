@@ -62,7 +62,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	// The walk is one trace phase: query RPCs attach as events via the
 	// derived contexts, and every completed query adds a "hop" event.
 	ctx, wsp := telemetry.StartSpan(ctx, "dht-walk")
-	src := d.cfg.Time
+	src := d.src
 	start := src.Stamp()
 	cands := make(map[peer.ID]*candidate)
 

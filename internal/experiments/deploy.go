@@ -100,7 +100,7 @@ func RunDeployment(cfg DeployConfig) *DeployResults {
 	})
 	ident := peer.MustNewIdentity(rand.New(rand.NewSource(cfg.Seed + 3)))
 	ep := tn.Net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	cr := crawler.New(swarm.New(ident, ep, tn.Time), crawler.Config{Base: tn.Base, Time: tn.Time, Workers: 96})
+	cr := crawler.New(swarm.New(ident, ep, tn.Time), crawler.Config{Workers: 96})
 
 	ctx := context.Background()
 	for e := 0; e < cfg.CrawlEpochs; e++ {

@@ -64,6 +64,10 @@ func LossSweepScenario(seed int64) *RoutingResults {
 // tick at 4 h measures the split brain, the tick at 6 h (right after
 // the mid-window snapshot refresh) measures recovery.
 func PartitionHealScenario(seed int64) *RoutingResults {
+	return RunRoutingComparison(partitionHealConfig(seed))
+}
+
+func partitionHealConfig(seed int64) RoutingConfig {
 	cfg := faultScenarioDefaults(seed)
 	cfg.Window = 12 * time.Hour
 	cfg.Ticks = 6
@@ -71,7 +75,7 @@ func PartitionHealScenario(seed int64) *RoutingResults {
 	cfg.PartitionAt = 3 * time.Hour
 	cfg.HealAt = 5 * time.Hour
 	cfg.ChurnAmplitude = 0.01
-	return RunRoutingComparison(cfg)
+	return cfg
 }
 
 // ReachabilityMixScenario runs scenario (c): the Fig-7 reachability

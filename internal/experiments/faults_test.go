@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -70,12 +71,6 @@ func TestLossSweepDegradesHitRateMonotonically(t *testing.T) {
 		last := rp.Ticks[len(rp.Ticks)-1].HitRate()
 		if first < 0.9 {
 			t.Errorf("%s: clean-link baseline hit rate = %.2f, want ≥ 0.9", rp.Kind, first)
-		}
-		if raceEnabled {
-			// The race runtime reorders same-instant events, which moves
-			// individual loss draws; the curve's exact shape is only
-			// contractual in uninstrumented builds.
-			continue
 		}
 		for i := 1; i < len(rp.Ticks); i++ {
 			prev, cur := rp.Ticks[i-1].HitRate(), rp.Ticks[i].HitRate()
@@ -159,15 +154,9 @@ func TestPartitionHealRestoresHitRate(t *testing.T) {
 		if rec.Partitioned != 0 {
 			t.Errorf("%s at +6h: partition state lingers after the heal (%d regions)", rp.Kind, rec.Partitioned)
 		}
-		// Full recovery is the uninstrumented-build contract; the race
-		// runtime's event reordering can leave a straggler session.
-		recovered := 0.99
-		if raceEnabled {
-			recovered = 0.5
-		}
-		if rec.HitRate() < recovered {
-			t.Errorf("%s at +6h (first tick after heal+refresh): hit %.2f, want recovery ≥ %.2f within one refresh interval",
-				rp.Kind, rec.HitRate(), recovered)
+		if rec.HitRate() < 0.99 {
+			t.Errorf("%s at +6h (first tick after heal+refresh): hit %.2f, want full recovery within one refresh interval",
+				rp.Kind, rec.HitRate())
 		}
 	}
 	if res.Budget.DialFailures == 0 {
@@ -303,14 +292,6 @@ func checkFaultDeterminism(t *testing.T, cfg RoutingConfig) {
 	if a.Budget.Dropped == 0 {
 		t.Error("the lossy run dropped nothing: loss draws never fired")
 	}
-	if raceEnabled {
-		// The race runtime reorders same-virtual-instant events, which
-		// shifts the instants the loss-draw hash keys on; bit-for-bit
-		// replay is the uninstrumented-build contract. This build still
-		// verified the run completes the schedule without stalls.
-		t.Log("race build: skipping bit-for-bit replay equality")
-		return
-	}
 	if as, bs := a.TimeSeries(), b.TimeSeries(); as != bs {
 		t.Errorf("seeded lossy runs diverged in the phase time series\nrun A:\n%s\nrun B:\n%s", as, bs)
 	}
@@ -334,6 +315,33 @@ func TestEventDrivenFaultDeterminism(t *testing.T) {
 	checkFaultDeterminism(t, faultDeterminismConfig(300))
 }
 
+// TestParallelRouterReplaysUnderScheduler is the regression test for
+// the parallel router racing outside the node's scheduler: the
+// partition-heal scenario restricted to the parallel kind — every
+// publish, session consult and provider stream a member race — must
+// replay byte for byte. With the racers on plain goroutines (a router
+// built without the node's time source) six runs gave six outputs, all
+// with zero stalls.
+func TestParallelRouterReplaysUnderScheduler(t *testing.T) {
+	cfg := partitionHealConfig(42)
+	cfg.Kinds = []routing.Kind{routing.KindParallel}
+	render := func(res *RoutingResults) string {
+		return fmt.Sprintf("%s\n%s\n%v\nevents %d", res.TimeSeries(), res.Table(), res.Budget, res.SchedEvents)
+	}
+	var first string
+	for run := 0; run < 6; run++ {
+		res := RunRoutingComparison(cfg)
+		if res.SchedStalls != 0 {
+			t.Fatalf("run %d: scheduler stalled %d times", run, res.SchedStalls)
+		}
+		if got := render(res); run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d of the seeded parallel-router scenario diverged from run 0\nrun 0:\n%s\nrun %d:\n%s", run, first, run, got)
+		}
+	}
+}
+
 // TestEventDrivenFaultDeterminism20k is the same contract at paper
 // scale: two seeded event-driven 20k-peer lossy runs must agree on the
 // full time series, every budget row, and the event count, with zero
@@ -351,9 +359,6 @@ func TestEventDrivenFaultDeterminism20k(t *testing.T) {
 // lockstep, so every column (including exact RPC and drop counts) is
 // deterministic and the golden can pin all of it.
 func TestLossSweepTimeSeriesGolden(t *testing.T) {
-	if raceEnabled {
-		t.Skip("full-series fault goldens are pinned for the uninstrumented build")
-	}
 	res := lossSweepResults()
 	goldenCompare(t, "loss_sweep.golden", res.TimeSeries()+"\n"+res.DegradationTable())
 }
@@ -363,9 +368,6 @@ func TestLossSweepTimeSeriesGolden(t *testing.T) {
 // flipping 0 → 2 → 0, and the hit-rate collapse and recovery around
 // them.
 func TestPartitionHealTimeSeriesGolden(t *testing.T) {
-	if raceEnabled {
-		t.Skip("full-series fault goldens are pinned for the uninstrumented build")
-	}
 	goldenCompare(t, "partition_heal.golden", partitionHealResults().TimeSeries())
 }
 

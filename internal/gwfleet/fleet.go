@@ -114,9 +114,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Time == nil {
-		c.Time = simtime.BaseSource{}
-	}
+	c.Time = simtime.OrWall(c.Time)
 	return c
 }
 

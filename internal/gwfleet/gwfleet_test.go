@@ -96,7 +96,7 @@ func TestAdmissionHysteresis(t *testing.T) {
 
 func TestSharedCacheTTLs(t *testing.T) {
 	clock := simtime.NewClock(time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC))
-	src := simtime.NewBaseSource(simtime.Base{}, clock.Now)
+	src := simtime.Scaled(1, clock.Now)
 	c := NewSharedCache(1<<20, time.Minute, 10*time.Minute, src, nil)
 	root := cid.SumV0([]byte("missing"))
 
@@ -138,7 +138,7 @@ func TestSharedCacheTTLs(t *testing.T) {
 // countingSource is a wall-clock Source (not a Scheduler) whose Sleep
 // only counts.
 type countingSource struct {
-	simtime.BaseSource
+	simtime.Source
 	slept []time.Duration
 }
 
@@ -155,7 +155,7 @@ func wallClockFleet(t *testing.T) (*Fleet, *countingSource) {
 		N: 20, Seed: 5, Scale: 0.0004,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
-	src := &countingSource{}
+	src := &countingSource{Source: simtime.OrWall(nil)}
 	return New(tn.AddGatewayFleet(1, 900, nil), Config{Time: src}), src
 }
 

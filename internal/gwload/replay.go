@@ -155,9 +155,7 @@ func (s *ReplayStats) Failures() int { return s.failures }
 // serves one request (a gateway or fleet Fetch) and reports failure.
 // Replay returns once every dispatched request completed.
 func Replay(ctx context.Context, src simtime.Source, reqs []Request, do func(ctx context.Context, r Request) error) *ReplayStats {
-	if src == nil {
-		src = simtime.BaseSource{}
-	}
+	src = simtime.OrWall(src)
 	rs := &ReplayStats{ttfb: stats.NewSample()}
 	g := simtime.NewGroup(src)
 	for _, r := range reqs {

@@ -22,15 +22,13 @@ func AssembleConcurrent(f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 // worker-slot waits and the sibling joins are instrumented, so a
 // discrete-event scheduler can advance virtual time while fetches park
 // inside simulated RPCs. ctx must be the caller's (it carries the
-// scheduler lease in event-driven runs); a nil src selects the
-// real-time adapter, reproducing the plain-goroutine behaviour.
+// scheduler lease in event-driven runs); a nil src is the wall clock,
+// i.e. plain goroutines.
 func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	if workers <= 1 {
 		return Assemble(f, root)
 	}
-	if src == nil {
-		src = simtime.NewBaseSource(simtime.Realtime, nil)
-	}
+	src = simtime.OrWall(src)
 	// The semaphore bounds concurrent fetches (a Get and the decode of
 	// what it returned) only; it is never held across the recursive
 	// descent, so ancestors waiting on descendants cannot starve them of

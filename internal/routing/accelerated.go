@@ -28,13 +28,6 @@ type AcceleratedConfig struct {
 	RPCTimeout time.Duration
 	// CrawlWorkers bounds the snapshot crawl's concurrency (default 64).
 	CrawlWorkers int
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Now supplies the wall clock for the ack ledger (default time.Now;
-	// simulations pass their movable clock).
-	Now func() time.Time
-	// Time is the unified time surface; nil derives it from Base/Now.
-	Time simtime.Source
 }
 
 func (c AcceleratedConfig) withDefaults() AcceleratedConfig {
@@ -49,15 +42,6 @@ func (c AcceleratedConfig) withDefaults() AcceleratedConfig {
 	}
 	if c.CrawlWorkers <= 0 {
 		c.CrawlWorkers = 64
-	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, c.Now)
 	}
 	return c
 }
@@ -79,18 +63,20 @@ type snapEntry struct {
 type AcceleratedRouter struct {
 	cfg      AcceleratedConfig
 	sw       *swarm.Swarm
-	fallback Router // nil disables fallback (tests); usually a DHTRouter
+	src      simtime.Source // the swarm's
+	fallback Router         // nil disables fallback (tests); usually a DHTRouter
 	ledger   *Ledger
 
 	mu   sync.RWMutex
 	snap []snapEntry
 }
 
-// NewAccelerated creates an accelerated client over the swarm. fallback
-// handles keys the snapshot cannot serve; pass nil to fail instead.
+// NewAccelerated creates an accelerated client over the swarm, running
+// on the swarm's time source. fallback handles keys the snapshot cannot
+// serve; pass nil to fail instead.
 func NewAccelerated(sw *swarm.Swarm, fallback Router, cfg AcceleratedConfig) *AcceleratedRouter {
-	cfg = cfg.withDefaults()
-	return &AcceleratedRouter{cfg: cfg, sw: sw, fallback: fallback, ledger: NewLedger(cfg.Now)}
+	src := sw.Time()
+	return &AcceleratedRouter{cfg: cfg.withDefaults(), sw: sw, src: src, fallback: fallback, ledger: NewLedger(src.Now)}
 }
 
 // Name implements Router.
@@ -105,8 +91,6 @@ func (r *AcceleratedRouter) Ledger() *Ledger { return r.ledger }
 func (r *AcceleratedRouter) Refresh(ctx context.Context, bootstrap []wire.PeerInfo) (int, error) {
 	cr := crawler.New(r.sw, crawler.Config{
 		Workers:        r.cfg.CrawlWorkers,
-		Base:           r.cfg.Base,
-		Time:           r.cfg.Time,
 		ConnectTimeout: r.cfg.RPCTimeout,
 	})
 	rep := cr.Crawl(ctx, bootstrap)
@@ -149,10 +133,10 @@ func (r *AcceleratedRouter) StartRefresher(ctx context.Context, interval time.Du
 	cycle = func(cctx context.Context) {
 		r.Refresh(cctx, bootstrap())
 		if cctx.Err() == nil {
-			r.cfg.Time.AfterFunc(cctx, interval, cycle)
+			r.src.AfterFunc(cctx, interval, cycle)
 		}
 	}
-	r.cfg.Time.AfterFunc(ctx, jitter+interval, cycle)
+	r.src.AfterFunc(ctx, jitter+interval, cycle)
 }
 
 // SetSnapshot installs a snapshot directly — testnet builders use it to
@@ -229,7 +213,7 @@ func (r *AcceleratedRouter) closest(key []byte) []wire.PeerInfo {
 // the iterative walk.
 func (r *AcceleratedRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	start := r.cfg.Time.Stamp()
+	start := r.src.Stamp()
 	key := c.Bytes()
 	closest := r.closest(key)
 	if len(closest) == 0 {
@@ -246,13 +230,13 @@ func (r *AcceleratedRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResu
 	}
 	var acked []wire.PeerInfo
 	res.StoreTargets = closest
-	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.cfg.Time, r.cfg.RPCTimeout, closest, req)
+	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.src, r.cfg.RPCTimeout, closest, req)
 	res.StoreOK = len(acked)
 	res.AckedTargets = acked
 	for _, t := range acked {
 		r.ledger.Confirm(t, c.Key())
 	}
-	res.BatchDuration = r.cfg.Time.Since(start)
+	res.BatchDuration = r.src.Since(start)
 	res.TotalDuration = res.BatchDuration
 	if res.StoreOK == 0 {
 		return provideFallback(ctx, r.fallback, c, res,
@@ -272,7 +256,7 @@ func (r *AcceleratedRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Pr
 		}
 		return ProvideManyResult{CIDs: len(cids)}, fmt.Errorf("routing: accelerated provide batch of %d: empty snapshot", len(cids))
 	}
-	res, provided := provideManyGrouped(ctx, r.sw, r.cfg.Time, r.cfg.RPCTimeout, r.ledger, cids,
+	res, provided := provideManyGrouped(ctx, r.sw, r.src, r.cfg.RPCTimeout, r.ledger, cids,
 		func(c cid.Cid) []wire.PeerInfo { return r.closest(c.Bytes()) })
 	return provideManyFallback(ctx, r.fallback, res, unprovided(cids, provided))
 }
@@ -307,7 +291,7 @@ func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerI
 		sp.Annotate("failed", strconv.Itoa(info.Failed))
 		sp.End()
 	}()
-	src := r.cfg.Time
+	src := r.src
 	start := src.Stamp()
 	key := c.Bytes()
 	closest := r.closest(key)

@@ -40,7 +40,7 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 			name: "accelerated",
 			build: func(t *testing.T) routing.Router {
 				node := tn.AddVantage("DE", 720)
-				r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{Base: tn.Base})
+				r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
 				var infos []wire.PeerInfo
 				for _, n := range tn.Nodes[:8] {
 					infos = append(infos, n.Info())
@@ -61,7 +61,7 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 					tn.AddIndexer("DE", 723).Info(),
 				}
 				return routing.NewIndexerRouter(node.Swarm(), indexers, nil,
-					routing.IndexerRouterConfig{Base: tn.Base})
+					routing.IndexerRouterConfig{})
 			},
 			targets: 2,
 		},
@@ -102,7 +102,7 @@ func TestProvideManyAckLedgerSkipsConfirmedTargets(t *testing.T) {
 	tn := buildCleanNet(t, 60, 73)
 	ctx := context.Background()
 	node := tn.AddVantage("DE", 730)
-	r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{Base: tn.Base})
+	r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
 	var infos []wire.PeerInfo
 	for _, n := range tn.Nodes[:6] {
 		infos = append(infos, n.Info())

@@ -21,7 +21,7 @@ type DHTRouter struct {
 }
 
 // NewDHT wraps a DHT participant as a Router.
-func NewDHT(d *dht.DHT) *DHTRouter { return &DHTRouter{d: d, ledger: NewLedger(d.Clock())} }
+func NewDHT(d *dht.DHT) *DHTRouter { return &DHTRouter{d: d, ledger: NewLedger(d.Time().Now)} }
 
 // Name implements Router.
 func (r *DHTRouter) Name() string { return string(KindDHT) }

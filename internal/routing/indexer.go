@@ -29,7 +29,6 @@ type Indexer struct {
 	ident     peer.Identity
 	sw        *swarm.Swarm
 	providers *record.ProviderStore
-	now       func() time.Time
 	src       simtime.Source
 	ttl       time.Duration
 	timeout   time.Duration
@@ -46,42 +45,32 @@ type IndexerConfig struct {
 	RecordTTL time.Duration
 	// RPCTimeout bounds one gossip RPC (default 10 s).
 	RPCTimeout time.Duration
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Now supplies the clock for record expiry.
-	Now func() time.Time
-	// Time is the unified time surface; nil derives it from Base/Now.
+	// Time is the time source the indexer's swarm is built over — its
+	// record stamps, TTLs and gossip timeouts all run on it; nil is the
+	// wall clock.
 	Time simtime.Source
 }
 
 // NewIndexer assembles an indexer node over the endpoint and installs
 // its message handler.
 func NewIndexer(ident peer.Identity, ep transport.Endpoint, cfg IndexerConfig) *Indexer {
-	if cfg.Base == (simtime.Base{}) {
-		cfg.Base = simtime.Realtime
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.RecordTTL <= 0 {
 		cfg.RecordTTL = record.DefaultExpireInterval
 	}
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 10 * time.Second
 	}
-	if cfg.Time == nil {
-		cfg.Time = simtime.NewBaseSource(cfg.Base, cfg.Now)
-	}
+	sw := swarm.New(ident, ep, cfg.Time)
+	src := sw.Time()
 	ix := &Indexer{
 		ident:     ident,
-		sw:        swarm.New(ident, ep, cfg.Time),
-		providers: record.NewProviderStore(cfg.RecordTTL, cfg.Now),
-		now:       cfg.Now,
-		src:       cfg.Time,
+		sw:        sw,
+		providers: record.NewProviderStore(cfg.RecordTTL, src.Now),
+		src:       src,
 		ttl:       cfg.RecordTTL,
 		timeout:   cfg.RPCTimeout,
-		gossip:    NewAckLedger(cfg.Now),
-		tel:       telemetry.NewRecorder(cfg.Time),
+		gossip:    NewAckLedger(src.Now),
+		tel:       telemetry.NewRecorder(src),
 	}
 	ep.SetHandler(ix.handle)
 	return ix
@@ -240,7 +229,7 @@ func (ix *Indexer) handle(ctx context.Context, from peer.ID, req wire.Message) w
 			if err != nil {
 				return wire.ErrorMessage("bad cid: %v", err)
 			}
-			ix.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: ix.now()})
+			ix.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: ix.src.Now()})
 			stored++
 		}
 		if stored == 0 {
@@ -258,7 +247,7 @@ func (ix *Indexer) handle(ctx context.Context, from peer.ID, req wire.Message) w
 		// older copy roll back a record we refreshed since. Confirming
 		// the sender in our own gossip ledger suppresses the echo: we
 		// will not push the same records straight back this cycle.
-		now := ix.now()
+		now := ix.src.Now()
 		for _, e := range req.Records {
 			c, err := cid.FromBytes(e.Key)
 			if err != nil {
@@ -307,27 +296,11 @@ func (ix *Indexer) handle(ctx context.Context, from peer.ID, req wire.Message) w
 type IndexerRouterConfig struct {
 	// RPCTimeout bounds one indexer RPC (default 10 s).
 	RPCTimeout time.Duration
-	// Base compresses simulated time (legacy; folded into Time).
-	Base simtime.Base
-	// Now supplies the wall clock for the ack ledger (default time.Now;
-	// simulations pass their movable clock).
-	Now func() time.Time
-	// Time is the unified time surface; nil derives it from Base/Now.
-	Time simtime.Source
 }
 
 func (c IndexerRouterConfig) withDefaults() IndexerRouterConfig {
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 10 * time.Second
-	}
-	if c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, c.Now)
 	}
 	return c
 }
@@ -344,7 +317,8 @@ func (c IndexerRouterConfig) withDefaults() IndexerRouterConfig {
 type IndexerRouter struct {
 	cfg      IndexerRouterConfig
 	sw       *swarm.Swarm
-	fallback Router // nil disables fallback (tests)
+	src      simtime.Source // the swarm's
+	fallback Router         // nil disables fallback (tests)
 	ledger   *Ledger
 
 	mu       sync.RWMutex
@@ -352,14 +326,16 @@ type IndexerRouter struct {
 	set      *IndexerSet // non-nil selects sharded routing
 }
 
-// NewIndexerRouter creates a client talking to the given indexers.
+// NewIndexerRouter creates a client talking to the given indexers,
+// running on the swarm's time source.
 func NewIndexerRouter(sw *swarm.Swarm, indexers []wire.PeerInfo, fallback Router, cfg IndexerRouterConfig) *IndexerRouter {
-	cfg = cfg.withDefaults()
+	src := sw.Time()
 	return &IndexerRouter{
-		cfg:      cfg,
+		cfg:      cfg.withDefaults(),
 		sw:       sw,
+		src:      src,
 		fallback: fallback,
-		ledger:   NewLedger(cfg.Now),
+		ledger:   NewLedger(src.Now),
 		indexers: append([]wire.PeerInfo(nil), indexers...),
 	}
 }
@@ -425,7 +401,7 @@ func (r *IndexerRouter) targetsFor(c cid.Cid) []wire.PeerInfo {
 // accepts it, fall back to the DHT walk so the record is never lost.
 func (r *IndexerRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	start := r.cfg.Time.Stamp()
+	start := r.src.Stamp()
 	targets := r.targetsFor(c)
 	if len(targets) == 0 {
 		if r.fallback != nil {
@@ -440,13 +416,13 @@ func (r *IndexerRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, 
 	}
 	var acked []wire.PeerInfo
 	res.StoreTargets = targets
-	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.cfg.Time, r.cfg.RPCTimeout, targets, req)
+	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.src, r.cfg.RPCTimeout, targets, req)
 	res.StoreOK = len(acked)
 	res.AckedTargets = acked
 	for _, t := range acked {
 		r.ledger.Confirm(t, c.Key())
 	}
-	res.BatchDuration = r.cfg.Time.Since(start)
+	res.BatchDuration = r.src.Since(start)
 	res.TotalDuration = res.BatchDuration
 	if res.StoreOK == 0 {
 		return provideFallback(ctx, r.fallback, c, res,
@@ -467,7 +443,7 @@ func (r *IndexerRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provid
 		}
 		return ProvideManyResult{CIDs: len(cids)}, fmt.Errorf("routing: indexer provide batch of %d: no indexers configured", len(cids))
 	}
-	res, provided := provideManyGrouped(ctx, r.sw, r.cfg.Time, r.cfg.RPCTimeout, r.ledger, cids, r.targetsFor)
+	res, provided := provideManyGrouped(ctx, r.sw, r.src, r.cfg.RPCTimeout, r.ledger, cids, r.targetsFor)
 	return provideManyFallback(ctx, r.fallback, res, unprovided(cids, provided))
 }
 
@@ -487,7 +463,7 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			return
 		}
 		var info LookupInfo
-		start := r.cfg.Time.Stamp()
+		start := r.src.Stamp()
 		key := c.Bytes()
 		seen := make(map[peer.ID]bool)
 		yielded := false
@@ -495,7 +471,7 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			if ctx.Err() != nil {
 				break
 			}
-			rctx, cancel := r.cfg.Time.WithTimeout(ctx, r.cfg.RPCTimeout)
+			rctx, cancel := r.src.WithTimeout(ctx, r.cfg.RPCTimeout)
 			resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
 			cancel()
 			if err != nil || resp.Type != wire.TProviders {
@@ -514,7 +490,7 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 				break
 			}
 		}
-		info.Duration = r.cfg.Time.Since(start)
+		info.Duration = r.src.Since(start)
 		if yielded {
 			st.set(info, nil)
 			return
@@ -551,13 +527,13 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 		sp.Annotate("failed", strconv.Itoa(info.Failed))
 		sp.End()
 	}()
-	start := r.cfg.Time.Stamp()
+	start := r.src.Stamp()
 	key := c.Bytes()
 	for _, ix := range r.targetsFor(c) {
 		if ctx.Err() != nil {
 			break
 		}
-		rctx, cancel := r.cfg.Time.WithTimeout(ctx, r.cfg.RPCTimeout)
+		rctx, cancel := r.src.WithTimeout(ctx, r.cfg.RPCTimeout)
 		resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
 		cancel()
 		if err != nil || resp.Type != wire.TProviders {
@@ -567,12 +543,12 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 		}
 		info.Queried++
 		if len(resp.Providers) > 0 {
-			info.Duration = r.cfg.Time.Since(start)
+			info.Duration = r.src.Since(start)
 			info.Depth = 1
 			return fillAddrs(r.sw, resp.Providers), info, nil
 		}
 	}
-	info.Duration = r.cfg.Time.Since(start)
+	info.Duration = r.src.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, info, err
 	}

@@ -64,8 +64,8 @@ func TestIndexerSetPartition(t *testing.T) {
 // bare simnet plus a publisher/getter swarm pair.
 type shardedHarness struct {
 	net    *simnet.Network
-	base   simtime.Base
 	clock  *simtime.Clock
+	src    simtime.Source // scaled real time whose Now reads clock
 	set    *routing.IndexerSet
 	groups [][]*routing.Indexer
 	pubSw  *swarm.Swarm
@@ -74,16 +74,14 @@ type shardedHarness struct {
 
 func newShardedHarness(t *testing.T, shards, replicas int, ttl time.Duration) *shardedHarness {
 	t.Helper()
-	h := &shardedHarness{
-		base:  simtime.New(0.0005),
-		clock: simtime.NewClock(testnet.DefaultEpoch),
-	}
-	h.net = simnet.New(simnet.Config{Base: h.base, Seed: 3})
+	h := &shardedHarness{clock: simtime.NewClock(testnet.DefaultEpoch)}
+	h.src = simtime.Scaled(0.0005, h.clock.Now)
+	h.net = simnet.New(simnet.Config{Time: h.src, Seed: 3})
 	rng := rand.New(rand.NewSource(17))
 	newSwarm := func() *swarm.Swarm {
 		ident := peer.MustNewIdentity(rng)
 		ep := h.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-		return swarm.New(ident, ep, simtime.NewBaseSource(h.base, nil))
+		return swarm.New(ident, ep, h.src)
 	}
 	infoGroups := make([][]wire.PeerInfo, shards)
 	for s := 0; s < shards; s++ {
@@ -91,9 +89,7 @@ func newShardedHarness(t *testing.T, shards, replicas int, ttl time.Duration) *s
 		for i := 0; i < replicas; i++ {
 			ident := peer.MustNewIdentity(rng)
 			ep := h.net.AddNode(ident.ID, simnet.NodeOpts{Region: "US", Dialable: true})
-			ix := routing.NewIndexer(ident, ep, routing.IndexerConfig{
-				Base: h.base, RecordTTL: ttl, Now: h.clock.Now,
-			})
+			ix := routing.NewIndexer(ident, ep, routing.IndexerConfig{RecordTTL: ttl, Time: h.src})
 			group = append(group, ix)
 			infoGroups[s] = append(infoGroups[s], ix.Info())
 		}
@@ -110,7 +106,7 @@ func newShardedHarness(t *testing.T, shards, replicas int, ttl time.Duration) *s
 }
 
 func (h *shardedHarness) router(sw *swarm.Swarm, fallback routing.Router) *routing.IndexerRouter {
-	r := routing.NewIndexerRouter(sw, nil, fallback, routing.IndexerRouterConfig{Base: h.base, Now: h.clock.Now})
+	r := routing.NewIndexerRouter(sw, nil, fallback, routing.IndexerRouterConfig{})
 	r.SetIndexerSet(h.set)
 	return r
 }
@@ -285,7 +281,7 @@ func TestEmptyIndexerSetFallsThrough(t *testing.T) {
 	}
 	h := newShardedHarness(t, 1, 1, 0)
 	fb := &countingRouter{inner: &fakeRouter{name: "fb", provider: peer.ID("via-fallback"), delay: time.Millisecond}}
-	r := routing.NewIndexerRouter(h.getSw, nil, fb, routing.IndexerRouterConfig{Base: h.base})
+	r := routing.NewIndexerRouter(h.getSw, nil, fb, routing.IndexerRouterConfig{})
 	r.SetIndexerSet(set)
 
 	providers, _, err := routing.FindProviders(context.Background(), r, testCid("unowned"))
@@ -356,7 +352,7 @@ func TestShardedStreamMergesReplicas(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ident := peer.MustNewIdentity(rng)
 	ep := h.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	sw := swarm.New(ident, ep, simtime.NewBaseSource(h.base, nil))
+	sw := swarm.New(ident, ep, h.src)
 	get := h.router(sw, nil)
 
 	seq, st := get.FindProvidersStream(ctx, c)

@@ -26,19 +26,11 @@ type ParallelRouter struct {
 }
 
 // NewParallel builds a composite over the members; at least one is
-// required.
-func NewParallel(members ...Router) *ParallelRouter {
-	return &ParallelRouter{members: members, src: simtime.NewBaseSource(simtime.Realtime, nil)}
-}
-
-// WithTime installs the composite's time source (the event scheduler in
-// scenario runs) and returns the router for chaining. The member races
-// spawn and join through it so virtual time cannot run ahead of a racer.
-func (r *ParallelRouter) WithTime(src simtime.Source) *ParallelRouter {
-	if src != nil {
-		r.src = src
-	}
-	return r
+// required. src is the time source of the node the members belong to
+// (nil is the wall clock): the member races spawn and join through it,
+// so under the event scheduler virtual time cannot run ahead of a racer.
+func NewParallel(src simtime.Source, members ...Router) *ParallelRouter {
+	return &ParallelRouter{members: members, src: simtime.OrWall(src)}
 }
 
 // Name implements Router, naming the members raced.
@@ -76,12 +68,13 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 	ch := make(chan outcome, len(r.members))
 	for _, m := range r.members {
 		// The race spans open serially here (deterministic IDs) and are
-		// closed by the racers themselves — cancelled losers included.
+		// closed by the racers themselves — cancelled losers included —
+		// before they deposit, so no span is open once the race is joined.
 		mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
 		m := m
 		r.src.Go(mctx, func(gctx context.Context) {
-			defer sp.End()
 			res, err := m.Provide(gctx, c)
+			sp.End()
 			ch <- outcome{res: res, err: err}
 		})
 	}
@@ -139,8 +132,8 @@ func (r *ParallelRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provi
 		mctx, sp := telemetry.StartSpan(ctx, "race:"+m.Name())
 		m := m
 		r.src.Go(mctx, func(gctx context.Context) {
-			defer sp.End()
 			res, err := m.ProvideMany(gctx, cids)
+			sp.End()
 			ch <- outcome{res: res, err: err}
 		})
 	}
@@ -189,8 +182,8 @@ func (r *ParallelRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]
 		mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
 		m := m
 		r.src.Go(mctx, func(gctx context.Context) {
-			defer sp.End()
 			peers, msgs, err := m.SessionPeers(gctx, c, n)
+			sp.End()
 			ch <- outcome{peers: peers, msgs: msgs, err: err}
 		})
 	}
@@ -237,6 +230,12 @@ func (r *ParallelRouter) WantBroadcast() bool {
 // become fail-over candidates instead of being discarded with the
 // losers. The aggregated statistics charge every member's RPCs,
 // cancelled losers included.
+//
+// Member streams deposit batches into a mutex-guarded queue — producers
+// never block, which keeps the scheduler's quiescence detection sound —
+// and the single consumer parks until a batch or a member completion is
+// available. Under the scheduler arrival order is the event order, so
+// seeded runs replay the same merge.
 func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
 	st := &StreamInfo{}
 	seq := func(yield func([]wire.PeerInfo) bool) {
@@ -246,37 +245,55 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 		}
 		pctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		if s := simtime.SchedulerOf(r.src); s != nil {
-			r.streamScheduled(pctx, cancel, s, c, yield, st)
-			return
-		}
-		batches := make(chan []wire.PeerInfo)
+		var mu sync.Mutex
+		var pending [][]wire.PeerInfo
 		done := make(chan *StreamInfo, len(r.members))
+		sig := simtime.NewSignal(r.src)
 		for _, m := range r.members {
 			mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
-			mseq, mst := m.FindProvidersStream(mctx, c)
-			go func() {
-				defer sp.End()
+			m := m
+			r.src.Go(mctx, func(gctx context.Context) {
+				mseq, mst := m.FindProvidersStream(gctx, c)
 				mseq(func(batch []wire.PeerInfo) bool {
-					select {
-					case batches <- batch:
-						return true
-					case <-pctx.Done():
+					if gctx.Err() != nil {
 						return false
 					}
+					mu.Lock()
+					pending = append(pending, batch)
+					mu.Unlock()
+					sig.Notify()
+					return true
 				})
+				// The span ends before the completion is visible, so none
+				// is open once the consumer has joined every member.
+				sp.End()
 				done <- mst
-			}()
+				sig.Notify()
+			})
+		}
+		queued := func() int {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(pending)
+		}
+		pop := func() ([]wire.PeerInfo, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(pending) == 0 {
+				return nil, false
+			}
+			b := pending[0]
+			pending = pending[1:]
+			return b, true
 		}
 		seen := make(map[peer.ID]bool)
 		emitted, stopped := false, false
-		finished := 0
-		var agg LookupInfo
-		var maxDur time.Duration
-		var firstErr error
-		for finished < len(r.members) {
-			select {
-			case b := <-batches:
+		drain := func() {
+			for {
+				b, ok := pop()
+				if !ok {
+					return
+				}
 				b = dedupProviders(seen, b)
 				if len(b) == 0 || stopped {
 					continue
@@ -286,7 +303,24 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 					stopped = true
 					cancel()
 				}
-			case mst := <-done:
+			}
+		}
+		finished := 0
+		var agg LookupInfo
+		var maxDur time.Duration
+		var firstErr error
+		// The consumer must join every member (their infos carry the RPC
+		// accounting), so the wait runs detached from pctx: cancelled
+		// members unwind promptly and deposit into the buffered done
+		// channel.
+		dctx := simtime.Detach(pctx)
+		for finished < len(r.members) {
+			if err := sig.Wait(dctx, func() bool { return queued() > 0 || len(done) > 0 }); err != nil {
+				break // scheduler shut down underneath us
+			}
+			drain()
+			for len(done) > 0 {
+				mst := <-done
 				finished++
 				info := mst.Info()
 				if info.Duration > maxDur {
@@ -298,6 +332,7 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 				}
 			}
 		}
+		drain() // batches deposited between the last wake and the last join
 		// Members ran concurrently, so the combined duration is the
 		// slowest member's, not mergeLookup's sequential sum; the race
 		// costs messages, not time.
@@ -311,105 +346,4 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 		st.set(agg, err)
 	}
 	return seq, st
-}
-
-// streamScheduled is FindProvidersStream's event-driven merge: member
-// streams deposit batches into a mutex-guarded queue — producers never
-// block, which keeps the scheduler's quiescence detection sound — and
-// the single consumer parks on the scheduler until a batch or a member
-// completion is available. Arrival order is the event order, so seeded
-// runs replay the same merge.
-func (r *ParallelRouter) streamScheduled(pctx context.Context, cancel context.CancelFunc, s *simtime.Scheduler, c cid.Cid, yield func([]wire.PeerInfo) bool, st *StreamInfo) {
-	var mu sync.Mutex
-	var pending [][]wire.PeerInfo
-	done := make(chan *StreamInfo, len(r.members))
-	for _, m := range r.members {
-		mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
-		m := m
-		r.src.Go(mctx, func(gctx context.Context) {
-			defer sp.End()
-			mseq, mst := m.FindProvidersStream(gctx, c)
-			mseq(func(batch []wire.PeerInfo) bool {
-				if gctx.Err() != nil {
-					return false
-				}
-				mu.Lock()
-				pending = append(pending, batch)
-				mu.Unlock()
-				return true
-			})
-			done <- mst
-		})
-	}
-	queued := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(pending)
-	}
-	pop := func() ([]wire.PeerInfo, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(pending) == 0 {
-			return nil, false
-		}
-		b := pending[0]
-		pending = pending[1:]
-		return b, true
-	}
-	seen := make(map[peer.ID]bool)
-	emitted, stopped := false, false
-	drain := func() {
-		for {
-			b, ok := pop()
-			if !ok {
-				return
-			}
-			b = dedupProviders(seen, b)
-			if len(b) == 0 || stopped {
-				continue
-			}
-			emitted = true
-			if !yield(b) {
-				stopped = true
-				cancel()
-			}
-		}
-	}
-	finished := 0
-	var agg LookupInfo
-	var maxDur time.Duration
-	var firstErr error
-	// The consumer must join every member (their infos carry the RPC
-	// accounting), so the wait runs detached from pctx: cancelled
-	// members unwind promptly and deposit into the buffered done channel.
-	dctx := simtime.Detach(pctx)
-	for finished < len(r.members) {
-		if err := s.Await(dctx, func() bool { return queued() > 0 || len(done) > 0 }); err != nil {
-			break // scheduler shut down underneath us
-		}
-		drain()
-		for len(done) > 0 {
-			mst := <-done
-			finished++
-			info := mst.Info()
-			if info.Duration > maxDur {
-				maxDur = info.Duration
-			}
-			agg = mergeLookup(agg, info)
-			if err := mst.Err(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	drain() // batches deposited between the last wake and the last join
-	// Members ran concurrently, so the combined duration is the slowest
-	// member's, not mergeLookup's sequential sum.
-	agg.Duration = maxDur
-	var err error
-	if !emitted {
-		if err = firstErr; err == nil {
-			err = ErrNoProviders
-		}
-	}
-	st.set(agg, err)
 }

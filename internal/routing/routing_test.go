@@ -96,7 +96,7 @@ func testCid(s string) cid.Cid { return cid.Sum(multicodec.Raw, []byte(s)) }
 func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
 	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 	slow := &fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}
-	r := routing.NewParallel(fast, slow)
+	r := routing.NewParallel(nil, fast, slow)
 
 	providers, info, err := routing.FindProviders(context.Background(), r, testCid("race"))
 	if err != nil {
@@ -124,7 +124,7 @@ func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
 func TestParallelProvideFirstSuccessWins(t *testing.T) {
 	failing := &fakeRouter{name: "failing", delay: time.Millisecond, err: errors.New("boom")}
 	ok := &fakeRouter{name: "ok", delay: 5 * time.Millisecond}
-	res, err := routing.NewParallel(failing, ok).Provide(context.Background(), testCid("pub"))
+	res, err := routing.NewParallel(nil, failing, ok).Provide(context.Background(), testCid("pub"))
 	if err != nil {
 		t.Fatalf("Provide: %v", err)
 	}
@@ -137,10 +137,10 @@ func TestParallelAllFailReturnsFirstError(t *testing.T) {
 	e1 := errors.New("first")
 	a := &fakeRouter{name: "a", delay: time.Millisecond, err: e1}
 	b := &fakeRouter{name: "b", delay: 2 * time.Millisecond, err: errors.New("second")}
-	if _, err := routing.NewParallel(a, b).Provide(context.Background(), testCid("x")); !errors.Is(err, e1) {
+	if _, err := routing.NewParallel(nil, a, b).Provide(context.Background(), testCid("x")); !errors.Is(err, e1) {
 		t.Errorf("err = %v, want first member's error", err)
 	}
-	if _, _, err := routing.FindProviders(context.Background(), routing.NewParallel(a, b), testCid("x")); err == nil {
+	if _, _, err := routing.FindProviders(context.Background(), routing.NewParallel(nil, a, b), testCid("x")); err == nil {
 		t.Error("FindProviders should fail when every member fails")
 	}
 }
@@ -179,21 +179,20 @@ func (c *countingRouter) SessionPeers(ctx context.Context, id cid.Cid, n int) ([
 func (c *countingRouter) WantBroadcast() bool { return c.inner.WantBroadcast() }
 
 func TestIndexerRoundTrip(t *testing.T) {
-	base := simtime.New(0.0005)
-	net := simnet.New(simnet.Config{Base: base, Seed: 3})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.0005, nil), Seed: 3})
 	rng := rand.New(rand.NewSource(9))
 
 	newSwarm := func() *swarm.Swarm {
 		ident := peer.MustNewIdentity(rng)
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-		return swarm.New(ident, ep, simtime.NewBaseSource(base, nil))
+		return swarm.New(ident, ep, net.Time())
 	}
 	ixIdent := peer.MustNewIdentity(rng)
 	ixEp := net.AddNode(ixIdent.ID, simnet.NodeOpts{Region: "US", Dialable: true})
-	ix := routing.NewIndexer(ixIdent, ixEp, routing.IndexerConfig{Base: base})
+	ix := routing.NewIndexer(ixIdent, ixEp, routing.IndexerConfig{Time: net.Time()})
 
 	pubSw, getSw := newSwarm(), newSwarm()
-	cfg := routing.IndexerRouterConfig{Base: base}
+	cfg := routing.IndexerRouterConfig{}
 	pub := routing.NewIndexerRouter(pubSw, []wire.PeerInfo{ix.Info()}, nil, cfg)
 	// The getter's fallback must never fire on a hit.
 	fb := &countingRouter{inner: &fakeRouter{name: "fb", err: errors.New("unused")}}
@@ -254,7 +253,7 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 	getter := tn.AddVantage("US", 902)
 	fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
 	r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
-		routing.IndexerRouterConfig{Base: tn.Base})
+		routing.IndexerRouterConfig{})
 
 	providers, info, err := routing.FindProviders(ctx, r, pub.Cid)
 	if err != nil {
@@ -273,50 +272,69 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 	}
 }
 
+// TestAcceleratedOneHopLookup runs on virtual time: the snapshot crawl's
+// dial timeouts cannot be blown by host load, so "the crawl found the
+// network" is a property of the seed.
 func TestAcceleratedOneHopLookup(t *testing.T) {
-	tn := buildCleanNet(t, 120, 33)
-	ctx := context.Background()
-
+	tn := testnet.Build(testnet.Config{
+		N: 120, Seed: 33, EventDriven: true,
+		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
+	})
 	publisher := tn.AddVantageRouting("DE", 910, routing.KindAccelerated, nil)
 	getter := tn.AddVantageRouting("US", 911, routing.KindAccelerated, nil)
-	if _, err := publisher.RefreshRoutingSnapshot(ctx); err != nil {
-		t.Fatalf("publisher refresh: %v", err)
-	}
-	if n, err := getter.RefreshRoutingSnapshot(ctx); err != nil || n < 100 {
-		t.Fatalf("getter refresh: snapshot %d peers, err %v", n, err)
-	}
+	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
+		if _, err := publisher.RefreshRoutingSnapshot(ctx); err != nil {
+			t.Errorf("publisher refresh: %v", err)
+			return
+		}
+		if n, err := getter.RefreshRoutingSnapshot(ctx); err != nil || n < 100 {
+			t.Errorf("getter refresh: snapshot %d peers, err %v", n, err)
+			return
+		}
 
-	data := []byte("one hop away")
-	pub, err := publisher.AddAndPublish(ctx, data)
+		data := []byte("one hop away")
+		pub, err := publisher.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Errorf("publish: %v", err)
+			return
+		}
+		// One-hop publication: no walk phase at all.
+		if pub.Walk.Queried != 0 || pub.WalkDuration != 0 {
+			t.Errorf("accelerated publish ran a walk: %+v", pub.ProvideResult)
+		}
+		if pub.StoreOK == 0 {
+			t.Error("no records stored")
+			return
+		}
+
+		providers, info, err := routing.FindProviders(ctx, getter.Router(), pub.Cid)
+		if err != nil {
+			t.Errorf("FindProviders: %v", err)
+			return
+		}
+		if len(providers) == 0 || providers[0].ID != publisher.ID() {
+			t.Errorf("providers = %v, want publisher", providers)
+			return
+		}
+		if got := routing.LookupMessages(info); got > 6 {
+			t.Errorf("accelerated lookup used %d messages, want a single small wave", got)
+		}
+
+		// End-to-end retrieval through the node API.
+		got, rres, err := getter.Retrieve(ctx, pub.Cid)
+		if err != nil || string(got) != string(data) {
+			t.Errorf("retrieve: %v", err)
+			return
+		}
+		if rres.LookupMsgs > 6 {
+			t.Errorf("retrieval lookup used %d messages, want one-hop", rres.LookupMsgs)
+		}
+	})
 	if err != nil {
-		t.Fatalf("publish: %v", err)
+		t.Fatal(err)
 	}
-	// One-hop publication: no walk phase at all.
-	if pub.Walk.Queried != 0 || pub.WalkDuration != 0 {
-		t.Errorf("accelerated publish ran a walk: %+v", pub.ProvideResult)
-	}
-	if pub.StoreOK == 0 {
-		t.Fatal("no records stored")
-	}
-
-	providers, info, err := routing.FindProviders(ctx, getter.Router(), pub.Cid)
-	if err != nil {
-		t.Fatalf("FindProviders: %v", err)
-	}
-	if len(providers) == 0 || providers[0].ID != publisher.ID() {
-		t.Fatalf("providers = %v, want publisher", providers)
-	}
-	if got := routing.LookupMessages(info); got > 6 {
-		t.Errorf("accelerated lookup used %d messages, want a single small wave", got)
-	}
-
-	// End-to-end retrieval through the node API.
-	got, rres, err := getter.Retrieve(ctx, pub.Cid)
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("retrieve: %v", err)
-	}
-	if rres.LookupMsgs > 6 {
-		t.Errorf("retrieval lookup used %d messages, want one-hop", rres.LookupMsgs)
+	if n := tn.Sched.Stalls(); n != 0 {
+		t.Errorf("dispatcher stalled %d times", n)
 	}
 }
 
@@ -383,7 +401,7 @@ func TestConfigRoutingSelector(t *testing.T) {
 	if got := node.Router().Name(); got != "dht" {
 		t.Errorf("default router = %q, want dht", got)
 	}
-	if !strings.HasPrefix(routing.NewParallel(routing.NewDHT(node.DHT())).Name(), "parallel(") {
+	if !strings.HasPrefix(routing.NewParallel(nil, routing.NewDHT(node.DHT())).Name(), "parallel(") {
 		t.Error("parallel name should list members")
 	}
 }
@@ -449,7 +467,7 @@ func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 
 	publisher := tn.AddVantage("DE", 981)
 	pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ix.Info()}, nil,
-		routing.IndexerRouterConfig{Base: tn.Base})
+		routing.IndexerRouterConfig{})
 	pub, err := publisher.AddAndPublish(ctx, []byte("indexed session content"))
 	if err != nil {
 		t.Fatalf("publish: %v", err)
@@ -461,7 +479,7 @@ func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 	getter := tn.AddVantage("US", 982)
 	fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
 	r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
-		routing.IndexerRouterConfig{Base: tn.Base})
+		routing.IndexerRouterConfig{})
 
 	peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 2)
 	if err != nil || len(peers) == 0 || peers[0].ID != publisher.ID() {
@@ -484,7 +502,7 @@ func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
 	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 	slow := &fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}
 	decline := &fakeRouter{name: "decline", delay: time.Millisecond, broadcast: true}
-	r := routing.NewParallel(decline, fast, slow)
+	r := routing.NewParallel(nil, decline, fast, slow)
 
 	peers, msgs, err := r.SessionPeers(context.Background(), testCid("race"), 3)
 	if err != nil {
@@ -510,13 +528,13 @@ func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
 	if !r.WantBroadcast() {
 		t.Error("composite with a broadcasting member must broadcast")
 	}
-	if routing.NewParallel(fast, slow).WantBroadcast() {
+	if routing.NewParallel(nil, fast, slow).WantBroadcast() {
 		t.Error("composite of one-hop members must skip the broadcast")
 	}
 
 	// All members declining yields ErrNoSessionPeers.
 	d2 := &fakeRouter{name: "d2", delay: time.Millisecond}
-	if _, _, err := routing.NewParallel(d2).SessionPeers(context.Background(), testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
+	if _, _, err := routing.NewParallel(nil, d2).SessionPeers(context.Background(), testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
 		t.Errorf("all-decline err = %v, want ErrNoSessionPeers", err)
 	}
 }
@@ -530,7 +548,7 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 	ctx := context.Background()
 	node := tn.AddVantage("US", 990)
 	fb := &countingRouter{inner: &fakeRouter{name: "stub", delay: time.Millisecond, err: routing.ErrNoProviders}}
-	accel := routing.NewAccelerated(node.Swarm(), fb, routing.AcceleratedConfig{Base: tn.Base})
+	accel := routing.NewAccelerated(node.Swarm(), fb, routing.AcceleratedConfig{})
 	var infos []wire.PeerInfo
 	for _, n := range tn.Nodes {
 		infos = append(infos, n.Info())
@@ -577,7 +595,7 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 
 	// Without a fallback, a hinted one-hop router declines instantly
 	// instead of re-probing.
-	bare := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{Base: tn.Base})
+	bare := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
 	bare.SetSnapshot(infos)
 	b4, _, _ := tn.Net.Stats()
 	if _, _, err := routing.FindProviders(routing.WithSessionMiss(ctx, c), bare, c); !errors.Is(err, routing.ErrNoProviders) {

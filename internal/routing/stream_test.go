@@ -55,7 +55,7 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 	node := tn.AddVantage("US", 812)
 	mkRouter := func(ix wire.PeerInfo) routing.Router {
 		return routing.NewIndexerRouter(node.Swarm(), []wire.PeerInfo{ix}, nil,
-			routing.IndexerRouterConfig{Base: tn.Base})
+			routing.IndexerRouterConfig{})
 	}
 	hit := mkRouter(ixHit.Info())
 	miss := detachedRouter{inner: mkRouter(ixMiss.Info())}
@@ -63,12 +63,12 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 	c := testCid("raced content")
 	publisher := tn.AddVantage("DE", 813)
 	pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ixHit.Info()}, nil,
-		routing.IndexerRouterConfig{Base: tn.Base})
+		routing.IndexerRouterConfig{})
 	if _, err := pubR.Provide(ctx, c); err != nil {
 		t.Fatalf("seed provide: %v", err)
 	}
 
-	r := routing.NewParallel(hit, miss)
+	r := routing.NewParallel(nil, hit, miss)
 
 	// Winner path: the hit member answers in one RPC, the cancelled
 	// loser's RPC must still be charged and must equal the budget.
@@ -119,7 +119,7 @@ func TestParallelProvideAllFailKeepsCost(t *testing.T) {
 	failCost := routing.ProvideResult{StoreAttempts: 2, Walk: routing.LookupInfo{Queried: 3}}
 	a := &fakeRouter{name: "a", delay: time.Millisecond, err: errors.New("a down"), provideRes: failCost}
 	b := &fakeRouter{name: "b", delay: 2 * time.Millisecond, err: errors.New("b down"), provideRes: failCost}
-	res, err := routing.NewParallel(a, b).Provide(context.Background(), testCid("x"))
+	res, err := routing.NewParallel(nil, a, b).Provide(context.Background(), testCid("x"))
 	if err == nil {
 		t.Fatal("want error when every member fails")
 	}
@@ -136,7 +136,7 @@ func TestParallelProvideAllFailKeepsCost(t *testing.T) {
 func TestParallelStreamKeepsLosersPartialResults(t *testing.T) {
 	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 	slow := &fakeRouter{name: "slow", delay: 20 * time.Millisecond, provider: peer.ID("straggler")}
-	r := routing.NewParallel(fast, slow)
+	r := routing.NewParallel(nil, fast, slow)
 
 	seq, st := r.FindProvidersStream(context.Background(), testCid("merge"))
 	var got []peer.ID
@@ -158,7 +158,7 @@ func TestParallelStreamKeepsLosersPartialResults(t *testing.T) {
 
 	// Stopping at the first batch cancels the straggler instead.
 	slow2 := &fakeRouter{name: "slow2", delay: time.Minute, provider: peer.ID("late")}
-	seq, _ = routing.NewParallel(fast, slow2).FindProvidersStream(context.Background(), testCid("merge2"))
+	seq, _ = routing.NewParallel(nil, fast, slow2).FindProvidersStream(context.Background(), testCid("merge2"))
 	start := time.Now()
 	seq(func([]wire.PeerInfo) bool { return false })
 	if time.Since(start) > 5*time.Second {

@@ -2,13 +2,15 @@ package routing_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/cid"
 	"repro/internal/peer"
 	"repro/internal/routing"
-	"repro/internal/simtime"
+	"repro/internal/simnet"
+	"repro/internal/swarm"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -33,7 +35,7 @@ func (r *rpcRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing
 // asserts the cancelled loser's race span still closed (no leaked open
 // spans) with its in-flight RPC attributed to the parent trace.
 func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
-	rec := telemetry.NewRecorder(simtime.NewBaseSource(simtime.Realtime, nil))
+	rec := telemetry.NewRecorder(nil)
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	tr := telemetry.TraceFrom(ctx)
 	if tr == nil {
@@ -42,7 +44,7 @@ func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
 
 	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 	slow := &rpcRouter{&fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}}
-	r := routing.NewParallel(fast, slow)
+	r := routing.NewParallel(nil, fast, slow)
 
 	seq, st := r.FindProvidersStream(ctx, testCid("race"))
 	var got []wire.PeerInfo
@@ -102,13 +104,13 @@ func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
 // the loser is cancelled and its span must close before the call
 // returns.
 func TestParallelSessionPeersRaceSpansClose(t *testing.T) {
-	rec := telemetry.NewRecorder(simtime.NewBaseSource(simtime.Realtime, nil))
+	rec := telemetry.NewRecorder(nil)
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	tr := telemetry.TraceFrom(ctx)
 
 	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 	slow := &fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}
-	peers, _, err := routing.NewParallel(fast, slow).SessionPeers(ctx, testCid("sess"), 2)
+	peers, _, err := routing.NewParallel(nil, fast, slow).SessionPeers(ctx, testCid("sess"), 2)
 	if err != nil {
 		t.Fatalf("SessionPeers: %v", err)
 	}
@@ -135,13 +137,17 @@ func TestParallelSessionPeersRaceSpansClose(t *testing.T) {
 // the fallback, and asserts the hand-off event and the fallback's work
 // all land on the same parent trace span.
 func TestStreamFallbackHandoffKeepsTrace(t *testing.T) {
-	rec := telemetry.NewRecorder(simtime.NewBaseSource(simtime.Realtime, nil))
+	rec := telemetry.NewRecorder(nil)
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	tr := telemetry.TraceFrom(ctx)
 	dctx, dsp := telemetry.StartSpan(ctx, "discover")
 
 	fb := &fakeRouter{name: "walkfb", delay: time.Millisecond, provider: peer.ID("via-fallback")}
-	accel := routing.NewAccelerated(nil, fb, routing.AcceleratedConfig{})
+	// The router reads its clock off the swarm; with an empty snapshot it
+	// never dials through it.
+	ident := peer.MustNewIdentity(rand.New(rand.NewSource(1)))
+	sw := swarm.New(ident, simnet.New(simnet.Config{}).AddNode(ident.ID, simnet.NodeOpts{}), nil)
+	accel := routing.NewAccelerated(sw, fb, routing.AcceleratedConfig{})
 
 	seq, st := accel.FindProvidersStream(dctx, testCid("handoff"))
 	var got []wire.PeerInfo

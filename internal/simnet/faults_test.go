@@ -13,28 +13,37 @@ import (
 	"repro/internal/wire"
 )
 
+// TestLossyLinkDropsRequests runs on virtual time: the loss-detection
+// wait is asserted exactly, whatever the host's load.
 func TestLossyLinkDropsRequests(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Faults = FaultProfile{LossRate: 1}
-	net := New(cfg)
+	sched := simtime.NewScheduler(simtime.NewClock(time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)), simtime.SchedulerOpts{})
+	net := New(Config{Time: sched, Seed: 1, Faults: FaultProfile{LossRate: 1}})
 	a, b := testIdentity(1), testIdentity(2)
 	ea := net.AddNode(a.ID, NodeOpts{Region: geo.EuCentral1, Dialable: true})
 	eb := net.AddNode(b.ID, NodeOpts{Region: geo.UsWest1, Dialable: true})
 	eb.SetHandler(echoHandler("b"))
 
-	conn, err := ea.Dial(context.Background(), b.ID, eb.Addrs())
+	err := sched.Run(context.Background(), func(ctx context.Context) {
+		conn, err := ea.Dial(ctx, b.ID, eb.Addrs())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		start := sched.Stamp()
+		_, err = conn.Request(ctx, wire.Message{Type: wire.TFindNode})
+		if err != transport.ErrMessageDropped {
+			t.Errorf("err = %v, want ErrMessageDropped", err)
+		}
+		// The caller burns the loss-detection timeout waiting.
+		if sim := sched.Since(start); sim != net.cfg.DropTimeout {
+			t.Errorf("drop detection took %v simulated, want exactly DropTimeout (%v)", sim, net.cfg.DropTimeout)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	_, err = conn.Request(context.Background(), wire.Message{Type: wire.TFindNode})
-	if err != transport.ErrMessageDropped {
-		t.Fatalf("err = %v, want ErrMessageDropped", err)
-	}
-	// The caller burns the loss-detection timeout (default 5s) waiting.
-	sim := net.Base().Sim(time.Since(start))
-	if sim < 4*time.Second || sim > 8*time.Second {
-		t.Errorf("drop detection took %v simulated, want ~5s", sim)
+	if n := sched.Stalls(); n != 0 {
+		t.Errorf("dispatcher stalled %d times", n)
 	}
 	budget := net.Budget()
 	if budget.Dropped != 1 || budget.DroppedCategory(transport.CatLookup) != 1 {
@@ -120,7 +129,7 @@ func TestExtraLatencyTaxesRequests(t *testing.T) {
 		if _, err := conn.Request(context.Background(), wire.Message{Type: wire.TPing}); err != nil {
 			t.Fatal(err)
 		}
-		return net.Base().Sim(time.Since(start))
+		return net.Time().Since(start)
 	}
 	clean := measure(FaultProfile{})
 	taxed := measure(FaultProfile{ExtraLatency: 2 * time.Second, Jitter: time.Second})

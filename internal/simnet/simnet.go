@@ -53,13 +53,10 @@ type Config struct {
 	// the requester parks on the queue and virtual time jumps to the
 	// delivery instant — and jitter is drawn from a deterministic hash
 	// instead of the shared rng, so seeded runs replay bit-for-bit
-	// regardless of goroutine interleaving. When nil it is derived from
-	// Base (legacy real-scaled sleeps).
+	// regardless of goroutine interleaving. On simtime.Scaled(0.002, nil)
+	// the latencies are slept out 500x faster than real time; nil is
+	// the unscaled wall clock.
 	Time simtime.Source
-	// Base compresses simulated time; simtime.New(0.002) runs 500x
-	// faster than real time. Superseded by Time, kept for callers that
-	// still think in scale factors.
-	Base simtime.Base
 	// Seed makes jitter and bandwidth assignment reproducible.
 	Seed int64
 	// DialTimeout is the simulated TCP/QUIC dial timeout (default 5 s).
@@ -85,9 +82,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Base.Scale() == 1 && c.Base == (simtime.Base{}) {
-		c.Base = simtime.Realtime
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
@@ -100,9 +94,7 @@ func (c Config) withDefaults() Config {
 	if c.DropTimeout <= 0 {
 		c.DropTimeout = 5 * time.Second
 	}
-	if c.Time == nil {
-		c.Time = simtime.NewBaseSource(c.Base, nil)
-	}
+	c.Time = simtime.OrWall(c.Time)
 	return c
 }
 
@@ -170,9 +162,6 @@ func New(cfg Config) *Network {
 		droppedByCat: make(map[transport.RPCCategory]int64),
 	}
 }
-
-// Base returns the simulator's time base.
-func (n *Network) Base() simtime.Base { return n.cfg.Base }
 
 // Time returns the simulator's time source.
 func (n *Network) Time() simtime.Source { return n.cfg.Time }

@@ -17,7 +17,7 @@ import (
 
 // fastCfg compresses time 1000x so simulated 5s timeouts take 5ms.
 func fastCfg() Config {
-	return Config{Base: simtime.New(0.001), Seed: 1}
+	return Config{Time: simtime.Scaled(0.001, nil), Seed: 1}
 }
 
 func testIdentity(seed int64) peer.Identity {
@@ -85,7 +85,7 @@ func TestDeadDialClassEatsDialTimeout(t *testing.T) {
 	if err != transport.ErrDialTimeout {
 		t.Errorf("err = %v, want ErrDialTimeout", err)
 	}
-	sim := net.Base().Sim(time.Since(start))
+	sim := net.Time().Since(start)
 	if sim < 4*time.Second || sim > 8*time.Second {
 		t.Errorf("dead dial took %v simulated, want ~5s", sim)
 	}
@@ -101,7 +101,7 @@ func TestWSBrokenClassEatsHandshakeTimeout(t *testing.T) {
 	if err != transport.ErrHandshakeTimeout {
 		t.Errorf("err = %v, want ErrHandshakeTimeout", err)
 	}
-	sim := net.Base().Sim(time.Since(start))
+	sim := net.Time().Since(start)
 	if sim < 40*time.Second || sim > 55*time.Second {
 		t.Errorf("ws-broken dial took %v simulated, want ~45s", sim)
 	}
@@ -153,7 +153,7 @@ func TestPeerVanishesMidConnection(t *testing.T) {
 }
 
 func TestLatencyReflectsGeography(t *testing.T) {
-	net := New(Config{Base: simtime.New(0.01), Seed: 2})
+	net := New(Config{Time: simtime.Scaled(0.01, nil), Seed: 2})
 	frankfurt := testIdentity(1)
 	paris := testIdentity(2)
 	sydney := testIdentity(3)
@@ -174,7 +174,7 @@ func TestLatencyReflectsGeography(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = ef
-		return net.Base().Sim(time.Since(start))
+		return net.Time().Since(start)
 	}
 	near := measure(paris.ID)
 	far := measure(sydney.ID)
@@ -197,14 +197,14 @@ func TestSlowClassDelaysRequests(t *testing.T) {
 	if _, err := conn.Request(context.Background(), wire.Message{Type: wire.TPing}); err != nil {
 		t.Fatal(err)
 	}
-	sim := net.Base().Sim(time.Since(start))
+	sim := net.Time().Since(start)
 	if sim < 2*time.Second {
 		t.Errorf("slow peer request took %v simulated, want >= 2s", sim)
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
-	net := New(Config{Base: simtime.New(0.05), Seed: 3})
+	net := New(Config{Time: simtime.Scaled(0.05, nil), Seed: 3})
 	a, b := testIdentity(1), testIdentity(2)
 	ea := net.AddNode(a.ID, NodeOpts{Region: geo.EuCentral1, Dialable: true})
 	net.AddNode(b.ID, NodeOpts{Region: geo.EuCentral1, Dialable: true, Class: DeadDial})
@@ -263,12 +263,12 @@ func TestBandwidthAffectsBlockTransfer(t *testing.T) {
 	if _, err := conn.Request(ctx, wire.Message{Type: wire.TAck}); err != nil {
 		t.Fatal(err)
 	}
-	small := net.Base().Sim(time.Since(start))
+	small := net.Time().Since(start)
 	start = time.Now()
 	if _, err := conn.Request(ctx, wire.Message{Type: wire.TWantBlock}); err != nil {
 		t.Fatal(err)
 	}
-	blockDur := net.Base().Sim(time.Since(start))
+	blockDur := net.Time().Since(start)
 	// 1 MiB at 1 MiB/s should add roughly a simulated second.
 	if blockDur < small+500*time.Millisecond {
 		t.Errorf("block transfer %v not slower than control %v", blockDur, small)

@@ -1,18 +1,17 @@
-// Package simtime provides the time base that lets simulated
-// experiments replay in compressed wall-clock time. All protocol
-// timeouts and modeled latencies are expressed in simulated time; a
-// Base with Scale < 1 shrinks them for execution and measurement
-// results are converted back with Sim.
+// Package simtime provides the one time surface everything above the
+// transport programs against, and its two implementations.
 //
-// Source (source.go) is the unified time API everything above the
-// transport programs against: wall-clock reads for timestamps and TTL
-// math, Stamp/Since measurement, and the waiting primitives (Sleep,
-// WithTimeout, AfterFunc, tracked Go spawns). BaseSource implements it
-// over real scaled time; Scheduler (scheduler.go) implements it as a
-// discrete-event engine where sleeps park on a priority queue and
-// virtual time jumps between events — paper-scale populations replay
-// hours of simulated time in seconds, deterministically at Workers=1.
-// Code written against Source runs unchanged on either.
+// Source (source.go) is that surface: wall-clock reads for timestamps
+// and TTL math, Stamp/Since measurement, and the waiting primitives
+// (Sleep, WithTimeout, AfterFunc, tracked Go spawns). Scheduler
+// (scheduler.go) implements it as a discrete-event engine where sleeps
+// park on a priority queue and virtual time jumps between events —
+// paper-scale populations replay hours of simulated time in seconds,
+// deterministically at Workers=1. Scaled (below) implements it over
+// real time: the daemons' wall clock at scale 1, and the compressed
+// real time the experiments not yet ported to the scheduler run on.
+// Code written against Source runs unchanged on either; a nil Source
+// means the wall clock, resolved by OrWall and nowhere else.
 package simtime
 
 import (
@@ -28,46 +27,72 @@ import (
 // simulated measurements.
 const spinThreshold = 2 * time.Millisecond
 
-// Base converts between simulated and real durations. The zero value is
-// unusable; use Realtime or New.
-type Base struct {
-	scale float64 // real = sim * scale
+// scaled is the real-time Source: simulated durations are waited out as
+// scale × d of real time and measured back by the inverse, and Now
+// reads whichever wall clock it was built over.
+type scaled struct {
+	scale float64          // real = sim * scale
+	now   func() time.Time // what Now reads
 }
 
-// Realtime is the identity base used outside simulations.
-var Realtime = Base{scale: 1}
+// wall is the identity real-time source every nil Source resolves to.
+var wall Source = &scaled{scale: 1, now: time.Now}
 
-// New returns a base that compresses simulated time by the given factor
-// (0 < scale <= 1 typically; scale 0.01 runs 100x faster than real).
-func New(scale float64) Base {
+// Scaled returns the real-time Source compressing simulated time by
+// scale (0.01 runs 100x faster than real; <= 0 selects 1) whose Now
+// reads now — a movable Clock's method in the scaled experiments — or
+// the real wall clock when now is nil.
+func Scaled(scale float64, now func() time.Time) Source {
 	if scale <= 0 {
 		scale = 1
 	}
-	return Base{scale: scale}
-}
-
-// Scale returns the compression factor.
-func (b Base) Scale() float64 {
-	if b.scale == 0 {
-		return 1
+	if now == nil {
+		now = time.Now
 	}
-	return b.scale
+	return &scaled{scale: scale, now: now}
 }
 
-// Real converts a simulated duration to the real duration to wait.
-func (b Base) Real(sim time.Duration) time.Duration {
-	return time.Duration(float64(sim) * b.Scale())
+// OrWall resolves the "nil Source means the wall clock" rule: it
+// returns src, or the unscaled real-time source when src is nil. Every
+// constructor that accepts an optional Source passes it through here.
+func OrWall(src Source) Source {
+	if src == nil {
+		return wall
+	}
+	return src
 }
 
-// Sim converts an elapsed real duration back to simulated time.
-func (b Base) Sim(real time.Duration) time.Duration {
-	return time.Duration(float64(real) / b.Scale())
+// real converts a simulated duration to the real duration to wait.
+func (s *scaled) real(sim time.Duration) time.Duration {
+	return time.Duration(float64(sim) * s.scale)
 }
 
-// Sleep pauses for the scaled equivalent of sim, or until ctx is done.
+// sim converts an elapsed real duration back to simulated time.
+func (s *scaled) sim(real time.Duration) time.Duration {
+	return time.Duration(float64(real) / s.scale)
+}
+
+func (s *scaled) Now() time.Time                   { return s.now() }
+func (s *scaled) Stamp() time.Time                 { return time.Now() }
+func (s *scaled) Since(t0 time.Time) time.Duration { return s.sim(time.Since(t0)) }
+
+// notLeased panics when ctx belongs to a goroutine leased to a
+// Scheduler. Such a context reaching the real-time source means some
+// component inside a simulated run was built without the run's source:
+// its waits would burn real time invisibly to the dispatcher, which
+// Stalls cannot see. The daemons never carry a lease.
+func notLeased(ctx context.Context, call string) {
+	if leased(ctx) {
+		panic("simtime: " + call + " on the real-time source from a goroutine leased to a Scheduler: " +
+			"something in the simulated run was built with a nil or real-time Source")
+	}
+}
+
+// Sleep pauses for the scaled equivalent of d, or until ctx is done.
 // Short scaled durations busy-wait for precision (see spinThreshold).
-func (b Base) Sleep(ctx context.Context, sim time.Duration) error {
-	real := b.Real(sim)
+func (s *scaled) Sleep(ctx context.Context, d time.Duration) error {
+	notLeased(ctx, "Sleep")
+	real := s.real(d)
 	if real <= 0 {
 		return ctx.Err()
 	}
@@ -91,26 +116,24 @@ func (b Base) Sleep(ctx context.Context, sim time.Duration) error {
 	}
 }
 
-// AfterFunc runs fn after the scaled equivalent of sim on its own
-// goroutine and returns the underlying timer so callers can Stop it.
-// It replaces the removed After: the channel variant leaked its real
-// timer whenever the caller abandoned the channel (a cancelled
-// republish loop parked a timer for the rest of the process), whereas
-// this handle is cancellable. Periodic loops should prefer
-// Source.AfterFunc, which also covers the discrete-event scheduler.
-func (b Base) AfterFunc(sim time.Duration, fn func()) *time.Timer {
-	return time.AfterFunc(b.Real(sim), fn)
+func (s *scaled) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	notLeased(ctx, "WithTimeout")
+	return context.WithTimeout(ctx, s.real(d))
 }
 
-// SimSince returns the simulated time elapsed since the real instant t0.
-func (b Base) SimSince(t0 time.Time) time.Duration {
-	return b.Sim(time.Since(t0))
+func (s *scaled) AfterFunc(ctx context.Context, d time.Duration, fn func(context.Context)) *Timer {
+	notLeased(ctx, "AfterFunc")
+	t := time.AfterFunc(s.real(d), func() {
+		if ctx.Err() == nil {
+			fn(ctx)
+		}
+	})
+	return &Timer{stop: t.Stop}
 }
 
-// WithTimeout derives a context whose deadline is the scaled equivalent
-// of the simulated duration.
-func (b Base) WithTimeout(ctx context.Context, sim time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(ctx, b.Real(sim))
+func (s *scaled) Go(ctx context.Context, fn func(context.Context)) {
+	notLeased(ctx, "Go")
+	go fn(ctx)
 }
 
 // Clock is a movable simulated wall clock. Scenario engines set or

@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -12,23 +11,24 @@ import (
 // math, a measurement pair (Stamp/Since), and the waiting primitives
 // (Sleep, timeouts, timers, spawns). Two implementations exist:
 //
-//   - BaseSource pairs the legacy real-scaled Base with an optional
-//     movable Clock — sleeps burn scaled real time, measurements
-//     convert elapsed real time back to simulated time. cmd/ipfs-node
-//     and the gateway run on BaseSource{B: Realtime}.
+//   - Scaled (simtime.go) runs on real time — sleeps burn scaled real
+//     time, measurements convert elapsed real time back to simulated
+//     time. cmd/ipfs-node and the gateway run on it at scale 1, which is
+//     also what a nil Source means (OrWall).
 //   - Scheduler (scheduler.go) is the discrete-event implementation:
 //     sleeps park on a priority queue and virtual time jumps between
 //     events, so a 24 h scenario over 20k peers replays in seconds.
 //
-// Callers that used to take both a Base and a *Clock take one Source.
+// A node has one Source: its swarm is built over it and everything
+// built on the swarm reads Swarm.Time.
 type Source interface {
 	// Now returns the current simulated wall-clock instant — the clock
 	// records, TTLs and churn timelines are expressed in.
 	Now() time.Time
 	// Stamp returns an opaque start instant for duration measurement;
 	// Since converts it to the simulated time elapsed. Under a
-	// Scheduler both live on the virtual clock; under BaseSource the
-	// stamp is real time and Since rescales it.
+	// Scheduler both live on the virtual clock; on real time the stamp
+	// is the real instant and Since rescales the elapsed real time.
 	Stamp() time.Time
 	Since(t0 time.Time) time.Duration
 
@@ -37,8 +37,7 @@ type Source interface {
 	Sleep(ctx context.Context, d time.Duration) error
 	// WithTimeout derives a context cancelled after the simulated
 	// duration d. The returned CancelFunc must be called to release the
-	// timer (both implementations are leak-free under an abandoned
-	// deadline, unlike the removed Base.After).
+	// timer.
 	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 	// AfterFunc arranges for fn to run after the simulated duration d,
 	// unless ctx is done first or the returned timer is stopped. fn
@@ -67,75 +66,10 @@ func (t *Timer) Stop() bool {
 	return t.stop()
 }
 
-// BaseSource adapts the legacy pair (real-scaled Base + optional
-// movable Clock) to the Source interface. The zero Base is promoted to
-// Realtime so `BaseSource{}` behaves like the old defaults.
-type BaseSource struct {
-	B Base
-	// Clock, when non-nil, supplies Now; otherwise the real wall clock
-	// does (the cmd binaries' real-time adapter).
-	Clock *Clock
-}
-
-// NewBaseSource builds a Source from the legacy (Base, now func) pair
-// most configs carried. A nil now falls back to the real wall clock.
-func NewBaseSource(b Base, now func() time.Time) Source {
-	if b == (Base{}) {
-		b = Realtime
-	}
-	if now == nil {
-		return BaseSource{B: b}
-	}
-	return fnSource{BaseSource{B: b}, now}
-}
-
-func (s BaseSource) base() Base {
-	if s.B == (Base{}) {
-		return Realtime
-	}
-	return s.B
-}
-
-func (s BaseSource) Now() time.Time {
-	if s.Clock != nil {
-		return s.Clock.Now()
-	}
-	return time.Now()
-}
-
-func (s BaseSource) Stamp() time.Time                 { return time.Now() }
-func (s BaseSource) Since(t0 time.Time) time.Duration { return s.base().SimSince(t0) }
-func (s BaseSource) Sleep(ctx context.Context, d time.Duration) error {
-	return s.base().Sleep(ctx, d)
-}
-
-func (s BaseSource) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return s.base().WithTimeout(ctx, d)
-}
-
-func (s BaseSource) AfterFunc(ctx context.Context, d time.Duration, fn func(context.Context)) *Timer {
-	t := time.AfterFunc(s.base().Real(d), func() {
-		if ctx.Err() == nil {
-			fn(ctx)
-		}
-	})
-	return &Timer{stop: t.Stop}
-}
-
-func (s BaseSource) Go(ctx context.Context, fn func(context.Context)) { go fn(ctx) }
-
-// fnSource is BaseSource with an arbitrary now func (a *Clock method or
-// a test stub) instead of a Clock pointer.
-type fnSource struct {
-	BaseSource
-	now func() time.Time
-}
-
-func (s fnSource) Now() time.Time { return s.now() }
-
 // SchedulerOf returns the Scheduler behind a Source, or nil when the
-// source is real-scaled. Blocking sites use it to pick between the
-// instrumented wait (Await) and the plain channel select.
+// source runs on real time. The wait primitives below use it to pick
+// between the instrumented wait (Await) and the plain channel wait, so
+// that no blocking site outside this package has to.
 func SchedulerOf(src Source) *Scheduler {
 	s, _ := src.(*Scheduler)
 	return s
@@ -193,23 +127,80 @@ func AwaitClosed(ctx context.Context, src Source, ch <-chan struct{}) error {
 	}
 }
 
-// Group is a WaitGroup whose Wait is instrumented under a Scheduler:
-// while the waiter is parked the dispatcher keeps advancing virtual
-// time, so fan-out/fan-in code (store fan-outs, crawl workers) can run
-// on the event queue. The zero value is NOT usable; use NewGroup.
-type Group struct {
+// Signal is the wake-up a multi-way wait is written on, once for both
+// engines: any number of producers deposit a result somewhere the
+// consumer's condition can see it without blocking (a buffered channel,
+// a guarded queue, an atomic) and then call Notify; the single consumer
+// calls Wait with that condition and drains, non-blocking, whatever it
+// finds when Wait returns. Under a Scheduler Wait is Await — the
+// dispatcher evaluates the condition at every quiescent instant and
+// Notify has nothing to do; on real time Wait re-checks the condition
+// after every Notify. The zero value is NOT usable; use NewSignal.
+type Signal struct {
 	src Source
+	// ch holds at most one pending notify: one that lands before Wait
+	// parks is kept, later ones coalesce into it. Nil under a Scheduler.
+	ch chan struct{}
+}
+
+// NewSignal creates a Signal over src.
+func NewSignal(src Source) *Signal {
+	s := &Signal{src: src}
+	if SchedulerOf(src) == nil {
+		s.ch = make(chan struct{}, 1)
+	}
+	return s
+}
+
+// Notify tells the consumer that the state its condition reads has
+// changed. It never blocks; call it after the deposit.
+func (s *Signal) Notify() {
+	select {
+	case s.ch <- struct{}{}:
+	default:
+	}
+}
+
+// Wait parks the calling goroutine until cond reports true or ctx is
+// done, in which case it returns ctx.Err(). cond must be a cheap,
+// non-blocking read. Only one goroutine may wait on a Signal at a time.
+// Under a Detach-ed context only a notify (or, on the scheduler, the
+// condition itself) ends the wait.
+func (s *Signal) Wait(ctx context.Context, cond func() bool) error {
+	if sched := SchedulerOf(s.src); sched != nil {
+		return sched.Await(ctx, cond)
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if cond() {
+			return nil
+		}
+		select {
+		case <-s.ch:
+		case <-ctx.Done():
+		}
+	}
+}
+
+// Group is a WaitGroup over a Source: its goroutines spawn through
+// Source.Go and its waits park on a Signal every Done notifies, so
+// fan-out/fan-in code (store fan-outs, crawl workers, WANT waves) runs
+// unchanged on the event queue and on real time. One goroutine waits on
+// a Group. The zero value is NOT usable; use NewGroup.
+type Group struct {
+	sig *Signal
 	n   atomic.Int64
-	wg  sync.WaitGroup
 }
 
 // NewGroup creates a Group over src.
-func NewGroup(src Source) *Group { return &Group{src: src} }
+func NewGroup(src Source) *Group { return &Group{sig: NewSignal(src)} }
 
 // Go runs fn on a new tracked goroutine counted by the group.
 func (g *Group) Go(ctx context.Context, fn func(context.Context)) {
 	g.Add(1)
-	g.src.Go(ctx, func(ctx context.Context) {
+	g.sig.src.Go(ctx, func(ctx context.Context) {
 		defer g.Done()
 		fn(ctx)
 	})
@@ -217,39 +208,32 @@ func (g *Group) Go(ctx context.Context, fn func(context.Context)) {
 
 // Add registers n pending goroutines (call before spawning, as with
 // sync.WaitGroup).
-func (g *Group) Add(n int) {
-	g.n.Add(int64(n))
-	g.wg.Add(n)
-}
+func (g *Group) Add(n int) { g.n.Add(int64(n)) }
 
-// Done marks one goroutine finished.
+// Done marks one goroutine finished and wakes the waiter.
 func (g *Group) Done() {
 	g.n.Add(-1)
-	g.wg.Done()
+	g.sig.Notify()
 }
 
-// Idle reports whether no goroutines are pending — usable inside a
-// composite Scheduler.Await condition.
+// Idle reports whether no goroutines are pending.
 func (g *Group) Idle() bool { return g.n.Load() == 0 }
 
-// Wait blocks until all registered goroutines finished. The context
-// only bounds the wait under a Scheduler; the real-time path matches
-// sync.WaitGroup semantics (the fan-outs it replaces always joined all
-// workers, whose RPCs carry their own timeouts).
+// Await parks until cond reports true or ctx is done (returning
+// ctx.Err()); cond is re-checked after every Done, so it may read the
+// group's own state — "the first result, or all answered, or the
+// timeout" is Await(tctx, func() bool { return len(found) > 0 ||
+// g.Idle() }). A goroutine that makes cond true must finish right after.
+func (g *Group) Await(ctx context.Context, cond func() bool) error {
+	return g.sig.Wait(ctx, cond)
+}
+
+// Wait blocks until all registered goroutines finished. ctx supplies
+// the scheduler lease only; its cancellation does not cut the join
+// short: the workers observe the same ctx and unwind promptly, and
+// joining them keeps the counting invariants simple.
 func (g *Group) Wait(ctx context.Context) {
-	if s := SchedulerOf(g.src); s != nil {
-		// Ignore ctx cancellation as a wake-up: the workers observe the
-		// same ctx and unwind promptly, and joining them keeps the
-		// counting invariants simple. The detached wrapper keeps the
-		// goroutine's lease marker while dropping cancellation.
-		for !g.Idle() {
-			if err := s.Await(detachedCtx{ctx}, g.Idle); err != nil {
-				return // scheduler shut down underneath us
-			}
-		}
-		return
-	}
-	g.wg.Wait()
+	g.Await(Detach(ctx), g.Idle) // fails only when the scheduler shut down underneath us
 }
 
 // Detach returns a context keeping ctx's values — in particular the

@@ -16,11 +16,11 @@ import (
 // public requester.
 func relayNet(t *testing.T) (relay, natted, requester *Swarm, net *simnet.Network) {
 	t.Helper()
-	net = simnet.New(simnet.Config{Base: simtime.New(0.001), Seed: 6})
+	net = simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 6})
 	mk := func(seed int64, dialable bool) *Swarm {
 		ident := testIdentity(seed)
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: dialable})
-		sw := New(ident, ep, simtime.NewBaseSource(net.Base(), nil))
+		sw := New(ident, ep, net.Time())
 		ep.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 			switch req.Type {
 			case wire.TRelayReserve:

@@ -113,23 +113,21 @@ type Swarm struct {
 	relay     *relayState
 }
 
-// New creates a swarm over the endpoint. src is the unified time
-// source dial measurement and RPC timeouts run on; nil selects the
-// real clock.
+// New creates a swarm over the endpoint. src is the node's one time
+// source: the swarm's own dial measurement and timeouts run on it, and
+// everything built on the swarm (DHT, Bitswap, routers, crawler) reads
+// it back through Time. nil selects the wall clock.
 func New(ident peer.Identity, ep transport.Endpoint, src simtime.Source) *Swarm {
-	if src == nil {
-		src = simtime.NewBaseSource(simtime.Realtime, nil)
-	}
 	return &Swarm{
 		ident: ident,
 		ep:    ep,
-		src:   src,
+		src:   simtime.OrWall(src),
 		conns: make(map[peer.ID]transport.Conn),
 		book:  NewAddressBook(0),
 	}
 }
 
-// Time returns the swarm's time source.
+// Time returns the node's time source (never nil).
 func (s *Swarm) Time() simtime.Source { return s.src }
 
 // Local returns the local peer ID.

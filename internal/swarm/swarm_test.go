@@ -20,11 +20,11 @@ func testIdentity(seed int64) peer.Identity {
 
 func newPair(t *testing.T) (*Swarm, *Swarm, *simnet.Network) {
 	t.Helper()
-	net := simnet.New(simnet.Config{Base: simtime.New(0.001), Seed: 1})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 1})
 	a, b := testIdentity(1), testIdentity(2)
 	ea := net.AddNode(a.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
 	eb := net.AddNode(b.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
-	sa, sb := New(a, ea, simtime.NewBaseSource(net.Base(), nil)), New(b, eb, simtime.NewBaseSource(net.Base(), nil))
+	sa, sb := New(a, ea, net.Time()), New(b, eb, net.Time())
 	ea.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 		if req.Type == wire.TDialBack {
 			return sa.HandleDialBack(ctx, req)
@@ -166,10 +166,10 @@ func TestDisconnectAll(t *testing.T) {
 func TestAutoNATPublic(t *testing.T) {
 	// A dialable peer surrounded by cooperative peers upgrades to
 	// server once more than three dial-backs succeed.
-	net := simnet.New(simnet.Config{Base: simtime.New(0.001), Seed: 2})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 2})
 	self := testIdentity(100)
 	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
-	sSelf := New(self, eSelf, simtime.NewBaseSource(net.Base(), nil))
+	sSelf := New(self, eSelf, net.Time())
 	eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 		return wire.Message{Type: wire.TAck}
 	})
@@ -177,7 +177,7 @@ func TestAutoNATPublic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		other := testIdentity(int64(200 + i))
 		eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
-		so := New(other, eo, simtime.NewBaseSource(net.Base(), nil))
+		so := New(other, eo, net.Time())
 		eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 			if req.Type == wire.TDialBack {
 				return so.HandleDialBack(ctx, req)
@@ -195,10 +195,10 @@ func TestAutoNATPublic(t *testing.T) {
 
 func TestAutoNATPrivate(t *testing.T) {
 	// An undialable (NAT'd) peer stays a client: dial-backs fail.
-	net := simnet.New(simnet.Config{Base: simtime.New(0.001), Seed: 3})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 3})
 	self := testIdentity(100)
 	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: false})
-	sSelf := New(self, eSelf, simtime.NewBaseSource(net.Base(), nil))
+	sSelf := New(self, eSelf, net.Time())
 	eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 		return wire.Message{Type: wire.TAck}
 	})
@@ -206,7 +206,7 @@ func TestAutoNATPrivate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		other := testIdentity(int64(300 + i))
 		eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
-		so := New(other, eo, simtime.NewBaseSource(net.Base(), nil))
+		so := New(other, eo, net.Time())
 		eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 			if req.Type == wire.TDialBack {
 				return so.HandleDialBack(ctx, req)
@@ -223,10 +223,10 @@ func TestAutoNATPrivate(t *testing.T) {
 }
 
 func TestCheckNATNoPeers(t *testing.T) {
-	net := simnet.New(simnet.Config{Base: simtime.New(0.001), Seed: 4})
+	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 4})
 	self := testIdentity(1)
 	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
-	sSelf := New(self, eSelf, simtime.NewBaseSource(net.Base(), nil))
+	sSelf := New(self, eSelf, net.Time())
 	if got := sSelf.CheckNAT(context.Background(), 5); got != NATUnknown {
 		t.Errorf("CheckNAT with no peers = %v, want NATUnknown", got)
 	}

@@ -20,7 +20,7 @@ func frozenClock() func() time.Time {
 }
 
 func TestTraceSpanTreeAndContext(t *testing.T) {
-	rec := NewRecorder(simtime.NewBaseSource(simtime.Realtime, frozenClock()))
+	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
 	ctx, root := rec.StartTrace(context.Background(), "retrieve", A("cid", "bafy1"))
 	if root == nil {
 		t.Fatal("StartTrace returned a nil root span")
@@ -73,7 +73,7 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 
 func TestStableRendersAreDeterministic(t *testing.T) {
 	build := func() *Trace {
-		rec := NewRecorder(simtime.NewBaseSource(simtime.Realtime, frozenClock()))
+		rec := NewRecorder(simtime.Scaled(1, frozenClock()))
 		ctx, root := rec.StartTrace(context.Background(), "retrieve")
 		dctx, discover := StartSpan(ctx, "discover")
 		// Concurrent-looking arrival order: append events in a different
@@ -130,7 +130,7 @@ func TestUntracedContextIsNoop(t *testing.T) {
 }
 
 func TestRecorderDrainAndNestedTrace(t *testing.T) {
-	rec := NewRecorder(simtime.NewBaseSource(simtime.Realtime, frozenClock()))
+	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	// A publish nested under the retrieve joins the same trace.
 	_, nested := rec.StartTrace(ctx, "publish")
@@ -199,7 +199,7 @@ func TestRegistrySnapshotAndAggregate(t *testing.T) {
 }
 
 func TestDiscoverAnalytics(t *testing.T) {
-	rec := NewRecorder(simtime.NewBaseSource(simtime.Realtime, frozenClock()))
+	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
 	mk := func(lookups int, wall time.Duration) *Trace {
 		ctx, root := rec.StartTrace(context.Background(), "retrieve")
 		dctx, discover := StartSpan(ctx, "discover")
@@ -229,7 +229,7 @@ func TestDiscoverAnalytics(t *testing.T) {
 }
 
 func TestDebugHandler(t *testing.T) {
-	rec := NewRecorder(simtime.NewBaseSource(simtime.Realtime, frozenClock()))
+	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
 	rec.Registry().Counter("walk_hops").Add(12)
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	RPC(ctx, "FIND_NODE", "lookup", "peerA", time.Millisecond, "")

@@ -10,7 +10,7 @@
 // derive from the seeded run (the simulated clock plus a per-trace
 // sequence), so the Stable* renders are byte-identical across runs of
 // the same seed and can be golden-pinned. Measured wall durations are
-// sim-accurate via simtime.Base but depend on goroutine scheduling;
+// sim-accurate via Source.Since but depend on goroutine scheduling;
 // they appear only in the human renders and the derived statistics
 // (DiscoverP99), never in the stable renders.
 //
@@ -418,13 +418,10 @@ type Recorder struct {
 	reg    *Registry
 }
 
-// NewRecorder builds a recorder over the node's time source; nil falls
-// back to the real-time adapter (wall clock, unscaled durations).
+// NewRecorder builds a recorder over the node's time source; nil
+// selects the wall clock (unscaled durations).
 func NewRecorder(src simtime.Source) *Recorder {
-	if src == nil {
-		src = simtime.NewBaseSource(simtime.Realtime, nil)
-	}
-	return &Recorder{src: src, reg: NewRegistry()}
+	return &Recorder{src: simtime.OrWall(src), reg: NewRegistry()}
 }
 
 // Registry returns the recorder's metrics registry.

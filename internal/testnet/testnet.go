@@ -64,15 +64,13 @@ type Config struct {
 	// router.
 	IndexerSet *routing.IndexerSet
 
-	// Now anchors record timestamps.
-	Now func() time.Time
-	// Clock, when set, supplies Now from a movable simulated wall clock
-	// — the churn-scenario engine advances it between workload phases so
+	// Clock is the movable simulated wall clock every node's Now reads —
+	// the churn-scenario engine advances it between workload phases so
 	// record TTLs and timeline liveness agree on the current instant.
-	// Ignored when Now is set explicitly.
+	// Nil creates one at DefaultEpoch.
 	Clock *simtime.Clock
 	// EventDriven builds the network on a discrete-event scheduler over
-	// Clock (one is created at DefaultEpoch when nil): every sleep, RPC
+	// Clock instead of on Scale-compressed real time: every sleep, RPC
 	// latency and maintenance loop becomes an event on one priority
 	// queue and virtual time jumps between events, so paper-scale
 	// populations replay a simulated day in seconds of wall clock.
@@ -80,8 +78,6 @@ type Config struct {
 	// Workers bounds concurrent dispatch in EventDriven mode; 0 or 1
 	// selects deterministic lockstep (seeded runs replay bit-for-bit).
 	Workers int
-	// Time overrides the derived time source (tests).
-	Time simtime.Source
 
 	// Faults is the initial link-fault profile installed on the
 	// simulator (loss probability, extra latency, jitter). Scenario
@@ -111,13 +107,8 @@ func (c Config) withDefaults() Config {
 	if c.RandomLinks <= 0 {
 		c.RandomLinks = 40
 	}
-	if c.Now == nil {
-		if c.Clock != nil {
-			c.Now = c.Clock.Now
-		} else {
-			base := DefaultEpoch
-			c.Now = func() time.Time { return base }
-		}
+	if c.Clock == nil {
+		c.Clock = simtime.NewClock(DefaultEpoch)
 	}
 	return c
 }
@@ -130,9 +121,8 @@ var DefaultEpoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 type Testnet struct {
 	Cfg     Config
 	Net     *simnet.Network
-	Base    simtime.Base
-	Clock   *simtime.Clock     // non-nil when built with Config.Clock or EventDriven
-	Time    simtime.Source     // the unified time surface every node shares
+	Clock   *simtime.Clock     // the movable wall clock Time.Now reads
+	Time    simtime.Source     // the one time source the simulator and every node share
 	Sched   *simtime.Scheduler // non-nil in EventDriven mode (== Time)
 	Nodes   []*core.Node       // all server peers, index-aligned with Classes
 	Classes []simnet.Class     // behaviour class per node
@@ -141,31 +131,23 @@ type Testnet struct {
 
 // Build constructs the network.
 func Build(cfg Config) *Testnet {
-	if cfg.EventDriven && cfg.Clock == nil {
-		cfg.Clock = simtime.NewClock(DefaultEpoch)
-	}
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	base := simtime.New(cfg.Scale)
-	src := cfg.Time
+	var src simtime.Source
 	var sched *simtime.Scheduler
-	if src == nil {
-		if cfg.EventDriven {
-			sched = simtime.NewScheduler(cfg.Clock, simtime.SchedulerOpts{Workers: cfg.Workers})
-			src = sched
-		} else {
-			src = simtime.NewBaseSource(base, cfg.Now)
-		}
+	if cfg.EventDriven {
+		sched = simtime.NewScheduler(cfg.Clock, simtime.SchedulerOpts{Workers: cfg.Workers})
+		src = sched
 	} else {
-		sched = simtime.SchedulerOf(src)
+		src = simtime.Scaled(cfg.Scale, cfg.Clock.Now)
 	}
-	net := simnet.New(simnet.Config{Base: base, Seed: cfg.Seed + 1, Time: src, Faults: cfg.Faults})
+	net := simnet.New(simnet.Config{Seed: cfg.Seed + 1, Time: src, Faults: cfg.Faults})
 
 	popCfg := geo.DefaultPopulationConfig(cfg.N)
 	popCfg.Seed = cfg.Seed + 2
 	pop := geo.GeneratePopulation(popCfg)
 
-	tn := &Testnet{Cfg: cfg, Net: net, Base: base, Clock: cfg.Clock, Time: src, Sched: sched, Pop: pop}
+	tn := &Testnet{Cfg: cfg, Net: net, Clock: cfg.Clock, Time: src, Sched: sched, Pop: pop}
 
 	infos := make([]wire.PeerInfo, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -199,8 +181,6 @@ func Build(cfg Config) *Testnet {
 			Routing:           cfg.Routing,
 			Indexers:          cfg.Indexers,
 			IndexerSet:        cfg.IndexerSet,
-			Base:              base,
-			Now:               cfg.Now,
 			Time:              src,
 		})
 		tn.Nodes = append(tn.Nodes, node)
@@ -319,8 +299,6 @@ func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, 
 		Indexers:          indexers,
 		IndexerSet:        set,
 		Store:             store,
-		Base:              tn.Base,
-		Now:               tn.Cfg.Now,
 		Time:              tn.Time,
 	})
 	// Seed with keyspace-spread contacts like a bootstrapped node.
@@ -366,12 +344,7 @@ func (tn *Testnet) AddIndexerTTL(region geo.Region, seed int64, ttl time.Duratio
 		Dialable: true,
 		Class:    simnet.Normal,
 	})
-	return routing.NewIndexer(ident, ep, routing.IndexerConfig{
-		RecordTTL: ttl,
-		Base:      tn.Base,
-		Now:       tn.Cfg.Now,
-		Time:      tn.Time,
-	})
+	return routing.NewIndexer(ident, ep, routing.IndexerConfig{RecordTTL: ttl, Time: tn.Time})
 }
 
 // IndexerFleet is a built sharded indexer deployment: the shard

@@ -147,19 +147,31 @@ func TestApplyTimeline(t *testing.T) {
 }
 
 // TestClockDrivesNow checks that a testnet built with a Clock threads
-// it into record timestamps via Config.Now.
+// it into every node's record timestamps: the one time source reads it,
+// on scaled real time and on the scheduler alike, and a testnet built
+// without one gets its own at DefaultEpoch.
 func TestClockDrivesNow(t *testing.T) {
-	clock := simtime.NewClock(DefaultEpoch)
-	tn := Build(Config{N: 10, Seed: 4, Scale: 0.0005, Clock: clock})
-	if got := tn.Cfg.Now(); !got.Equal(DefaultEpoch) {
-		t.Fatalf("Now = %v, want the clock's epoch", got)
+	for _, eventDriven := range []bool{false, true} {
+		clock := simtime.NewClock(DefaultEpoch)
+		tn := Build(Config{N: 10, Seed: 4, Scale: 0.0005, Clock: clock, EventDriven: eventDriven})
+		if got := tn.Time.Now(); !got.Equal(DefaultEpoch) {
+			t.Fatalf("Now = %v, want the clock's epoch", got)
+		}
+		clock.Advance(3 * time.Hour)
+		for _, src := range []simtime.Source{tn.Time, tn.Net.Time(), tn.Nodes[0].Swarm().Time(), tn.Nodes[0].DHT().Time()} {
+			if src != tn.Time {
+				t.Fatalf("eventDriven=%v: a component runs on %v, not the testnet's source", eventDriven, src)
+			}
+		}
+		if got := tn.Time.Now(); !got.Equal(DefaultEpoch.Add(3 * time.Hour)) {
+			t.Fatalf("Now did not follow the clock: %v", got)
+		}
+		if tn.Clock != clock {
+			t.Error("testnet did not retain its clock")
+		}
 	}
-	clock.Advance(3 * time.Hour)
-	if got := tn.Cfg.Now(); !got.Equal(DefaultEpoch.Add(3 * time.Hour)) {
-		t.Fatalf("Now did not follow the clock: %v", got)
-	}
-	if tn.Clock != clock {
-		t.Error("testnet did not retain its clock")
+	if tn := Build(Config{N: 10, Seed: 4}); tn.Clock == nil || !tn.Time.Now().Equal(DefaultEpoch) {
+		t.Error("a testnet built without a clock must run on its own at DefaultEpoch")
 	}
 }
 

@@ -311,7 +311,7 @@ func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, 
 		return wire.Message{}, ErrClosed
 	}
 	// On the real transport the measured wall latency IS the simulated
-	// latency (the TCP path runs at simtime.Realtime).
+	// latency (the TCP path runs on the wall clock).
 	start := time.Now()
 	cat := CategorizeRPC(ctx, req.Type)
 	record := func(err error) {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/peer"
 	"repro/internal/routing"
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/testnet"
 	"repro/internal/transport"
@@ -203,7 +202,7 @@ func (s *SimNetwork) NewCrawler(seed int64) *Crawler {
 	ident := peer.MustNewIdentity(randFrom(seed))
 	ep := s.tn.Net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
 	sw := swarm.New(ident, ep, s.tn.Time)
-	return crawler.New(sw, crawler.Config{Base: s.tn.Base, Time: s.tn.Time})
+	return crawler.New(sw, crawler.Config{})
 }
 
 // Bootstrap returns bootstrap infos for joining this network.
@@ -282,7 +281,7 @@ func NewTCPNode(cfg TCPNodeConfig) (*Node, error) {
 
 // NewTCPGateway builds an HTTP gateway over a TCP node.
 func NewTCPGateway(node *Node, cacheBytes int64) *Gateway {
-	return gateway.New(node, cacheBytes, simtime.BaseSource{})
+	return gateway.New(node, cacheBytes, node.Swarm().Time())
 }
 
 // ParsePeerInfo parses "peerID@/ip4/../tcp/../p2p/.." or a bare
