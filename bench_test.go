@@ -41,7 +41,7 @@ func benchPerf(b *testing.B, report func(*testing.B, *experiments.PerfResults)) 
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunPerformance(experiments.PerfConfig{
-			NetworkSize: 250, IterationsPer: 1, Scale: 0.001, Seed: 42,
+			NetworkSize: 250, IterationsPer: 1, Seed: 42,
 		})
 		report(b, res)
 	}
@@ -113,7 +113,7 @@ func benchDeploy(b *testing.B, report func(*testing.B, *experiments.DeployResult
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunDeployment(experiments.DeployConfig{
 			PopulationSize: 6000, CrawlNetworkSize: 200, CrawlEpochs: 3,
-			Scale: 0.0005, Seed: 7,
+			Seed: 7,
 		})
 		report(b, res)
 	}
@@ -219,7 +219,7 @@ func benchGateway(b *testing.B, report func(*testing.B, *experiments.GatewayResu
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunGateway(experiments.GatewayConfig{
 			NetworkSize: 40, Objects: 120, Requests: 1200, TraceOnly: 30000,
-			Scale: 0.0008, Seed: 17,
+			Seed: 17,
 		})
 		report(b, res)
 	}
@@ -308,7 +308,7 @@ func BenchmarkFig11CacheTimeline(b *testing.B) {
 func BenchmarkAblationReplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := experiments.RunReplicationSweep(
-			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Scale: 0.001, Seed: 23},
+			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Seed: 23},
 			[]int{5, 20}, 0.5)
 		b.ReportMetric(pts[len(pts)-1].SurvivalRate*100, "k20-survival-%")
 	}
@@ -318,7 +318,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 func BenchmarkAblationAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := experiments.RunAlphaSweep(
-			experiments.AblationConfig{NetworkSize: 200, Iterations: 3, Scale: 0.001, Seed: 23},
+			experiments.AblationConfig{NetworkSize: 200, Iterations: 3, Seed: 23},
 			[]int{1, 3})
 		b.ReportMetric(pts[0].RetrMedian.Seconds(), "alpha1-retr-s")
 		b.ReportMetric(pts[1].RetrMedian.Seconds(), "alpha3-retr-s")
@@ -330,7 +330,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 func BenchmarkAblationParallelDiscovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := experiments.RunParallelDiscovery(
-			experiments.AblationConfig{NetworkSize: 200, Iterations: 2, Scale: 0.001, Seed: 23})
+			experiments.AblationConfig{NetworkSize: 200, Iterations: 2, Seed: 23})
 		b.ReportMetric(pts[0].RetrMedian.Seconds(), "serial-retr-s")
 		b.ReportMetric(pts[1].RetrMedian.Seconds(), "parallel-retr-s")
 	}
@@ -341,7 +341,7 @@ func BenchmarkAblationParallelDiscovery(b *testing.B) {
 func BenchmarkAblationClientServerSplit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := experiments.RunClientServerSplit(
-			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Scale: 0.001, Seed: 23})
+			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Seed: 23})
 		for _, p := range pts {
 			if p.SplitEnabled {
 				b.ReportMetric(p.PubMedian.Seconds(), "split-pub-s")
@@ -356,7 +356,7 @@ func BenchmarkAblationClientServerSplit(b *testing.B) {
 func BenchmarkAblationGatewayCacheSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts := experiments.RunGatewayCacheSweep(
-			experiments.AblationConfig{Scale: 0.0008, Seed: 23},
+			experiments.AblationConfig{Seed: 23},
 			[]int64{4 << 20, 32 << 20})
 		b.ReportMetric(100*pts[len(pts)-1].NginxHit, "bigcache-hit-%")
 	}
@@ -371,7 +371,7 @@ func BenchmarkAblationGatewayCacheSize(b *testing.B) {
 func BenchmarkRoutingComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour, Scale: 0.0005, Seed: 42,
+			NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour, Seed: 42,
 		})
 		dht := res.Router(routing.KindDHT)
 		accel := res.Router(routing.KindAccelerated)
@@ -400,7 +400,7 @@ func BenchmarkSessionRoutingUnderChurn(b *testing.B) {
 		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
 			NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour,
 			ChurnAmplitude: 3, IndexerShards: 2, IndexerReplicas: 2,
-			Scale: 0.0005, Seed: 11,
+			Seed: 11,
 		})
 		dht := res.Router(routing.KindDHT)
 		accel := res.Router(routing.KindAccelerated)
@@ -440,7 +440,7 @@ func BenchmarkSessionRoutingUnderChurn(b *testing.B) {
 			IndexerOutageAt: 2 * time.Hour,
 			Kinds:           []routing.Kind{routing.KindIndexer},
 			NoRepublish:     true, NoRefresh: true,
-			Scale: 0.0005, Seed: 11,
+			Seed: 11,
 		})
 		foIx := fo.Router(routing.KindIndexer)
 		foLast := foIx.Ticks[len(foIx.Ticks)-1]
@@ -455,7 +455,7 @@ func BenchmarkSessionRoutingUnderChurn(b *testing.B) {
 // transitions — on the discrete-event scheduler, and reports the wall
 // clock one scenario costs as scenario-wall-ms: the headline metric
 // benchdiff gates so the engine cannot quietly regress back toward
-// per-tick sweep costs. Stalls must report zero (every wait on the
+// a cost per tick. Stalls must report zero (every wait on the
 // workload path instrumented) for the run to be trustworthy; -short
 // shrinks the population for quick local sweeps.
 func BenchmarkScenario20kChurnEventDriven(b *testing.B) {
@@ -470,7 +470,6 @@ func BenchmarkScenario20kChurnEventDriven(b *testing.B) {
 			ChurnAmplitude: 2,
 			Kinds:          []routing.Kind{routing.KindDHT, routing.KindIndexer},
 			NoRefresh:      true,
-			EventDriven:    true,
 			Seed:           77,
 		})
 		b.ReportMetric(float64(time.Since(start).Milliseconds()), "scenario-wall-ms")
@@ -545,7 +544,7 @@ func BenchmarkAcceleratedLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
 			NetworkSize: 150, Objects: 2, Ticks: 1, Window: 2 * time.Hour,
-			ChurnAmplitude: 0.01, Scale: 0.0005, Seed: int64(7 + i),
+			ChurnAmplitude: 0.01, Seed: int64(7 + i),
 		})
 		msgs = res.Router(routing.KindAccelerated).RetrMsgs.Mean()
 	}
@@ -797,7 +796,7 @@ func BenchmarkKBucketNearest(b *testing.B) {
 // left is the walk's own bookkeeping (closestUnqueried, converged,
 // closestSeen) and the responders' NearestPeers.
 func BenchmarkDHTWalkConverge(b *testing.B) {
-	tn := testnet.Build(testnet.Config{N: 300, Seed: 1, EventDriven: true})
+	tn := testnet.Build(testnet.Config{N: 300, Seed: 1})
 	walker := tn.AddVantage(geo.EuCentral1, 2).DHT()
 	b.ReportAllocs()
 	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
@@ -934,7 +933,7 @@ func BenchmarkTCPRetrieve1MiB(b *testing.B) {
 // BenchmarkRetrieveEndToEnd measures one simulated retrieval.
 func BenchmarkRetrieveEndToEnd(b *testing.B) {
 	res := experiments.RunPerformance(experiments.PerfConfig{
-		NetworkSize: 200, IterationsPer: 1, Scale: 0.0005, Seed: 5,
+		NetworkSize: 200, IterationsPer: 1, Seed: 5,
 	})
 	retr := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrOverall })
 	b.ReportMetric(retr.Median(), "retr-p50-s")
@@ -942,7 +941,7 @@ func BenchmarkRetrieveEndToEnd(b *testing.B) {
 	ctxEnsureUsed()
 	for i := 0; i < b.N; i++ {
 		_ = experiments.RunPerformance(experiments.PerfConfig{
-			NetworkSize: 120, IterationsPer: 1, Scale: 0.0005, Seed: int64(5 + i),
+			NetworkSize: 120, IterationsPer: 1, Seed: int64(5 + i),
 		})
 	}
 }

@@ -8,8 +8,9 @@
 //	ipfs-experiments -run fig8
 //	ipfs-experiments -run ablations
 //	ipfs-experiments -run routing -network 300 -churn-amplitude 2 -window 12h
-//	ipfs-experiments -run routing -event-driven -loss-sweep 0,0.1,0.2,0.3 -window 8h
-//	ipfs-experiments -run routing -event-driven -partition-regions us-west-1,US -partition-at 3h -heal-at 5h
+//	ipfs-experiments -run routing -loss-sweep 0,0.1,0.2,0.3 -window 8h
+//	ipfs-experiments -run routing -partition-regions us-west-1,US -partition-at 3h -heal-at 5h
+//	ipfs-experiments -run routing -network 20000 -window 8h
 package main
 
 import (
@@ -38,17 +39,15 @@ func main() {
 		linkLoss = flag.Float64("link-loss", 0, "network-wide per-transit loss probability for the routing comparison (each lost transit costs the drop timeout)")
 		lossSwp  = flag.String("loss-sweep", "", "comma-separated loss rates (e.g. 0,0.1,0.2,0.3): one retrieval tick per entry, raising the loss rate to that entry just before the tick; overrides -ticks")
 		extraLat = flag.Duration("link-extra-latency", 0, "fixed extra latency every transit pays (Pumba-style delay injection)")
-		linkJit  = flag.Duration("link-jitter", 0, "per-transit jitter bound on top of -link-extra-latency (deterministic under -event-driven lockstep)")
+		linkJit  = flag.Duration("link-jitter", 0, "per-transit jitter bound on top of -link-extra-latency (a deterministic draw per seed)")
 		partRegs = flag.String("partition-regions", "", "comma-separated region codes (e.g. us-west-1,US) cut off from the rest of the network at -partition-at")
 		partAt   = flag.Duration("partition-at", 0, "offset at which the -partition-regions split starts (0 = no partition)")
 		healAt   = flag.Duration("heal-at", 0, "offset at which the partition heals (0 = never)")
 		reachMix = flag.Bool("reachability-mix", false, "build the network with the population's sampled NAT status (Fig 7's mix: ~1/3 of peers online but refusing inbound dials)")
-		eventDrv = flag.Bool("event-driven", false, "run the routing comparison on the discrete-event scheduler: virtual time jumps between events, so paper-scale populations (-network 20000) replay a full churn window in seconds")
-		workers  = flag.Int("workers", 1, "concurrent event dispatch in -event-driven mode (1 = deterministic lockstep)")
+		workers  = flag.Int("workers", 1, "concurrent dispatch of same-instant simulator events in the routing and gwfleet runs (1 = deterministic lockstep; >1 is the -race stress mode and gives up replay)")
 		network  = flag.Int("network", 600, "simulated network size for performance runs")
 		iters    = flag.Int("iters", 8, "publications per region")
 		pop      = flag.Int("population", 20000, "population size for deployment analyses")
-		scale    = flag.Float64("scale", 0.002, "time compression (real seconds per simulated second)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		points   = flag.Int("points", 20, "CDF points per series")
 		traceOut = flag.String("trace-out", "", "write the routing comparison's retrieval trace spans as JSONL to this file")
@@ -90,7 +89,7 @@ func main() {
 	if needPerf {
 		fmt.Fprintln(os.Stderr, "running §4.3 performance experiment...")
 		res := experiments.RunPerformance(experiments.PerfConfig{
-			NetworkSize: *network, IterationsPer: *iters, Scale: *scale, Seed: *seed,
+			NetworkSize: *network, IterationsPer: *iters, Seed: *seed,
 		})
 		if want("table1") {
 			fmt.Println(res.Table1())
@@ -196,12 +195,10 @@ func main() {
 			LinkExtraLatency: *extraLat, LinkJitter: *linkJit,
 			PartitionRegions: partition, PartitionAt: *partAt, HealAt: *healAt,
 			ReachabilityMix: *reachMix,
-			EventDriven:     *eventDrv, Workers: *workers,
-			Scale: *scale, Seed: *seed,
+			Workers:         *workers,
+			Seed:            *seed,
 		})
-		if *eventDrv {
-			fmt.Fprintf(os.Stderr, "event-driven run: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
-		}
+		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -247,13 +244,13 @@ func main() {
 			Workers:    *workers,
 			Seed:       *seed,
 		})
-		fmt.Fprintf(os.Stderr, "event-driven run: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
+		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
 		fmt.Println(res.Report())
 	}
 
 	if needAblations {
 		fmt.Fprintln(os.Stderr, "running design-choice ablations...")
-		acfg := experiments.AblationConfig{Seed: *seed, Scale: *scale}
+		acfg := experiments.AblationConfig{Seed: *seed}
 		reps := experiments.RunReplicationSweep(acfg, nil, 0)
 		alphas := experiments.RunAlphaSweep(acfg, nil)
 		disc := experiments.RunParallelDiscovery(acfg)

@@ -13,9 +13,11 @@ import (
 )
 
 func main() {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 300, Scale: 0.0005, Clean: true})
-	ctx := context.Background()
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 300, Clean: true})
+	net.Run(func(ctx context.Context) { measure(ctx, net) })
+}
 
+func measure(ctx context.Context, net *ipfs.SimNetwork) {
 	cr := net.NewCrawler(1234)
 	boot := net.Bootstrap(4)
 
@@ -40,8 +42,6 @@ func main() {
 	// AutoNAT: a new NAT'd peer joins, asks its neighbours to dial
 	// back, and stays a DHT client (§2.3).
 	fmt.Println("\n== AutoNAT (§2.3) ==")
-	natted := tn.Net // direct simnet access for the NAT'd endpoint
-	_ = natted
 	joiner := net.AddNode("DE", 555)
 	mode := joiner.CheckNATAndSetMode(ctx)
 	fmt.Printf("publicly reachable joiner decided: mode=%v (0=server, 1=client)\n", mode)

@@ -17,9 +17,11 @@ import (
 )
 
 func main() {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 80, Scale: 0.001, Clean: true})
-	ctx := context.Background()
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 80, Clean: true})
+	net.Run(func(ctx context.Context) { serve(ctx, net) })
+}
 
+func serve(ctx context.Context, net *ipfs.SimNetwork) {
 	// The gateway runs in the US, like the sampled ipfs.io instance.
 	gw := net.NewGateway("US", 64<<20, 99)
 

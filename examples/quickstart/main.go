@@ -13,13 +13,16 @@ import (
 )
 
 func main() {
-	// A 100-peer simulated network replaying 1000x faster than real
-	// time, without pathological peers.
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 100, Scale: 0.001, Clean: true})
+	// A 100-peer simulated network without pathological peers. It lives
+	// on virtual time: everything that waits happens inside Run, and the
+	// seconds printed below are simulated ones.
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 100, Clean: true})
 	alice := net.Node(0)
 	bob := net.Node(55)
-	ctx := context.Background()
+	net.Run(func(ctx context.Context) { publishAndRetrieve(ctx, alice, bob) })
+}
 
+func publishAndRetrieve(ctx context.Context, alice, bob *ipfs.Node) {
 	content := bytes.Repeat([]byte("Hello, Decentralized Web! "), 40_000) // ~1 MB
 
 	// Step 1 (Fig 3): import locally — chunk, build the Merkle DAG,

@@ -12,6 +12,7 @@ import (
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -63,24 +64,18 @@ func (c scriptConn) Request(ctx context.Context, req wire.Message) (wire.Message
 	return wire.Message{Type: wire.TDontHave, Key: req.Key}, nil
 }
 
-// onBothEngines runs body on scaled real time and inside a scheduler
-// run.
-func onBothEngines(t *testing.T, body func(t *testing.T, ctx context.Context, src simtime.Source)) {
-	t.Run("wall", func(t *testing.T) { body(t, context.Background(), simtime.Scaled(0.01, nil)) })
-	t.Run("scheduler", func(t *testing.T) {
-		inScheduler(t, func(ctx context.Context, sched *simtime.Scheduler) { body(t, ctx, sched) })
-	})
-}
-
 // TestAskWave pins the one wait askWave is written on — first HAVE, or
 // every target answered, or the opportunistic timeout — with the same
-// outcome on both engines. On the scheduler the virtual duration is
-// exact; on real time only which side of the timeout the wave returned
-// on is asserted, with the window two orders of magnitude above the
-// scripted answers.
+// outcome on the scheduler and on the wall clock. On the scheduler the
+// virtual duration is exact; on real time only which side of the timeout
+// the wave returned on is asserted, with the window two orders of
+// magnitude above the scripted answers.
 func TestAskWave(t *testing.T) {
-	const window = 10 * time.Second
-	ms := time.Millisecond
+	simtest.BothEngines(t, testAskWave)
+}
+
+func testAskWave(t *testing.T, ctx context.Context, src simtime.Source, u time.Duration) {
+	window := 100 * u
 	rng := rand.New(rand.NewSource(5))
 	ids := make([]peer.ID, 4)
 	for i := range ids {
@@ -99,75 +94,73 @@ func TestAskWave(t *testing.T) {
 		early     bool          // returns before the window closes
 	}{{
 		name:      "first HAVE wins with others still in flight",
-		peers:     map[peer.ID]scriptPeer{a: {after: 100 * ms}, b: {after: 200 * ms, have: true}, c: {never: true}},
+		peers:     map[peer.ID]scriptPeer{a: {after: 1 * u}, b: {after: 2 * u, have: true}, c: {never: true}},
 		connected: []peer.ID{a, b, c}, broadcast: true,
-		want: b, took: 200 * ms, early: true,
+		want: b, took: 2 * u, early: true,
 	}, {
 		name:   "every routed target answers DONT_HAVE: no waiting out the window",
-		peers:  map[peer.ID]scriptPeer{a: {after: 100 * ms}, b: {after: 300 * ms}},
+		peers:  map[peer.ID]scriptPeer{a: {after: 1 * u}, b: {after: 3 * u}},
 		routed: []peer.ID{a, b},
-		took:   300 * ms, early: true,
+		took:   3 * u, early: true,
 	}, {
 		name:      "every neighbour answers DONT_HAVE: a broadcast miss waits the window out",
-		peers:     map[peer.ID]scriptPeer{a: {after: 100 * ms}, b: {after: 300 * ms}},
+		peers:     map[peer.ID]scriptPeer{a: {after: 1 * u}, b: {after: 3 * u}},
 		connected: []peer.ID{a, b}, broadcast: true,
 		took: window,
 	}, {
 		name:   "a target that never answers: the window closes the wave",
-		peers:  map[peer.ID]scriptPeer{a: {after: 100 * ms}, b: {never: true}},
+		peers:  map[peer.ID]scriptPeer{a: {after: 1 * u}, b: {never: true}},
 		routed: []peer.ID{a, b},
 		took:   window,
 	}, {
 		name:   "a HAVE landing with the last answer is not lost",
-		peers:  map[peer.ID]scriptPeer{a: {after: 300 * ms}, b: {after: 300 * ms, have: true}},
+		peers:  map[peer.ID]scriptPeer{a: {after: 3 * u}, b: {after: 3 * u, have: true}},
 		routed: []peer.ID{a, b},
-		want:   b, took: 300 * ms, early: true,
+		want:   b, took: 3 * u, early: true,
 	}, {
 		name:      "caller cancels mid-wave",
-		peers:     map[peer.ID]scriptPeer{a: {after: 100 * ms}, b: {never: true}},
+		peers:     map[peer.ID]scriptPeer{a: {after: 1 * u}, b: {never: true}},
 		connected: []peer.ID{a, b}, broadcast: true,
-		cancelAt: 2 * time.Second,
-		took:     2 * time.Second, early: true,
+		cancelAt: 20 * u,
+		took:     20 * u, early: true,
 	}}
 	key := cid.Sum(multicodec.Raw, []byte("wanted"))
-	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
-		for _, tc := range cases {
-			ep := &scriptEndpoint{src: src, local: self, peers: tc.peers}
-			sw := swarm.New(peer.Identity{ID: self}, ep, src)
-			bs := New(sw, block.NewMemStore(), Config{OpportunisticTimeout: window})
-			for _, id := range tc.connected {
-				sw.Connect(ctx, id, nil)
-			}
-			var routed []wire.PeerInfo
-			for _, id := range tc.routed {
-				routed = append(routed, wire.PeerInfo{ID: id})
-			}
-			wctx, cancel := ctx, context.CancelFunc(func() {})
-			if tc.cancelAt > 0 {
-				wctx, cancel = src.WithTimeout(ctx, tc.cancelAt)
-			}
-			var st AskStats
-			start := src.Stamp()
-			info, asked, ok := bs.askWave(wctx, key, routed, tc.broadcast, nil, &st)
-			took := src.Since(start)
-			cancel()
-
-			if ok != (tc.want != "") || info.ID != tc.want {
-				t.Errorf("%s: winner = %q (ok=%v), want %q", tc.name, info.ID, ok, tc.want)
-			}
-			if n := len(tc.routed) + len(tc.connected); len(asked) != n || st.WantHaves != n {
-				t.Errorf("%s: asked %d peers with %d WANT-HAVEs, want %d", tc.name, len(asked), st.WantHaves, n)
-			}
-			if st.Broadcast != tc.broadcast {
-				t.Errorf("%s: Broadcast = %v, want %v", tc.name, st.Broadcast, tc.broadcast)
-			}
-			if simtime.SchedulerOf(src) != nil {
-				if took != tc.took {
-					t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
-				}
-			} else if tc.early != (took < window/2) || (!tc.early && took < window) {
-				t.Errorf("%s: took %v simulated against a %v window, want early=%v", tc.name, took, window, tc.early)
-			}
+	for _, tc := range cases {
+		ep := &scriptEndpoint{src: src, local: self, peers: tc.peers}
+		sw := swarm.New(peer.Identity{ID: self}, ep, src)
+		bs := New(sw, block.NewMemStore(), Config{OpportunisticTimeout: window})
+		for _, id := range tc.connected {
+			sw.Connect(ctx, id, nil)
 		}
-	})
+		var routed []wire.PeerInfo
+		for _, id := range tc.routed {
+			routed = append(routed, wire.PeerInfo{ID: id})
+		}
+		wctx, cancel := ctx, context.CancelFunc(func() {})
+		if tc.cancelAt > 0 {
+			wctx, cancel = src.WithTimeout(ctx, tc.cancelAt)
+		}
+		var st AskStats
+		start := src.Stamp()
+		info, asked, ok := bs.askWave(wctx, key, routed, tc.broadcast, nil, &st)
+		took := src.Since(start)
+		cancel()
+
+		if ok != (tc.want != "") || info.ID != tc.want {
+			t.Errorf("%s: winner = %q (ok=%v), want %q", tc.name, info.ID, ok, tc.want)
+		}
+		if n := len(tc.routed) + len(tc.connected); len(asked) != n || st.WantHaves != n {
+			t.Errorf("%s: asked %d peers with %d WANT-HAVEs, want %d", tc.name, len(asked), st.WantHaves, n)
+		}
+		if st.Broadcast != tc.broadcast {
+			t.Errorf("%s: Broadcast = %v, want %v", tc.name, st.Broadcast, tc.broadcast)
+		}
+		if simtime.SchedulerOf(src) != nil {
+			if took != tc.took {
+				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+			}
+		} else if tc.early != (took < window/2) || (!tc.early && took < window) {
+			t.Errorf("%s: took %v simulated against a %v window, want early=%v", tc.name, took, window, tc.early)
+		}
+	}
 }

@@ -573,11 +573,17 @@ func (s *Session) addStats(d SessionStats) {
 	s.mu.Unlock()
 }
 
-// Get implements merkledag.Fetcher: local store first, then the remote
-// peer. The first remote fetch performs the WANT-HAVE handshake unless
-// discovery already confirmed the provider; Get is safe for the
-// concurrent sibling fetches of merkledag.AssembleConcurrent.
-func (s *Session) Get(c cid.Cid) (block.Block, error) {
+// Get implements merkledag.Fetcher under the session's own context:
+// local store first, then the remote peer.
+func (s *Session) Get(c cid.Cid) (block.Block, error) { return s.GetContext(s.ctx, c) }
+
+// GetContext implements merkledag.ContextFetcher: Get with its network
+// waits under ctx, the context of the goroutine the fetch runs on (one
+// derived from the session's). The first remote fetch performs the
+// WANT-HAVE handshake unless discovery already confirmed the provider;
+// GetContext is safe for the concurrent sibling fetches of
+// merkledag.AssembleConcurrent.
+func (s *Session) GetContext(ctx context.Context, c cid.Cid) (block.Block, error) {
 	if blk, err := s.bs.store.Get(c); err == nil {
 		return blk, nil
 	}
@@ -593,11 +599,11 @@ func (s *Session) Get(c cid.Cid) (block.Block, error) {
 	s.started = true
 	s.mu.Unlock()
 
-	blk, err := s.fetch(s.ctx, from, c, handshake)
+	blk, err := s.fetch(ctx, from, c, handshake)
 	if err == nil {
 		return blk, nil
 	}
-	return s.failover(c, from, err)
+	return s.failover(ctx, c, from, err)
 }
 
 // fetch runs one block exchange against a specific provider, counting
@@ -620,13 +626,13 @@ func (s *Session) fetch(ctx context.Context, from wire.PeerInfo, c cid.Cid, hand
 // router consult. Provider records exist for DAG roots, so alternates
 // are looked up by the session's anchor CID rather than the failed
 // block.
-func (s *Session) failover(c cid.Cid, failed wire.PeerInfo, cause error) (block.Block, error) {
-	if s.ctx.Err() != nil {
+func (s *Session) failover(ctx context.Context, c cid.Cid, failed wire.PeerInfo, cause error) (block.Block, error) {
+	if ctx.Err() != nil {
 		return block.Block{}, cause
 	}
 	s.foMu.Lock()
 	defer s.foMu.Unlock()
-	fctx, fsp := telemetry.StartSpan(s.ctx, "session-failover",
+	fctx, fsp := telemetry.StartSpan(ctx, "session-failover",
 		telemetry.A("failed", failed.ID.String()))
 	defer fsp.End()
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/multicodec"
 	"repro/internal/routing"
+	"repro/internal/simtime/simtest"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -50,37 +51,38 @@ func (s *stubFallback) WantBroadcast() bool { return true }
 // fallback instead of re-sending the same RPC wave.
 func TestRetrieveHandsConsultMissToFindProviders(t *testing.T) {
 	tn := buildSmallNet(t, 30)
-	ctx := context.Background()
-	getter := tn.AddVantage("US", 700)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		getter := tn.AddVantage("US", 700)
 
-	fb := &stubFallback{}
-	accel := routing.NewAccelerated(getter.Swarm(), fb, routing.AcceleratedConfig{})
-	const snapSize = 5
-	var infos []wire.PeerInfo
-	for _, n := range tn.Nodes[:snapSize] {
-		infos = append(infos, n.Info())
-	}
-	accel.SetSnapshot(infos)
-	getter.SetRouter(accel)
+		fb := &stubFallback{}
+		accel := routing.NewAccelerated(getter.Swarm(), fb, routing.AcceleratedConfig{})
+		const snapSize = 5
+		var infos []wire.PeerInfo
+		for _, n := range tn.Nodes[:snapSize] {
+			infos = append(infos, n.Info())
+		}
+		accel.SetSnapshot(infos)
+		getter.SetRouter(accel)
 
-	before := tn.Net.Budget()
-	_, res, err := getter.Retrieve(ctx, cid.Sum(multicodec.Raw, []byte("never published")))
-	if !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("retrieve err = %v, want ErrNotFound", err)
-	}
-	spent := tn.Net.Budget().Sub(before)
+		before := tn.Net.Budget()
+		_, res, err := getter.Retrieve(ctx, cid.Sum(multicodec.Raw, []byte("never published")))
+		if !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("retrieve err = %v, want ErrNotFound", err)
+		}
+		spent := tn.Net.Budget().Sub(before)
 
-	// The session consult probes every snapshot peer once; the handoff
-	// means FindProviders adds zero lookup RPCs on top. Without it the
-	// same wave would go out twice.
-	if got := spent.Category(transport.CatLookup); got != snapSize {
-		t.Errorf("retrieval spent %d lookup RPCs, want exactly %d (one consult wave, no duplicate probe)", got, snapSize)
-	}
-	if fb.finds.Load() != 1 {
-		t.Errorf("fallback consulted %d times, want 1", fb.finds.Load())
-	}
-	// The consult's RPCs still show up in the per-retrieval accounting.
-	if res.LookupMsgs != snapSize {
-		t.Errorf("LookupMsgs = %d, want the consult's %d RPCs", res.LookupMsgs, snapSize)
-	}
+		// The session consult probes every snapshot peer once; the handoff
+		// means FindProviders adds zero lookup RPCs on top. Without it the
+		// same wave would go out twice.
+		if got := spent.Category(transport.CatLookup); got != snapSize {
+			t.Errorf("retrieval spent %d lookup RPCs, want exactly %d (one consult wave, no duplicate probe)", got, snapSize)
+		}
+		if fb.finds.Load() != 1 {
+			t.Errorf("fallback consulted %d times, want 1", fb.finds.Load())
+		}
+		// The consult's RPCs still show up in the per-retrieval accounting.
+		if res.LookupMsgs != snapSize {
+			t.Errorf("LookupMsgs = %d, want the consult's %d RPCs", res.LookupMsgs, snapSize)
+		}
+	})
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/cid"
 	"repro/internal/geo"
 	"repro/internal/multicodec"
+	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
-
-	"repro/internal/cid"
 )
 
 // TestPackBackedNodeServesRetrieval runs a full publish/retrieve cycle
@@ -23,58 +23,59 @@ func TestPackBackedNodeServesRetrieval(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := buildSmallNet(t, 40)
-	pubV := tn.AddVantageStore(geo.EuCentral1, 901, ps)
-	getV := tn.AddVantage(geo.ApSoutheast2, 902)
-	if pubV.Store() != block.Store(ps) {
-		t.Fatal("node not backed by the supplied store")
-	}
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		pubV := tn.AddVantageStore(geo.EuCentral1, 901, ps)
+		getV := tn.AddVantage(geo.ApSoutheast2, 902)
+		if pubV.Store() != block.Store(ps) {
+			t.Fatal("node not backed by the supplied store")
+		}
 
-	ctx := context.Background()
-	data := bytes.Repeat([]byte{0xAB}, 16*1024)
-	pub, err := pubV.AddAndPublish(ctx, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pubV.PublishPeerRecord(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if !ps.Has(pub.Cid) {
-		t.Fatal("added root not in the pack store")
-	}
+		data := bytes.Repeat([]byte{0xAB}, 16*1024)
+		pub, err := pubV.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pubV.PublishPeerRecord(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !ps.Has(pub.Cid) {
+			t.Fatal("added root not in the pack store")
+		}
 
-	testnet.FlushVantage(getV)
-	got, _, err := getV.Retrieve(ctx, pub.Cid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("retrieved data mismatch")
-	}
+		testnet.FlushVantage(getV)
+		got, _, err := getV.Retrieve(ctx, pub.Cid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("retrieved data mismatch")
+		}
 
-	snap := pubV.Telemetry().Registry().Snapshot()
-	if snap.Counters["blockstore_puts{store=pack}"] == 0 {
-		t.Error("pack put counter not wired into node telemetry")
-	}
-	if snap.Counters["blockstore_gets{store=pack}"] == 0 {
-		t.Error("Bitswap serving did not read through the pack store")
-	}
-	if snap.Gauges["pack_live_bytes"] == 0 {
-		t.Error("pack_live_bytes gauge not published")
-	}
+		snap := pubV.Telemetry().Registry().Snapshot()
+		if snap.Counters["blockstore_puts{store=pack}"] == 0 {
+			t.Error("pack put counter not wired into node telemetry")
+		}
+		if snap.Counters["blockstore_gets{store=pack}"] == 0 {
+			t.Error("Bitswap serving did not read through the pack store")
+		}
+		if snap.Gauges["pack_live_bytes"] == 0 {
+			t.Error("pack_live_bytes gauge not published")
+		}
 
-	// The pack store exposes pinning, so the node must surface it.
-	pubV.Pinner().Pin(pub.Cid)
-	if !ps.Pinned(pub.Cid) {
-		t.Error("Pinner() not backed by the pack store")
-	}
+		// The pack store exposes pinning, so the node must surface it.
+		pubV.Pinner().Pin(pub.Cid)
+		if !ps.Pinned(pub.Cid) {
+			t.Error("Pinner() not backed by the pack store")
+		}
 
-	// Closing the node closes the store underneath it.
-	if err := pubV.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Put(block.New(multicodec.Raw, []byte("after close"))); err == nil {
-		t.Error("Put succeeded after node.Close, store was not closed")
-	}
+		// Closing the node closes the store underneath it.
+		if err := pubV.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Put(block.New(multicodec.Raw, []byte("after close"))); err == nil {
+			t.Error("Put succeeded after node.Close, store was not closed")
+		}
+	})
 }
 
 // TestNodeDefaultStoreIsMem: leaving Config.Store nil keeps the

@@ -100,11 +100,11 @@ var ErrNotFound = errors.New("core: content not found")
 type providerStream struct {
 	cancel context.CancelFunc
 	src    simtime.Source
-	sctx   context.Context // the stream's context; carries the scheduler lease
+	sctx   context.Context // the stream's context; carries the starter's scheduler lease
 	sig    *simtime.Signal
 	first  chan wire.PeerInfo
 	done   chan struct{}
-	st     *routing.StreamInfo
+	st     *routing.StreamInfo // set by the stream's goroutine; read once done is closed
 
 	mu     sync.Mutex
 	extras []wire.PeerInfo
@@ -113,10 +113,11 @@ type providerStream struct {
 // startProviderStream launches the streaming lookup for root, notifying
 // sig of its first provider and of its wind-down. The stream stops
 // itself after one session provider plus enough fail-over candidates
-// (the Bitswap session peer target), or when Finish cancels it.
+// (the Bitswap session peer target), or when Finish cancels it. The
+// lookup is built by the goroutine that runs it: its waits park that
+// goroutine's scheduler lease, not the starter's.
 func (n *Node) startProviderStream(ctx context.Context, root cid.Cid, sig *simtime.Signal) *providerStream {
 	sctx, cancel := context.WithCancel(ctx)
-	seq, st := n.router.FindProvidersStream(sctx, root)
 	ps := &providerStream{
 		cancel: cancel,
 		src:    n.src,
@@ -124,12 +125,13 @@ func (n *Node) startProviderStream(ctx context.Context, root cid.Cid, sig *simti
 		sig:    sig,
 		first:  make(chan wire.PeerInfo, 1),
 		done:   make(chan struct{}),
-		st:     st,
 	}
 	total := 1 + n.bswap.SessionPeerTarget() // the session provider plus fail-over candidates
-	n.src.Go(sctx, func(context.Context) {
+	n.src.Go(sctx, func(gctx context.Context) {
 		defer sig.Notify()
 		defer close(ps.done)
+		var seq routing.ProviderSeq
+		seq, ps.st = n.router.FindProvidersStream(gctx, root)
 		count := 0
 		seq(func(batch []wire.PeerInfo) bool {
 			for _, p := range batch {
@@ -175,8 +177,20 @@ func (ps *providerStream) Candidates() []wire.PeerInfo {
 // already-fallen cancellation cannot cut the join short.
 func (ps *providerStream) Finish() routing.LookupInfo {
 	ps.cancel()
-	simtime.AwaitClosed(simtime.Detach(ps.sctx), ps.src, ps.done)
+	if simtime.AwaitClosed(simtime.Detach(ps.sctx), ps.src, ps.done) != nil {
+		return routing.LookupInfo{} // the scheduler shut down under the stream
+	}
 	return ps.st.Info()
+}
+
+// lookupErr is the wound-down stream's terminal error; nil while the
+// stream has not ended (a wait cut short by the scheduler shutting
+// down).
+func (ps *providerStream) lookupErr() error {
+	if !ps.woundDown() {
+		return nil
+	}
+	return ps.st.Err()
 }
 
 // woundDown reports, without blocking, whether the stream has ended.
@@ -404,7 +418,7 @@ func (n *Node) discover(ctx context.Context, root cid.Cid, res *RetrieveResult) 
 		// draining fail-over candidates in the background.
 		return p, ps, nil
 	}
-	return wire.PeerInfo{}, ps, wrapDiscoveryErr(ps.st.Err(), root)
+	return wire.PeerInfo{}, ps, wrapDiscoveryErr(ps.lookupErr(), root)
 }
 
 // wrapDiscoveryErr maps an exhausted-lookup error to ErrNotFound.
@@ -503,7 +517,7 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 			default:
 			}
 			streamDone = true
-			if err := ps.st.Err(); err != nil && firstErr == nil {
+			if err := ps.lookupErr(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

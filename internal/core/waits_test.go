@@ -15,26 +15,9 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/wire"
 )
-
-var testEpoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
-
-// onBothEngines runs body on scaled real time and inside a scheduler
-// run, where it also demands zero stalls. body reports through t.Error
-// only: on the scheduler it is not on the test's goroutine.
-func onBothEngines(t *testing.T, body func(t *testing.T, ctx context.Context, src simtime.Source)) {
-	t.Run("wall", func(t *testing.T) { body(t, context.Background(), simtime.Scaled(0.01, nil)) })
-	t.Run("scheduler", func(t *testing.T) {
-		sched := simtime.NewScheduler(simtime.NewClock(testEpoch), simtime.SchedulerOpts{})
-		if err := sched.Run(context.Background(), func(ctx context.Context) { body(t, ctx, sched) }); err != nil {
-			t.Fatal(err)
-		}
-		if n := sched.Stalls(); n != 0 {
-			t.Errorf("dispatcher stalled %d times", n)
-		}
-	})
-}
 
 // testNodes attaches n server nodes to a fresh simulated network on src.
 // Nothing but Time carries the clock: whatever cfg sets, every node is
@@ -108,8 +91,13 @@ func (r *scriptRouter) FindProvidersStream(ctx context.Context, _ cid.Cid) (rout
 }
 
 // TestAwaitFirst pins the one wait the serial discovery blocks on —
-// the stream's first provider, or its wind-down — on both engines.
+// the stream's first provider, or its wind-down — on the scheduler and
+// on the wall clock.
 func TestAwaitFirst(t *testing.T) {
+	simtest.BothEngines(t, testAwaitFirst)
+}
+
+func testAwaitFirst(t *testing.T, ctx context.Context, src simtime.Source, u time.Duration) {
 	p := []wire.PeerInfo{{ID: "provider"}}
 	cases := []struct {
 		name   string
@@ -117,41 +105,46 @@ func TestAwaitFirst(t *testing.T) {
 		ok     bool
 		took   time.Duration
 	}{
-		{"provider, then the stream winds down", scriptRouter{steps: []streamStep{{time.Second, p}}, endAfter: 2 * time.Second}, true, time.Second},
-		{"the stream winds down dry", scriptRouter{endAfter: 2 * time.Second}, false, 2 * time.Second},
-		{"provider deposited as the stream's final act", scriptRouter{endAfter: 2 * time.Second, last: p}, true, 2 * time.Second},
+		{"provider, then the stream winds down", scriptRouter{steps: []streamStep{{u, p}}, endAfter: 2 * u}, true, u},
+		{"the stream winds down dry", scriptRouter{endAfter: 2 * u}, false, 2 * u},
+		{"provider deposited as the stream's final act", scriptRouter{endAfter: 2 * u, last: p}, true, 2 * u},
 	}
-	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
-		n := testNodes(src, 1, Config{})[0]
-		for _, tc := range cases {
-			r := tc.router
-			r.src = src
-			n.SetRouter(&r)
-			start := src.Stamp()
-			ps := n.startProviderStream(ctx, cid.Sum(multicodec.Raw, []byte(tc.name)), simtime.NewSignal(src))
-			got, ok := ps.awaitFirst(ctx)
-			took := src.Since(start)
-			info := ps.Finish()
+	n := testNodes(src, 1, Config{})[0]
+	for _, tc := range cases {
+		r := tc.router
+		r.src = src
+		n.SetRouter(&r)
+		start := src.Stamp()
+		ps := n.startProviderStream(ctx, cid.Sum(multicodec.Raw, []byte(tc.name)), simtime.NewSignal(src))
+		got, ok := ps.awaitFirst(ctx)
+		took := src.Since(start)
+		info := ps.Finish()
 
-			if ok != tc.ok || (ok && got.ID != "provider") {
-				t.Errorf("%s: awaitFirst = %q, %v; want ok=%v", tc.name, got.ID, ok, tc.ok)
-			}
-			if info.Queried != 7 {
-				t.Errorf("%s: Finish reports %d lookup RPCs, want the stream's 7", tc.name, info.Queried)
-			}
-			if simtime.SchedulerOf(src) != nil && took != tc.took {
-				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
-			}
+		if ok != tc.ok || (ok && got.ID != "provider") {
+			t.Errorf("%s: awaitFirst = %q, %v; want ok=%v", tc.name, got.ID, ok, tc.ok)
 		}
-	})
+		if info.Queried != 7 {
+			t.Errorf("%s: Finish reports %d lookup RPCs, want the stream's 7", tc.name, info.Queried)
+		}
+		if simtime.SchedulerOf(src) != nil && took != tc.took {
+			t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+		}
+	}
 }
 
 // TestDiscoverParallel pins the §6.2 race of the Bitswap ask against
-// the provider stream on both engines: whichever answers first wins,
-// the loser is called off with its RPCs still charged, and when both
-// fail the error is the one that arrived first.
+// the provider stream on the scheduler and on the wall clock: whichever
+// answers first wins, the loser is called off with its RPCs still
+// charged, and when both fail the error is the one that arrived first.
+// The neighbour sits on a simulated network, so on the wall clock its
+// one round trip is some real milliseconds: the scripted stream keeps
+// tens of units clear of it.
 func TestDiscoverParallel(t *testing.T) {
-	const window = 10 * time.Second
+	simtest.BothEngines(t, testDiscoverParallel)
+}
+
+func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source, u time.Duration) {
+	window := 100 * u
 	streamDown := errors.New("stream lookup failed")
 	content := []byte("raced content")
 	cases := []struct {
@@ -165,71 +158,69 @@ func TestDiscoverParallel(t *testing.T) {
 		wantHaves int
 	}{{
 		name: "the ask wins", held: true,
-		router: scriptRouter{steps: []streamStep{{5 * time.Second, []wire.PeerInfo{{ID: "far"}}}}},
+		router: scriptRouter{steps: []streamStep{{50 * u, []wire.PeerInfo{{ID: "far"}}}}},
 		hit:    true, wantHaves: 1,
 	}, {
 		name:   "the stream wins",
-		router: scriptRouter{steps: []streamStep{{time.Second, []wire.PeerInfo{{ID: "far"}}}}, endAfter: time.Second},
-		walk:   time.Second, took: time.Second, wantHaves: 1,
+		router: scriptRouter{steps: []streamStep{{u, []wire.PeerInfo{{ID: "far"}}}}, endAfter: u},
+		walk:   u, took: u, wantHaves: 1,
 	}, {
 		name:    "both fail: the stream's error came first",
-		router:  scriptRouter{endAfter: time.Second, err: streamDown},
+		router:  scriptRouter{endAfter: u, err: streamDown},
 		wantErr: streamDown, took: window, wantHaves: 1,
 	}, {
 		name:    "both fail: the ask's timeout came first",
 		router:  scriptRouter{endAfter: 2 * window, err: streamDown},
 		wantErr: ErrNotFound, took: 2 * window, wantHaves: 1,
 	}}
-	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
-		for _, tc := range cases {
-			nodes := testNodes(src, 2, Config{ParallelDiscovery: true, BitswapTimeout: window})
-			getter, neighbour := nodes[0], nodes[1]
-			root := cid.Sum(multicodec.Raw, content)
-			if tc.held {
-				root, _ = neighbour.Add(content)
-			}
-			if _, _, err := getter.Swarm().Connect(ctx, neighbour.ID(), neighbour.Addrs()); err != nil {
-				t.Errorf("%s: connect: %v", tc.name, err)
-				continue
-			}
-			r := tc.router
-			r.src = src
-			getter.SetRouter(&r)
-
-			var res RetrieveResult
-			start := src.Stamp()
-			got, ps, err := getter.discoverParallel(ctx, root, &res)
-			took := src.Since(start)
-			info := ps.Finish()
-
-			switch {
-			case tc.wantErr != nil:
-				if !errors.Is(err, tc.wantErr) {
-					t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
-				}
-			case err != nil:
-				t.Errorf("%s: %v", tc.name, err)
-			case tc.hit && (got.ID != neighbour.ID() || !res.BitswapHit):
-				t.Errorf("%s: provider %s (bitswap hit %v), want the neighbour's HAVE", tc.name, got.ID.Short(), res.BitswapHit)
-			case !tc.hit && (got.ID != "far" || res.BitswapHit || res.ProviderWalk <= 0):
-				t.Errorf("%s: provider %q (bitswap hit %v, walk %v), want the streamed one", tc.name, got.ID, res.BitswapHit, res.ProviderWalk)
-			}
-			// The loser's RPCs: the ask's WANT-HAVE lands on the result
-			// here, the stream's lookup messages are Finish's to report.
-			if res.WantHaves != tc.wantHaves || info.Queried != 7 {
-				t.Errorf("%s: charged %d WANT-HAVEs and %d lookup RPCs, want %d and 7", tc.name, res.WantHaves, info.Queried, tc.wantHaves)
-			}
-			if simtime.SchedulerOf(src) == nil {
-				continue
-			}
-			if tc.took > 0 && took != tc.took {
-				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
-			}
-			if res.ProviderWalk != tc.walk {
-				t.Errorf("%s: ProviderWalk = %v, want exactly %v", tc.name, res.ProviderWalk, tc.walk)
-			}
+	for _, tc := range cases {
+		nodes := testNodes(src, 2, Config{ParallelDiscovery: true, BitswapTimeout: window})
+		getter, neighbour := nodes[0], nodes[1]
+		root := cid.Sum(multicodec.Raw, content)
+		if tc.held {
+			root, _ = neighbour.Add(content)
 		}
-	})
+		if _, _, err := getter.Swarm().Connect(ctx, neighbour.ID(), neighbour.Addrs()); err != nil {
+			t.Errorf("%s: connect: %v", tc.name, err)
+			continue
+		}
+		r := tc.router
+		r.src = src
+		getter.SetRouter(&r)
+
+		var res RetrieveResult
+		start := src.Stamp()
+		got, ps, err := getter.discoverParallel(ctx, root, &res)
+		took := src.Since(start)
+		info := ps.Finish()
+
+		switch {
+		case tc.wantErr != nil:
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.hit && (got.ID != neighbour.ID() || !res.BitswapHit):
+			t.Errorf("%s: provider %s (bitswap hit %v), want the neighbour's HAVE", tc.name, got.ID.Short(), res.BitswapHit)
+		case !tc.hit && (got.ID != "far" || res.BitswapHit || res.ProviderWalk <= 0):
+			t.Errorf("%s: provider %q (bitswap hit %v, walk %v), want the streamed one", tc.name, got.ID, res.BitswapHit, res.ProviderWalk)
+		}
+		// The loser's RPCs: the ask's WANT-HAVE lands on the result
+		// here, the stream's lookup messages are Finish's to report.
+		if res.WantHaves != tc.wantHaves || info.Queried != 7 {
+			t.Errorf("%s: charged %d WANT-HAVEs and %d lookup RPCs, want %d and 7", tc.name, res.WantHaves, info.Queried, tc.wantHaves)
+		}
+		if simtime.SchedulerOf(src) == nil {
+			continue
+		}
+		if tc.took > 0 && took != tc.took {
+			t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+		}
+		if res.ProviderWalk != tc.walk {
+			t.Errorf("%s: ProviderWalk = %v, want exactly %v", tc.name, res.ProviderWalk, tc.walk)
+		}
+	}
 }
 
 // TestProvidedOrderIsStable is the regression test for the republish
@@ -269,34 +260,32 @@ func TestProvidedOrderIsStable(t *testing.T) {
 // the scheduler carries the virtual instant and is gone once virtual
 // time passes its TTL, with the wall clock years away from both.
 func TestRecordsLiveOnTheNodesOneClock(t *testing.T) {
-	sched := simtime.NewScheduler(simtime.NewClock(testEpoch), simtime.SchedulerOpts{})
-	nodes := testNodes(sched, 4, Config{Mode: dht.ModeServer, Routing: routing.KindParallel})
-	pub := nodes[0]
-	root, err := pub.Add([]byte("stamped on virtual time"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	holders := func() (n int, stamps []time.Time) {
-		for _, node := range nodes[1:] {
-			for _, rec := range node.DHT().Providers().Get(root) {
-				n++
-				stamps = append(stamps, rec.Published)
-			}
+	simtest.Run(t, func(ctx context.Context, sched *simtime.Scheduler) {
+		nodes := testNodes(sched, 4, Config{Mode: dht.ModeServer, Routing: routing.KindParallel})
+		pub := nodes[0]
+		root, err := pub.Add([]byte("stamped on virtual time"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n, stamps
-	}
-	err = sched.Run(context.Background(), func(ctx context.Context) {
+		holders := func() (n int, stamps []time.Time) {
+			for _, node := range nodes[1:] {
+				for _, rec := range node.DHT().Providers().Get(root) {
+					n++
+					stamps = append(stamps, rec.Published)
+				}
+			}
+			return n, stamps
+		}
 		if _, err := pub.Publish(ctx, root); err != nil {
-			t.Errorf("publish: %v", err)
-			return
+			t.Fatalf("publish: %v", err)
 		}
 		n, stamps := holders()
 		if n == 0 {
 			t.Error("no peer stored the provider record")
 		}
 		for _, at := range stamps {
-			if at.Before(testEpoch) || at.After(sched.Now()) {
-				t.Errorf("record stamped %v, want the virtual instant of the publish (%v .. %v)", at, testEpoch, sched.Now())
+			if at.Before(simtest.Epoch) || at.After(sched.Now()) {
+				t.Errorf("record stamped %v, want the virtual instant of the publish (%v .. %v)", at, simtest.Epoch, sched.Now())
 			}
 		}
 		sched.Sleep(ctx, 23*time.Hour)
@@ -308,10 +297,4 @@ func TestRecordsLiveOnTheNodesOneClock(t *testing.T) {
 			t.Errorf("%d records outlived 25 h of virtual time: the TTL is not running on the node's source", n)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sched.Stalls(); n != 0 {
-		t.Errorf("dispatcher stalled %d times: some wait of the node is not on its source", n)
-	}
 }

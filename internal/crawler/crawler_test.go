@@ -8,6 +8,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/peer"
 	"repro/internal/simnet"
+	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
 	"repro/internal/testnet"
 	"repro/internal/wire"
@@ -16,32 +17,18 @@ import (
 func buildCrawler(tn *testnet.Testnet, seed int64) *crawler.Crawler {
 	ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
 	ep := tn.Net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	sw := swarm.New(ident, ep, tn.Time)
+	sw := swarm.New(ident, ep, tn.Sched)
 	return crawler.New(sw, crawler.Config{Workers: 64})
-}
-
-// onScheduler runs body inside the event-driven testnet's scheduler, so
-// the crawl's dial and RPC timeouts are virtual and what it finds is a
-// property of the seed, not of host load. body reports through t.Error
-// only: it is not on the test's goroutine.
-func onScheduler(t *testing.T, tn *testnet.Testnet, body func(ctx context.Context)) {
-	t.Helper()
-	if err := tn.Sched.Run(context.Background(), body); err != nil {
-		t.Fatal(err)
-	}
-	if n := tn.Sched.Stalls(); n != 0 {
-		t.Errorf("dispatcher stalled %d times", n)
-	}
 }
 
 func TestCrawlDiscoversWholeNetwork(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 120, Seed: 21, EventDriven: true,
+		N: 120, Seed: 21,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	c := buildCrawler(tn, 500)
 	boot := []wire.PeerInfo{tn.Nodes[0].Info(), tn.Nodes[1].Info()}
-	onScheduler(t, tn, func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		report := c.Crawl(ctx, boot)
 
 		if len(report.Observations) < 118 {
@@ -58,7 +45,7 @@ func TestCrawlDiscoversWholeNetwork(t *testing.T) {
 
 func TestCrawlClassifiesUndialable(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 100, Seed: 22, EventDriven: true,
+		N: 100, Seed: 22,
 		FracDead: 0.30, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	c := buildCrawler(tn, 501)
@@ -76,7 +63,7 @@ func TestCrawlClassifiesUndialable(t *testing.T) {
 			dead++
 		}
 	}
-	onScheduler(t, tn, func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		report := c.Crawl(ctx, boot)
 		if report.Undialable() == 0 {
 			t.Error("no undialable peers recorded despite dead population")
@@ -111,12 +98,12 @@ func TestCrawlClassifiesUndialable(t *testing.T) {
 
 func TestCrawlFromDeadBootstrapFindsNothing(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 30, Seed: 23, EventDriven: true,
+		N: 30, Seed: 23,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	c := buildCrawler(tn, 502)
 	ghost := peer.MustNewIdentity(rand.New(rand.NewSource(999)))
-	onScheduler(t, tn, func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		report := c.Crawl(ctx, []wire.PeerInfo{{ID: ghost.ID}})
 		if len(report.Observations) != 1 || report.Dialable() != 0 {
 			t.Errorf("observations = %d, dialable = %d", len(report.Observations), report.Dialable())
@@ -126,13 +113,13 @@ func TestCrawlFromDeadBootstrapFindsNothing(t *testing.T) {
 
 func TestRepeatedCrawlsSeeChurn(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 80, Seed: 24, EventDriven: true,
+		N: 80, Seed: 24,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	c := buildCrawler(tn, 503)
 	boot := []wire.PeerInfo{tn.Nodes[0].Info(), tn.Nodes[1].Info()}
 
-	onScheduler(t, tn, func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		r1 := c.Crawl(ctx, boot)
 		// Take a third of the network offline.
 		for i := 10; i < 35; i++ {

@@ -18,7 +18,6 @@ import (
 type AblationConfig struct {
 	NetworkSize int
 	Iterations  int
-	Scale       float64
 	Seed        int64
 }
 
@@ -28,9 +27,6 @@ func (c AblationConfig) withDefaults() AblationConfig {
 	}
 	if c.Iterations <= 0 {
 		c.Iterations = 6
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.001
 	}
 	if c.Seed == 0 {
 		c.Seed = 23
@@ -59,46 +55,44 @@ func RunReplicationSweep(cfg AblationConfig, ks []int, churnFraction float64) []
 	var out []ReplicationPoint
 	for _, k := range ks {
 		tn := testnet.Build(testnet.Config{
-			N: cfg.NetworkSize, Seed: cfg.Seed, Scale: cfg.Scale, K: k,
+			N: cfg.NetworkSize, Seed: cfg.Seed, K: k,
 			FracDead: 0.10, FracSlow: 0.05, FracWSBroken: 0.01,
 		})
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
 		pub := tn.AddVantage(geo.EuCentral1, cfg.Seed+int64(100+k))
 		get := tn.AddVantage(geo.UsWest1, cfg.Seed+int64(200+k))
-		ctx := context.Background()
-		pub.DHT().PublishPeerRecord(ctx)
-
 		pubDur := stats.NewSample()
 		var stored float64
-		payload := make([]byte, 64*1024)
 		var roots []cid.Cid
-		for i := 0; i < cfg.Iterations; i++ {
-			rng.Read(payload)
-			res, err := pub.AddAndPublish(ctx, payload)
-			if err != nil {
-				continue
-			}
-			pubDur.AddDuration(res.TotalDuration)
-			stored += float64(res.StoreOK)
-			roots = append(roots, res.Cid)
-		}
-
-		// Churn: a fraction of the network departs.
-		perm := rng.Perm(len(tn.Nodes))
-		for _, idx := range perm[:int(churnFraction*float64(len(tn.Nodes)))] {
-			tn.Net.SetOnline(tn.Nodes[idx].ID(), false)
-		}
-
 		survived := 0
-		for _, root := range roots {
-			testnet.FlushVantage(get)
-			rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			if _, _, err := get.Retrieve(rctx, root); err == nil {
-				survived++
+		simulate(tn, func(ctx context.Context) {
+			pub.DHT().PublishPeerRecord(ctx)
+			payload := make([]byte, 64*1024)
+			for i := 0; i < cfg.Iterations; i++ {
+				rng.Read(payload)
+				res, err := pub.AddAndPublish(ctx, payload)
+				if err != nil {
+					continue
+				}
+				pubDur.AddDuration(res.TotalDuration)
+				stored += float64(res.StoreOK)
+				roots = append(roots, res.Cid)
 			}
-			cancel()
-			get.ClearStore()
-		}
+
+			// Churn: a fraction of the network departs.
+			perm := rng.Perm(len(tn.Nodes))
+			for _, idx := range perm[:int(churnFraction*float64(len(tn.Nodes)))] {
+				tn.Net.SetOnline(tn.Nodes[idx].ID(), false)
+			}
+
+			for _, root := range roots {
+				testnet.FlushVantage(get)
+				if _, _, err := get.Retrieve(ctx, root); err == nil {
+					survived++
+				}
+				get.ClearStore()
+			}
+		})
 		point := ReplicationPoint{K: k}
 		if pubDur.Len() > 0 {
 			point.PubMedian = time.Duration(pubDur.Median() * float64(time.Second))
@@ -130,7 +124,6 @@ func RunAlphaSweep(cfg AblationConfig, alphas []int) []AlphaPoint {
 		res := RunPerformance(PerfConfig{
 			NetworkSize:   cfg.NetworkSize,
 			IterationsPer: cfg.Iterations / 3,
-			Scale:         cfg.Scale,
 			Seed:          cfg.Seed,
 			Alpha:         a,
 		})
@@ -164,7 +157,6 @@ func RunParallelDiscovery(cfg AblationConfig) []DiscoveryPoint {
 		res := RunPerformance(PerfConfig{
 			NetworkSize:       cfg.NetworkSize,
 			IterationsPer:     cfg.Iterations / 2,
-			Scale:             cfg.Scale,
 			Seed:              cfg.Seed,
 			ParallelDiscovery: parallel,
 		})
@@ -202,30 +194,31 @@ func RunClientServerSplit(cfg AblationConfig) []ClientServerPoint {
 			dead = 0.45 // NAT'd peers join tables too (§2.3's motivation)
 		}
 		tn := testnet.Build(testnet.Config{
-			N: cfg.NetworkSize, Seed: cfg.Seed, Scale: cfg.Scale,
+			N: cfg.NetworkSize, Seed: cfg.Seed,
 			FracDead: dead, FracSlow: 0.05, FracWSBroken: 0.01,
 			OmitProviderAddrs: true,
 		})
 		pub := tn.AddVantage(geo.EuCentral1, cfg.Seed+1)
 		get := tn.AddVantage(geo.UsWest1, cfg.Seed+2)
-		ctx := context.Background()
-		pub.DHT().PublishPeerRecord(ctx)
 		rng := rand.New(rand.NewSource(cfg.Seed + 3))
-		payload := make([]byte, 64*1024)
 		pubS, retrS := stats.NewSample(), stats.NewSample()
-		for i := 0; i < cfg.Iterations; i++ {
-			rng.Read(payload)
-			res, err := pub.AddAndPublish(ctx, payload)
-			if err != nil {
-				continue
+		simulate(tn, func(ctx context.Context) {
+			pub.DHT().PublishPeerRecord(ctx)
+			payload := make([]byte, 64*1024)
+			for i := 0; i < cfg.Iterations; i++ {
+				rng.Read(payload)
+				res, err := pub.AddAndPublish(ctx, payload)
+				if err != nil {
+					continue
+				}
+				pubS.AddDuration(res.TotalDuration)
+				testnet.FlushVantage(get)
+				if _, rres, err := get.Retrieve(ctx, res.Cid); err == nil {
+					retrS.AddDuration(rres.Total)
+				}
+				get.ClearStore()
 			}
-			pubS.AddDuration(res.TotalDuration)
-			testnet.FlushVantage(get)
-			if _, rres, err := get.Retrieve(ctx, res.Cid); err == nil {
-				retrS.AddDuration(rres.Total)
-			}
-			get.ClearStore()
-		}
+		})
 		pt := ClientServerPoint{SplitEnabled: split}
 		if pubS.Len() > 0 {
 			pt.PubMedian = time.Duration(pubS.Median() * float64(time.Second))
@@ -256,7 +249,7 @@ func RunGatewayCacheSweep(cfg AblationConfig, sizes []int64) []CachePoint {
 	for _, size := range sizes {
 		res := RunGateway(GatewayConfig{
 			NetworkSize: 40, Objects: 150, Requests: 1500,
-			CacheBytes: size, Scale: cfg.Scale, Seed: cfg.Seed,
+			CacheBytes: size, Seed: cfg.Seed,
 		})
 		var total, nginx, node int
 		for tier, s := range res.Tiers {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,6 @@ type DeployConfig struct {
 	CrawlInterval time.Duration
 	// Window is the churn observation window (default 24 h).
 	Window time.Duration
-	Scale  float64
 	Seed   int64
 }
 
@@ -52,9 +52,6 @@ func (c DeployConfig) withDefaults() DeployConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = 24 * time.Hour
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.0005
 	}
 	if c.Seed == 0 {
 		c.Seed = 7
@@ -86,7 +83,7 @@ func RunDeployment(cfg DeployConfig) *DeployResults {
 	popCfg.Seed = cfg.Seed
 	pop := geo.GeneratePopulation(popCfg)
 
-	epochStart := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
+	epochStart := testnet.DefaultEpoch
 	tl := churn.GenerateTimeline(pop, churn.TimelineConfig{
 		Start: epochStart, Duration: cfg.Window, Seed: cfg.Seed + 1,
 	})
@@ -95,40 +92,40 @@ func RunDeployment(cfg DeployConfig) *DeployResults {
 	// Fig 4a: repeated crawls of a live network whose peers follow the
 	// first CrawlNetworkSize timelines.
 	tn := testnet.Build(testnet.Config{
-		N: cfg.CrawlNetworkSize, Seed: cfg.Seed + 2, Scale: cfg.Scale,
+		N: cfg.CrawlNetworkSize, Seed: cfg.Seed + 2,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	ident := peer.MustNewIdentity(rand.New(rand.NewSource(cfg.Seed + 3)))
 	ep := tn.Net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	cr := crawler.New(swarm.New(ident, ep, tn.Time), crawler.Config{Workers: 96})
+	cr := crawler.New(swarm.New(ident, ep, tn.Sched), crawler.Config{Workers: 96})
 
-	ctx := context.Background()
-	for e := 0; e < cfg.CrawlEpochs; e++ {
-		now := epochStart.Add(time.Duration(e) * cfg.CrawlInterval)
-		var boot []int
-		for i := range tn.Nodes {
-			online := tl.Peers[i].OnlineAt(now)
-			tn.Net.SetOnline(tn.Nodes[i].ID(), online)
-			if online && len(boot) < 4 {
-				boot = append(boot, i)
+	simulate(tn, func(ctx context.Context) {
+		for e := 0; e < cfg.CrawlEpochs; e++ {
+			now := epochStart.Add(time.Duration(e) * cfg.CrawlInterval)
+			if tn.Sched.SleepUntil(ctx, now) != nil {
+				return
 			}
+			var boot []int
+			for i := range tn.Nodes {
+				online := tl.Peers[i].OnlineAt(now)
+				tn.Net.SetOnline(tn.Nodes[i].ID(), online)
+				if online && len(boot) < 4 {
+					boot = append(boot, i)
+				}
+			}
+			infos := make([]wire.PeerInfo, 0, len(boot))
+			for _, i := range boot {
+				infos = append(infos, tn.Nodes[i].Info())
+			}
+			report := cr.Crawl(ctx, infos)
+			res.Epochs = append(res.Epochs, CrawlEpoch{
+				Time:       now,
+				Total:      len(report.Observations),
+				Dialable:   report.Dialable(),
+				Undialable: report.Undialable(),
+			})
 		}
-		infos := make([]wire.PeerInfo, 0, len(boot))
-		for _, i := range boot {
-			infos = append(infos, tn.Nodes[i].Info())
-		}
-		report := cr.Crawl(ctx, infos)
-		res.Epochs = append(res.Epochs, CrawlEpoch{
-			Time:       now,
-			Total:      len(report.Observations),
-			Dialable:   report.Dialable(),
-			Undialable: report.Undialable(),
-		})
-	}
-	// Restore liveness for any later use of the testnet.
-	for i := range tn.Nodes {
-		tn.Net.SetOnline(tn.Nodes[i].ID(), true)
-	}
+	})
 	return res
 }
 
@@ -145,23 +142,13 @@ func (r *DeployResults) Fig4a() string {
 
 // Fig5 renders the geographic distribution of peers.
 func (r *DeployResults) Fig5() string {
-	counts := r.Pop.CountryCounts()
-	type kv struct {
-		c geo.Region
-		n int
-	}
-	var list []kv
-	for c, n := range counts {
-		list = append(list, kv{c, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
 	t := stats.NewTable("Country", "Peers", "Share")
 	total := len(r.Pop.Peers)
-	for i, e := range list {
+	for i, e := range ranked(r.Pop.CountryCounts()) {
 		if i >= 10 {
 			break
 		}
-		t.AddRow(string(e.c), e.n, fmt.Sprintf("%.1f%%", 100*float64(e.n)/float64(total)))
+		t.AddRow(string(e.key), e.n, fmt.Sprintf("%.1f%%", 100*float64(e.n)/float64(total)))
 	}
 	return "Figure 5: geographical distribution of peers (top 10)\n" + t.String()
 }
@@ -177,21 +164,14 @@ func (r *DeployResults) Table2() string {
 		ipSeen[p.IP] = true
 		byAS[p.AS.Rank]++
 	}
-	type kv struct {
-		rank, n int
-	}
-	var list []kv
+	list := ranked(byAS)
 	totalIPs := len(ipSeen)
-	for rank, n := range byAS {
-		list = append(list, kv{rank, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
 	infos := r.Pop.AS.Infos()
 	t := stats.NewTable("Share", "ASN", "Rank", "AS Name")
 	cum := 0.0
 	for _, e := range list {
 		share := float64(e.n) / float64(totalIPs)
-		info := infos[e.rank-1]
+		info := infos[e.key-1]
 		t.AddRow(fmt.Sprintf("%.1f%%", 100*share), info.ASN, info.Rank, info.Name)
 		cum += share
 		if cum > 0.5 {
@@ -200,7 +180,7 @@ func (r *DeployResults) Table2() string {
 	}
 	top10 := 0
 	for _, e := range list {
-		if e.rank <= 10 {
+		if e.key <= 10 {
 			top10 += e.n
 		}
 	}
@@ -219,18 +199,9 @@ func (r *DeployResults) Table3() string {
 			cloudTotal++
 		}
 	}
-	type kv struct {
-		name string
-		n    int
-	}
-	var list []kv
-	for name, n := range byCloud {
-		list = append(list, kv{name, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
 	t := stats.NewTable("Rank", "Provider", "Peers", "Share")
-	for i, e := range list {
-		t.AddRow(i+1, e.name, e.n, fmt.Sprintf("%.2f%%", 100*float64(e.n)/float64(len(r.Pop.Peers))))
+	for i, e := range ranked(byCloud) {
+		t.AddRow(i+1, e.key, e.n, fmt.Sprintf("%.2f%%", 100*float64(e.n)/float64(len(r.Pop.Peers))))
 	}
 	nonCloud := len(r.Pop.Peers) - cloudTotal
 	t.AddRow("-", "Non-Cloud", nonCloud, fmt.Sprintf("%.2f%%", 100*float64(nonCloud)/float64(len(r.Pop.Peers))))
@@ -275,26 +246,39 @@ func (r *DeployResults) Fig7b() string {
 	return head + t
 }
 
+// count is one entry of a ranked tally.
+type count[K cmp.Ordered] struct {
+	key K
+	n   int
+}
+
+// ranked lists a tally largest first, ties by key: map iteration order
+// must not reach a render.
+func ranked[K cmp.Ordered](tally map[K]int) []count[K] {
+	list := make([]count[K], 0, len(tally))
+	for k, n := range tally {
+		list = append(list, count[K]{k, n})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].n != list[j].n {
+			return list[i].n > list[j].n
+		}
+		return list[i].key < list[j].key
+	})
+	return list
+}
+
 func rankedCountryTable(counts map[geo.Region]int, total int, unit string) string {
-	type kv struct {
-		c geo.Region
-		n int
-	}
-	var list []kv
-	for c, n := range counts {
-		list = append(list, kv{c, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
 	t := stats.NewTable("Country", "Peers", "Share")
-	for i, e := range list {
+	for i, e := range ranked(counts) {
 		if i >= 9 {
 			break
 		}
 		switch unit {
 		case "permille":
-			t.AddRow(string(e.c), e.n, fmt.Sprintf("%.2f‰", 1000*float64(e.n)/float64(total)))
+			t.AddRow(string(e.key), e.n, fmt.Sprintf("%.2f‰", 1000*float64(e.n)/float64(total)))
 		default:
-			t.AddRow(string(e.c), e.n, fmt.Sprintf("%.2f%%", 100*float64(e.n)/float64(total)))
+			t.AddRow(string(e.key), e.n, fmt.Sprintf("%.2f%%", 100*float64(e.n)/float64(total)))
 		}
 	}
 	return t.String()

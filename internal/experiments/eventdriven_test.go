@@ -21,7 +21,6 @@ func eventDrivenConfig(n, workers int) RoutingConfig {
 		ChurnAmplitude: 2,
 		Kinds:          []routing.Kind{routing.KindDHT, routing.KindIndexer},
 		NoRefresh:      true,
-		EventDriven:    true,
 		Workers:        workers,
 		Seed:           77,
 	}

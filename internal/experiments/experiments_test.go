@@ -9,6 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
+// The small §4.3 and §6.3 configurations the shape, golden and replay
+// tests all run.
+var (
+	smallPerf    = PerfConfig{NetworkSize: 300, IterationsPer: 2, Seed: 42}
+	smallGateway = GatewayConfig{NetworkSize: 40, Objects: 120, Requests: 1200, TraceOnly: 30000, Seed: 17}
+)
+
 // small perf run shared across assertions.
 var perfOnce *PerfResults
 
@@ -18,7 +25,7 @@ func perfResults(t *testing.T) *PerfResults {
 		t.Skip("skipping the full performance experiment in -short mode")
 	}
 	if perfOnce == nil {
-		perfOnce = RunPerformance(PerfConfig{NetworkSize: 300, IterationsPer: 2, Scale: 0.0015, Seed: 42})
+		perfOnce = RunPerformance(smallPerf)
 	}
 	return perfOnce
 }
@@ -71,8 +78,7 @@ func TestPerformanceRenderers(t *testing.T) {
 
 func TestDeploymentShapes(t *testing.T) {
 	res := RunDeployment(DeployConfig{
-		PopulationSize: 8000, CrawlNetworkSize: 250, CrawlEpochs: 4,
-		Scale: 0.0005, Seed: 7,
+		PopulationSize: 8000, CrawlNetworkSize: 250, CrawlEpochs: 4, Seed: 7,
 	})
 	if len(res.Epochs) != 4 {
 		t.Fatalf("epochs = %d", len(res.Epochs))
@@ -106,14 +112,22 @@ func TestDeploymentShapes(t *testing.T) {
 	}
 }
 
-func TestGatewayShapes(t *testing.T) {
+// small gateway run shared across assertions.
+var gatewayOnce *GatewayResults
+
+func gatewayResults(t *testing.T) *GatewayResults {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping the gateway experiment in -short mode")
 	}
-	res := RunGateway(GatewayConfig{
-		NetworkSize: 40, Objects: 120, Requests: 1200, TraceOnly: 30000,
-		Scale: 0.0008, Seed: 17,
-	})
+	if gatewayOnce == nil {
+		gatewayOnce = RunGateway(smallGateway)
+	}
+	return gatewayOnce
+}
+
+func TestGatewayShapes(t *testing.T) {
+	res := gatewayResults(t)
 	var total int
 	for _, s := range res.Tiers {
 		total += s.Requests
@@ -154,7 +168,7 @@ func TestGatewayCacheSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the gateway cache sweep in -short mode")
 	}
-	pts := RunGatewayCacheSweep(AblationConfig{Scale: 0.0008, Seed: 23}, []int64{2 << 20, 32 << 20})
+	pts := RunGatewayCacheSweep(AblationConfig{Seed: 23}, []int64{2 << 20, 32 << 20})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -167,7 +181,7 @@ func TestClientServerSplitAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping the churned client/server ablation in -short mode")
 	}
-	pts := RunClientServerSplit(AblationConfig{NetworkSize: 200, Iterations: 3, Scale: 0.001, Seed: 23})
+	pts := RunClientServerSplit(AblationConfig{NetworkSize: 200, Iterations: 3, Seed: 23})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -186,7 +200,7 @@ func TestClientServerSplitAblation(t *testing.T) {
 }
 
 func TestReplicationSweep(t *testing.T) {
-	pts := RunReplicationSweep(AblationConfig{NetworkSize: 200, Iterations: 4, Scale: 0.001, Seed: 23}, []int{4, 20}, 0.5)
+	pts := RunReplicationSweep(AblationConfig{NetworkSize: 200, Iterations: 4, Seed: 23}, []int{4, 20}, 0.5)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}

@@ -2,9 +2,9 @@
 // runs of the routing comparison — a sustained packet-loss sweep, a
 // regional partition that heals mid-window, and a Fig-7-style
 // reachability cohort mix — each pinning how the routers' hit rates and
-// RPC budgets degrade under imperfect conditions. All three run on the
-// event-driven scheduler in deterministic lockstep, so seeded runs
-// replay bit-for-bit and golden files can pin the full time series.
+// RPC budgets degrade under imperfect conditions. All three run in
+// deterministic lockstep, so seeded runs replay bit-for-bit and golden
+// files pin the full time series.
 
 package experiments
 
@@ -23,9 +23,8 @@ import (
 var LossSweepRates = []float64{0, 0.10, 0.20, 0.30}
 
 // faultScenarioDefaults are shared across the pack: a population small
-// enough for tests, low behaviour-class noise, raised timeouts so
-// race-detector runs cannot flip a session outcome, and deterministic
-// lockstep on the event-driven path.
+// enough for tests, low behaviour-class noise, 30 s timeouts (the
+// goldens are pinned to them), and deterministic lockstep.
 func faultScenarioDefaults(seed int64) RoutingConfig {
 	return RoutingConfig{
 		NetworkSize:    120,
@@ -33,9 +32,7 @@ func faultScenarioDefaults(seed int64) RoutingConfig {
 		K:              4,
 		QueryTimeout:   30 * time.Second,
 		BitswapTimeout: 30 * time.Second,
-		EventDriven:    true,
 		Workers:        1,
-		Scale:          0.002,
 		Seed:           seed,
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/routing"
+	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
 	"repro/internal/wire"
 )
@@ -201,64 +202,64 @@ func TestReachabilityMixBurnsDialBudget(t *testing.T) {
 // control retrieval with a freshly crawled snapshot routes its session.
 func TestAcceleratedFallbackCarriesUnreachableSnapshot(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 80, Seed: 21, Scale: 0.002, K: 4,
+		N: 80, Seed: 21, K: 4,
 		QueryTimeout: 30 * time.Second, BitswapTimeout: 30 * time.Second,
 		ReachabilityMix: true,
 		FracDead:        1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
-	ctx := context.Background()
-	pub := tn.AddVantageRouting(geo.EuCentral1, 301, routing.KindAccelerated, nil)
-	get := tn.AddVantageRouting(geo.UsWest1, 302, routing.KindAccelerated, nil)
-	if _, err := pub.RefreshRoutingSnapshot(ctx); err != nil {
-		t.Fatalf("publisher crawl: %v", err)
-	}
-	if _, err := get.RefreshRoutingSnapshot(ctx); err != nil {
-		t.Fatalf("getter crawl: %v", err)
-	}
-	payload := make([]byte, 16*1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	pubRes, err := pub.AddAndPublish(ctx, payload)
-	if err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-
-	testnet.FlushVantage(get)
-	data, rres, err := get.Retrieve(ctx, pubRes.Cid)
-	if err != nil || len(data) != len(payload) {
-		t.Fatalf("control retrieval failed: %v (%d bytes)", err, len(data))
-	}
-	if !rres.RoutedSession {
-		t.Fatal("control retrieval with a fresh snapshot did not route its session")
-	}
-	get.ClearStore()
-
-	var nat []wire.PeerInfo
-	for _, node := range tn.Nodes {
-		if !tn.Net.Dialable(node.ID()) {
-			nat = append(nat, node.Info())
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		pub := tn.AddVantageRouting(geo.EuCentral1, 301, routing.KindAccelerated, nil)
+		get := tn.AddVantageRouting(geo.UsWest1, 302, routing.KindAccelerated, nil)
+		if _, err := pub.RefreshRoutingSnapshot(ctx); err != nil {
+			t.Fatalf("publisher crawl: %v", err)
 		}
-	}
-	if len(nat) < 4 {
-		t.Fatalf("reachability mix produced only %d NAT'd peers in an 80-peer population", len(nat))
-	}
-	get.Accelerated().SetSnapshot(nat)
+		if _, err := get.RefreshRoutingSnapshot(ctx); err != nil {
+			t.Fatalf("getter crawl: %v", err)
+		}
+		payload := make([]byte, 16*1024)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		pubRes, err := pub.AddAndPublish(ctx, payload)
+		if err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 
-	testnet.FlushVantage(get)
-	data, rres, err = get.Retrieve(ctx, pubRes.Cid)
-	if err != nil || len(data) != len(payload) {
-		t.Fatalf("retrieval with an undialable-only snapshot failed outright: %v (%d bytes) — the walk fallback did not engage", err, len(data))
-	}
-	if rres.RoutedSession {
-		t.Error("session routed through a snapshot of exclusively undialable peers")
-	}
+		testnet.FlushVantage(get)
+		data, rres, err := get.Retrieve(ctx, pubRes.Cid)
+		if err != nil || len(data) != len(payload) {
+			t.Fatalf("control retrieval failed: %v (%d bytes)", err, len(data))
+		}
+		if !rres.RoutedSession {
+			t.Fatal("control retrieval with a fresh snapshot did not route its session")
+		}
+		get.ClearStore()
+
+		var nat []wire.PeerInfo
+		for _, node := range tn.Nodes {
+			if !tn.Net.Dialable(node.ID()) {
+				nat = append(nat, node.Info())
+			}
+		}
+		if len(nat) < 4 {
+			t.Fatalf("reachability mix produced only %d NAT'd peers in an 80-peer population", len(nat))
+		}
+		get.Accelerated().SetSnapshot(nat)
+
+		testnet.FlushVantage(get)
+		data, rres, err = get.Retrieve(ctx, pubRes.Cid)
+		if err != nil || len(data) != len(payload) {
+			t.Fatalf("retrieval with an undialable-only snapshot failed outright: %v (%d bytes) — the walk fallback did not engage", err, len(data))
+		}
+		if rres.RoutedSession {
+			t.Error("session routed through a snapshot of exclusively undialable peers")
+		}
+	})
 }
 
-// faultDeterminismConfig is the lossy, partitioned, NAT-mixed
-// event-driven scenario the determinism tests replay: every fault lever
-// at once, on the lockstep scheduler, so the seeded jitter hash — not a
-// shared rng race — must carry all loss and delay draws.
+// faultDeterminismConfig is the lossy, partitioned, NAT-mixed scenario
+// the determinism tests replay: every fault lever at once, in lockstep,
+// with the seeded jitter hash carrying all loss and delay draws.
 func faultDeterminismConfig(n int) RoutingConfig {
 	return RoutingConfig{
 		NetworkSize:      n,
@@ -274,7 +275,6 @@ func faultDeterminismConfig(n int) RoutingConfig {
 		HealAt:           5 * time.Hour,
 		ReachabilityMix:  true,
 		NoRefresh:        true,
-		EventDriven:      true,
 		Workers:          1,
 		Seed:             88,
 	}

@@ -138,7 +138,7 @@ type FleetScenarioResults struct {
 // content (shed or origin failure) for the replayer's failure count.
 var errFleetFetch = errors.New("experiments: fleet request not served")
 
-// RunFleetScenario builds an event-driven testnet, publishes a catalog
+// RunFleetScenario builds a testnet, publishes a catalog
 // from a pack-engine origin host, stands up a gateway fleet over a
 // shared block cache, and replays a steady phase, a 100x viral-CID
 // burst and a cooldown through the fleet — measuring per-phase TTFB,
@@ -153,7 +153,7 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	tn := testnet.Build(testnet.Config{
 		N: cfg.NetworkSize, Seed: cfg.Seed + 1,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
-		EventDriven: true, Workers: cfg.Workers,
+		Workers: cfg.Workers,
 	})
 
 	// The origin content host: every catalog object lives here, served
@@ -180,7 +180,7 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 		MaxInflight:     cfg.MaxInflight,
 		QueueHigh:       cfg.QueueHigh,
 		QueueLow:        cfg.QueueLow,
-		Time:            tn.Time,
+		Time:            tn.Sched,
 		Registry:        reg,
 	})
 
@@ -220,7 +220,7 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	do := func(ctx context.Context, r gwload.Request) error {
 		resp := fleet.Fetch(ctx, gateway.Request{
 			Cid:      cids[r.Object],
-			Time:     tn.Time.Now(),
+			Time:     tn.Sched.Now(),
 			Country:  r.Country,
 			UserID:   r.UserID,
 			Referrer: r.Referrer,
@@ -239,7 +239,7 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 			// offset: when an earlier phase overran its slot, nominal
 			// timestamps would all be in the past and the whole trace
 			// would fire at once instead of at its arrival rate.
-			rs := gwload.Replay(ctx, tn.Time, gen(tn.Time.Now()), do)
+			rs := gwload.Replay(ctx, tn.Sched, gen(tn.Sched.Now()), do)
 			budget := tn.Net.Budget().Sub(budgetBefore)
 			res.Phases = append(res.Phases, FleetPhase{
 				Name:       name,

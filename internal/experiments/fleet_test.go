@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/gwfleet"
+	"repro/internal/simtime/simtest"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
 	"repro/internal/transport"
@@ -57,12 +58,11 @@ func TestFleetNegativeCache(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
 		N: 60, Seed: 31,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
-		EventDriven: true,
 	})
 	gwNodes := tn.AddGatewayFleet(2, 40, nil)
 	fleet := gwfleet.New(gwNodes, gwfleet.Config{
 		NegativeTTL: negTTL,
-		Time:        tn.Time,
+		Time:        tn.Sched,
 		Registry:    telemetry.NewRegistry(),
 	})
 
@@ -77,14 +77,14 @@ func TestFleetNegativeCache(t *testing.T) {
 		return d.Category(transport.CatLookup) + d.Category(transport.CatWant)
 	}
 
-	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		scratch := tn.AddGatewayFleet(1, 50, nil)[0]
 		root, err := scratch.Add(data)
 		if err != nil {
 			t.Errorf("scratch add: %v", err)
 			return
 		}
-		req := gateway.Request{Cid: root, Time: tn.Time.Now()}
+		req := gateway.Request{Cid: root, Time: tn.Sched.Now()}
 
 		// First request: the whole fleet pays exactly one origin attempt.
 		var first gwfleet.Response
@@ -114,7 +114,7 @@ func TestFleetNegativeCache(t *testing.T) {
 
 		// Past the TTL the window closes: the next request pays one fresh
 		// origin attempt.
-		if err := tn.Time.Sleep(ctx, negTTL+time.Second); err != nil {
+		if err := tn.Sched.Sleep(ctx, negTTL+time.Second); err != nil {
 			return
 		}
 		var again gwfleet.Response
@@ -143,10 +143,4 @@ func TestFleetNegativeCache(t *testing.T) {
 			t.Errorf("fetch after publish: err=%v, want served", resp.Err)
 		}
 	})
-	if err != nil {
-		t.Fatalf("scheduler run: %v", err)
-	}
-	if got := tn.Sched.Stalls(); got != 0 {
-		t.Errorf("scheduler stalls = %d, want 0", got)
-	}
 }

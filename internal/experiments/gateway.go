@@ -26,7 +26,6 @@ type GatewayConfig struct {
 	MaxObject   int     // object size cap (default 1 MiB)
 	ZipfS       float64 // popularity skew (default 0.9)
 	PinnedFrac  float64 // pinned-object fraction (default 0.5)
-	Scale       float64
 	Seed        int64
 }
 
@@ -54,9 +53,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.MaxObject <= 0 {
 		c.MaxObject = 1 << 20
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.001
 	}
 	if c.Seed == 0 {
 		c.Seed = 17
@@ -88,50 +84,53 @@ func RunGateway(cfg GatewayConfig) *GatewayResults {
 	})
 
 	tn := testnet.Build(testnet.Config{
-		N: cfg.NetworkSize, Seed: cfg.Seed + 1, Scale: cfg.Scale,
+		N: cfg.NetworkSize, Seed: cfg.Seed + 1,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	gwNode := tn.AddVantage("US", cfg.Seed+2) // the sampled gateway is US-located (§4.2)
-	gw := gateway.New(gwNode, cfg.CacheBytes, tn.Time)
+	gw := gateway.New(gwNode, cfg.CacheBytes, tn.Sched)
 
-	// Materialize and publish the catalog.
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(cfg.Seed + 3))
-	cids := make([]cid.Cid, cfg.Objects)
-	live := tn.LiveNodes()
-	for i, obj := range cat.Objects {
-		data := make([]byte, obj.Size)
-		rng.Read(data)
-		if obj.Pinned {
-			c, err := gw.Pin(data)
-			if err != nil {
-				panic(err)
+	simulate(tn, func(ctx context.Context) {
+		// Materialize and publish the catalog.
+		rng := rand.New(rand.NewSource(cfg.Seed + 3))
+		cids := make([]cid.Cid, cfg.Objects)
+		live := tn.LiveNodes()
+		for i, obj := range cat.Objects {
+			data := make([]byte, obj.Size)
+			rng.Read(data)
+			if obj.Pinned {
+				c, err := gw.Pin(data)
+				if err != nil {
+					panic(err)
+				}
+				cids[i] = c
+				continue
 			}
-			cids[i] = c
-		} else {
 			host := live[rng.Intn(len(live))]
 			pub, err := host.AddAndPublish(ctx, data)
+			if err == nil {
+				err = host.PublishPeerRecord(ctx)
+			}
 			if err != nil {
 				panic(err)
 			}
-			host.PublishPeerRecord(ctx)
 			cids[i] = pub.Cid
 		}
-	}
 
-	// Replay the request trace through the gateway.
-	reqs := gwload.GenerateTrace(cat, gwload.TraceConfig{
-		NumRequests: cfg.Requests, Day: day, Seed: cfg.Seed + 4,
-	})
-	for _, r := range reqs {
-		gw.Fetch(ctx, gateway.Request{
-			Cid:      cids[r.Object],
-			Time:     r.Time,
-			Country:  r.Country,
-			UserID:   r.UserID,
-			Referrer: r.Referrer,
+		// Replay the request trace through the gateway.
+		reqs := gwload.GenerateTrace(cat, gwload.TraceConfig{
+			NumRequests: cfg.Requests, Day: day, Seed: cfg.Seed + 4,
 		})
-	}
+		for _, r := range reqs {
+			gw.Fetch(ctx, gateway.Request{
+				Cid:      cids[r.Object],
+				Time:     r.Time,
+				Country:  r.Country,
+				UserID:   r.UserID,
+				Referrer: r.Referrer,
+			})
+		}
+	})
 
 	// A bigger trace for the purely statistical figures.
 	bigTrace := gwload.GenerateTrace(cat, gwload.TraceConfig{
@@ -191,21 +190,12 @@ func (r *GatewayResults) Fig6() string {
 	for _, req := range r.Trace {
 		counts[req.Country]++
 	}
-	type kv struct {
-		c geo.Region
-		n int
-	}
-	var list []kv
-	for c, n := range counts {
-		list = append(list, kv{c, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n })
 	t := stats.NewTable("Country", "Requests", "Share")
-	for i, e := range list {
+	for i, e := range ranked(counts) {
 		if i >= 8 {
 			break
 		}
-		t.AddRow(string(e.c), e.n, fmt.Sprintf("%.1f%%", 100*float64(e.n)/float64(len(r.Trace))))
+		t.AddRow(string(e.key), e.n, fmt.Sprintf("%.1f%%", 100*float64(e.n)/float64(len(r.Trace))))
 	}
 	return "Figure 6: geographical distribution of gateway users (paper: US 50.4%, CN 31.9%, HK 6.6%)\n" + t.String()
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -20,10 +19,9 @@ import (
 // PerfConfig tunes the §4.3 performance experiment: six vantage nodes
 // publish 0.5 MB objects and retrieve each other's publications.
 type PerfConfig struct {
-	NetworkSize     int     // DHT servers in the simulated network (default 600)
-	IterationsPer   int     // publications per region (paper: ~547; default 8)
-	ObjectSizeBytes int     // 0.5 MB
-	Scale           float64 // time compression (default 0.002)
+	NetworkSize     int // DHT servers in the simulated network (default 600)
+	IterationsPer   int // publications per region (paper: ~547; default 8)
+	ObjectSizeBytes int // 0.5 MB
 	Seed            int64
 	// Ablation knobs.
 	K                 int
@@ -40,9 +38,6 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	}
 	if c.ObjectSizeBytes <= 0 {
 		c.ObjectSizeBytes = 512 * 1024
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.002
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -91,7 +86,6 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 	tn := testnet.Build(testnet.Config{
 		N:     cfg.NetworkSize,
 		Seed:  cfg.Seed,
-		Scale: cfg.Scale,
 		K:     cfg.K,
 		Alpha: cfg.Alpha,
 		// The live network keeps stale entries, slow peers and broken
@@ -103,70 +97,71 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 	rng := rand.New(rand.NewSource(cfg.Seed + 100))
 
 	res := &PerfResults{Cfg: cfg, Regions: make(map[geo.Region]*RegionPerf)}
-	vantages := make(map[geo.Region]*core.Node, len(geo.AWSRegions))
-	ctx := context.Background()
-	for i, r := range geo.AWSRegions {
-		vantages[r] = tn.AddVantage(r, cfg.Seed+int64(1000+i))
-		res.Regions[r] = newRegionPerf()
-		// Each vantage publishes its peer record once, as a node
-		// joining the network does.
-		if _, err := vantages[r].DHT().PublishPeerRecord(ctx); err != nil {
-			res.Failures++
-		}
-	}
-	live := tn.LiveNodes()
-
-	payload := make([]byte, cfg.ObjectSizeBytes)
-	for iter := 0; iter < cfg.IterationsPer; iter++ {
-		for _, pubRegion := range geo.AWSRegions {
-			publisher := vantages[pubRegion]
-			rng.Read(payload)
-			// Publish: Fig 9a–c phases.
-			pub, err := publisher.AddAndPublish(ctx, payload)
-			rp := res.Regions[pubRegion]
-			rp.Publications++
-			if err != nil {
+	simulate(tn, func(ctx context.Context) {
+		vantages := make(map[geo.Region]*core.Node, len(geo.AWSRegions))
+		for i, r := range geo.AWSRegions {
+			vantages[r] = tn.AddVantage(r, cfg.Seed+int64(1000+i))
+			res.Regions[r] = newRegionPerf()
+			// Each vantage publishes its peer record once, as a node
+			// joining the network does.
+			if _, err := vantages[r].DHT().PublishPeerRecord(ctx); err != nil {
 				res.Failures++
-				continue
 			}
-			res.Successes++
-			rp.PubOverall.AddDuration(pub.TotalDuration)
-			rp.PubWalk.AddDuration(pub.WalkDuration)
-			rp.PubBatch.AddDuration(pub.BatchDuration)
+		}
+		live := tn.LiveNodes()
 
-			// All other regions retrieve.
-			for _, getRegion := range geo.AWSRegions {
-				if getRegion == pubRegion {
-					continue
-				}
-				getter := vantages[getRegion]
-				// Fresh state per retrieval, then connect to a few
-				// bystanders so the Bitswap phase runs (and misses) as
-				// in the paper's setup.
-				testnet.FlushVantage(getter)
-				for i := 0; i < 3; i++ {
-					b := live[rng.Intn(len(live))]
-					getter.Swarm().Connect(ctx, b.ID(), b.Addrs())
-				}
-				gr := res.Regions[getRegion]
-				gr.Retrievals++
-				data, rres, err := getter.Retrieve(ctx, pub.Cid)
-				if err != nil || len(data) != cfg.ObjectSizeBytes {
+		payload := make([]byte, cfg.ObjectSizeBytes)
+		for iter := 0; iter < cfg.IterationsPer; iter++ {
+			for _, pubRegion := range geo.AWSRegions {
+				publisher := vantages[pubRegion]
+				rng.Read(payload)
+				// Publish: Fig 9a–c phases.
+				pub, err := publisher.AddAndPublish(ctx, payload)
+				rp := res.Regions[pubRegion]
+				rp.Publications++
+				if err != nil {
 					res.Failures++
 					continue
 				}
 				res.Successes++
-				gr.RetrOverall.AddDuration(rres.Total)
-				gr.RetrWalks.AddDuration(rres.ProviderWalk + rres.PeerWalk)
-				gr.RetrFetch.AddDuration(rres.Dial + rres.Fetch)
-				gr.Stretch.Add(rres.Stretch())
-				gr.StretchNoBitswap.Add(rres.StretchWithoutBitswap())
-				// Drop the fetched blocks so the next iteration's
-				// retrieval is never satisfied locally.
-				getter.ClearStore()
+				rp.PubOverall.AddDuration(pub.TotalDuration)
+				rp.PubWalk.AddDuration(pub.WalkDuration)
+				rp.PubBatch.AddDuration(pub.BatchDuration)
+
+				// All other regions retrieve.
+				for _, getRegion := range geo.AWSRegions {
+					if getRegion == pubRegion {
+						continue
+					}
+					getter := vantages[getRegion]
+					// Fresh state per retrieval, then connect to a few
+					// bystanders so the Bitswap phase runs (and misses) as
+					// in the paper's setup.
+					testnet.FlushVantage(getter)
+					for i := 0; i < 3; i++ {
+						b := live[rng.Intn(len(live))]
+						getter.Swarm().Connect(ctx, b.ID(), b.Addrs())
+					}
+					gr := res.Regions[getRegion]
+					gr.Retrievals++
+					data, rres, err := getter.Retrieve(ctx, pub.Cid)
+					if err != nil || len(data) != cfg.ObjectSizeBytes {
+						res.Failures++
+						continue
+					}
+					res.Successes++
+					gr.RetrOverall.AddDuration(rres.Total)
+					gr.RetrWalks.AddDuration(rres.ProviderWalk + rres.PeerWalk)
+					gr.RetrFetch.AddDuration(rres.Dial + rres.Fetch)
+					gr.Stretch.Add(rres.Stretch())
+					gr.StretchNoBitswap.Add(rres.StretchWithoutBitswap())
+					// Drop the fetched blocks so the next iteration's
+					// retrieval is never satisfied locally.
+					getter.ClearStore()
+				}
 			}
 		}
-	}
+	})
 	return res
 }
 
@@ -203,8 +198,8 @@ func (r *PerfResults) Table4() string {
 // combined merges a per-region sample across regions.
 func (r *PerfResults) combined(pick func(*RegionPerf) *stats.Sample) *stats.Sample {
 	all := stats.NewSample()
-	for _, rp := range r.Regions {
-		for _, v := range pick(rp).Values() {
+	for _, region := range geo.AWSRegions { // a fixed order: float sums depend on it
+		for _, v := range pick(r.Regions[region]).Values() {
 			all.Add(v)
 		}
 	}
@@ -282,6 +277,3 @@ func (r *PerfResults) Summary() string {
 		r.Successes, r.Failures)
 	return b.String()
 }
-
-// elapsedSanity guards against misconfigured time bases in tests.
-var _ = time.Second

@@ -13,7 +13,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/routing"
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
@@ -65,9 +64,6 @@ type RoutingConfig struct {
 	NoRefresh   bool
 
 	// QueryTimeout / BitswapTimeout pass through to every node.
-	// Deterministic tests raise them so heavily-loaded (race-detector)
-	// runs cannot blow a scaled sub-millisecond window and flip a
-	// session outcome.
 	QueryTimeout   time.Duration
 	BitswapTimeout time.Duration
 
@@ -93,19 +89,12 @@ type RoutingConfig struct {
 	// inbound dials) instead of the default everyone-dialable servers.
 	ReachabilityMix bool
 
-	// EventDriven runs the comparison on the discrete-event scheduler:
-	// sleeps, RPC latencies, churn transitions and phase boundaries all
-	// become events on one priority queue and virtual time jumps
-	// between them, so paper-scale populations (20k+ peers) replay a
-	// full churn window in seconds of wall clock. Workers bounds
-	// concurrent event dispatch; 0 or 1 keeps deterministic lockstep
-	// (seeded runs replay bit-for-bit), larger values are the -race
-	// stress mode.
-	EventDriven bool
-	Workers     int
+	// Workers bounds the scheduler's concurrent event dispatch; 0 or 1
+	// keeps deterministic lockstep (seeded runs replay bit-for-bit),
+	// larger values are the -race stress mode.
+	Workers int
 
-	Scale float64 // time compression (default 0.001)
-	Seed  int64
+	Seed int64
 }
 
 func (c RoutingConfig) withDefaults() RoutingConfig {
@@ -140,9 +129,6 @@ func (c RoutingConfig) withDefaults() RoutingConfig {
 	}
 	if c.IndexerReplicas <= 0 {
 		c.IndexerReplicas = 1
-	}
-	if c.Scale <= 0 {
-		c.Scale = 0.001
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -254,12 +240,11 @@ type RoutingResults struct {
 	// network-wide (raw samples merged, so percentiles are exact).
 	Metrics telemetry.MetricsSnapshot
 
-	// SchedStalls / SchedEvents report the discrete-event scheduler in
-	// EventDriven runs: SchedEvents is how many queue events fired, and
-	// SchedStalls how often the dispatcher fell back to its real-time
-	// grace timer — non-zero means some wait on the workload path
-	// escaped instrumentation, which forfeits deterministic replay.
-	// Both are zero in sweep mode.
+	// SchedStalls / SchedEvents report the run's scheduler: SchedEvents
+	// is how many queue events fired, and SchedStalls how often the
+	// dispatcher fell back to its real-time grace timer — non-zero means
+	// some wait on the workload path escaped instrumentation, which
+	// forfeits deterministic replay.
 	SchedStalls int64
 	SchedEvents int64
 }
@@ -284,16 +269,12 @@ type routerPair struct {
 // run against an increasingly stale one-hop view — the hard case.
 func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 	cfg = cfg.withDefaults()
-	clock := simtime.NewClock(testnet.DefaultEpoch)
 	tn := testnet.Build(testnet.Config{
 		N:              cfg.NetworkSize,
 		Seed:           cfg.Seed,
-		Scale:          cfg.Scale,
 		K:              cfg.K,
 		QueryTimeout:   cfg.QueryTimeout,
 		BitswapTimeout: cfg.BitswapTimeout,
-		Clock:          clock,
-		EventDriven:    cfg.EventDriven,
 		Workers:        cfg.Workers,
 		// Fault injection: the initial loss/latency profile (the loss
 		// sweep raises LossRate later via scheduled phases) and the Fig 7
@@ -519,10 +500,8 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 
 	res.Phases = sc.Run(context.Background())
 	res.Budget = tn.Net.Budget()
-	if tn.Sched != nil {
-		res.SchedStalls = tn.Sched.Stalls()
-		res.SchedEvents = tn.Sched.Dispatched()
-	}
+	res.SchedStalls = tn.Sched.Stalls()
+	res.SchedEvents = tn.Sched.Dispatched()
 	res.Traces = sc.Traces()
 	var regs []*telemetry.Registry
 	for _, p := range pairs {
@@ -560,37 +539,17 @@ func (r *RoutingResults) Table() string {
 
 // TimeSeries renders the per-phase scenario series: the timeline-driven
 // liveness, the routers' health (snapshot staleness, indexer record
-// coverage), the workload outcome, and the RPC budget each phase spent
-// by category.
-func (r *RoutingResults) TimeSeries() string {
-	return r.timeSeries(true)
-}
-
-// StableTimeSeries renders the deterministic columns of the scenario
-// time series — phase schedule, timeline liveness, router health and
-// workload outcome. Exact RPC counts shift by a few requests with walk
-// goroutine scheduling, so the golden-file test diffs this render; the
-// full TimeSeries with budget columns is for the CLI.
-func (r *RoutingResults) StableTimeSeries() string {
-	return r.timeSeries(false)
-}
-
-// timeSeries is the shared renderer: the deterministic columns, plus —
-// when includeBudget is set — one column per budget category in
+// coverage), the workload outcome, the span-derived discovery columns,
+// and the RPC budget each phase spent — one column per category in
 // simnet.BudgetCategories order, so every row's categories sum to its
 // RPCs column.
-func (r *RoutingResults) timeSeries(includeBudget bool) string {
+func (r *RoutingResults) TimeSeries() string {
 	head := fmt.Sprintf("Churn-scenario time series: %d peers, %d routers, window %s, amplitude %.1f\n",
 		r.Cfg.NetworkSize, len(r.Routers), r.Cfg.Window, r.Cfg.ChurnAmplitude)
-	cols := []string{"Phase", "At", "Online", "SnapStale", "IxHit", "ShardHit", "IxUp", "Loss", "Part", "Ops", "Fail", "Routed"}
-	if includeBudget {
-		// The span-derived columns ride with the budget variant: they
-		// carry measured sim-time, which drifts with scheduling the same
-		// way exact RPC counts do, so the stable golden omits both.
-		cols = append(cols, "Disc99", "FirstHop", "RPCs", "drop")
-		for _, cat := range simnet.BudgetCategories {
-			cols = append(cols, string(cat))
-		}
+	cols := []string{"Phase", "At", "Online", "SnapStale", "IxHit", "ShardHit", "IxUp", "Loss", "Part", "Ops", "Fail", "Routed",
+		"Disc99", "FirstHop", "RPCs", "drop"}
+	for _, cat := range simnet.BudgetCategories {
+		cols = append(cols, string(cat))
 	}
 	t := stats.NewTable(cols...)
 	for _, ps := range r.Phases {
@@ -598,12 +557,10 @@ func (r *RoutingResults) timeSeries(includeBudget bool) string {
 			fmtHealth(ps.SnapshotStale), fmtHealth(ps.IndexerHit),
 			fmtHealth(ps.ShardHitMean()), fmtHealth(ps.ReplicaUp),
 			fmtHealth(ps.LossRate), ps.Partitioned,
-			ps.Ops, ps.Failures, ps.Routed}
-		if includeBudget {
-			row = append(row, fmtSecs(ps.DiscoverP99), fmtHealth(ps.FirstHopShare), ps.Budget.Requests, ps.Budget.Dropped)
-			for _, cat := range simnet.BudgetCategories {
-				row = append(row, ps.Budget.Category(cat))
-			}
+			ps.Ops, ps.Failures, ps.Routed,
+			fmtSecs(ps.DiscoverP99), fmtHealth(ps.FirstHopShare), ps.Budget.Requests, ps.Budget.Dropped}
+		for _, cat := range simnet.BudgetCategories {
+			row = append(row, ps.Budget.Category(cat))
 		}
 		t.AddRow(row...)
 	}

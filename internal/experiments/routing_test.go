@@ -13,7 +13,7 @@ import (
 // routing messages than the baseline DHT walk, on the same network,
 // under the same churn.
 func TestRoutingComparison(t *testing.T) {
-	cfg := RoutingConfig{NetworkSize: 180, Objects: 3, Scale: 0.0005, Seed: 42}
+	cfg := RoutingConfig{NetworkSize: 180, Objects: 3, Seed: 42}
 	if testing.Short() {
 		// Keep the headline property exercised in -short (race) CI runs,
 		// on a smaller churned network.

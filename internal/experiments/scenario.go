@@ -12,7 +12,6 @@ import (
 	"repro/internal/peer"
 	"repro/internal/routing"
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
 )
@@ -130,16 +129,14 @@ type scheduledPhase struct {
 	run    func(ctx context.Context, info PhaseInfo) PhaseOutcome
 }
 
-// ScenarioRunner drives a testnet through a churn timeline: it owns the
-// simulated clock, applies per-tick liveness from PeerTimeline.OnlineAt,
-// runs the scheduled publish/retrieve/republish/refresh phases in
-// timeline order, and samples router health plus the network-wide RPC
-// budget at every tick. It replaces the one-shot offline slice the
-// routing comparison used to churn with.
+// ScenarioRunner drives a testnet through a churn timeline as the root
+// goroutine of the testnet's scheduler: it puts the timeline's liveness
+// transitions on the event queue, runs the scheduled
+// publish/retrieve/republish/refresh phases in timeline order, and
+// samples router health plus the network-wide RPC budget at every tick.
 type ScenarioRunner struct {
 	TN    *testnet.Testnet
 	TL    *churn.Timeline
-	Clock *simtime.Clock
 	Start time.Time
 
 	accels   []*routing.AcceleratedRouter
@@ -155,12 +152,12 @@ type ScenarioRunner struct {
 }
 
 // NewScenarioRunner generates a churn timeline for the testnet's
-// population and binds the runner to the testnet's clock.
+// population, starting at the testnet's current virtual instant.
 func NewScenarioRunner(tn *testnet.Testnet, cfg ScenarioConfig) *ScenarioRunner {
 	if cfg.Window <= 0 {
 		cfg.Window = 24 * time.Hour
 	}
-	start := tn.Clock.Now()
+	start := tn.Sched.Now()
 	tl := churn.GenerateTimeline(tn.Pop, churn.TimelineConfig{
 		Start: start,
 		// An hour of margin past the window: generated sessions clip at
@@ -171,7 +168,7 @@ func NewScenarioRunner(tn *testnet.Testnet, cfg ScenarioConfig) *ScenarioRunner 
 		Amplitude:   cfg.Amplitude,
 		NATSessions: cfg.NATSessions,
 	})
-	return &ScenarioRunner{TN: tn, TL: tl, Clock: tn.Clock, Start: start}
+	return &ScenarioRunner{TN: tn, TL: tl, Start: start}
 }
 
 // ObserveAccelerated registers accelerated routers whose snapshot
@@ -246,21 +243,14 @@ func (s *ScenarioRunner) Schedule(name string, offset time.Duration, run func(ct
 	s.phases = append(s.phases, scheduledPhase{name: name, offset: offset, run: run})
 }
 
-// Run executes the schedule and returns the collected time series.
-//
-// In sweep mode (a testnet built with Config.Clock alone) each phase
-// advances the clock to its tick and applies timeline liveness to the
-// whole population. In event-driven mode (Config.EventDriven — the
-// testnet carries a simtime.Scheduler) the runner becomes the
-// scheduler's root goroutine: phase boundaries are SleepUntil timer
-// events, per-peer churn transitions are chained events registered by
-// ScheduleTimeline, and indexer maintenance runs at each phase wake —
-// everything on the one priority queue, with virtual time jumping
-// between events. Both paths share runPhase, so the per-phase health,
-// workload and Budget rows stay semantically identical; event-driven
-// mode is what lets paper-scale (20k+ peer) populations replay a full
-// churn window in seconds of wall clock. A scheduler cannot be reused,
-// so an event-driven runner's Run can only be called once.
+// Run executes the schedule as the root goroutine of the testnet's
+// scheduler and returns the collected time series: phase boundaries are
+// SleepUntil timer events, per-peer churn transitions are chained
+// events registered by ScheduleTimeline, and indexer maintenance runs
+// at each phase wake — everything on the one priority queue, with
+// virtual time jumping between events, which is what lets paper-scale
+// (20k+ peer) populations replay a full churn window in seconds of wall
+// clock. A scheduler cannot be reused, so Run can only be called once.
 func (s *ScenarioRunner) Run(ctx context.Context) []PhaseSample {
 	sort.SliceStable(s.phases, func(a, b int) bool {
 		return s.phases[a].offset < s.phases[b].offset
@@ -269,39 +259,29 @@ func (s *ScenarioRunner) Run(ctx context.Context) []PhaseSample {
 	// warm-up crawls) are not any phase's: drop them so the first
 	// phase's span columns cover only its own operations.
 	s.drainTraces()
-	if sched := s.TN.Sched; sched != nil {
-		until := s.Start
-		if n := len(s.phases); n > 0 {
-			until = s.Start.Add(s.phases[n-1].offset)
-		}
-		sched.Run(ctx, func(rctx context.Context) {
-			// One chained transition event per peer instead of a
-			// whole-population sweep per tick. Transitions at a phase's
-			// exact instant fire before the phase's timer wake, matching
-			// the sweep path's half-open churn intervals.
-			s.TN.ScheduleTimeline(s.TL, s.Start, until)
-			for _, ph := range s.phases {
-				now := s.Start.Add(ph.offset)
-				if sched.SleepUntil(rctx, now) != nil {
-					return
-				}
-				s.runPhase(rctx, ph, now, s.TL.OnlineCount(now))
+	until := s.Start
+	if n := len(s.phases); n > 0 {
+		until = s.Start.Add(s.phases[n-1].offset)
+	}
+	sched := s.TN.Sched
+	sched.Run(ctx, func(rctx context.Context) {
+		// Transitions at a phase's exact instant fire before the phase's
+		// timer wake: a peer churning offline at t is offline for the
+		// phase scheduled at t (half-open churn intervals).
+		s.TN.ScheduleTimeline(s.TL, s.Start, until)
+		for _, ph := range s.phases {
+			now := s.Start.Add(ph.offset)
+			if sched.SleepUntil(rctx, now) != nil {
+				return
 			}
-		})
-		return s.samples
-	}
-	for _, ph := range s.phases {
-		now := s.Start.Add(ph.offset)
-		s.Clock.Set(now)
-		online := s.TN.ApplyTimeline(s.TL, now)
-		s.runPhase(ctx, ph, now, online)
-	}
+			s.runPhase(rctx, ph, now, s.TL.OnlineCount(now))
+		}
+	})
 	return s.samples
 }
 
 // runPhase executes one phase at its tick — indexer background duties,
-// the health sample, the workload, the trace drain and the budget row —
-// identically for the sweep and event-driven paths.
+// the health sample, the workload, the trace drain and the budget row.
 func (s *ScenarioRunner) runPhase(ctx context.Context, ph scheduledPhase, now time.Time, online int) {
 	before := s.TN.Net.Budget()
 	// Indexer background duties run between liveness and health

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/simnet"
-	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
 	"repro/internal/transport"
@@ -50,10 +49,8 @@ func TestChurnScenarioFallbackRisesWithAmplitude(t *testing.T) {
 				K: 4, ChurnAmplitude: tc.amp,
 				Kinds:       []routing.Kind{routing.KindAccelerated},
 				NoRepublish: true, NoRefresh: true,
-				// Generous sim-time windows so race-detector scheduling
-				// noise cannot flip a session outcome (determinism).
 				BitswapTimeout: 30 * time.Second, QueryTimeout: 30 * time.Second,
-				Scale: 0.002, Seed: 33,
+				Seed: 33,
 			})
 			rp := res.Router(routing.KindAccelerated)
 			if rp == nil || rp.Retrievals == 0 {
@@ -100,7 +97,7 @@ func TestChurnScenarioIndexerHitDegradesWithStaleness(t *testing.T) {
 		Kinds:       []routing.Kind{routing.KindIndexer},
 		NoRepublish: true, NoRefresh: true,
 		BitswapTimeout: 30 * time.Second, QueryTimeout: 30 * time.Second,
-		Scale: 0.002, Seed: 44,
+		Seed: 44,
 	})
 	rp := res.Router(routing.KindIndexer)
 	if rp == nil || len(rp.Ticks) != 3 {
@@ -135,9 +132,8 @@ func TestChurnScenarioIndexerHitDegradesWithStaleness(t *testing.T) {
 // sees timeline liveness applied before its workload, and the sampled
 // per-phase budgets carry the spend of exactly that phase.
 func TestScenarioRunnerScheduleAndBudget(t *testing.T) {
-	clock := simtime.NewClock(testnet.DefaultEpoch)
 	tn := testnet.Build(testnet.Config{
-		N: 40, Seed: 5, Scale: 0.0005, Clock: clock,
+		N: 40, Seed: 5,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	sc := NewScenarioRunner(tn, ScenarioConfig{Window: 6 * time.Hour, Seed: 9})
@@ -147,8 +143,8 @@ func TestScenarioRunnerScheduleAndBudget(t *testing.T) {
 	noop := func(name string) func(context.Context, PhaseInfo) PhaseOutcome {
 		return func(ctx context.Context, info PhaseInfo) PhaseOutcome {
 			order = append(order, name)
-			if got := clock.Now(); !got.Equal(info.Now) {
-				t.Errorf("phase %s: clock %v != phase instant %v", name, got, info.Now)
+			if got := tn.Sched.Now(); !got.Equal(info.Now) {
+				t.Errorf("phase %s: virtual clock %v != phase instant %v", name, got, info.Now)
 			}
 			if info.Online <= 0 {
 				t.Errorf("phase %s: liveness not applied before the workload", name)
@@ -239,23 +235,19 @@ func goldenScenarioResults() *RoutingResults {
 			NetworkSize: 90, Objects: 2, Ticks: 3, Window: 12 * time.Hour,
 			IndexerTTL:    5 * time.Hour,
 			IndexerShards: 2, IndexerReplicas: 2,
-			Kinds: []routing.Kind{routing.KindAccelerated, routing.KindIndexer},
-			// Generous sim-time windows keep the rendered columns identical
-			// under race-detector and CI-load scheduling noise.
+			Kinds:          []routing.Kind{routing.KindAccelerated, routing.KindIndexer},
 			BitswapTimeout: 30 * time.Second, QueryTimeout: 30 * time.Second,
-			Scale: 0.002, Seed: 99,
+			Seed: 99,
 		})
 	})
 	return goldenRes
 }
 
-// TestRoutingTimeSeriesGolden pins the experiment's time-series output
-// so CLI formatting changes show up as reviewable golden diffs. The
-// seeded run covers the deterministic columns; the budget-column layout
-// is pinned separately by TestRoutingTimeSeriesFormatGolden, since
-// exact RPC counts drift by a few requests with walk scheduling.
+// TestRoutingTimeSeriesGolden pins the experiment's full time-series
+// output — span-derived and exact-RPC columns included — so behaviour
+// and CLI formatting changes both show up as reviewable golden diffs.
 func TestRoutingTimeSeriesGolden(t *testing.T) {
-	goldenCompare(t, "routing_timeseries.golden", goldenScenarioResults().StableTimeSeries())
+	goldenCompare(t, "routing_timeseries.golden", goldenScenarioResults().TimeSeries())
 }
 
 // TestRoutingTimeSeriesFormatGolden pins the full time-series and
@@ -324,12 +316,10 @@ func TestRoutingTimeSeriesFormatGolden(t *testing.T) {
 	goldenCompare(t, "routing_timeseries_format.golden", res.TimeSeries()+"\n"+res.BudgetReport())
 }
 
-// TestRetrieveTraceGolden pins one seeded retrieval's span tree. The
-// indexer router's routed-session path is fully serial — session
-// consult, targeted want wave, address-book connect, block fetch — so
-// span IDs, event counts and the discover/first-provider/fetch
-// decomposition are identical run to run, and the golden diff shows
-// exactly how a code change reshapes the delay decomposition.
+// TestRetrieveTraceGolden pins one seeded retrieval's span tree and
+// JSONL export, measured durations included: the golden diff shows
+// exactly how a code change reshapes the discover/first-provider/fetch
+// delay decomposition.
 func TestRetrieveTraceGolden(t *testing.T) {
 	res := goldenScenarioResults()
 	var tr *telemetry.Trace
@@ -351,7 +341,11 @@ func TestRetrieveTraceGolden(t *testing.T) {
 	if tr == nil {
 		t.Fatal("golden run produced no indexer retrieve trace with a discover span")
 	}
-	goldenCompare(t, "retrieve_trace.golden", tr.StableTree()+"\n"+tr.StableJSONL())
+	var jsonl strings.Builder
+	if err := tr.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "retrieve_trace.golden", tr.Tree()+"\n"+jsonl.String())
 }
 
 // TestRoutingTimeSeriesStructure asserts the live experiment output

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cid"
 	"repro/internal/multicodec"
 	"repro/internal/routing"
-	"repro/internal/simtime"
 	"repro/internal/testnet"
 	"repro/internal/transport"
 )
@@ -42,7 +41,7 @@ func TestIndexerShardFailoverKeepsHitRate(t *testing.T) {
 				IndexerOutageAt: 2 * time.Hour,
 				NoRepublish:     true, NoRefresh: true,
 				BitswapTimeout: 30 * time.Second, QueryTimeout: 30 * time.Second,
-				Scale: 0.002, Seed: 55,
+				Seed: 55,
 			})
 			rp := res.Router(routing.KindIndexer)
 			if rp == nil || len(rp.Ticks) != 2 {
@@ -104,9 +103,8 @@ func TestIndexerShardFailoverKeepsHitRate(t *testing.T) {
 // leaves the ProviderStore holding only the records inside one TTL
 // window instead of growing without bound.
 func TestScenarioTickGCBoundsIndexerStore(t *testing.T) {
-	clock := simtime.NewClock(testnet.DefaultEpoch)
 	tn := testnet.Build(testnet.Config{
-		N: 30, Seed: 6, Scale: 0.0005, Clock: clock,
+		N: 30, Seed: 6,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	ttl := 2 * time.Hour

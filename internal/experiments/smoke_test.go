@@ -14,7 +14,7 @@ func TestSmokePerformance(t *testing.T) {
 		t.Skip("set SMOKE=1 to run the perf smoke hook")
 	}
 	start := time.Now()
-	res := RunPerformance(PerfConfig{NetworkSize: 400, IterationsPer: 3, Scale: 0.002})
+	res := RunPerformance(PerfConfig{NetworkSize: 400, IterationsPer: 3})
 	fmt.Println(res.Table1())
 	fmt.Println(res.Table4())
 	fmt.Println(res.Summary())

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/merkledag"
 	"repro/internal/multicodec"
+	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
 )
 
@@ -25,64 +26,66 @@ var day = time.Date(2022, 1, 2, 0, 0, 0, 0, time.UTC)
 func buildGateway(t *testing.T, cacheBytes int64) (*Gateway, *testnet.Testnet) {
 	t.Helper()
 	tn := testnet.Build(testnet.Config{
-		N: 30, Seed: 31, Scale: 0.0004,
+		N: 30, Seed: 31,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	gwNode := tn.AddVantage("US", 777)
-	return New(gwNode, cacheBytes, tn.Time), tn
+	return New(gwNode, cacheBytes, tn.Sched), tn
 }
 
 func TestFetchFromNodeStoreThenNginx(t *testing.T) {
-	g, _ := buildGateway(t, 1<<20)
-	data := bytes.Repeat([]byte("pinned nft "), 500)
-	root, err := g.Pin(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	g, tn := buildGateway(t, 1<<20)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		data := bytes.Repeat([]byte("pinned nft "), 500)
+		root, err := g.Pin(data)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// First hit: node store (pinned content), ~8ms latency.
-	r1 := g.Fetch(ctx, Request{Cid: root, Time: day, Country: "US", UserID: "u1"})
-	if r1.Tier != TierNodeStore || r1.Err != nil {
-		t.Fatalf("first fetch = %+v", r1)
-	}
-	if r1.Latency != NodeStoreLatency {
-		t.Errorf("node store latency = %v", r1.Latency)
-	}
-	if r1.Bytes != len(data) {
-		t.Errorf("bytes = %d", r1.Bytes)
-	}
+		// First hit: node store (pinned content), ~8ms latency.
+		r1 := g.Fetch(ctx, Request{Cid: root, Time: day, Country: "US", UserID: "u1"})
+		if r1.Tier != TierNodeStore || r1.Err != nil {
+			t.Fatalf("first fetch = %+v", r1)
+		}
+		if r1.Latency != NodeStoreLatency {
+			t.Errorf("node store latency = %v", r1.Latency)
+		}
+		if r1.Bytes != len(data) {
+			t.Errorf("bytes = %d", r1.Bytes)
+		}
 
-	// Second hit: nginx cache with zero delay (§6.3).
-	r2 := g.Fetch(ctx, Request{Cid: root, Time: day.Add(time.Minute), Country: "US", UserID: "u2"})
-	if r2.Tier != TierNginx || r2.Latency != 0 {
-		t.Errorf("second fetch = %+v", r2)
-	}
+		// Second hit: nginx cache with zero delay (§6.3).
+		r2 := g.Fetch(ctx, Request{Cid: root, Time: day.Add(time.Minute), Country: "US", UserID: "u2"})
+		if r2.Tier != TierNginx || r2.Latency != 0 {
+			t.Errorf("second fetch = %+v", r2)
+		}
+	})
 }
 
 func TestFetchFromNetwork(t *testing.T) {
 	g, tn := buildGateway(t, 1<<20)
-	publisher := tn.Nodes[0]
-	ctx := context.Background()
-	data := bytes.Repeat([]byte{0x5A}, 32*1024)
-	pub, err := publisher.AddAndPublish(ctx, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	publisher.PublishPeerRecord(ctx)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		publisher := tn.Nodes[0]
+		data := bytes.Repeat([]byte{0x5A}, 32*1024)
+		pub, err := publisher.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publisher.PublishPeerRecord(ctx)
 
-	r := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u3"})
-	if r.Tier != TierNetwork || r.Err != nil {
-		t.Fatalf("network fetch = %+v", r)
-	}
-	if r.Latency < 500*time.Millisecond {
-		t.Errorf("network latency = %v, suspiciously fast", r.Latency)
-	}
-	// Now cached: next request is an nginx hit.
-	r2 := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u4"})
-	if r2.Tier != TierNginx {
-		t.Errorf("second fetch tier = %v", r2.Tier)
-	}
+		r := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u3"})
+		if r.Tier != TierNetwork || r.Err != nil {
+			t.Fatalf("network fetch = %+v", r)
+		}
+		if r.Latency < 500*time.Millisecond {
+			t.Errorf("network latency = %v, suspiciously fast", r.Latency)
+		}
+		// Now cached: next request is an nginx hit.
+		r2 := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u4"})
+		if r2.Tier != TierNginx {
+			t.Errorf("second fetch tier = %v", r2.Tier)
+		}
+	})
 }
 
 // TestNetworkTierServesObjectLargerThanNodeStore: the network tier
@@ -92,92 +95,97 @@ func TestFetchFromNetwork(t *testing.T) {
 // blocks are gone before the second walk starts.
 func TestNetworkTierServesObjectLargerThanNodeStore(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 30, Seed: 31, Scale: 0.0004,
+		N: 30, Seed: 31,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
-	store := block.NewLRUStore(600 << 10)
-	g := New(tn.AddVantageStore("US", 777, store), 4<<20, tn.Time)
-	ctx := context.Background()
-	data := make([]byte, 1<<20) // five distinct blocks at the default 256 KiB chunk
-	rand.New(rand.NewSource(6)).Read(data)
-	publisher := tn.Nodes[0]
-	pub, err := publisher.AddAndPublish(ctx, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	publisher.PublishPeerRecord(ctx)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		store := block.NewLRUStore(600 << 10)
+		g := New(tn.AddVantageStore("US", 777, store), 4<<20, tn.Sched)
+		data := make([]byte, 1<<20) // five distinct blocks at the default 256 KiB chunk
+		rand.New(rand.NewSource(6)).Read(data)
+		publisher := tn.Nodes[0]
+		pub, err := publisher.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publisher.PublishPeerRecord(ctx)
 
-	r, body := g.FetchData(ctx, Request{Cid: pub.Cid, Time: day, Country: "US", UserID: "u6"})
-	if r.Tier != TierNetwork || r.Err != nil {
-		t.Fatalf("network fetch = %+v", r)
-	}
-	if !bytes.Equal(body, data) {
-		t.Errorf("network tier returned %d bytes that differ from the %d published", len(body), len(data))
-	}
-	if _, err := merkledag.Assemble(store, pub.Cid); err == nil {
-		t.Fatal("the node store still holds the whole object: the test no longer covers the evicted case")
-	}
+		r, body := g.FetchData(ctx, Request{Cid: pub.Cid, Time: day, Country: "US", UserID: "u6"})
+		if r.Tier != TierNetwork || r.Err != nil {
+			t.Fatalf("network fetch = %+v", r)
+		}
+		if !bytes.Equal(body, data) {
+			t.Errorf("network tier returned %d bytes that differ from the %d published", len(body), len(data))
+		}
+		if _, err := merkledag.Assemble(store, pub.Cid); err == nil {
+			t.Fatal("the node store still holds the whole object: the test no longer covers the evicted case")
+		}
+	})
 }
 
 func TestFetchMissingContent(t *testing.T) {
-	g, _ := buildGateway(t, 1<<20)
-	missing := cid.Sum(multicodec.Raw, []byte("404"))
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	r := g.Fetch(ctx, Request{Cid: missing, Time: day, UserID: "u5"})
-	if r.Err == nil {
-		t.Error("missing content should error")
-	}
-	log := g.Log()
-	if len(log) != 1 || !log[0].Err() {
-		t.Errorf("log = %+v", log)
-	}
+	g, tn := buildGateway(t, 1<<20)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		missing := cid.Sum(multicodec.Raw, []byte("404"))
+		ctx, cancel := tn.Sched.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		r := g.Fetch(ctx, Request{Cid: missing, Time: day, UserID: "u5"})
+		if r.Err == nil {
+			t.Error("missing content should error")
+		}
+		log := g.Log()
+		if len(log) != 1 || !log[0].Err() {
+			t.Errorf("log = %+v", log)
+		}
+	})
 }
 
 func TestCacheEviction(t *testing.T) {
-	g, _ := buildGateway(t, 40*1024) // small nginx cache
-	ctx := context.Background()
-	a := bytes.Repeat([]byte{1}, 30*1024)
-	b := bytes.Repeat([]byte{2}, 30*1024)
-	ra, err := g.Pin(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := g.Pin(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Fetch(ctx, Request{Cid: ra, Time: day})
-	g.Fetch(ctx, Request{Cid: rb, Time: day}) // evicts a from nginx
-	r := g.Fetch(ctx, Request{Cid: ra, Time: day})
-	if r.Tier != TierNodeStore {
-		t.Errorf("evicted object should come from the node store, got %v", r.Tier)
-	}
+	g, tn := buildGateway(t, 40*1024) // small nginx cache
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		a := bytes.Repeat([]byte{1}, 30*1024)
+		b := bytes.Repeat([]byte{2}, 30*1024)
+		ra, err := g.Pin(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := g.Pin(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Fetch(ctx, Request{Cid: ra, Time: day})
+		g.Fetch(ctx, Request{Cid: rb, Time: day}) // evicts a from nginx
+		r := g.Fetch(ctx, Request{Cid: ra, Time: day})
+		if r.Tier != TierNodeStore {
+			t.Errorf("evicted object should come from the node store, got %v", r.Tier)
+		}
+	})
 }
 
 func TestSummarize(t *testing.T) {
-	g, _ := buildGateway(t, 1<<20)
-	root, err := g.Pin([]byte("summary content"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		g.Fetch(ctx, Request{Cid: root, Time: day})
-	}
-	stats := Summarize(g.Log())
-	if stats[TierNodeStore].Requests != 1 || stats[TierNginx].Requests != 4 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats[TierNginx].MedianLatency != 0 {
-		t.Error("nginx median latency should be 0")
-	}
-	if stats[TierNodeStore].MedianLatency != NodeStoreLatency {
-		t.Error("node store median latency should be 8ms")
-	}
-	if stats[TierNginx].Bytes != 4*int64(len("summary content")) {
-		t.Errorf("nginx bytes = %d", stats[TierNginx].Bytes)
-	}
+	g, tn := buildGateway(t, 1<<20)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		root, err := g.Pin([]byte("summary content"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			g.Fetch(ctx, Request{Cid: root, Time: day})
+		}
+		stats := Summarize(g.Log())
+		if stats[TierNodeStore].Requests != 1 || stats[TierNginx].Requests != 4 {
+			t.Errorf("stats = %+v", stats)
+		}
+		if stats[TierNginx].MedianLatency != 0 {
+			t.Error("nginx median latency should be 0")
+		}
+		if stats[TierNodeStore].MedianLatency != NodeStoreLatency {
+			t.Error("node store median latency should be 8ms")
+		}
+		if stats[TierNginx].Bytes != 4*int64(len("summary content")) {
+			t.Errorf("nginx bytes = %d", stats[TierNginx].Bytes)
+		}
+	})
 }
 
 func TestServeHTTP(t *testing.T) {
@@ -216,49 +224,51 @@ func TestServeHTTP(t *testing.T) {
 }
 
 func TestServeHTTPWithPath(t *testing.T) {
-	g, _ := buildGateway(t, 1<<20)
-	node := g.Node()
-	root, err := node.AddTree(map[string][]byte{
-		"index.html":   []byte("<h1>gateway site</h1>"),
-		"img/logo.png": bytes.Repeat([]byte{0x89}, 512),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Pinner().Pin(root)
-	srv := httptest.NewServer(g)
-	defer srv.Close()
+	g, tn := buildGateway(t, 1<<20)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		node := g.Node()
+		root, err := node.AddTree(map[string][]byte{
+			"index.html":   []byte("<h1>gateway site</h1>"),
+			"img/logo.png": bytes.Repeat([]byte{0x89}, 512),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Pinner().Pin(root)
+		srv := httptest.NewServer(g)
+		defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/ipfs/" + root.String() + "/index.html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "<h1>gateway site</h1>" {
-		t.Errorf("status=%d body=%q", resp.StatusCode, body)
-	}
-	// Nested path.
-	resp, err = http.Get(srv.URL + "/ipfs/" + root.String() + "/img/logo.png")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(body) != 512 {
-		t.Errorf("logo bytes = %d", len(body))
-	}
-	// Missing path -> 404.
-	resp, _ = http.Get(srv.URL + "/ipfs/" + root.String() + "/nope.txt")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing path status = %d", resp.StatusCode)
-	}
-	// Path requests are cached separately per (cid, path).
-	r2 := g.Fetch(context.Background(), Request{Cid: root, Path: "index.html", Time: day})
-	if r2.Tier != TierNginx {
-		t.Errorf("second path fetch tier = %v, want nginx", r2.Tier)
-	}
+		resp, err := http.Get(srv.URL + "/ipfs/" + root.String() + "/index.html")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != "<h1>gateway site</h1>" {
+			t.Errorf("status=%d body=%q", resp.StatusCode, body)
+		}
+		// Nested path.
+		resp, err = http.Get(srv.URL + "/ipfs/" + root.String() + "/img/logo.png")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if len(body) != 512 {
+			t.Errorf("logo bytes = %d", len(body))
+		}
+		// Missing path -> 404.
+		resp, _ = http.Get(srv.URL + "/ipfs/" + root.String() + "/nope.txt")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("missing path status = %d", resp.StatusCode)
+		}
+		// Path requests are cached separately per (cid, path).
+		r2 := g.Fetch(ctx, Request{Cid: root, Path: "index.html", Time: day})
+		if r2.Tier != TierNginx {
+			t.Errorf("second path fetch tier = %v, want nginx", r2.Tier)
+		}
+	})
 }
 
 // fakeTier is a scripted cascade stage that records what it was asked

@@ -96,7 +96,7 @@ func TestAdmissionHysteresis(t *testing.T) {
 
 func TestSharedCacheTTLs(t *testing.T) {
 	clock := simtime.NewClock(time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC))
-	src := simtime.Scaled(1, clock.Now)
+	src := simtime.NewScheduler(clock, simtime.SchedulerOpts{}) // never run: the test moves its clock by hand
 	c := NewSharedCache(1<<20, time.Minute, 10*time.Minute, src, nil)
 	root := cid.SumV0([]byte("missing"))
 
@@ -152,7 +152,7 @@ func (s *countingSource) Sleep(_ context.Context, d time.Duration) error {
 func wallClockFleet(t *testing.T) (*Fleet, *countingSource) {
 	t.Helper()
 	tn := testnet.Build(testnet.Config{
-		N: 20, Seed: 5, Scale: 0.0004,
+		N: 20, Seed: 5,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	src := &countingSource{Source: simtime.OrWall(nil)}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"repro/internal/block"
 	"repro/internal/cid"
 	"repro/internal/simtime"
 )
@@ -17,18 +18,29 @@ func AssembleConcurrent(f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	return AssembleConcurrentOn(context.Background(), nil, f, root, workers)
 }
 
+// ContextFetcher is a Fetcher whose fetches wait on the network.
+// AssembleConcurrentOn hands GetContext the context of the worker
+// goroutine the fetch runs on — under a scheduler that context carries
+// the worker's own lease, and a wait must park the lease of the
+// goroutine that is waiting.
+type ContextFetcher interface {
+	Fetcher
+	GetContext(ctx context.Context, c cid.Cid) (block.Block, error)
+}
+
 // AssembleConcurrentOn is AssembleConcurrent running its fetches on the
 // given time source: workers spawn through src.Go and both the
 // worker-slot waits and the sibling joins are instrumented, so a
 // discrete-event scheduler can advance virtual time while fetches park
 // inside simulated RPCs. ctx must be the caller's (it carries the
-// scheduler lease in event-driven runs); a nil src is the wall clock,
+// scheduler lease in simulated runs); a nil src is the wall clock,
 // i.e. plain goroutines.
 func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	if workers <= 1 {
 		return Assemble(f, root)
 	}
 	src = simtime.OrWall(src)
+	cf, waits := f.(ContextFetcher)
 	// The semaphore bounds concurrent fetches (a Get and the decode of
 	// what it returned) only; it is never held across the recursive
 	// descent, so ancestors waiting on descendants cannot starve them of
@@ -46,7 +58,14 @@ func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, ro
 		if _, ok := simtime.Recv(ctx, src, sem); !ok {
 			return nil, ctx.Err()
 		}
-		n, err := fetchNode(f, c)
+		var n *Node
+		var err error
+		if waits {
+			blk, gerr := cf.GetContext(ctx, c)
+			n, err = decodeFetched(c, blk, gerr)
+		} else {
+			n, err = fetchNode(f, c)
+		}
 		sem <- struct{}{}
 		if err != nil {
 			return nil, err

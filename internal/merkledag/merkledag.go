@@ -262,6 +262,11 @@ func concat(leaves [][]byte) []byte {
 // Block) is refused, and the bytes are not hashed a second time.
 func fetchNode(f Fetcher, c cid.Cid) (*Node, error) {
 	blk, err := f.Get(c)
+	return decodeFetched(c, blk, err)
+}
+
+// decodeFetched is fetchNode past the Get.
+func decodeFetched(c cid.Cid, blk block.Block, err error) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrMissing, c, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/routing"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
 	"repro/internal/wire"
 )
@@ -25,20 +26,17 @@ func batchCids(n int, tag string) []cid.Cid {
 // exactly one multi-record ADD_PROVIDER RPC per distinct target,
 // asserted against the simulator's request counter.
 func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
-	tn := buildCleanNet(t, 60, 71)
-	ctx := context.Background()
 	cids := batchCids(5, "batched content ")
-
 	cases := []struct {
 		name    string
-		build   func(t *testing.T) routing.Router
+		build   func(tn *testnet.Testnet) routing.Router
 		targets int // distinct target peers the whole batch lands on
 	}{
 		{
 			// A snapshot smaller than K: every CID's K-closest set is the
 			// whole snapshot, so 5 CIDs share the same 8 targets.
 			name: "accelerated",
-			build: func(t *testing.T) routing.Router {
+			build: func(tn *testnet.Testnet) routing.Router {
 				node := tn.AddVantage("DE", 720)
 				r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
 				var infos []wire.PeerInfo
@@ -54,7 +52,7 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 			// Two indexers: the whole batch rides one bulk announce per
 			// indexer.
 			name: "indexer",
-			build: func(t *testing.T) routing.Router {
+			build: func(tn *testnet.Testnet) routing.Router {
 				node := tn.AddVantage("US", 721)
 				indexers := []wire.PeerInfo{
 					tn.AddIndexer("US", 722).Info(),
@@ -68,28 +66,31 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := tc.build(t)
-			before, _, _ := tn.Net.Stats()
-			res, err := r.ProvideMany(ctx, cids)
-			if err != nil {
-				t.Fatalf("ProvideMany: %v", err)
-			}
-			after, _, _ := tn.Net.Stats()
-			if res.Targets != tc.targets {
-				t.Errorf("Targets = %d, want %d", res.Targets, tc.targets)
-			}
-			if res.StoreRPCs != tc.targets {
-				t.Errorf("StoreRPCs = %d, want exactly one per distinct target (%d)", res.StoreRPCs, tc.targets)
-			}
-			if got := int(after - before); got != tc.targets {
-				t.Errorf("network saw %d requests, want %d (one multi-record RPC per target)", got, tc.targets)
-			}
-			if res.Provided != len(cids) {
-				t.Errorf("Provided = %d, want %d", res.Provided, len(cids))
-			}
-			if res.Walks != 0 {
-				t.Errorf("Walks = %d, want 0 for one-hop batching", res.Walks)
-			}
+			tn := buildCleanNet(t, 60, 71)
+			r := tc.build(tn)
+			simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+				before, _, _ := tn.Net.Stats()
+				res, err := r.ProvideMany(ctx, cids)
+				if err != nil {
+					t.Fatalf("ProvideMany: %v", err)
+				}
+				after, _, _ := tn.Net.Stats()
+				if res.Targets != tc.targets {
+					t.Errorf("Targets = %d, want %d", res.Targets, tc.targets)
+				}
+				if res.StoreRPCs != tc.targets {
+					t.Errorf("StoreRPCs = %d, want exactly one per distinct target (%d)", res.StoreRPCs, tc.targets)
+				}
+				if got := int(after - before); got != tc.targets {
+					t.Errorf("network saw %d requests, want %d (one multi-record RPC per target)", got, tc.targets)
+				}
+				if res.Provided != len(cids) {
+					t.Errorf("Provided = %d, want %d", res.Provided, len(cids))
+				}
+				if res.Walks != 0 {
+					t.Errorf("Walks = %d, want 0 for one-hop batching", res.Walks)
+				}
+			})
 		})
 	}
 }
@@ -100,53 +101,54 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 // the cycle advances.
 func TestProvideManyAckLedgerSkipsConfirmedTargets(t *testing.T) {
 	tn := buildCleanNet(t, 60, 73)
-	ctx := context.Background()
-	node := tn.AddVantage("DE", 730)
-	r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
-	var infos []wire.PeerInfo
-	for _, n := range tn.Nodes[:6] {
-		infos = append(infos, n.Info())
-	}
-	r.SetSnapshot(infos)
-	cids := batchCids(3, "ledger content ")
-
-	for _, c := range cids {
-		if _, err := r.Provide(ctx, c); err != nil {
-			t.Fatalf("Provide: %v", err)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		node := tn.AddVantage("DE", 730)
+		r := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
+		var infos []wire.PeerInfo
+		for _, n := range tn.Nodes[:6] {
+			infos = append(infos, n.Info())
 		}
-	}
+		r.SetSnapshot(infos)
+		cids := batchCids(3, "ledger content ")
 
-	// Same cycle: everything is ledger-fresh, the batch sends nothing.
-	before, _, _ := tn.Net.Stats()
-	res, err := r.ProvideMany(ctx, cids)
-	if err != nil {
-		t.Fatalf("ProvideMany (fresh): %v", err)
-	}
-	after, _, _ := tn.Net.Stats()
-	if res.StoreRPCs != 0 || after != before {
-		t.Errorf("fresh batch sent %d RPCs (network saw %d), want 0 — the acks were confirmed this cycle", res.StoreRPCs, after-before)
-	}
-	if res.SkippedTargets != res.Targets || res.Targets != 6 {
-		t.Errorf("skipped %d of %d targets, want all 6", res.SkippedTargets, res.Targets)
-	}
-	if res.Provided != len(cids) {
-		t.Errorf("Provided = %d, want %d (fresh records count as provided)", res.Provided, len(cids))
-	}
+		for _, c := range cids {
+			if _, err := r.Provide(ctx, c); err != nil {
+				t.Fatalf("Provide: %v", err)
+			}
+		}
 
-	// Next cycle: the acks are stale, every target is re-pushed once.
-	routing.AdvanceCycle(r)
-	before, _, _ = tn.Net.Stats()
-	res, err = r.ProvideMany(ctx, cids)
-	if err != nil {
-		t.Fatalf("ProvideMany (next cycle): %v", err)
-	}
-	after, _, _ = tn.Net.Stats()
-	if res.StoreRPCs != 6 || int(after-before) != 6 {
-		t.Errorf("next-cycle batch sent %d RPCs (network saw %d), want 6 — one per distinct target", res.StoreRPCs, after-before)
-	}
-	if res.SkippedTargets != 0 {
-		t.Errorf("SkippedTargets = %d, want 0 after the cycle advanced", res.SkippedTargets)
-	}
+		// Same cycle: everything is ledger-fresh, the batch sends nothing.
+		before, _, _ := tn.Net.Stats()
+		res, err := r.ProvideMany(ctx, cids)
+		if err != nil {
+			t.Fatalf("ProvideMany (fresh): %v", err)
+		}
+		after, _, _ := tn.Net.Stats()
+		if res.StoreRPCs != 0 || after != before {
+			t.Errorf("fresh batch sent %d RPCs (network saw %d), want 0 — the acks were confirmed this cycle", res.StoreRPCs, after-before)
+		}
+		if res.SkippedTargets != res.Targets || res.Targets != 6 {
+			t.Errorf("skipped %d of %d targets, want all 6", res.SkippedTargets, res.Targets)
+		}
+		if res.Provided != len(cids) {
+			t.Errorf("Provided = %d, want %d (fresh records count as provided)", res.Provided, len(cids))
+		}
+
+		// Next cycle: the acks are stale, every target is re-pushed once.
+		routing.AdvanceCycle(r)
+		before, _, _ = tn.Net.Stats()
+		res, err = r.ProvideMany(ctx, cids)
+		if err != nil {
+			t.Fatalf("ProvideMany (next cycle): %v", err)
+		}
+		after, _, _ = tn.Net.Stats()
+		if res.StoreRPCs != 6 || int(after-before) != 6 {
+			t.Errorf("next-cycle batch sent %d RPCs (network saw %d), want 6 — one per distinct target", res.StoreRPCs, after-before)
+		}
+		if res.SkippedTargets != 0 {
+			t.Errorf("SkippedTargets = %d, want 0 after the cycle advanced", res.SkippedTargets)
+		}
+	})
 }
 
 // TestLedgerFreshnessExpiresWithClock pins the TTL-safety bound: an
@@ -206,37 +208,38 @@ func TestJitterDesynchronizesCycles(t *testing.T) {
 // instead of being pinned to dead targets forever.
 func TestProvideManyRewalksDeadRememberedTargets(t *testing.T) {
 	tn := buildCleanNet(t, 50, 75)
-	ctx := context.Background()
-	node := tn.AddVantage("DE", 750)
-	r := routing.NewDHT(node.DHT())
-	c := testCid("repinned content")
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		node := tn.AddVantage("DE", 750)
+		r := routing.NewDHT(node.DHT())
+		c := testCid("repinned content")
 
-	// The ledger remembers a target set that has since gone offline.
-	dead := []wire.PeerInfo{tn.Nodes[2].Info(), tn.Nodes[3].Info()}
-	for _, d := range dead {
-		tn.Net.SetOnline(d.ID, false)
-	}
-	r.Ledger().SetTargets(c.Key(), dead)
+		// The ledger remembers a target set that has since gone offline.
+		dead := []wire.PeerInfo{tn.Nodes[2].Info(), tn.Nodes[3].Info()}
+		for _, d := range dead {
+			tn.Net.SetOnline(d.ID, false)
+		}
+		r.Ledger().SetTargets(c.Key(), dead)
 
-	res, err := r.ProvideMany(ctx, []cid.Cid{c})
-	if err != nil {
-		t.Fatalf("ProvideMany: %v", err)
-	}
-	if res.Walks == 0 {
-		t.Error("dead remembered targets did not trigger a re-walk")
-	}
-	if res.Provided != 1 {
-		t.Fatalf("Provided = %d, want the record reassigned to live peers", res.Provided)
-	}
-	// The re-walk refreshed the ledger: the remembered set is no longer
-	// the dead pair, and the record resolves from another node while the
-	// dead peers stay offline.
-	targets := r.Ledger().Targets(c.Key())
-	if len(targets) == 2 && targets[0].ID == dead[0].ID && targets[1].ID == dead[1].ID {
-		t.Error("ledger still remembers the dead target set")
-	}
-	provs, _, err := routing.FindProviders(ctx, routing.NewDHT(tn.Nodes[1].DHT()), c)
-	if err != nil || len(provs) == 0 {
-		t.Fatalf("providers after re-walk: %v %v", provs, err)
-	}
+		res, err := r.ProvideMany(ctx, []cid.Cid{c})
+		if err != nil {
+			t.Fatalf("ProvideMany: %v", err)
+		}
+		if res.Walks == 0 {
+			t.Error("dead remembered targets did not trigger a re-walk")
+		}
+		if res.Provided != 1 {
+			t.Fatalf("Provided = %d, want the record reassigned to live peers", res.Provided)
+		}
+		// The re-walk refreshed the ledger: the remembered set is no longer
+		// the dead pair, and the record resolves from another node while the
+		// dead peers stay offline.
+		targets := r.Ledger().Targets(c.Key())
+		if len(targets) == 2 && targets[0].ID == dead[0].ID && targets[1].ID == dead[1].ID {
+			t.Error("ledger still remembers the dead target set")
+		}
+		provs, _, err := findProviders(ctx, routing.NewDHT(tn.Nodes[1].DHT()), c)
+		if err != nil || len(provs) == 0 {
+			t.Fatalf("providers after re-walk: %v %v", provs, err)
+		}
+	})
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
-	"repro/internal/testnet"
 	"repro/internal/wire"
 )
 
@@ -64,18 +64,15 @@ func TestIndexerSetPartition(t *testing.T) {
 // bare simnet plus a publisher/getter swarm pair.
 type shardedHarness struct {
 	net    *simnet.Network
-	clock  *simtime.Clock
-	src    simtime.Source // scaled real time whose Now reads clock
+	src    *simtime.Scheduler
 	set    *routing.IndexerSet
 	groups [][]*routing.Indexer
 	pubSw  *swarm.Swarm
 	getSw  *swarm.Swarm
 }
 
-func newShardedHarness(t *testing.T, shards, replicas int, ttl time.Duration) *shardedHarness {
-	t.Helper()
-	h := &shardedHarness{clock: simtime.NewClock(testnet.DefaultEpoch)}
-	h.src = simtime.Scaled(0.0005, h.clock.Now)
+func newShardedHarness(src *simtime.Scheduler, shards, replicas int, ttl time.Duration) *shardedHarness {
+	h := &shardedHarness{src: src}
 	h.net = simnet.New(simnet.Config{Time: h.src, Seed: 3})
 	rng := rand.New(rand.NewSource(17))
 	newSwarm := func() *swarm.Swarm {
@@ -130,43 +127,44 @@ func (h *shardedHarness) holders(c cid.Cid) map[string]bool {
 // its owning shard and on no other shard, and the batched ProvideMany
 // splits a mixed batch per shard the same way.
 func TestShardedProvideLandsOnOwningShardOnly(t *testing.T) {
-	h := newShardedHarness(t, 2, 2, 0)
-	ctx := context.Background()
-	pub := h.router(h.pubSw, nil)
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		h := newShardedHarness(s, 2, 2, 0)
+		pub := h.router(h.pubSw, nil)
 
-	cids := batchCids(6, "sharded provide ")
-	for _, c := range cids {
-		if _, err := pub.Provide(ctx, c); err != nil {
-			t.Fatalf("Provide: %v", err)
+		cids := batchCids(6, "sharded provide ")
+		for _, c := range cids {
+			if _, err := pub.Provide(ctx, c); err != nil {
+				t.Fatalf("Provide: %v", err)
+			}
 		}
-	}
-	for _, c := range cids {
-		sh := h.set.ShardOf(c)
-		want := map[string]bool{
-			fmt.Sprintf("%d/0", sh): true,
-			fmt.Sprintf("%d/1", sh): true,
+		for _, c := range cids {
+			sh := h.set.ShardOf(c)
+			want := map[string]bool{
+				fmt.Sprintf("%d/0", sh): true,
+				fmt.Sprintf("%d/1", sh): true,
+			}
+			got := h.holders(c)
+			if len(got) != 2 || !got[fmt.Sprintf("%d/0", sh)] || !got[fmt.Sprintf("%d/1", sh)] {
+				t.Errorf("cid in shard %d held by %v, want exactly %v", sh, got, want)
+			}
 		}
-		got := h.holders(c)
-		if len(got) != 2 || !got[fmt.Sprintf("%d/0", sh)] || !got[fmt.Sprintf("%d/1", sh)] {
-			t.Errorf("cid in shard %d held by %v, want exactly %v", sh, got, want)
-		}
-	}
 
-	// A fresh router (empty ledger) batching the same CIDs: one bulk
-	// RPC per replica of each shard that owns part of the batch.
-	pub2 := h.router(h.pubSw, nil)
-	res, err := pub2.ProvideMany(ctx, cids)
-	if err != nil {
-		t.Fatalf("ProvideMany: %v", err)
-	}
-	shardsUsed := make(map[int]bool)
-	for _, c := range cids {
-		shardsUsed[h.set.ShardOf(c)] = true
-	}
-	wantRPCs := 2 * len(shardsUsed) // replicas × shards touched
-	if res.StoreRPCs != wantRPCs || res.Provided != len(cids) {
-		t.Errorf("ProvideMany = %+v, want %d store RPCs and %d provided", res, wantRPCs, len(cids))
-	}
+		// A fresh router (empty ledger) batching the same CIDs: one bulk
+		// RPC per replica of each shard that owns part of the batch.
+		pub2 := h.router(h.pubSw, nil)
+		res, err := pub2.ProvideMany(ctx, cids)
+		if err != nil {
+			t.Fatalf("ProvideMany: %v", err)
+		}
+		shardsUsed := make(map[int]bool)
+		for _, c := range cids {
+			shardsUsed[h.set.ShardOf(c)] = true
+		}
+		wantRPCs := 2 * len(shardsUsed) // replicas × shards touched
+		if res.StoreRPCs != wantRPCs || res.Provided != len(cids) {
+			t.Errorf("ProvideMany = %+v, want %d store RPCs and %d provided", res, wantRPCs, len(cids))
+		}
+	})
 }
 
 // TestGossipRepairsReplicaAndRespectsTTL covers the anti-entropy path:
@@ -175,51 +173,52 @@ func TestShardedProvideLandsOnOwningShardOnly(t *testing.T) {
 // it expires with the original), a second round is deduplicated by the
 // gossip ledger, and a record past its TTL is not resurrected.
 func TestGossipRepairsReplicaAndRespectsTTL(t *testing.T) {
-	ttl := 4 * time.Hour
-	h := newShardedHarness(t, 1, 2, ttl)
-	ctx := context.Background()
-	pub := h.router(h.pubSw, nil)
-	primary, replica := h.groups[0][0], h.groups[0][1]
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		ttl := 4 * time.Hour
+		h := newShardedHarness(s, 1, 2, ttl)
+		pub := h.router(h.pubSw, nil)
+		primary, replica := h.groups[0][0], h.groups[0][1]
 
-	// The replica misses the publish window.
-	h.net.SetOnline(replica.ID(), false)
-	c := testCid("gossip repaired content")
-	if _, err := pub.Provide(ctx, c); err != nil {
-		t.Fatalf("Provide with one replica down: %v", err)
-	}
-	if !primary.HasProvider(c) || replica.HasProvider(c) {
-		t.Fatal("record placement before gossip is wrong")
-	}
+		// The replica misses the publish window.
+		h.net.SetOnline(replica.ID(), false)
+		c := testCid("gossip repaired content")
+		if _, err := pub.Provide(ctx, c); err != nil {
+			t.Fatalf("Provide with one replica down: %v", err)
+		}
+		if !primary.HasProvider(c) || replica.HasProvider(c) {
+			t.Fatal("record placement before gossip is wrong")
+		}
 
-	// Back online: one anti-entropy round repairs it.
-	h.net.SetOnline(replica.ID(), true)
-	st := primary.Gossip(ctx)
-	if st.RPCs == 0 || st.Acked == 0 || st.Records == 0 {
-		t.Fatalf("gossip round pushed nothing: %+v", st)
-	}
-	if !replica.HasProvider(c) {
-		t.Fatal("replica not repaired by gossip")
-	}
+		// Back online: one anti-entropy round repairs it.
+		h.net.SetOnline(replica.ID(), true)
+		st := primary.Gossip(ctx)
+		if st.RPCs == 0 || st.Acked == 0 || st.Records == 0 {
+			t.Fatalf("gossip round pushed nothing: %+v", st)
+		}
+		if !replica.HasProvider(c) {
+			t.Fatal("replica not repaired by gossip")
+		}
 
-	// The ledger suppresses an immediate re-push.
-	if st2 := primary.Gossip(ctx); st2.RPCs != 0 {
-		t.Errorf("second round re-pushed despite fresh acks: %+v", st2)
-	}
+		// The ledger suppresses an immediate re-push.
+		if st2 := primary.Gossip(ctx); st2.RPCs != 0 {
+			t.Errorf("second round re-pushed despite fresh acks: %+v", st2)
+		}
 
-	// The copy expires with the original: advance past the TTL measured
-	// from the original publish, not from the gossip arrival.
-	h.clock.Set(h.clock.Now().Add(ttl + time.Hour))
-	if replica.HasProvider(c) || primary.HasProvider(c) {
-		t.Error("records outlived the original TTL")
-	}
-	// And an expired record is not resurrected by a later round.
-	if st3 := primary.Gossip(ctx); st3.Records != 0 {
-		t.Errorf("gossip pushed expired records: %+v", st3)
-	}
-	replica.GC()
-	if got := replica.Len(); got != 0 {
-		t.Errorf("replica still holds %d records after GC", got)
-	}
+		// The copy expires with the original: advance past the TTL measured
+		// from the original publish, not from the gossip arrival.
+		s.Sleep(ctx, ttl+time.Hour)
+		if replica.HasProvider(c) || primary.HasProvider(c) {
+			t.Error("records outlived the original TTL")
+		}
+		// And an expired record is not resurrected by a later round.
+		if st3 := primary.Gossip(ctx); st3.Records != 0 {
+			t.Errorf("gossip pushed expired records: %+v", st3)
+		}
+		replica.GC()
+		if got := replica.Len(); got != 0 {
+			t.Errorf("replica still holds %d records after GC", got)
+		}
+	})
 }
 
 // TestShardFailoverExtraRPCsPinned is the fail-over cost contract: a
@@ -240,33 +239,34 @@ func TestShardFailoverExtraRPCsPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newShardedHarness(t, 1, 2, 0)
-			ctx := context.Background()
-			pub, get := h.router(h.pubSw, nil), h.router(h.getSw, nil)
+			simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+				h := newShardedHarness(s, 1, 2, 0)
+				pub, get := h.router(h.pubSw, nil), h.router(h.getSw, nil)
 
-			c := testCid("failover content")
-			if _, err := pub.Provide(ctx, c); err != nil {
-				t.Fatalf("Provide: %v", err)
-			}
-			if tc.primaryDown {
-				h.net.SetOnline(h.groups[0][0].ID(), false)
-			}
-			before := h.net.Budget()
-			providers, info, err := routing.FindProviders(ctx, get, c)
-			if err != nil {
-				t.Fatalf("FindProviders: %v", err)
-			}
-			if len(providers) == 0 || providers[0].ID != h.pubSw.Local() {
-				t.Fatalf("providers = %v, want the publisher via a live replica", providers)
-			}
-			if got := routing.LookupMessages(info); got != tc.wantMsgs {
-				t.Errorf("lookup reports %d RPCs, want %d", got, tc.wantMsgs)
-			}
-			d := h.net.Budget().Sub(before)
-			if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
-				t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",
-					d.Requests, d.DialFailures, tc.wantRequests, tc.wantDialFails)
-			}
+				c := testCid("failover content")
+				if _, err := pub.Provide(ctx, c); err != nil {
+					t.Fatalf("Provide: %v", err)
+				}
+				if tc.primaryDown {
+					h.net.SetOnline(h.groups[0][0].ID(), false)
+				}
+				before := h.net.Budget()
+				providers, info, err := findProviders(ctx, get, c)
+				if err != nil {
+					t.Fatalf("FindProviders: %v", err)
+				}
+				if len(providers) == 0 || providers[0].ID != h.pubSw.Local() {
+					t.Fatalf("providers = %v, want the publisher via a live replica", providers)
+				}
+				if got := routing.LookupMessages(info); got != tc.wantMsgs {
+					t.Errorf("lookup reports %d RPCs, want %d", got, tc.wantMsgs)
+				}
+				d := h.net.Budget().Sub(before)
+				if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
+					t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",
+						d.Requests, d.DialFailures, tc.wantRequests, tc.wantDialFails)
+				}
+			})
 		})
 	}
 }
@@ -275,22 +275,24 @@ func TestShardFailoverExtraRPCsPinned(t *testing.T) {
 // routing must fall through to the configured fallback instead of
 // panicking on the shard lookup.
 func TestEmptyIndexerSetFallsThrough(t *testing.T) {
-	set := routing.NewIndexerSet(nil)
-	if set.Shards() != 0 || set.ShardOf(testCid("anything")) != -1 {
-		t.Fatalf("empty set: shards=%d shard=%d, want 0 and -1", set.Shards(), set.ShardOf(testCid("anything")))
-	}
-	h := newShardedHarness(t, 1, 1, 0)
-	fb := &countingRouter{inner: &fakeRouter{name: "fb", provider: peer.ID("via-fallback"), delay: time.Millisecond}}
-	r := routing.NewIndexerRouter(h.getSw, nil, fb, routing.IndexerRouterConfig{})
-	r.SetIndexerSet(set)
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		set := routing.NewIndexerSet(nil)
+		if set.Shards() != 0 || set.ShardOf(testCid("anything")) != -1 {
+			t.Fatalf("empty set: shards=%d shard=%d, want 0 and -1", set.Shards(), set.ShardOf(testCid("anything")))
+		}
+		h := newShardedHarness(s, 1, 1, 0)
+		fb := &countingRouter{inner: &fakeRouter{src: s, name: "fb", provider: peer.ID("via-fallback"), delay: time.Millisecond}}
+		r := routing.NewIndexerRouter(h.getSw, nil, fb, routing.IndexerRouterConfig{})
+		r.SetIndexerSet(set)
 
-	providers, _, err := routing.FindProviders(context.Background(), r, testCid("unowned"))
-	if err != nil || len(providers) == 0 || providers[0].ID != peer.ID("via-fallback") {
-		t.Fatalf("lookup = %v, %v; want the fallback's provider", providers, err)
-	}
-	if _, err := r.Provide(context.Background(), testCid("unowned")); err != nil {
-		t.Fatalf("Provide did not fall through: %v", err)
-	}
+		providers, _, err := findProviders(ctx, r, testCid("unowned"))
+		if err != nil || len(providers) == 0 || providers[0].ID != peer.ID("via-fallback") {
+			t.Fatalf("lookup = %v, %v; want the fallback's provider", providers, err)
+		}
+		if _, err := r.Provide(ctx, testCid("unowned")); err != nil {
+			t.Fatalf("Provide did not fall through: %v", err)
+		}
+	})
 }
 
 // TestGossipLedgerStaysBounded: the gossip dedup ledger prunes acks
@@ -298,32 +300,33 @@ func TestEmptyIndexerSetFallsThrough(t *testing.T) {
 // stream of unique CIDs cannot grow it without bound — the same
 // guarantee the tick GC gives the ProviderStore.
 func TestGossipLedgerStaysBounded(t *testing.T) {
-	ttl := 2 * time.Hour
-	h := newShardedHarness(t, 1, 2, ttl)
-	ctx := context.Background()
-	pub := h.router(h.pubSw, nil)
-	primary := h.groups[0][0]
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		ttl := 2 * time.Hour
+		h := newShardedHarness(s, 1, 2, ttl)
+		pub := h.router(h.pubSw, nil)
+		primary := h.groups[0][0]
 
-	const perRound, rounds = 10, 12
-	for round := 0; round < rounds; round++ {
-		for j := 0; j < perRound; j++ {
-			c := testCid(fmt.Sprintf("ledger bound %d/%d", round, j))
-			if _, err := pub.Provide(ctx, c); err != nil {
-				t.Fatalf("Provide: %v", err)
+		const perRound, rounds = 10, 12
+		for round := 0; round < rounds; round++ {
+			for j := 0; j < perRound; j++ {
+				c := testCid(fmt.Sprintf("ledger bound %d/%d", round, j))
+				if _, err := pub.Provide(ctx, c); err != nil {
+					t.Fatalf("Provide: %v", err)
+				}
 			}
+			primary.GC()
+			primary.Gossip(ctx)
+			s.Sleep(ctx, time.Hour)
 		}
-		primary.GC()
-		primary.Gossip(ctx)
-		h.clock.Set(h.clock.Now().Add(time.Hour))
-	}
-	// Live records span the TTL window (three rounds' worth at one
-	// round per hour) and acks survive one freshness window on top;
-	// the ledger must sit in that constant envelope instead of
-	// retaining all rounds × perRound acks.
-	if got := primary.GossipLedgerLen(); got > 5*perRound {
-		t.Errorf("gossip ledger holds %d acks after %d publishes, want <= %d",
-			got, rounds*perRound, 5*perRound)
-	}
+		// Live records span the TTL window (three rounds' worth at one
+		// round per hour) and acks survive one freshness window on top;
+		// the ledger must sit in that constant envelope instead of
+		// retaining all rounds × perRound acks.
+		if got := primary.GossipLedgerLen(); got > 5*perRound {
+			t.Errorf("gossip ledger holds %d acks after %d publishes, want <= %d",
+				got, rounds*perRound, 5*perRound)
+		}
+	})
 }
 
 // TestShardedStreamMergesReplicas asserts a consumer that keeps the
@@ -331,55 +334,56 @@ func TestGossipLedgerStaysBounded(t *testing.T) {
 // deduplicated: two replicas with overlapping provider sets yield each
 // provider once.
 func TestShardedStreamMergesReplicas(t *testing.T) {
-	h := newShardedHarness(t, 1, 2, 0)
-	ctx := context.Background()
-	c := testCid("merged stream content")
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		h := newShardedHarness(s, 1, 2, 0)
+		c := testCid("merged stream content")
 
-	// Publish from two different swarms, the second reaching only the
-	// second replica — the replicas now hold overlapping sets.
-	pub := h.router(h.pubSw, nil)
-	if _, err := pub.Provide(ctx, c); err != nil {
-		t.Fatalf("Provide: %v", err)
-	}
-	h.net.SetOnline(h.groups[0][0].ID(), false)
-	pub2 := h.router(h.getSw, nil)
-	if _, err := pub2.Provide(ctx, c); err != nil {
-		t.Fatalf("second Provide: %v", err)
-	}
-	h.net.SetOnline(h.groups[0][0].ID(), true)
-
-	// A third swarm consumes the full stream.
-	rng := rand.New(rand.NewSource(99))
-	ident := peer.MustNewIdentity(rng)
-	ep := h.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	sw := swarm.New(ident, ep, h.src)
-	get := h.router(sw, nil)
-
-	seq, st := get.FindProvidersStream(ctx, c)
-	seen := make(map[peer.ID]int)
-	batches := 0
-	seq(func(batch []wire.PeerInfo) bool {
-		batches++
-		for _, p := range batch {
-			seen[p.ID]++
+		// Publish from two different swarms, the second reaching only the
+		// second replica — the replicas now hold overlapping sets.
+		pub := h.router(h.pubSw, nil)
+		if _, err := pub.Provide(ctx, c); err != nil {
+			t.Fatalf("Provide: %v", err)
 		}
-		return true
+		h.net.SetOnline(h.groups[0][0].ID(), false)
+		pub2 := h.router(h.getSw, nil)
+		if _, err := pub2.Provide(ctx, c); err != nil {
+			t.Fatalf("second Provide: %v", err)
+		}
+		h.net.SetOnline(h.groups[0][0].ID(), true)
+
+		// A third swarm consumes the full stream.
+		rng := rand.New(rand.NewSource(99))
+		ident := peer.MustNewIdentity(rng)
+		ep := h.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
+		sw := swarm.New(ident, ep, h.src)
+		get := h.router(sw, nil)
+
+		seq, st := get.FindProvidersStream(ctx, c)
+		seen := make(map[peer.ID]int)
+		batches := 0
+		seq(func(batch []wire.PeerInfo) bool {
+			batches++
+			for _, p := range batch {
+				seen[p.ID]++
+			}
+			return true
+		})
+		if st.Err() != nil {
+			t.Fatalf("stream error: %v", st.Err())
+		}
+		if len(seen) != 2 {
+			t.Fatalf("merged stream saw providers %v, want both publishers", seen)
+		}
+		for id, n := range seen {
+			if n != 1 {
+				t.Errorf("provider %s yielded %d times, want deduplicated", id.Short(), n)
+			}
+		}
+		if batches != 2 {
+			t.Errorf("stream yielded %d batches, want one per answering replica", batches)
+		}
+		if st.Info().Queried != 2 {
+			t.Errorf("stream queried %d replicas, want 2", st.Info().Queried)
+		}
 	})
-	if st.Err() != nil {
-		t.Fatalf("stream error: %v", st.Err())
-	}
-	if len(seen) != 2 {
-		t.Fatalf("merged stream saw providers %v, want both publishers", seen)
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Errorf("provider %s yielded %d times, want deduplicated", id.Short(), n)
-		}
-	}
-	if batches != 2 {
-		t.Errorf("stream yielded %d batches, want one per answering replica", batches)
-	}
-	if st.Info().Queried != 2 {
-		t.Errorf("stream queried %d replicas, want 2", st.Info().Queried)
-	}
 }

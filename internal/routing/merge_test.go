@@ -11,6 +11,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/routing"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -59,32 +60,21 @@ func (m *scriptedMember) FindProvidersStream(ctx context.Context, _ cid.Cid) (ro
 	return seq, st
 }
 
-// onBothEngines runs body on scaled real time and inside a scheduler
-// run, where it also demands zero stalls. body reports through t.Error
-// only: on the scheduler it is not on the test's goroutine.
-func onBothEngines(t *testing.T, body func(t *testing.T, ctx context.Context, src simtime.Source)) {
-	t.Run("wall", func(t *testing.T) { body(t, context.Background(), simtime.Scaled(0.01, nil)) })
-	t.Run("scheduler", func(t *testing.T) {
-		sched := simtime.NewScheduler(nil, simtime.SchedulerOpts{})
-		if err := sched.Run(context.Background(), func(ctx context.Context) { body(t, ctx, sched) }); err != nil {
-			t.Fatal(err)
-		}
-		if n := sched.Stalls(); n != 0 {
-			t.Errorf("dispatcher stalled %d times", n)
-		}
-	})
-}
-
 // TestParallelStreamMerge pins the one merge FindProvidersStream is
-// written on, with the same outcome on both engines: the winner's batch
+// written on, with the same outcome on the scheduler and on the wall
+// clock: the winner's batch
 // first, duplicates dropped, every member joined (its RPCs charged, its
 // race span closed) before the stream returns, and nothing accepted from
 // a member after the race was called off. On the scheduler the virtual
 // duration is exact.
 func TestParallelStreamMerge(t *testing.T) {
-	// Whole seconds apart: 10 ms of real time each on the wall engine,
-	// where arrival order is the host's to decide.
-	sec := time.Second
+	simtest.BothEngines(t, testParallelStreamMerge)
+}
+
+func testParallelStreamMerge(t *testing.T, ctx context.Context, src simtime.Source, u time.Duration) {
+	// Ten units apart: 10 ms of real time each on the wall clock, where
+	// arrival order is the host's to decide.
+	sec := 10 * u
 	e1, e2 := errors.New("first member down"), errors.New("second member down")
 	cases := []struct {
 		name    string
@@ -111,7 +101,7 @@ func TestParallelStreamMerge(t *testing.T) {
 		name: "duplicates across members are dropped",
 		members: []scriptedMember{
 			{batches: []timedBatch{{1 * sec, []peer.ID{"x"}}, {3 * sec, []peer.ID{"y"}}}},
-			{batches: []timedBatch{{2500 * time.Millisecond, []peer.ID{"x", "z"}}}},
+			{batches: []timedBatch{{sec * 5 / 2, []peer.ID{"x", "z"}}}},
 		},
 		want: []peer.ID{"x", "z", "y"}, took: 4 * sec,
 	}, {
@@ -122,46 +112,44 @@ func TestParallelStreamMerge(t *testing.T) {
 		},
 		take: 1, want: []peer.ID{"w"}, took: 3 * sec,
 	}}
-	onBothEngines(t, func(t *testing.T, ctx context.Context, src simtime.Source) {
-		for _, tc := range cases {
-			members := make([]routing.Router, len(tc.members))
-			for i := range tc.members {
-				m := tc.members[i]
-				m.fakeRouter, m.src = &fakeRouter{name: fmt.Sprint("m", i)}, src
-				members[i] = &m
-			}
-			tctx, root := telemetry.NewRecorder(src).StartTrace(ctx, "retrieve")
-			start := src.Stamp()
-			seq, st := routing.NewParallel(src, members...).FindProvidersStream(tctx, testCid(tc.name))
-			var got []peer.ID
-			batches := 0
-			seq(func(batch []wire.PeerInfo) bool {
-				for _, p := range batch {
-					got = append(got, p.ID)
-				}
-				batches++
-				return batches != tc.take
-			})
-			took := src.Since(start)
-
-			if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", tc.want) {
-				t.Errorf("%s: providers = %q, want %q", tc.name, got, tc.want)
-			}
-			if err := st.Err(); !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
-				t.Errorf("%s: stream error = %v, want %v", tc.name, err, tc.err)
-			}
-			if q := st.Info().Queried; q != len(members) {
-				t.Errorf("%s: %d members' lookups charged, want all %d", tc.name, q, len(members))
-			}
-			// Only the root may still be open: every racer ended its span
-			// before the merge could see it finished.
-			if open := telemetry.TraceFrom(tctx).OpenSpans(); open != 1 {
-				t.Errorf("%s: %d spans open when the stream returned, want the root alone", tc.name, open)
-			}
-			root.End()
-			if simtime.SchedulerOf(src) != nil && took != tc.took {
-				t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
-			}
+	for _, tc := range cases {
+		members := make([]routing.Router, len(tc.members))
+		for i := range tc.members {
+			m := tc.members[i]
+			m.fakeRouter, m.src = &fakeRouter{name: fmt.Sprint("m", i)}, src
+			members[i] = &m
 		}
-	})
+		tctx, root := telemetry.NewRecorder(src).StartTrace(ctx, "retrieve")
+		start := src.Stamp()
+		seq, st := routing.NewParallel(src, members...).FindProvidersStream(tctx, testCid(tc.name))
+		var got []peer.ID
+		batches := 0
+		seq(func(batch []wire.PeerInfo) bool {
+			for _, p := range batch {
+				got = append(got, p.ID)
+			}
+			batches++
+			return batches != tc.take
+		})
+		took := src.Since(start)
+
+		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", tc.want) {
+			t.Errorf("%s: providers = %q, want %q", tc.name, got, tc.want)
+		}
+		if err := st.Err(); !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
+			t.Errorf("%s: stream error = %v, want %v", tc.name, err, tc.err)
+		}
+		if q := st.Info().Queried; q != len(members) {
+			t.Errorf("%s: %d members' lookups charged, want all %d", tc.name, q, len(members))
+		}
+		// Only the root may still be open: every racer ended its span
+		// before the merge could see it finished.
+		if open := telemetry.TraceFrom(tctx).OpenSpans(); open != 1 {
+			t.Errorf("%s: %d spans open when the stream returned, want the root alone", tc.name, open)
+		}
+		root.End()
+		if simtime.SchedulerOf(src) != nil && took != tc.took {
+			t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
+		}
+	}
 }

@@ -188,28 +188,6 @@ type Router interface {
 	WantBroadcast() bool
 }
 
-// FindProviders adapts the streaming surface to the legacy blocking
-// shape: it stops the stream at the first provider-carrying response
-// and returns that batch — exactly the §3.2 "terminate on the first
-// record-hosting node" semantics (and message cost) the one-shot API
-// had.
-func FindProviders(ctx context.Context, r Router, c cid.Cid) ([]wire.PeerInfo, LookupInfo, error) {
-	seq, st := r.FindProvidersStream(ctx, c)
-	var out []wire.PeerInfo
-	seq(func(batch []wire.PeerInfo) bool {
-		out = append(out, batch...)
-		return false
-	})
-	if len(out) > 0 {
-		return out, st.Info(), nil
-	}
-	err := st.Err()
-	if err == nil {
-		err = ErrNoProviders
-	}
-	return nil, st.Info(), err
-}
-
 // LazyStream adapts a blocking slice-returning lookup to the streaming
 // surface: the lookup runs when the sequence is invoked and its result
 // is yielded as a single batch. Custom Router implementations built on

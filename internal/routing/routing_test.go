@@ -15,14 +15,16 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
 	"repro/internal/testnet"
 	"repro/internal/wire"
 )
 
-// fakeRouter scripts a Router for composite tests: it waits delay (or a
-// cancelled context), then returns its canned outcome.
+// fakeRouter scripts a Router for composite tests: it waits delay on
+// src (or a cancelled context), then returns its canned outcome.
 type fakeRouter struct {
+	src       simtime.Source
 	name      string
 	delay     time.Duration
 	err       error
@@ -40,13 +42,11 @@ func (f *fakeRouter) Name() string { return f.name }
 
 func (f *fakeRouter) wait(ctx context.Context) error {
 	f.calls.Add(1)
-	select {
-	case <-time.After(f.delay):
-		return f.err
-	case <-ctx.Done():
+	if err := simtime.OrWall(f.src).Sleep(ctx, f.delay); err != nil {
 		f.cancelled.Store(true)
-		return ctx.Err()
+		return err
 	}
+	return f.err
 }
 
 func (f *fakeRouter) Provide(ctx context.Context, c cid.Cid) (routing.ProvideResult, error) {
@@ -93,56 +93,80 @@ func (f *fakeRouter) WantBroadcast() bool { return f.broadcast }
 
 func testCid(s string) cid.Cid { return cid.Sum(multicodec.Raw, []byte(s)) }
 
-func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
-	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
-	slow := &fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}
-	r := routing.NewParallel(nil, fast, slow)
+// findProviders reads r's provider stream the way a blocking lookup
+// would: it stops at the first provider-carrying response and returns
+// that batch — the §3.2 "terminate on the first record-hosting node"
+// semantics and message cost.
+func findProviders(ctx context.Context, r routing.Router, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
+	seq, st := r.FindProvidersStream(ctx, c)
+	var out []wire.PeerInfo
+	seq(func(batch []wire.PeerInfo) bool {
+		out = append(out, batch...)
+		return false
+	})
+	if len(out) > 0 {
+		return out, st.Info(), nil
+	}
+	err := st.Err()
+	if err == nil {
+		err = routing.ErrNoProviders
+	}
+	return nil, st.Info(), err
+}
 
-	providers, info, err := routing.FindProviders(context.Background(), r, testCid("race"))
-	if err != nil {
-		t.Fatalf("FindProviders: %v", err)
-	}
-	if len(providers) != 1 || providers[0].ID != peer.ID("winner") {
-		t.Fatalf("providers = %v, want the fast member's", providers)
-	}
-	if info.Queried != 1 {
-		t.Errorf("winner lookup info not propagated: %+v", info)
-	}
-	// The slow member must observe cancellation rather than run out its
-	// full delay.
-	deadline := time.After(2 * time.Second)
-	for !slow.cancelled.Load() {
-		select {
-		case <-deadline:
-			t.Fatal("slow member was not cancelled after the fast one won")
-		default:
-			time.Sleep(time.Millisecond)
+func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		fast := &fakeRouter{src: s, name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
+		slow := &fakeRouter{src: s, name: "slow", delay: time.Minute, provider: peer.ID("loser")}
+		r := routing.NewParallel(s, fast, slow)
+
+		providers, info, err := findProviders(ctx, r, testCid("race"))
+		if err != nil {
+			t.Fatalf("FindProviders: %v", err)
 		}
-	}
+		if len(providers) != 1 || providers[0].ID != peer.ID("winner") {
+			t.Fatalf("providers = %v, want the fast member's", providers)
+		}
+		if info.Queried != 1 {
+			t.Errorf("winner lookup info not propagated: %+v", info)
+		}
+		// The slow member must have observed cancellation rather than run
+		// out its full delay: the race lasted exactly the winner's 1 ms.
+		if !slow.cancelled.Load() {
+			t.Error("slow member was not cancelled after the fast one won")
+		}
+		if took := s.Now().Sub(simtest.Epoch); took != time.Millisecond {
+			t.Errorf("the race took %v, want exactly the winner's 1ms", took)
+		}
+	})
 }
 
 func TestParallelProvideFirstSuccessWins(t *testing.T) {
-	failing := &fakeRouter{name: "failing", delay: time.Millisecond, err: errors.New("boom")}
-	ok := &fakeRouter{name: "ok", delay: 5 * time.Millisecond}
-	res, err := routing.NewParallel(nil, failing, ok).Provide(context.Background(), testCid("pub"))
-	if err != nil {
-		t.Fatalf("Provide: %v", err)
-	}
-	if res.StoreOK != 1 {
-		t.Errorf("StoreOK = %d, want the succeeding member's result", res.StoreOK)
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		failing := &fakeRouter{src: s, name: "failing", delay: time.Millisecond, err: errors.New("boom")}
+		ok := &fakeRouter{src: s, name: "ok", delay: 5 * time.Millisecond}
+		res, err := routing.NewParallel(s, failing, ok).Provide(ctx, testCid("pub"))
+		if err != nil {
+			t.Fatalf("Provide: %v", err)
+		}
+		if res.StoreOK != 1 {
+			t.Errorf("StoreOK = %d, want the succeeding member's result", res.StoreOK)
+		}
+	})
 }
 
 func TestParallelAllFailReturnsFirstError(t *testing.T) {
-	e1 := errors.New("first")
-	a := &fakeRouter{name: "a", delay: time.Millisecond, err: e1}
-	b := &fakeRouter{name: "b", delay: 2 * time.Millisecond, err: errors.New("second")}
-	if _, err := routing.NewParallel(nil, a, b).Provide(context.Background(), testCid("x")); !errors.Is(err, e1) {
-		t.Errorf("err = %v, want first member's error", err)
-	}
-	if _, _, err := routing.FindProviders(context.Background(), routing.NewParallel(nil, a, b), testCid("x")); err == nil {
-		t.Error("FindProviders should fail when every member fails")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		e1 := errors.New("first")
+		a := &fakeRouter{src: s, name: "a", delay: time.Millisecond, err: e1}
+		b := &fakeRouter{src: s, name: "b", delay: 2 * time.Millisecond, err: errors.New("second")}
+		if _, err := routing.NewParallel(s, a, b).Provide(ctx, testCid("x")); !errors.Is(err, e1) {
+			t.Errorf("err = %v, want first member's error", err)
+		}
+		if _, _, err := findProviders(ctx, routing.NewParallel(s, a, b), testCid("x")); err == nil {
+			t.Error("FindProviders should fail when every member fails")
+		}
+	})
 }
 
 // countingRouter wraps a Router and counts calls, so fallback use is
@@ -179,97 +203,99 @@ func (c *countingRouter) SessionPeers(ctx context.Context, id cid.Cid, n int) ([
 func (c *countingRouter) WantBroadcast() bool { return c.inner.WantBroadcast() }
 
 func TestIndexerRoundTrip(t *testing.T) {
-	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.0005, nil), Seed: 3})
-	rng := rand.New(rand.NewSource(9))
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		net := simnet.New(simnet.Config{Time: s, Seed: 3})
+		rng := rand.New(rand.NewSource(9))
 
-	newSwarm := func() *swarm.Swarm {
-		ident := peer.MustNewIdentity(rng)
-		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-		return swarm.New(ident, ep, net.Time())
-	}
-	ixIdent := peer.MustNewIdentity(rng)
-	ixEp := net.AddNode(ixIdent.ID, simnet.NodeOpts{Region: "US", Dialable: true})
-	ix := routing.NewIndexer(ixIdent, ixEp, routing.IndexerConfig{Time: net.Time()})
+		newSwarm := func() *swarm.Swarm {
+			ident := peer.MustNewIdentity(rng)
+			ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
+			return swarm.New(ident, ep, net.Time())
+		}
+		ixIdent := peer.MustNewIdentity(rng)
+		ixEp := net.AddNode(ixIdent.ID, simnet.NodeOpts{Region: "US", Dialable: true})
+		ix := routing.NewIndexer(ixIdent, ixEp, routing.IndexerConfig{Time: net.Time()})
 
-	pubSw, getSw := newSwarm(), newSwarm()
-	cfg := routing.IndexerRouterConfig{}
-	pub := routing.NewIndexerRouter(pubSw, []wire.PeerInfo{ix.Info()}, nil, cfg)
-	// The getter's fallback must never fire on a hit.
-	fb := &countingRouter{inner: &fakeRouter{name: "fb", err: errors.New("unused")}}
-	get := routing.NewIndexerRouter(getSw, []wire.PeerInfo{ix.Info()}, fb, cfg)
+		pubSw, getSw := newSwarm(), newSwarm()
+		cfg := routing.IndexerRouterConfig{}
+		pub := routing.NewIndexerRouter(pubSw, []wire.PeerInfo{ix.Info()}, nil, cfg)
+		// The getter's fallback must never fire on a hit.
+		fb := &countingRouter{inner: &fakeRouter{src: s, name: "fb", err: errors.New("unused")}}
+		get := routing.NewIndexerRouter(getSw, []wire.PeerInfo{ix.Info()}, fb, cfg)
 
-	c := testCid("indexed content")
-	ctx := context.Background()
-	res, err := pub.Provide(ctx, c)
-	if err != nil {
-		t.Fatalf("Provide: %v", err)
-	}
-	if res.StoreOK != 1 || res.Walk.Queried != 0 {
-		t.Errorf("provide result = %+v, want one direct store and no walk", res)
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("indexer holds %d records, want 1", ix.Len())
-	}
+		c := testCid("indexed content")
+		res, err := pub.Provide(ctx, c)
+		if err != nil {
+			t.Fatalf("Provide: %v", err)
+		}
+		if res.StoreOK != 1 || res.Walk.Queried != 0 {
+			t.Errorf("provide result = %+v, want one direct store and no walk", res)
+		}
+		if ix.Len() != 1 {
+			t.Fatalf("indexer holds %d records, want 1", ix.Len())
+		}
 
-	providers, info, err := routing.FindProviders(ctx, get, c)
-	if err != nil {
-		t.Fatalf("FindProviders: %v", err)
-	}
-	if len(providers) == 0 || providers[0].ID != pubSw.Local() {
-		t.Fatalf("providers = %v, want the publisher", providers)
-	}
-	if len(providers[0].Addrs) == 0 {
-		t.Error("provider addrs missing: the indexer should return its address book entry")
-	}
-	if got := routing.LookupMessages(info); got != 1 {
-		t.Errorf("lookup used %d messages, want exactly 1 (one-hop)", got)
-	}
-	if fb.finds.Load() != 0 {
-		t.Error("fallback consulted despite an indexer hit")
-	}
+		providers, info, err := findProviders(ctx, get, c)
+		if err != nil {
+			t.Fatalf("FindProviders: %v", err)
+		}
+		if len(providers) == 0 || providers[0].ID != pubSw.Local() {
+			t.Fatalf("providers = %v, want the publisher", providers)
+		}
+		if len(providers[0].Addrs) == 0 {
+			t.Error("provider addrs missing: the indexer should return its address book entry")
+		}
+		if got := routing.LookupMessages(info); got != 1 {
+			t.Errorf("lookup used %d messages, want exactly 1 (one-hop)", got)
+		}
+		if fb.finds.Load() != 0 {
+			t.Error("fallback consulted despite an indexer hit")
+		}
+	})
 }
 
 func buildCleanNet(t *testing.T, n int, seed int64) *testnet.Testnet {
 	t.Helper()
 	return testnet.Build(testnet.Config{
-		N: n, Seed: seed, Scale: 0.0004,
+		N: n, Seed: seed,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 }
 
 func TestIndexerMissFallsBackToDHT(t *testing.T) {
 	tn := buildCleanNet(t, 120, 31)
-	ctx := context.Background()
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 
-	// Publish through the plain DHT so the indexer never hears of it.
-	publisher := tn.AddVantage("DE", 900)
-	data := []byte("only on the dht")
-	pub, err := publisher.AddAndPublish(ctx, data)
-	if err != nil {
-		t.Fatalf("publish: %v", err)
-	}
+		// Publish through the plain DHT so the indexer never hears of it.
+		publisher := tn.AddVantage("DE", 900)
+		data := []byte("only on the dht")
+		pub, err := publisher.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 
-	ix := tn.AddIndexer("US", 901)
-	getter := tn.AddVantage("US", 902)
-	fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
-	r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
-		routing.IndexerRouterConfig{})
+		ix := tn.AddIndexer("US", 901)
+		getter := tn.AddVantage("US", 902)
+		fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
+		r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
+			routing.IndexerRouterConfig{})
 
-	providers, info, err := routing.FindProviders(ctx, r, pub.Cid)
-	if err != nil {
-		t.Fatalf("FindProviders after indexer miss: %v", err)
-	}
-	if len(providers) == 0 || providers[0].ID != publisher.ID() {
-		t.Fatalf("providers = %v, want the DHT publisher", providers)
-	}
-	if fb.finds.Load() != 1 {
-		t.Errorf("fallback consulted %d times, want exactly 1", fb.finds.Load())
-	}
-	// The reported message count must include both the wasted indexer
-	// RPC and the fallback walk.
-	if got := routing.LookupMessages(info); got < 2 {
-		t.Errorf("lookup reports %d messages, want the indexer miss plus the walk", got)
-	}
+		providers, info, err := findProviders(ctx, r, pub.Cid)
+		if err != nil {
+			t.Fatalf("FindProviders after indexer miss: %v", err)
+		}
+		if len(providers) == 0 || providers[0].ID != publisher.ID() {
+			t.Fatalf("providers = %v, want the DHT publisher", providers)
+		}
+		if fb.finds.Load() != 1 {
+			t.Errorf("fallback consulted %d times, want exactly 1", fb.finds.Load())
+		}
+		// The reported message count must include both the wasted indexer
+		// RPC and the fallback walk.
+		if got := routing.LookupMessages(info); got < 2 {
+			t.Errorf("lookup reports %d messages, want the indexer miss plus the walk", got)
+		}
+	})
 }
 
 // TestAcceleratedOneHopLookup runs on virtual time: the snapshot crawl's
@@ -277,12 +303,12 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 // network" is a property of the seed.
 func TestAcceleratedOneHopLookup(t *testing.T) {
 	tn := testnet.Build(testnet.Config{
-		N: 120, Seed: 33, EventDriven: true,
+		N: 120, Seed: 33,
 		FracDead: 0.0001, FracSlow: 0.0001, FracWSBroken: 0.0001,
 	})
 	publisher := tn.AddVantageRouting("DE", 910, routing.KindAccelerated, nil)
 	getter := tn.AddVantageRouting("US", 911, routing.KindAccelerated, nil)
-	err := tn.Sched.Run(context.Background(), func(ctx context.Context) {
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		if _, err := publisher.RefreshRoutingSnapshot(ctx); err != nil {
 			t.Errorf("publisher refresh: %v", err)
 			return
@@ -307,7 +333,7 @@ func TestAcceleratedOneHopLookup(t *testing.T) {
 			return
 		}
 
-		providers, info, err := routing.FindProviders(ctx, getter.Router(), pub.Cid)
+		providers, info, err := findProviders(ctx, getter.Router(), pub.Cid)
 		if err != nil {
 			t.Errorf("FindProviders: %v", err)
 			return
@@ -330,49 +356,44 @@ func TestAcceleratedOneHopLookup(t *testing.T) {
 			t.Errorf("retrieval lookup used %d messages, want one-hop", rres.LookupMsgs)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tn.Sched.Stalls(); n != 0 {
-		t.Errorf("dispatcher stalled %d times", n)
-	}
 }
 
 func TestAcceleratedSurvivesStaleSnapshotUnderChurn(t *testing.T) {
 	tn := buildCleanNet(t, 150, 35)
-	ctx := context.Background()
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 
-	publisher := tn.AddVantageRouting("DE", 920, routing.KindAccelerated, nil)
-	getter := tn.AddVantageRouting("US", 921, routing.KindAccelerated, nil)
-	if _, err := publisher.RefreshRoutingSnapshot(ctx); err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
-	if _, err := getter.RefreshRoutingSnapshot(ctx); err != nil {
-		t.Fatalf("refresh: %v", err)
-	}
+		publisher := tn.AddVantageRouting("DE", 920, routing.KindAccelerated, nil)
+		getter := tn.AddVantageRouting("US", 921, routing.KindAccelerated, nil)
+		if _, err := publisher.RefreshRoutingSnapshot(ctx); err != nil {
+			t.Fatalf("refresh: %v", err)
+		}
+		if _, err := getter.RefreshRoutingSnapshot(ctx); err != nil {
+			t.Fatalf("refresh: %v", err)
+		}
 
-	// A third of the network departs after the snapshot was taken: both
-	// clients now operate on a stale view.
-	for i := 0; i < 50; i++ {
-		tn.SetOnline(tn.Nodes[i].ID(), false)
-	}
+		// A third of the network departs after the snapshot was taken: both
+		// clients now operate on a stale view.
+		for i := 0; i < 50; i++ {
+			tn.SetOnline(tn.Nodes[i].ID(), false)
+		}
 
-	data := []byte("published against a stale snapshot")
-	pub, err := publisher.AddAndPublish(ctx, data)
-	if err != nil {
-		t.Fatalf("publish with stale snapshot: %v", err)
-	}
-	if pub.StoreOK == 0 {
-		t.Fatal("no records stored despite live majority")
-	}
+		data := []byte("published against a stale snapshot")
+		pub, err := publisher.AddAndPublish(ctx, data)
+		if err != nil {
+			t.Fatalf("publish with stale snapshot: %v", err)
+		}
+		if pub.StoreOK == 0 {
+			t.Fatal("no records stored despite live majority")
+		}
 
-	got, rres, err := getter.Retrieve(ctx, pub.Cid)
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("retrieve with stale snapshot: %v", err)
-	}
-	if rres.Provider != publisher.ID() {
-		t.Errorf("provider = %s, want publisher", rres.Provider.Short())
-	}
+		got, rres, err := getter.Retrieve(ctx, pub.Cid)
+		if err != nil || string(got) != string(data) {
+			t.Fatalf("retrieve with stale snapshot: %v", err)
+		}
+		if rres.Provider != publisher.ID() {
+			t.Errorf("provider = %s, want publisher", rres.Provider.Short())
+		}
+	})
 }
 
 func TestConfigRoutingSelector(t *testing.T) {
@@ -401,142 +422,145 @@ func TestConfigRoutingSelector(t *testing.T) {
 	if got := node.Router().Name(); got != "dht" {
 		t.Errorf("default router = %q, want dht", got)
 	}
-	if !strings.HasPrefix(routing.NewParallel(nil, routing.NewDHT(node.DHT())).Name(), "parallel(") {
+	if !strings.HasPrefix(routing.NewParallel(tn.Sched, routing.NewDHT(node.DHT())).Name(), "parallel(") {
 		t.Error("parallel name should list members")
 	}
 }
 
 func TestDHTRouterDeclinesSessionPeers(t *testing.T) {
 	tn := buildCleanNet(t, 30, 41)
-	r := routing.NewDHT(tn.AddVantage("DE", 960).DHT())
-	peers, msgs, err := r.SessionPeers(context.Background(), testCid("x"), 3)
-	if !errors.Is(err, routing.ErrNoSessionPeers) || len(peers) != 0 || msgs != 0 {
-		t.Errorf("dht session peers = (%v, %d, %v), want a free decline", peers, msgs, err)
-	}
-	if !r.WantBroadcast() {
-		t.Error("dht router must keep the opportunistic broadcast")
-	}
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		r := routing.NewDHT(tn.AddVantage("DE", 960).DHT())
+		peers, msgs, err := r.SessionPeers(ctx, testCid("x"), 3)
+		if !errors.Is(err, routing.ErrNoSessionPeers) || len(peers) != 0 || msgs != 0 {
+			t.Errorf("dht session peers = (%v, %d, %v), want a free decline", peers, msgs, err)
+		}
+		if !r.WantBroadcast() {
+			t.Error("dht router must keep the opportunistic broadcast")
+		}
+	})
 }
 
 func TestAcceleratedSessionPeersOneHop(t *testing.T) {
 	tn := buildCleanNet(t, 120, 43)
-	ctx := context.Background()
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 
-	publisher := tn.AddVantageRouting("DE", 970, routing.KindAccelerated, nil)
-	getter := tn.AddVantageRouting("US", 971, routing.KindAccelerated, nil)
-	for _, n := range []interface {
-		RefreshRoutingSnapshot(context.Context) (int, error)
-	}{publisher, getter} {
-		if _, err := n.RefreshRoutingSnapshot(ctx); err != nil {
-			t.Fatalf("refresh: %v", err)
+		publisher := tn.AddVantageRouting("DE", 970, routing.KindAccelerated, nil)
+		getter := tn.AddVantageRouting("US", 971, routing.KindAccelerated, nil)
+		for _, n := range []interface {
+			RefreshRoutingSnapshot(context.Context) (int, error)
+		}{publisher, getter} {
+			if _, err := n.RefreshRoutingSnapshot(ctx); err != nil {
+				t.Fatalf("refresh: %v", err)
+			}
 		}
-	}
-	pub, err := publisher.AddAndPublish(ctx, []byte("session candidate content"))
-	if err != nil {
-		t.Fatalf("publish: %v", err)
-	}
+		pub, err := publisher.AddAndPublish(ctx, []byte("session candidate content"))
+		if err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 
-	r := getter.Router()
-	if r.WantBroadcast() {
-		t.Error("accelerated router should skip the broadcast")
-	}
-	peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 3)
-	if err != nil {
-		t.Fatalf("SessionPeers: %v", err)
-	}
-	if len(peers) == 0 || peers[0].ID != publisher.ID() {
-		t.Fatalf("session peers = %v, want the publisher", peers)
-	}
-	if len(peers) > 3 {
-		t.Errorf("session peers not capped: %d", len(peers))
-	}
-	if msgs == 0 || msgs > 6 {
-		t.Errorf("session lookup spent %d RPCs, want a single small wave", msgs)
-	}
+		r := getter.Router()
+		if r.WantBroadcast() {
+			t.Error("accelerated router should skip the broadcast")
+		}
+		peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 3)
+		if err != nil {
+			t.Fatalf("SessionPeers: %v", err)
+		}
+		if len(peers) == 0 || peers[0].ID != publisher.ID() {
+			t.Fatalf("session peers = %v, want the publisher", peers)
+		}
+		if len(peers) > 3 {
+			t.Errorf("session peers not capped: %d", len(peers))
+		}
+		if msgs == 0 || msgs > 6 {
+			t.Errorf("session lookup spent %d RPCs, want a single small wave", msgs)
+		}
 
-	// An unpublished key must decline without walking.
-	if _, _, err := r.SessionPeers(ctx, testCid("never published"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
-		t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
-	}
+		// An unpublished key must decline without walking.
+		if _, _, err := r.SessionPeers(ctx, testCid("never published"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
+			t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
+		}
+	})
 }
 
 func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 	tn := buildCleanNet(t, 60, 45)
-	ctx := context.Background()
-	ix := tn.AddIndexer("US", 980)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		ix := tn.AddIndexer("US", 980)
 
-	publisher := tn.AddVantage("DE", 981)
-	pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ix.Info()}, nil,
-		routing.IndexerRouterConfig{})
-	pub, err := publisher.AddAndPublish(ctx, []byte("indexed session content"))
-	if err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	if _, err := pubR.Provide(ctx, pub.Cid); err != nil {
-		t.Fatalf("indexer provide: %v", err)
-	}
+		publisher := tn.AddVantage("DE", 981)
+		pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ix.Info()}, nil,
+			routing.IndexerRouterConfig{})
+		pub, err := publisher.AddAndPublish(ctx, []byte("indexed session content"))
+		if err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+		if _, err := pubR.Provide(ctx, pub.Cid); err != nil {
+			t.Fatalf("indexer provide: %v", err)
+		}
 
-	getter := tn.AddVantage("US", 982)
-	fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
-	r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
-		routing.IndexerRouterConfig{})
+		getter := tn.AddVantage("US", 982)
+		fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
+		r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
+			routing.IndexerRouterConfig{})
 
-	peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 2)
-	if err != nil || len(peers) == 0 || peers[0].ID != publisher.ID() {
-		t.Fatalf("session peers = (%v, %v), want the publisher", peers, err)
-	}
-	if msgs != 1 {
-		t.Errorf("session lookup spent %d RPCs, want exactly 1", msgs)
-	}
-	// A miss must decline instead of walking the DHT: session candidates
-	// are advisory, the broadcast/walk fallback belongs to the caller.
-	if _, _, err := r.SessionPeers(ctx, testCid("not indexed"), 2); !errors.Is(err, routing.ErrNoSessionPeers) {
-		t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
-	}
-	if fb.finds.Load() != 0 || fb.sessions.Load() != 0 {
-		t.Error("session peer miss must not consult the DHT fallback")
-	}
+		peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 2)
+		if err != nil || len(peers) == 0 || peers[0].ID != publisher.ID() {
+			t.Fatalf("session peers = (%v, %v), want the publisher", peers, err)
+		}
+		if msgs != 1 {
+			t.Errorf("session lookup spent %d RPCs, want exactly 1", msgs)
+		}
+		// A miss must decline instead of walking the DHT: session candidates
+		// are advisory, the broadcast/walk fallback belongs to the caller.
+		if _, _, err := r.SessionPeers(ctx, testCid("not indexed"), 2); !errors.Is(err, routing.ErrNoSessionPeers) {
+			t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
+		}
+		if fb.finds.Load() != 0 || fb.sessions.Load() != 0 {
+			t.Error("session peer miss must not consult the DHT fallback")
+		}
+	})
 }
 
 func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
-	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
-	slow := &fakeRouter{name: "slow", delay: time.Minute, provider: peer.ID("loser")}
-	decline := &fakeRouter{name: "decline", delay: time.Millisecond, broadcast: true}
-	r := routing.NewParallel(nil, decline, fast, slow)
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		fast := &fakeRouter{src: s, name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
+		slow := &fakeRouter{src: s, name: "slow", delay: time.Minute, provider: peer.ID("loser")}
+		decline := &fakeRouter{src: s, name: "decline", delay: time.Millisecond, broadcast: true}
+		r := routing.NewParallel(s, decline, fast, slow)
 
-	peers, msgs, err := r.SessionPeers(context.Background(), testCid("race"), 3)
-	if err != nil {
-		t.Fatalf("SessionPeers: %v", err)
-	}
-	if len(peers) != 1 || peers[0].ID != peer.ID("winner") {
-		t.Fatalf("peers = %v, want the fast member's", peers)
-	}
-	if msgs < 1 {
-		t.Errorf("msgs = %d, want the winner's RPC charged", msgs)
-	}
-	deadline := time.After(2 * time.Second)
-	for !slow.cancelled.Load() {
-		select {
-		case <-deadline:
-			t.Fatal("slow member was not cancelled after the fast one won")
-		default:
-			time.Sleep(time.Millisecond)
+		peers, msgs, err := r.SessionPeers(ctx, testCid("race"), 3)
+		if err != nil {
+			t.Fatalf("SessionPeers: %v", err)
 		}
-	}
+		if len(peers) != 1 || peers[0].ID != peer.ID("winner") {
+			t.Fatalf("peers = %v, want the fast member's", peers)
+		}
+		if msgs < 1 {
+			t.Errorf("msgs = %d, want the winner's RPC charged", msgs)
+		}
+		if !slow.cancelled.Load() {
+			t.Error("slow member was not cancelled after the fast one won")
+		}
+		if took := s.Now().Sub(simtest.Epoch); took != time.Millisecond {
+			t.Errorf("the race took %v, want exactly the winner's 1ms", took)
+		}
 
-	// Broadcast policy: any member wanting the broadcast keeps it.
-	if !r.WantBroadcast() {
-		t.Error("composite with a broadcasting member must broadcast")
-	}
-	if routing.NewParallel(nil, fast, slow).WantBroadcast() {
-		t.Error("composite of one-hop members must skip the broadcast")
-	}
+		// Broadcast policy: any member wanting the broadcast keeps it.
+		if !r.WantBroadcast() {
+			t.Error("composite with a broadcasting member must broadcast")
+		}
+		if routing.NewParallel(s, fast, slow).WantBroadcast() {
+			t.Error("composite of one-hop members must skip the broadcast")
+		}
 
-	// All members declining yields ErrNoSessionPeers.
-	d2 := &fakeRouter{name: "d2", delay: time.Millisecond}
-	if _, _, err := routing.NewParallel(nil, d2).SessionPeers(context.Background(), testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
-		t.Errorf("all-decline err = %v, want ErrNoSessionPeers", err)
-	}
+		// All members declining yields ErrNoSessionPeers.
+		d2 := &fakeRouter{src: s, name: "d2", delay: time.Millisecond}
+		if _, _, err := routing.NewParallel(s, d2).SessionPeers(ctx, testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
+			t.Errorf("all-decline err = %v, want ErrNoSessionPeers", err)
+		}
+	})
 }
 
 // TestSessionMissHandoffSkipsDirectProbe is the regression test for the
@@ -545,64 +569,65 @@ func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
 // the whole direct RPC wave is saved and only the fallback runs.
 func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 	tn := buildCleanNet(t, 60, 51)
-	ctx := context.Background()
-	node := tn.AddVantage("US", 990)
-	fb := &countingRouter{inner: &fakeRouter{name: "stub", delay: time.Millisecond, err: routing.ErrNoProviders}}
-	accel := routing.NewAccelerated(node.Swarm(), fb, routing.AcceleratedConfig{})
-	var infos []wire.PeerInfo
-	for _, n := range tn.Nodes {
-		infos = append(infos, n.Info())
-	}
-	accel.SetSnapshot(infos)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		node := tn.AddVantage("US", 990)
+		fb := &countingRouter{inner: &fakeRouter{src: tn.Sched, name: "stub", delay: time.Millisecond, err: routing.ErrNoProviders}}
+		accel := routing.NewAccelerated(node.Swarm(), fb, routing.AcceleratedConfig{})
+		var infos []wire.PeerInfo
+		for _, n := range tn.Nodes {
+			infos = append(infos, n.Info())
+		}
+		accel.SetSnapshot(infos)
 
-	c := testCid("unpublished content")
-	// Plain miss: the direct one-hop wave probes the K closest snapshot
-	// peers before the fallback runs.
-	before, _, _ := tn.Net.Stats()
-	if _, _, err := routing.FindProviders(ctx, accel, c); !errors.Is(err, routing.ErrNoProviders) {
-		t.Fatalf("plain miss err = %v, want ErrNoProviders", err)
-	}
-	mid, _, _ := tn.Net.Stats()
-	probed := mid - before
-	if probed == 0 {
-		t.Fatal("direct path issued no RPCs; test setup broken")
-	}
-	if fb.finds.Load() != 1 {
-		t.Fatalf("fallback consulted %d times, want 1", fb.finds.Load())
-	}
+		c := testCid("unpublished content")
+		// Plain miss: the direct one-hop wave probes the K closest snapshot
+		// peers before the fallback runs.
+		before, _, _ := tn.Net.Stats()
+		if _, _, err := findProviders(ctx, accel, c); !errors.Is(err, routing.ErrNoProviders) {
+			t.Fatalf("plain miss err = %v, want ErrNoProviders", err)
+		}
+		mid, _, _ := tn.Net.Stats()
+		probed := mid - before
+		if probed == 0 {
+			t.Fatal("direct path issued no RPCs; test setup broken")
+		}
+		if fb.finds.Load() != 1 {
+			t.Fatalf("fallback consulted %d times, want 1", fb.finds.Load())
+		}
 
-	// The same lookup under WithSessionMiss goes straight to the
-	// fallback: zero duplicate direct RPCs — the saved wave.
-	if _, _, err := routing.FindProviders(routing.WithSessionMiss(ctx, c), accel, c); !errors.Is(err, routing.ErrNoProviders) {
-		t.Fatalf("handoff miss err = %v, want ErrNoProviders", err)
-	}
-	after, _, _ := tn.Net.Stats()
-	if d := after - mid; d != 0 {
-		t.Errorf("handoff lookup issued %d RPCs, want 0 (the consult already probed the neighbourhood; plain miss cost %d)", d, probed)
-	}
-	if fb.finds.Load() != 2 {
-		t.Fatalf("fallback consulted %d times, want 2", fb.finds.Load())
-	}
+		// The same lookup under WithSessionMiss goes straight to the
+		// fallback: zero duplicate direct RPCs — the saved wave.
+		if _, _, err := findProviders(routing.WithSessionMiss(ctx, c), accel, c); !errors.Is(err, routing.ErrNoProviders) {
+			t.Fatalf("handoff miss err = %v, want ErrNoProviders", err)
+		}
+		after, _, _ := tn.Net.Stats()
+		if d := after - mid; d != 0 {
+			t.Errorf("handoff lookup issued %d RPCs, want 0 (the consult already probed the neighbourhood; plain miss cost %d)", d, probed)
+		}
+		if fb.finds.Load() != 2 {
+			t.Fatalf("fallback consulted %d times, want 2", fb.finds.Load())
+		}
 
-	// The hint is keyed to the CID: lookups for other keys still probe
-	// the snapshot directly.
-	b3, _, _ := tn.Net.Stats()
-	routing.FindProviders(routing.WithSessionMiss(ctx, c), accel, testCid("different key"))
-	a3, _, _ := tn.Net.Stats()
-	if a3 == b3 {
-		t.Error("a hint for one CID suppressed the direct probe of another")
-	}
+		// The hint is keyed to the CID: lookups for other keys still probe
+		// the snapshot directly.
+		b3, _, _ := tn.Net.Stats()
+		findProviders(routing.WithSessionMiss(ctx, c), accel, testCid("different key"))
+		a3, _, _ := tn.Net.Stats()
+		if a3 == b3 {
+			t.Error("a hint for one CID suppressed the direct probe of another")
+		}
 
-	// Without a fallback, a hinted one-hop router declines instantly
-	// instead of re-probing.
-	bare := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
-	bare.SetSnapshot(infos)
-	b4, _, _ := tn.Net.Stats()
-	if _, _, err := routing.FindProviders(routing.WithSessionMiss(ctx, c), bare, c); !errors.Is(err, routing.ErrNoProviders) {
-		t.Fatalf("bare handoff err = %v, want ErrNoProviders", err)
-	}
-	a4, _, _ := tn.Net.Stats()
-	if a4 != b4 {
-		t.Errorf("fallback-less handoff lookup issued %d RPCs, want 0", a4-b4)
-	}
+		// Without a fallback, a hinted one-hop router declines instantly
+		// instead of re-probing.
+		bare := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
+		bare.SetSnapshot(infos)
+		b4, _, _ := tn.Net.Stats()
+		if _, _, err := findProviders(routing.WithSessionMiss(ctx, c), bare, c); !errors.Is(err, routing.ErrNoProviders) {
+			t.Fatalf("bare handoff err = %v, want ErrNoProviders", err)
+		}
+		a4, _, _ := tn.Net.Stats()
+		if a4 != b4 {
+			t.Errorf("fallback-less handoff lookup issued %d RPCs, want 0", a4-b4)
+		}
+	})
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/cid"
 	"repro/internal/peer"
 	"repro/internal/routing"
+	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/wire"
 )
 
@@ -45,88 +47,91 @@ func (d detachedRouter) WantBroadcast() bool { return d.inner.WantBroadcast() }
 // saw in simnet's budget.
 func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 	tn := buildCleanNet(t, 40, 81)
-	ctx := context.Background()
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 
-	// Two single-indexer routers: every operation costs exactly one RPC
-	// per member, so the totals are deterministic. The second member is
-	// detached so losing the race cannot suppress its RPC.
-	ixHit := tn.AddIndexer("US", 810)
-	ixMiss := tn.AddIndexer("DE", 811)
-	node := tn.AddVantage("US", 812)
-	mkRouter := func(ix wire.PeerInfo) routing.Router {
-		return routing.NewIndexerRouter(node.Swarm(), []wire.PeerInfo{ix}, nil,
+		// Two single-indexer routers: every operation costs exactly one RPC
+		// per member, so the totals are deterministic. The second member is
+		// detached so losing the race cannot suppress its RPC.
+		ixHit := tn.AddIndexer("US", 810)
+		ixMiss := tn.AddIndexer("DE", 811)
+		node := tn.AddVantage("US", 812)
+		mkRouter := func(ix wire.PeerInfo) routing.Router {
+			return routing.NewIndexerRouter(node.Swarm(), []wire.PeerInfo{ix}, nil,
+				routing.IndexerRouterConfig{})
+		}
+		hit := mkRouter(ixHit.Info())
+		miss := detachedRouter{inner: mkRouter(ixMiss.Info())}
+
+		c := testCid("raced content")
+		publisher := tn.AddVantage("DE", 813)
+		pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ixHit.Info()}, nil,
 			routing.IndexerRouterConfig{})
-	}
-	hit := mkRouter(ixHit.Info())
-	miss := detachedRouter{inner: mkRouter(ixMiss.Info())}
+		if _, err := pubR.Provide(ctx, c); err != nil {
+			t.Fatalf("seed provide: %v", err)
+		}
 
-	c := testCid("raced content")
-	publisher := tn.AddVantage("DE", 813)
-	pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ixHit.Info()}, nil,
-		routing.IndexerRouterConfig{})
-	if _, err := pubR.Provide(ctx, c); err != nil {
-		t.Fatalf("seed provide: %v", err)
-	}
+		r := routing.NewParallel(tn.Sched, hit, miss)
 
-	r := routing.NewParallel(nil, hit, miss)
+		// Winner path: the hit member answers in one RPC, the cancelled
+		// loser's RPC must still be charged and must equal the budget.
+		before := tn.Net.Budget()
+		_, info, err := findProviders(ctx, r, c)
+		if err != nil {
+			t.Fatalf("FindProviders: %v", err)
+		}
+		spent := tn.Net.Budget().Sub(before).Requests
+		if got := routing.LookupMessages(info); int64(got) != spent {
+			t.Errorf("race reported %d lookup msgs, network saw %d — losers under-counted", got, spent)
+		}
+		if spent != 2 {
+			t.Errorf("network saw %d requests, want 2 (winner + detached loser)", spent)
+		}
 
-	// Winner path: the hit member answers in one RPC, the cancelled
-	// loser's RPC must still be charged and must equal the budget.
-	before := tn.Net.Budget()
-	_, info, err := routing.FindProviders(ctx, r, c)
-	if err != nil {
-		t.Fatalf("FindProviders: %v", err)
-	}
-	spent := tn.Net.Budget().Sub(before).Requests
-	if got := routing.LookupMessages(info); int64(got) != spent {
-		t.Errorf("race reported %d lookup msgs, network saw %d — losers under-counted", got, spent)
-	}
-	if spent != 2 {
-		t.Errorf("network saw %d requests, want 2 (winner + detached loser)", spent)
-	}
+		// All-fail path: both members miss; the reported cost must still
+		// cover every raced RPC instead of vanishing with the error.
+		missCid := testCid("never published")
+		before = tn.Net.Budget()
+		_, info, err = findProviders(ctx, r, missCid)
+		if !errors.Is(err, routing.ErrNoProviders) {
+			t.Fatalf("miss err = %v, want ErrNoProviders", err)
+		}
+		spent = tn.Net.Budget().Sub(before).Requests
+		if got := routing.LookupMessages(info); int64(got) != spent || spent != 2 {
+			t.Errorf("all-fail race reported %d msgs, network saw %d, want 2", got, spent)
+		}
 
-	// All-fail path: both members miss; the reported cost must still
-	// cover every raced RPC instead of vanishing with the error.
-	missCid := testCid("never published")
-	before = tn.Net.Budget()
-	_, info, err = routing.FindProviders(ctx, r, missCid)
-	if !errors.Is(err, routing.ErrNoProviders) {
-		t.Fatalf("miss err = %v, want ErrNoProviders", err)
-	}
-	spent = tn.Net.Budget().Sub(before).Requests
-	if got := routing.LookupMessages(info); int64(got) != spent || spent != 2 {
-		t.Errorf("all-fail race reported %d msgs, network saw %d, want 2", got, spent)
-	}
-
-	// Provide winner path: both members store one record each; the
-	// drained loser's store is charged.
-	pc := testCid("raced publication")
-	before = tn.Net.Budget()
-	res, err := r.Provide(ctx, pc)
-	if err != nil {
-		t.Fatalf("Provide: %v", err)
-	}
-	spent = tn.Net.Budget().Sub(before).Requests
-	if got := routing.ProvideMessages(res); int64(got) != spent || spent != 2 {
-		t.Errorf("raced provide reported %d msgs, network saw %d, want 2", got, spent)
-	}
+		// Provide winner path: both members store one record each; the
+		// drained loser's store is charged.
+		pc := testCid("raced publication")
+		before = tn.Net.Budget()
+		res, err := r.Provide(ctx, pc)
+		if err != nil {
+			t.Fatalf("Provide: %v", err)
+		}
+		spent = tn.Net.Budget().Sub(before).Requests
+		if got := routing.ProvideMessages(res); int64(got) != spent || spent != 2 {
+			t.Errorf("raced provide reported %d msgs, network saw %d, want 2", got, spent)
+		}
+	})
 }
 
 // TestParallelProvideAllFailKeepsCost pins the all-fail Provide
 // accounting fix: when every raced member fails, the RPCs they spent
 // still appear in the returned result.
 func TestParallelProvideAllFailKeepsCost(t *testing.T) {
-	failCost := routing.ProvideResult{StoreAttempts: 2, Walk: routing.LookupInfo{Queried: 3}}
-	a := &fakeRouter{name: "a", delay: time.Millisecond, err: errors.New("a down"), provideRes: failCost}
-	b := &fakeRouter{name: "b", delay: 2 * time.Millisecond, err: errors.New("b down"), provideRes: failCost}
-	res, err := routing.NewParallel(nil, a, b).Provide(context.Background(), testCid("x"))
-	if err == nil {
-		t.Fatal("want error when every member fails")
-	}
-	if got := routing.ProvideMessages(res); got != 2*routing.ProvideMessages(failCost) {
-		t.Errorf("all-fail provide reports %d msgs, want %d (both members' spend)",
-			got, 2*routing.ProvideMessages(failCost))
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		failCost := routing.ProvideResult{StoreAttempts: 2, Walk: routing.LookupInfo{Queried: 3}}
+		a := &fakeRouter{src: s, name: "a", delay: time.Millisecond, err: errors.New("a down"), provideRes: failCost}
+		b := &fakeRouter{src: s, name: "b", delay: 2 * time.Millisecond, err: errors.New("b down"), provideRes: failCost}
+		res, err := routing.NewParallel(s, a, b).Provide(ctx, testCid("x"))
+		if err == nil {
+			t.Fatal("want error when every member fails")
+		}
+		if got := routing.ProvideMessages(res); got != 2*routing.ProvideMessages(failCost) {
+			t.Errorf("all-fail provide reports %d msgs, want %d (both members' spend)",
+				got, 2*routing.ProvideMessages(failCost))
+		}
+	})
 }
 
 // TestParallelStreamKeepsLosersPartialResults is the streaming-merge
@@ -134,37 +139,39 @@ func TestParallelProvideAllFailKeepsCost(t *testing.T) {
 // yields the slower members' providers too, instead of discarding them
 // with the cancelled losers.
 func TestParallelStreamKeepsLosersPartialResults(t *testing.T) {
-	fast := &fakeRouter{name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
-	slow := &fakeRouter{name: "slow", delay: 20 * time.Millisecond, provider: peer.ID("straggler")}
-	r := routing.NewParallel(nil, fast, slow)
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		fast := &fakeRouter{src: s, name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
+		slow := &fakeRouter{src: s, name: "slow", delay: 20 * time.Millisecond, provider: peer.ID("straggler")}
+		r := routing.NewParallel(s, fast, slow)
 
-	seq, st := r.FindProvidersStream(context.Background(), testCid("merge"))
-	var got []peer.ID
-	seq(func(batch []wire.PeerInfo) bool {
-		for _, p := range batch {
-			got = append(got, p.ID)
+		seq, st := r.FindProvidersStream(ctx, testCid("merge"))
+		var got []peer.ID
+		seq(func(batch []wire.PeerInfo) bool {
+			for _, p := range batch {
+				got = append(got, p.ID)
+			}
+			return true // keep draining: the straggler's result must arrive
+		})
+		if err := st.Err(); err != nil {
+			t.Fatalf("stream err = %v", err)
 		}
-		return true // keep draining: the straggler's result must arrive
-	})
-	if err := st.Err(); err != nil {
-		t.Fatalf("stream err = %v", err)
-	}
-	if len(got) != 2 || got[0] != peer.ID("winner") || got[1] != peer.ID("straggler") {
-		t.Fatalf("streamed providers = %v, want winner then straggler", got)
-	}
-	if msgs := routing.LookupMessages(st.Info()); msgs < 2 {
-		t.Errorf("aggregated stream reports %d msgs, want both members charged", msgs)
-	}
+		if len(got) != 2 || got[0] != peer.ID("winner") || got[1] != peer.ID("straggler") {
+			t.Fatalf("streamed providers = %v, want winner then straggler", got)
+		}
+		if msgs := routing.LookupMessages(st.Info()); msgs < 2 {
+			t.Errorf("aggregated stream reports %d msgs, want both members charged", msgs)
+		}
 
-	// Stopping at the first batch cancels the straggler instead.
-	slow2 := &fakeRouter{name: "slow2", delay: time.Minute, provider: peer.ID("late")}
-	seq, _ = routing.NewParallel(nil, fast, slow2).FindProvidersStream(context.Background(), testCid("merge2"))
-	start := time.Now()
-	seq(func([]wire.PeerInfo) bool { return false })
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("stopping the stream did not cancel the slow member")
-	}
-	if !slow2.cancelled.Load() {
-		t.Error("slow member not cancelled after the consumer stopped")
-	}
+		// Stopping at the first batch cancels the straggler instead.
+		slow2 := &fakeRouter{src: s, name: "slow2", delay: time.Minute, provider: peer.ID("late")}
+		seq, _ = routing.NewParallel(s, fast, slow2).FindProvidersStream(ctx, testCid("merge2"))
+		start := s.Stamp()
+		seq(func([]wire.PeerInfo) bool { return false })
+		if took := s.Since(start); took != time.Millisecond {
+			t.Fatalf("the stopped stream took %v, want the fast member's 1ms: stopping did not cancel the slow member", took)
+		}
+		if !slow2.cancelled.Load() {
+			t.Error("slow member not cancelled after the consumer stopped")
+		}
+	})
 }

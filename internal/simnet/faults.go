@@ -2,9 +2,9 @@
 // and region-level partitions, all adjustable mid-run. The scenario
 // engine schedules SetFaults / Partition / Heal calls as simtime events
 // to replay the paper's imperfect-network conditions (lossy links,
-// unreachable cohorts, regional outages) deterministically: on the
-// event-driven path every loss decision is a hash of the seed, the two
-// endpoints and the virtual instant, never a shared-rng race.
+// unreachable cohorts, regional outages) deterministically: every loss
+// decision is a hash of the seed, the two endpoints and the virtual
+// instant, never a shared-rng race.
 package simnet
 
 import (
@@ -141,11 +141,10 @@ func (n *Network) Dialable(id peer.ID) bool {
 }
 
 // lossDraw decides whether one message transit between a and b is lost
-// under rate. Under the discrete-event scheduler the decision is a hash
-// of (seed, endpoints, kind, virtual instant) — deterministic across
-// replays like jitter draws; kind separates the request leg from the
-// response leg so the two are independent. On the legacy path it is the
-// shared rng.
+// under rate. The decision is a hash of (seed, endpoints, kind, virtual
+// instant) — deterministic across replays like jitter draws; kind
+// separates the request leg from the response leg so the two are
+// independent.
 func (n *Network) lossDraw(a, b peer.ID, kind string, rate float64) bool {
 	if rate <= 0 {
 		return false
@@ -153,12 +152,7 @@ func (n *Network) lossDraw(a, b peer.ID, kind string, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	if n.det {
-		return hashFloat(n.cfg.Seed, a, b, kind, n.cfg.Time.Now().UnixNano()) < rate
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64() < rate
+	return hashFloat(n.cfg.Seed, a, b, kind, n.cfg.Time.Now().UnixNano()) < rate
 }
 
 // faultDelay is the per-transit latency tax of a fault profile: the

@@ -7,8 +7,8 @@
 // Peer behaviour classes reproduce the pathologies the paper measures:
 // dead routing-table entries that eat the 5 s dial timeout, and
 // websocket-only peers whose handshakes hang for 45 s — the spike
-// structure of Figure 9c. A time base (internal/simtime) compresses
-// simulated seconds into real milliseconds so experiments replay fast.
+// structure of Figure 9c. Every latency is a sleep on the network's
+// simtime.Source: an event on the scheduler's queue in a simulated run.
 package simnet
 
 import (
@@ -48,14 +48,11 @@ const (
 
 // Config tunes the simulator.
 type Config struct {
-	// Time is the simulator's time source. Under a simtime.Scheduler
-	// every dial handshake and RPC becomes a scheduled delivery event —
-	// the requester parks on the queue and virtual time jumps to the
-	// delivery instant — and jitter is drawn from a deterministic hash
-	// instead of the shared rng, so seeded runs replay bit-for-bit
-	// regardless of goroutine interleaving. On simtime.Scaled(0.002, nil)
-	// the latencies are slept out 500x faster than real time; nil is
-	// the unscaled wall clock.
+	// Time is the simulator's time source, a simtime.Scheduler in every
+	// simulated run: each dial handshake and RPC becomes a scheduled
+	// delivery event — the requester parks on the queue and virtual
+	// time jumps to the delivery instant. Nil is the wall clock, where
+	// the latencies are slept out in real time.
 	Time simtime.Source
 	// Seed makes jitter and bandwidth assignment reproducible.
 	Seed int64
@@ -101,15 +98,11 @@ func (c Config) withDefaults() Config {
 // Network is a simulated network holding all attached endpoints.
 type Network struct {
 	cfg Config
-	// det selects hash-derived jitter over the shared rng: set when the
-	// time source is a discrete-event scheduler, where draw order must
-	// not depend on which goroutine reaches the rng first.
-	det bool
 
 	mu    sync.RWMutex
 	nodes map[peer.ID]*node
 	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // AddNode's bandwidth and address draws
 
 	// Fault state: the network default profile, per-link overrides and
 	// the current regional partition. Mutable mid-run (the scenario
@@ -154,7 +147,6 @@ func New(cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	return &Network{
 		cfg:          cfg,
-		det:          simtime.SchedulerOf(cfg.Time) != nil,
 		nodes:        make(map[peer.ID]*node),
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		faults:       cfg.Faults,
@@ -402,21 +394,15 @@ func (n *Network) countRetry() {
 }
 
 // jitter returns a jitter duration in [0, max) for one interaction
-// between a and b. Under the discrete-event scheduler the draw is a
-// hash of (seed, endpoints, kind, virtual instant): the value depends
-// only on who talks to whom and when in *simulated* time, never on
-// which goroutine reached a shared rng first, so seeded runs replay
-// bit-for-bit. On the legacy real-scaled path it is the shared rng.
+// between a and b: a hash of (seed, endpoints, kind, virtual instant).
+// The value depends only on who talks to whom and when in *simulated*
+// time, never on which goroutine reached a shared rng first, so seeded
+// runs replay bit-for-bit.
 func (n *Network) jitter(a, b peer.ID, kind string, max time.Duration) time.Duration {
 	if max <= 0 {
 		return 0
 	}
-	if n.det {
-		return hashDur(n.cfg.Seed, a, b, kind, n.cfg.Time.Now().UnixNano(), max)
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return time.Duration(n.rng.Int63n(int64(max)))
+	return hashDur(n.cfg.Seed, a, b, kind, n.cfg.Time.Now().UnixNano(), max)
 }
 
 // slowDelay samples the processing delay of a Slow peer: 2–20 s.
@@ -653,9 +639,7 @@ func (c *conn) Request(ctx context.Context, req wire.Message) (wire.Message, err
 		}
 
 		// One combined sleep covers the request leg, processing and the
-		// response leg with its bandwidth term. On the real-scaled path a
-		// single sleep keeps the scheduler-granularity error per RPC
-		// minimal; on the event-driven path it is one delivery event — the
+		// response leg with its bandwidth term: one delivery event — the
 		// requester parks and virtual time jumps to the delivery instant.
 		transfer := time.Duration(float64(len(resp.BlockData)+256) / c.remote.bwBps * float64(time.Second))
 		latency := c.rtt + proc + transfer + c.net.faultDelay(c.local.id, c.remote.id, prof)

@@ -162,17 +162,40 @@ func (s *Scheduler) Now() time.Time                   { return s.clock.Now() }
 func (s *Scheduler) Stamp() time.Time                 { return s.clock.Now() }
 func (s *Scheduler) Since(t0 time.Time) time.Duration { return s.clock.Now().Sub(t0) }
 
-// leaseKey marks a context whose goroutine is leased to the scheduler.
-type leaseKey struct{}
-
-func withLease(ctx context.Context) context.Context {
-	if ctx.Value(leaseKey{}) != nil {
-		return ctx
-	}
-	return context.WithValue(ctx, leaseKey{}, true)
+// lease is one leased goroutine's standing with the dispatcher: held
+// while the goroutine is runnable (and counted in Scheduler.active),
+// parked while it sits in Await. Every Run, Go and AfterFunc goroutine
+// gets its own, carried by the context it is handed, and waits on that
+// context. A wait on somebody else's lease — a plain `go` child that
+// inherited a leased context, or a context captured or stored by
+// another goroutine — would decrement a count the waiter never raised,
+// which Stalls cannot see; it is told where it happens instead.
+type lease struct {
+	context.Context
+	parked atomic.Bool
 }
 
-func leased(ctx context.Context) bool { return ctx.Value(leaseKey{}) != nil }
+type leaseKey struct{}
+
+func (l *lease) Value(key any) any {
+	if key == (leaseKey{}) {
+		return l
+	}
+	return l.Context.Value(key)
+}
+
+// leaseOf returns the lease ctx carries, or nil outside a scheduler run.
+func leaseOf(ctx context.Context) *lease {
+	l, _ := ctx.Value(leaseKey{}).(*lease)
+	return l
+}
+
+// borrowed is the panic both lease checks raise.
+func borrowed(call, state string) {
+	panic("simtime: " + call + " " + state + ": two goroutines are waiting on one lease — " +
+		"a plain `go` child on its parent's context, or a captured or stored context; " +
+		"spawn through Source.Go and wait on the context it hands the goroutine")
+}
 
 // Go runs fn on a new goroutine leased to the scheduler: virtual time
 // cannot advance while it is runnable.
@@ -185,7 +208,7 @@ func leased(ctx context.Context) bool { return ctx.Value(leaseKey{}) != nil }
 // reproducible. With Workers > 1 children start immediately and run
 // concurrently (the -race stress mode).
 func (s *Scheduler) Go(ctx context.Context, fn func(context.Context)) {
-	ctx = withLease(ctx)
+	l := &lease{Context: ctx}
 	if s.workers == 1 {
 		w := &waiter{ready: func() bool { return true }, ch: make(chan struct{}), tracked: true}
 		s.mu.Lock()
@@ -204,8 +227,8 @@ func (s *Scheduler) Go(ctx context.Context, fn func(context.Context)) {
 			if w.err != nil {
 				return
 			}
-			defer s.release()
-			fn(ctx)
+			defer s.release(l)
+			fn(l)
 		}()
 		return
 	}
@@ -213,14 +236,17 @@ func (s *Scheduler) Go(ctx context.Context, fn func(context.Context)) {
 	s.active++
 	s.mu.Unlock()
 	go func() {
-		defer s.release()
-		fn(ctx)
+		defer s.release(l)
+		fn(l)
 	}()
 }
 
-// release gives up one lease and kicks the dispatcher if the system
-// went quiescent.
-func (s *Scheduler) release() {
+// release gives up lease l and kicks the dispatcher if the system went
+// quiescent.
+func (s *Scheduler) release(l *lease) {
+	if l.parked.Load() {
+		borrowed("return", "of a goroutine whose lease is parked in a wait")
+	}
 	s.mu.Lock()
 	s.active--
 	quiescent := s.active == 0
@@ -240,6 +266,10 @@ func (s *Scheduler) release() {
 // wakes are possible when several goroutines contend for one condition;
 // loop around Await if the guarded action can fail.
 func (s *Scheduler) Await(ctx context.Context, cond func() bool) error {
+	return s.await(ctx, cond, "Await")
+}
+
+func (s *Scheduler) await(ctx context.Context, cond func() bool, call string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -252,10 +282,15 @@ func (s *Scheduler) Await(ctx context.Context, cond func() bool) error {
 		s.mu.Unlock()
 		return nil
 	}
+	l := leaseOf(ctx)
+	if l != nil && !l.parked.CompareAndSwap(false, true) {
+		s.mu.Unlock()
+		borrowed(call, "on a lease that is already parked in a wait")
+	}
 	w := &waiter{
 		ready:   func() bool { return ctx.Err() != nil || cond() },
 		ch:      make(chan struct{}),
-		tracked: leased(ctx),
+		tracked: l != nil,
 	}
 	s.waiters = append(s.waiters, w)
 	if w.tracked {
@@ -270,6 +305,9 @@ func (s *Scheduler) Await(ctx context.Context, cond func() bool) error {
 		}
 	}
 	<-w.ch
+	if l != nil {
+		l.parked.Store(false)
+	}
 	if w.err != nil {
 		return w.err
 	}
@@ -283,7 +321,7 @@ func (s *Scheduler) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	return s.sleepUntil(ctx, s.clock.Now().Add(d))
+	return s.sleepUntil(ctx, s.clock.Now().Add(d), "Sleep")
 }
 
 // SleepUntil parks until the virtual clock reaches t (immediately if it
@@ -292,13 +330,13 @@ func (s *Scheduler) SleepUntil(ctx context.Context, t time.Time) error {
 	if !s.clock.Now().Before(t) {
 		return ctx.Err()
 	}
-	return s.sleepUntil(ctx, t)
+	return s.sleepUntil(ctx, t, "SleepUntil")
 }
 
-func (s *Scheduler) sleepUntil(ctx context.Context, t time.Time) error {
+func (s *Scheduler) sleepUntil(ctx context.Context, t time.Time, call string) error {
 	var fired atomic.Bool
 	tm := s.at(t, prioTimer, func() { fired.Store(true) })
-	err := s.Await(ctx, fired.Load)
+	err := s.await(ctx, fired.Load, call)
 	tm.Stop()
 	return err
 }
@@ -346,24 +384,22 @@ func (s *Scheduler) at(t time.Time, prio int, fn func()) *Timer {
 // its own leased goroutine (it may sleep, spawn, and issue RPCs),
 // unless ctx is done first or the timer is stopped.
 func (s *Scheduler) AfterFunc(ctx context.Context, d time.Duration, fn func(context.Context)) *Timer {
-	cctx := withLease(ctx)
-	var tm *Timer
-	tm = s.at(s.clock.Now().Add(d), prioTimer, func() {
-		if cctx.Err() != nil {
+	return s.at(s.clock.Now().Add(d), prioTimer, func() {
+		if ctx.Err() != nil {
 			return
 		}
 		// Dispatcher context: hand the callback a lease and run it on
 		// its own goroutine — the "worker pool" execution of a ready
 		// event. The dispatcher returns to waiting for quiescence.
+		l := &lease{Context: ctx}
 		s.mu.Lock()
 		s.active++
 		s.mu.Unlock()
 		go func() {
-			defer s.release()
-			fn(cctx)
+			defer s.release(l)
+			fn(l)
 		}()
 	})
-	return tm
 }
 
 // WithTimeout derives a context cancelled at a virtual deadline: the
@@ -458,12 +494,13 @@ func (s *Scheduler) Run(ctx context.Context, root func(context.Context)) error {
 	s.mu.Unlock()
 
 	var rootDone atomic.Bool
+	l := &lease{Context: ctx}
 	go func() {
 		defer func() {
 			rootDone.Store(true)
-			s.release()
+			s.release(l)
 		}()
-		root(withLease(ctx))
+		root(l)
 	}()
 
 	graceTimer := time.NewTimer(s.grace)

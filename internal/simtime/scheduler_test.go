@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -411,5 +413,47 @@ func TestDeadlineCtxErrConcurrent(t *testing.T) {
 			// goroutine: the pollers leave only once Done has closed.
 			wg.Wait()
 		})
+	}
+}
+
+// TestBorrowedLeasePanics pins the per-goroutine lease: a plain `go`
+// child of a leased goroutine inherits its parent's lease through the
+// context, and its first wait would park a lease it does not hold —
+// virtual time could then advance under the parent, invisibly to
+// Stalls. The wait panics naming the call; children spawned through
+// Source.Go get their own lease and wait freely.
+func TestBorrowedLeasePanics(t *testing.T) {
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{})
+	var msg atomic.Pointer[string]
+	err := s.Run(context.Background(), func(ctx context.Context) {
+		// A tracked child may sleep while its parent does.
+		g := NewGroup(s)
+		g.Go(ctx, func(ctx context.Context) { s.Sleep(ctx, time.Second) })
+		s.Sleep(ctx, time.Second)
+		g.Wait(ctx)
+		if got := s.Now().Sub(epoch); got != time.Second {
+			t.Errorf("virtual time = %v after parent and tracked child slept 1s side by side", got)
+		}
+
+		// The raw child waits until its parent is parked, so it is
+		// always the one that finds the lease taken.
+		l := leaseOf(ctx)
+		go func() {
+			defer func() {
+				m := fmt.Sprint(recover())
+				msg.Store(&m)
+			}()
+			for !l.parked.Load() {
+				runtime.Gosched()
+			}
+			s.Sleep(ctx, time.Second)
+		}()
+		s.Await(ctx, func() bool { return msg.Load() != nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := *msg.Load(); !strings.Contains(got, "simtime: Sleep on a lease that is already parked") {
+		t.Errorf("raw child's Sleep: panic %q, want one naming the call and the parked lease", got)
 	}
 }

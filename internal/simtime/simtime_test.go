@@ -10,60 +10,35 @@ import (
 	"time"
 )
 
-func TestRealSimConversion(t *testing.T) {
-	s := Scaled(0.01, nil).(*scaled)
-	if got := s.real(10 * time.Second); got != 100*time.Millisecond {
-		t.Errorf("real = %v", got)
+// TestOrWall pins the one rule for an optional Source: nil is the wall
+// clock, anything else passes through.
+func TestOrWall(t *testing.T) {
+	if d := time.Since(OrWall(nil).Now()); d < 0 || d > time.Minute {
+		t.Errorf("nil source Now is %v away from the wall clock", d)
 	}
-	if got := s.sim(100 * time.Millisecond); got != 10*time.Second {
-		t.Errorf("sim = %v", got)
-	}
-}
-
-func TestZeroAndNegativeScaleFallsBack(t *testing.T) {
-	if Scaled(0, nil).(*scaled).scale != 1 {
-		t.Error("scale 0 should fall back to 1")
-	}
-	if Scaled(-2, nil).(*scaled).scale != 1 {
-		t.Error("negative scale should fall back to 1")
-	}
-	if OrWall(nil).(*scaled).real(time.Second) != time.Second {
-		t.Error("the nil source must be the identity")
-	}
-	if s := Scaled(0.5, nil); OrWall(s) != s {
+	s := NewScheduler(nil, SchedulerOpts{})
+	if OrWall(s) != Source(s) {
 		t.Error("OrWall must pass a non-nil source through")
 	}
 }
 
-// TestScaledNow pins the two clocks a real-time source reads: the wall
-// clock by default, the given func otherwise.
-func TestScaledNow(t *testing.T) {
-	if d := time.Since(OrWall(nil).Now()); d < 0 || d > time.Minute {
-		t.Errorf("nil source Now is %v away from the wall clock", d)
-	}
-	c := NewClock(time.Unix(1000, 0))
-	s := Scaled(0.001, c.Now)
-	c.Advance(time.Hour)
-	if got := s.Now(); !got.Equal(time.Unix(1000, 0).Add(time.Hour)) {
-		t.Errorf("Now = %v, want the clock's", got)
-	}
-}
-
+// TestSleepPrecisionShort: a sub-millisecond sleep takes exactly its
+// duration of virtual time — what the deleted real-time engine's spin
+// loop could only approximate.
 func TestSleepPrecisionShort(t *testing.T) {
-	s := Scaled(0.001, nil)
-	// 200 simulated ms at scale 0.001 = 200µs real: spin path.
-	start := time.Now()
-	if err := s.Sleep(context.Background(), 200*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	real := time.Since(start)
-	if real < 150*time.Microsecond || real > 1500*time.Microsecond {
-		t.Errorf("short sleep took %v real, want ~200µs", real)
-	}
+	run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+		start := s.Stamp()
+		if err := s.Sleep(ctx, 200*time.Microsecond); err != nil {
+			t.Error(err)
+		}
+		if got := s.Since(start); got != 200*time.Microsecond {
+			t.Errorf("short sleep took %v of virtual time, want exactly 200µs", got)
+		}
+	})
 }
 
 func TestSleepCancellation(t *testing.T) {
-	s := Scaled(1, nil)
+	s := OrWall(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -85,28 +60,28 @@ func TestSleepZero(t *testing.T) {
 	}
 }
 
+// TestSimSince: on the wall clock Since reads the real time elapsed
+// since the stamp, so it is at least what was slept.
 func TestSimSince(t *testing.T) {
-	s := Scaled(0.001, nil)
+	s := OrWall(nil)
 	start := s.Stamp()
-	if err := s.Sleep(context.Background(), time.Second); err != nil {
+	if err := s.Sleep(context.Background(), 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	sim := s.Since(start)
-	if sim < 800*time.Millisecond || sim > 3*time.Second {
-		t.Errorf("Since = %v, want ~1s", sim)
+	if got := s.Since(start); got < 2*time.Millisecond {
+		t.Errorf("Since = %v after a 2ms sleep", got)
 	}
 }
 
 func TestWithTimeout(t *testing.T) {
-	s := Scaled(0.001, nil)
-	ctx, cancel := s.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := OrWall(nil).WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	dl, ok := ctx.Deadline()
 	if !ok {
 		t.Fatal("no deadline")
 	}
-	if until := time.Until(dl); until > 100*time.Millisecond {
-		t.Errorf("deadline %v away, want ~60ms", until)
+	if until := time.Until(dl); until > time.Minute || until < 50*time.Second {
+		t.Errorf("deadline %v away, want a minute", until)
 	}
 }
 
@@ -149,12 +124,13 @@ func TestMixedEnginesPanic(t *testing.T) {
 	})
 }
 
-// TestSignal covers the wait primitive on both engines: a Notify that
+// TestSignal covers the wait primitive on the scheduler and on the wall
+// clock (where the scripted second is a millisecond): a Notify that
 // lands before Wait is not lost, producers wake the consumer once their
 // deposit makes the condition true, cancellation returns ctx.Err(), and
 // under a detached context only a notify ends the wait.
 func TestSignal(t *testing.T) {
-	body := func(t *testing.T, ctx context.Context, src Source) {
+	body := func(t *testing.T, ctx context.Context, src Source, sec time.Duration) {
 		// Notifies that land before Wait parks are kept (and coalesce, so
 		// the second cannot block): a condition that only holds on its
 		// second evaluation is re-evaluated without any further notify.
@@ -168,10 +144,10 @@ func TestSignal(t *testing.T) {
 		}
 		var n atomic.Int32
 		src.Go(ctx, func(ctx context.Context) {
-			src.Sleep(ctx, time.Second)
+			src.Sleep(ctx, sec)
 			n.Store(2)
 			sig.Notify()
-			src.Sleep(ctx, time.Second)
+			src.Sleep(ctx, sec)
 			n.Store(3)
 			sig.Notify()
 		})
@@ -181,7 +157,7 @@ func TestSignal(t *testing.T) {
 		}
 
 		// Cancellation ends the wait with ctx.Err().
-		cctx, cancel := src.WithTimeout(ctx, time.Second)
+		cctx, cancel := src.WithTimeout(ctx, sec)
 		defer cancel()
 		if err := sig.Wait(cctx, func() bool { return false }); !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("Wait under an expired timeout = %v, want DeadlineExceeded", err)
@@ -194,7 +170,7 @@ func TestSignal(t *testing.T) {
 
 		// Detached from that dead context, only the notify wakes it.
 		src.Go(ctx, func(ctx context.Context) {
-			src.Sleep(ctx, time.Second)
+			src.Sleep(ctx, sec)
 			n.Store(4)
 			sig.Notify()
 		})
@@ -203,9 +179,9 @@ func TestSignal(t *testing.T) {
 			return
 		}
 	}
-	t.Run("wall", func(t *testing.T) { body(t, context.Background(), Scaled(0.001, nil)) })
+	t.Run("wall", func(t *testing.T) { body(t, context.Background(), OrWall(nil), time.Millisecond) })
 	t.Run("scheduler", func(t *testing.T) {
-		s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) { body(t, ctx, s) })
+		s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) { body(t, ctx, s, time.Second) })
 		if got := s.Now().Sub(epoch); got != 4*time.Second {
 			t.Errorf("virtual duration = %v, want exactly 4s (2s of deposits, 1s timeout, 1s detached)", got)
 		}
@@ -215,13 +191,13 @@ func TestSignal(t *testing.T) {
 // TestGroupAwaitOnWall is TestSchedulerGroupFanOut's real-time twin for
 // the composite wait: first result, or all done, or timeout.
 func TestGroupAwaitOnWall(t *testing.T) {
-	src := Scaled(0.001, nil)
+	src := OrWall(nil)
 	ctx := context.Background()
 	found := make(chan int, 4)
 	g := NewGroup(src)
 	for i := 1; i <= 4; i++ {
 		g.Go(ctx, func(ctx context.Context) {
-			src.Sleep(ctx, time.Duration(i)*10*time.Second)
+			src.Sleep(ctx, time.Duration(i)*10*time.Millisecond)
 			if i == 2 {
 				found <- i
 			}
@@ -241,7 +217,7 @@ func TestGroupAwaitOnWall(t *testing.T) {
 	lctx, stop := context.WithCancel(ctx)
 	defer stop()
 	g.Go(lctx, func(ctx context.Context) { src.Sleep(ctx, time.Hour) })
-	tctx, cancel := src.WithTimeout(ctx, time.Second)
+	tctx, cancel := src.WithTimeout(ctx, time.Millisecond)
 	defer cancel()
 	if err := g.Await(tctx, cond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Await = %v, want the timeout", err)

@@ -11,13 +11,12 @@ import (
 // math, a measurement pair (Stamp/Since), and the waiting primitives
 // (Sleep, timeouts, timers, spawns). Two implementations exist:
 //
-//   - Scaled (simtime.go) runs on real time — sleeps burn scaled real
-//     time, measurements convert elapsed real time back to simulated
-//     time. cmd/ipfs-node and the gateway run on it at scale 1, which is
-//     also what a nil Source means (OrWall).
-//   - Scheduler (scheduler.go) is the discrete-event implementation:
-//     sleeps park on a priority queue and virtual time jumps between
-//     events, so a 24 h scenario over 20k peers replays in seconds.
+//   - Scheduler (scheduler.go) is the discrete-event implementation
+//     every simulated run uses: sleeps park on a priority queue and
+//     virtual time jumps between events, so a 24 h scenario over 20k
+//     peers replays in seconds.
+//   - the wall clock (simtime.go), which cmd/ipfs-node and the gateway
+//     run on. It has no constructor: a nil Source means it (OrWall).
 //
 // A node has one Source: its swarm is built over it and everything
 // built on the swarm reads Swarm.Time.
@@ -26,9 +25,8 @@ type Source interface {
 	// records, TTLs and churn timelines are expressed in.
 	Now() time.Time
 	// Stamp returns an opaque start instant for duration measurement;
-	// Since converts it to the simulated time elapsed. Under a
-	// Scheduler both live on the virtual clock; on real time the stamp
-	// is the real instant and Since rescales the elapsed real time.
+	// Since converts it to the time elapsed since. Under a Scheduler
+	// both live on the virtual clock.
 	Stamp() time.Time
 	Since(t0 time.Time) time.Duration
 
@@ -127,15 +125,16 @@ func AwaitClosed(ctx context.Context, src Source, ch <-chan struct{}) error {
 	}
 }
 
-// Signal is the wake-up a multi-way wait is written on, once for both
-// engines: any number of producers deposit a result somewhere the
-// consumer's condition can see it without blocking (a buffered channel,
-// a guarded queue, an atomic) and then call Notify; the single consumer
-// calls Wait with that condition and drains, non-blocking, whatever it
-// finds when Wait returns. Under a Scheduler Wait is Await — the
-// dispatcher evaluates the condition at every quiescent instant and
-// Notify has nothing to do; on real time Wait re-checks the condition
-// after every Notify. The zero value is NOT usable; use NewSignal.
+// Signal is the wake-up a multi-way wait is written on, once for the
+// scheduler and the wall clock: any number of producers deposit a
+// result somewhere the consumer's condition can see it without blocking
+// (a buffered channel, a guarded queue, an atomic) and then call Notify;
+// the single consumer calls Wait with that condition and drains,
+// non-blocking, whatever it finds when Wait returns. Under a Scheduler
+// Wait is Await — the dispatcher evaluates the condition at every
+// quiescent instant and Notify has nothing to do; on real time Wait
+// re-checks the condition after every Notify. The zero value is NOT
+// usable; use NewSignal.
 type Signal struct {
 	src Source
 	// ch holds at most one pending notify: one that lands before Wait

@@ -9,14 +9,14 @@ import (
 	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/wire"
 )
 
 // relayNet builds: a public relay, a NAT'd (undialable) peer, and a
 // public requester.
-func relayNet(t *testing.T) (relay, natted, requester *Swarm, net *simnet.Network) {
-	t.Helper()
-	net = simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 6})
+func relayNet(src simtime.Source) (relay, natted, requester *Swarm, net *simnet.Network) {
+	net = simnet.New(simnet.Config{Time: src, Seed: 6})
 	mk := func(seed int64, dialable bool) *Swarm {
 		ident := testIdentity(seed)
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: dialable})
@@ -38,65 +38,71 @@ func relayNet(t *testing.T) (relay, natted, requester *Swarm, net *simnet.Networ
 }
 
 func TestRelayedRequestReachesNattedPeer(t *testing.T) {
-	relay, natted, requester, _ := relayNet(t)
-	ctx := context.Background()
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		relay, natted, requester, _ := relayNet(s)
 
-	// Direct dialing the NAT'd peer fails.
-	if _, _, err := requester.Connect(ctx, natted.Local(), natted.Addrs()); err == nil {
-		t.Fatal("direct dial to NAT'd peer should fail")
-	}
+		// Direct dialing the NAT'd peer fails.
+		if _, _, err := requester.Connect(ctx, natted.Local(), natted.Addrs()); err == nil {
+			t.Fatal("direct dial to NAT'd peer should fail")
+		}
 
-	// The NAT'd peer reserves a slot (outbound dial opens its mapping).
-	relayedAddr, err := natted.Reserve(ctx, wire.PeerInfo{ID: relay.Local(), Addrs: relay.Addrs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relayedAddr.IsRelay() {
-		t.Fatalf("reserved address %s is not a relay address", relayedAddr)
-	}
+		// The NAT'd peer reserves a slot (outbound dial opens its mapping).
+		relayedAddr, err := natted.Reserve(ctx, wire.PeerInfo{ID: relay.Local(), Addrs: relay.Addrs()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relayedAddr.IsRelay() {
+			t.Fatalf("reserved address %s is not a relay address", relayedAddr)
+		}
 
-	// The requester reaches it through the relay.
-	resp, err := requester.RequestVia(ctx, relayedAddr, natted.Local(), wire.Message{Type: wire.TPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != wire.TAck || resp.ErrMsg != "pong from "+natted.Local().Short() {
-		t.Errorf("relayed response = %+v", resp)
-	}
+		// The requester reaches it through the relay.
+		resp, err := requester.RequestVia(ctx, relayedAddr, natted.Local(), wire.Message{Type: wire.TPing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != wire.TAck || resp.ErrMsg != "pong from "+natted.Local().Short() {
+			t.Errorf("relayed response = %+v", resp)
+		}
+	})
 }
 
 func TestRelayRejectsUnreservedTargets(t *testing.T) {
-	relay, natted, requester, _ := relayNet(t)
-	ctx := context.Background()
-	fake := multiaddr.Relay(relay.Addrs()[0], natted.Local().String())
-	if _, err := requester.RequestVia(ctx, fake, natted.Local(), wire.Message{Type: wire.TPing}); err == nil {
-		t.Error("relaying without a reservation should fail")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		relay, natted, requester, _ := relayNet(s)
+		fake := multiaddr.Relay(relay.Addrs()[0], natted.Local().String())
+		if _, err := requester.RequestVia(ctx, fake, natted.Local(), wire.Message{Type: wire.TPing}); err == nil {
+			t.Error("relaying without a reservation should fail")
+		}
+	})
 }
 
 func TestReserveRequiresReachableRelay(t *testing.T) {
-	_, natted, _, _ := relayNet(t)
-	ghost := testIdentity(99)
-	if _, err := natted.Reserve(context.Background(), wire.PeerInfo{ID: ghost.ID}); err == nil {
-		t.Error("reserving at an unreachable relay should fail")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		_, natted, _, _ := relayNet(s)
+		ghost := testIdentity(99)
+		if _, err := natted.Reserve(ctx, wire.PeerInfo{ID: ghost.ID}); err == nil {
+			t.Error("reserving at an unreachable relay should fail")
+		}
+	})
 }
 
 func TestHandleRelayReserveValidation(t *testing.T) {
-	relay, _, requester, _ := relayNet(t)
-	// Reservation must carry the requestor's own info.
-	resp := relay.HandleRelayReserve(requester.Local(), wire.Message{Type: wire.TRelayReserve})
-	if resp.Type != wire.TError {
-		t.Error("reservation without info should be rejected")
-	}
-	other := testIdentity(55)
-	resp = relay.HandleRelayReserve(requester.Local(), wire.Message{
-		Type:  wire.TRelayReserve,
-		Peers: []wire.PeerInfo{{ID: other.ID}},
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		relay, _, requester, _ := relayNet(s)
+		// Reservation must carry the requestor's own info.
+		resp := relay.HandleRelayReserve(requester.Local(), wire.Message{Type: wire.TRelayReserve})
+		if resp.Type != wire.TError {
+			t.Error("reservation without info should be rejected")
+		}
+		other := testIdentity(55)
+		resp = relay.HandleRelayReserve(requester.Local(), wire.Message{
+			Type:  wire.TRelayReserve,
+			Peers: []wire.PeerInfo{{ID: other.ID}},
+		})
+		if resp.Type != wire.TError {
+			t.Error("reservation claiming another identity should be rejected")
+		}
 	})
-	if resp.Type != wire.TError {
-		t.Error("reservation claiming another identity should be rejected")
-	}
 }
 
 func TestSplitRelayErrors(t *testing.T) {
@@ -111,21 +117,22 @@ func TestSplitRelayErrors(t *testing.T) {
 }
 
 func TestRequestViaBadInner(t *testing.T) {
-	relay, natted, requester, _ := relayNet(t)
-	ctx := context.Background()
-	if _, err := natted.Reserve(ctx, wire.PeerInfo{ID: relay.Local(), Addrs: relay.Addrs()}); err != nil {
-		t.Fatal(err)
-	}
-	// Send a TRelay with a corrupt envelope directly.
-	resp, err := requester.Request(ctx, relay.Local(), relay.Addrs(), wire.Message{
-		Type:      wire.TRelay,
-		Key:       []byte(natted.Local()),
-		BlockData: []byte("not a message"),
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		relay, natted, requester, _ := relayNet(s)
+		if _, err := natted.Reserve(ctx, wire.PeerInfo{ID: relay.Local(), Addrs: relay.Addrs()}); err != nil {
+			t.Fatal(err)
+		}
+		// Send a TRelay with a corrupt envelope directly.
+		resp, err := requester.Request(ctx, relay.Local(), relay.Addrs(), wire.Message{
+			Type:      wire.TRelay,
+			Key:       []byte(natted.Local()),
+			BlockData: []byte("not a message"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != wire.TError {
+			t.Errorf("corrupt envelope resp = %+v", resp)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != wire.TError {
-		t.Errorf("corrupt envelope resp = %+v", resp)
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 	"repro/internal/wire"
 )
 
@@ -18,9 +19,8 @@ func testIdentity(seed int64) peer.Identity {
 	return peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
 }
 
-func newPair(t *testing.T) (*Swarm, *Swarm, *simnet.Network) {
-	t.Helper()
-	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 1})
+func newPair(src simtime.Source) (*Swarm, *Swarm, *simnet.Network) {
+	net := simnet.New(simnet.Config{Time: src, Seed: 1})
 	a, b := testIdentity(1), testIdentity(2)
 	ea := net.AddNode(a.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
 	eb := net.AddNode(b.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
@@ -85,157 +85,169 @@ func TestAddressBookDefaultCapacity(t *testing.T) {
 }
 
 func TestConnectReuse(t *testing.T) {
-	sa, sb, _ := newPair(t)
-	ctx := context.Background()
-	c1, d1, err := sa.Connect(ctx, sb.Local(), sb.Addrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 <= 0 {
-		t.Error("first connect should report a dial duration")
-	}
-	c2, d2, err := sa.Connect(ctx, sb.Local(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Error("second Connect should reuse the connection")
-	}
-	if d2 != 0 {
-		t.Errorf("reused connection dial duration = %v, want 0", d2)
-	}
-	if !sa.Connected(sb.Local()) {
-		t.Error("Connected should be true")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, sb, _ := newPair(s)
+		c1, d1, err := sa.Connect(ctx, sb.Local(), sb.Addrs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d1 <= 0 {
+			t.Error("first connect should report a dial duration")
+		}
+		c2, d2, err := sa.Connect(ctx, sb.Local(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c1 != c2 {
+			t.Error("second Connect should reuse the connection")
+		}
+		if d2 != 0 {
+			t.Errorf("reused connection dial duration = %v, want 0", d2)
+		}
+		if !sa.Connected(sb.Local()) {
+			t.Error("Connected should be true")
+		}
+	})
 }
 
 func TestConnectUsesAddressBook(t *testing.T) {
-	sa, sb, _ := newPair(t)
-	ctx := context.Background()
-	if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
-		t.Fatal(err)
-	}
-	sa.Disconnect(sb.Local())
-	if sa.Connected(sb.Local()) {
-		t.Fatal("Disconnect failed")
-	}
-	// No addresses supplied: the book must provide them.
-	if _, _, err := sa.Connect(ctx, sb.Local(), nil); err != nil {
-		t.Errorf("Connect from address book: %v", err)
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, sb, _ := newPair(s)
+		if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
+			t.Fatal(err)
+		}
+		sa.Disconnect(sb.Local())
+		if sa.Connected(sb.Local()) {
+			t.Fatal("Disconnect failed")
+		}
+		// No addresses supplied: the book must provide them.
+		if _, _, err := sa.Connect(ctx, sb.Local(), nil); err != nil {
+			t.Errorf("Connect from address book: %v", err)
+		}
+	})
 }
 
 func TestRequest(t *testing.T) {
-	sa, sb, _ := newPair(t)
-	resp, err := sa.Request(context.Background(), sb.Local(), sb.Addrs(), wire.Message{Type: wire.TPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != wire.TAck {
-		t.Errorf("resp = %+v", resp)
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, sb, _ := newPair(s)
+		resp, err := sa.Request(ctx, sb.Local(), sb.Addrs(), wire.Message{Type: wire.TPing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Type != wire.TAck {
+			t.Errorf("resp = %+v", resp)
+		}
+	})
 }
 
 func TestRequestToVanishedPeerDropsConn(t *testing.T) {
-	sa, sb, net := newPair(t)
-	ctx := context.Background()
-	if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
-		t.Fatal(err)
-	}
-	net.SetOnline(sb.Local(), false)
-	if _, err := sa.Request(ctx, sb.Local(), nil, wire.Message{Type: wire.TPing}); err == nil {
-		t.Fatal("request to offline peer should fail")
-	}
-	if sa.Connected(sb.Local()) {
-		t.Error("failed request should drop the connection")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, sb, net := newPair(s)
+		if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
+			t.Fatal(err)
+		}
+		net.SetOnline(sb.Local(), false)
+		if _, err := sa.Request(ctx, sb.Local(), nil, wire.Message{Type: wire.TPing}); err == nil {
+			t.Fatal("request to offline peer should fail")
+		}
+		if sa.Connected(sb.Local()) {
+			t.Error("failed request should drop the connection")
+		}
+	})
 }
 
 func TestDisconnectAll(t *testing.T) {
-	sa, sb, _ := newPair(t)
-	ctx := context.Background()
-	if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
-		t.Fatal(err)
-	}
-	sa.DisconnectAll()
-	if len(sa.ConnectedPeers()) != 0 {
-		t.Error("DisconnectAll left connections")
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, sb, _ := newPair(s)
+		if _, _, err := sa.Connect(ctx, sb.Local(), sb.Addrs()); err != nil {
+			t.Fatal(err)
+		}
+		sa.DisconnectAll()
+		if len(sa.ConnectedPeers()) != 0 {
+			t.Error("DisconnectAll left connections")
+		}
+	})
 }
 
 func TestAutoNATPublic(t *testing.T) {
-	// A dialable peer surrounded by cooperative peers upgrades to
-	// server once more than three dial-backs succeed.
-	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 2})
-	self := testIdentity(100)
-	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
-	sSelf := New(self, eSelf, net.Time())
-	eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
-		return wire.Message{Type: wire.TAck}
-	})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		other := testIdentity(int64(200 + i))
-		eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
-		so := New(other, eo, net.Time())
-		eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
-			if req.Type == wire.TDialBack {
-				return so.HandleDialBack(ctx, req)
-			}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		// A dialable peer surrounded by cooperative peers upgrades to
+		// server once more than three dial-backs succeed.
+		net := simnet.New(simnet.Config{Time: s, Seed: 2})
+		self := testIdentity(100)
+		eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
+		sSelf := New(self, eSelf, net.Time())
+		eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 			return wire.Message{Type: wire.TAck}
 		})
-		if _, _, err := sSelf.Connect(ctx, other.ID, eo.Addrs()); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ {
+			other := testIdentity(int64(200 + i))
+			eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
+			so := New(other, eo, net.Time())
+			eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
+				if req.Type == wire.TDialBack {
+					return so.HandleDialBack(ctx, req)
+				}
+				return wire.Message{Type: wire.TAck}
+			})
+			if _, _, err := sSelf.Connect(ctx, other.ID, eo.Addrs()); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := sSelf.CheckNAT(ctx, 5); got != NATPublic {
-		t.Errorf("CheckNAT = %v, want NATPublic", got)
-	}
+		if got := sSelf.CheckNAT(ctx, 5); got != NATPublic {
+			t.Errorf("CheckNAT = %v, want NATPublic", got)
+		}
+	})
 }
 
 func TestAutoNATPrivate(t *testing.T) {
-	// An undialable (NAT'd) peer stays a client: dial-backs fail.
-	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 3})
-	self := testIdentity(100)
-	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: false})
-	sSelf := New(self, eSelf, net.Time())
-	eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
-		return wire.Message{Type: wire.TAck}
-	})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		other := testIdentity(int64(300 + i))
-		eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
-		so := New(other, eo, net.Time())
-		eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
-			if req.Type == wire.TDialBack {
-				return so.HandleDialBack(ctx, req)
-			}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		// An undialable (NAT'd) peer stays a client: dial-backs fail.
+		net := simnet.New(simnet.Config{Time: s, Seed: 3})
+		self := testIdentity(100)
+		eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: false})
+		sSelf := New(self, eSelf, net.Time())
+		eSelf.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
 			return wire.Message{Type: wire.TAck}
 		})
-		if _, _, err := sSelf.Connect(ctx, other.ID, eo.Addrs()); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ {
+			other := testIdentity(int64(300 + i))
+			eo := net.AddNode(other.ID, simnet.NodeOpts{Region: geo.UsWest1, Dialable: true})
+			so := New(other, eo, net.Time())
+			eo.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
+				if req.Type == wire.TDialBack {
+					return so.HandleDialBack(ctx, req)
+				}
+				return wire.Message{Type: wire.TAck}
+			})
+			if _, _, err := sSelf.Connect(ctx, other.ID, eo.Addrs()); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got := sSelf.CheckNAT(ctx, 5); got != NATPrivate {
-		t.Errorf("CheckNAT = %v, want NATPrivate", got)
-	}
+		if got := sSelf.CheckNAT(ctx, 5); got != NATPrivate {
+			t.Errorf("CheckNAT = %v, want NATPrivate", got)
+		}
+	})
 }
 
 func TestCheckNATNoPeers(t *testing.T) {
-	net := simnet.New(simnet.Config{Time: simtime.Scaled(0.001, nil), Seed: 4})
-	self := testIdentity(1)
-	eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
-	sSelf := New(self, eSelf, net.Time())
-	if got := sSelf.CheckNAT(context.Background(), 5); got != NATUnknown {
-		t.Errorf("CheckNAT with no peers = %v, want NATUnknown", got)
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		net := simnet.New(simnet.Config{Time: s, Seed: 4})
+		self := testIdentity(1)
+		eSelf := net.AddNode(self.ID, simnet.NodeOpts{Region: geo.EuCentral1, Dialable: true})
+		sSelf := New(self, eSelf, net.Time())
+		if got := sSelf.CheckNAT(ctx, 5); got != NATUnknown {
+			t.Errorf("CheckNAT with no peers = %v, want NATUnknown", got)
+		}
+	})
 }
 
 func TestHandleDialBackNoAddrs(t *testing.T) {
-	sa, _, _ := newPair(t)
-	resp := sa.HandleDialBack(context.Background(), wire.Message{Type: wire.TDialBack})
-	if resp.Type != wire.TError {
-		t.Errorf("resp = %+v, want error", resp)
-	}
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		sa, _, _ := newPair(s)
+		resp := sa.HandleDialBack(ctx, wire.Message{Type: wire.TDialBack})
+		if resp.Type != wire.TError {
+			t.Errorf("resp = %+v, want error", resp)
+		}
+	})
 }

@@ -10,17 +10,17 @@ import (
 	"time"
 
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 )
 
-// frozenClock returns a clock pinned to a fixed instant, the
-// deterministic timestamp source scenario runs use.
-func frozenClock() func() time.Time {
-	at := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
-	return func() time.Time { return at }
+// frozen returns a time source pinned to a fixed instant: a scheduler
+// nobody runs, so its virtual clock never moves.
+func frozen() simtime.Source {
+	return simtime.NewScheduler(simtime.NewClock(simtest.Epoch), simtime.SchedulerOpts{})
 }
 
 func TestTraceSpanTreeAndContext(t *testing.T) {
-	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
+	rec := NewRecorder(frozen())
 	ctx, root := rec.StartTrace(context.Background(), "retrieve", A("cid", "bafy1"))
 	if root == nil {
 		t.Fatal("StartTrace returned a nil root span")
@@ -57,50 +57,61 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 		t.Error("FindSpan(want-wave) did not return the span")
 	}
 
-	tree := tr.StableTree()
-	for _, want := range []string{"retrieve #1 cid=bafy1", "  discover #2", "· rpc type=GET_PROVIDERS cat=lookup peer=peerA", "    · have peer=peerB", "  fetch #"} {
+	tree := tr.Tree()
+	for _, want := range []string{"retrieve #1 [0µs] cid=bafy1", "  discover #2 [0µs]", "· rpc type=GET_PROVIDERS cat=lookup peer=peerA [40.0ms]", "    · have peer=peerB", "  fetch #"} {
 		if !strings.Contains(tree, want) {
-			t.Errorf("stable tree missing %q:\n%s", want, tree)
+			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
-	}
-	if strings.Contains(tree, "ms") || strings.Contains(tree, "[") {
-		t.Errorf("stable tree leaks measured durations:\n%s", tree)
-	}
-	if !strings.Contains(tr.Tree(), "[") {
-		t.Error("human tree should carry measured durations")
 	}
 }
 
+// TestStableRendersAreDeterministic: on a scheduler a trace's measured
+// durations are virtual, so the full renders — the tree with its
+// durations, the JSONL with its sequence numbers and latencies — are
+// the same bytes on every run, concurrent event arrivals included.
 func TestStableRendersAreDeterministic(t *testing.T) {
 	build := func() *Trace {
-		rec := NewRecorder(simtime.Scaled(1, frozenClock()))
-		ctx, root := rec.StartTrace(context.Background(), "retrieve")
-		dctx, discover := StartSpan(ctx, "discover")
-		// Concurrent-looking arrival order: append events in a different
-		// order per build; the stable renders must sort them away.
-		if time.Now().UnixNano()%2 == 0 {
-			RPC(dctx, "GET_PROVIDERS", "lookup", "peerB", 10*time.Millisecond, "")
-			RPC(dctx, "GET_PROVIDERS", "lookup", "peerA", 99*time.Millisecond, "")
-		} else {
-			RPC(dctx, "GET_PROVIDERS", "lookup", "peerA", 5*time.Millisecond, "")
-			RPC(dctx, "GET_PROVIDERS", "lookup", "peerB", 7*time.Millisecond, "")
+		var tr *Trace
+		simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+			ctx, root := NewRecorder(s).StartTrace(ctx, "retrieve")
+			dctx, discover := StartSpan(ctx, "discover")
+			g := simtime.NewGroup(s)
+			for i, peer := range []string{"peerB", "peerA", "peerC"} {
+				latency := time.Duration(10*(3-i)) * time.Millisecond
+				g.Go(dctx, func(ctx context.Context) {
+					s.Sleep(ctx, latency)
+					RPC(ctx, "GET_PROVIDERS", "lookup", peer, latency, "")
+				})
+			}
+			g.Wait(dctx)
+			discover.End()
+			root.End()
+			tr = TraceFrom(ctx)
+		})
+		return tr
+	}
+	jsonl := func(tr *Trace) string {
+		var b strings.Builder
+		if err := tr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
 		}
-		discover.End()
-		root.End()
-		return TraceFrom(ctx)
+		return b.String()
 	}
 	a, b := build(), build()
-	if a.StableTree() != b.StableTree() {
-		t.Errorf("stable trees differ:\n%s\nvs\n%s", a.StableTree(), b.StableTree())
+	if a.Tree() != b.Tree() {
+		t.Errorf("trees differ:\n%s\nvs\n%s", a.Tree(), b.Tree())
 	}
-	if a.StableJSONL() != b.StableJSONL() {
-		t.Errorf("stable JSONL differs:\n%s\nvs\n%s", a.StableJSONL(), b.StableJSONL())
+	if !strings.Contains(a.Tree(), "discover #2 [30.0ms]") {
+		t.Errorf("tree does not carry the span's virtual duration (the slowest RPC's 30ms):\n%s", a.Tree())
 	}
-	// Every stable JSONL line must be valid JSON with the trace ID.
-	for _, line := range strings.Split(strings.TrimSpace(a.StableJSONL()), "\n") {
+	if jsonl(a) != jsonl(b) {
+		t.Errorf("JSONL differs:\n%s\nvs\n%s", jsonl(a), jsonl(b))
+	}
+	// Every JSONL line must be valid JSON with the trace ID.
+	for _, line := range strings.Split(strings.TrimSpace(jsonl(a)), "\n") {
 		var rec spanRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("stable JSONL line is not JSON: %v\n%s", err, line)
+			t.Fatalf("JSONL line is not JSON: %v\n%s", err, line)
 		}
 		if rec.Trace != 1 || rec.Op != "retrieve" {
 			t.Errorf("span record = %+v, want trace 1 op retrieve", rec)
@@ -130,7 +141,7 @@ func TestUntracedContextIsNoop(t *testing.T) {
 }
 
 func TestRecorderDrainAndNestedTrace(t *testing.T) {
-	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
+	rec := NewRecorder(frozen())
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	// A publish nested under the retrieve joins the same trace.
 	_, nested := rec.StartTrace(ctx, "publish")
@@ -199,7 +210,7 @@ func TestRegistrySnapshotAndAggregate(t *testing.T) {
 }
 
 func TestDiscoverAnalytics(t *testing.T) {
-	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
+	rec := NewRecorder(frozen())
 	mk := func(lookups int, wall time.Duration) *Trace {
 		ctx, root := rec.StartTrace(context.Background(), "retrieve")
 		dctx, discover := StartSpan(ctx, "discover")
@@ -229,7 +240,7 @@ func TestDiscoverAnalytics(t *testing.T) {
 }
 
 func TestDebugHandler(t *testing.T) {
-	rec := NewRecorder(simtime.Scaled(1, frozenClock()))
+	rec := NewRecorder(frozen())
 	rec.Registry().Counter("walk_hops").Add(12)
 	ctx, root := rec.StartTrace(context.Background(), "retrieve")
 	RPC(ctx, "FIND_NODE", "lookup", "peerA", time.Millisecond, "")

@@ -6,13 +6,11 @@
 // A Trace decomposes one operation (a retrieval, a publication, a
 // republish cycle) into a tree of Spans — discover, first-provider,
 // fetch, the DHT walk, each WANT-HAVE wave — with structured Events
-// underneath, down to every transport RPC. Span IDs and timestamps
-// derive from the seeded run (the simulated clock plus a per-trace
-// sequence), so the Stable* renders are byte-identical across runs of
-// the same seed and can be golden-pinned. Measured wall durations are
-// sim-accurate via Source.Since but depend on goroutine scheduling;
-// they appear only in the human renders and the derived statistics
-// (DiscoverP99), never in the stable renders.
+// underneath, down to every transport RPC. Span IDs, timestamps and
+// measured durations all derive from the node's time source (its clock,
+// Source.Since, and a per-trace sequence), so in a simulated run the
+// renders and the derived statistics (DiscoverP99) are byte-identical
+// across runs of the same seed and can be golden-pinned.
 //
 // The whole surface is nil-safe: methods on a nil *Registry return nil
 // metrics, and methods on nil *Counter/*Gauge/*Histogram no-op, so
@@ -26,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -46,7 +43,7 @@ func A(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Event is one structured record inside a span: a DHT walk hop, a
 // transport RPC, a Bitswap HAVE.
 type Event struct {
-	Seq   int // per-trace sequence (arrival order, not stable)
+	Seq   int // per-trace sequence (arrival order)
 	Name  string
 	At    time.Time     // trace-clock instant
 	Dur   time.Duration // measured sim-accurate latency, zero when n/a
@@ -104,7 +101,7 @@ func (s *Span) Event(name string, attrs ...Attr) { s.EventDur(name, 0, attrs...)
 
 // EventDur records an event carrying a measured sim-accurate duration
 // (a transport RPC's latency). Events may be appended from concurrent
-// goroutines; the stable renders sort them.
+// goroutines.
 func (s *Span) EventDur(name string, dur time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
@@ -207,8 +204,7 @@ type eventRecord struct {
 }
 
 // WriteJSONL exports the full trace, one JSON object per span in
-// creation order, including the measured (nondeterministic) wall
-// durations and latencies.
+// creation order, including the measured durations and latencies.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -236,97 +232,42 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// StableJSONL renders the deterministic projection of the trace: span
-// IDs, names, attrs and clock timestamps, with events sorted by
-// (name, attrs) and stripped of sequence numbers and measured
-// latencies — byte-identical across runs of the same seed.
-func (t *Trace) StableJSONL() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var b strings.Builder
-	enc := json.NewEncoder(&b)
-	for _, sp := range t.spans {
-		rec := spanRecord{
-			Trace: t.ID, Op: t.Op, ID: sp.ID, Parent: sp.Parent, Name: sp.Name,
-			Start: sp.Start, Attrs: sp.Attrs,
-		}
-		if sp.ended {
-			stop := sp.Stop
-			rec.Stop = &stop
-		}
-		for _, ev := range stableEvents(sp.Events) {
-			rec.Events = append(rec.Events, eventRecord{Name: ev.Name, At: ev.At, Attrs: ev.Attrs})
-		}
-		enc.Encode(rec)
-	}
-	return b.String()
-}
-
 // Tree renders the span tree as an indented timeline with measured
 // durations — the human view of one slow retrieval.
-func (t *Trace) Tree() string { return t.tree(true) }
-
-// StableTree renders the span tree without measured durations or
-// latencies and with events sorted, for golden pinning.
-func (t *Trace) StableTree() string { return t.tree(false) }
-
-func (t *Trace) tree(withWall bool) string {
+func (t *Trace) Tree() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace #%d %s\n", t.ID, t.Op)
 	if t.root != nil {
-		t.renderSpan(&b, t.root, 0, withWall)
+		t.renderSpan(&b, t.root, 0)
 	}
 	return b.String()
 }
 
-func (t *Trace) renderSpan(b *strings.Builder, sp *Span, depth int, withWall bool) {
+func (t *Trace) renderSpan(b *strings.Builder, sp *Span, depth int) {
 	indent := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%s%s #%d", indent, sp.Name, sp.ID)
-	if withWall && sp.ended {
+	if sp.ended {
 		fmt.Fprintf(b, " [%s]", fmtSimDur(sp.Wall))
 	}
 	for _, a := range sp.Attrs {
 		fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
 	}
 	b.WriteByte('\n')
-	events := sp.Events
-	if !withWall {
-		events = stableEvents(events)
-	}
-	for _, ev := range events {
+	for _, ev := range sp.Events {
 		fmt.Fprintf(b, "%s  · %s", indent, ev.Name)
 		for _, a := range ev.Attrs {
 			fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
 		}
-		if withWall && ev.Dur > 0 {
+		if ev.Dur > 0 {
 			fmt.Fprintf(b, " [%s]", fmtSimDur(ev.Dur))
 		}
 		b.WriteByte('\n')
 	}
 	for _, child := range sp.children {
-		t.renderSpan(b, child, depth+1, withWall)
+		t.renderSpan(b, child, depth+1)
 	}
-}
-
-// stableEvents returns the events sorted by (name, attrs) so the
-// render does not depend on concurrent arrival order.
-func stableEvents(events []Event) []Event {
-	out := append([]Event(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return eventSortKey(out[i]) < eventSortKey(out[j])
-	})
-	return out
-}
-
-func eventSortKey(ev Event) string {
-	parts := make([]string, 0, 1+len(ev.Attrs))
-	parts = append(parts, ev.Name)
-	for _, a := range ev.Attrs {
-		parts = append(parts, a.Key+"="+a.Value)
-	}
-	return strings.Join(parts, "\x00")
 }
 
 // fmtSimDur renders a simulated duration compactly.
@@ -407,9 +348,9 @@ const traceRingCap = 128
 
 // Recorder owns one node's telemetry: the trace ring and the metrics
 // registry. Trace IDs are a per-recorder sequence and timestamps come
-// from the recorder's clock (the simulated scenario clock when the
-// node runs under one), so a seeded run produces identical IDs and
-// instants every time.
+// from the recorder's clock (the scheduler's virtual clock in a
+// simulated run), so a seeded run produces identical IDs and instants
+// every time.
 type Recorder struct {
 	mu     sync.Mutex
 	src    simtime.Source
@@ -419,7 +360,7 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder over the node's time source; nil
-// selects the wall clock (unscaled durations).
+// selects the wall clock.
 func NewRecorder(src simtime.Source) *Recorder {
 	return &Recorder{src: simtime.OrWall(src), reg: NewRegistry()}
 }

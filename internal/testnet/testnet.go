@@ -29,8 +29,6 @@ type Config struct {
 	N int
 	// Seed drives all randomness.
 	Seed int64
-	// Scale compresses simulated time (e.g. 0.001 = 1000x faster).
-	Scale float64
 
 	// Behaviour-class fractions among the population. Dead peers model
 	// stale routing-table entries (5 s dial timeouts); slow peers take
@@ -64,19 +62,14 @@ type Config struct {
 	// router.
 	IndexerSet *routing.IndexerSet
 
-	// Clock is the movable simulated wall clock every node's Now reads —
-	// the churn-scenario engine advances it between workload phases so
-	// record TTLs and timeline liveness agree on the current instant.
-	// Nil creates one at DefaultEpoch.
-	Clock *simtime.Clock
-	// EventDriven builds the network on a discrete-event scheduler over
-	// Clock instead of on Scale-compressed real time: every sleep, RPC
-	// latency and maintenance loop becomes an event on one priority
-	// queue and virtual time jumps between events, so paper-scale
-	// populations replay a simulated day in seconds of wall clock.
+	// EventDriven is accepted and ignored: every testnet is built on a
+	// discrete-event scheduler. The field stays only because the frozen
+	// perfbench/ harness sets it; the [benchmark] PR that next edits
+	// perfbench/ drops it there and here. Nothing else sets it.
 	EventDriven bool
-	// Workers bounds concurrent dispatch in EventDriven mode; 0 or 1
-	// selects deterministic lockstep (seeded runs replay bit-for-bit).
+	// Workers bounds the scheduler's concurrent dispatch; 0 or 1 selects
+	// deterministic lockstep (seeded runs replay bit-for-bit), larger
+	// values are the -race stress mode.
 	Workers int
 
 	// Faults is the initial link-fault profile installed on the
@@ -95,9 +88,6 @@ func (c Config) withDefaults() Config {
 	if c.N <= 0 {
 		c.N = 200
 	}
-	if c.Scale <= 0 {
-		c.Scale = 0.001
-	}
 	if c.FracDead == 0 && c.FracSlow == 0 && c.FracWSBroken == 0 {
 		c.FracDead, c.FracSlow, c.FracWSBroken = 0.15, 0.08, 0.02
 	}
@@ -107,47 +97,37 @@ func (c Config) withDefaults() Config {
 	if c.RandomLinks <= 0 {
 		c.RandomLinks = 40
 	}
-	if c.Clock == nil {
-		c.Clock = simtime.NewClock(DefaultEpoch)
-	}
 	return c
 }
 
-// DefaultEpoch anchors simulated wall-clock time (the start of the
-// paper's measurement campaign week used throughout the experiments).
+// DefaultEpoch is where every testnet's virtual clock starts (the start
+// of the paper's measurement campaign week).
 var DefaultEpoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 
-// Testnet is a built simulated network.
+// Testnet is a built simulated network. Whatever uses it runs as the
+// root goroutine of Sched (Sched.Run), or below it.
 type Testnet struct {
 	Cfg     Config
 	Net     *simnet.Network
-	Clock   *simtime.Clock     // the movable wall clock Time.Now reads
-	Time    simtime.Source     // the one time source the simulator and every node share
-	Sched   *simtime.Scheduler // non-nil in EventDriven mode (== Time)
+	Sched   *simtime.Scheduler // the one time source the simulator and every node share
 	Nodes   []*core.Node       // all server peers, index-aligned with Classes
 	Classes []simnet.Class     // behaviour class per node
 	Pop     *geo.Population
 }
 
-// Build constructs the network.
+// Build constructs the network on a fresh scheduler whose clock starts
+// at DefaultEpoch.
 func Build(cfg Config) *Testnet {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var src simtime.Source
-	var sched *simtime.Scheduler
-	if cfg.EventDriven {
-		sched = simtime.NewScheduler(cfg.Clock, simtime.SchedulerOpts{Workers: cfg.Workers})
-		src = sched
-	} else {
-		src = simtime.Scaled(cfg.Scale, cfg.Clock.Now)
-	}
-	net := simnet.New(simnet.Config{Seed: cfg.Seed + 1, Time: src, Faults: cfg.Faults})
+	sched := simtime.NewScheduler(simtime.NewClock(DefaultEpoch), simtime.SchedulerOpts{Workers: cfg.Workers})
+	net := simnet.New(simnet.Config{Seed: cfg.Seed + 1, Time: sched, Faults: cfg.Faults})
 
 	popCfg := geo.DefaultPopulationConfig(cfg.N)
 	popCfg.Seed = cfg.Seed + 2
 	pop := geo.GeneratePopulation(popCfg)
 
-	tn := &Testnet{Cfg: cfg, Net: net, Clock: cfg.Clock, Time: src, Sched: sched, Pop: pop}
+	tn := &Testnet{Cfg: cfg, Net: net, Sched: sched, Pop: pop}
 
 	infos := make([]wire.PeerInfo, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -181,7 +161,7 @@ func Build(cfg Config) *Testnet {
 			Routing:           cfg.Routing,
 			Indexers:          cfg.Indexers,
 			IndexerSet:        cfg.IndexerSet,
-			Time:              src,
+			Time:              sched,
 		})
 		tn.Nodes = append(tn.Nodes, node)
 		tn.Classes = append(tn.Classes, class)
@@ -299,7 +279,7 @@ func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, 
 		Indexers:          indexers,
 		IndexerSet:        set,
 		Store:             store,
-		Time:              tn.Time,
+		Time:              tn.Sched,
 	})
 	// Seed with keyspace-spread contacts like a bootstrapped node.
 	for r := 0; r < tn.Cfg.NeighborLinks+tn.Cfg.RandomLinks; r++ {
@@ -344,7 +324,7 @@ func (tn *Testnet) AddIndexerTTL(region geo.Region, seed int64, ttl time.Duratio
 		Dialable: true,
 		Class:    simnet.Normal,
 	})
-	return routing.NewIndexer(ident, ep, routing.IndexerConfig{RecordTTL: ttl, Time: tn.Time})
+	return routing.NewIndexer(ident, ep, routing.IndexerConfig{RecordTTL: ttl, Time: tn.Sched})
 }
 
 // IndexerFleet is a built sharded indexer deployment: the shard
@@ -406,54 +386,37 @@ func (tn *Testnet) AddIndexerSet(seed int64, shards, replicas int, ttl time.Dura
 }
 
 // SetOnline toggles a peer's simulated liveness — the one-shot churn
-// lever; timeline-driven experiments use ApplyTimeline (sweep mode) or
-// ScheduleTimeline (event-driven mode) instead. Addressing by PeerID
-// replaces the old index-based variant: vantages and indexers are not
-// in Nodes, so indices could not name every togglable peer.
+// lever; timeline-driven experiments use ScheduleTimeline instead.
+// Addressing by PeerID replaces the old index-based variant: vantages
+// and indexers are not in Nodes, so indices could not name every
+// togglable peer.
 func (tn *Testnet) SetOnline(id peer.ID, online bool) {
 	tn.Net.SetOnline(id, online)
 }
 
-// ApplyTimeline sets every server node's simulated liveness from its
-// churn timeline at instant t, so publishes, refresh crawls,
-// republishes and Bitswap sessions all face whichever peers the
-// diurnal session model has online. Timelines are index-aligned with
-// Nodes (both derive from Pop); vantages and indexers are not in Nodes
-// and stay online. It returns how many server nodes are online.
-func (tn *Testnet) ApplyTimeline(tl *churn.Timeline, t time.Time) int {
+// ScheduleTimeline puts every server node's churn timeline on the
+// scheduler: it applies each node's liveness at instant from, then
+// registers one chained transition event per peer — each firing flips
+// the peer at its exact session boundary and re-arms for the next, so
+// publishes, refresh crawls, republishes and Bitswap sessions all face
+// whichever peers the diurnal session model has online, at one queue
+// event per transition. Transitions are capped at until. Timelines are
+// index-aligned with Nodes (both derive from Pop); vantages and
+// indexers are not in Nodes and stay online. It returns how many server
+// nodes are online at from.
+func (tn *Testnet) ScheduleTimeline(tl *churn.Timeline, from, until time.Time) int {
 	online := 0
 	for i, node := range tn.Nodes {
 		if i >= len(tl.Peers) {
 			break
 		}
-		up := tl.Peers[i].OnlineAt(t)
-		tn.Net.SetOnline(node.ID(), up)
+		pt := &tl.Peers[i]
+		id := node.ID()
+		up := pt.OnlineAt(from)
+		tn.Net.SetOnline(id, up)
 		if up {
 			online++
 		}
-	}
-	return online
-}
-
-// ScheduleTimeline is ApplyTimeline's event-driven form: it applies
-// every server node's liveness at instant from, then registers one
-// chained transition event per peer on the scheduler — each firing
-// flips the peer at its exact session boundary and re-arms for the
-// next, so churn costs one queue event per transition instead of a
-// full-population sweep per tick. Transitions are capped at until.
-// It returns how many server nodes are online at from, and falls back
-// to a plain ApplyTimeline when the testnet has no scheduler.
-func (tn *Testnet) ScheduleTimeline(tl *churn.Timeline, from, until time.Time) int {
-	online := tn.ApplyTimeline(tl, from)
-	if tn.Sched == nil {
-		return online
-	}
-	for i := range tn.Nodes {
-		if i >= len(tl.Peers) {
-			break
-		}
-		pt := &tl.Peers[i]
-		id := tn.Nodes[i].ID()
 		var arm func(t time.Time)
 		arm = func(t time.Time) {
 			next, ok := pt.NextTransition(t)

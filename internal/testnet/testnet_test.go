@@ -9,10 +9,11 @@ import (
 	"repro/internal/geo"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
+	"repro/internal/simtime/simtest"
 )
 
 func TestBuildTopology(t *testing.T) {
-	tn := Build(Config{N: 120, Seed: 5, Scale: 0.0005})
+	tn := Build(Config{N: 120, Seed: 5})
 	if len(tn.Nodes) != 120 || len(tn.Classes) != 120 {
 		t.Fatalf("nodes=%d classes=%d", len(tn.Nodes), len(tn.Classes))
 	}
@@ -29,7 +30,7 @@ func TestBuildTopology(t *testing.T) {
 }
 
 func TestClassMix(t *testing.T) {
-	tn := Build(Config{N: 600, Seed: 6, Scale: 0.0005, FracDead: 0.2, FracSlow: 0.1, FracWSBroken: 0.05})
+	tn := Build(Config{N: 600, Seed: 6, FracDead: 0.2, FracSlow: 0.1, FracWSBroken: 0.05})
 	counts := map[simnet.Class]int{}
 	for _, c := range tn.Classes {
 		counts[c]++
@@ -47,8 +48,8 @@ func TestClassMix(t *testing.T) {
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	a := Build(Config{N: 40, Seed: 7, Scale: 0.0005})
-	b := Build(Config{N: 40, Seed: 7, Scale: 0.0005})
+	a := Build(Config{N: 40, Seed: 7})
+	b := Build(Config{N: 40, Seed: 7})
 	for i := range a.Nodes {
 		if a.Nodes[i].ID() != b.Nodes[i].ID() {
 			t.Fatal("builds with the same seed must be identical")
@@ -60,7 +61,7 @@ func TestDeterministicBuild(t *testing.T) {
 }
 
 func TestVantageOperates(t *testing.T) {
-	tn := Build(Config{N: 60, Seed: 8, Scale: 0.0005, FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9})
+	tn := Build(Config{N: 60, Seed: 8, FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9})
 	v := tn.AddVantage(geo.EuCentral1, 99)
 	if v.Region() != geo.EuCentral1 {
 		t.Error("region not set")
@@ -68,15 +69,17 @@ func TestVantageOperates(t *testing.T) {
 	if v.DHT().Table().Len() == 0 {
 		t.Error("vantage table not seeded")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	pub, err := v.AddAndPublish(ctx, []byte("vantage content"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub.StoreOK == 0 {
-		t.Error("no records stored")
-	}
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		ctx, cancel := tn.Sched.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		pub, err := v.AddAndPublish(ctx, []byte("vantage content"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pub.StoreOK == 0 {
+			t.Error("no records stored")
+		}
+	})
 	// FlushVantage clears connections and the address book.
 	FlushVantage(v)
 	if len(v.Swarm().ConnectedPeers()) != 0 || v.Swarm().Book().Len() != 0 {
@@ -87,92 +90,89 @@ func TestVantageOperates(t *testing.T) {
 func TestLookupsConvergeAcrossKeyspace(t *testing.T) {
 	// The neighbour+random topology must let any node find the true
 	// closest peers for arbitrary keys.
-	tn := Build(Config{N: 150, Seed: 9, Scale: 0.0003, FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9})
-	ctx := context.Background()
+	tn := Build(Config{N: 150, Seed: 9, FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9})
 	payloads := [][]byte{[]byte("k1"), []byte("k2"), []byte("k3")}
-	for i, p := range payloads {
-		publisher := tn.Nodes[(i*37)%len(tn.Nodes)]
-		pub, err := publisher.AddAndPublish(ctx, p)
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		for i, p := range payloads {
+			publisher := tn.Nodes[(i*37)%len(tn.Nodes)]
+			pub, err := publisher.AddAndPublish(ctx, p)
+			if err != nil {
+				t.Fatalf("publish %d: %v", i, err)
+			}
+			requester := tn.Nodes[(i*53+11)%len(tn.Nodes)]
+			provs, _, err := requester.DHT().FindProviders(ctx, pub.Cid)
+			if err != nil {
+				t.Fatalf("find %d: %v", i, err)
+			}
+			if len(provs) == 0 {
+				t.Fatalf("no providers for key %d", i)
+			}
 		}
-		requester := tn.Nodes[(i*53+11)%len(tn.Nodes)]
-		provs, _, err := requester.DHT().FindProviders(ctx, pub.Cid)
-		if err != nil {
-			t.Fatalf("find %d: %v", i, err)
-		}
-		if len(provs) == 0 {
-			t.Fatalf("no providers for key %d", i)
-		}
-	}
+	})
 }
 
-// TestApplyTimeline checks the churn-timeline liveness lever: every
-// server node's simulated liveness must match its timeline at the
-// applied instant, vantages stay online, and re-applying at a later
-// tick moves the network to the new state.
-func TestApplyTimeline(t *testing.T) {
-	clock := simtime.NewClock(DefaultEpoch)
-	tn := Build(Config{N: 80, Seed: 3, Scale: 0.0005, Clock: clock,
+// TestScheduleTimeline checks the churn-timeline liveness lever: once
+// the timeline is on the scheduler, every server node's simulated
+// liveness matches its timeline at whatever instant the run has
+// reached — the chained transition events fired at the session
+// boundaries in between — and vantages stay online.
+func TestScheduleTimeline(t *testing.T) {
+	tn := Build(Config{N: 80, Seed: 3,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9})
 	tl := churn.GenerateTimeline(tn.Pop, churn.TimelineConfig{
 		Start: DefaultEpoch, Duration: 13 * time.Hour, Seed: 7,
 	})
 	vantage := tn.AddVantage("DE", 99)
 
-	for _, off := range []time.Duration{0, 6 * time.Hour, 12 * time.Hour} {
-		at := DefaultEpoch.Add(off)
-		clock.Set(at)
-		online := tn.ApplyTimeline(tl, at)
-		if online <= 0 || online >= 80 {
-			t.Fatalf("offset %v: online = %d, want within (0, 80) under churn", off, online)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		online := tn.ScheduleTimeline(tl, DefaultEpoch, DefaultEpoch.Add(12*time.Hour))
+		if want := tl.OnlineCount(DefaultEpoch); online != want {
+			t.Errorf("ScheduleTimeline returned %d online at the start, the timeline says %d", online, want)
 		}
-		count := 0
-		for i, node := range tn.Nodes {
-			want := tl.Peers[i].OnlineAt(at)
-			if got := tn.Net.Online(node.ID()); got != want {
-				t.Fatalf("offset %v: node %d online = %v, timeline says %v", off, i, got, want)
+		for _, off := range []time.Duration{0, 6 * time.Hour, 12 * time.Hour} {
+			at := DefaultEpoch.Add(off)
+			if err := tn.Sched.SleepUntil(ctx, at); err != nil {
+				t.Fatal(err)
 			}
-			if want {
-				count++
+			count := 0
+			for i, node := range tn.Nodes {
+				want := tl.Peers[i].OnlineAt(at)
+				if got := tn.Net.Online(node.ID()); got != want {
+					t.Fatalf("offset %v: node %d online = %v, timeline says %v", off, i, got, want)
+				}
+				if want {
+					count++
+				}
+			}
+			if count <= 0 || count >= 80 {
+				t.Fatalf("offset %v: online = %d, want within (0, 80) under churn", off, count)
+			}
+			if !tn.Net.Online(vantage.ID()) {
+				t.Error("vantage went offline; timelines must only govern server nodes")
 			}
 		}
-		if count != online {
-			t.Errorf("offset %v: ApplyTimeline returned %d, recount says %d", off, online, count)
-		}
-		if !tn.Net.Online(vantage.ID()) {
-			t.Error("vantage went offline; timelines must only govern server nodes")
-		}
-	}
+	})
 }
 
-// TestClockDrivesNow checks that a testnet built with a Clock threads
-// it into every node's record timestamps: the one time source reads it,
-// on scaled real time and on the scheduler alike, and a testnet built
-// without one gets its own at DefaultEpoch.
+// TestClockDrivesNow checks that the testnet's one scheduler is every
+// component's time source, that its virtual clock starts at DefaultEpoch
+// and that Now follows it.
 func TestClockDrivesNow(t *testing.T) {
-	for _, eventDriven := range []bool{false, true} {
-		clock := simtime.NewClock(DefaultEpoch)
-		tn := Build(Config{N: 10, Seed: 4, Scale: 0.0005, Clock: clock, EventDriven: eventDriven})
-		if got := tn.Time.Now(); !got.Equal(DefaultEpoch) {
-			t.Fatalf("Now = %v, want the clock's epoch", got)
-		}
-		clock.Advance(3 * time.Hour)
-		for _, src := range []simtime.Source{tn.Time, tn.Net.Time(), tn.Nodes[0].Swarm().Time(), tn.Nodes[0].DHT().Time()} {
-			if src != tn.Time {
-				t.Fatalf("eventDriven=%v: a component runs on %v, not the testnet's source", eventDriven, src)
-			}
-		}
-		if got := tn.Time.Now(); !got.Equal(DefaultEpoch.Add(3 * time.Hour)) {
-			t.Fatalf("Now did not follow the clock: %v", got)
-		}
-		if tn.Clock != clock {
-			t.Error("testnet did not retain its clock")
+	tn := Build(Config{N: 10, Seed: 4})
+	if got := tn.Sched.Now(); !got.Equal(DefaultEpoch) {
+		t.Fatalf("Now = %v, want DefaultEpoch", got)
+	}
+	for _, src := range []simtime.Source{tn.Net.Time(), tn.Nodes[0].Swarm().Time(), tn.Nodes[0].DHT().Time(), tn.AddVantage("DE", 5).Swarm().Time()} {
+		if src != simtime.Source(tn.Sched) {
+			t.Fatalf("a component runs on %v, not the testnet's scheduler", src)
 		}
 	}
-	if tn := Build(Config{N: 10, Seed: 4}); tn.Clock == nil || !tn.Time.Now().Equal(DefaultEpoch) {
-		t.Error("a testnet built without a clock must run on its own at DefaultEpoch")
-	}
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		tn.Sched.Sleep(ctx, 3*time.Hour)
+		if got := tn.Nodes[0].Swarm().Time().Now(); !got.Equal(DefaultEpoch.Add(3 * time.Hour)) {
+			t.Fatalf("Now did not follow the virtual clock: %v", got)
+		}
+	})
 }
 
 // TestAddIndexerSetWiring checks the fleet builder: shards×replicas
@@ -180,7 +180,7 @@ func TestClockDrivesNow(t *testing.T) {
 // neighbours wired (self excluded), and a topology whose flattened
 // membership matches the built nodes.
 func TestAddIndexerSetWiring(t *testing.T) {
-	tn := Build(Config{N: 10, Seed: 4, Scale: 0.0005})
+	tn := Build(Config{N: 10, Seed: 4})
 	fleet := tn.AddIndexerSet(700, 3, 2, time.Hour)
 	if fleet.Set.Shards() != 3 || len(fleet.Groups) != 3 {
 		t.Fatalf("shards = %d/%d, want 3", fleet.Set.Shards(), len(fleet.Groups))

@@ -10,22 +10,25 @@ import (
 // ExampleNewSimNetwork demonstrates the simulated-network quickstart:
 // publish from one peer, retrieve from another.
 func ExampleNewSimNetwork() {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 60, Scale: 0.0005, Clean: true, Seed: 1})
-	ctx := context.Background()
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 60, Clean: true, Seed: 1})
 	alice, bob := net.Node(0), net.Node(30)
 
-	pub, err := alice.AddAndPublish(ctx, []byte("hello decentralized web"))
-	if err != nil {
-		panic(err)
-	}
-	if err := alice.PublishPeerRecord(ctx); err != nil {
-		panic(err)
-	}
-	data, _, err := bob.Retrieve(ctx, pub.Cid)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(string(data))
+	// Everything that takes simulated time runs on the network's
+	// virtual clock, inside Run.
+	net.Run(func(ctx context.Context) {
+		pub, err := alice.AddAndPublish(ctx, []byte("hello decentralized web"))
+		if err != nil {
+			panic(err)
+		}
+		if err := alice.PublishPeerRecord(ctx); err != nil {
+			panic(err)
+		}
+		data, _, err := bob.Retrieve(ctx, pub.Cid)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(string(data))
+	})
 	// Output: hello decentralized web
 }
 
@@ -42,7 +45,7 @@ func ExampleSumCid() {
 // ExampleNode_AddTree publishes a small website as a UnixFS directory
 // and resolves a file beneath the root CID.
 func ExampleNode_AddTree() {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 20, Scale: 0.0005, Clean: true, Seed: 2})
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 20, Clean: true, Seed: 2})
 	node := net.Node(0)
 	root, err := node.AddTree(map[string][]byte{
 		"index.html":   []byte("<h1>home</h1>"),

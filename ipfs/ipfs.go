@@ -6,13 +6,16 @@
 //
 // Quickstart:
 //
-//	tn := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 100})
-//	alice, bob := tn.Node(0), tn.Node(1)
-//	pub, _ := alice.AddAndPublish(ctx, []byte("hello decentralized web"))
-//	data, res, _ := bob.Retrieve(ctx, pub.Cid)
+//	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 100})
+//	alice, bob := net.Node(0), net.Node(1)
+//	net.Run(func(ctx context.Context) {
+//		pub, _ := alice.AddAndPublish(ctx, []byte("hello decentralized web"))
+//		data, res, _ := bob.Retrieve(ctx, pub.Cid)
+//	})
 package ipfs
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -117,15 +120,15 @@ type SimConfig struct {
 	Peers int
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Scale compresses simulated time; 0.001 replays 1000x faster than
-	// real time (the default). Use 1 for real-time behaviour.
-	Scale float64
 	// Clean removes the dead/slow/broken peer classes, for examples and
 	// tests that want a well-behaved network.
 	Clean bool
 }
 
-// SimNetwork is a simulated IPFS network.
+// SimNetwork is a simulated IPFS network. It lives on virtual time:
+// build nodes, gateways and crawlers on it freely, and do everything
+// that takes simulated time — publish, retrieve, fetch, crawl — inside
+// Run.
 type SimNetwork struct {
 	tn *testnet.Testnet
 }
@@ -134,9 +137,8 @@ type SimNetwork struct {
 // population and converged routing tables.
 func NewSimNetwork(cfg SimConfig) *SimNetwork {
 	tcfg := testnet.Config{
-		N:     cfg.Peers,
-		Seed:  cfg.Seed,
-		Scale: cfg.Scale,
+		N:    cfg.Peers,
+		Seed: cfg.Seed,
 	}
 	if tcfg.Seed == 0 {
 		tcfg.Seed = 1
@@ -145,6 +147,19 @@ func NewSimNetwork(cfg SimConfig) *SimNetwork {
 		tcfg.FracDead, tcfg.FracSlow, tcfg.FracWSBroken = 1e-9, 1e-9, 1e-9
 	}
 	return &SimNetwork{tn: testnet.Build(tcfg)}
+}
+
+// Run runs body on the network's virtual clock and returns when body
+// has: every latency body observes is simulated time, replayed as fast
+// as the host computes and identical on every run of the same seed.
+// body receives the context every call that waits must be given, and
+// starts goroutines through Testnet().Sched.Go — a plain `go` is
+// invisible to the virtual clock. A network runs once: Run panics when
+// called again.
+func (s *SimNetwork) Run(body func(ctx context.Context)) {
+	if err := s.tn.Sched.Run(context.Background(), body); err != nil {
+		panic("ipfs: SimNetwork.Run: " + err.Error())
+	}
 }
 
 // Node returns the i-th peer.
@@ -194,14 +209,14 @@ func (s *SimNetwork) Testnet() *testnet.Testnet { return s.tn }
 // given region with an nginx-style cache of cacheBytes.
 func (s *SimNetwork) NewGateway(region Region, cacheBytes int64, seed int64) *Gateway {
 	node := s.tn.AddVantage(region, seed)
-	return gateway.New(node, cacheBytes, s.tn.Time)
+	return gateway.New(node, cacheBytes, s.tn.Sched)
 }
 
 // NewCrawler builds a §4.1 crawler attached to the network.
 func (s *SimNetwork) NewCrawler(seed int64) *Crawler {
 	ident := peer.MustNewIdentity(randFrom(seed))
 	ep := s.tn.Net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-	sw := swarm.New(ident, ep, s.tn.Time)
+	sw := swarm.New(ident, ep, s.tn.Sched)
 	return crawler.New(sw, crawler.Config{})
 }
 

@@ -10,31 +10,38 @@ import (
 )
 
 func TestSimNetworkPublishRetrieve(t *testing.T) {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 60, Scale: 0.0005, Clean: true, Seed: 3})
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 60, Clean: true, Seed: 3})
 	if net.Len() != 60 {
 		t.Fatalf("Len = %d", net.Len())
 	}
-	ctx := context.Background()
 	alice, bob := net.Node(0), net.Node(30)
 	content := bytes.Repeat([]byte("facade"), 5000)
 
-	pub, err := alice.AddAndPublish(ctx, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := alice.PublishPeerRecord(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, res, err := bob.Retrieve(ctx, pub.Cid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Error("content mismatch")
-	}
-	if res.Provider != alice.ID() {
-		t.Error("wrong provider")
-	}
+	net.Run(func(ctx context.Context) {
+		pub, err := alice.AddAndPublish(ctx, content)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := alice.PublishPeerRecord(ctx); err != nil {
+			t.Error(err)
+			return
+		}
+		got, res, err := bob.Retrieve(ctx, pub.Cid)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) {
+			t.Error("content mismatch")
+		}
+		if res.Provider != alice.ID() {
+			t.Error("wrong provider")
+		}
+		if res.Total <= 0 || res.Total > time.Minute {
+			t.Errorf("retrieval took %v of simulated time", res.Total)
+		}
+	})
 }
 
 func TestParseCidRoundTrip(t *testing.T) {
@@ -90,17 +97,19 @@ func TestNewTCPNodeDeterministicSeed(t *testing.T) {
 }
 
 func TestFacadeGateway(t *testing.T) {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 30, Scale: 0.0005, Clean: true, Seed: 4})
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 30, Clean: true, Seed: 4})
 	gw := net.NewGateway("US", 8<<20, 11)
 	data := []byte("gateway content")
 	root, err := gw.Pin(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := gw.Fetch(context.Background(), ipfs.GatewayRequest{Cid: root, Time: time.Now(), UserID: "t"})
-	if resp.Err != nil || resp.Bytes != len(data) {
-		t.Errorf("resp = %+v", resp)
-	}
+	net.Run(func(ctx context.Context) {
+		resp := gw.Fetch(ctx, ipfs.GatewayRequest{Cid: root, Time: time.Now(), UserID: "t"})
+		if resp.Err != nil || resp.Bytes != len(data) {
+			t.Errorf("resp = %+v", resp)
+		}
+	})
 	stats := ipfs.SummarizeGatewayLog(gw.Log())
 	if stats["IPFS node store"].Requests != 1 {
 		t.Errorf("stats = %+v", stats)
@@ -108,30 +117,36 @@ func TestFacadeGateway(t *testing.T) {
 }
 
 func TestFacadeCrawler(t *testing.T) {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 50, Scale: 0.0005, Clean: true, Seed: 5})
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 50, Clean: true, Seed: 5})
 	cr := net.NewCrawler(77)
-	report := cr.Crawl(context.Background(), net.Bootstrap(2))
-	if len(report.Observations) < 48 {
-		t.Errorf("crawl found %d of 50", len(report.Observations))
-	}
+	net.Run(func(ctx context.Context) {
+		report := cr.Crawl(ctx, net.Bootstrap(2))
+		if len(report.Observations) < 48 {
+			t.Errorf("crawl found %d of 50", len(report.Observations))
+		}
+	})
 }
 
 func TestAddNodeJoins(t *testing.T) {
-	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 40, Scale: 0.0005, Clean: true, Seed: 6})
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 40, Clean: true, Seed: 6})
 	joiner := net.AddNode("DE", 123)
-	ctx := context.Background()
-	pub, err := joiner.AddAndPublish(ctx, []byte("from the newcomer"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := joiner.PublishPeerRecord(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := net.Node(10).Retrieve(ctx, pub.Cid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "from the newcomer" {
-		t.Error("content mismatch")
-	}
+	net.Run(func(ctx context.Context) {
+		pub, err := joiner.AddAndPublish(ctx, []byte("from the newcomer"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := joiner.PublishPeerRecord(ctx); err != nil {
+			t.Error(err)
+			return
+		}
+		got, _, err := net.Node(10).Retrieve(ctx, pub.Cid)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if string(got) != "from the newcomer" {
+			t.Error("content mismatch")
+		}
+	})
 }
