@@ -199,6 +199,9 @@ func main() {
 			Seed:            *seed,
 		})
 		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
+		// The dispatcher's own counters (docs/OPERATIONS.md), on stderr
+		// like the line above: stdout is the seeded report.
+		fmt.Fprint(os.Stderr, res.Scheduler.Render())
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {

@@ -117,7 +117,7 @@ type providerStream struct {
 // lookup is built by the goroutine that runs it: its waits park that
 // goroutine's scheduler lease, not the starter's.
 func (n *Node) startProviderStream(ctx context.Context, root cid.Cid, sig *simtime.Signal) *providerStream {
-	sctx, cancel := context.WithCancel(ctx)
+	sctx, cancel := n.src.WithCancel(ctx)
 	ps := &providerStream{
 		cancel: cancel,
 		src:    n.src,
@@ -438,7 +438,7 @@ func wrapDiscoveryErr(err error, root cid.Cid) error {
 // stream's at Finish).
 func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *RetrieveResult) (wire.PeerInfo, *providerStream, error) {
 	src := n.src
-	actx, acancel := context.WithCancel(ctx)
+	actx, acancel := src.WithCancel(ctx)
 	defer acancel()
 	type askOutcome struct {
 		info wire.PeerInfo

@@ -130,7 +130,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	// goroutine deposits its result and exits even when the coordinator
 	// has already moved on (early stop, convergence).
 	results := make(chan queryResult, maxWalkQueries)
-	walkCtx, cancel := context.WithCancel(ctx)
+	walkCtx, cancel := src.WithCancel(ctx)
 	defer cancel()
 
 	var info WalkInfo

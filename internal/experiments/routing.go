@@ -247,6 +247,13 @@ type RoutingResults struct {
 	// forfeits deterministic replay.
 	SchedStalls int64
 	SchedEvents int64
+	// Scheduler holds the dispatcher's counters as simtime_* gauges:
+	// marks by cause, parked and polled set sizes, stale ready entries.
+	Scheduler telemetry.MetricsSnapshot
+	// SetupWall / RunWall split the wall clock the comparison cost into
+	// building the network (identities, routing tables, vantage nodes)
+	// and running the scenario on the scheduler.
+	SetupWall, RunWall time.Duration
 }
 
 // routerPair is one router's publisher/getter vantage pair plus its
@@ -269,6 +276,7 @@ type routerPair struct {
 // run against an increasingly stale one-hop view — the hard case.
 func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 	cfg = cfg.withDefaults()
+	wallStart := time.Now()
 	tn := testnet.Build(testnet.Config{
 		N:              cfg.NetworkSize,
 		Seed:           cfg.Seed,
@@ -498,11 +506,17 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		})
 	}
 
+	runStart := time.Now()
+	res.SetupWall = runStart.Sub(wallStart)
 	res.Phases = sc.Run(context.Background())
+	res.RunWall = time.Since(runStart)
 	res.Budget = tn.Net.Budget()
 	res.SchedStalls = tn.Sched.Stalls()
 	res.SchedEvents = tn.Sched.Dispatched()
 	res.Traces = sc.Traces()
+	sreg := telemetry.NewRegistry()
+	sreg.RecordScheduler(tn.Sched)
+	res.Scheduler = sreg.Snapshot()
 	var regs []*telemetry.Registry
 	for _, p := range pairs {
 		regs = append(regs, p.publisher.Telemetry().Registry(), p.getter.Telemetry().Registry())

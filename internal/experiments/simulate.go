@@ -17,6 +17,6 @@ func simulate(tn *testnet.Testnet, body func(ctx context.Context)) {
 		panic(err)
 	}
 	if n := tn.Sched.Stalls(); n != 0 {
-		panic(fmt.Sprintf("experiments: scheduler stalled %d times: a wait in the run is not on the testnet's source", n))
+		panic(fmt.Sprintf("experiments: scheduler stalled %d times: a wait in the run is not on the testnet's source; parked at the first stall:\n%s", n, tn.Sched.StallReport()))
 	}
 }

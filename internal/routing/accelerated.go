@@ -314,7 +314,7 @@ func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerI
 		waveSize = r.cfg.Parallelism
 
 		ch := make(chan result, len(wave))
-		wctx, cancel := context.WithCancel(ctx)
+		wctx, cancel := src.WithCancel(ctx)
 		for _, pi := range wave {
 			pi := pi
 			src.Go(wctx, func(gctx context.Context) {

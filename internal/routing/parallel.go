@@ -63,7 +63,7 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 		res ProvideResult
 		err error
 	}
-	pctx, cancel := context.WithCancel(ctx)
+	pctx, cancel := r.src.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan outcome, len(r.members))
 	for _, m := range r.members {
@@ -175,7 +175,7 @@ func (r *ParallelRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]
 		msgs  int
 		err   error
 	}
-	pctx, cancel := context.WithCancel(ctx)
+	pctx, cancel := r.src.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan outcome, len(r.members))
 	for _, m := range r.members {
@@ -243,7 +243,7 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 			st.set(LookupInfo{}, fmt.Errorf("routing: parallel find %s: no members", c))
 			return
 		}
-		pctx, cancel := context.WithCancel(ctx)
+		pctx, cancel := r.src.WithCancel(ctx)
 		defer cancel()
 		var mu sync.Mutex
 		var pending [][]wire.PeerInfo

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -352,69 +354,108 @@ func TestSchedulerCloseUnwindsWaiters(t *testing.T) {
 	}
 }
 
-// TestDeadlineCtxErrConcurrent pins what the lock-free Err must keep:
-// while one goroutine ends a WithTimeout context, others poll Err and
-// Done; Err never goes back to nil, is non-nil once Done is closed, and
-// reports the cause it always reported — DeadlineExceeded at the virtual
-// deadline, Canceled from the CancelFunc, the parent's error when the
-// parent ends first. Run under -race.
+// TestDeadlineCtxErrConcurrent pins what the lock-free Err must keep on
+// both kinds of node — exact (the parent is the scheduler's own, so its
+// end arrives under s.mu) and inexact (a std cancel context above, whose
+// end arrives on context.AfterFunc's goroutine): while one goroutine
+// ends the context, others poll Err and Done; Err never goes back to
+// nil, is non-nil once Done is closed, and reports the cause that came
+// first — DeadlineExceeded at the virtual deadline, Canceled from the
+// CancelFunc, the parent's error when the parent ends first, and the
+// node's own cause, not the parent's, when the parent ends after it.
+// Run under -race.
 func TestDeadlineCtxErrConcurrent(t *testing.T) {
+	parentGone := errors.New("parent gone")
 	cases := []struct {
 		name string
 		want error
-		end  func(s *Scheduler, tctx context.Context, cancelParent, cancel context.CancelFunc)
+		end  func(s *Scheduler, ctx, tctx context.Context, cancelParent func(), cancel context.CancelFunc)
 	}{
-		{"deadline", context.DeadlineExceeded, func(s *Scheduler, tctx context.Context, _, _ context.CancelFunc) {
+		{"deadline", context.DeadlineExceeded, func(s *Scheduler, _, tctx context.Context, _ func(), _ context.CancelFunc) {
 			if err := s.Sleep(tctx, time.Minute); !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("sleep across deadline: err %v", err)
 			}
 		}},
-		{"cancel", context.Canceled, func(_ *Scheduler, _ context.Context, _, cancel context.CancelFunc) { cancel() }},
-		{"parent", context.Canceled, func(_ *Scheduler, _ context.Context, cancelParent, _ context.CancelFunc) { cancelParent() }},
+		{"cancel", context.Canceled, func(_ *Scheduler, _, _ context.Context, _ func(), cancel context.CancelFunc) { cancel() }},
+		{"parent", parentGone, func(_ *Scheduler, _, _ context.Context, cancelParent func(), _ context.CancelFunc) { cancelParent() }},
+		{"own-then-parent", context.Canceled, func(s *Scheduler, ctx, _ context.Context, cancelParent func(), cancel context.CancelFunc) {
+			cancel()
+			s.Sleep(ctx, time.Second)
+			cancelParent()
+		}},
+	}
+	parents := []struct {
+		name  string
+		exact bool
+		with  func(s *Scheduler, ctx context.Context) (context.Context, func())
+	}{
+		// The parent's end carries a cause of its own, so a test can tell
+		// whose error a node reports.
+		{"exact", true, func(s *Scheduler, ctx context.Context) (context.Context, func()) {
+			p, _ := s.WithCancel(ctx)
+			return p, func() { p.(*deadlineCtx).cancel(parentGone) }
+		}},
+		{"inexact", false, func(_ *Scheduler, ctx context.Context) (context.Context, func()) {
+			p, cancel := context.WithCancelCause(ctx)
+			return causeAsErr{p}, func() { cancel(parentGone) }
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
-				parent, cancelParent := context.WithCancel(ctx)
-				defer cancelParent()
-				tctx, cancel := s.WithTimeout(parent, 10*time.Second)
-				defer cancel()
-				// The pollers hold no lease: they spin on real time and
-				// never park, so the dispatcher neither sees nor waits
-				// for them.
-				for i := 0; i < 8; i++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						var seen error
-						for closed := false; !closed; {
-							select {
-							case <-tctx.Done():
-								closed = true
-							default:
-							}
-							err := tctx.Err()
-							if closed && err != tc.want {
-								t.Errorf("Err() = %v after Done() closed, want %v", err, tc.want)
-							}
-							if seen != nil && err != seen {
-								t.Errorf("Err() changed from %v to %v", seen, err)
-								return
-							}
-							seen = err
+			for _, pc := range parents {
+				pc := pc
+				t.Run(pc.name, func(t *testing.T) {
+					var wg sync.WaitGroup
+					run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+						parent, cancelParent := pc.with(s, ctx)
+						defer cancelParent()
+						tctx, cancel := s.WithTimeout(parent, 10*time.Second)
+						defer cancel()
+						if got := tctx.(*deadlineCtx).exact; got != pc.exact {
+							t.Fatalf("node under a %s parent: exact = %v", pc.name, got)
 						}
-					}()
-				}
-				tc.end(s, tctx, cancelParent, cancel)
-			})
-			// Parent cancellation reaches tctx on context.AfterFunc's own
-			// goroutine: the pollers leave only once Done has closed.
-			wg.Wait()
+						// The pollers hold no lease: they spin on real time and
+						// never park, so the dispatcher neither sees nor waits
+						// for them.
+						for i := 0; i < 8; i++ {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								var seen error
+								for closed := false; !closed; {
+									select {
+									case <-tctx.Done():
+										closed = true
+									default:
+									}
+									err := tctx.Err()
+									if closed && err != tc.want {
+										t.Errorf("Err() = %v after Done() closed, want %v", err, tc.want)
+									}
+									if seen != nil && err != seen {
+										t.Errorf("Err() changed from %v to %v", seen, err)
+										return
+									}
+									seen = err
+								}
+							}()
+						}
+						tc.end(s, ctx, tctx, cancelParent, cancel)
+					})
+					// An inexact parent's end reaches tctx on context.AfterFunc's
+					// own goroutine: the pollers leave only once Done has closed.
+					wg.Wait()
+				})
+			}
 		})
 	}
 }
+
+// causeAsErr is a foreign context whose Err reports its cancel cause.
+type causeAsErr struct{ context.Context }
+
+func (c causeAsErr) Err() error { return context.Cause(c.Context) }
 
 // TestBorrowedLeasePanics pins the per-goroutine lease: a plain `go`
 // child of a leased goroutine inherits its parent's lease through the
@@ -455,5 +496,844 @@ func TestBorrowedLeasePanics(t *testing.T) {
 	}
 	if got := *msg.Load(); !strings.Contains(got, "simtime: Sleep on a lease that is already parked") {
 		t.Errorf("raw child's Sleep: panic %q, want one naming the call and the parked lease", got)
+	}
+}
+
+// --- contract: the Scheduler against a reference ---
+
+// refSched is the scheduler as it was before the ready list, kept as
+// the slow obvious implementation the real one must agree with: the
+// events in one sorted slice, and at every quiescent instant every
+// parked waiter asked, in registration order, whether it is ready. One
+// goroutine runs at a time by construction — a strict handoff over
+// yield — so it needs no lock, no lease and no marks: a Signal wait is
+// a polled condition and Notify has nothing to do.
+type refSched struct {
+	now     time.Time
+	seq     uint64
+	events  []*refEvent
+	waiters []*refWaiter
+	yield   chan struct{} // the running goroutine parked or returned
+}
+
+type refEvent struct {
+	at   time.Time
+	prio int
+	seq  uint64
+	fn   func()
+}
+
+type refWaiter struct {
+	ready  func() bool
+	resume chan struct{}
+}
+
+func (r *refSched) run(root func(context.Context)) {
+	r.start(context.Background(), root)
+	for {
+		if r.wakeFirstReady() {
+			continue
+		}
+		if len(r.events) == 0 {
+			return
+		}
+		// The earliest instant: its transitions, and one timer.
+		at := r.events[0].at
+		r.now = at
+		n := 0
+		for n < len(r.events) && r.events[n].at.Equal(at) && r.events[n].prio == prioTransition {
+			n++
+		}
+		if n < len(r.events) && r.events[n].at.Equal(at) {
+			n++
+		}
+		batch := r.events[:n:n]
+		r.events = r.events[n:]
+		for _, ev := range batch {
+			ev.fn()
+		}
+	}
+}
+
+func (r *refSched) wakeFirstReady() bool {
+	for i, w := range r.waiters {
+		if w.ready() {
+			r.waiters = append(r.waiters[:i:i], r.waiters[i+1:]...)
+			close(w.resume)
+			<-r.yield
+			return true
+		}
+	}
+	return false
+}
+
+// start runs fn on its own goroutine until it parks or returns.
+func (r *refSched) start(ctx context.Context, fn func(context.Context)) {
+	go func() {
+		fn(ctx)
+		r.yield <- struct{}{}
+	}()
+	<-r.yield
+}
+
+func (r *refSched) park(ready func() bool) {
+	w := &refWaiter{ready: ready, resume: make(chan struct{})}
+	r.waiters = append(r.waiters, w)
+	r.yield <- struct{}{}
+	<-w.resume
+}
+
+func (r *refSched) schedule(at time.Time, prio int, fn func()) (stop func() bool) {
+	if at.Before(r.now) {
+		at = r.now
+	}
+	r.seq++
+	ev := &refEvent{at: at, prio: prio, seq: r.seq, fn: fn}
+	i := sort.Search(len(r.events), func(i int) bool {
+		o := r.events[i]
+		if !o.at.Equal(at) {
+			return o.at.After(at)
+		}
+		return o.prio > prio // seq is the largest so far: after its equals
+	})
+	r.events = append(r.events[:i:i], append([]*refEvent{ev}, r.events[i:]...)...)
+	return func() bool {
+		for i, o := range r.events {
+			if o == ev {
+				r.events = append(r.events[:i:i], r.events[i+1:]...)
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func (r *refSched) Now() time.Time { return r.now }
+
+func (r *refSched) Go(ctx context.Context, fn func(context.Context)) {
+	w := &refWaiter{ready: func() bool { return true }, resume: make(chan struct{})}
+	r.waiters = append(r.waiters, w)
+	go func() {
+		<-w.resume
+		fn(ctx)
+		r.yield <- struct{}{}
+	}()
+}
+
+func (r *refSched) Await(ctx context.Context, cond func() bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if cond() {
+		return nil
+	}
+	r.park(func() bool { return ctx.Err() != nil || cond() })
+	return ctx.Err()
+}
+
+func (r *refSched) Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	fired := false
+	stop := r.schedule(r.now.Add(d), prioTimer, func() { fired = true })
+	defer stop()
+	return r.Await(ctx, func() bool { return fired })
+}
+
+// refCtx ends with its own cause or its parent's, whichever came first.
+type refCtx struct {
+	context.Context
+	err error
+}
+
+var refDone = make(chan struct{}) // non-nil: a refCtx can end; nobody receives from it
+
+func (c *refCtx) Done() <-chan struct{} { return refDone }
+func (c *refCtx) Err() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.Context.Err()
+}
+func (c *refCtx) cancel(err error) {
+	if c.Err() == nil {
+		c.err = err
+	}
+}
+
+func (r *refSched) WithCancel(ctx context.Context) (context.Context, context.CancelFunc) {
+	c := &refCtx{Context: ctx}
+	return c, func() { c.cancel(context.Canceled) }
+}
+
+func (r *refSched) WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	c := &refCtx{Context: ctx}
+	stop := r.schedule(r.now.Add(d), prioTimer, func() { c.cancel(context.DeadlineExceeded) })
+	return c, func() {
+		stop()
+		c.cancel(context.Canceled)
+	}
+}
+
+// engine is what a generated program runs on: the Scheduler with its
+// real Signal, Group and Recv, or the reference, where each of those is
+// a polled condition.
+type engine interface {
+	Now() time.Time
+	Go(ctx context.Context, fn func(context.Context))
+	Sleep(ctx context.Context, d time.Duration) error
+	Await(ctx context.Context, cond func() bool) error
+	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
+	WithCancel(ctx context.Context) (context.Context, context.CancelFunc)
+	after(ctx context.Context, d time.Duration, fn func(context.Context)) (stop func() bool)
+	at(d time.Duration, fn func()) (stop func() bool)
+	wait(sig int, ctx context.Context, cond func() bool) error
+	notify(sig int)
+	join(ctx context.Context, fns []func(context.Context))
+	recv(ctx context.Context, ch chan int) bool
+}
+
+const progSlots = 6 // signals, flags, channels, cancel and timer slots a program draws from
+
+type realEngine struct {
+	*Scheduler
+	sigs [progSlots]*Signal
+}
+
+func newRealEngine(s *Scheduler) *realEngine {
+	e := &realEngine{Scheduler: s}
+	for i := range e.sigs {
+		e.sigs[i] = NewSignal(s)
+	}
+	return e
+}
+
+func (e *realEngine) after(ctx context.Context, d time.Duration, fn func(context.Context)) func() bool {
+	return e.AfterFunc(ctx, d, fn).Stop
+}
+func (e *realEngine) at(d time.Duration, fn func()) func() bool {
+	return e.At(e.Now().Add(d), fn).Stop
+}
+func (e *realEngine) wait(sig int, ctx context.Context, cond func() bool) error {
+	return e.sigs[sig].Wait(ctx, cond)
+}
+func (e *realEngine) notify(sig int) { e.sigs[sig].Notify() }
+func (e *realEngine) join(ctx context.Context, fns []func(context.Context)) {
+	g := NewGroup(e.Scheduler)
+	for _, fn := range fns {
+		g.Go(ctx, fn)
+	}
+	g.Wait(ctx)
+}
+func (e *realEngine) recv(ctx context.Context, ch chan int) bool {
+	_, ok := Recv(ctx, Source(e.Scheduler), ch)
+	return ok
+}
+
+func (r *refSched) after(ctx context.Context, d time.Duration, fn func(context.Context)) func() bool {
+	return r.schedule(r.now.Add(d), prioTimer, func() {
+		if ctx.Err() == nil {
+			r.start(ctx, fn)
+		}
+	})
+}
+func (r *refSched) at(d time.Duration, fn func()) func() bool {
+	return r.schedule(r.now.Add(d), prioTransition, fn)
+}
+func (r *refSched) wait(_ int, ctx context.Context, cond func() bool) error {
+	return r.Await(ctx, cond)
+}
+func (r *refSched) notify(int) {}
+func (r *refSched) join(ctx context.Context, fns []func(context.Context)) {
+	n := len(fns)
+	for _, fn := range fns {
+		fn := fn
+		r.Go(ctx, func(ctx context.Context) {
+			fn(ctx)
+			n--
+		})
+	}
+	r.Await(Detach(ctx), func() bool { return n == 0 })
+}
+func (r *refSched) recv(ctx context.Context, ch chan int) bool {
+	if r.Await(ctx, func() bool { return len(ch) > 0 }) != nil {
+		return false
+	}
+	<-ch // nobody else ran since the condition held
+	return true
+}
+
+// A program is a tree of ops; each goroutine body carries the id its
+// log lines are attributed to.
+type opKind int
+
+const (
+	opSleep   opKind = iota
+	opGo             // spawn body as goroutine id
+	opGroup          // spawn kids as goroutines id, id+1, … and join them
+	opTimeout        // run body under WithTimeout(d)
+	opScope          // run body under WithCancel, its cancel in slot
+	opCancel         // cancel whatever scope last took slot
+	opWait           // Signal slot: wait until it was notified n times
+	opNotify         // Signal slot: deposit and notify
+	opAwait          // bare Await on flag slot
+	opSet            // set flag slot
+	opRecv           // Recv from channel slot
+	opSend           // non-blocking send to channel slot
+	opAfter          // AfterFunc(d) running body as goroutine id, its timer in slot
+	opAt             // At(now+d) doing act on arg, its timer in slot
+	opStop           // stop whatever timer last took slot
+)
+
+type op struct {
+	kind   opKind
+	d      time.Duration
+	slot   int
+	n, arg int
+	id     int
+	body   []op
+	kids   [][]op
+}
+
+type progGen struct {
+	rng   *rand.Rand
+	ops   int // budget left
+	ids   int // goroutine ids handed out
+	waits int // signals that have their one waiter
+}
+
+// dur draws from few values, so many wakes share an instant and ties
+// are decided by registration order.
+func (g *progGen) dur() time.Duration {
+	return time.Duration(g.rng.Intn(6)) * time.Millisecond
+}
+
+func (g *progGen) newID(n int) int {
+	id := g.ids
+	g.ids += n
+	return id
+}
+
+// body generates a goroutine body. bounded says an enclosing timeout
+// ends every wait in it; a wait that something else may never satisfy
+// gets a timeout of its own otherwise, so every program terminates.
+func (g *progGen) body(depth int, bounded bool) []op {
+	var ops []op
+	for n := 2 + g.rng.Intn(6); n > 0 && g.ops > 0; n-- {
+		g.ops--
+		o := op{slot: g.rng.Intn(progSlots), d: g.dur()}
+		switch k := g.rng.Intn(16); {
+		case depth > 0 && k == 0:
+			o.kind, o.id = opGo, g.newID(1)
+			o.body = g.body(depth-1, bounded)
+		case depth > 0 && k == 1:
+			o.kind, o.id = opGroup, g.newID(3)
+			for i := 1 + g.rng.Intn(3); i > 0; i-- {
+				o.kids = append(o.kids, g.body(depth-1, bounded))
+			}
+		case depth > 0 && k == 2:
+			o.kind, o.d = opTimeout, 2*o.d+time.Millisecond
+			o.body = g.body(depth-1, true)
+		case depth > 0 && k == 3:
+			o.kind = opScope
+			o.body = g.body(depth-1, bounded)
+		case depth > 0 && k == 4:
+			o.kind, o.id = opAfter, g.newID(1)
+			o.body = g.body(depth-1, bounded)
+		case k == 5:
+			o.kind = opCancel
+		case k == 6 && g.waits < progSlots:
+			o.kind, o.slot, o.n = opWait, g.waits, 1+g.rng.Intn(2)
+			g.waits++
+		case k == 7 || k == 8:
+			o.kind, o.slot = opNotify, g.rng.Intn(g.waits+1)%progSlots // mostly a signal somebody waits on
+		case k == 9:
+			o.kind = opAwait
+		case k == 10:
+			o.kind = opSet
+		case k == 11:
+			o.kind = opRecv
+		case k == 12:
+			o.kind = opSend
+		case k == 13:
+			o.kind, o.n, o.arg = opAt, g.rng.Intn(3), g.rng.Intn(progSlots)
+		case k == 14:
+			o.kind = opStop
+		default:
+			o.kind = opSleep
+		}
+		if !bounded && (o.kind == opWait || o.kind == opAwait || o.kind == opRecv) {
+			o = op{kind: opTimeout, d: 2*g.dur() + time.Millisecond, body: []op{o}}
+		}
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// progRun is one execution of a program on an engine.
+type progRun struct {
+	e     engine
+	count [progSlots]atomic.Int32
+	flags [progSlots]atomic.Bool
+	chans [progSlots]chan int
+
+	mu      sync.Mutex // the log and the slots; never held across an engine call
+	log     []string
+	cancels [progSlots]context.CancelFunc
+	timers  [progSlots]func() bool
+}
+
+func newProgRun(e engine) *progRun {
+	p := &progRun{e: e}
+	for i := range p.chans {
+		p.chans[i] = make(chan int, 2) // a send finds room or is dropped; two lets receivers queue up behind one deposit
+	}
+	return p
+}
+
+// woke logs one wake: the virtual instant, the goroutine, and the cause.
+func (p *progRun) woke(id int, what string, err error) {
+	p.mu.Lock()
+	p.log = append(p.log, fmt.Sprintf("%v g%d %s %v", p.e.Now().Sub(epoch), id, what, err))
+	p.mu.Unlock()
+}
+
+func (p *progRun) deposit(sig int) {
+	p.count[sig].Add(1)
+	p.e.notify(sig) // right after the deposit, as Signal asks
+}
+
+func (p *progRun) cancelSlot(slot int) {
+	p.mu.Lock()
+	cancel := p.cancels[slot]
+	p.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+}
+
+func (p *progRun) setTimer(slot int, stop func() bool) {
+	p.mu.Lock()
+	p.timers[slot] = stop
+	p.mu.Unlock()
+}
+
+func (p *progRun) spawned(id int, body []op) func(context.Context) {
+	return func(ctx context.Context) {
+		p.woke(id, "spawn", nil)
+		p.exec(ctx, id, body)
+	}
+}
+
+func (p *progRun) exec(ctx context.Context, id int, ops []op) {
+	e := p.e
+	for _, o := range ops {
+		o := o
+		switch o.kind {
+		case opSleep:
+			p.woke(id, "sleep", e.Sleep(ctx, o.d))
+		case opGo:
+			e.Go(ctx, p.spawned(o.id, o.body))
+		case opGroup:
+			var fns []func(context.Context)
+			for i, kid := range o.kids {
+				fns = append(fns, p.spawned(o.id+i, kid))
+			}
+			e.join(ctx, fns)
+			p.woke(id, "join", nil)
+		case opTimeout:
+			tctx, cancel := e.WithTimeout(ctx, o.d)
+			p.exec(tctx, id, o.body)
+			cancel()
+		case opScope:
+			sctx, cancel := e.WithCancel(ctx)
+			p.mu.Lock()
+			p.cancels[o.slot] = cancel
+			p.mu.Unlock()
+			p.exec(sctx, id, o.body)
+			cancel()
+		case opCancel:
+			p.cancelSlot(o.slot)
+		case opWait:
+			p.woke(id, "wait", e.wait(o.slot, ctx, func() bool { return int(p.count[o.slot].Load()) >= o.n }))
+		case opNotify:
+			p.deposit(o.slot)
+		case opAwait:
+			p.woke(id, "await", e.Await(ctx, p.flags[o.slot].Load))
+		case opSet:
+			p.flags[o.slot].Store(true)
+		case opRecv:
+			p.woke(id, fmt.Sprint("recv ", e.recv(ctx, p.chans[o.slot])), ctx.Err())
+		case opSend:
+			select {
+			case p.chans[o.slot] <- id:
+			default:
+			}
+		case opAfter:
+			p.setTimer(o.slot, e.after(ctx, o.d, p.spawned(o.id, o.body)))
+		case opAt:
+			p.setTimer(o.slot, e.at(o.d, func() {
+				switch o.n {
+				case 0:
+					p.flags[o.arg].Store(true)
+				case 1:
+					p.cancelSlot(o.arg)
+				default:
+					p.deposit(o.arg)
+				}
+			}))
+		case opStop:
+			p.mu.Lock()
+			stop := p.timers[o.slot]
+			p.mu.Unlock()
+			if stop != nil {
+				p.woke(id, fmt.Sprint("stop ", stop()), nil)
+			}
+		}
+	}
+}
+
+func genProgram(seed int64) []op {
+	g := &progGen{rng: rand.New(rand.NewSource(seed)), ops: 120, ids: 1}
+	// A few spawned bodies side by side, so that most programs have
+	// somebody to notify, cancel and send to.
+	o := op{kind: opGroup, id: g.newID(4)}
+	for i := 0; i < 4; i++ {
+		o.kids = append(o.kids, g.body(3, false))
+	}
+	return []op{o}
+}
+
+// TestSchedulerMatchesReference is the scheduler's contract: seeded
+// random programs of every wait, spawn, timer and cancellation the
+// package offers — nested scopes cancelled by siblings, parents and
+// timers, notifies that land before, while and after their waiter is
+// parked — run on the Scheduler and on refSched, and must wake the same
+// goroutines at the same virtual instants for the same causes in the
+// same order, end on the same clock, and leave nothing parked. The
+// reference polls everything, so a mark the Scheduler forgot shows up
+// as a missing or late line (or, with nothing else to run, a stall).
+func TestSchedulerMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		prog := genProgram(seed)
+
+		ref := &refSched{now: epoch, yield: make(chan struct{})}
+		want := newProgRun(ref)
+		ref.run(func(ctx context.Context) { want.exec(ctx, 0, prog) })
+
+		var got *progRun
+		s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+			got = newProgRun(newRealEngine(s))
+			got.exec(ctx, 0, prog)
+		})
+		if !s.Now().Equal(ref.now) {
+			t.Errorf("seed %d: run ended at %v, reference at %v", seed, s.Now().Sub(epoch), ref.now.Sub(epoch))
+		}
+		for i := 0; i < len(want.log) || i < len(got.log); i++ {
+			var w, g string
+			if i < len(want.log) {
+				w = want.log[i]
+			}
+			if i < len(got.log) {
+				g = got.log[i]
+			}
+			if w != g {
+				t.Fatalf("seed %d: wake %d of %d is %q, the reference's %d has %q", seed, i, len(got.log), g, len(want.log), w)
+			}
+		}
+		if len(ref.waiters) != 0 {
+			t.Fatalf("seed %d: the generator left %d waiters parked forever on the reference", seed, len(ref.waiters))
+		}
+		assertNothingParked(t, s)
+	}
+}
+
+// TestSchedulerProgramsConcurrent runs the same programs at Workers = 8,
+// where tie order is not promised, for the invariants only: every
+// parked waiter is woken exactly once (a second wake would close a
+// closed channel) or closed, no wait outlives the run, and nothing
+// stalls. Run under -race.
+func TestSchedulerProgramsConcurrent(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		prog := genProgram(seed)
+		s := run(t, SchedulerOpts{Workers: 8}, func(ctx context.Context, s *Scheduler) {
+			newProgRun(newRealEngine(s)).exec(ctx, 0, prog)
+		})
+		assertNothingParked(t, s)
+	}
+}
+
+// assertNothingParked checks a finished run's books: no waiter parked,
+// marked or polled.
+func assertNothingParked(t *testing.T, s *Scheduler) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.parked != nil || s.nparked != 0 || len(s.ready) != 0 || len(s.polled) != 0 {
+		t.Fatalf("after Run: %d parked (list empty: %v), %d on the ready heap, %d polled",
+			s.nparked, s.parked == nil, len(s.ready), len(s.polled))
+	}
+}
+
+// polledNow reports how many parked waiters the dispatcher is polling.
+func polledNow(s *Scheduler) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.polled)
+}
+
+// TestForeignCancellerMeansPolled attacks the classification from
+// above: a std context.WithCancel in the chain, or a Run context that
+// can be cancelled, can end a wait without the scheduler knowing, so
+// the sleeper below it is polled — the polled set shows it — and wakes
+// at the same virtual instant it always did: at the foreign cancel, or
+// at its own timer. Without one the same sleeper sits on no list.
+func TestForeignCancellerMeansPolled(t *testing.T) {
+	sleeper := func(s *Scheduler, g *Group, ctx context.Context, want error, at time.Duration) {
+		g.Go(ctx, func(ctx context.Context) {
+			tctx, cancel := s.WithTimeout(ctx, time.Hour) // an inexact node under a foreign parent
+			defer cancel()
+			if err := s.Sleep(tctx, time.Minute); !errors.Is(err, want) {
+				t.Errorf("sleep ended with %v, want %v", err, want)
+			}
+			if got := s.Now().Sub(epoch); got != at {
+				t.Errorf("sleeper woke at %v, want %v", got, at)
+			}
+		})
+	}
+	t.Run("std cancel in the chain", func(t *testing.T) {
+		s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+			std, cancel := context.WithCancel(ctx)
+			defer cancel()
+			g := NewGroup(s)
+			sleeper(s, g, std, context.Canceled, 10*time.Second)
+			sleeper(s, g, ctx, nil, time.Minute)
+			s.Sleep(ctx, 10*time.Second)
+			if n := polledNow(s); n != 1 {
+				t.Errorf("%d waiters polled with two sleepers parked, want only the one under the std context", n)
+			}
+			cancel()
+			g.Wait(ctx)
+		})
+		if s.stats.polledMax != 1 {
+			t.Errorf("polled_max = %d, want 1", s.stats.polledMax)
+		}
+	})
+	t.Run("cancellable Run context", func(t *testing.T) {
+		s := NewScheduler(NewClock(epoch), SchedulerOpts{})
+		rctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err := s.Run(rctx, func(ctx context.Context) {
+			g := NewGroup(s)
+			sleeper(s, g, ctx, nil, time.Minute)
+			s.Sleep(ctx, time.Second)
+			if n := polledNow(s); n != 1 {
+				t.Errorf("%d waiters polled under a cancellable Run context, want the sleeper", n)
+			}
+			g.Wait(ctx)
+		})
+		if err != nil || s.Stalls() != 0 {
+			t.Fatalf("run: %v, %d stalls", err, s.Stalls())
+		}
+	})
+}
+
+// TestCancelTree attacks the tree itself: cancelling a grandparent
+// wakes the sleepers three nodes down at that instant, in the order
+// they parked; a child derived from an ended parent is born ended; and
+// a wait detached from an ended node is woken by a notify only.
+func TestCancelTree(t *testing.T) {
+	var order []int
+	run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+		top, cancelTop := s.WithCancel(ctx)
+		g := NewGroup(s)
+		for i := 0; i < 6; i++ {
+			i := i
+			g.Go(top, func(ctx context.Context) {
+				// Three more nodes between the cancelled one and the sleep.
+				for d := 0; d < 3; d++ {
+					var cancel context.CancelFunc
+					if (i+d)%2 == 0 {
+						ctx, cancel = s.WithCancel(ctx)
+					} else {
+						ctx, cancel = s.WithTimeout(ctx, time.Hour)
+					}
+					defer cancel()
+				}
+				if err := s.Sleep(ctx, time.Duration(10-i)*time.Minute); !errors.Is(err, context.Canceled) {
+					t.Errorf("sleeper %d: %v, want Canceled", i, err)
+				}
+				if got := s.Now().Sub(epoch); got != 5*time.Second {
+					t.Errorf("sleeper %d woke at %v, want the cancel's instant", i, got)
+				}
+				order = append(order, i) // one leased goroutine runs at a time
+			})
+		}
+		s.Sleep(ctx, 5*time.Second)
+		if n := polledNow(s); n != 0 {
+			t.Errorf("%d waiters polled; every sleeper is under exact nodes", n)
+		}
+		cancelTop()
+		g.Wait(ctx)
+
+		child, cancelChild := s.WithTimeout(top, time.Hour)
+		defer cancelChild()
+		select {
+		case <-child.Done():
+		default:
+			t.Error("a child of an ended node has an open Done")
+		}
+		if err := child.Err(); !errors.Is(err, context.Canceled) {
+			t.Errorf("a child of an ended node was born with Err %v", err)
+		}
+
+		sig := NewSignal(s)
+		var n atomic.Int32
+		s.Go(ctx, func(ctx context.Context) {
+			s.Sleep(ctx, time.Second)
+			n.Store(1)
+			sig.Notify()
+		})
+		if err := sig.Wait(Detach(child), func() bool { return n.Load() == 1 }); err != nil {
+			t.Errorf("detached wait under an ended node: %v", err)
+		}
+		if got := s.Now().Sub(epoch); got != 6*time.Second {
+			t.Errorf("detached wait ended at %v, want the notify's instant", got)
+		}
+	})
+	if fmt.Sprint(order) != "[0 1 2 3 4 5]" {
+		t.Errorf("cancelled sleepers woke in order %v, want the order they parked in", order)
+	}
+}
+
+// TestMarksRaceRegistration attacks the one window a mark could fall
+// into: at Workers = 8 a producer's deposit-and-Notify, or a scope's
+// cancel, runs concurrently with the consumer's check-then-park. Both
+// the check and the registration happen under s.mu and so does the
+// mark, so it either precedes the check (which then sees the deposit or
+// the ended context) or finds the waiter. A lost one parks the consumer
+// forever and the run does not finish. Run under -race.
+func TestMarksRaceRegistration(t *testing.T) {
+	run(t, SchedulerOpts{Workers: 8}, func(ctx context.Context, s *Scheduler) {
+		for i := 0; i < 2000; i++ {
+			sig := NewSignal(s)
+			var deposited atomic.Bool
+			scope, cancel := s.WithCancel(ctx)
+			g := NewGroup(s)
+			g.Go(ctx, func(context.Context) {
+				deposited.Store(true)
+				sig.Notify()
+			})
+			g.Go(ctx, func(context.Context) { cancel() })
+			g.Go(scope, func(ctx context.Context) {
+				if err := s.Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
+					t.Errorf("sleep under the cancelled scope: %v", err)
+				}
+			})
+			if err := sig.Wait(ctx, deposited.Load); err != nil {
+				t.Errorf("wait: %v", err)
+			}
+			g.Wait(ctx)
+		}
+	})
+}
+
+// TestNoWaiterOrContextLeaks runs 10⁴ RPC-shaped timeouts — derive a
+// timeout context, sleep under it, cancel — under one long-lived scope,
+// some ending by their deadline, and checks the books afterwards: the
+// scope has no children and no waiters left, nothing is parked, marked
+// or polled, and no deadline event is still queued.
+func TestNoWaiterOrContextLeaks(t *testing.T) {
+	var scope *deadlineCtx
+	s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+		sctx, cancel := s.WithCancel(ctx)
+		defer cancel()
+		scope = sctx.(*deadlineCtx)
+		g := NewGroup(s)
+		for w := 0; w < 10; w++ {
+			g.Go(sctx, func(ctx context.Context) {
+				for i := 0; i < 1000; i++ {
+					tctx, cancel := s.WithTimeout(ctx, 60*time.Millisecond)
+					s.Sleep(tctx, time.Duration(10+i%60)*time.Millisecond) // one in six outlives its deadline
+					cancel()
+				}
+			})
+		}
+		g.Wait(ctx)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if scope.kids != nil || scope.waiters != nil {
+			t.Errorf("the scope still holds children (%v) or waiters (%v)", scope.kids != nil, scope.waiters != nil)
+		}
+		if n := s.events.Len(); n != 0 {
+			t.Errorf("%d events still queued after every timeout was cancelled", n)
+		}
+	})
+	assertNothingParked(t, s)
+}
+
+// TestStallReportNamesTheWait: when the dispatcher has to fall back to
+// real time, the report holds the stack of the goroutine parked on the
+// wait nobody instruments — here a bare Await an untracked goroutine
+// satisfies after real time has passed.
+func TestStallReportNamesTheWait(t *testing.T) {
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{Grace: time.Millisecond})
+	if s.StallReport() != "" {
+		t.Error("a stall report before any stall")
+	}
+	err := s.Run(context.Background(), func(ctx context.Context) {
+		var flag atomic.Bool
+		go func() { // untracked on purpose
+			for s.Stalls() == 0 {
+				runtime.Gosched()
+			}
+			flag.Store(true)
+		}()
+		s.Await(ctx, flag.Load)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stalls() == 0 {
+		t.Fatal("the untracked wait did not stall the dispatcher")
+	}
+	if r := s.StallReport(); !strings.Contains(r, "TestStallReportNamesTheWait") || !strings.Contains(r, "(*Scheduler).Await") {
+		t.Errorf("stall report does not name the parked wait:\n%s", r)
+	}
+}
+
+// TestCounters pins the introspection counters on a run small enough
+// to count by hand.
+func TestCounters(t *testing.T) {
+	s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
+		s.At(s.Now().Add(time.Second), func() {})
+		sig := NewSignal(s)
+		var n atomic.Int32
+		g := NewGroup(s)
+		g.Go(ctx, func(ctx context.Context) { // a spawn mark
+			s.Sleep(ctx, time.Second) // a timer mark
+			n.Store(1)
+			sig.Notify() // a notify mark
+		})
+		sig.Wait(ctx, func() bool { return n.Load() == 1 })
+		tctx, cancel := s.WithTimeout(ctx, time.Second)
+		defer cancel()
+		s.Sleep(tctx, time.Minute) // a cancel mark, by the deadline event
+		g.Wait(ctx)
+	})
+	got := map[string]float64{}
+	s.Counters(func(name string, v float64) { got[name] = v })
+	for name, want := range map[string]float64{
+		"events_transition": 1,
+		"events_timer":      2, // the child's wake and the deadline; the root's own wake event was stopped
+		"marks_spawn":       1, "marks_timer": 1, "marks_cancel": 1,
+		"marks_notify": 1, // the group's Done found nobody parked: kept, not a mark
+		"wakes":        4, "parked": 0, "parked_max": 2, "polled": 0, "polled_max": 0,
+		"leased_max": 2, "stalls": 0,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v (all: %v)", name, got[name], want, got)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func RunOn(t testing.TB, s *simtime.Scheduler, body func(ctx context.Context)) {
 		t.Fatalf("scheduler run: %v", err)
 	}
 	if n := s.Stalls(); n != 0 {
-		t.Errorf("dispatcher stalled %d times: a wait on the workload path is not on the run's Source", n)
+		t.Errorf("dispatcher stalled %d times: a wait on the workload path is not on the run's Source; parked at the first stall:\n%s", n, s.StallReport())
 	}
 }
 

@@ -70,6 +70,11 @@ func (wallSource) WithTimeout(ctx context.Context, d time.Duration) (context.Con
 	return context.WithTimeout(ctx, d)
 }
 
+func (wallSource) WithCancel(ctx context.Context) (context.Context, context.CancelFunc) {
+	notLeased(ctx, "WithCancel")
+	return context.WithCancel(ctx)
+}
+
 func (wallSource) AfterFunc(ctx context.Context, d time.Duration, fn func(context.Context)) *Timer {
 	notLeased(ctx, "AfterFunc")
 	t := time.AfterFunc(d, func() {

@@ -86,8 +86,8 @@ func TestWithTimeout(t *testing.T) {
 }
 
 // TestMixedEnginesPanic pins the wiring check: a context leased to a
-// Scheduler that reaches the real-time source's Go, Sleep, WithTimeout
-// or AfterFunc means a component inside the simulated run was built
+// Scheduler that reaches the real-time source's Go, Sleep, WithTimeout,
+// WithCancel or AfterFunc means a component inside the simulated run was built
 // with a nil source — each call panics naming itself. Outside a
 // scheduler run none does.
 func TestMixedEnginesPanic(t *testing.T) {
@@ -96,6 +96,7 @@ func TestMixedEnginesPanic(t *testing.T) {
 		"Go":          func(ctx context.Context) { w.Go(ctx, func(context.Context) {}) },
 		"Sleep":       func(ctx context.Context) { w.Sleep(ctx, time.Nanosecond) },
 		"WithTimeout": func(ctx context.Context) { _, cancel := w.WithTimeout(ctx, time.Second); cancel() },
+		"WithCancel":  func(ctx context.Context) { _, cancel := w.WithCancel(ctx); cancel() },
 		"AfterFunc":   func(ctx context.Context) { w.AfterFunc(ctx, time.Hour, func(context.Context) {}).Stop() },
 	}
 	panics := func(name string, ctx context.Context) (msg string) {

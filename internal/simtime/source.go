@@ -37,6 +37,11 @@ type Source interface {
 	// duration d. The returned CancelFunc must be called to release the
 	// timer.
 	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
+	// WithCancel derives a context its CancelFunc ends. Everything above
+	// the transport cancels through it rather than context.WithCancel:
+	// under a Scheduler the cancel then wakes the waits parked below it,
+	// which behind a context the scheduler does not own are polled.
+	WithCancel(ctx context.Context) (context.Context, context.CancelFunc)
 	// AfterFunc arranges for fn to run after the simulated duration d,
 	// unless ctx is done first or the returned timer is stopped. fn
 	// runs on its own goroutine and may itself sleep and spawn.
@@ -130,22 +135,29 @@ func AwaitClosed(ctx context.Context, src Source, ch <-chan struct{}) error {
 // result somewhere the consumer's condition can see it without blocking
 // (a buffered channel, a guarded queue, an atomic) and then call Notify;
 // the single consumer calls Wait with that condition and drains,
-// non-blocking, whatever it finds when Wait returns. Under a Scheduler
-// Wait is Await — the dispatcher evaluates the condition at every
-// quiescent instant and Notify has nothing to do; on real time Wait
-// re-checks the condition after every Notify. The zero value is NOT
-// usable; use NewSignal.
+// non-blocking, whatever it finds when Wait returns. On both sources
+// the condition is re-checked after every Notify and not otherwise: a
+// deposit nobody notifies is not seen (under a Scheduler the run then
+// stalls or hangs, loudly), so Notify comes right after the deposit,
+// before the producer parks. A notify that lands with nobody parked is
+// kept for the next Wait; later ones coalesce into it. The zero value
+// is NOT usable; use NewSignal.
 type Signal struct {
 	src Source
-	// ch holds at most one pending notify: one that lands before Wait
-	// parks is kept, later ones coalesce into it. Nil under a Scheduler.
+	// ch holds the wall clock's one pending notify. Nil under a Scheduler.
 	ch chan struct{}
+
+	// Under a Scheduler, guarded by its mu: the waiter parked in Wait,
+	// which Notify marks for the dispatcher, or else the pending notify.
+	sched   *Scheduler
+	w       *waiter
+	pending bool
 }
 
 // NewSignal creates a Signal over src.
 func NewSignal(src Source) *Signal {
-	s := &Signal{src: src}
-	if SchedulerOf(src) == nil {
+	s := &Signal{src: src, sched: SchedulerOf(src)}
+	if s.sched == nil {
 		s.ch = make(chan struct{}, 1)
 	}
 	return s
@@ -154,6 +166,10 @@ func NewSignal(src Source) *Signal {
 // Notify tells the consumer that the state its condition reads has
 // changed. It never blocks; call it after the deposit.
 func (s *Signal) Notify() {
+	if s.sched != nil {
+		s.sched.notify(s)
+		return
+	}
 	select {
 	case s.ch <- struct{}{}:
 	default:
@@ -163,11 +179,10 @@ func (s *Signal) Notify() {
 // Wait parks the calling goroutine until cond reports true or ctx is
 // done, in which case it returns ctx.Err(). cond must be a cheap,
 // non-blocking read. Only one goroutine may wait on a Signal at a time.
-// Under a Detach-ed context only a notify (or, on the scheduler, the
-// condition itself) ends the wait.
+// Under a Detach-ed context only a notify ends the wait.
 func (s *Signal) Wait(ctx context.Context, cond func() bool) error {
-	if sched := SchedulerOf(s.src); sched != nil {
-		return sched.Await(ctx, cond)
+	if s.sched != nil {
+		return s.sched.await(ctx, cond, s, "Wait")
 	}
 	for {
 		if err := ctx.Err(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/simtime"
 	"repro/internal/stats"
 )
 
@@ -171,6 +172,13 @@ func (r *Registry) Histogram(name string, binWidth float64, labels ...string) *H
 		r.hists[key] = h
 	}
 	return h
+}
+
+// RecordScheduler publishes the dispatcher's introspection counters as
+// simtime_* gauges (docs/OPERATIONS.md lists them): call it when the run
+// is over, or whenever a reading is wanted.
+func (r *Registry) RecordScheduler(s *simtime.Scheduler) {
+	s.Counters(func(name string, v float64) { r.Gauge("simtime_" + name).Set(v) })
 }
 
 // LatencySnapshot is the exported view of one latency histogram.

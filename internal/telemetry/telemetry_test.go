@@ -209,6 +209,34 @@ func TestRegistrySnapshotAndAggregate(t *testing.T) {
 	}
 }
 
+// TestRecordScheduler: the dispatcher's counters reach the registry as
+// simtime_* gauges, and a re-recording overwrites them.
+func TestRecordScheduler(t *testing.T) {
+	reg := NewRegistry()
+	s := simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		g := simtime.NewGroup(s)
+		for i := 0; i < 3; i++ {
+			g.Go(ctx, func(ctx context.Context) { s.Sleep(ctx, time.Second) })
+		}
+		reg.RecordScheduler(s) // mid-run: the spawns are parked, none has slept yet
+		g.Wait(ctx)
+	})
+	if got := reg.Gauge("simtime_parked").Value(); got != 3 {
+		t.Errorf("mid-run simtime_parked = %v, want the three spawns", got)
+	}
+	reg.RecordScheduler(s)
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{
+		"simtime_events_timer": 3, "simtime_marks_spawn": 3, "simtime_marks_timer": 3,
+		"simtime_parked": 0, "simtime_parked_max": 4, "simtime_leased_max": 4,
+		"simtime_polled_max": 0, "simtime_stalls": 0,
+	} {
+		if got, ok := snap.Gauges[name]; !ok || got != want {
+			t.Errorf("%s = %v (present: %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
 func TestDiscoverAnalytics(t *testing.T) {
 	rec := NewRecorder(frozen())
 	mk := func(lookups int, wall time.Duration) *Trace {
