@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,7 +26,9 @@ import (
 	"repro/internal/kbucket"
 	"repro/internal/merkledag"
 	"repro/internal/multicodec"
+	"repro/internal/multihash"
 	"repro/internal/peer"
+	"repro/internal/record"
 	"repro/internal/routing"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -856,6 +859,73 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 				b.Fatalf("run: %v, %d stalls", err, s.Stalls())
 			}
 		})
+	}
+}
+
+// BenchmarkProviderStoreAdd measures what a DHT server pays per stored
+// provider record. A million records from one publisher are added
+// first (the store ends at its budget); what that state costs the
+// collector is reported as heap objects per record held and the
+// milliseconds of one full collection over it, and then b.N further
+// Adds at the budget — each one an eviction and an insert — are timed.
+func BenchmarkProviderStoreAdd(b *testing.B) {
+	const prefill = 1_000_000
+	provider := peer.MustNewIdentity(rand.New(rand.NewSource(1))).ID
+	digest := make([]byte, 32)
+	nextCid := func(i int) cid.Cid {
+		digest[0], digest[1], digest[2], digest[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
+		c, err := cid.New(cid.V1, multicodec.Raw, multihash.FromDigest(multicodec.SHA2_256, digest))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	now := time.Unix(1_635_724_800, 0)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	store := record.NewProviderStore(0, func() time.Time { return now })
+	for i := 0; i < prefill; i++ {
+		now = now.Add(time.Millisecond)
+		store.Add(record.ProviderRecord{Cid: nextCid(i), Provider: provider, Published: now})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / float64(store.Len())
+	gcStart := time.Now()
+	runtime.GC()
+	gcMS := float64(time.Since(gcStart).Microseconds()) / 1000
+
+	fresh := make([]cid.Cid, b.N)
+	for i := range fresh {
+		fresh[i] = nextCid(prefill + i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, c := range fresh {
+		now = now.Add(time.Millisecond)
+		store.Add(record.ProviderRecord{Cid: c, Provider: provider, Published: now})
+	}
+	b.StopTimer()
+	b.ReportMetric(gcMS, "gc-ms")
+	b.ReportMetric(objects, "heap-objects/record")
+	if store.Len() != record.MaxProviderRecords {
+		b.Fatalf("store holds %d records, want the budget %d", store.Len(), record.MaxProviderRecords)
+	}
+}
+
+// BenchmarkTraceRPCEvent is what one traced transport request costs the
+// recorder: a fixed-size record appended under the trace lock. Nothing
+// is formatted and nothing allocated but the span's slice growing
+// (0 allocs/op amortised).
+func BenchmarkTraceRPCEvent(b *testing.B) {
+	remote := peer.MustNewIdentity(rand.New(rand.NewSource(1))).ID
+	ctx, sp := telemetry.NewRecorder(nil).StartTrace(context.Background(), "retrieve")
+	defer sp.End()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		telemetry.RPC(ctx, "GET_PROVIDERS", "lookup", remote, time.Millisecond, "")
 	}
 }
 

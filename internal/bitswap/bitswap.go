@@ -401,8 +401,7 @@ func (b *Bitswap) askWave(ctx context.Context, c cid.Cid, routed []wire.PeerInfo
 
 	win := func(pi wire.PeerInfo) (wire.PeerInfo, map[peer.ID]bool, bool) {
 		st.Routed = fromRouter[pi.ID]
-		wsp.Event("have", telemetry.A("peer", pi.ID.String()),
-			telemetry.A("routed", fmt.Sprint(fromRouter[pi.ID])))
+		wsp.Have(pi.ID, fromRouter[pi.ID])
 		return pi, seen, true
 	}
 	// Wake on the first HAVE, on every target having answered, or on the

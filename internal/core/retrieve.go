@@ -278,8 +278,10 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 
 	// Peer discovery + peer routing (§3.2 steps iii–iv): resolve the
 	// first provider's addresses and connect to it, as one trace phase.
-	fpctx, fpsp := telemetry.StartSpan(ctx, "first-provider",
-		telemetry.A("provider", provider.ID.String()))
+	fpctx, fpsp := telemetry.StartSpan(ctx, "first-provider")
+	if fpsp != nil { // format the ID only for a trace that will show it
+		fpsp.Annotate("provider", provider.ID.String())
+	}
 
 	// Peer discovery: map the PeerID to addresses via the address book
 	// (§3.2's shortcut) or a second DHT walk.

@@ -183,13 +183,12 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			c.state = stateFailed
 			info.Failed++
 			d.table.Remove(res.id)
-			wsp.Event("hop", telemetry.A("peer", res.id.String()), telemetry.A("ok", "false"))
+			wsp.Hop(res.id, false, 0)
 		} else {
 			c.state = stateDone
 			info.Queried++
 			d.table.Add(res.id)
-			wsp.Event("hop", telemetry.A("peer", res.id.String()), telemetry.A("ok", "true"),
-				telemetry.A("depth", strconv.Itoa(c.depth+1)))
+			wsp.Hop(res.id, true, c.depth+1)
 			if c.depth+1 > info.Depth {
 				info.Depth = c.depth + 1
 			}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
 
@@ -40,9 +41,15 @@ type Component struct {
 	Value string // textual value ("" for value-less protocols like ws)
 }
 
-// Multiaddr is a parsed multiaddress: an ordered list of components.
+// Multiaddr is a multiaddress. It is its validated binary form, held as
+// one immutable string: FromBytes checks the structure and copies once,
+// Bytes and Equal do no decoding, values compare with ==, and a stored
+// address is one object the collector never looks inside. Components
+// are decoded only by the accessors that return text (String,
+// Components, Value, DialInfo). The zero Multiaddr is the undefined
+// address.
 type Multiaddr struct {
-	comps []Component
+	b string
 }
 
 // ErrInvalid is returned for malformed multiaddresses.
@@ -50,51 +57,66 @@ var ErrInvalid = errors.New("multiaddr: invalid")
 
 type protoSpec struct {
 	code     int
+	name     string
 	hasValue bool
 	validate func(string) error
 }
 
-var protocols = map[string]protoSpec{
-	"ip4": {CodeIP4, true, func(v string) error {
-		ip := net.ParseIP(v)
-		if ip == nil || ip.To4() == nil {
+var protocols = [...]protoSpec{
+	{CodeIP4, "ip4", true, func(v string) error {
+		if a, ok := parseIP(v); !ok || !(a.Is4() || a.Is4In6()) {
 			return fmt.Errorf("bad ip4 %q", v)
 		}
 		return nil
 	}},
-	"ip6": {CodeIP6, true, func(v string) error {
-		ip := net.ParseIP(v)
-		if ip == nil || ip.To4() != nil {
-			return fmt.Errorf("bad ip6 %q", v)
-		}
-		return nil
-	}},
-	"dns4": {CodeDNS4, true, func(v string) error {
-		if v == "" {
-			return fmt.Errorf("empty dns4 name")
-		}
-		return nil
-	}},
-	"tcp":  {CodeTCP, true, validatePort},
-	"udp":  {CodeUDP, true, validatePort},
-	"quic": {CodeQUIC, false, nil},
-	"ws":   {CodeWS, false, nil},
-	"p2p": {CodeP2P, true, func(v string) error {
+	{CodeTCP, "tcp", true, validatePort},
+	{CodeP2P, "p2p", true, func(v string) error {
 		if v == "" {
 			return fmt.Errorf("empty p2p id")
 		}
 		return nil
 	}},
-	"p2p-circuit": {CodeP2PCircuit, false, nil},
+	{CodeIP6, "ip6", true, func(v string) error {
+		if a, ok := parseIP(v); !ok || a.Is4() || a.Is4In6() {
+			return fmt.Errorf("bad ip6 %q", v)
+		}
+		return nil
+	}},
+	{CodeDNS4, "dns4", true, func(v string) error {
+		if v == "" {
+			return fmt.Errorf("empty dns4 name")
+		}
+		return nil
+	}},
+	{CodeUDP, "udp", true, validatePort},
+	{CodeQUIC, "quic", false, nil},
+	{CodeWS, "ws", false, nil},
+	{CodeP2PCircuit, "p2p-circuit", false, nil},
 }
 
-var codeToName = func() map[int]string {
-	m := make(map[int]string, len(protocols))
-	for name, spec := range protocols {
-		m[spec.code] = name
+func protoByName(name string) *protoSpec {
+	for i := range protocols {
+		if protocols[i].name == name {
+			return &protocols[i]
+		}
 	}
-	return m
-}()
+	return nil
+}
+
+func protoByCode(code uint64) *protoSpec {
+	for i := range protocols {
+		if uint64(protocols[i].code) == code {
+			return &protocols[i]
+		}
+	}
+	return nil
+}
+
+// parseIP accepts what net.ParseIP accepts, without allocating.
+func parseIP(v string) (netip.Addr, bool) {
+	a, err := netip.ParseAddr(v)
+	return a, err == nil && a.Zone() == ""
+}
 
 func validatePort(v string) error {
 	n, err := strconv.Atoi(v)
@@ -104,38 +126,43 @@ func validatePort(v string) error {
 	return nil
 }
 
+// appendComponent appends one component's binary form: a varint
+// protocol code, then for valued protocols a varint length and the
+// value bytes.
+func appendComponent(dst []byte, p *protoSpec, value string) []byte {
+	dst = varint.Append(dst, uint64(p.code))
+	if p.hasValue {
+		dst = varint.Append(dst, uint64(len(value)))
+		dst = append(dst, value...)
+	}
+	return dst
+}
+
 // Parse parses the text form of a multiaddress.
 func Parse(s string) (Multiaddr, error) {
 	if s == "" || s[0] != '/' {
 		return Multiaddr{}, fmt.Errorf("%w: must begin with '/': %q", ErrInvalid, s)
 	}
-	parts := strings.Split(s[1:], "/")
-	var m Multiaddr
-	for i := 0; i < len(parts); i++ {
-		name := parts[i]
-		spec, ok := protocols[name]
-		if !ok {
+	b := make([]byte, 0, len(s))
+	for rest, more := s[1:], true; more; {
+		var name, value string
+		name, rest, more = strings.Cut(rest, "/")
+		spec := protoByName(name)
+		if spec == nil {
 			return Multiaddr{}, fmt.Errorf("%w: unknown protocol %q", ErrInvalid, name)
 		}
-		var value string
 		if spec.hasValue {
-			i++
-			if i >= len(parts) {
+			if !more {
 				return Multiaddr{}, fmt.Errorf("%w: protocol %q requires a value", ErrInvalid, name)
 			}
-			value = parts[i]
-			if spec.validate != nil {
-				if err := spec.validate(value); err != nil {
-					return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-				}
+			value, rest, more = strings.Cut(rest, "/")
+			if err := spec.validate(value); err != nil {
+				return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 			}
 		}
-		m.comps = append(m.comps, Component{Code: spec.code, Name: name, Value: value})
+		b = appendComponent(b, spec, value)
 	}
-	if len(m.comps) == 0 {
-		return Multiaddr{}, fmt.Errorf("%w: empty", ErrInvalid)
-	}
-	return m, nil
+	return Multiaddr{b: string(b)}, nil
 }
 
 // MustParse is Parse for literals in tests and examples; it panics on error.
@@ -147,38 +174,79 @@ func MustParse(s string) Multiaddr {
 	return m
 }
 
-// String renders the canonical text form.
-func (m Multiaddr) String() string {
-	var b strings.Builder
-	for _, c := range m.comps {
-		b.WriteByte('/')
-		b.WriteString(c.Name)
-		if protocols[c.Name].hasValue {
-			b.WriteByte('/')
-			b.WriteString(c.Value)
+// uvarint decodes the varint at the front of a validated binary form.
+func uvarint(b string) (v uint64, n int) {
+	for shift := uint(0); ; shift += 7 {
+		c := b[n]
+		n++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, n
 		}
 	}
-	return b.String()
 }
 
-// Components returns a copy of the component list.
+// cut splits the first component off a validated binary form, or
+// returns a nil protocol when b is empty. It allocates nothing: value
+// and rest are substrings of b.
+func cut(b string) (p *protoSpec, value, rest string) {
+	if b == "" {
+		return nil, "", ""
+	}
+	code, n := uvarint(b)
+	p, b = protoByCode(code), b[n:]
+	if p.hasValue {
+		l, n := uvarint(b)
+		value, b = b[n:n+int(l)], b[n+int(l):]
+	}
+	return p, value, b
+}
+
+// String renders the canonical text form.
+func (m Multiaddr) String() string {
+	var sb strings.Builder
+	for p, v, b := cut(m.b); p != nil; p, v, b = cut(b) {
+		sb.WriteByte('/')
+		sb.WriteString(p.name)
+		if p.hasValue {
+			sb.WriteByte('/')
+			sb.WriteString(v)
+		}
+	}
+	return sb.String()
+}
+
+// Components returns the decoded component list.
 func (m Multiaddr) Components() []Component {
-	return append([]Component(nil), m.comps...)
+	var out []Component
+	for p, v, b := cut(m.b); p != nil; p, v, b = cut(b) {
+		out = append(out, Component{Code: p.code, Name: p.name, Value: v})
+	}
+	return out
 }
 
 // Defined reports whether the multiaddress has at least one component.
-func (m Multiaddr) Defined() bool { return len(m.comps) > 0 }
+func (m Multiaddr) Defined() bool { return m.b != "" }
 
 // Equal reports whether two multiaddresses are identical.
-func (m Multiaddr) Equal(o Multiaddr) bool { return m.String() == o.String() }
+func (m Multiaddr) Equal(o Multiaddr) bool { return m.b == o.b }
+
+// find returns the value of the first component with the given
+// protocol code, and whether there is one.
+func (m Multiaddr) find(code int) (string, bool) {
+	for p, v, b := cut(m.b); p != nil; p, v, b = cut(b) {
+		if p.code == code {
+			return v, true
+		}
+	}
+	return "", false
+}
 
 // Value returns the value of the first component with the given
 // protocol name, and whether it was present.
 func (m Multiaddr) Value(name string) (string, bool) {
-	for _, c := range m.comps {
-		if c.Name == name {
-			return c.Value, true
-		}
+	if p := protoByName(name); p != nil {
+		return m.find(p.code)
 	}
 	return "", false
 }
@@ -189,25 +257,26 @@ func (m Multiaddr) Has(name string) bool {
 	return ok
 }
 
-// PeerID returns the trailing /p2p/<id> component value, if any.
-func (m Multiaddr) PeerID() (string, bool) { return m.Value("p2p") }
+// PeerID returns the first /p2p/<id> component value, if any.
+func (m Multiaddr) PeerID() (string, bool) { return m.find(CodeP2P) }
 
 // Encapsulate appends o's components to m, e.g. turning
 // /ip4/1.2.3.4/tcp/3333 into /ip4/1.2.3.4/tcp/3333/p2p/Qm....
-func (m Multiaddr) Encapsulate(o Multiaddr) Multiaddr {
-	return Multiaddr{comps: append(append([]Component(nil), m.comps...), o.comps...)}
-}
+func (m Multiaddr) Encapsulate(o Multiaddr) Multiaddr { return Multiaddr{b: m.b + o.b} }
 
 // Decapsulate removes the suffix beginning at the first occurrence of
-// o's leading protocol; it returns m unchanged if o does not occur.
+// o's leading component; it returns m unchanged if o does not occur.
 func (m Multiaddr) Decapsulate(o Multiaddr) Multiaddr {
-	if len(o.comps) == 0 {
+	if o.b == "" {
 		return m
 	}
-	for i, c := range m.comps {
-		if c.Code == o.comps[0].Code && c.Value == o.comps[0].Value {
-			return Multiaddr{comps: append([]Component(nil), m.comps[:i]...)}
+	op, ov, _ := cut(o.b)
+	for at := m.b; at != ""; {
+		p, v, rest := cut(at)
+		if p == op && v == ov {
+			return Multiaddr{b: m.b[:len(m.b)-len(at)]}
 		}
+		at = rest
 	}
 	return m
 }
@@ -216,24 +285,26 @@ func (m Multiaddr) Decapsulate(o Multiaddr) Multiaddr {
 // the target /p2p component — the prefixing construct §2.2 describes for
 // proxying messages to peers that cannot be contacted directly.
 func Relay(relay Multiaddr, targetPeer string) Multiaddr {
-	circuit := Multiaddr{comps: []Component{{Code: CodeP2PCircuit, Name: "p2p-circuit"}}}
-	target := Multiaddr{comps: []Component{{Code: CodeP2P, Name: "p2p", Value: targetPeer}}}
-	return relay.Encapsulate(circuit).Encapsulate(target)
+	b := appendComponent([]byte(relay.b), protoByCode(CodeP2PCircuit), "")
+	return Multiaddr{b: string(appendComponent(b, protoByCode(CodeP2P), targetPeer))}
 }
 
 // IsRelay reports whether the address routes through a relay.
-func (m Multiaddr) IsRelay() bool { return m.Has("p2p-circuit") }
+func (m Multiaddr) IsRelay() bool {
+	_, ok := m.find(CodeP2PCircuit)
+	return ok
+}
 
 // DialInfo extracts the network ("tcp") and host:port a dialer should
 // use, if the address has an IP/TCP (or DNS4/TCP) prefix.
 func (m Multiaddr) DialInfo() (network, hostport string, err error) {
 	var host, port string
-	for _, c := range m.comps {
-		switch c.Code {
+	for p, v, b := cut(m.b); p != nil; p, v, b = cut(b) {
+		switch p.code {
 		case CodeIP4, CodeIP6, CodeDNS4:
-			host = c.Value
+			host = v
 		case CodeTCP:
-			port = c.Value
+			port = v
 		}
 	}
 	if host == "" || port == "" {
@@ -242,52 +313,51 @@ func (m Multiaddr) DialInfo() (network, hostport string, err error) {
 	return "tcp", net.JoinHostPort(host, port), nil
 }
 
-// Bytes returns the binary form: for each component a varint protocol
-// code, then for valued protocols a varint length and the value bytes.
-func (m Multiaddr) Bytes() []byte {
-	var out []byte
-	for _, c := range m.comps {
-		out = varint.Append(out, uint64(c.Code))
-		if protocols[c.Name].hasValue {
-			out = varint.Append(out, uint64(len(c.Value)))
-			out = append(out, c.Value...)
-		}
-	}
-	return out
-}
+// Bytes returns a copy of the binary form: for each component a varint
+// protocol code, then for valued protocols a varint length and the
+// value bytes.
+func (m Multiaddr) Bytes() []byte { return []byte(m.b) }
 
-// FromBytes parses the binary form produced by Bytes.
+// FromBytes parses the binary form produced by Bytes. It accepts
+// exactly what Parse accepts — known protocols, minimal varints, values
+// that pass their protocol's check and hold no '/' — so every Multiaddr
+// has a text form that parses back to it.
 func FromBytes(raw []byte) (Multiaddr, error) {
-	var m Multiaddr
-	for len(raw) > 0 {
-		code, n, err := varint.Decode(raw)
+	if len(raw) == 0 {
+		return Multiaddr{}, fmt.Errorf("%w: empty", ErrInvalid)
+	}
+	b := string(raw) // the one copy; values are checked as substrings of it
+	for off := 0; off < len(raw); {
+		code, n, err := varint.Decode(raw[off:])
 		if err != nil {
 			return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
-		raw = raw[n:]
-		name, ok := codeToName[int(code)]
-		if !ok {
+		off += n
+		spec := protoByCode(code)
+		if spec == nil {
 			return Multiaddr{}, fmt.Errorf("%w: unknown protocol code %d", ErrInvalid, code)
 		}
-		var value string
-		if protocols[name].hasValue {
-			l, n, err := varint.Decode(raw)
-			if err != nil {
-				return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-			}
-			raw = raw[n:]
-			if uint64(len(raw)) < l {
-				return Multiaddr{}, fmt.Errorf("%w: truncated value", ErrInvalid)
-			}
-			value = string(raw[:l])
-			raw = raw[l:]
+		if !spec.hasValue {
+			continue
 		}
-		m.comps = append(m.comps, Component{Code: int(code), Name: name, Value: value})
+		l, n, err := varint.Decode(raw[off:])
+		if err != nil {
+			return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
+		off += n
+		if uint64(len(raw)-off) < l {
+			return Multiaddr{}, fmt.Errorf("%w: truncated value", ErrInvalid)
+		}
+		value := b[off : off+int(l)]
+		off += int(l)
+		if strings.IndexByte(value, '/') >= 0 {
+			return Multiaddr{}, fmt.Errorf("%w: '/' in %s value %q", ErrInvalid, spec.name, value)
+		}
+		if err := spec.validate(value); err != nil {
+			return Multiaddr{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		}
 	}
-	if len(m.comps) == 0 {
-		return Multiaddr{}, fmt.Errorf("%w: empty", ErrInvalid)
-	}
-	return m, nil
+	return Multiaddr{b: b}, nil
 }
 
 // ForPeer builds the canonical /ip4/<ip>/tcp/<port>/p2p/<peerID> address

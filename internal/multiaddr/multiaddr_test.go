@@ -1,6 +1,7 @@
 package multiaddr
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -177,4 +178,96 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestFromBytesAcceptsWhatParseAccepts: the binary form admits exactly
+// the addresses the text form does, so String never renders something
+// Parse would refuse.
+func TestFromBytesAcceptsWhatParseAccepts(t *testing.T) {
+	value := func(code byte, v string) []byte { return append([]byte{code, byte(len(v))}, v...) }
+	for name, raw := range map[string][]byte{
+		"ip4 that is not an address": value(CodeIP4, "999.0.0.1"),
+		"ip6 in an ip4":              value(CodeIP4, "::1"),
+		"port out of range":          value(CodeTCP, "99999"),
+		"empty dns4 name":            value(CodeDNS4, ""),
+		"slash inside a value":       value(CodeDNS4, "a/tcp/1"),
+		"non-minimal varint":         {0x86, 0x00, 0x01, '1'},
+	} {
+		if m, err := FromBytes(raw); err == nil {
+			t.Errorf("%s: FromBytes accepted %q", name, m)
+		}
+	}
+	if _, err := FromBytes(value(CodeIP4, "::ffff:1.2.3.4")); err != nil {
+		t.Errorf("an IPv4-mapped address is an ip4 for Parse and must be one for FromBytes: %v", err)
+	}
+}
+
+// TestScansDoNotAllocate: the per-RPC questions asked of a stored
+// address are answered from its bytes.
+func TestScansDoNotAllocate(t *testing.T) {
+	m := Relay(MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay"), "QmTarget")
+	o := MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay")
+	allocs := testing.AllocsPerRun(100, func() {
+		if !m.IsRelay() || o.IsRelay() || !m.Defined() || m.Equal(o) {
+			t.Fatal("wrong answer")
+		}
+		if id, ok := m.PeerID(); !ok || id != "QmRelay" {
+			t.Fatal("wrong peer id")
+		}
+		if v, ok := m.Value("tcp"); !ok || v != "4001" {
+			t.Fatal("wrong port")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("IsRelay/PeerID/Value/Equal allocate %.0f times per call", allocs)
+	}
+}
+
+// FuzzMultiaddrFromBytes: whatever decodes is its input, has a text
+// form that parses back to it, and survives every accessor.
+func FuzzMultiaddrFromBytes(f *testing.F) {
+	for _, s := range []string{
+		"/ip4/1.2.3.4/tcp/3333/p2p/QmZyWQ14",
+		"/ip4/127.0.0.1/tcp/4001",
+		"/ip6/::1/tcp/4001",
+		"/ip4/10.0.0.1/udp/4001/quic",
+		"/dns4/gateway.ipfs.io/tcp/443/ws",
+		"/p2p/QmAbC",
+		"/ip4/9.9.9.9/tcp/4001/p2p/QmRelay/p2p-circuit/p2p/QmBrowserNode",
+	} {
+		f.Add(MustParse(s).Bytes())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0x01})
+	f.Add([]byte{CodeIP4, 9, '9', '9', '9', '.', '0', '.', '0', '.', '1'})
+	f.Add([]byte{CodeDNS4, 3, 'a', '/', 'b'})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := FromBytes(raw)
+		if err != nil {
+			if m.Defined() {
+				t.Fatalf("FromBytes failed with %v and still returned %q", err, m)
+			}
+			return
+		}
+		if !bytes.Equal(m.Bytes(), raw) {
+			t.Fatalf("Bytes() = %x, decoded from %x", m.Bytes(), raw)
+		}
+		back, err := Parse(m.String())
+		if err != nil || !back.Equal(m) {
+			t.Fatalf("Parse(%q) = %q, %v: not the address that rendered it", m.String(), back, err)
+		}
+		comps := m.Components()
+		if len(comps) == 0 {
+			t.Fatalf("%q decoded to no components", m)
+		}
+		m.IsRelay()
+		m.PeerID()
+		m.DialInfo()
+		if v, ok := m.Value(comps[0].Name); !ok || v != comps[0].Value {
+			t.Fatalf("Value(%q) = %q, %v; Components says %q", comps[0].Name, v, ok, comps[0].Value)
+		}
+		if d := m.Decapsulate(m); d.Defined() {
+			t.Fatalf("%q minus itself = %q", m, d)
+		}
+	})
 }

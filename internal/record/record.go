@@ -16,6 +16,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/multiaddr"
 	"repro/internal/peer"
+	"repro/internal/slab"
 	"repro/internal/varint"
 )
 
@@ -99,13 +100,38 @@ func (r PeerRecord) Expired(now time.Time, ttl time.Duration) bool {
 	return now.Sub(r.Published) > ttl
 }
 
+// Bounds on one node's provider store. Any peer can send ADD_PROVIDER,
+// so the store is what a hostile publisher fills: past these it evicts
+// instead of growing.
+const (
+	// MaxProvidersPerKey caps the records one CID may hold; the record
+	// published longest ago makes room for a new provider.
+	MaxProvidersPerKey = 128
+	// MaxProviderRecords caps the whole store; the record published
+	// longest ago anywhere makes room. A record is about 180 bytes
+	// with its share of the index, so a full store is about 45 MB.
+	MaxProviderRecords = 1 << 18
+)
+
+// providerSlot is one stored record. The CID is the key of the chain
+// the slot hangs on.
+type providerSlot struct {
+	published int64  // unix ns
+	provider  uint32 // index into ProviderStore.provs
+	age       uint32 // position in ProviderStore.byAge
+}
+
 // ProviderStore holds the provider records a DHT server is responsible
-// for. It enforces the expiry interval on read.
+// for. It enforces the expiry interval on read and the two bounds above
+// on write. Records live in a slab of pointer-free slots, one chain per
+// CID, with each provider's ID interned once.
 type ProviderStore struct {
-	mu      sync.RWMutex
-	ttl     time.Duration
-	records map[string]map[peer.ID]ProviderRecord // cid key -> provider -> record
-	now     func() time.Time
+	mu    sync.RWMutex
+	ttl   time.Duration
+	now   func() time.Time
+	recs  *slab.Slab[providerSlot]
+	provs slab.Interner[peer.ID]
+	byAge []uint32 // min-heap of slot indices on published: eviction and GC pop its root
 }
 
 // NewProviderStore creates a store with the given TTL (<=0 selects the
@@ -118,31 +144,102 @@ func NewProviderStore(ttl time.Duration, now func() time.Time) *ProviderStore {
 	if now == nil {
 		now = time.Now
 	}
-	return &ProviderStore{ttl: ttl, records: make(map[string]map[peer.ID]ProviderRecord), now: now}
+	return &ProviderStore{ttl: ttl, now: now, recs: slab.New[providerSlot]()}
 }
 
-// Add stores (or refreshes) a provider record.
+// Add stores (or refreshes) a provider record. A refresh keeps the
+// record's place in Get's order.
 func (s *ProviderStore) Add(r ProviderRecord) {
+	key, published := r.Cid.Key(), r.Published.UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := r.Cid.Key()
-	m, ok := s.records[key]
-	if !ok {
-		m = make(map[peer.ID]ProviderRecord)
-		s.records[key] = m
+	p, known := s.provs.Lookup(r.Provider)
+	held, oldest := 0, slab.None
+	for i := s.recs.First(key); i != slab.None; i = s.recs.Next(i) {
+		v := s.recs.At(i)
+		if known && v.provider == p {
+			v.published = published
+			s.ageFix(v.age)
+			return
+		}
+		if oldest == slab.None || v.published < s.recs.At(oldest).published {
+			oldest = i
+		}
+		held++
 	}
-	m[r.Provider] = r
+	if held >= MaxProvidersPerKey {
+		s.remove(oldest)
+	}
+	if s.recs.Len() >= MaxProviderRecords {
+		s.remove(s.byAge[0])
+	}
+	i := s.recs.Append(key)
+	*s.recs.At(i) = providerSlot{published: published, provider: s.provs.Acquire(r.Provider), age: uint32(len(s.byAge))}
+	s.byAge = append(s.byAge, i)
+	s.ageFix(uint32(len(s.byAge) - 1))
 }
 
-// Get returns the unexpired provider records for c.
+// remove drops slot i from the slab, the age heap and its provider's
+// reference count.
+func (s *ProviderStore) remove(i uint32) {
+	v := *s.recs.At(i)
+	s.provs.Release(v.provider)
+	s.recs.Remove(i)
+	last := uint32(len(s.byAge) - 1)
+	if v.age != last {
+		s.byAge[v.age] = s.byAge[last]
+		s.recs.At(s.byAge[v.age]).age = v.age
+	}
+	s.byAge = s.byAge[:last]
+	if v.age != last {
+		s.ageFix(v.age)
+	}
+}
+
+// ageFix restores the heap order around position p after the slot
+// there changed its published instant.
+func (s *ProviderStore) ageFix(p uint32) {
+	h := s.byAge
+	at := func(p uint32) *providerSlot { return s.recs.At(h[p]) }
+	swap := func(a, b uint32) {
+		h[a], h[b] = h[b], h[a]
+		at(a).age, at(b).age = a, b
+	}
+	for p > 0 && at(p).published < at((p-1)/2).published {
+		swap(p, (p-1)/2)
+		p = (p - 1) / 2
+	}
+	for n := uint32(len(h)); ; {
+		least := p
+		for c := 2*p + 1; c <= 2*p+2 && c < n; c++ {
+			if at(c).published < at(least).published {
+				least = c
+			}
+		}
+		if least == p {
+			return
+		}
+		swap(p, least)
+		p = least
+	}
+}
+
+// expired reports whether a record published at the given unix-ns
+// instant has outlived the TTL at now.
+func (s *ProviderStore) expired(published int64, now time.Time) bool {
+	return published < now.UnixNano()-int64(s.ttl)
+}
+
+// Get returns the unexpired provider records for c, in the order their
+// providers were first added.
 func (s *ProviderStore) Get(c cid.Cid) []ProviderRecord {
 	now := s.now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []ProviderRecord
-	for _, r := range s.records[c.Key()] {
-		if !r.Expired(now, s.ttl) {
-			out = append(out, r)
+	for i := s.recs.First(c.Key()); i != slab.None; i = s.recs.Next(i) {
+		if v := s.recs.At(i); !s.expired(v.published, now) {
+			out = append(out, ProviderRecord{Cid: c, Provider: s.provs.Value(v.provider), Published: time.Unix(0, v.published)})
 		}
 	}
 	return out
@@ -156,32 +253,29 @@ func (s *ProviderStore) Records() []ProviderRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []ProviderRecord
-	for _, m := range s.records {
-		for _, r := range m {
-			if !r.Expired(now, s.ttl) {
-				out = append(out, r)
-			}
+	var c cid.Cid
+	s.recs.Each(func(key string, v *providerSlot) {
+		if s.expired(v.published, now) {
+			return
 		}
-	}
+		if c.Key() != key {
+			c, _ = cid.FromBytes([]byte(key)) // the key is a stored Cid's own bytes
+		}
+		out = append(out, ProviderRecord{Cid: c, Provider: s.provs.Value(v.provider), Published: time.Unix(0, v.published)})
+	})
 	return out
 }
 
-// GC removes expired records and returns how many were dropped.
+// GC removes expired records and returns how many were dropped. It
+// costs O(log n) per dropped record, whatever the store holds.
 func (s *ProviderStore) GC() int {
 	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := 0
-	for key, m := range s.records {
-		for p, r := range m {
-			if r.Expired(now, s.ttl) {
-				delete(m, p)
-				dropped++
-			}
-		}
-		if len(m) == 0 {
-			delete(s.records, key)
-		}
+	for len(s.byAge) > 0 && s.expired(s.recs.At(s.byAge[0]).published, now) {
+		s.remove(s.byAge[0])
+		dropped++
 	}
 	return dropped
 }
@@ -191,11 +285,7 @@ func (s *ProviderStore) GC() int {
 func (s *ProviderStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, m := range s.records {
-		n += len(m)
-	}
-	return n
+	return s.recs.Len()
 }
 
 // PeerStore holds signed peer records keyed by PeerID, retaining the

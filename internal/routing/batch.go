@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/cid"
+	"repro/internal/multiaddr"
 	"repro/internal/peer"
 	"repro/internal/simtime"
+	"repro/internal/slab"
 	"repro/internal/swarm"
 	"repro/internal/wire"
 )
@@ -19,9 +21,9 @@ import (
 // skipped re-push can never let a record expire.
 const DefaultAckFreshness = time.Hour
 
-// Ledger is a router's republish ack ledger. It remembers, per target
-// peer, which CIDs the peer acknowledged — in which republish cycle
-// and when — plus each CID's last known target set. ProvideMany
+// Ledger is a router's republish ack ledger. It remembers, per CID,
+// which target peers acknowledged a record — and when — plus the CID's
+// last known target set. ProvideMany
 // consults it to (a) skip (target, CID) pairs already confirmed this
 // cycle — a record published minutes before the republish tick is not
 // pushed again — and (b) reuse the walk-derived target sets, so a
@@ -32,19 +34,29 @@ const DefaultAckFreshness = time.Hour
 // re-pushed even though no cycle boundary passed. core.Node.Republish
 // advances the cycle when it finishes, expiring the cycle's acks
 // together.
+//
+// The ledger grows with every CID the node publishes, so it is laid
+// out like the provider store: one slab chain per CID, one pointer-free
+// slot per (CID, peer), each peer interned once with its addresses.
 type Ledger struct {
 	mu       sync.Mutex
-	cycle    uint64
 	now      func() time.Time
 	freshFor time.Duration
-	acksOnly bool                // skip target-set bookkeeping (gossip dedup ledgers)
-	acks     map[string]ackStamp // target|cidKey -> last ack
-	targets  map[string][]wire.PeerInfo
+	acksOnly bool // skip target-set bookkeeping (gossip dedup ledgers)
+	slots    *slab.Slab[ledgerSlot]
+	peers    slab.Interner[peer.ID]
+	addrs    [][]multiaddr.Multiaddr // by peer index: the addresses last offered with the peer
+	acks     int
 }
 
-type ackStamp struct {
-	cycle uint64 // cycle+1 at ack time; zero value means "never"
-	at    time.Time
+// ledgerSlot is what the ledger knows about one peer for one CID. The
+// targets of a CID are its chain's target slots, in chain order. Advance
+// drops every ack, so an ack that is present is the current cycle's.
+type ledgerSlot struct {
+	at     int64 // unix ns of the ack
+	peer   uint32
+	acked  bool
+	target bool
 }
 
 // NewLedger creates an empty ack ledger. now supplies the clock for
@@ -54,17 +66,12 @@ func NewLedger(now func() time.Time) *Ledger {
 	if now == nil {
 		now = time.Now
 	}
-	return &Ledger{
-		now:      now,
-		freshFor: DefaultAckFreshness,
-		acks:     make(map[string]ackStamp),
-		targets:  make(map[string][]wire.PeerInfo),
-	}
+	return &Ledger{now: now, freshFor: DefaultAckFreshness, slots: slab.New[ledgerSlot]()}
 }
 
 // NewAckLedger creates a ledger that records acks only — no per-CID
 // target sets. The gossip dedup path never replays target sets, and
-// without Advance calls the targets map would otherwise grow with
+// without Advance calls the target slots would otherwise grow with
 // every CID ever gossiped; pair it with PruneStale to keep the acks
 // bounded by one freshness window.
 func NewAckLedger(now func() time.Time) *Ledger {
@@ -73,23 +80,30 @@ func NewAckLedger(now func() time.Time) *Ledger {
 	return l
 }
 
+// sweep drops the acks stale says are stale, and with them every slot
+// that is then neither an ack nor a target.
+func (l *Ledger) sweep(stale func(v *ledgerSlot) bool) {
+	l.slots.Filter(func(v *ledgerSlot) bool {
+		if v.acked && stale(v) {
+			v.acked = false
+			l.acks--
+		}
+		if !v.acked && !v.target {
+			l.peers.Release(v.peer)
+			return false
+		}
+		return true
+	})
+}
+
 // PruneStale drops acks older than the freshness bound — they can
 // never test Fresh again on the clock axis, so holding them only
-// leaks memory. Cycle-expired acks are left for Advance, which
-// resets the whole map.
+// leaks memory. Cycle-expired acks are left for Advance.
 func (l *Ledger) PruneStale() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
-	for k, stamp := range l.acks {
-		if now.Sub(stamp.at) > l.freshFor {
-			delete(l.acks, k)
-		}
-	}
-}
-
-func ackKey(target peer.ID, cidKey string) string {
-	return string(target) + "|" + cidKey
+	oldest := l.now().UnixNano() - int64(l.freshFor)
+	l.sweep(func(v *ledgerSlot) bool { return v.at < oldest })
 }
 
 // Advance starts a new republish cycle: every ack recorded so far
@@ -98,9 +112,44 @@ func ackKey(target peer.ID, cidKey string) string {
 // ledger to one cycle's worth of acks plus the per-CID target sets.
 func (l *Ledger) Advance() {
 	l.mu.Lock()
-	l.cycle++
-	l.acks = make(map[string]ackStamp)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	l.sweep(func(*ledgerSlot) bool { return true })
+}
+
+// find returns the slot for (cidKey, peer index p), or slab.None.
+func (l *Ledger) find(cidKey string, p uint32) uint32 {
+	for i := l.slots.First(cidKey); i != slab.None; i = l.slots.Next(i) {
+		if l.slots.At(i).peer == p {
+			return i
+		}
+	}
+	return slab.None
+}
+
+// slot returns the slot for (cidKey, t), adding it — and t to the
+// interned peers — if it is new. Addresses offered with a peer replace
+// the ones it was interned with.
+func (l *Ledger) slot(cidKey string, t wire.PeerInfo) (uint32, *ledgerSlot) {
+	p, known := l.peers.Lookup(t.ID)
+	if known {
+		if len(t.Addrs) > 0 {
+			l.addrs[p] = t.Addrs
+		}
+		if i := l.find(cidKey, p); i != slab.None {
+			return i, l.slots.At(i)
+		}
+	}
+	p = l.peers.Acquire(t.ID)
+	if !known {
+		for int(p) >= len(l.addrs) {
+			l.addrs = append(l.addrs, nil)
+		}
+		l.addrs[p] = t.Addrs
+	}
+	i := l.slots.Append(cidKey)
+	v := l.slots.At(i)
+	v.peer = p
+	return i, v
 }
 
 // Confirm records that target acknowledged records for the given CID
@@ -108,21 +157,17 @@ func (l *Ledger) Advance() {
 func (l *Ledger) Confirm(target wire.PeerInfo, cidKeys ...string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	stamp := ackStamp{cycle: l.cycle + 1, at: l.now()}
+	at := l.now().UnixNano()
 	for _, k := range cidKeys {
-		l.acks[ackKey(target.ID, k)] = stamp
-		if l.acksOnly {
-			continue
+		i, v := l.slot(k, target)
+		if !v.acked {
+			v.acked = true
+			l.acks++
 		}
-		found := false
-		for _, t := range l.targets[k] {
-			if t.ID == target.ID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			l.targets[k] = append(l.targets[k], target)
+		v.at = at
+		if !l.acksOnly && !v.target {
+			v.target = true
+			l.slots.MoveToTail(i)
 		}
 	}
 }
@@ -133,8 +178,16 @@ func (l *Ledger) Confirm(target wire.PeerInfo, cidKeys ...string) {
 func (l *Ledger) Fresh(target peer.ID, cidKey string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	stamp := l.acks[ackKey(target, cidKey)]
-	return stamp.cycle == l.cycle+1 && l.now().Sub(stamp.at) <= l.freshFor
+	p, ok := l.peers.Lookup(target)
+	if !ok {
+		return false
+	}
+	i := l.find(cidKey, p)
+	if i == slab.None {
+		return false
+	}
+	v := l.slots.At(i)
+	return v.acked && l.now().UnixNano()-v.at <= int64(l.freshFor)
 }
 
 // Len returns how many acks the ledger currently holds (bounded-memory
@@ -142,15 +195,35 @@ func (l *Ledger) Fresh(target peer.ID, cidKey string) bool {
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.acks)
+	return l.acks
 }
 
 // SetTargets remembers a CID's computed target set (a walk's k closest
 // peers), replacing any previous set.
 func (l *Ledger) SetTargets(cidKey string, targets []wire.PeerInfo) {
 	l.mu.Lock()
-	l.targets[cidKey] = append([]wire.PeerInfo(nil), targets...)
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	for i := l.slots.First(cidKey); i != slab.None; i = l.slots.Next(i) {
+		l.slots.At(i).target = false
+	}
+	for _, t := range targets {
+		i, v := l.slot(cidKey, t)
+		v.target = true
+		l.slots.MoveToTail(i)
+	}
+	// The new targets are the chain's tail; what is left in front of
+	// them and holds no ack holds nothing.
+	for i := l.slots.First(cidKey); i != slab.None; {
+		v, next := l.slots.At(i), l.slots.Next(i)
+		if v.target {
+			break
+		}
+		if !v.acked {
+			l.peers.Release(v.peer)
+			l.slots.Remove(i)
+		}
+		i = next
+	}
 }
 
 // Targets returns a CID's last known target set (peers that acked a
@@ -158,7 +231,13 @@ func (l *Ledger) SetTargets(cidKey string, targets []wire.PeerInfo) {
 func (l *Ledger) Targets(cidKey string) []wire.PeerInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]wire.PeerInfo(nil), l.targets[cidKey]...)
+	var out []wire.PeerInfo
+	for i := l.slots.First(cidKey); i != slab.None; i = l.slots.Next(i) {
+		if v := l.slots.At(i); v.target {
+			out = append(out, wire.PeerInfo{ID: l.peers.Value(v.peer), Addrs: l.addrs[v.peer]})
+		}
+	}
+	return out
 }
 
 // ledgered is implemented by routers owning an ack ledger.

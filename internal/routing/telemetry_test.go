@@ -27,7 +27,7 @@ func (r *rpcRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing
 	seq, st := r.fakeRouter.FindProvidersStream(ctx, c)
 	wrapped := func(yield func([]wire.PeerInfo) bool) {
 		seq(yield)
-		telemetry.RPC(ctx, "GET_PROVIDERS", "lookup", string(r.provider), time.Millisecond, "cancelled")
+		telemetry.RPC(ctx, "GET_PROVIDERS", "lookup", r.provider, time.Millisecond, "cancelled")
 	}
 	return wrapped, st
 }
@@ -88,7 +88,7 @@ func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
 		// i.e. to the parent trace, not been dropped with the cancellation.
 		sp := tr.FindSpan("race:slow")
 		found := false
-		for _, ev := range sp.Events {
+		for _, ev := range sp.Events() {
 			if ev.Name != "rpc" {
 				continue
 			}
@@ -185,7 +185,7 @@ func TestStreamFallbackHandoffKeepsTrace(t *testing.T) {
 		// The hand-off itself is marked on the span carried by the caller's
 		// context, naming the fallback router.
 		found := false
-		for _, ev := range dsp.Events {
+		for _, ev := range dsp.Events() {
 			if ev.Name != "fallback" {
 				continue
 			}
@@ -196,7 +196,7 @@ func TestStreamFallbackHandoffKeepsTrace(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("discover span missing fallback hand-off event; events = %+v", dsp.Events)
+			t.Errorf("discover span missing fallback hand-off event; events = %+v", dsp.Events())
 		}
 
 		dsp.End()

@@ -125,7 +125,6 @@ type Network struct {
 
 type node struct {
 	id       peer.ID
-	idStr    string // id.String(), formatted once: every RPC's telemetry names the peer
 	region   geo.Region
 	class    Class
 	addr     multiaddr.Multiaddr
@@ -181,11 +180,9 @@ func (n *Network) AddNode(id peer.ID, opts NodeOpts) transport.Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	port := 4001
-	idStr := id.String()
-	addr := multiaddr.ForPeer(fmt.Sprintf("%d.%d.%d.%d", ipA, ipB, ipC, 1+len(n.nodes)%250), port, idStr)
+	addr := multiaddr.ForPeer(fmt.Sprintf("%d.%d.%d.%d", ipA, ipB, ipC, 1+len(n.nodes)%250), port, id.String())
 	nd := &node{
 		id:       id,
-		idStr:    idStr,
 		region:   opts.Region,
 		class:    opts.Class,
 		addr:     addr,
@@ -599,10 +596,10 @@ func (c *conn) Request(ctx context.Context, req wire.Message) (wire.Message, err
 		// the peer is gone — so Budget.Dropped separates lossy links
 		// from dead peers.
 		if err := src.Sleep(ctx, c.net.cfg.DialTimeout); err != nil {
-			telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.idStr, 0, err.Error())
+			telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.id, 0, err.Error())
 			return wire.Message{}, err
 		}
-		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.idStr, c.net.cfg.DialTimeout, transport.ErrPeerUnreachable.Error())
+		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.id, c.net.cfg.DialTimeout, transport.ErrPeerUnreachable.Error())
 		return wire.Message{}, transport.ErrPeerUnreachable
 	}
 
@@ -647,13 +644,13 @@ func (c *conn) Request(ctx context.Context, req wire.Message) (wire.Message, err
 		transfer := time.Duration(float64(len(resp.BlockData)+256) / c.remote.bwBps * float64(time.Second))
 		latency := c.rtt + proc + transfer + c.net.faultDelay(c.local.id, c.remote.id, prof)
 		if err := src.Sleep(ctx, latency); err != nil {
-			telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.idStr, 0, err.Error())
+			telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.id, 0, err.Error())
 			return wire.Message{}, err
 		}
 		// The simulated latency is exact: the RTT, the processing delay,
 		// the bandwidth term and the link's fault tax the single sleep
 		// just charged.
-		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.idStr, latency, "")
+		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.id, latency, "")
 		return resp, nil
 	}
 }
@@ -668,9 +665,9 @@ func (c *conn) drop(ctx context.Context, req wire.Message, cat transport.RPCCate
 	c.net.countDropped(cat)
 	wait := c.net.cfg.DropTimeout
 	if err := c.net.cfg.Time.Sleep(ctx, wait); err != nil {
-		telemetry.RPCDrop(ctx, req.Type.String(), string(cat), c.remote.idStr, 0, attempt, err.Error())
+		telemetry.RPCDrop(ctx, req.Type.String(), string(cat), c.remote.id, 0, attempt, err.Error())
 		return err
 	}
-	telemetry.RPCDrop(ctx, req.Type.String(), string(cat), c.remote.idStr, wait, attempt, cause.Error())
+	telemetry.RPCDrop(ctx, req.Type.String(), string(cat), c.remote.id, wait, attempt, cause.Error())
 	return cause
 }

@@ -8,6 +8,7 @@ package swarm
 import (
 	"container/list"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +23,10 @@ import (
 // node maintains an address book of up to 900 recently seen peers".
 const AddressBookCapacity = 900
 
-// AddressBook is an LRU-bounded map from PeerID to known addresses.
+// AddressBook is an LRU-bounded map from PeerID to known addresses. A
+// stored address list is immutable: Add replaces it with a fresh copy
+// when the addresses change and never writes into it, so Get hands the
+// stored slice out as it is. Callers must not modify what Get returns.
 type AddressBook struct {
 	mu      sync.Mutex
 	cap     int
@@ -44,7 +48,9 @@ func NewAddressBook(capacity int) *AddressBook {
 }
 
 // Add records addresses for a peer, refreshing recency and evicting the
-// least recently seen peer when full.
+// least recently seen peer when full. Offering the addresses the book
+// already holds — what every identified inbound RPC does — only
+// refreshes recency.
 func (b *AddressBook) Add(id peer.ID, addrs []multiaddr.Multiaddr) {
 	if len(addrs) == 0 {
 		return
@@ -52,7 +58,9 @@ func (b *AddressBook) Add(id peer.ID, addrs []multiaddr.Multiaddr) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if e, ok := b.entries[id]; ok {
-		e.addrs = append([]multiaddr.Multiaddr(nil), addrs...)
+		if !slices.Equal(e.addrs, addrs) {
+			e.addrs = slices.Clone(addrs)
+		}
 		b.order.MoveToFront(e.elem)
 		return
 	}
@@ -65,7 +73,7 @@ func (b *AddressBook) Add(id peer.ID, addrs []multiaddr.Multiaddr) {
 		b.order.Remove(oldest)
 	}
 	elem := b.order.PushFront(id)
-	b.entries[id] = &bookEntry{addrs: append([]multiaddr.Multiaddr(nil), addrs...), elem: elem}
+	b.entries[id] = &bookEntry{addrs: slices.Clone(addrs), elem: elem}
 }
 
 // Get returns known addresses for id, refreshing recency. The §3.2
@@ -80,7 +88,7 @@ func (b *AddressBook) Get(id peer.ID) ([]multiaddr.Multiaddr, bool) {
 		return nil, false
 	}
 	b.order.MoveToFront(e.elem)
-	return append([]multiaddr.Multiaddr(nil), e.addrs...), true
+	return e.addrs, true
 }
 
 // Clear empties the book. The §4.3 experiments flush it between

@@ -73,6 +73,33 @@ func TestAddressBookLRU(t *testing.T) {
 	}
 }
 
+// TestAddressBookRepeatedAddAllocatesNothing: an identified peer offers
+// the same addresses with every RPC; the book only refreshes recency,
+// and a read hands out the stored slice.
+func TestAddressBookRepeatedAddAllocatesNothing(t *testing.T) {
+	b := NewAddressBook(0)
+	id := testIdentity(9).ID
+	offered := []multiaddr.Multiaddr{multiaddr.MustParse("/ip4/1.2.3.4/tcp/4001"), multiaddr.MustParse("/ip4/10.0.0.1/udp/4001/quic")}
+	b.Add(id, offered)
+	if allocs := testing.AllocsPerRun(1000, func() { b.Add(id, offered) }); allocs != 0 {
+		t.Errorf("Add of the stored addresses allocates %.0f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { b.Get(id) }); allocs != 0 {
+		t.Errorf("Get allocates %.0f times", allocs)
+	}
+	// The stored list is a copy the caller's later writes cannot reach,
+	// and changed addresses replace it.
+	stored, _ := b.Get(id)
+	offered[0] = multiaddr.MustParse("/ip4/6.6.6.6/tcp/1")
+	if again, _ := b.Get(id); !again[0].Equal(multiaddr.MustParse("/ip4/1.2.3.4/tcp/4001")) {
+		t.Error("the book shares the caller's slice")
+	}
+	b.Add(id, offered)
+	if now, _ := b.Get(id); !now[0].Equal(offered[0]) || !stored[0].Equal(multiaddr.MustParse("/ip4/1.2.3.4/tcp/4001")) {
+		t.Error("changed addresses must replace the stored list without writing into the old one")
+	}
+}
+
 func TestAddressBookDefaultCapacity(t *testing.T) {
 	b := NewAddressBook(0)
 	for i := 0; i < 1000; i++ {

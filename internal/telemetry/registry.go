@@ -413,15 +413,9 @@ func (t *Trace) lookupRPCs(sp *Span) int {
 
 func countLookupRPCs(sp *Span) int {
 	n := 0
-	for _, ev := range sp.Events {
-		if ev.Name != "rpc" {
-			continue
-		}
-		for _, a := range ev.Attrs {
-			if a.Key == "cat" && a.Value == "lookup" {
-				n++
-				break
-			}
+	for i := range sp.events {
+		if ev := &sp.events[i]; ev.kind == evRPC && sp.tr.names[ev.cat] == "lookup" {
+			n++
 		}
 	}
 	for _, child := range sp.children {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/peer"
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 )
@@ -58,7 +59,7 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 	}
 
 	tree := tr.Tree()
-	for _, want := range []string{"retrieve #1 [0µs] cid=bafy1", "  discover #2 [0µs]", "· rpc type=GET_PROVIDERS cat=lookup peer=peerA [40.0ms]", "    · have peer=peerB", "  fetch #"} {
+	for _, want := range []string{"retrieve #1 [0µs] cid=bafy1", "  discover #2 [0µs]", "· rpc type=GET_PROVIDERS cat=lookup peer=" + peer.ID("peerA").String() + " [40.0ms]", "    · have peer=peerB", "  fetch #"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
@@ -76,7 +77,7 @@ func TestStableRendersAreDeterministic(t *testing.T) {
 			ctx, root := NewRecorder(s).StartTrace(ctx, "retrieve")
 			dctx, discover := StartSpan(ctx, "discover")
 			g := simtime.NewGroup(s)
-			for i, peer := range []string{"peerB", "peerA", "peerC"} {
+			for i, peer := range []peer.ID{"peerB", "peerA", "peerC"} {
 				latency := time.Duration(10*(3-i)) * time.Millisecond
 				g.Go(dctx, func(ctx context.Context) {
 					s.Sleep(ctx, latency)

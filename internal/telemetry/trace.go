@@ -24,10 +24,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/peer"
 	"repro/internal/simtime"
 )
 
@@ -41,13 +43,49 @@ type Attr struct {
 func A(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Event is one structured record inside a span: a DHT walk hop, a
-// transport RPC, a Bitswap HAVE.
+// transport RPC, a Bitswap HAVE. It is the form events are read in;
+// they are stored compactly (see event) and made into Events, strings
+// and all, only when someone reads them.
 type Event struct {
 	Seq   int // per-trace sequence (arrival order)
 	Name  string
 	At    time.Time     // trace-clock instant
 	Dur   time.Duration // measured sim-accurate latency, zero when n/a
 	Attrs []Attr
+}
+
+// peerCap is the longest peer ID an event holds inline; a sha2-256
+// PeerID is 34 bytes.
+const peerCap = 38
+
+type eventKind uint8
+
+const (
+	evGeneric eventKind = iota // name and attributes kept as given, in Trace.generic[aux]
+	evRPC
+	evRPCDrop // aux is the transmit attempt
+	evHop     // flag is ok, aux the depth
+	evHave    // flag is routed
+)
+
+// event is the stored form of one event: fixed size and free of
+// pointers, so the 128 traces a node retains cost the collector nothing
+// however many RPCs they recorded. Type and category are indices into
+// the trace's name table, the peer ID sits inline as raw bytes, and the
+// rare error string, or a peer ID too long to sit inline, lives in the
+// trace's side table.
+type event struct {
+	at       int64 // unix ns on the trace clock
+	dur      int64
+	seq      int32
+	aux      int32
+	err      int32 // index+1 into Trace.side, 0 for none
+	longPeer int32 // index+1 into Trace.side when the peer ID exceeds peerCap
+	typ, cat uint16
+	kind     eventKind
+	flag     bool
+	peerLen  uint8
+	peer     [peerCap]byte
 }
 
 // Span is one timed operation inside a trace. All methods are safe on
@@ -62,8 +100,8 @@ type Span struct {
 	Stop   time.Time     // trace-clock instant End ran (zero while open)
 	Wall   time.Duration // sim-accurate elapsed time (human renders only)
 	Attrs  []Attr
-	Events []Event
 
+	events    []event
 	wallStart time.Time
 	children  []*Span
 	ended     bool
@@ -99,17 +137,66 @@ func (s *Span) Annotate(key, value string) {
 // Event records a structured event on the span.
 func (s *Span) Event(name string, attrs ...Attr) { s.EventDur(name, 0, attrs...) }
 
-// EventDur records an event carrying a measured sim-accurate duration
-// (a transport RPC's latency). Events may be appended from concurrent
-// goroutines.
+// EventDur records an event carrying a measured sim-accurate duration.
+// Events may be appended from concurrent goroutines. The per-RPC events
+// have typed recorders (RPC, RPCDrop, Hop, Have) that format nothing;
+// this is for the occasional one that has none.
 func (s *Span) EventDur(name string, dur time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.tr.mu.Lock()
-	s.tr.seq++
-	s.Events = append(s.Events, Event{Seq: s.tr.seq, Name: name, At: s.tr.src.Now(), Dur: dur, Attrs: attrs})
+	defer s.tr.mu.Unlock()
+	s.tr.generic = append(s.tr.generic, Event{Name: name, Attrs: attrs})
+	s.appendLocked(event{kind: evGeneric, dur: int64(dur), aux: int32(len(s.tr.generic) - 1)}, "")
+}
+
+// Hop records one answered (or failed) query of a DHT walk: the peer
+// asked and, when it answered, how deep in the walk it sat.
+func (s *Span) Hop(p peer.ID, ok bool, depth int) {
+	s.record(event{kind: evHop, flag: ok, aux: int32(depth)}, p)
+}
+
+// Have records the HAVE that ended a want-wave and whether the router
+// had named the peer.
+func (s *Span) Have(p peer.ID, routed bool) {
+	s.record(event{kind: evHave, flag: routed}, p)
+}
+
+func (s *Span) record(e event, p peer.ID) {
+	if s == nil {
+		return
+	}
+	s.tr.mu.Lock()
+	s.appendLocked(e, p)
 	s.tr.mu.Unlock()
+}
+
+// appendLocked stamps e with the trace's next sequence number, the
+// clock and the peer, and appends it.
+func (s *Span) appendLocked(e event, p peer.ID) {
+	t := s.tr
+	t.seq++
+	e.seq, e.at = int32(t.seq), t.src.Now().UnixNano()
+	if len(p) > peerCap {
+		t.side = append(t.side, string(p))
+		e.longPeer = int32(len(t.side))
+	} else {
+		e.peerLen = uint8(copy(e.peer[:], p))
+	}
+	s.events = append(s.events, e)
+}
+
+// Events returns the span's events in arrival order, rendered: this is
+// where names, base58 peer IDs and attribute lists are built, so call
+// it to read a trace, not on a request path.
+func (s *Span) Events() []Event {
+	if s == nil {
+		return nil
+	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.tr.renderAll(s.events)
 }
 
 // Trace is one operation's span tree.
@@ -123,6 +210,71 @@ type Trace struct {
 	spans []*Span
 	root  *Span
 	open  int
+
+	// Side tables of the compact events: the few distinct message-type
+	// and category names, the strings too rare or too long for a fixed
+	// field (errors, oversized peer IDs), and the name and attributes of
+	// events recorded through the generic Event call.
+	names   []string
+	side    []string
+	generic []Event
+}
+
+// name returns s's index in the trace's name table. The table holds a
+// bounded vocabulary (wire message types, budget categories), so a
+// linear search beats a map.
+func (t *Trace) name(s string) uint16 {
+	for i, n := range t.names {
+		if n == s {
+			return uint16(i)
+		}
+	}
+	t.names = append(t.names, s)
+	return uint16(len(t.names) - 1)
+}
+
+// render builds the readable form of a stored event.
+func (t *Trace) render(e *event) Event {
+	ev := Event{Seq: int(e.seq), At: time.Unix(0, e.at).In(t.root.Start.Location()), Dur: time.Duration(e.dur)}
+	p := peer.ID(e.peer[:e.peerLen])
+	if e.longPeer != 0 {
+		p = peer.ID(t.side[e.longPeer-1])
+	}
+	errStr := ""
+	if e.err != 0 {
+		errStr = t.side[e.err-1]
+	}
+	switch e.kind {
+	case evGeneric:
+		ev.Name, ev.Attrs = t.generic[e.aux].Name, t.generic[e.aux].Attrs
+	case evRPC, evRPCDrop:
+		ev.Name = "rpc"
+		ev.Attrs = []Attr{A("type", t.names[e.typ]), A("cat", t.names[e.cat]), A("peer", p.String())}
+		if e.kind == evRPCDrop { // a drop always says which attempt and why
+			ev.Name = "rpc-drop"
+			ev.Attrs = append(ev.Attrs, A("attempt", strconv.Itoa(int(e.aux))), A("err", errStr))
+		} else if errStr != "" {
+			ev.Attrs = append(ev.Attrs, A("err", errStr))
+		}
+	case evHop:
+		ev.Name = "hop"
+		ev.Attrs = []Attr{A("peer", p.String()), A("ok", strconv.FormatBool(e.flag))}
+		if e.flag {
+			ev.Attrs = append(ev.Attrs, A("depth", strconv.Itoa(int(e.aux))))
+		}
+	case evHave:
+		ev.Name = "have"
+		ev.Attrs = []Attr{A("peer", p.String()), A("routed", strconv.FormatBool(e.flag))}
+	}
+	return ev
+}
+
+func (t *Trace) renderAll(events []event) []Event {
+	out := make([]Event, len(events))
+	for i := range events {
+		out[i] = t.render(&events[i])
+	}
+	return out
 }
 
 func (t *Trace) startSpan(parent *Span, name string, attrs ...Attr) *Span {
@@ -219,7 +371,7 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 			stop := sp.Stop
 			rec.Stop = &stop
 		}
-		for _, ev := range sp.Events {
+		for _, ev := range t.renderAll(sp.events) {
 			rec.Events = append(rec.Events, eventRecord{
 				Seq: ev.Seq, Name: ev.Name, At: ev.At,
 				DurUS: ev.Dur.Microseconds(), Attrs: ev.Attrs,
@@ -255,7 +407,7 @@ func (t *Trace) renderSpan(b *strings.Builder, sp *Span, depth int) {
 		fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
 	}
 	b.WriteByte('\n')
-	for _, ev := range sp.Events {
+	for _, ev := range t.renderAll(sp.events) {
 		fmt.Fprintf(b, "%s  · %s", indent, ev.Name)
 		for _, a := range ev.Attrs {
 			fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
@@ -314,17 +466,10 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 
 // RPC records one transport request as an event on the context's
 // current span: message type, budget category, remote peer and the
-// sim-accurate latency. No-op when the context carries no trace.
-func RPC(ctx context.Context, msgType, category, peer string, latency time.Duration, errStr string) {
-	sp := SpanFrom(ctx)
-	if sp == nil {
-		return
-	}
-	attrs := []Attr{A("type", msgType), A("cat", category), A("peer", peer)}
-	if errStr != "" {
-		attrs = append(attrs, A("err", errStr))
-	}
-	sp.EventDur("rpc", latency, attrs...)
+// sim-accurate latency. No-op when the context carries no trace; with
+// one it stores a fixed-size record and formats nothing.
+func RPC(ctx context.Context, msgType, category string, remote peer.ID, latency time.Duration, errStr string) {
+	SpanFrom(ctx).rpc(evRPC, msgType, category, remote, latency, 0, errStr)
 }
 
 // RPCDrop records a transport request lost to link faults or a regional
@@ -333,14 +478,23 @@ func RPC(ctx context.Context, msgType, category, peer string, latency time.Durat
 // waited before detecting the loss, and which transmit attempt was lost
 // (0 = the first send, higher = an automatic retransmit). No-op when
 // the context carries no trace.
-func RPCDrop(ctx context.Context, msgType, category, peer string, wait time.Duration, attempt int, errStr string) {
-	sp := SpanFrom(ctx)
-	if sp == nil {
+func RPCDrop(ctx context.Context, msgType, category string, remote peer.ID, wait time.Duration, attempt int, errStr string) {
+	SpanFrom(ctx).rpc(evRPCDrop, msgType, category, remote, wait, attempt, errStr)
+}
+
+func (s *Span) rpc(kind eventKind, msgType, category string, remote peer.ID, dur time.Duration, attempt int, errStr string) {
+	if s == nil {
 		return
 	}
-	sp.EventDur("rpc-drop", wait,
-		A("type", msgType), A("cat", category), A("peer", peer),
-		A("attempt", fmt.Sprintf("%d", attempt)), A("err", errStr))
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := event{kind: kind, dur: int64(dur), aux: int32(attempt), typ: t.name(msgType), cat: t.name(category)}
+	if errStr != "" {
+		t.side = append(t.side, errStr)
+		e.err = int32(len(t.side))
+	}
+	s.appendLocked(e, remote)
 }
 
 // traceRingCap bounds the per-recorder trace history.
@@ -355,7 +509,9 @@ type Recorder struct {
 	mu     sync.Mutex
 	src    simtime.Source
 	nextID int64
-	traces []*Trace
+	ring   []*Trace // traceRingCap long once a trace exists: the n newest, oldest at ring[head]
+	head   int
+	n      int
 	reg    *Registry
 }
 
@@ -388,9 +544,15 @@ func (r *Recorder) StartTrace(ctx context.Context, op string, attrs ...Attr) (co
 	r.mu.Lock()
 	r.nextID++
 	tr := &Trace{Op: op, ID: r.nextID, src: r.src}
-	r.traces = append(r.traces, tr)
-	if len(r.traces) > traceRingCap {
-		r.traces = r.traces[1:]
+	if r.ring == nil {
+		r.ring = make([]*Trace, traceRingCap)
+	}
+	if r.n < traceRingCap {
+		r.ring[(r.head+r.n)%traceRingCap] = tr
+		r.n++
+	} else {
+		r.ring[r.head] = tr // the oldest trace is overwritten, not kept
+		r.head = (r.head + 1) % traceRingCap
 	}
 	r.mu.Unlock()
 	sp := tr.startSpan(nil, op, attrs...)
@@ -404,10 +566,10 @@ func (r *Recorder) Last() *Trace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.traces) == 0 {
+	if r.n == 0 {
 		return nil
 	}
-	return r.traces[len(r.traces)-1]
+	return r.ring[(r.head+r.n-1)%traceRingCap]
 }
 
 // Traces returns a copy of the retained trace ring, oldest first.
@@ -417,7 +579,15 @@ func (r *Recorder) Traces() []*Trace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*Trace(nil), r.traces...)
+	return r.tracesLocked()
+}
+
+func (r *Recorder) tracesLocked() []*Trace {
+	out := make([]*Trace, r.n)
+	for i := range out {
+		out[i] = r.ring[(r.head+i)%traceRingCap]
+	}
+	return out
 }
 
 // Drain returns the retained traces and clears the ring — the
@@ -428,7 +598,7 @@ func (r *Recorder) Drain() []*Trace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.traces
-	r.traces = nil
+	out := r.tracesLocked()
+	r.ring, r.head, r.n = nil, 0, 0
 	return out
 }

@@ -319,7 +319,7 @@ func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, 
 		if err != nil {
 			errStr = err.Error()
 		}
-		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote.String(), time.Since(start), errStr)
+		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote, time.Since(start), errStr)
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		c.nc.SetDeadline(dl)
