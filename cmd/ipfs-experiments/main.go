@@ -44,7 +44,6 @@ func main() {
 		partAt   = flag.Duration("partition-at", 0, "offset at which the -partition-regions split starts (0 = no partition)")
 		healAt   = flag.Duration("heal-at", 0, "offset at which the partition heals (0 = never)")
 		reachMix = flag.Bool("reachability-mix", false, "build the network with the population's sampled NAT status (Fig 7's mix: ~1/3 of peers online but refusing inbound dials)")
-		workers  = flag.Int("workers", 1, "concurrent dispatch of same-instant simulator events in the routing and gwfleet runs (1 = deterministic lockstep; >1 is the -race stress mode and gives up replay)")
 		network  = flag.Int("network", 600, "simulated network size for performance runs")
 		iters    = flag.Int("iters", 8, "publications per region")
 		pop      = flag.Int("population", 20000, "population size for deployment analyses")
@@ -195,7 +194,6 @@ func main() {
 			LinkExtraLatency: *extraLat, LinkJitter: *linkJit,
 			PartitionRegions: partition, PartitionAt: *partAt, HealAt: *healAt,
 			ReachabilityMix: *reachMix,
-			Workers:         *workers,
 			Seed:            *seed,
 		})
 		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)
@@ -244,7 +242,6 @@ func main() {
 			Gateways:   *fleetGWs,
 			Multiplier: *fleetMul,
 			OriginDir:  *fleetDir,
-			Workers:    *workers,
 			Seed:       *seed,
 		})
 		fmt.Fprintf(os.Stderr, "scheduler: %d events dispatched, %d stalls\n", res.SchedEvents, res.SchedStalls)

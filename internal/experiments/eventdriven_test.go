@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/routing"
+	"repro/internal/simtime/simtest"
 )
 
 // eventDrivenConfig is the shared event-driven scenario the determinism
@@ -12,7 +14,7 @@ import (
 // 8 h window. The accelerated router (and its full-population refresh
 // crawl) is deliberately absent so the run stays dominated by the
 // discrete-event machinery under test, not by crawl fan-out.
-func eventDrivenConfig(n, workers int) RoutingConfig {
+func eventDrivenConfig(n int) RoutingConfig {
 	return RoutingConfig{
 		NetworkSize:    n,
 		Objects:        2,
@@ -21,13 +23,12 @@ func eventDrivenConfig(n, workers int) RoutingConfig {
 		ChurnAmplitude: 2,
 		Kinds:          []routing.Kind{routing.KindDHT, routing.KindIndexer},
 		NoRefresh:      true,
-		Workers:        workers,
 		Seed:           77,
 	}
 }
 
 func TestEventDrivenScenarioSmoke(t *testing.T) {
-	res := RunRoutingComparison(eventDrivenConfig(300, 1))
+	res := RunRoutingComparison(eventDrivenConfig(300))
 	if res.SchedStalls != 0 {
 		t.Errorf("scheduler stalled %d times: an uninstrumented wait is on the workload path", res.SchedStalls)
 	}
@@ -55,7 +56,7 @@ func TestEventDrivenScenarioDeterminism20k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-peer scenario skipped in -short mode")
 	}
-	cfg := eventDrivenConfig(20000, 1)
+	cfg := eventDrivenConfig(20000)
 	a := RunRoutingComparison(cfg)
 	b := RunRoutingComparison(cfg)
 	for _, res := range []*RoutingResults{a, b} {
@@ -80,21 +81,26 @@ func TestEventDrivenScenarioDeterminism20k(t *testing.T) {
 	}
 }
 
-// TestEventDrivenScenarioRaceStress runs the scenario with a multi-slot
-// worker pool, so same-instant events dispatch concurrently — the mode
-// the race detector interrogates. Determinism is explicitly not
-// asserted (concurrent dispatch trades tie-order stability away); the
-// run must merely complete the schedule with the event machinery
-// engaged and without stalling on uninstrumented waits.
+// TestEventDrivenScenarioRaceStress runs the scenario under a few
+// schedule seeds, each dispatching same-instant work in an order of its
+// own. Timings may move with the order; the run must complete the
+// schedule with the event machinery engaged, without stalling on an
+// uninstrumented wait, and leave nothing behind (simtest.Perturb checks
+// that).
 func TestEventDrivenScenarioRaceStress(t *testing.T) {
-	res := RunRoutingComparison(eventDrivenConfig(500, 8))
-	if res.SchedStalls != 0 {
-		t.Errorf("scheduler stalled %d times under concurrent dispatch", res.SchedStalls)
-	}
-	if len(res.Phases) != 4 {
-		t.Fatalf("got %d phases, want 4", len(res.Phases))
-	}
-	if res.SchedEvents == 0 {
-		t.Fatal("no scheduler events dispatched")
+	for sched := int64(1); sched <= 3; sched++ {
+		t.Run(fmt.Sprintf("schedule=%d", sched), func(t *testing.T) {
+			simtest.Perturb(t, sched)
+			res := RunRoutingComparison(eventDrivenConfig(500))
+			if res.SchedStalls != 0 {
+				t.Errorf("scheduler stalled %d times", res.SchedStalls)
+			}
+			if len(res.Phases) != 4 {
+				t.Fatalf("got %d phases, want 4", len(res.Phases))
+			}
+			if res.SchedEvents == 0 {
+				t.Fatal("no scheduler events dispatched")
+			}
+		})
 	}
 }

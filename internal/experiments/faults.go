@@ -2,9 +2,8 @@
 // runs of the routing comparison — a sustained packet-loss sweep, a
 // regional partition that heals mid-window, and a Fig-7-style
 // reachability cohort mix — each pinning how the routers' hit rates and
-// RPC budgets degrade under imperfect conditions. All three run in
-// deterministic lockstep, so seeded runs replay bit-for-bit and golden
-// files pin the full time series.
+// RPC budgets degrade under imperfect conditions. Seeded runs replay
+// bit-for-bit, so golden files pin the full time series.
 
 package experiments
 
@@ -23,8 +22,8 @@ import (
 var LossSweepRates = []float64{0, 0.10, 0.20, 0.30}
 
 // faultScenarioDefaults are shared across the pack: a population small
-// enough for tests, low behaviour-class noise, 30 s timeouts (the
-// goldens are pinned to them), and deterministic lockstep.
+// enough for tests, low behaviour-class noise, and 30 s timeouts (the
+// goldens are pinned to them).
 func faultScenarioDefaults(seed int64) RoutingConfig {
 	return RoutingConfig{
 		NetworkSize:    120,
@@ -32,7 +31,6 @@ func faultScenarioDefaults(seed int64) RoutingConfig {
 		K:              4,
 		QueryTimeout:   30 * time.Second,
 		BitswapTimeout: 30 * time.Second,
-		Workers:        1,
 		Seed:           seed,
 	}
 }

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/routing"
+	"repro/internal/simnet"
 	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -257,6 +259,66 @@ func TestAcceleratedFallbackCarriesUnreachableSnapshot(t *testing.T) {
 	})
 }
 
+// TestFaultScenariosUnderSchedules runs the three fault scenarios in
+// registration order and under a range of schedule seeds. Timings and
+// hit rates may move with the order; what must hold under every one is
+// checkScheduleInvariants, and simtest.Perturb checks that each run
+// ended with nothing parked, queued or leased. A failure names its
+// schedule seed; the program seed is the scenarios' 42.
+func TestFaultScenariosUnderSchedules(t *testing.T) {
+	scenarios := []struct {
+		name string
+		run  func(seed int64) *RoutingResults
+	}{
+		{"loss sweep", LossSweepScenario},
+		{"partition heal", PartitionHealScenario},
+		{"reachability mix", ReachabilityMixScenario},
+	}
+	checkScheduleInvariants(t, "loss sweep", lossSweepResults())
+	checkScheduleInvariants(t, "partition heal", partitionHealResults())
+	checkScheduleInvariants(t, "reachability mix", reachabilityMixResults())
+	for sched := int64(1); sched <= simtest.Schedules(50); sched++ {
+		t.Run(fmt.Sprintf("schedule=%d", sched), func(t *testing.T) {
+			simtest.Perturb(t, sched)
+			for _, sc := range scenarios {
+				checkScheduleInvariants(t, sc.name, sc.run(42))
+			}
+		})
+	}
+}
+
+// checkScheduleInvariants is what a routing run must hold under any
+// same-instant order: no stall, per-phase budget rows that sum to the
+// network's whole budget, and no retrieval that returned bytes other
+// than its CID's.
+func checkScheduleInvariants(t *testing.T, name string, res *RoutingResults) {
+	t.Helper()
+	if res.SchedStalls != 0 {
+		t.Errorf("%s: the scheduler stalled %d times", name, res.SchedStalls)
+	}
+	sum := simnet.Budget{ByCategory: map[transport.RPCCategory]int64{}, DroppedByCategory: map[transport.RPCCategory]int64{}}
+	for _, ps := range res.Phases {
+		b := ps.Budget
+		sum.Requests += b.Requests
+		sum.Dials += b.Dials
+		sum.DialFailures += b.DialFailures
+		sum.Dropped += b.Dropped
+		sum.Retried += b.Retried
+		for cat, v := range b.ByCategory {
+			sum.ByCategory[cat] += v
+		}
+		for cat, v := range b.DroppedByCategory {
+			sum.DroppedByCategory[cat] += v
+		}
+	}
+	if got, want := sum.String(), res.Budget.String(); got != want {
+		t.Errorf("%s: the phase rows sum to %s, the network spent %s", name, got, want)
+	}
+	if res.corrupt != 0 {
+		t.Errorf("%s: %d retrievals returned bytes that do not hash to their CID", name, res.corrupt)
+	}
+}
+
 // faultDeterminismConfig is the lossy, partitioned, NAT-mixed scenario
 // the determinism tests replay: every fault lever at once, in lockstep,
 // with the seeded jitter hash carrying all loss and delay draws.
@@ -275,7 +337,6 @@ func faultDeterminismConfig(n int) RoutingConfig {
 		HealAt:           5 * time.Hour,
 		ReachabilityMix:  true,
 		NoRefresh:        true,
-		Workers:          1,
 		Seed:             88,
 	}
 }

@@ -52,10 +52,7 @@ type FleetScenarioConfig struct {
 	// instead of herding the origin).
 	MaxInflight, QueueHigh, QueueLow int
 
-	// Workers bounds concurrent event dispatch; 0 keeps deterministic
-	// lockstep.
-	Workers int
-	Seed    int64
+	Seed int64
 }
 
 func (c FleetScenarioConfig) withDefaults() FleetScenarioConfig {
@@ -153,7 +150,6 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	tn := testnet.Build(testnet.Config{
 		N: cfg.NetworkSize, Seed: cfg.Seed + 1,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
-		Workers: cfg.Workers,
 	})
 
 	// The origin content host: every catalog object lives here, served

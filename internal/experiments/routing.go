@@ -8,9 +8,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/cid"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/merkledag"
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -88,11 +90,6 @@ type RoutingConfig struct {
 	// dialability (Fig 7's mix: ~1/3 of peers NAT'd, online but refusing
 	// inbound dials) instead of the default everyone-dialable servers.
 	ReachabilityMix bool
-
-	// Workers bounds the scheduler's concurrent event dispatch; 0 or 1
-	// keeps deterministic lockstep (seeded runs replay bit-for-bit),
-	// larger values are the -race stress mode.
-	Workers int
 
 	Seed int64
 }
@@ -254,6 +251,17 @@ type RoutingResults struct {
 	// building the network (identities, routing tables, vantage nodes)
 	// and running the scenario on the scheduler.
 	SetupWall, RunWall time.Duration
+
+	// corrupt counts retrievals that returned bytes which do not rebuild
+	// their root CID; each is a failure too.
+	corrupt int
+}
+
+// rebuilds reports whether data chunks and links into root, as the
+// publisher's import did.
+func rebuilds(root cid.Cid, data []byte) bool {
+	c, err := merkledag.NewBuilder(block.NewMemStore(), 0, 0).Add(data)
+	return err == nil && c.Equal(root)
 }
 
 // routerPair is one router's publisher/getter vantage pair plus its
@@ -283,7 +291,6 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		K:              cfg.K,
 		QueryTimeout:   cfg.QueryTimeout,
 		BitswapTimeout: cfg.BitswapTimeout,
-		Workers:        cfg.Workers,
 		// Fault injection: the initial loss/latency profile (the loss
 		// sweep raises LossRate later via scheduled phases) and the Fig 7
 		// reachability mix.
@@ -478,6 +485,10 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 					tick.Retrievals++
 					out.Ops++
 					data, rres, err := p.getter.Retrieve(ctx, root)
+					if err == nil && !rebuilds(root, data) {
+						res.corrupt++
+						err = fmt.Errorf("retrieved bytes do not hash to %s", root)
+					}
 					if err != nil || len(data) != cfg.ObjectSizeBytes {
 						p.rp.Failures++
 						tick.Failures++

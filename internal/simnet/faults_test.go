@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -188,10 +189,17 @@ func TestPartitionCutsAndHealRestores(t *testing.T) {
 
 // TestDropVsTimeoutAttribution pins the satellite fix: link-fault drops
 // and dead-peer timeouts are different failure modes with different
-// errors and different budget counters. Hammered concurrently so -race
-// exercises the fault state and the new counters.
+// errors and different budget counters. Fifty requests race at the same
+// instants, in the order each of a range of schedule seeds picks.
 func TestDropVsTimeoutAttribution(t *testing.T) {
-	s := simtime.NewScheduler(nil, simtime.SchedulerOpts{Workers: 8}) // concurrent dispatch, for -race
+	for sched := int64(1); sched <= 8; sched++ {
+		t.Run(fmt.Sprintf("schedule=%d", sched), func(t *testing.T) { dropVsTimeout(t, sched) })
+	}
+}
+
+func dropVsTimeout(t *testing.T, sched int64) {
+	s := simtime.NewScheduler(nil, simtime.SchedulerOpts{})
+	simtest.PerturbOn(t, s, sched)
 	simtest.RunOn(t, s, func(ctx context.Context) {
 		cfg := cfgOn(s)
 		net := New(cfg)
@@ -296,7 +304,7 @@ func TestHashFloatDeterministicUniform(t *testing.T) {
 func TestLossDrawDeterministicUnderScheduler(t *testing.T) {
 	epoch := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 	build := func() *Network {
-		sched := simtime.NewScheduler(simtime.NewClock(epoch), simtime.SchedulerOpts{Workers: 1})
+		sched := simtime.NewScheduler(simtime.NewClock(epoch), simtime.SchedulerOpts{})
 		return New(Config{Time: sched, Seed: 7, Faults: FaultProfile{LossRate: 0.3}})
 	}
 	n1, n2 := build(), build()

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -294,11 +295,18 @@ func TestBandwidthAffectsBlockTransfer(t *testing.T) {
 }
 
 // TestBudgetCategoriesSumUnderConcurrentLoad hammers one connection
-// pair from many goroutines with a mix of tagged and untagged requests
-// and asserts the per-category budget counters always sum to the
-// legacy requests total (run under -race in CI).
+// pair from many goroutines with a mix of tagged and untagged requests,
+// in the order each of a range of schedule seeds picks, and asserts the
+// per-category budget counters always sum to the legacy requests total.
 func TestBudgetCategoriesSumUnderConcurrentLoad(t *testing.T) {
-	s := simtime.NewScheduler(nil, simtime.SchedulerOpts{Workers: 8}) // concurrent dispatch, for -race
+	for sched := int64(1); sched <= 8; sched++ {
+		t.Run(fmt.Sprintf("schedule=%d", sched), func(t *testing.T) { budgetCategoriesSum(t, sched) })
+	}
+}
+
+func budgetCategoriesSum(t *testing.T, sched int64) {
+	s := simtime.NewScheduler(nil, simtime.SchedulerOpts{})
+	simtest.PerturbOn(t, s, sched)
 	simtest.RunOn(t, s, func(ctx context.Context) {
 		net := New(cfgOn(s))
 		a, b := testIdentity(1), testIdentity(2)

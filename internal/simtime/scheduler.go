@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/simtime/internal/pct"
 )
 
 // ErrSchedulerClosed is returned from waits that were parked when the
@@ -33,6 +36,7 @@ const (
 type event struct {
 	at      time.Time
 	prio    int
+	rank    uint64 // a timer's rank under a perturbed order (the higher fires first); else 0
 	seq     uint64
 	fn      func()
 	wake    *waiter
@@ -49,6 +53,9 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	if h[i].prio != h[j].prio {
 		return h[i].prio < h[j].prio
+	}
+	if h[i].rank != h[j].rank {
+		return h[i].rank > h[j].rank
 	}
 	return h[i].seq < h[j].seq
 }
@@ -92,13 +99,14 @@ func (h *eventHeap) Pop() any {
 //
 // All fields but ch and err are guarded by s.mu.
 type waiter struct {
-	seq   uint64
-	cond  func() bool     // nil: fired alone decides (spawns, sleepers)
-	fired bool            // a spawn is born fired; a sleeper's timer event sets it
-	ctx   context.Context // its end ends the wait too; nil when it never ends
-	ch    chan struct{}
-	err   error // set before the wake when the scheduler is closing
+	seq  uint64
+	g    uint64          // its goroutine's key: the registration number of the goroutine's spawn
+	cond func() bool     // nil: fired alone decides (spawns, sleepers)
+	ctx  context.Context // its end ends the wait too; nil when it never ends
+	ch   chan struct{}
+	err  error // set before the wake when the scheduler is closing
 
+	fired     bool // a spawn is born fired; a sleeper's timer event sets it
 	tracked   bool
 	announced bool
 	queued    bool // on the ready heap
@@ -134,29 +142,28 @@ const (
 // workload path are leased — the dispatcher counts how many are
 // runnable — and virtual time jumps to the next event only when every
 // leased goroutine is parked in a wait. Seeded runs are bit-for-bit
-// reproducible at Workers=1 (the default): event ties break by sequence
-// number and exactly one waiter — the ready one registered first —
-// wakes per quiescent instant.
+// reproducible: at most one leased goroutine runs at a time, event ties
+// break by sequence number, and exactly one waiter — the ready one
+// registered first — wakes per quiescent instant.
 //
 // Build one with NewScheduler, drive it with Run, and hand it to
 // configs as their simtime.Source.
 type Scheduler struct {
 	clock *Clock
 
-	// Workers bounds how many ready events/waiters are dispatched per
-	// quiescent instant. 1 (default) is deterministic lockstep; larger
-	// values dispatch same-instant work concurrently — the -race
-	// stress mode — at the cost of tie-order stability.
-	workers int
-
 	mu     sync.Mutex
 	events eventHeap
 	seq    uint64
 	batch  []*event // the dispatcher's scratch: one round's fn events
 
+	// order, which only tests can set (package pct), ranks same-instant
+	// ready waiters and timer events in place of registration order.
+	order *order
+
 	// The parked waiters (see waiter): all of them on the intrusive
 	// parked list, the marked announced ones also on the ready heap
-	// (keyed by seq), the unannounced ones also in polled (in seq order).
+	// (keyed by seq, see before), the unannounced ones also in polled
+	// (in seq order).
 	wseq    uint64
 	parked  *waiter
 	nparked int
@@ -167,7 +174,7 @@ type Scheduler struct {
 	kick    chan struct{}
 	running bool
 	closed  bool
-	closeCh chan struct{}
+	left    pct.Left // what the run left behind when it ended
 	stalls  atomic.Int64
 	grace   time.Duration
 
@@ -191,9 +198,6 @@ type schedStats struct {
 
 // SchedulerOpts tunes a Scheduler.
 type SchedulerOpts struct {
-	// Workers bounds concurrent dispatch of same-instant work;
-	// 0 or 1 selects deterministic lockstep.
-	Workers int
 	// Grace is the real-time fallback the dispatcher waits before
 	// re-polling when no tracked goroutine signals progress (an
 	// uninstrumented wait somewhere). Each firing counts a stall;
@@ -207,18 +211,23 @@ func NewScheduler(clock *Clock, opts SchedulerOpts) *Scheduler {
 	if clock == nil {
 		clock = NewClock(time.Unix(0, 0))
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
 	if opts.Grace <= 0 {
 		opts.Grace = 2 * time.Millisecond
 	}
-	return &Scheduler{
-		clock:   clock,
-		workers: opts.Workers,
-		kick:    make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
-		grace:   opts.Grace,
+	s := &Scheduler{clock: clock, kick: make(chan struct{}, 1), grace: opts.Grace}
+	if built := pct.Built.Load(); built != nil {
+		(*built)(s)
+	}
+	return s
+}
+
+func init() {
+	pct.Perturb = func(sched any, seed int64) { sched.(*Scheduler).order = newOrder(seed) } // before Run
+	pct.Ended = func(sched any) (pct.Left, bool) {
+		s := sched.(*Scheduler)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.left, s.closed
 	}
 }
 
@@ -299,6 +308,7 @@ func (s *Scheduler) Since(t0 time.Time) time.Duration { return s.clock.Now().Sub
 type lease struct {
 	context.Context
 	parked atomic.Bool
+	g      uint64 // the goroutine's key (waiter.g); Run's root is 0
 }
 
 type leaseKey struct{}
@@ -316,13 +326,13 @@ func leaseOf(ctx context.Context) *lease {
 	return l
 }
 
-// newLeaseLocked issues a lease over ctx.
-func (s *Scheduler) newLeaseLocked(ctx context.Context) *lease {
+// newLeaseLocked issues a lease over ctx to goroutine g.
+func (s *Scheduler) newLeaseLocked(ctx context.Context, g uint64) *lease {
 	s.stats.leased++
 	if s.stats.leased > s.stats.leasedMax {
 		s.stats.leasedMax = s.stats.leased
 	}
-	return &lease{Context: ctx}
+	return &lease{Context: ctx, g: g}
 }
 
 // borrowed is the panic both lease checks raise.
@@ -344,44 +354,33 @@ func (s *Scheduler) kickDispatcher() {
 // Go runs fn on a new goroutine leased to the scheduler: virtual time
 // cannot advance while it is runnable.
 //
-// At Workers = 1 the spawn is lockstep: the child is registered as a
-// waiter born ready and marked from the parent's goroutine — so
-// sequence numbers follow program order, not goroutine-scheduling order
-// — and starts only when the dispatcher hands it the floor. At most one
-// leased goroutine is ever runnable, which is what makes seeded runs
-// bit-for-bit reproducible. With Workers > 1 children start immediately
-// and run concurrently (the -race stress mode).
+// The spawn is lockstep: the child is registered as a waiter born ready
+// and marked from the parent's goroutine — so sequence numbers follow
+// program order, not goroutine-scheduling order — and starts only when
+// the dispatcher hands it the floor. At most one leased goroutine is
+// ever runnable, which is what makes seeded runs bit-for-bit
+// reproducible.
 func (s *Scheduler) Go(ctx context.Context, fn func(context.Context)) {
-	if s.workers == 1 {
-		w := &waiter{fired: true, ch: make(chan struct{}), tracked: true}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		l := s.newLeaseLocked(ctx)
-		s.registerLocked(w, true)
-		s.markLocked(w, markSpawn)
-		idle := s.active == 0
+	w := &waiter{fired: true, ch: make(chan struct{}), tracked: true}
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
-		if idle { // spawned from outside the run
-			s.kickDispatcher()
-		}
-		go func() {
-			<-w.ch // the dispatcher granted our lease
-			if w.err != nil {
-				return
-			}
-			defer s.release(l)
-			fn(l)
-		}()
 		return
 	}
-	s.mu.Lock()
-	s.active++
-	l := s.newLeaseLocked(ctx)
+	s.registerLocked(w, true)
+	w.g = w.seq
+	l := s.newLeaseLocked(ctx, w.g)
+	s.markLocked(w, markSpawn)
+	idle := s.active == 0
 	s.mu.Unlock()
+	if idle { // spawned from outside the run
+		s.kickDispatcher()
+	}
 	go func() {
+		<-w.ch // the dispatcher granted our lease
+		if w.err != nil {
+			return
+		}
 		defer s.release(l)
 		fn(l)
 	}()
@@ -471,6 +470,9 @@ func (s *Scheduler) parkLocked(ctx context.Context, w *waiter, announced bool, c
 		}
 	}
 	s.registerLocked(w, announced)
+	if w.g = w.seq; l != nil { // an untracked waiter stands for itself
+		w.g = l.g
+	}
 	if w.node != nil && w.node.err.Load() != nil {
 		s.markLocked(w, markCancel) // ended since the caller looked
 	}
@@ -561,12 +563,12 @@ func (s *Scheduler) markLocked(w *waiter, cause int) {
 		return
 	}
 	w.queued = true
-	// Sift up the min-heap on seq.
+	// Sift up the heap ordered by before.
 	h := append(s.ready, w)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p].seq < w.seq {
+		if s.before(h[p], w) {
 			break
 		}
 		h[i] = h[p]
@@ -576,7 +578,18 @@ func (s *Scheduler) markLocked(w *waiter, cause int) {
 	s.ready = h
 }
 
-// popReadyLocked removes the ready heap's lowest entry.
+// before reports whether waiter a wakes ahead of b: it was registered
+// first or, under a perturbed order, its goroutine ranks higher.
+func (s *Scheduler) before(a, b *waiter) bool {
+	if s.order != nil {
+		if ra, rb := s.order.rank(a.g), s.order.rank(b.g); ra != rb {
+			return ra > rb
+		}
+	}
+	return a.seq < b.seq
+}
+
+// popReadyLocked removes the ready heap's first entry.
 func (s *Scheduler) popReadyLocked() {
 	h := s.ready
 	n := len(h) - 1
@@ -591,10 +604,10 @@ func (s *Scheduler) popReadyLocked() {
 			if c >= n {
 				break
 			}
-			if c+1 < n && h[c+1].seq < h[c].seq {
+			if c+1 < n && s.before(h[c+1], h[c]) {
 				c++
 			}
-			if last.seq < h[c].seq {
+			if s.before(last, h[c]) {
 				break
 			}
 			h[i] = h[c]
@@ -692,6 +705,9 @@ func (s *Scheduler) pushLocked(t time.Time, prio int, fn func()) *event {
 	}
 	s.seq++
 	ev := &event{at: t, prio: prio, seq: s.seq, fn: fn}
+	if s.order != nil && prio == prioTimer {
+		ev.rank = s.order.rank(timerKey(s.seq))
+	}
 	heap.Push(&s.events, ev)
 	return ev
 }
@@ -715,12 +731,13 @@ func (s *Scheduler) AfterFunc(ctx context.Context, d time.Duration, fn func(cont
 		if ctx.Err() != nil {
 			return
 		}
-		// Dispatcher context: hand the callback a lease and run it on
-		// its own goroutine — the "worker pool" execution of a ready
-		// event. The dispatcher returns to waiting for quiescence.
+		// Dispatcher context: hand the callback a lease, under a
+		// registration number of its own, and run it on its own
+		// goroutine. The dispatcher returns to waiting for quiescence.
 		s.mu.Lock()
 		s.active++
-		l := s.newLeaseLocked(ctx)
+		s.wseq++
+		l := s.newLeaseLocked(ctx, s.wseq)
 		s.mu.Unlock()
 		go func() {
 			defer s.release(l)
@@ -861,7 +878,11 @@ func (c *deadlineCtx) expire() { c.cancel(context.DeadlineExceeded) }
 func (c *deadlineCtx) cancel(err error) {
 	c.s.mu.Lock()
 	c.cancelLocked(err)
+	idle := c.s.active == 0
 	c.s.mu.Unlock()
+	if idle { // cancelled from outside the run, as Notify can be
+		c.s.kickDispatcher()
+	}
 }
 
 // cancelLocked ends c with err unless it has ended already, and with it
@@ -929,7 +950,7 @@ func (s *Scheduler) Run(ctx context.Context, root func(context.Context)) error {
 	}
 	s.running = true
 	s.active++
-	l := s.newLeaseLocked(ctx)
+	l := s.newLeaseLocked(ctx, 0)
 	s.mu.Unlock()
 
 	var rootDone atomic.Bool
@@ -941,8 +962,6 @@ func (s *Scheduler) Run(ctx context.Context, root func(context.Context)) error {
 		root(l)
 	}()
 
-	graceTimer := time.NewTimer(s.grace)
-	defer graceTimer.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			s.close()
@@ -951,20 +970,10 @@ func (s *Scheduler) Run(ctx context.Context, root func(context.Context)) error {
 		s.mu.Lock()
 		if s.active > 0 {
 			s.mu.Unlock()
-			// Leased goroutines are runnable: wait for the system to
-			// go quiescent. The grace timer is only a safety net for
-			// untracked progress; it does not count as a stall while
-			// real work is running.
-			if !graceTimer.Stop() {
-				select {
-				case <-graceTimer.C:
-				default:
-				}
-			}
-			graceTimer.Reset(s.grace)
+			// Leased goroutines are runnable: wait for the system to go
+			// quiescent. The one that makes it so kicks.
 			select {
 			case <-s.kick:
-			case <-graceTimer.C:
 			case <-ctx.Done():
 			}
 			continue
@@ -1004,8 +1013,14 @@ func (s *Scheduler) Run(ctx context.Context, root func(context.Context)) error {
 // scheduler's waits are: one of them waits for something the scheduler
 // cannot see.
 func (s *Scheduler) captureStall() {
+	// A dump that fills the buffer was cut off: grow it until all fits.
 	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	buf = buf[:n]
 	var b strings.Builder
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		if strings.Contains(g, "simtime.(*Scheduler).parkLocked") {
@@ -1018,11 +1033,12 @@ func (s *Scheduler) captureStall() {
 	s.mu.Unlock()
 }
 
-// nextReadyLocked removes and returns the ready waiter registered
-// first, or nil. Marked waiters come off the ready heap lowest first;
-// one that is not ready is dropped until its next mark. The polled ones
-// are evaluated in order, and only those registered before the heap's
-// candidate can beat it.
+// nextReadyLocked removes and returns the ready waiter that wakes first
+// (see before), or nil. Marked waiters come off the ready heap in that
+// order; one that is not ready is dropped until its next mark. The
+// polled ones are evaluated in registration order, and only those that
+// wake before the heap's candidate can beat it: in registration order
+// the first ready one does.
 func (s *Scheduler) nextReadyLocked() *waiter {
 	var top *waiter
 	for len(s.ready) > 0 {
@@ -1033,48 +1049,47 @@ func (s *Scheduler) nextReadyLocked() *waiter {
 		s.popReadyLocked()
 		s.stats.staleReady++
 	}
+	at := -1
 	for i, w := range s.polled {
-		if top != nil && w.seq > top.seq {
-			break
+		if top != nil && !s.before(w, top) {
+			if s.order == nil {
+				break
+			}
+			continue
 		}
 		s.stats.polledEvals++
 		if w.ready() {
-			copy(s.polled[i:], s.polled[i+1:])
-			s.polled[len(s.polled)-1] = nil
-			s.polled = s.polled[:len(s.polled)-1]
-			return w
+			top, at = w, i
 		}
 	}
-	if top != nil {
+	if at >= 0 {
+		s.polled = slices.Delete(s.polled, at, at+1)
+	} else if top != nil {
 		s.popReadyLocked()
 	}
 	return top
 }
 
-// stepLocked performs one quiescent-instant dispatch round: wake up to
-// Workers ready waiters (in registration order), or — when none are
-// ready — pop the earliest event batch and fire it. Called with s.mu
-// held; always unlocks. Reports whether any progress was made.
+// stepLocked performs one quiescent-instant dispatch round: wake the
+// ready waiter that wakes first, or — when none is ready — fire the
+// earliest instant's transitions and its first timer event. Called
+// with s.mu held; always unlocks. Reports whether any progress was made.
 func (s *Scheduler) stepLocked() bool {
 	s.stats.rounds++
 	s.stats.parkedSum += int64(s.nparked)
 	s.stats.polledSum += int64(len(s.polled))
 	// Ready waiters first: a wake at the current instant precedes any
 	// clock advance.
-	woken := 0
-	for ; woken < s.workers; woken++ {
-		w := s.nextReadyLocked()
-		if w == nil {
-			break
-		}
+	if w := s.nextReadyLocked(); w != nil {
 		s.unparkLocked(w)
 		if w.tracked {
 			s.active++ // lease handoff before the wake
 		}
+		if s.order != nil {
+			s.order.woke(w.g)
+		}
 		s.stats.wakes++
 		close(w.ch)
-	}
-	if woken > 0 {
 		s.mu.Unlock()
 		return true
 	}
@@ -1083,20 +1098,20 @@ func (s *Scheduler) stepLocked() bool {
 		return false
 	}
 	// Fire the earliest instant: all transition-priority events at that
-	// timestamp (cheap, inline, mutually commutative), plus up to
-	// Workers timer events. A sleeper's wake is done here, under the
-	// lock: nothing but the next round's ready() can observe it.
+	// timestamp (cheap, inline, mutually commutative), then its first
+	// timer event. A sleeper's wake is done here, under the lock: nothing
+	// but the next round's ready() can observe it.
 	at := s.events[0].at
 	s.clock.Set(at)
-	var fired int
+	var fired bool
 	batch := s.batch[:0]
 	for s.events.Len() > 0 && s.events[0].at.Equal(at) {
-		if s.events[0].prio == prioTimer && fired >= s.workers {
+		if s.events[0].prio == prioTimer && fired {
 			break
 		}
 		ev := heap.Pop(&s.events).(*event)
 		if ev.prio == prioTimer {
-			fired++
+			fired = true
 			s.stats.eventsTimer++
 		} else {
 			s.stats.eventsTransition++
@@ -1127,6 +1142,7 @@ func (s *Scheduler) close() {
 	}
 	s.closed = true
 	s.running = false
+	s.left = pct.Left{Parked: s.nparked, Queued: s.events.Len(), Leased: s.stats.leased}
 	s.events = nil
 	for w := s.parked; w != nil; w = s.parked {
 		s.unparkLocked(w)
@@ -1135,5 +1151,4 @@ func (s *Scheduler) close() {
 	}
 	s.ready, s.polled = nil, nil
 	s.mu.Unlock()
-	close(s.closeCh)
 }

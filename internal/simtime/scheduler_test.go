@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simtime/internal/pct"
 )
 
 var epoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -21,7 +24,29 @@ var epoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 // escaped instrumentation — determinism is gone).
 func run(t *testing.T, opts SchedulerOpts, root func(ctx context.Context, s *Scheduler)) *Scheduler {
 	t.Helper()
-	s := NewScheduler(NewClock(epoch), opts)
+	return runOn(t, NewScheduler(NewClock(epoch), opts), root)
+}
+
+// scheduleSeeds is simtest.Schedules, which this package's tests cannot
+// import: full in a plain run, five under -short or the race detector.
+func scheduleSeeds(full int64) int64 {
+	if testing.Short() || pct.Race {
+		return 5
+	}
+	return full
+}
+
+// runUnder is run with the same-instant order perturbed by schedule
+// seed sched (package pct).
+func runUnder(t *testing.T, sched int64, root func(ctx context.Context, s *Scheduler)) *Scheduler {
+	t.Helper()
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{})
+	s.order = newOrder(sched)
+	return runOn(t, s, root)
+}
+
+func runOn(t *testing.T, s *Scheduler, root func(ctx context.Context, s *Scheduler)) *Scheduler {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- s.Run(context.Background(), func(ctx context.Context) { root(ctx, s) }) }()
 	select {
@@ -217,40 +242,51 @@ func TestSchedulerRecv(t *testing.T) {
 	})
 }
 
-// TestSchedulerConcurrentWake exercises Workers > 1: several sleepers
-// share one deadline and must all wake at that instant, concurrently,
-// without losing a lease or corrupting the clock (run under -race).
+// TestSchedulerConcurrentWake: several sleepers share one deadline and
+// must all wake at that instant, in whatever order a schedule seed
+// picks, without losing a lease or moving the clock.
 func TestSchedulerConcurrentWake(t *testing.T) {
 	const sleepers = 32
-	var woke int32
-	run(t, SchedulerOpts{Workers: 4}, func(ctx context.Context, s *Scheduler) {
-		g := NewGroup(s)
-		for i := 0; i < sleepers; i++ {
-			g.Go(ctx, func(ctx context.Context) {
-				if err := s.Sleep(ctx, time.Hour); err != nil {
-					t.Errorf("sleep: %v", err)
-				}
-				if now := s.Now(); !now.Equal(epoch.Add(time.Hour)) {
-					t.Errorf("woke at %v", now)
-				}
-				atomic.AddInt32(&woke, 1)
-			})
+	for sched := int64(1); sched <= 20; sched++ {
+		var woke []int
+		runUnder(t, sched, func(ctx context.Context, s *Scheduler) {
+			g := NewGroup(s)
+			for i := 0; i < sleepers; i++ {
+				g.Go(ctx, func(ctx context.Context) {
+					if err := s.Sleep(ctx, time.Hour); err != nil {
+						t.Errorf("sleep: %v", err)
+					}
+					if now := s.Now(); !now.Equal(epoch.Add(time.Hour)) {
+						t.Errorf("woke at %v", now)
+					}
+					woke = append(woke, i) // one leased goroutine runs at a time
+				})
+			}
+			g.Wait(ctx)
+		})
+		if len(woke) != sleepers {
+			t.Fatalf("schedule seed %d: woke %d/%d sleepers", sched, len(woke), sleepers)
 		}
-		g.Wait(ctx)
-	})
-	if woke != sleepers {
-		t.Fatalf("woke %d/%d sleepers", woke, sleepers)
+		if sort.IntsAreSorted(woke) {
+			t.Errorf("schedule seed %d woke the sleepers in the order they slept: nothing was perturbed", sched)
+		}
 	}
 }
 
-// TestSchedulerWorkerPoolStress is the -race stress test for the
-// dispatcher and worker pool: a few hundred leased goroutines hammer
-// sleeps, awaits, timers and nested spawns at overlapping virtual
-// instants with Workers = 8.
-func TestSchedulerWorkerPoolStress(t *testing.T) {
+// TestSchedulerStressUnderSchedules is the stress test for the
+// dispatcher: a few hundred leased goroutines hammer sleeps, awaits,
+// timers and nested spawns at overlapping virtual instants, under a
+// range of schedule seeds.
+func TestSchedulerStressUnderSchedules(t *testing.T) {
+	for sched := int64(1); sched <= 10; sched++ {
+		stressTasks(t, sched)
+	}
+}
+
+func stressTasks(t *testing.T, sched int64) {
 	const tasks = 200
 	var completed int32
-	run(t, SchedulerOpts{Workers: 8}, func(ctx context.Context, s *Scheduler) {
+	runUnder(t, sched, func(ctx context.Context, s *Scheduler) {
 		g := NewGroup(s)
 		for i := 0; i < tasks; i++ {
 			i := i
@@ -285,13 +321,13 @@ func TestSchedulerWorkerPoolStress(t *testing.T) {
 		g.Wait(ctx)
 	})
 	if completed != tasks {
-		t.Fatalf("completed %d/%d tasks", completed, tasks)
+		t.Fatalf("schedule seed %d: completed %d/%d tasks", sched, completed, tasks)
 	}
 }
 
 // TestSchedulerDeterministicReplay runs the same seeded task mix twice
-// at Workers = 1 and requires identical wake traces — the bit-for-bit
-// reproducibility the tie-breaking sequence numbers exist for.
+// and requires identical wake traces — the bit-for-bit reproducibility
+// the tie-breaking sequence numbers exist for.
 func TestSchedulerDeterministicReplay(t *testing.T) {
 	trace := func() string {
 		var mu sync.Mutex
@@ -508,9 +544,17 @@ func TestBorrowedLeasePanics(t *testing.T) {
 // goroutine runs at a time by construction — a strict handoff over
 // yield — so it needs no lock, no lease and no marks: a Signal wait is
 // a polled condition and Notify has nothing to do.
+//
+// Under a schedule seed it takes the Scheduler's perturbation: it
+// numbers events and registrations (spawns, parks, AfterFunc callbacks)
+// as the Scheduler does, and the same order ranks the ready waiters
+// and the timers that share an instant.
 type refSched struct {
 	now     time.Time
-	seq     uint64
+	seq     uint64 // events scheduled
+	wseq    uint64 // registrations
+	cur     uint64 // the key of the goroutine holding the floor
+	order   *order
 	events  []*refEvent
 	waiters []*refWaiter
 	yield   chan struct{} // the running goroutine parked or returned
@@ -524,12 +568,13 @@ type refEvent struct {
 }
 
 type refWaiter struct {
+	g      uint64
 	ready  func() bool
 	resume chan struct{}
 }
 
 func (r *refSched) run(root func(context.Context)) {
-	r.start(context.Background(), root)
+	r.start(0, context.Background(), root)
 	for {
 		if r.wakeFirstReady() {
 			continue
@@ -537,38 +582,64 @@ func (r *refSched) run(root func(context.Context)) {
 		if len(r.events) == 0 {
 			return
 		}
-		// The earliest instant: its transitions, and one timer.
+		// The earliest instant: its transitions, and one timer — the
+		// first scheduled, or the one the order ranks highest.
 		at := r.events[0].at
 		r.now = at
 		n := 0
 		for n < len(r.events) && r.events[n].at.Equal(at) && r.events[n].prio == prioTransition {
 			n++
 		}
-		if n < len(r.events) && r.events[n].at.Equal(at) {
-			n++
+		batch, rest := r.events[:n:n], r.events[n:]
+		if len(rest) > 0 && rest[0].at.Equal(at) {
+			t := 0
+			for i := 1; r.order != nil && i < len(rest) && rest[i].at.Equal(at); i++ {
+				if r.order.rank(timerKey(rest[i].seq)) > r.order.rank(timerKey(rest[t].seq)) {
+					t = i
+				}
+			}
+			batch = append(batch, rest[t])
+			rest = append(rest[:t:t], rest[t+1:]...)
 		}
-		batch := r.events[:n:n]
-		r.events = r.events[n:]
+		r.events = rest
 		for _, ev := range batch {
 			ev.fn()
 		}
 	}
 }
 
+// wakeFirstReady wakes the ready waiter registered first or, under an
+// order, the one whose goroutine it ranks highest.
 func (r *refSched) wakeFirstReady() bool {
+	pick := -1
 	for i, w := range r.waiters {
-		if w.ready() {
-			r.waiters = append(r.waiters[:i:i], r.waiters[i+1:]...)
-			close(w.resume)
-			<-r.yield
-			return true
+		if !w.ready() {
+			continue
+		}
+		if pick < 0 || r.order.rank(w.g) > r.order.rank(r.waiters[pick].g) {
+			pick = i
+		}
+		if r.order == nil {
+			break
 		}
 	}
-	return false
+	if pick < 0 {
+		return false
+	}
+	w := r.waiters[pick]
+	r.waiters = append(r.waiters[:pick:pick], r.waiters[pick+1:]...)
+	if r.order != nil {
+		r.order.woke(w.g)
+	}
+	r.cur = w.g
+	close(w.resume)
+	<-r.yield
+	return true
 }
 
-// start runs fn on its own goroutine until it parks or returns.
-func (r *refSched) start(ctx context.Context, fn func(context.Context)) {
+// start runs fn as goroutine g until it parks or returns.
+func (r *refSched) start(g uint64, ctx context.Context, fn func(context.Context)) {
+	r.cur = g
 	go func() {
 		fn(ctx)
 		r.yield <- struct{}{}
@@ -577,7 +648,8 @@ func (r *refSched) start(ctx context.Context, fn func(context.Context)) {
 }
 
 func (r *refSched) park(ready func() bool) {
-	w := &refWaiter{ready: ready, resume: make(chan struct{})}
+	r.wseq++
+	w := &refWaiter{g: r.cur, ready: ready, resume: make(chan struct{})}
 	r.waiters = append(r.waiters, w)
 	r.yield <- struct{}{}
 	<-w.resume
@@ -611,7 +683,8 @@ func (r *refSched) schedule(at time.Time, prio int, fn func()) (stop func() bool
 func (r *refSched) Now() time.Time { return r.now }
 
 func (r *refSched) Go(ctx context.Context, fn func(context.Context)) {
-	w := &refWaiter{ready: func() bool { return true }, resume: make(chan struct{})}
+	r.wseq++
+	w := &refWaiter{g: r.wseq, ready: func() bool { return true }, resume: make(chan struct{})}
 	r.waiters = append(r.waiters, w)
 	go func() {
 		<-w.resume
@@ -634,6 +707,9 @@ func (r *refSched) Await(ctx context.Context, cond func() bool) error {
 func (r *refSched) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
+	}
+	if err := ctx.Err(); err != nil {
+		return err // before the wake event: the Scheduler spends no sequence number on it either
 	}
 	fired := false
 	stop := r.schedule(r.now.Add(d), prioTimer, func() { fired = true })
@@ -734,7 +810,8 @@ func (e *realEngine) recv(ctx context.Context, ch chan int) bool {
 func (r *refSched) after(ctx context.Context, d time.Duration, fn func(context.Context)) func() bool {
 	return r.schedule(r.now.Add(d), prioTimer, func() {
 		if ctx.Err() == nil {
-			r.start(ctx, fn)
+			r.wseq++
+			r.start(r.wseq, ctx, fn)
 		}
 	})
 }
@@ -1005,6 +1082,33 @@ func genProgram(seed int64) []op {
 	return []op{o}
 }
 
+// TestSchedulerProgramsConcurrent runs the random programs on the
+// Scheduler alone under a range of schedule seeds: each run must finish
+// with nothing parked, and rerunning the same (program seed, schedule
+// seed) pair must wake the same goroutines in the same order — a
+// perturbed failure is one that replays.
+func TestSchedulerProgramsConcurrent(t *testing.T) {
+	exec := func(seed, sched int64) []string {
+		prog := genProgram(seed)
+		var p *progRun
+		s := runUnder(t, sched, func(ctx context.Context, s *Scheduler) {
+			p = newProgRun(newRealEngine(s))
+			p.exec(ctx, 0, prog)
+		})
+		assertNothingParked(t, s)
+		return p.log
+	}
+	for sched := int64(1); sched <= scheduleSeeds(20); sched++ {
+		for seed := int64(1); seed <= 50; seed++ {
+			first, again := exec(seed, sched), exec(seed, sched)
+			if !slices.Equal(first, again) {
+				t.Fatalf("program seed %d, schedule seed %d: the rerun woke %d goroutines differently from the first run's %d",
+					seed, sched, len(again), len(first))
+			}
+		}
+	}
+}
+
 // TestSchedulerMatchesReference is the scheduler's contract: seeded
 // random programs of every wait, spawn, timer and cancellation the
 // package offers — nested scopes cancelled by siblings, parents and
@@ -1014,65 +1118,81 @@ func genProgram(seed int64) []op {
 // same order, end on the same clock, and leave nothing parked. The
 // reference polls everything, so a mark the Scheduler forgot shows up
 // as a missing or late line (or, with nothing else to run, a stall).
+//
+// Every program runs in registration order and then under each schedule
+// seed, the reference taking the same perturbation; a failure names the
+// (program seed, schedule seed) pair, and rerunning that pair replays
+// it. Runs share nothing, so blocks of schedule seeds run in parallel.
 func TestSchedulerMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		prog := genProgram(seed)
-
-		ref := &refSched{now: epoch, yield: make(chan struct{})}
-		want := newProgRun(ref)
-		ref.run(func(ctx context.Context) { want.exec(ctx, 0, prog) })
-
-		var got *progRun
-		s := run(t, SchedulerOpts{}, func(ctx context.Context, s *Scheduler) {
-			got = newProgRun(newRealEngine(s))
-			got.exec(ctx, 0, prog)
+	const block = 100
+	last := scheduleSeeds(1000)
+	for lo := int64(0); lo <= last; lo += block {
+		hi := min(lo+block-1, last)
+		t.Run(fmt.Sprintf("schedules=%d-%d", lo, hi), func(t *testing.T) {
+			t.Parallel()
+			for sched := lo; sched <= hi; sched++ {
+				for seed := int64(1); seed <= 200; seed++ {
+					matchReference(t, seed, sched)
+				}
+			}
 		})
-		if !s.Now().Equal(ref.now) {
-			t.Errorf("seed %d: run ended at %v, reference at %v", seed, s.Now().Sub(epoch), ref.now.Sub(epoch))
-		}
-		for i := 0; i < len(want.log) || i < len(got.log); i++ {
-			var w, g string
-			if i < len(want.log) {
-				w = want.log[i]
-			}
-			if i < len(got.log) {
-				g = got.log[i]
-			}
-			if w != g {
-				t.Fatalf("seed %d: wake %d of %d is %q, the reference's %d has %q", seed, i, len(got.log), g, len(want.log), w)
-			}
-		}
-		if len(ref.waiters) != 0 {
-			t.Fatalf("seed %d: the generator left %d waiters parked forever on the reference", seed, len(ref.waiters))
-		}
-		assertNothingParked(t, s)
 	}
 }
 
-// TestSchedulerProgramsConcurrent runs the same programs at Workers = 8,
-// where tie order is not promised, for the invariants only: every
-// parked waiter is woken exactly once (a second wake would close a
-// closed channel) or closed, no wait outlives the run, and nothing
-// stalls. Run under -race.
-func TestSchedulerProgramsConcurrent(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
-		prog := genProgram(seed)
-		s := run(t, SchedulerOpts{Workers: 8}, func(ctx context.Context, s *Scheduler) {
-			newProgRun(newRealEngine(s)).exec(ctx, 0, prog)
-		})
-		assertNothingParked(t, s)
+// matchReference runs program seed on the Scheduler and on refSched, in
+// registration order for schedule seed 0, else perturbed by it.
+func matchReference(t *testing.T, seed, sched int64) {
+	t.Helper()
+	orderOf := func() *order {
+		if sched == 0 {
+			return nil
+		}
+		return newOrder(sched)
 	}
+	prog := genProgram(seed)
+
+	ref := &refSched{now: epoch, order: orderOf(), yield: make(chan struct{})}
+	want := newProgRun(ref)
+	ref.run(func(ctx context.Context) { want.exec(ctx, 0, prog) })
+
+	var got *progRun
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{})
+	s.order = orderOf()
+	runOn(t, s, func(ctx context.Context, s *Scheduler) {
+		got = newProgRun(newRealEngine(s))
+		got.exec(ctx, 0, prog)
+	})
+	if !s.Now().Equal(ref.now) {
+		t.Errorf("program seed %d, schedule seed %d: run ended at %v, reference at %v", seed, sched, s.Now().Sub(epoch), ref.now.Sub(epoch))
+	}
+	for i := 0; i < len(want.log) || i < len(got.log); i++ {
+		var w, g string
+		if i < len(want.log) {
+			w = want.log[i]
+		}
+		if i < len(got.log) {
+			g = got.log[i]
+		}
+		if w != g {
+			t.Fatalf("program seed %d, schedule seed %d: wake %d of %d is %q, the reference's %d has %q", seed, sched, i, len(got.log), g, len(want.log), w)
+		}
+	}
+	if len(ref.waiters) != 0 {
+		t.Fatalf("program seed %d, schedule seed %d: the generator left %d waiters parked forever on the reference", seed, sched, len(ref.waiters))
+	}
+	assertNothingParked(t, s)
 }
 
-// assertNothingParked checks a finished run's books: no waiter parked,
-// marked or polled.
+// assertNothingParked checks a finished run's books as they stood when
+// it ended, before the end unwound what was left: no waiter parked, no
+// event queued, no lease held.
 func assertNothingParked(t *testing.T, s *Scheduler) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.parked != nil || s.nparked != 0 || len(s.ready) != 0 || len(s.polled) != 0 {
-		t.Fatalf("after Run: %d parked (list empty: %v), %d on the ready heap, %d polled",
-			s.nparked, s.parked == nil, len(s.ready), len(s.polled))
+	if !s.closed || s.left != (pct.Left{}) {
+		t.Fatalf("the run ended (%v) with %d waiters parked, %d events queued, %d leases held",
+			s.closed, s.left.Parked, s.left.Queued, s.left.Leased)
 	}
 }
 
@@ -1208,35 +1328,44 @@ func TestCancelTree(t *testing.T) {
 }
 
 // TestMarksRaceRegistration attacks the one window a mark could fall
-// into: at Workers = 8 a producer's deposit-and-Notify, or a scope's
-// cancel, runs concurrently with the consumer's check-then-park. Both
-// the check and the registration happen under s.mu and so does the
-// mark, so it either precedes the check (which then sees the deposit or
-// the ended context) or finds the waiter. A lost one parks the consumer
-// forever and the run does not finish. Run under -race.
+// into: a producer's deposit-and-Notify, or a scope's cancel, made on
+// another thread by a goroutine outside the run — a TCP read loop, say
+// — while the consumer checks and parks. Both the check and the
+// registration happen under s.mu and so does the mark, so it either
+// precedes the check (which then sees the deposit or the ended context)
+// or finds the waiter. A lost one parks the consumer forever, on a wait
+// no timer ends, and the run does not finish. Run under -race.
 func TestMarksRaceRegistration(t *testing.T) {
-	run(t, SchedulerOpts{Workers: 8}, func(ctx context.Context, s *Scheduler) {
-		for i := 0; i < 2000; i++ {
-			sig := NewSignal(s)
-			var deposited atomic.Bool
-			scope, cancel := s.WithCancel(ctx)
-			g := NewGroup(s)
-			g.Go(ctx, func(context.Context) {
-				deposited.Store(true)
-				sig.Notify()
-			})
-			g.Go(ctx, func(context.Context) { cancel() })
-			g.Go(scope, func(ctx context.Context) {
-				if err := s.Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-					t.Errorf("sleep under the cancelled scope: %v", err)
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{})
+	done := make(chan error, 1)
+	go func() {
+		done <- s.Run(context.Background(), func(ctx context.Context) {
+			for i := 0; i < 2000; i++ {
+				sig := NewSignal(s)
+				var deposited atomic.Bool
+				scope, cancel := s.WithCancel(ctx)
+				go func() { // untracked on purpose, as the two below
+					deposited.Store(true)
+					sig.Notify()
+				}()
+				go cancel()
+				if err := sig.Wait(ctx, deposited.Load); err != nil {
+					t.Errorf("wait for the deposit: %v", err)
 				}
-			})
-			if err := sig.Wait(ctx, deposited.Load); err != nil {
-				t.Errorf("wait: %v", err)
+				if err := NewSignal(s).Wait(scope, func() bool { return false }); !errors.Is(err, context.Canceled) {
+					t.Errorf("wait under the cancelled scope: %v", err)
+				}
 			}
-			g.Wait(ctx)
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("scheduler run: %v", err)
 		}
-	})
+	case <-time.After(60 * time.Second):
+		t.Fatal("the run did not finish: a notify or cancel from outside the run was lost")
+	}
 }
 
 // TestNoWaiterOrContextLeaks runs 10⁴ RPC-shaped timeouts — derive a
@@ -1300,6 +1429,42 @@ func TestStallReportNamesTheWait(t *testing.T) {
 	}
 	if r := s.StallReport(); !strings.Contains(r, "TestStallReportNamesTheWait") || !strings.Contains(r, "(*Scheduler).Await") {
 		t.Errorf("stall report does not name the parked wait:\n%s", r)
+	}
+}
+
+// TestStallReportFitsEveryWait: the report holds the wait nobody
+// instruments even behind more than a megabyte of other parked stacks —
+// a few thousand goroutines parked, as at paper scale — where a
+// fixed-size dump is cut off before it. The stalling goroutine is
+// spawned after the others so that it is dumped after them.
+func TestStallReportFitsEveryWait(t *testing.T) {
+	s := NewScheduler(NewClock(epoch), SchedulerOpts{Grace: time.Millisecond})
+	err := s.Run(context.Background(), func(ctx context.Context) {
+		for i := 0; i < 4000; i++ {
+			s.Go(ctx, func(ctx context.Context) {
+				NewSignal(s).Wait(ctx, func() bool { return false }) // until the run ends
+			})
+		}
+		var flag atomic.Bool
+		g := NewGroup(s)
+		g.Go(ctx, func(ctx context.Context) { s.Await(ctx, flag.Load) })
+		go func() { // untracked on purpose
+			for s.Stalls() == 0 {
+				runtime.Gosched()
+			}
+			flag.Store(true)
+		}()
+		g.Wait(ctx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.StallReport()
+	if !strings.Contains(r, "(*Scheduler).Await(") {
+		t.Errorf("the %d-byte stall report does not name the wait nobody instruments", len(r))
+	}
+	if len(r) <= 1<<20 {
+		t.Errorf("the stall report holds %d bytes for 4 001 parked goroutines: the stack dump was cut off", len(r))
 	}
 }
 

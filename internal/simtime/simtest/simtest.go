@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/simtime"
+	"repro/internal/simtime/internal/pct"
 )
 
 // Epoch is where Run's clock starts.
@@ -49,6 +50,38 @@ func RunOn(t testing.TB, s *simtime.Scheduler, body func(ctx context.Context)) {
 	if n := s.Stalls(); n != 0 {
 		t.Errorf("dispatcher stalled %d times: a wait on the workload path is not on the run's Source; parked at the first stall:\n%s", n, s.StallReport())
 	}
+}
+
+// PerturbOn makes s, not yet run, order its same-instant work by
+// schedule seed instead of by registration (docs/ARCHITECTURE.md,
+// "Exploring the same-instant order"), and checks when the test ends
+// that its run left nothing parked, queued or leased. A failing
+// (program seed, schedule seed) pair fails again when rerun.
+func PerturbOn(t testing.TB, s *simtime.Scheduler, seed int64) {
+	pct.Perturb(s, seed)
+	t.Cleanup(func() {
+		if left, ended := pct.Ended(s); ended && left != (pct.Left{}) {
+			t.Errorf("schedule seed %d: the run ended with %+v", seed, left)
+		}
+	})
+}
+
+// Perturb is PerturbOn for every Scheduler built until the test ends,
+// testnet.Build's included. It is process-wide: a test that calls it
+// must not run in parallel.
+func Perturb(t testing.TB, seed int64) {
+	perturb := func(s any) { PerturbOn(t, s.(*simtime.Scheduler), seed) }
+	prev := pct.Built.Swap(&perturb)
+	t.Cleanup(func() { pct.Built.Store(prev) })
+}
+
+// Schedules is how many schedule seeds an exploration covers: full in a
+// plain run, five under -short or the race detector.
+func Schedules(full int64) int64 {
+	if testing.Short() || pct.Race {
+		return 5
+	}
+	return full
 }
 
 // BothEngines runs body as two subtests: "scheduler", as the root of a

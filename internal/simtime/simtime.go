@@ -7,7 +7,7 @@
 // (scheduler.go) implements it as a discrete-event engine where sleeps
 // park on a priority queue and virtual time jumps between events —
 // everything simulated runs on it, paper-scale populations replay hours
-// of simulated time in seconds, deterministically at Workers=1. The
+// of simulated time in seconds, deterministically. The
 // daemons run on the wall clock, the unexported real-time source below.
 // Code written against Source runs unchanged on either; a nil Source
 // means the wall clock, resolved by OrWall and nowhere else.

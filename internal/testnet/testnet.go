@@ -67,10 +67,6 @@ type Config struct {
 	// perfbench/ harness sets it; the [benchmark] PR that next edits
 	// perfbench/ drops it there and here. Nothing else sets it.
 	EventDriven bool
-	// Workers bounds the scheduler's concurrent dispatch; 0 or 1 selects
-	// deterministic lockstep (seeded runs replay bit-for-bit), larger
-	// values are the -race stress mode.
-	Workers int
 
 	// Faults is the initial link-fault profile installed on the
 	// simulator (loss probability, extra latency, jitter). Scenario
@@ -120,7 +116,7 @@ type Testnet struct {
 func Build(cfg Config) *Testnet {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sched := simtime.NewScheduler(simtime.NewClock(DefaultEpoch), simtime.SchedulerOpts{Workers: cfg.Workers})
+	sched := simtime.NewScheduler(simtime.NewClock(DefaultEpoch), simtime.SchedulerOpts{})
 	net := simnet.New(simnet.Config{Seed: cfg.Seed + 1, Time: sched, Faults: cfg.Faults})
 
 	popCfg := geo.DefaultPopulationConfig(cfg.N)
