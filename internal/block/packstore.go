@@ -2,6 +2,7 @@ package block
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -21,8 +22,21 @@ import (
 // Delete only writes a tombstone — background compaction rewrites
 // volumes whose dead-byte ratio crosses a threshold. Compared to the
 // file-per-block FSStore this turns a million small blocks into a
-// handful of large files: one pread per Get, no inode churn, and put
-// durability amortized by group fsync on a flush interval.
+// handful of large files: one pread per Get, no inode churn. Writes are
+// group-committed twice over: records collect in an in-memory append
+// buffer and reach the volume in one pwrite per buffer, and the volume
+// is fsynced once per flush interval, not once per Put.
+//
+// The buffer is written out when the next record would not fit, by
+// Flush before its fsync (the background group commit and every
+// explicit call), at rotation before the seal fsync, and at Close. A
+// record larger than the buffer is written straight to the file after
+// it. A Get of a record still in the buffer copies it out under the
+// index lock instead of reading the file. A process killed between two
+// write-outs loses the appends buffered since the first — never more
+// than one flush interval's, as a machine crash can — and the first
+// write-out or fsync error is sticky: every later Put, Delete, Flush
+// and Close reports it rather than promise durability it cannot give.
 //
 // On-disk record layout (big-endian), identical for volumes and the
 // records compaction rewrites:
@@ -45,10 +59,12 @@ type PackStore struct {
 	reg atomic.Pointer[telemetry.Registry]
 
 	// mu guards the index, the volumes map, each volume's tombs and
-	// stale sets, staleRefs and the pin set. Readers hold it (shared)
-	// across the pread, so the compactor — which takes it exclusively
-	// before dropping a volume from the map — can never close a file
-	// under an in-flight read.
+	// stale sets, staleRefs, the pin set and where the append buffer
+	// sits (packVolume.buf and bufOff). Readers hold it (shared) across
+	// the pread or the copy out of the buffer, so the compactor — which
+	// takes it exclusively before dropping a volume from the map — can
+	// never close a file under an in-flight read, and a write-out cannot
+	// recycle the buffer under one.
 	mu       sync.RWMutex
 	index    map[string]packLoc
 	volumes  map[int]*packVolume
@@ -65,11 +81,16 @@ type PackStore struct {
 	// wmu serializes appends, rotation and the index mutations that
 	// follow an append — Put, Delete and every record compaction copies —
 	// so the order of records on disk is the order the index saw them.
-	// Lock order: cmu, then wmu, then mu, always.
+	// Lock order: cmu, then smu, then wmu, then mu, always.
 	wmu    sync.Mutex
 	active *packVolume
-	dirty  bool
+	dirty  bool  // appended since the active volume's last fsync
+	err    error // the first write-out or fsync failure, or errPackClosed
 
+	// smu serializes Flush across its fsync, so a Flush never returns
+	// before an fsync another one started has finished, and a volume
+	// file is never closed under one.
+	smu sync.Mutex
 	cmu sync.Mutex // one compaction at a time
 
 	stop      chan struct{}
@@ -85,9 +106,11 @@ type PackConfig struct {
 	// would exceed this many bytes (default 256 MiB).
 	VolumeSizeCap int64
 	// FlushInterval is the group-commit period: appended records are
-	// fsynced together at this cadence instead of per Put (default
-	// 100 ms). A crash can lose at most the last interval's puts; the
-	// torn-tail scan makes that loss clean rather than corrupting.
+	// written out and fsynced together at this cadence instead of per
+	// Put (default 100 ms). A crash can lose at most the last interval's
+	// puts — a machine crash, or a killed process, whose buffered
+	// appends have not reached the file yet; the torn-tail scan makes
+	// that loss clean rather than corrupting.
 	FlushInterval time.Duration
 	// CompactThreshold is the dead-byte ratio at which a sealed volume
 	// becomes a compaction candidate (default 0.5).
@@ -120,9 +143,17 @@ const (
 	// or corrupt tail, not a record.
 	packMaxCidLen  = 4096
 	packMaxDataLen = 1 << 30
+
+	// packBufSize caps the append buffer; a volume smaller than this
+	// gets a buffer of its own size, since rotation empties the buffer
+	// before it could hold more.
+	packBufSize = 1 << 20
 )
 
-var packCRC = crc32.MakeTable(crc32.Castagnoli)
+var (
+	packCRC       = crc32.MakeTable(crc32.Castagnoli)
+	errPackClosed = errors.New("closed")
+)
 
 // packLoc locates one live block: volume id, payload offset, payload
 // length. The cid length is recoverable from the index key (the key is
@@ -139,6 +170,14 @@ type packVolume struct {
 	f    *os.File
 	size atomic.Int64 // accounted bytes; append offset for the active volume
 	dead atomic.Int64 // bytes of overwritten/deleted records + tombstones
+	// buf is the store's append buffer while this volume is active (nil
+	// once sealed: rotation hands it on): it holds the volume's bytes
+	// [bufOff, size), which are not in f yet, at buf[0:size-bufOff].
+	// buf and bufOff change under wmu and mu together; the bytes past
+	// size-bufOff are written under wmu alone, and no reader looks there
+	// until the index points at them.
+	buf    []byte
+	bufOff int64
 	// tombs remembers which keys this volume tombstones, so compaction
 	// can re-write a still-needed tombstone before dropping the file.
 	tombs map[string]struct{}
@@ -226,11 +265,11 @@ func (s *PackStore) open() error {
 			return err
 		}
 		s.volumes[id] = v
-		valid := s.scanVolume(v)
 		st, err := v.f.Stat()
 		if err != nil {
 			return fmt.Errorf("block: packstore: %w", err)
 		}
+		valid := s.scanVolume(v, st.Size())
 		if i == len(ids)-1 {
 			if st.Size() > valid {
 				if err := v.f.Truncate(valid); err != nil {
@@ -251,13 +290,16 @@ func (s *PackStore) open() error {
 		s.volumes[0] = v
 		s.active, s.activeID = v, 0
 	}
+	s.active.buf = make([]byte, min(packBufSize, s.cfg.VolumeSizeCap))
+	s.active.bufOff = s.active.size.Load()
 	return nil
 }
 
 // scanVolume replays v's records into the index, stopping at the first
-// record that fails a header sanity check or its checksum, and returns
-// the length of the valid prefix.
-func (s *PackStore) scanVolume(v *packVolume) int64 {
+// record that fails a header sanity check or its checksum, or would run
+// past the file's size bytes, and returns the length of the valid
+// prefix.
+func (s *PackStore) scanVolume(v *packVolume, size int64) int64 {
 	var off int64
 	hdr := make([]byte, packHeaderLen)
 	for {
@@ -271,7 +313,8 @@ func (s *PackStore) scanVolume(v *packVolume) int64 {
 		sum := binary.BigEndian.Uint32(hdr[11:15])
 		if magic != packMagic || (kind != recPut && kind != recTombstone) ||
 			cidLen == 0 || cidLen > packMaxCidLen || dataLen > packMaxDataLen ||
-			(kind == recTombstone && dataLen != 0) {
+			(kind == recTombstone && dataLen != 0) ||
+			off+int64(packHeaderLen+cidLen+dataLen) > size {
 			break
 		}
 		payload := make([]byte, cidLen+dataLen)
@@ -330,23 +373,34 @@ func (s *PackStore) markStale(key string, loc packLoc) {
 	}
 }
 
-func encodeRecord(kind byte, cidB, data []byte) []byte {
-	buf := make([]byte, packHeaderLen+len(cidB)+len(data))
-	binary.BigEndian.PutUint32(buf[0:4], packMagic)
-	buf[4] = kind
-	binary.BigEndian.PutUint16(buf[5:7], uint16(len(cidB)))
-	binary.BigEndian.PutUint32(buf[7:11], uint32(len(data)))
-	copy(buf[packHeaderLen:], cidB)
-	copy(buf[packHeaderLen+len(cidB):], data)
-	binary.BigEndian.PutUint32(buf[11:15], crc32.Checksum(buf[packHeaderLen:], packCRC))
-	return buf
+// appendRecord appends one encoded record for key (the cid's bytes) to
+// dst and returns the extended slice.
+func appendRecord(dst []byte, kind byte, key string, data []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, packMagic)
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(key)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(data)))
+	dst = binary.BigEndian.AppendUint32(dst, 0) // crc, once the payload is in
+	dst = append(dst, key...)
+	dst = append(dst, data...)
+	binary.BigEndian.PutUint32(dst[start+11:], crc32.Checksum(dst[start+packHeaderLen:], packCRC))
+	return dst
 }
 
-// appendLocked appends rec to the active volume, rotating first when
-// it would overflow the size cap. Caller holds wmu.
-func (s *PackStore) appendLocked(rec []byte) (*packVolume, int64, error) {
+// appendLocked appends one record to the active volume, rotating first
+// when it would overflow the size cap, and returns the volume and the
+// record's offset in it. The record is encoded into the append buffer,
+// which is written out first if the record would not fit; a record
+// larger than the whole buffer goes straight to the file after it. It
+// refuses once the store has failed or closed. Caller holds wmu.
+func (s *PackStore) appendLocked(kind byte, key string, data []byte) (*packVolume, int64, error) {
+	if s.err != nil {
+		return nil, 0, s.err
+	}
+	n := int64(packHeaderLen + len(key) + len(data))
 	v := s.active
-	if sz := v.size.Load(); sz > 0 && sz+int64(len(rec)) > s.cfg.VolumeSizeCap {
+	if sz := v.size.Load(); sz > 0 && sz+n > s.cfg.VolumeSizeCap {
 		nv, err := s.rotateLocked()
 		if err != nil {
 			return nil, 0, err
@@ -354,19 +408,70 @@ func (s *PackStore) appendLocked(rec []byte) (*packVolume, int64, error) {
 		v = nv
 	}
 	off := v.size.Load()
-	if _, err := v.f.WriteAt(rec, off); err != nil {
-		return nil, 0, fmt.Errorf("block: packstore: %w", err)
+	if off-v.bufOff+n > int64(len(v.buf)) {
+		if err := s.writeOutLocked(); err != nil {
+			return nil, 0, err
+		}
 	}
-	v.size.Add(int64(len(rec)))
+	if n > int64(len(v.buf)) {
+		if _, err := v.f.WriteAt(appendRecord(nil, kind, key, data), off); err != nil {
+			return nil, 0, s.failLocked(err)
+		}
+		s.mu.Lock()
+		v.bufOff = off + n
+		s.mu.Unlock()
+	} else {
+		p := off - v.bufOff
+		appendRecord(v.buf[p:p], kind, key, data)
+	}
+	v.size.Store(off + n)
 	s.dirty = true
 	return v, off, nil
 }
 
-// rotateLocked seals the active volume (fsyncing it durably) and opens
-// the next one. Caller holds wmu.
+// writeOutLocked writes the append buffer to the active volume in one
+// pwrite. Readers keep copying buffered records out of it until the
+// pwrite has returned; only then does bufOff move past them. Caller
+// holds wmu.
+func (s *PackStore) writeOutLocked() error {
+	if s.err != nil {
+		return s.err
+	}
+	v := s.active
+	end := v.size.Load()
+	if end == v.bufOff {
+		return nil
+	}
+	if _, err := v.f.WriteAt(v.buf[:end-v.bufOff], v.bufOff); err != nil {
+		return s.failLocked(err)
+	}
+	s.mu.Lock()
+	v.bufOff = end
+	s.mu.Unlock()
+	return nil
+}
+
+// failLocked keeps the store's first write-out or fsync failure and
+// returns the one kept. Appends after a lost write or a failed fsync
+// cannot be promised durable, so from then on every Put, Delete, Flush
+// and Close reports it. Caller holds wmu.
+func (s *PackStore) failLocked(err error) error {
+	if s.err == nil {
+		s.err = fmt.Errorf("block: packstore: %w", err)
+	}
+	return s.err
+}
+
+// rotateLocked seals the active volume (writing its buffer out and
+// fsyncing it durably), opens the next one and hands it the append
+// buffer. Caller holds wmu.
 func (s *PackStore) rotateLocked() (*packVolume, error) {
-	if err := s.active.f.Sync(); err != nil {
-		return nil, fmt.Errorf("block: packstore: %w", err)
+	if err := s.writeOutLocked(); err != nil {
+		return nil, err
+	}
+	old := s.active
+	if err := old.f.Sync(); err != nil {
+		return nil, s.failLocked(err)
 	}
 	s.dirty = false
 	v, err := s.openVolume(s.activeID + 1)
@@ -374,6 +479,7 @@ func (s *PackStore) rotateLocked() (*packVolume, error) {
 		return nil, err
 	}
 	s.mu.Lock()
+	v.buf, old.buf = old.buf, nil
 	s.volumes[v.id] = v
 	s.activeID = v.id
 	s.mu.Unlock()
@@ -382,7 +488,8 @@ func (s *PackStore) rotateLocked() (*packVolume, error) {
 }
 
 // Put implements Store. Content addressing makes Put of an already
-// stored CID a no-op: the same CID certifies the same bytes.
+// stored CID a no-op: the same CID certifies the same bytes. Once the
+// store has failed or closed, every Put returns that error.
 func (s *PackStore) Put(b Block) error {
 	if err := b.checkPut(); err != nil {
 		return err
@@ -392,11 +499,11 @@ func (s *PackStore) Put(b Block) error {
 	s.mu.RLock()
 	_, exists := s.index[key]
 	s.mu.RUnlock()
-	if exists {
+	if exists && s.err == nil {
 		s.wmu.Unlock()
 		return nil
 	}
-	v, off, err := s.appendLocked(encodeRecord(recPut, b.cid.Bytes(), b.data))
+	v, off, err := s.appendLocked(recPut, key, b.data)
 	if err != nil {
 		s.wmu.Unlock()
 		return err
@@ -410,7 +517,8 @@ func (s *PackStore) Put(b Block) error {
 	return nil
 }
 
-// Get implements Store: one pread under the shared lock, then
+// Get implements Store: one pread under the shared lock — or, for a
+// record still in the append buffer, one copy out of it — then
 // self-certification so on-disk corruption surfaces as an error.
 func (s *PackStore) Get(c cid.Cid) (Block, error) {
 	start := time.Now()
@@ -426,7 +534,12 @@ func (s *PackStore) Get(c cid.Cid) (Block, error) {
 		return Block{}, fmt.Errorf("block: packstore: %s: volume %d missing", c, loc.vol)
 	}
 	data := make([]byte, loc.n)
-	_, err := v.f.ReadAt(data, loc.off)
+	var err error
+	if v.buf != nil && loc.off >= v.bufOff {
+		copy(data, v.buf[loc.off-v.bufOff:])
+	} else {
+		_, err = v.f.ReadAt(data, loc.off)
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		return Block{}, fmt.Errorf("block: packstore: read %s: %w", c, err)
@@ -465,10 +578,11 @@ func (s *PackStore) Delete(c cid.Cid) {
 		s.wmu.Unlock()
 		return
 	}
-	v, _, err := s.appendLocked(encodeRecord(recTombstone, c.Bytes(), nil))
+	v, _, err := s.appendLocked(recTombstone, key, nil)
 	if err != nil {
 		// Keep the index entry: without a durable tombstone the block
-		// would resurrect on reopen anyway.
+		// would resurrect on reopen anyway. A failed or closed store
+		// deletes nothing.
 		s.wmu.Unlock()
 		return
 	}
@@ -514,18 +628,26 @@ func (s *PackStore) Pinned(c cid.Cid) bool {
 	return ok
 }
 
-// Flush fsyncs unsynced appends on the active volume — the group
-// commit the background loop runs every FlushInterval.
+// Flush writes the append buffer out and fsyncs the active volume — the
+// group commit the background loop runs every FlushInterval. When it
+// returns nil, every Put and Delete that returned before it was called
+// is durable; once a write-out or fsync has failed it returns that
+// failure, every time.
 func (s *PackStore) Flush() error {
+	s.smu.Lock()
+	defer s.smu.Unlock()
 	s.wmu.Lock()
+	err := s.writeOutLocked()
 	f, dirty := s.active.f, s.dirty
 	s.dirty = false
 	s.wmu.Unlock()
-	if !dirty {
-		return nil
+	if err != nil || !dirty {
+		return err
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("block: packstore: %w", err)
+		s.wmu.Lock()
+		defer s.wmu.Unlock()
+		return s.failLocked(err)
 	}
 	return nil
 }
@@ -672,14 +794,13 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 			s.wmu.Unlock()
 			continue
 		}
-		rec := encodeRecord(recTombstone, []byte(key), nil)
-		nv, _, err := s.appendLocked(rec)
+		nv, _, err := s.appendLocked(recTombstone, key, nil)
 		if err != nil {
 			s.wmu.Unlock()
 			return err
 		}
 		s.mu.Lock()
-		nv.dead.Add(int64(len(rec)))
+		nv.dead.Add(packRecLen(key, 0))
 		nv.tombs[key] = struct{}{}
 		s.mu.Unlock()
 		s.wmu.Unlock()
@@ -710,7 +831,8 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 
 // moveRecord re-appends the record compactVolume found at loc in v and
 // points the index at the copy, unless the key was deleted since the
-// snapshot. It holds wmu throughout (see compactVolume).
+// snapshot. It holds wmu throughout (see compactVolume). v is sealed,
+// so rotation has already written all of it to the file.
 func (s *PackStore) moveRecord(v *packVolume, key string, loc packLoc) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -724,7 +846,7 @@ func (s *PackStore) moveRecord(v *packVolume, key string, loc packLoc) error {
 	if _, err := v.f.ReadAt(data, loc.off); err != nil {
 		return fmt.Errorf("block: packstore: compact %s: %w", v.path, err)
 	}
-	nv, off, err := s.appendLocked(encodeRecord(recPut, []byte(key), data))
+	nv, off, err := s.appendLocked(recPut, key, data)
 	if err != nil {
 		return err
 	}
@@ -743,6 +865,8 @@ func (s *PackStore) background() {
 		select {
 		case <-s.stop:
 			return
+		// A write-out or fsync failure in either sticks in s.err, so the
+		// next Put, Delete, Flush or Close reports it.
 		case <-t.C:
 			s.Flush()
 		case <-s.kick:
@@ -752,12 +876,15 @@ func (s *PackStore) background() {
 }
 
 // Close stops the background worker, flushes the active volume and
-// closes every volume file. The store must not be used after Close.
+// closes every volume file. Put and Delete fail after Close.
 func (s *PackStore) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		s.bg.Wait()
 		s.closeErr = s.Flush()
+		s.wmu.Lock()
+		s.failLocked(errPackClosed)
+		s.wmu.Unlock()
 		s.mu.Lock()
 		for _, v := range s.volumes {
 			v.f.Close()

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -785,6 +787,224 @@ func TestPackStoreModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeFormatSequence drives a fixed sequence of Puts and Deletes over
+// 400-byte volumes, one record larger than a volume among them, with no
+// compaction, and closes the store. testdata/packstore-parent holds the
+// volumes the store wrote for it before appends went through a buffer.
+func writeFormatSequence(t testing.TB, dir string) {
+	t.Helper()
+	s, err := NewPackStore(dir, PackConfig{VolumeSizeCap: 400, DisableBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(b Block) {
+		if err := s.Put(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		put(packBlock(i))
+	}
+	put(New(multicodec.Raw, bytes.Repeat([]byte("L"), 500)))
+	for i := 16; i < 24; i++ {
+		put(packBlock(i))
+	}
+	for _, i := range []int{3, 7, 12, 23} {
+		s.Delete(packBlock(i).Cid())
+	}
+	for i := 24; i < 30; i++ {
+		put(packBlock(i))
+	}
+	s.Delete(packBlock(26).Cid())
+	put(packBlock(3))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPackStoreWritesTheUnbufferedBytes: what reaches the volumes
+// through the append buffer is byte for byte what one pwrite per record
+// wrote — the records in the order the index saw them — and a store
+// written that way opens with every put and tombstone in force.
+func TestPackStoreWritesTheUnbufferedBytes(t *testing.T) {
+	golden, err := filepath.Glob(filepath.Join("testdata", "packstore-parent", "pack-*.vol"))
+	if err != nil || len(golden) == 0 {
+		t.Fatalf("golden volumes: %v, %v", golden, err)
+	}
+	dir := t.TempDir()
+	writeFormatSequence(t, dir)
+	got := volumeFiles(t, dir)
+	if len(got) != len(golden) {
+		t.Fatalf("%d volumes, golden has %d", len(got), len(golden))
+	}
+	for i := range golden {
+		want, err := os.ReadFile(golden[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := os.ReadFile(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(got[i]) != filepath.Base(golden[i]) || !bytes.Equal(have, want) {
+			t.Errorf("%s (%d bytes) differs from golden %s (%d bytes)", got[i], len(have), golden[i], len(want))
+		}
+	}
+
+	parent := t.TempDir()
+	copyVolumes(t, filepath.Join("testdata", "packstore-parent"), parent)
+	r := newPackStore(t, parent, PackConfig{})
+	deleted := map[int]bool{7: true, 12: true, 23: true, 26: true}
+	for i := 0; i < 30; i++ {
+		b := packBlock(i)
+		got, err := r.Get(b.Cid())
+		switch {
+		case deleted[i] && !errors.Is(err, ErrNotFound):
+			t.Errorf("block %d: deleted, Get = %v", i, err)
+		case !deleted[i] && (err != nil || !bytes.Equal(got.Data(), b.Data())):
+			t.Errorf("block %d: Get = %q, %v", i, got.Data(), err)
+		}
+	}
+	if r.Len() != 30-len(deleted)+1 {
+		t.Errorf("Len = %d, want %d", r.Len(), 30-len(deleted)+1)
+	}
+}
+
+// TestPackStoreFailedGroupCommitSticks: once a write-out or an fsync
+// fails, the store never again reports durability — not from a later
+// Flush, not from Close — and refuses new appends; after Close it
+// refuses them too.
+func TestPackStoreFailedGroupCommitSticks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cap  int64
+		data []byte
+	}{
+		{"write-out", 0, []byte("buffered record")},
+		// Larger than the 64-byte volume's buffer: written straight to
+		// the file, so only the fsync is left to fail.
+		{"fsync", 64, bytes.Repeat([]byte("d"), 100)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newPackStore(t, t.TempDir(), PackConfig{VolumeSizeCap: tc.cap})
+			keep := packBlock(1)
+			if err := s.Put(keep); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(New(multicodec.Raw, tc.data)); err != nil {
+				t.Fatal(err)
+			}
+			s.active.f.Close()
+			if err := s.Flush(); err == nil {
+				t.Fatal("Flush = nil with the volume file gone")
+			}
+			if err := s.Flush(); err == nil {
+				t.Error("second Flush = nil: the failure was forgotten")
+			}
+			if err := s.Put(packBlock(2)); err == nil {
+				t.Error("Put after a failed group commit = nil")
+			}
+			if err := s.Put(keep); err == nil {
+				t.Error("Put of a stored block after a failed group commit = nil")
+			}
+			s.Delete(keep.Cid())
+			if !s.Has(keep.Cid()) {
+				t.Error("Delete after a failed group commit dropped the block")
+			}
+			if err := s.Close(); err == nil {
+				t.Error("Close = nil after a failed group commit")
+			}
+		})
+	}
+
+	t.Run("closed", func(t *testing.T) {
+		s := newPackStore(t, t.TempDir(), PackConfig{})
+		b := packBlock(1)
+		if err := s.Put(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(packBlock(2)); err == nil {
+			t.Error("Put after Close = nil")
+		}
+		s.Delete(b.Cid())
+		if !s.Has(b.Cid()) {
+			t.Error("Delete after Close dropped the block")
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("second Close = %v, want the first one's nil", err)
+		}
+	})
+}
+
+// TestPackStoreGetRacesWriteOut: Gets of blocks just put — some still in
+// the append buffer, some in the file, some moving from one to the other
+// under them — return bytes that verify while a writer fills the 1 MiB
+// buffer several times over (≈ 340 blocks a buffer), flushing every 500
+// blocks, into 4 MiB volumes.
+func TestPackStoreGetRacesWriteOut(t *testing.T) {
+	const blocks = 2000
+	s := newPackStore(t, t.TempDir(), PackConfig{VolumeSizeCap: 4 << 20})
+	all := make([]Block, blocks)
+	for i := range all {
+		data := bytes.Repeat([]byte{byte(i)}, 3000)
+		copy(data, fmt.Sprintf("race-%05d", i))
+		all[i] = New(multicodec.Raw, data)
+	}
+	var put atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i, b := range all {
+			if err := s.Put(b); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+			put.Store(int64(i + 1))
+			if (i+1)%500 == 0 {
+				if err := s.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := int(put.Load())
+				if n == 0 {
+					continue
+				}
+				// Mostly the newest blocks: the ones a write-out is moving.
+				i := n - 1 - rng.Intn(min(n, 64))
+				got, err := s.Get(all[i].Cid())
+				if err != nil || !bytes.Equal(got.Data(), all[i].Data()) {
+					t.Errorf("block %d: Get = %v, bytes equal %v", i, err, err == nil && bytes.Equal(got.Data(), all[i].Data()))
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // TestPackStoreBackgroundLoop exercises the non-test path: the flush
