@@ -787,7 +787,8 @@ func BenchmarkKBucketNearest(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			table := kbucket.NewTable(peer.MustNewIdentity(rng).ID, 20)
 			for i := 0; i < n; i++ {
-				table.Add(peer.MustNewIdentity(rng).ID)
+				id := peer.MustNewIdentity(rng).ID
+				table.Insert(id, kbucket.KeyForPeer(id))
 			}
 			key := kbucket.KeyForBytes([]byte("target"))
 			b.ReportAllocs()
@@ -797,6 +798,33 @@ func BenchmarkKBucketNearest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTestnetBuild measures testnet.Build of the 2 000-peer network
+// sim_retrieve and the experiments run on: identities, simnet nodes and
+// seeded routing tables and address books. Besides ms/op, allocs/op and
+// B/op it reports the live heap objects per peer the built network holds
+// after a collection — what every later GC cycle of a run has to mark.
+func BenchmarkTestnetBuild(b *testing.B) {
+	const n = 2000
+	var live float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		tn := testnet.Build(testnet.Config{N: n, Seed: 1})
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live += (float64(after.HeapObjects) - float64(before.HeapObjects)) / n
+		runtime.KeepAlive(tn)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(live/float64(b.N), "live-objects/peer")
 }
 
 // BenchmarkDHTWalkConverge measures whole FIND_NODE walks on a 300-peer

@@ -11,6 +11,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/kbucket"
 	"repro/ipfs"
 )
 
@@ -38,7 +39,7 @@ func main() {
 		}
 	}
 	for _, n := range nodes[1:] {
-		nodes[0].DHT().Seed(n.Info())
+		nodes[0].DHT().Seed(n.Info(), kbucket.KeyForPeer(n.ID()))
 	}
 
 	// Node 1 publishes a document and its peer record.

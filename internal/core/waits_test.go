@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cid"
 	"repro/internal/dht"
+	"repro/internal/kbucket"
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/routing"
@@ -34,7 +35,7 @@ func testNodes(src simtime.Source, n int, cfg Config) []*Node {
 	for _, a := range nodes {
 		for _, b := range nodes {
 			if a != b {
-				a.DHT().Seed(b.Info())
+				a.DHT().Seed(b.Info(), kbucket.KeyForPeer(b.ID()))
 			}
 		}
 	}

@@ -127,10 +127,11 @@ func (d *DHT) SetIPNSValidator(v IPNSValidator) { d.validator = v }
 // Providers exposes the local provider-record store.
 func (d *DHT) Providers() *record.ProviderStore { return d.providers }
 
-// Seed inserts a peer into the routing table and address book without
-// dialing; the testnet builder uses it to model a long-running network.
-func (d *DHT) Seed(info wire.PeerInfo) {
-	d.table.Add(info.ID)
+// Seed inserts a peer, whose DHT key the caller holds, into the routing
+// table and address book without dialing; the testnet builder uses it
+// to model a long-running network.
+func (d *DHT) Seed(info wire.PeerInfo, key kbucket.Key) {
+	d.table.Insert(info.ID, key)
 	d.sw.Book().Add(info.ID, info.Addrs)
 }
 
@@ -160,7 +161,7 @@ func (d *DHT) HandleMessage(ctx context.Context, from peer.ID, req wire.Message)
 	}
 	// Learn about the requester if it identified itself as a server.
 	if len(req.Peers) > 0 && req.Peers[0].ID == from {
-		d.table.Add(from)
+		d.table.Insert(from, kbucket.KeyForPeer(from))
 		d.sw.Book().Add(from, req.Peers[0].Addrs)
 	}
 
@@ -287,7 +288,7 @@ func (d *DHT) Bootstrap(ctx context.Context, bootstrap []wire.PeerInfo) error {
 		if _, _, err := d.sw.Connect(ctx, info.ID, info.Addrs); err != nil {
 			continue
 		}
-		d.table.Add(info.ID)
+		d.table.Insert(info.ID, kbucket.KeyForPeer(info.ID))
 		d.sw.Book().Add(info.ID, info.Addrs)
 	}
 	_, _, err := d.WalkClosest(ctx, kbucket.KeyForPeer(d.ident.ID), []byte(d.ident.ID))

@@ -56,7 +56,7 @@ func buildNet(src simtime.Source, n int, classFn func(i int) simnet.Class) *test
 	// a converged long-running network.
 	for _, d := range tn.nodes {
 		for _, info := range infos {
-			d.Seed(info)
+			d.Seed(info, kbucket.KeyForPeer(info.ID))
 		}
 	}
 	return tn

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/kbucket"
 	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/simtime"
@@ -25,7 +26,7 @@ func TestRefreshPopulatesSparseTable(t *testing.T) {
 		d := New(ident, sw, ModeServer, Config{})
 		ep.SetHandler(d.HandleMessage)
 		for _, b := range tn.nodes[:2] {
-			d.Seed(wire.PeerInfo{ID: b.ident.ID, Addrs: b.Swarm().Addrs()})
+			d.Seed(wire.PeerInfo{ID: b.ident.ID, Addrs: b.Swarm().Addrs()}, kbucket.KeyForPeer(b.ident.ID))
 		}
 		before := d.Table().Len()
 		after := d.Refresh(ctx, 4, 1)

@@ -187,7 +187,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 		} else {
 			c.state = stateDone
 			info.Queried++
-			d.table.Add(res.id)
+			d.table.Insert(res.id, kbucket.XOR(c.dist, target)) // dist = key XOR target
 			wsp.Hop(res.id, true, c.depth+1)
 			if c.depth+1 > info.Depth {
 				info.Depth = c.depth + 1

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -311,13 +312,16 @@ func ParseRequest(w http.ResponseWriter, r *http.Request, now time.Time) (Reques
 }
 
 // WriteResponse writes a fetch outcome: 404 for a failed one, otherwise
-// the object with the answering tier in X-Ipfs-Gateway-Tier.
+// the object with the answering tier in X-Ipfs-Gateway-Tier. The object
+// is whole in hand, so the response declares its length rather than
+// being sent chunked.
 func WriteResponse(w http.ResponseWriter, resp Response, data []byte) {
 	if resp.Err != nil {
 		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Header().Set("X-Ipfs-Gateway-Tier", resp.Tier.String())
 	w.Write(data)
 }

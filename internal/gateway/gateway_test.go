@@ -223,6 +223,42 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
+// TestServeHTTPDeclaresLength: an object over net/http's 2 KiB buffer
+// goes out with its Content-Length, not chunked, so the client sees EOF
+// with the last byte instead of waiting for a terminating chunk. A
+// failed fetch still answers a plain 404 without a tier header.
+func TestServeHTTPDeclaresLength(t *testing.T) {
+	g, _ := buildGateway(t, 1<<20)
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(64)).Read(data)
+	root, err := g.Pin(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/ipfs/" + root.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
+		t.Fatalf("status %d, %d bytes back of %d", resp.StatusCode, len(body), len(data))
+	}
+	if resp.ContentLength != 65536 || len(resp.TransferEncoding) != 0 {
+		t.Errorf("ContentLength = %d, TransferEncoding = %v; want 65536 and none", resp.ContentLength, resp.TransferEncoding)
+	}
+
+	rec := httptest.NewRecorder()
+	WriteResponse(rec, Response{Err: errors.New("no providers")}, nil)
+	if rec.Code != http.StatusNotFound || rec.Body.String() != "not found: no providers\n" ||
+		rec.Header().Get("X-Ipfs-Gateway-Tier") != "" || rec.Header().Get("Content-Type") != "text/plain; charset=utf-8" {
+		t.Errorf("404 path: status %d, body %q, headers %v", rec.Code, rec.Body.String(), rec.Header())
+	}
+}
+
 func TestServeHTTPWithPath(t *testing.T) {
 	g, tn := buildGateway(t, 1<<20)
 	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {

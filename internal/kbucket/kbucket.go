@@ -66,8 +66,8 @@ func CommonPrefixLen(a, b Key) int {
 	return NumBuckets
 }
 
-// Entry is one routing-table slot. Key is KeyForPeer(ID), computed once
-// when Add admits the peer and kept for as long as the entry lives
+// Entry is one routing-table slot. Key is KeyForPeer(ID), handed in when
+// Insert admits the peer and kept for as long as the entry lives
 // (including across the move-to-back refresh), so ranking the table
 // never hashes.
 type Entry struct {
@@ -77,11 +77,14 @@ type Entry struct {
 
 // Table is a thread-safe Kademlia routing table.
 type Table struct {
-	mu      sync.RWMutex
-	self    Key
-	selfID  peer.ID
-	k       int
-	buckets [NumBuckets][]Entry // index = common prefix length; LRU order, front = oldest
+	mu     sync.RWMutex
+	self   Key
+	selfID peer.ID
+	k      int
+	// buckets[i] holds the peers sharing i leading bits with self, in
+	// LRU order (front = oldest). The slice ends at the highest bucket in
+	// use: a table of n peers fills about log2(n) of the 256 possible.
+	buckets [][]Entry
 }
 
 // NewTable creates a routing table for the local peer. k <= 0 selects
@@ -104,39 +107,56 @@ func (t *Table) bucketIndex(key Key) int {
 	return cpl
 }
 
-// Add inserts a peer, returning true if it was added or refreshed.
-// Full buckets reject newcomers (plain Kademlia keeps long-lived peers,
-// which §5.3's churn analysis motivates). The local peer is never added.
-func (t *Table) Add(id peer.ID) bool {
+// bucket returns bucket i, empty when the table holds none that far;
+// t.mu must be held.
+func (t *Table) bucket(i int) []Entry {
+	if i < len(t.buckets) {
+		return t.buckets[i]
+	}
+	return nil
+}
+
+// Insert adds a peer whose key, KeyForPeer(id), the caller already
+// holds, returning true if it was added or refreshed. A peer already
+// present moves to the back of its bucket (most recently seen). Full
+// buckets reject newcomers (plain Kademlia keeps long-lived peers, which
+// §5.3's churn analysis motivates). The local peer is never added.
+func (t *Table) Insert(id peer.ID, key Key) bool {
 	if id == t.selfID {
 		return false
 	}
-	key := KeyForPeer(id)
+	idx := t.bucketIndex(key)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := t.bucketIndex(key)
-	bucket := t.buckets[idx]
+	bucket := t.bucket(idx)
 	for i, e := range bucket {
 		if e.ID == id {
-			// Move to back: most recently seen.
-			t.buckets[idx] = append(append(bucket[:i:i], bucket[i+1:]...), e)
+			copy(bucket[i:], bucket[i+1:])
+			bucket[len(bucket)-1] = e
 			return true
 		}
 	}
 	if len(bucket) >= t.k {
 		return false
 	}
+	for len(t.buckets) <= idx {
+		t.buckets = append(t.buckets, nil)
+	}
 	t.buckets[idx] = append(bucket, Entry{ID: id, Key: key})
 	return true
 }
 
+// Add is Insert with the key derived here. It remains only because the
+// frozen perfbench/ harness calls it, and goes when perfbench/ is next
+// edited; every other caller hands the key it holds to Insert.
+func (t *Table) Add(id peer.ID) bool { return t.Insert(id, KeyForPeer(id)) }
+
 // Remove deletes a peer (e.g. after a failed dial).
 func (t *Table) Remove(id peer.ID) {
-	key := KeyForPeer(id)
+	idx := t.bucketIndex(KeyForPeer(id))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx := t.bucketIndex(key)
-	bucket := t.buckets[idx]
+	bucket := t.bucket(idx)
 	for i, e := range bucket {
 		if e.ID == id {
 			t.buckets[idx] = append(bucket[:i:i], bucket[i+1:]...)
@@ -147,10 +167,10 @@ func (t *Table) Remove(id peer.ID) {
 
 // Contains reports whether id is in the table.
 func (t *Table) Contains(id peer.ID) bool {
-	key := KeyForPeer(id)
+	idx := t.bucketIndex(KeyForPeer(id))
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, e := range t.buckets[t.bucketIndex(key)] {
+	for _, e := range t.bucket(idx) {
 		if e.ID == id {
 			return true
 		}
@@ -167,8 +187,8 @@ func (t *Table) Len() int {
 
 func (t *Table) size() int {
 	n := 0
-	for i := range t.buckets {
-		n += len(t.buckets[i])
+	for _, b := range t.buckets {
+		n += len(b)
 	}
 	return n
 }
@@ -200,13 +220,13 @@ func (t *Table) NearestPeers(key Key, count int) []peer.ID {
 	}
 	best := make([]ranked, 0, count)
 	cpl := t.bucketIndex(key)
-	best = keepNearest(best, t.buckets[cpl], key)
+	best = keepNearest(best, t.bucket(cpl), key)
 	if len(best) < count {
-		for i := cpl + 1; i < NumBuckets; i++ {
+		for i := cpl + 1; i < len(t.buckets); i++ {
 			best = keepNearest(best, t.buckets[i], key)
 		}
 	}
-	for i := cpl - 1; i >= 0 && len(best) < count; i-- {
+	for i := min(cpl, len(t.buckets)) - 1; i >= 0 && len(best) < count; i-- {
 		best = keepNearest(best, t.buckets[i], key)
 	}
 	out := make([]peer.ID, len(best))
@@ -236,8 +256,9 @@ func keepNearest(best []ranked, bucket []Entry, key Key) []ranked {
 	return best
 }
 
-// AllPeers returns every peer in the table. The crawler uses this to
-// enumerate k-buckets (§4.1).
+// AllPeers returns every peer in the table, bucket by bucket and in each
+// bucket's LRU order. The crawler uses this to enumerate k-buckets
+// (§4.1).
 func (t *Table) AllPeers() []peer.ID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -10,6 +10,9 @@ import (
 	"repro/internal/peer"
 )
 
+// insert adds p under the key a caller would hand in.
+func insert(table *Table, p peer.ID) bool { return table.Insert(p, KeyForPeer(p)) }
+
 func newPeers(n int, seed int64) []peer.ID {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]peer.ID, n)
@@ -58,7 +61,7 @@ func TestAddAndContains(t *testing.T) {
 	peers := newPeers(10, 1)
 	table := NewTable(peers[0], 20)
 	for _, p := range peers[1:] {
-		if !table.Add(p) {
+		if !insert(table, p) {
 			t.Errorf("Add(%s) rejected", p.Short())
 		}
 	}
@@ -70,7 +73,7 @@ func TestAddAndContains(t *testing.T) {
 			t.Errorf("Contains(%s) = false", p.Short())
 		}
 	}
-	if table.Add(peers[0]) {
+	if insert(table, peers[0]) {
 		t.Error("table must not add the local peer")
 	}
 	if table.Contains(peers[0]) {
@@ -81,8 +84,8 @@ func TestAddAndContains(t *testing.T) {
 func TestAddIdempotent(t *testing.T) {
 	peers := newPeers(3, 2)
 	table := NewTable(peers[0], 20)
-	table.Add(peers[1])
-	table.Add(peers[1])
+	insert(table, peers[1])
+	insert(table, peers[1])
 	if table.Len() != 1 {
 		t.Errorf("duplicate Add should not grow the table: %d", table.Len())
 	}
@@ -93,7 +96,7 @@ func TestBucketCapacity(t *testing.T) {
 	peers := newPeers(200, 3)
 	table := NewTable(peers[0], 2)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	for cpl, size := range table.BucketSizes() {
 		if size > 2 {
@@ -106,7 +109,7 @@ func TestRemove(t *testing.T) {
 	peers := newPeers(5, 4)
 	table := NewTable(peers[0], 20)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	table.Remove(peers[2])
 	if table.Contains(peers[2]) {
@@ -122,7 +125,7 @@ func TestNearestPeersOrdering(t *testing.T) {
 	peers := newPeers(60, 5)
 	table := NewTable(peers[0], 20)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	target := KeyForBytes([]byte("some cid"))
 	nearest := table.NearestPeers(target, 10)
@@ -148,7 +151,7 @@ func TestNearestPeersFewerThanCount(t *testing.T) {
 	peers := newPeers(4, 6)
 	table := NewTable(peers[0], 20)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	if got := table.NearestPeers(KeyForPeer(peers[1]), 50); len(got) != 3 {
 		t.Errorf("NearestPeers = %d peers, want 3", len(got))
@@ -176,7 +179,7 @@ func TestQuickNearestIsGlobalMinimum(t *testing.T) {
 	peers := newPeers(40, 8)
 	table := NewTable(peers[0], 20)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	f := func(seed [8]byte) bool {
 		target := KeyForBytes(seed[:])
@@ -241,7 +244,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 		peers := newPeers(n+1, int64(n))
 		table := NewTable(peers[0], DefaultK)
 		for _, p := range peers[1:] {
-			table.Add(p)
+			insert(table, p)
 			checkStoredKeys(t, table)
 		}
 		for i := 0; i < n/2; i++ {
@@ -249,7 +252,7 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				table.Remove(p)
 			} else {
-				table.Add(p) // a refresh when present, a re-add when removed
+				insert(table, p) // a refresh when present, a re-add when removed
 			}
 			checkStoredKeys(t, table)
 		}
@@ -280,13 +283,43 @@ func TestNearestPeersMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestInsertKeepsTheDiet: re-inserting a peer already present — what
+// every answered walk query and every identified inbound RPC does —
+// rotates its bucket in place and allocates nothing, and the bucket
+// list ends at the highest bucket in use.
+func TestInsertKeepsTheDiet(t *testing.T) {
+	peers := newPeers(301, 11)
+	table := NewTable(peers[0], DefaultK)
+	for _, p := range peers[1:] {
+		insert(table, p)
+	}
+	present := table.AllPeers()[0]
+	key := KeyForPeer(present)
+	if allocs := testing.AllocsPerRun(1000, func() { table.Insert(present, key) }); allocs != 0 {
+		t.Errorf("Insert of a present peer allocates %.0f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { table.Add(present) }); allocs != 0 {
+		t.Errorf("Add of a present peer allocates %.0f times", allocs)
+	}
+	checkStoredKeys(t, table)
+	highest := -1
+	for i, b := range table.buckets {
+		if len(b) > 0 {
+			highest = i
+		}
+	}
+	if len(table.buckets) != highest+1 {
+		t.Errorf("%d buckets held, the highest in use is %d", len(table.buckets), highest)
+	}
+}
+
 // TestNearestPeersAllocs bounds what a lookup hop allocates on the
 // responder: the selection scratch and the result, whatever the table size.
 func TestNearestPeersAllocs(t *testing.T) {
 	peers := newPeers(501, 10)
 	table := NewTable(peers[0], DefaultK)
 	for _, p := range peers[1:] {
-		table.Add(p)
+		insert(table, p)
 	}
 	target := KeyForBytes([]byte("some cid"))
 	if allocs := testing.AllocsPerRun(100, func() { table.NearestPeers(target, DefaultK) }); allocs > 4 {

@@ -8,12 +8,8 @@ import (
 
 // order lists the cached keys, most recently used first.
 func order[V any](c *Cache[V]) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var keys []string
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry[V]).key)
-	}
+	c.Each(func(key string, _ V) { keys = append(keys, key) })
 	return keys
 }
 
@@ -203,48 +199,117 @@ func (m *model) del(key string) {
 // TestRandomOpsMatchModel drives seeded random operations through the
 // cache and the slice model side by side: after every step both hold
 // the same keys in the same recency order (so every eviction picked the
-// same victims in the same order), and Used never exceeds the cap.
+// same victims in the same order), and Used never exceeds the cap. The
+// delete-heavy mixes free slots faster than puts fill them, so most
+// puts land in a reused slot: the slot slice must never grow past the
+// most entries the cache has held at once, and a Get must return the
+// value its key was last stored with, not a former tenant's.
 func TestRandomOpsMatchModel(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const capBytes = 1000
-		c := New[int](capBytes)
-		m := &model{cap: capBytes}
-		for step := 0; step < 5000; step++ {
-			key := fmt.Sprintf("k%d", rng.Intn(40))
-			switch r := rng.Intn(10); {
-			case r < 5:
-				size := int64(rng.Intn(400))
-				if rng.Intn(50) == 0 {
-					size = capBytes + 1 + int64(rng.Intn(100))
-				}
-				c.Put(key, step, size)
-				m.put(key, size)
-			case r < 8:
-				_, got := c.Get(key)
-				if want := m.get(key); got != want {
-					t.Fatalf("seed %d step %d: Get(%s) present = %v, model says %v", seed, step, key, got, want)
-				}
-			case r < 9:
-				if got, want := c.Has(key), m.find(key) >= 0; got != want {
-					t.Fatalf("seed %d step %d: Has(%s) = %v, model says %v", seed, step, key, got, want)
-				}
-			default:
-				c.Delete(key)
-				m.del(key)
+	mixes := []struct {
+		name          string
+		put, get, has int // out of 10; the rest deletes
+	}{
+		{"put-heavy", 5, 3, 1},
+		{"delete-heavy", 4, 1, 1},
+		{"churn", 3, 1, 0},
+	}
+	for _, mix := range mixes {
+		for seed := int64(1); seed <= 5; seed++ {
+			randomOpsMatchModel(t, mix.name, seed, mix.put, mix.put+mix.get, mix.put+mix.get+mix.has)
+		}
+	}
+	// Clear empties the cache and its slots; it works afterwards, and
+	// refilling it reuses the pages it kept.
+	c := New[int](10)
+	c.Put("a", 1, 4)
+	c.Put("b", 2, 4)
+	c.Clear()
+	if c.Len() != 0 || c.Used() != 0 || c.slots != 0 || len(order(c)) != 0 {
+		t.Fatalf("after Clear: Len %d, Used %d, %d slots, order %v", c.Len(), c.Used(), c.slots, order(c))
+	}
+	c.Put("c", 3, 4)
+	if v, ok := c.Get("c"); !ok || v != 3 || c.Has("a") {
+		t.Fatalf("after Clear and Put: Get(c) = %d, %v; Has(a) = %v", v, ok, c.Has("a"))
+	}
+	big := New[int](2 * pageLen)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2*pageLen; i++ {
+			big.Put(fmt.Sprint(i), i, 1)
+		}
+		big.Clear()
+	}
+	if len(big.pages) != 2 {
+		t.Fatalf("three fills of %d entries, each followed by Clear, left %d pages, want 2", 2*pageLen, len(big.pages))
+	}
+}
+
+func randomOpsMatchModel(t *testing.T, mix string, seed int64, putBelow, getBelow, hasBelow int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	const capBytes = 1000
+	c := New[int](capBytes)
+	m := &model{cap: capBytes}
+	stored := map[string]int{} // the value each key was last stored with
+	highWater := 0
+	for step := 0; step < 5000; step++ {
+		key := fmt.Sprintf("k%d", rng.Intn(40))
+		switch r := rng.Intn(10); {
+		case r < putBelow:
+			size := int64(rng.Intn(400))
+			if rng.Intn(50) == 0 {
+				size = capBytes + 1 + int64(rng.Intn(100))
 			}
-			if c.Used() > capBytes || c.Used() != m.used() {
-				t.Fatalf("seed %d step %d: Used = %d, model %d, cap %d", seed, step, c.Used(), m.used(), capBytes)
+			if !c.Has(key) && size <= capBytes {
+				stored[key] = step
 			}
-			got := order(c)
-			if len(got) != len(m.items) || c.Len() != len(m.items) {
-				t.Fatalf("seed %d step %d: %d keys (Len %d), model has %d", seed, step, len(got), c.Len(), len(m.items))
+			c.Put(key, step, size)
+			m.put(key, size)
+		case r < getBelow:
+			v, got := c.Get(key)
+			if want := m.get(key); got != want {
+				t.Fatalf("%s seed %d step %d: Get(%s) present = %v, model says %v", mix, seed, step, key, got, want)
 			}
-			for i, k := range got {
-				if k != m.items[i].key {
-					t.Fatalf("seed %d step %d: recency order %v diverges from the model at %d (%s)", seed, step, got, i, m.items[i].key)
-				}
+			if got && v != stored[key] {
+				t.Fatalf("%s seed %d step %d: Get(%s) = %d, it was stored with %d", mix, seed, step, key, v, stored[key])
+			}
+		case r < hasBelow:
+			if got, want := c.Has(key), m.find(key) >= 0; got != want {
+				t.Fatalf("%s seed %d step %d: Has(%s) = %v, model says %v", mix, seed, step, key, got, want)
+			}
+		default:
+			c.Delete(key)
+			m.del(key)
+		}
+		if c.Used() > capBytes || c.Used() != m.used() {
+			t.Fatalf("%s seed %d step %d: Used = %d, model %d, cap %d", mix, seed, step, c.Used(), m.used(), capBytes)
+		}
+		got := order(c)
+		if len(got) != len(m.items) || c.Len() != len(m.items) {
+			t.Fatalf("%s seed %d step %d: %d keys (Len %d), model has %d", mix, seed, step, len(got), c.Len(), len(m.items))
+		}
+		for i, k := range got {
+			if k != m.items[i].key {
+				t.Fatalf("%s seed %d step %d: recency order %v diverges from the model at %d (%s)", mix, seed, step, got, i, m.items[i].key)
 			}
 		}
+		highWater = max(highWater, len(got))
+		if int(c.slots) > highWater || len(c.pages) > (highWater+pageLen-1)/pageLen {
+			t.Fatalf("%s seed %d step %d: %d slots in %d pages, but at most %d entries were ever held at once", mix, seed, step, c.slots, len(c.pages), highWater)
+		}
+	}
+}
+
+// TestRepeatedPutAndGetAllocateNothing: once an entry sits in its slot,
+// refreshing it — by Get or by a Put of the same key — allocates
+// nothing, and neither does a Put into a slot a Delete freed.
+func TestRepeatedPutAndGetAllocateNothing(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1, 1)
+	c.Put("b", 2, 1)
+	if allocs := testing.AllocsPerRun(1000, func() { c.Get("a"); c.Put("b", 3, 1) }); allocs != 0 {
+		t.Errorf("Get and refreshing Put allocate %.0f times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.Delete("a"); c.Put("a", 1, 1) }); allocs != 0 {
+		t.Errorf("Delete and Put into the freed slot allocate %.0f times", allocs)
 	}
 }

@@ -36,20 +36,34 @@ var (
 // randomness source. Passing a seeded *rand.Rand makes network
 // populations reproducible; pass nil for crypto-quality randomness.
 func NewIdentity(rng *rand.Rand) (Identity, error) {
-	var (
-		pub  ed25519.PublicKey
-		priv ed25519.PrivateKey
-		err  error
-	)
 	if rng == nil {
-		pub, priv, err = ed25519.GenerateKey(nil)
-	} else {
-		pub, priv, err = ed25519.GenerateKey(rngReader{rng})
+		pub, priv, err := ed25519.GenerateKey(nil)
+		if err != nil {
+			return Identity{}, fmt.Errorf("peer: generating key: %w", err)
+		}
+		return Identity{ID: IDFromPublicKey(pub), Public: pub, private: priv}, nil
 	}
-	if err != nil {
-		return Identity{}, fmt.Errorf("peer: generating key: %w", err)
-	}
-	return Identity{ID: IDFromPublicKey(pub), Public: pub, private: priv}, nil
+	return IdentityFromSeed(DrawSeed(rng)), nil
+}
+
+// Seed is an identity's ed25519 private-key seed (RFC 8032).
+type Seed [ed25519.SeedSize]byte
+
+// DrawSeed draws an identity seed from rng, consuming exactly the draws
+// NewIdentity(rng) consumes. A builder that derives many identities
+// draws their seeds in order first and derives them later, on any
+// goroutine, with IdentityFromSeed.
+func DrawSeed(rng *rand.Rand) Seed {
+	var seed Seed
+	rngReader{rng}.Read(seed[:])
+	return seed
+}
+
+// IdentityFromSeed derives the identity a seed determines.
+func IdentityFromSeed(seed Seed) Identity {
+	priv := ed25519.NewKeyFromSeed(seed[:])
+	pub := priv.Public().(ed25519.PublicKey)
+	return Identity{ID: IDFromPublicKey(pub), Public: pub, private: priv}
 }
 
 // MustNewIdentity is NewIdentity for tests; it panics on error.

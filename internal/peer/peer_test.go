@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"crypto/ed25519"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,27 @@ func TestIdentityDeterministicWithSeed(t *testing.T) {
 	c := MustNewIdentity(rand.New(rand.NewSource(8)))
 	if a.ID == c.ID {
 		t.Error("different seeds should yield different identities")
+	}
+}
+
+// TestSeedSplitMatchesGenerateKey: drawing a seed and deriving from it
+// later gives the key pair ed25519.GenerateKey makes from the same rng,
+// and leaves the rng where GenerateKey leaves it — so a builder may draw
+// every seed first and derive the identities anywhere afterwards.
+func TestSeedSplitMatchesGenerateKey(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		viaKey, viaSeed := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		pub, priv, err := ed25519.GenerateKey(rngReader{viaKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := IdentityFromSeed(DrawSeed(viaSeed))
+		if !pub.Equal(id.Public) || !priv.Equal(id.private) || id.ID != IDFromPublicKey(pub) {
+			t.Fatalf("seed %d: IdentityFromSeed(DrawSeed) differs from GenerateKey", seed)
+		}
+		if a, b := viaKey.Int63(), viaSeed.Int63(); a != b {
+			t.Fatalf("seed %d: DrawSeed left the rng at %d, GenerateKey at %d", seed, b, a)
+		}
 	}
 }
 

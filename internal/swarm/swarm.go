@@ -6,12 +6,12 @@
 package swarm
 
 import (
-	"container/list"
 	"context"
 	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/multiaddr"
 	"repro/internal/peer"
 	"repro/internal/simtime"
@@ -23,20 +23,14 @@ import (
 // node maintains an address book of up to 900 recently seen peers".
 const AddressBookCapacity = 900
 
-// AddressBook is an LRU-bounded map from PeerID to known addresses. A
-// stored address list is immutable: Add replaces it with a fresh copy
-// when the addresses change and never writes into it, so Get hands the
-// stored slice out as it is. Callers must not modify what Get returns.
+// AddressBook is an LRU-bounded map from PeerID to known addresses: an
+// lru.Cache of address lists, each counted as one entry. A stored
+// address list is the book's own copy and immutable: Add replaces it
+// with a fresh copy when the addresses change and never writes into it,
+// so Get hands the stored slice out as it is. Callers must not modify
+// what Get returns.
 type AddressBook struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently seen
-	entries map[peer.ID]*bookEntry
-}
-
-type bookEntry struct {
-	addrs []multiaddr.Multiaddr
-	elem  *list.Element
+	peers *lru.Cache[[]multiaddr.Multiaddr]
 }
 
 // NewAddressBook creates a book bounded to capacity (<=0 selects 900).
@@ -44,36 +38,24 @@ func NewAddressBook(capacity int) *AddressBook {
 	if capacity <= 0 {
 		capacity = AddressBookCapacity
 	}
-	return &AddressBook{cap: capacity, order: list.New(), entries: make(map[peer.ID]*bookEntry)}
+	return &AddressBook{peers: lru.New[[]multiaddr.Multiaddr](int64(capacity))}
 }
 
 // Add records addresses for a peer, refreshing recency and evicting the
 // least recently seen peer when full. Offering the addresses the book
 // already holds — what every identified inbound RPC does — only
-// refreshes recency.
+// refreshes recency; changed addresses replace the stored list.
 func (b *AddressBook) Add(id peer.ID, addrs []multiaddr.Multiaddr) {
 	if len(addrs) == 0 {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if e, ok := b.entries[id]; ok {
-		if !slices.Equal(e.addrs, addrs) {
-			e.addrs = slices.Clone(addrs)
+	if held, ok := b.peers.Get(string(id)); ok {
+		if slices.Equal(held, addrs) {
+			return
 		}
-		b.order.MoveToFront(e.elem)
-		return
+		b.peers.Delete(string(id))
 	}
-	for len(b.entries) >= b.cap {
-		oldest := b.order.Back()
-		if oldest == nil {
-			break
-		}
-		delete(b.entries, oldest.Value.(peer.ID))
-		b.order.Remove(oldest)
-	}
-	elem := b.order.PushFront(id)
-	b.entries[id] = &bookEntry{addrs: slices.Clone(addrs), elem: elem}
+	b.peers.Put(string(id), slices.Clone(addrs), 1)
 }
 
 // Get returns known addresses for id, refreshing recency. The §3.2
@@ -81,31 +63,21 @@ func (b *AddressBook) Add(id peer.ID, addrs []multiaddr.Multiaddr) {
 // the PeerID they have discovered before performing any further
 // lookups".
 func (b *AddressBook) Get(id peer.ID) ([]multiaddr.Multiaddr, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[id]
-	if !ok {
-		return nil, false
-	}
-	b.order.MoveToFront(e.elem)
-	return e.addrs, true
+	return b.peers.Get(string(id))
+}
+
+// Each calls fn for every peer in the book, most recently seen first,
+// without refreshing recency; fn must not call back into the book.
+func (b *AddressBook) Each(fn func(id peer.ID, addrs []multiaddr.Multiaddr)) {
+	b.peers.Each(func(key string, addrs []multiaddr.Multiaddr) { fn(peer.ID(key), addrs) })
 }
 
 // Clear empties the book. The §4.3 experiments flush it between
 // retrievals so every retrieval pays the full discovery cost.
-func (b *AddressBook) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.order.Init()
-	b.entries = make(map[peer.ID]*bookEntry)
-}
+func (b *AddressBook) Clear() { b.peers.Clear() }
 
 // Len returns the number of peers in the book.
-func (b *AddressBook) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.entries)
-}
+func (b *AddressBook) Len() int { return b.peers.Len() }
 
 // Swarm multiplexes connections over a transport endpoint.
 type Swarm struct {

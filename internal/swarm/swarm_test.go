@@ -100,6 +100,23 @@ func TestAddressBookRepeatedAddAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAddressBookKeepsItsOwnCopy: whether Add admits a peer or replaces
+// its changed addresses, what Get answers afterwards does not follow
+// later writes into the slice the caller handed in.
+func TestAddressBookKeepsItsOwnCopy(t *testing.T) {
+	b := NewAddressBook(0)
+	id := testIdentity(11).ID
+	first, second := multiaddr.MustParse("/ip4/1.2.3.4/tcp/4001"), multiaddr.MustParse("/ip4/5.6.7.8/tcp/4001")
+	for _, want := range []multiaddr.Multiaddr{first, second} {
+		offered := []multiaddr.Multiaddr{want}
+		b.Add(id, offered)
+		offered[0] = multiaddr.MustParse("/ip4/6.6.6.6/tcp/1")
+		if got, ok := b.Get(id); !ok || len(got) != 1 || !got[0].Equal(want) {
+			t.Fatalf("after the caller rewrote its slice, Get = %v, %v; want [%v]", got, ok, want)
+		}
+	}
+}
+
 func TestAddressBookDefaultCapacity(t *testing.T) {
 	b := NewAddressBook(0)
 	for i := 0; i < 1000; i++ {

@@ -7,7 +7,9 @@ package testnet
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -109,10 +111,19 @@ type Testnet struct {
 	Nodes   []*core.Node       // all server peers, index-aligned with Classes
 	Classes []simnet.Class     // behaviour class per node
 	Pop     *geo.Population
+
+	keys []kbucket.Key // DHT key per node, index-aligned with Nodes
 }
 
 // Build constructs the network on a fresh scheduler whose clock starts
 // at DefaultEpoch.
+//
+// The network is a function of cfg alone, on any GOMAXPROCS: every
+// random draw is made first, on the calling goroutine and in a fixed
+// order (per node an identity seed and a class draw, then every node's
+// random links). Only then do workers derive the identities and seed
+// the routing tables, each writing by index and touching nothing but
+// its own node's table and address book.
 func Build(cfg Config) *Testnet {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -123,27 +134,42 @@ func Build(cfg Config) *Testnet {
 	popCfg.Seed = cfg.Seed + 2
 	pop := geo.GeneratePopulation(popCfg)
 
-	tn := &Testnet{Cfg: cfg, Net: net, Sched: sched, Pop: pop}
+	n := cfg.N
+	tn := &Testnet{Cfg: cfg, Net: net, Sched: sched, Pop: pop,
+		Nodes: make([]*core.Node, n), Classes: make([]simnet.Class, n), keys: make([]kbucket.Key, n)}
 
-	infos := make([]wire.PeerInfo, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		ident := peer.MustNewIdentity(rng)
-		class := simnet.Normal
+	seeds := make([]peer.Seed, n)
+	for i := range seeds {
+		seeds[i] = peer.DrawSeed(rng)
 		switch x := rng.Float64(); {
 		case x < cfg.FracDead:
-			class = simnet.DeadDial
+			tn.Classes[i] = simnet.DeadDial
 		case x < cfg.FracDead+cfg.FracSlow:
-			class = simnet.Slow
+			tn.Classes[i] = simnet.Slow
 		case x < cfg.FracDead+cfg.FracSlow+cfg.FracWSBroken:
-			class = simnet.WSBroken
+			tn.Classes[i] = simnet.WSBroken
 		}
+	}
+	links := make([]int, n*cfg.RandomLinks)
+	for i := range links {
+		links[i] = rng.Intn(n)
+	}
+
+	idents := make([]peer.Identity, n)
+	forEachNode(n, func(i int) {
+		idents[i] = peer.IdentityFromSeed(seeds[i])
+		tn.keys[i] = kbucket.KeyForPeer(idents[i].ID)
+	})
+
+	infos := make([]wire.PeerInfo, n)
+	for i, ident := range idents {
 		// By default every server is dialable and reachability is
 		// expressed through the behaviour class; ReachabilityMix instead
 		// honours the population's sampled NAT status (Fig 7's mix).
 		ep := net.AddNode(ident.ID, simnet.NodeOpts{
 			Region:   pop.Peers[i].Country,
 			Dialable: !cfg.ReachabilityMix || pop.Peers[i].Dialable,
-			Class:    class,
+			Class:    tn.Classes[i],
 		})
 		node := core.New(ident, ep, core.Config{
 			Mode:              dht.ModeServer,
@@ -159,12 +185,11 @@ func Build(cfg Config) *Testnet {
 			IndexerSet:        cfg.IndexerSet,
 			Time:              sched,
 		})
-		tn.Nodes = append(tn.Nodes, node)
-		tn.Classes = append(tn.Classes, class)
+		tn.Nodes[i] = node
 		infos[i] = node.Info()
 	}
 
-	tn.seedTables(rng, infos)
+	tn.seedTables(infos, links)
 	return tn
 }
 
@@ -173,36 +198,51 @@ func Build(cfg Config) *Testnet {
 // long-range contacts (so lookups make exponential progress), the shape
 // a converged Kademlia network has. Dead peers are seeded like everyone
 // else: they are exactly the stale entries real tables accumulate.
-func (tn *Testnet) seedTables(rng *rand.Rand, infos []wire.PeerInfo) {
+// links holds node i's random contacts at [i*RandomLinks, (i+1)*RandomLinks).
+func (tn *Testnet) seedTables(infos []wire.PeerInfo, links []int) {
 	n := len(tn.Nodes)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	keys := make([]kbucket.Key, n)
-	for i, node := range tn.Nodes {
-		keys[i] = kbucket.KeyForPeer(node.ID())
-	}
 	sort.Slice(order, func(a, b int) bool {
-		return kbucket.Less(keys[order[a]], keys[order[b]])
+		return kbucket.Less(tn.keys[order[a]], tn.keys[order[b]])
 	})
 	pos := make([]int, n) // node index -> position in sorted order
 	for p, idx := range order {
 		pos[idx] = p
 	}
 
-	for i, node := range tn.Nodes {
+	forEachNode(n, func(i int) {
+		seed := func(j int) { tn.Nodes[i].DHT().Seed(infos[j], tn.keys[j]) }
 		p := pos[i]
 		for d := 1; d <= tn.Cfg.NeighborLinks; d++ {
-			succ := order[(p+d)%n]
-			pred := order[(p-d%n+n)%n]
-			node.DHT().Seed(infos[succ])
-			node.DHT().Seed(infos[pred])
+			seed(order[(p+d)%n])
+			seed(order[(p-d%n+n)%n])
 		}
-		for r := 0; r < tn.Cfg.RandomLinks; r++ {
-			node.DHT().Seed(infos[rng.Intn(n)])
+		for _, j := range links[i*tn.Cfg.RandomLinks : (i+1)*tn.Cfg.RandomLinks] {
+			seed(j)
 		}
+	})
+}
+
+// forEachNode calls fn(i) for every node index i in [0, n), over
+// runtime.GOMAXPROCS(0) workers that each take one contiguous run of
+// indices. fn(i) must write only node i's state (or slot i of a slice),
+// so the result is the same however the indices are split.
+func forEachNode(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}(w*n/workers, (w+1)*n/workers)
 	}
+	wg.Wait()
 }
 
 // LiveNodes returns the nodes whose class responds normally.
@@ -279,7 +319,8 @@ func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, 
 	})
 	// Seed with keyspace-spread contacts like a bootstrapped node.
 	for r := 0; r < tn.Cfg.NeighborLinks+tn.Cfg.RandomLinks; r++ {
-		node.DHT().Seed(tn.Nodes[rng.Intn(len(tn.Nodes))].Info())
+		j := rng.Intn(len(tn.Nodes))
+		node.DHT().Seed(tn.Nodes[j].Info(), tn.keys[j])
 	}
 	return node
 }

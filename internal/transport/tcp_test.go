@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/kbucket"
 	"repro/internal/multiaddr"
 	"repro/internal/peer"
 	"repro/internal/transport"
@@ -170,7 +171,7 @@ func TestTCPFullNodeNetwork(t *testing.T) {
 	}
 	// Let node 0 learn the others too.
 	for i := 1; i < n; i++ {
-		nodes[0].DHT().Seed(nodes[i].Info())
+		nodes[0].DHT().Seed(nodes[i].Info(), kbucket.KeyForPeer(nodes[i].ID()))
 	}
 
 	data := bytes.Repeat([]byte("tcp network content "), 2000)
