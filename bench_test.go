@@ -957,6 +957,85 @@ func BenchmarkTraceRPCEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceRetrieve is what recording one retrieve-shaped trace
+// costs a node whose ring is full: a root and five phase spans
+// (discover, bitswap-ask, want-wave, first-provider, fetch), 14
+// attributes, 20 RPC events and one HAVE. Before timing, 16 recorders
+// fill their rings (the 2 048 traces a 16-node tcp_pubret keeps), and
+// what a retained trace costs the collector is reported as heap
+// objects per trace after a collection.
+func BenchmarkTraceRetrieve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var ids [4]peer.ID
+	for i := range ids {
+		ids[i] = peer.MustNewIdentity(rng).ID
+	}
+	root, err := cid.New(cid.V1, multicodec.Raw, multihash.FromDigest(multicodec.SHA2_256, make([]byte, 32)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cidStr, provider := root.String(), ids[0].String()
+	record := func(rec *telemetry.Recorder) {
+		ctx, tr := rec.StartTrace(context.Background(), "retrieve", telemetry.A("cid", cidStr), telemetry.A("router", "dht"))
+		dctx, discover := telemetry.StartSpan(ctx, "discover")
+		actx, ask := telemetry.StartSpan(dctx, "bitswap-ask")
+		wctx, wave := telemetry.StartSpan(actx, "want-wave", telemetry.A("targets", "3"), telemetry.A("broadcast", "false"))
+		for _, p := range ids[1:] {
+			telemetry.RPC(wctx, "WANT_HAVE", "want", p, time.Millisecond, "")
+		}
+		wave.Have(ids[1], true)
+		wave.End()
+		ask.Annotate("routed", "true")
+		ask.Annotate("consult-miss", "false")
+		ask.End()
+		for i := 0; i < 8; i++ {
+			telemetry.RPC(dctx, "GET_PROVIDERS", "lookup", ids[i%len(ids)], time.Millisecond, "")
+		}
+		discover.Annotate("routed", "true")
+		discover.Annotate("bitswap-hit", "true")
+		discover.End()
+		fpctx, fp := telemetry.StartSpan(ctx, "first-provider")
+		fp.Annotate("provider", provider)
+		telemetry.RPC(fpctx, "FIND_NODE", "lookup", ids[0], time.Millisecond, "")
+		fp.Annotate("book", "false")
+		fp.End()
+		fctx, fetch := telemetry.StartSpan(ctx, "fetch")
+		for i := 0; i < 8; i++ {
+			telemetry.RPC(fctx, "WANT_BLOCK", "want", ids[1], time.Millisecond, "")
+		}
+		fetch.Annotate("blocks", "5")
+		fetch.Annotate("failovers", "0")
+		fetch.End()
+		tr.Annotate("ok", "true")
+		tr.Annotate("bytes", "1048576")
+		tr.End()
+	}
+	const nodes, ring = 16, 128
+	recs := make([]*telemetry.Recorder, nodes)
+	for i := range recs {
+		recs[i] = telemetry.NewRecorder(nil)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, rec := range recs {
+		for j := 0; j < ring; j++ {
+			record(rec)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / (nodes * ring)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		record(recs[i%nodes])
+	}
+	b.StopTimer()
+	b.ReportMetric(objects, "live-objects/trace")
+	runtime.KeepAlive(recs)
+}
+
 // benchSink keeps the compiler from dropping a measured call.
 var benchSink []peer.ID
 

@@ -35,6 +35,10 @@ import (
 	"repro/ipfs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request line and headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		httpAddr  = flag.String("http", "127.0.0.1:8080", "HTTP listen address")
@@ -150,7 +154,7 @@ func main() {
 	})
 	mux.Handle("/debug/", telemetry.Handler(node.Telemetry()))
 
-	srv := &http.Server{Addr: *httpAddr, Handler: mux}
+	srv := &http.Server{Addr: *httpAddr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -33,6 +33,10 @@ import (
 	"repro/ipfs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request line and headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
@@ -100,7 +104,7 @@ func main() {
 				io.WriteString(w, "ok\n")
 			})
 			mux.Handle("/debug/", telemetry.Handler(node.Telemetry()))
-			srv = &http.Server{Addr: *debugHTTP, Handler: mux}
+			srv = &http.Server{Addr: *debugHTTP, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 			go func() {
 				if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 					fmt.Fprintf(os.Stderr, "debug http: %v\n", err)

@@ -38,6 +38,15 @@ type Cid struct {
 	str string
 }
 
+// MaxBytes bounds a binary CID (a sha2-512 CIDv1 is 68 bytes), and
+// MaxTextLen its text in every base: base16, the least dense, spends two
+// characters per byte after its prefix. Parse refuses longer text before
+// decoding any of it, since base58 decoding is quadratic in the input.
+const (
+	MaxBytes   = 128
+	MaxTextLen = 2*MaxBytes + 1
+)
+
 // Errors returned by this package.
 var (
 	ErrInvalid      = errors.New("cid: invalid")
@@ -148,6 +157,9 @@ func (c Cid) Verify(data []byte) bool {
 // Parse decodes a CID from its text form. "Qm..." strings parse as v0;
 // anything else must be a valid multibase-wrapped v1.
 func Parse(s string) (Cid, error) {
+	if len(s) > MaxTextLen {
+		return Cid{}, fmt.Errorf("%w: %d characters, longer than %d", ErrInvalid, len(s), MaxTextLen)
+	}
 	if len(s) == 46 && strings.HasPrefix(s, "Qm") {
 		_, raw, err := multibase.Decode("z" + s)
 		if err != nil {
@@ -163,8 +175,11 @@ func Parse(s string) (Cid, error) {
 }
 
 // FromBytes decodes a binary CIDv1 (or a bare multihash, which is
-// interpreted as v0).
+// interpreted as v0) of at most MaxBytes.
 func FromBytes(raw []byte) (Cid, error) {
+	if len(raw) > MaxBytes {
+		return Cid{}, fmt.Errorf("%w: %d bytes, longer than %d", ErrInvalid, len(raw), MaxBytes)
+	}
 	if len(raw) == 34 && raw[0] == 0x12 && raw[1] == 0x20 {
 		return FromBytesV0(raw)
 	}

@@ -2,6 +2,7 @@ package cid
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,4 +182,62 @@ func TestSortKeyDistinct(t *testing.T) {
 	if Less(a, b) == Less(b, a) {
 		t.Error("Less must totally order distinct CIDs")
 	}
+}
+
+// TestParseRefusesOverlongText: text past MaxTextLen is refused before
+// any of it is decoded, while the longest real CID, a sha2-512 CIDv1 in
+// base16, still parses.
+func TestParseRefusesOverlongText(t *testing.T) {
+	if _, err := Parse("z" + strings.Repeat("2", MaxTextLen)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("Parse of %d characters = %v, want ErrInvalid", MaxTextLen+1, err)
+	}
+	mh, err := multihash.Sum(multicodec.SHA2_512, []byte("long digest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(V1, multicodec.Raw, mh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Encode(multibase.Base16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := Parse(s); err != nil || !back.Equal(c) {
+		t.Errorf("Parse of a base16 sha2-512 CIDv1 (%d characters) = %v, %v", len(s), back, err)
+	}
+	if _, err := FromBytes(make([]byte, MaxBytes+1)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("FromBytes of %d bytes = %v, want ErrInvalid", MaxBytes+1, err)
+	}
+}
+
+// FuzzCidParse: Parse never panics, and whatever it accepts comes back
+// equal through its text form and through its binary form.
+func FuzzCidParse(f *testing.F) {
+	data := []byte("fuzz seed")
+	mh512, _ := multihash.Sum(multicodec.SHA2_512, data)
+	v1512, _ := New(V1, multicodec.Raw, mh512)
+	for _, c := range []Cid{Sum(multicodec.Raw, data), Sum(multicodec.DagPB, data), SumV0(data), v1512} {
+		f.Add(c.String())
+		for _, e := range []multibase.Encoding{multibase.Base16, multibase.Base32Up, multibase.Base58BTC, multibase.Base64, multibase.Base64URL} {
+			if s, err := c.Encode(e); err == nil {
+				f.Add(s)
+			}
+		}
+	}
+	for _, s := range []string{"", "b", "zzz", "Qm000000000000000000000000000000000000000000", "b?not-base32"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if back, err := Parse(c.String()); err != nil || !back.Equal(c) {
+			t.Fatalf("Parse(%q) = %x, but Parse of its String %q = %x, %v", s, c.Bytes(), c.String(), back.Bytes(), err)
+		}
+		if back, err := FromBytes(c.Bytes()); err != nil || !back.Equal(c) {
+			t.Fatalf("Parse(%q) = %x, but FromBytes of its Bytes = %x, %v", s, c.Bytes(), back.Bytes(), err)
+		}
+	})
 }

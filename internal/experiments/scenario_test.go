@@ -328,7 +328,7 @@ func TestRetrieveTraceGolden(t *testing.T) {
 			continue
 		}
 		router := ""
-		for _, a := range cand.Root().Attrs {
+		for _, a := range cand.Root().Attrs() {
 			if a.Key == "router" {
 				router = a.Value
 			}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -256,6 +257,18 @@ func TestServeHTTPDeclaresLength(t *testing.T) {
 	if rec.Code != http.StatusNotFound || rec.Body.String() != "not found: no providers\n" ||
 		rec.Header().Get("X-Ipfs-Gateway-Tier") != "" || rec.Header().Get("Content-Type") != "text/plain; charset=utf-8" {
 		t.Errorf("404 path: status %d, body %q, headers %v", rec.Code, rec.Body.String(), rec.Header())
+	}
+}
+
+// TestServeHTTPRefusesOverlongCID: a request line near net/http's
+// 1 MiB header limit is answered 400 from its length alone; decoding
+// it as base58 would cost on the order of a CPU-minute.
+func TestServeHTTPRefusesOverlongCID(t *testing.T) {
+	g, _ := buildGateway(t, 1<<20)
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest("GET", "/ipfs/z"+strings.Repeat("2", 1<<20), nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", rec.Code)
 	}
 }
 

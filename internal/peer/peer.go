@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cid"
 	"repro/internal/multibase"
 	"repro/internal/multicodec"
 	"repro/internal/multihash"
@@ -127,8 +128,12 @@ func (id ID) Short() string {
 	return s
 }
 
-// ParseID decodes the base58btc text form of a PeerID.
+// ParseID decodes the base58btc text form of a PeerID. Text longer
+// than any identifier's, cid.MaxTextLen, is refused before decoding.
 func ParseID(s string) (ID, error) {
+	if len(s) > cid.MaxTextLen {
+		return "", fmt.Errorf("peer: parsing id: %d characters, longer than %d", len(s), cid.MaxTextLen)
+	}
 	_, raw, err := multibase.Decode("z" + s)
 	if err != nil {
 		return "", fmt.Errorf("peer: parsing id: %w", err)

@@ -3,8 +3,11 @@ package peer
 import (
 	"crypto/ed25519"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/cid"
 )
 
 func TestIdentityDeterministicWithSeed(t *testing.T) {
@@ -103,5 +106,13 @@ func TestQuickSignVerify(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseIDRefusesOverlongText: a PeerID's text past cid.MaxTextLen
+// is refused before the quadratic base58 decode runs.
+func TestParseIDRefusesOverlongText(t *testing.T) {
+	if _, err := ParseID(strings.Repeat("2", cid.MaxTextLen+1)); err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Errorf("ParseID of %d characters = %v, want the length refusal", cid.MaxTextLen+1, err)
 	}
 }

@@ -72,7 +72,7 @@ func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
 			if sp == nil {
 				t.Fatalf("span %q missing from trace", name)
 			}
-			if sp.Stop.IsZero() {
+			if sp.Stop().IsZero() {
 				t.Errorf("span %q leaked open after the stream returned", name)
 			}
 		}
@@ -127,7 +127,7 @@ func TestParallelSessionPeersRaceSpansClose(t *testing.T) {
 			if sp == nil {
 				t.Fatalf("span %q missing from trace", name)
 			}
-			if sp.Stop.IsZero() {
+			if sp.Stop().IsZero() {
 				t.Errorf("span %q leaked open after SessionPeers returned", name)
 			}
 		}
@@ -178,7 +178,7 @@ func TestStreamFallbackHandoffKeepsTrace(t *testing.T) {
 		if direct == nil {
 			t.Fatal("accel-direct span missing — direct probe did not attribute to the parent trace")
 		}
-		if direct.Stop.IsZero() {
+		if direct.Stop().IsZero() {
 			t.Error("accel-direct span leaked open across the fallback hand-off")
 		}
 

@@ -5,8 +5,9 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,30 +84,29 @@ func TestTraceRendersUnchanged(t *testing.T) {
 }
 
 // TestTraceRingReleasesEvictedTraces: a recorder keeps the newest
-// traceRingCap traces and nothing else reachable. The re-sliced
-// append-only ring this replaced kept up to twice that alive in its
-// backing array.
+// traceRingCap traces and nothing else reachable, and a retained trace
+// is a handful of heap objects: the Trace and its tables (spans,
+// attributes, events, text), however many spans, attributes and events
+// it recorded.
 func TestTraceRingReleasesEvictedTraces(t *testing.T) {
 	rec := NewRecorder(frozen())
-	var alive atomic.Int64
+	p := peer.ID("\x12\x20" + strings.Repeat("p", 32))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < 1000; i++ {
-		// A trace and its spans point at each other, and a finalizer on
-		// a cycle never runs; the root span's attribute array is held
-		// by the trace alone and points back at nothing.
-		attrs := []Attr{A("n", "x")}
-		alive.Add(1)
-		runtime.SetFinalizer(&attrs[0], func(*Attr) { alive.Add(-1) })
-		_, sp := rec.StartTrace(context.Background(), "retrieve", attrs...)
+		ctx, root := rec.StartTrace(context.Background(), "retrieve", A("n", strconv.Itoa(i)))
+		_, sp := StartSpan(ctx, "discover", A("k", "v"))
+		sp.Hop(p, true, 1)
+		sp.Annotate("depth", "1")
 		sp.End()
+		root.End()
 	}
-	// A finalizer runs one collection after its object is found dead,
-	// on its own goroutine.
-	for i := 0; i < 50 && alive.Load() > traceRingCap; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if got := alive.Load(); got > traceRingCap {
-		t.Errorf("%d traces alive after 1000 were started, want at most the ring's %d", got, traceRingCap)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The ring's own backing array is the one object not a trace's.
+	if objects := int64(after.HeapObjects) - int64(before.HeapObjects) - 1; objects > 6*traceRingCap {
+		t.Errorf("%d heap objects live after 1000 traces, want at most 6 for each of the ring's %d", objects, traceRingCap)
 	}
 	traces := rec.Traces()
 	if len(traces) != traceRingCap || traces[0].ID != 1000-traceRingCap+1 || rec.Last().ID != 1000 {
@@ -122,10 +122,72 @@ func TestTraceRingReleasesEvictedTraces(t *testing.T) {
 	}
 }
 
-// TestStateLayoutsArePointerFree: a recorded event holds nothing the
-// collector has to trace.
+// TestLateEventsRenderUnderTheirSpan: an RPC recorded after its span's
+// End, and after the root's too (a want-wave's late WANT-HAVE answers,
+// a cancelled racer's wind-down RPC), renders under that span.
+func TestLateEventsRenderUnderTheirSpan(t *testing.T) {
+	rec := NewRecorder(frozen())
+	ctx, root := rec.StartTrace(context.Background(), "retrieve")
+	wctx, wave := StartSpan(ctx, "want-wave")
+	_, fetch := StartSpan(ctx, "fetch")
+	wave.End()
+	RPC(wctx, "WANT_HAVE", "want", "late", time.Millisecond, "")
+	fetch.End()
+	root.End()
+	RPC(wctx, "WANT_HAVE", "want", "later", time.Millisecond, "")
+	tr := TraceFrom(ctx)
+	evs := wave.Events()
+	if len(evs) != 2 || evs[0].Attrs[2].Value != peer.ID("late").String() || evs[1].Attrs[2].Value != peer.ID("later").String() {
+		t.Errorf("want-wave events = %+v, want the two late RPCs", evs)
+	}
+	if n := len(tr.Root().Events()) + len(fetch.Events()); n != 0 {
+		t.Errorf("%d late events landed outside their span", n)
+	}
+	tree := tr.Tree()
+	if want := "  want-wave #2 [0µs]\n    · rpc type=WANT_HAVE cat=want peer=" + peer.ID("late").String(); !strings.Contains(tree, want) {
+		t.Errorf("tree does not render the late RPCs under want-wave:\n%s", tree)
+	}
+}
+
+// TestConcurrentSpansShareOneTrace: spans opened, annotated, given
+// events and ended on several goroutines at once, while another reads
+// the trace, all land in its tables (run it under -race).
+func TestConcurrentSpansShareOneTrace(t *testing.T) {
+	ctx, root := NewRecorder(nil).StartTrace(context.Background(), "retrieve")
+	tr := TraceFrom(ctx)
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				sctx, sp := StartSpan(ctx, "discover")
+				RPC(sctx, "FIND_NODE", "lookup", "p", time.Millisecond, "")
+				sp.Annotate("i", strconv.Itoa(i))
+				sp.End()
+				_ = sp.Wall() + time.Duration(sp.Parent())
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		_ = tr.Tree()
+		_ = FirstHopShare([]*Trace{tr})
+	}
+	wg.Wait()
+	root.End()
+	if got, want := strings.Count(tr.Tree(), "· rpc "), workers*rounds; got != want || tr.OpenSpans() != 0 {
+		t.Errorf("tree holds %d RPC events and %d open spans, want %d and 0", got, tr.OpenSpans(), want)
+	}
+}
+
+// TestStateLayoutsArePointerFree: a recorded span, attribute and event,
+// and the arena references they hold, are nothing the collector has to
+// trace.
 func TestStateLayoutsArePointerFree(t *testing.T) {
-	if err := slab.PointerFree(reflect.TypeOf(event{})); err != nil {
-		t.Error(err)
+	for _, v := range []any{event{}, spanRec{}, attrRec{}, ref{}} {
+		if err := slab.PointerFree(reflect.TypeOf(v)); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -370,7 +370,7 @@ func DiscoverP99(traces []*Trace) time.Duration {
 			continue
 		}
 		if sp := tr.FindSpan("discover"); sp != nil {
-			s.Add(tr.SpanWall(sp).Seconds())
+			s.Add(sp.Wall().Seconds())
 		}
 	}
 	if s.Len() == 0 {
@@ -404,22 +404,24 @@ func FirstHopShare(traces []*Trace) float64 {
 	return float64(oneHop) / float64(n)
 }
 
-// lookupRPCs counts lookup-category RPC events in sp's subtree.
+// lookupRPCs counts lookup-category RPC events in sp's subtree, in
+// one pass: a parent is created before its children, so membership is
+// known by the time a span is reached.
 func (t *Trace) lookupRPCs(sp *Span) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return countLookupRPCs(sp)
-}
-
-func countLookupRPCs(sp *Span) int {
-	n := 0
-	for i := range sp.events {
-		if ev := &sp.events[i]; ev.kind == evRPC && sp.tr.names[ev.cat] == "lookup" {
-			n++
+	in := make([]bool, len(t.spans))
+	in[sp.i] = true
+	for j := sp.i + 1; j < int32(len(t.spans)); j++ {
+		if p := t.spans[j].parent; p >= 0 && in[p] {
+			in[j] = true
 		}
 	}
-	for _, child := range sp.children {
-		n += countLookupRPCs(child)
+	n := 0
+	for k := range t.events {
+		if e := &t.events[k]; in[e.span] && e.kind == evRPC && string(t.bytes(t.names[e.cat])) == "lookup" {
+			n++
+		}
 	}
 	return n
 }

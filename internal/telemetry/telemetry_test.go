@@ -48,13 +48,13 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 	}
 	// Span IDs are the per-trace sequence: root=1, discover=2 (an RPC
 	// event takes seq 3), want-wave=4 ...
-	if discover.ID != 2 || discover.Parent != 1 {
-		t.Errorf("discover span ID/Parent = %d/%d, want 2/1", discover.ID, discover.Parent)
+	if discover.ID() != 2 || discover.Parent() != 1 {
+		t.Errorf("discover span ID/Parent = %d/%d, want 2/1", discover.ID(), discover.Parent())
 	}
-	if wave.Parent != discover.ID {
-		t.Errorf("want-wave parent = %d, want %d", wave.Parent, discover.ID)
+	if wave.Parent() != discover.ID() {
+		t.Errorf("want-wave parent = %d, want %d", wave.Parent(), discover.ID())
 	}
-	if sp := tr.FindSpan("want-wave"); sp != wave {
+	if sp := tr.FindSpan("want-wave"); sp == nil || sp.ID() != wave.ID() {
 		t.Error("FindSpan(want-wave) did not return the span")
 	}
 
@@ -252,7 +252,7 @@ func TestDiscoverAnalytics(t *testing.T) {
 		// Pin the measured duration for the test; live spans fill it from
 		// simtime.
 		tr.mu.Lock()
-		discover.Wall = wall
+		tr.spans[discover.i].wall = int64(wall)
 		tr.mu.Unlock()
 		return tr
 	}

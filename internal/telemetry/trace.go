@@ -61,7 +61,7 @@ const peerCap = 38
 type eventKind uint8
 
 const (
-	evGeneric eventKind = iota // name and attributes kept as given, in Trace.generic[aux]
+	evGeneric eventKind = iota // typ names it; its attributes are in Trace.attrs
 	evRPC
 	evRPCDrop // aux is the transmit attempt
 	evHop     // flag is ok, aux the depth
@@ -78,6 +78,7 @@ type event struct {
 	at       int64 // unix ns on the trace clock
 	dur      int64
 	seq      int32
+	span     int32 // index into Trace.spans
 	aux      int32
 	err      int32 // index+1 into Trace.side, 0 for none
 	longPeer int32 // index+1 into Trace.side when the peer ID exceeds peerCap
@@ -88,23 +89,36 @@ type event struct {
 	peer     [peerCap]byte
 }
 
-// Span is one timed operation inside a trace. All methods are safe on
-// a nil receiver, so un-traced call paths cost a nil check.
+// ref is a string kept in a trace's text arena.
+type ref struct{ off, n uint32 }
+
+// spanRec is the stored form of one span, as free of pointers as an
+// event.
+type spanRec struct {
+	start, stop int64 // unix ns on the trace clock; stop is set by End
+	opened      int64 // Since(Trace.stamp) when the span opened
+	wall        int64 // sim-accurate elapsed time, set by End
+	id          int32 // per-trace sequence number (deterministic on serial paths)
+	parent      int32 // index into Trace.spans, -1 for the root
+	parentID    int32 // the parent's id, 0 for the root
+	name        ref
+	ended       bool
+}
+
+// attrRec is one stored attribute. Its owner is a span index, or ^i
+// for the i-th event when that event was recorded through Span.Event.
+type attrRec struct {
+	owner    int32
+	key, val ref
+}
+
+// Span is a handle on one timed operation inside a trace: the trace
+// and the span's index in it. Callers hold it while the span runs; the
+// trace never points at it. The recording methods are safe on a nil
+// receiver, so un-traced call paths cost a nil check.
 type Span struct {
 	tr *Trace
-
-	ID     int // per-trace sequence number (deterministic on serial paths)
-	Parent int // parent span ID, 0 for the root
-	Name   string
-	Start  time.Time     // trace-clock instant the span opened
-	Stop   time.Time     // trace-clock instant End ran (zero while open)
-	Wall   time.Duration // sim-accurate elapsed time (human renders only)
-	Attrs  []Attr
-
-	events    []event
-	wallStart time.Time
-	children  []*Span
-	ended     bool
+	i  int32
 }
 
 // End closes the span, recording its sim-accurate elapsed time.
@@ -113,15 +127,17 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if s.ended {
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := &t.spans[s.i]
+	if r.ended {
 		return
 	}
-	s.ended = true
-	s.Stop = s.tr.src.Now()
-	s.Wall = s.tr.src.Since(s.wallStart)
-	s.tr.open--
+	r.ended = true
+	r.stop = t.src.Now().UnixNano()
+	r.wall = int64(t.src.Since(t.stamp)) - r.opened
+	t.open--
 }
 
 // Annotate attaches a key/value annotation to the span.
@@ -130,7 +146,7 @@ func (s *Span) Annotate(key, value string) {
 		return
 	}
 	s.tr.mu.Lock()
-	s.Attrs = append(s.Attrs, Attr{key, value})
+	s.tr.annotate(s.i, key, value)
 	s.tr.mu.Unlock()
 }
 
@@ -145,10 +161,13 @@ func (s *Span) EventDur(name string, dur time.Duration, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	s.tr.generic = append(s.tr.generic, Event{Name: name, Attrs: attrs})
-	s.appendLocked(event{kind: evGeneric, dur: int64(dur), aux: int32(len(s.tr.generic) - 1)}, "")
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, a := range attrs {
+		t.annotate(^int32(len(t.events)), a.Key, a.Value)
+	}
+	s.appendLocked(event{kind: evGeneric, dur: int64(dur), typ: t.name(name)}, "")
 }
 
 // Hop records one answered (or failed) query of a DHT walk: the peer
@@ -172,19 +191,20 @@ func (s *Span) record(e event, p peer.ID) {
 	s.tr.mu.Unlock()
 }
 
-// appendLocked stamps e with the trace's next sequence number, the
-// clock and the peer, and appends it.
+// appendLocked stamps e with the span, the trace's next sequence
+// number, the clock and the peer, and appends it. A span that has
+// ended still takes events: a late answer lands where it belongs.
 func (s *Span) appendLocked(e event, p peer.ID) {
 	t := s.tr
 	t.seq++
-	e.seq, e.at = int32(t.seq), t.src.Now().UnixNano()
+	e.seq, e.span, e.at = int32(t.seq), s.i, t.src.Now().UnixNano()
 	if len(p) > peerCap {
-		t.side = append(t.side, string(p))
+		t.side = append(t.side, t.add(string(p)))
 		e.longPeer = int32(len(t.side))
 	} else {
 		e.peerLen = uint8(copy(e.peer[:], p))
 	}
-	s.events = append(s.events, e)
+	t.events = push(t.events, e, 24)
 }
 
 // Events returns the span's events in arrival order, rendered: this is
@@ -196,60 +216,156 @@ func (s *Span) Events() []Event {
 	}
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
-	return s.tr.renderAll(s.events)
+	return s.tr.spanEvents(s.i)
 }
 
-// Trace is one operation's span tree.
+// rec returns a copy of the span's record, read under the trace lock.
+func (s *Span) rec() spanRec {
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.tr.spans[s.i]
+}
+
+// ID returns the span's per-trace sequence number.
+func (s *Span) ID() int { return int(s.rec().id) }
+
+// Parent returns the parent span's ID, 0 for the root.
+func (s *Span) Parent() int { return int(s.rec().parentID) }
+
+// Name returns the span's name.
+func (s *Span) Name() string {
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.tr.str(s.tr.spans[s.i].name)
+}
+
+// Start returns the trace-clock instant the span opened.
+func (s *Span) Start() time.Time { return s.tr.instant(s.rec().start) }
+
+// Stop returns the trace-clock instant End ran, zero while open.
+func (s *Span) Stop() time.Time {
+	if r := s.rec(); r.ended {
+		return s.tr.instant(r.stop)
+	}
+	return time.Time{}
+}
+
+// Wall returns the span's sim-accurate elapsed time, zero while open.
+func (s *Span) Wall() time.Duration { return time.Duration(s.rec().wall) }
+
+// Attrs returns the span's annotations in the order they were added.
+func (s *Span) Attrs() []Attr {
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.tr.attrsOf(s.i)
+}
+
+// Trace is one operation's span tree. At rest it is a few tables of
+// pointer-free records and one text arena every string lives in, so a
+// retained trace is a handful of heap objects and only the Trace itself
+// holds pointers; strings are made when someone reads it.
 type Trace struct {
 	Op string // the root operation ("retrieve", "publish", "republish")
 	ID int64  // per-recorder sequence
 
 	mu    sync.Mutex
 	src   simtime.Source
+	loc   *time.Location // the clock's, for rendering instants
+	stamp time.Time      // spans measure their wall offsets from it
 	seq   int
-	spans []*Span
-	root  *Span
 	open  int
 
-	// Side tables of the compact events: the few distinct message-type
-	// and category names, the strings too rare or too long for a fixed
-	// field (errors, oversized peer IDs), and the name and attributes of
-	// events recorded through the generic Event call.
-	names   []string
-	side    []string
-	generic []Event
+	spans  []spanRec // creation order; the root is spans[0]
+	attrs  []attrRec // in the order they were added
+	events []event   // arrival order
+
+	names []ref  // the few distinct message-type, category and generic event names
+	side  []ref  // strings too rare or too long for a fixed field: errors, oversized peer IDs
+	text  []byte // every string the tables refer to
 }
+
+// newTrace opens a trace and its root span. Its tables start at a
+// retrieval's size (six spans, fourteen attributes, twenty-odd events),
+// so recording one never grows them; see push.
+func newTrace(src simtime.Source, op string, attrs []Attr) *Trace {
+	t := &Trace{
+		Op: op, src: src, loc: src.Now().Location(), stamp: src.Stamp(),
+		spans: make([]spanRec, 0, 8),
+		text:  make([]byte, 0, 384),
+	}
+	t.startSpan(-1, op, attrs)
+	return t
+}
+
+// push appends v to a table, giving it room for n on its first append,
+// so a trace that never uses a table never allocates it.
+func push[T any](s []T, v T, n int) []T {
+	if s == nil {
+		s = make([]T, 0, n)
+	}
+	return append(s, v)
+}
+
+// add copies s into the text arena.
+func (t *Trace) add(s string) ref {
+	r := ref{uint32(len(t.text)), uint32(len(s))}
+	t.text = append(t.text, s...)
+	return r
+}
+
+func (t *Trace) bytes(r ref) []byte { return t.text[r.off : r.off+r.n] }
+func (t *Trace) str(r ref) string   { return string(t.bytes(r)) }
+
+// instant renders a stored unix-ns instant on the trace clock.
+func (t *Trace) instant(ns int64) time.Time { return time.Unix(0, ns).In(t.loc) }
 
 // name returns s's index in the trace's name table. The table holds a
 // bounded vocabulary (wire message types, budget categories), so a
 // linear search beats a map.
 func (t *Trace) name(s string) uint16 {
-	for i, n := range t.names {
-		if n == s {
+	for i, r := range t.names {
+		if string(t.bytes(r)) == s {
 			return uint16(i)
 		}
 	}
-	t.names = append(t.names, s)
+	t.names = push(t.names, t.add(s), 8)
 	return uint16(len(t.names) - 1)
 }
 
-// render builds the readable form of a stored event.
-func (t *Trace) render(e *event) Event {
-	ev := Event{Seq: int(e.seq), At: time.Unix(0, e.at).In(t.root.Start.Location()), Dur: time.Duration(e.dur)}
+func (t *Trace) annotate(owner int32, key, value string) {
+	t.attrs = push(t.attrs, attrRec{owner, t.add(key), t.add(value)}, 16)
+}
+
+// attrsOf returns the attributes of owner (a span index, or ^i for the
+// i-th event) in the order they were added.
+func (t *Trace) attrsOf(owner int32) []Attr {
+	var out []Attr
+	for _, a := range t.attrs {
+		if a.owner == owner {
+			out = append(out, Attr{t.str(a.key), t.str(a.val)})
+		}
+	}
+	return out
+}
+
+// render builds the readable form of the k-th stored event.
+func (t *Trace) render(k int) Event {
+	e := &t.events[k]
+	ev := Event{Seq: int(e.seq), At: t.instant(e.at), Dur: time.Duration(e.dur)}
 	p := peer.ID(e.peer[:e.peerLen])
 	if e.longPeer != 0 {
-		p = peer.ID(t.side[e.longPeer-1])
+		p = peer.ID(t.str(t.side[e.longPeer-1]))
 	}
 	errStr := ""
 	if e.err != 0 {
-		errStr = t.side[e.err-1]
+		errStr = t.str(t.side[e.err-1])
 	}
 	switch e.kind {
 	case evGeneric:
-		ev.Name, ev.Attrs = t.generic[e.aux].Name, t.generic[e.aux].Attrs
+		ev.Name, ev.Attrs = t.str(t.names[e.typ]), t.attrsOf(^int32(k))
 	case evRPC, evRPCDrop:
 		ev.Name = "rpc"
-		ev.Attrs = []Attr{A("type", t.names[e.typ]), A("cat", t.names[e.cat]), A("peer", p.String())}
+		ev.Attrs = []Attr{A("type", t.str(t.names[e.typ])), A("cat", t.str(t.names[e.cat])), A("peer", p.String())}
 		if e.kind == evRPCDrop { // a drop always says which attempt and why
 			ev.Name = "rpc-drop"
 			ev.Attrs = append(ev.Attrs, A("attempt", strconv.Itoa(int(e.aux))), A("err", errStr))
@@ -269,40 +385,39 @@ func (t *Trace) render(e *event) Event {
 	return ev
 }
 
-func (t *Trace) renderAll(events []event) []Event {
-	out := make([]Event, len(events))
-	for i := range events {
-		out[i] = t.render(&events[i])
+// spanEvents renders span i's events in arrival order.
+func (t *Trace) spanEvents(i int32) []Event {
+	var out []Event
+	for k := range t.events {
+		if t.events[k].span == i {
+			out = append(out, t.render(k))
+		}
 	}
 	return out
 }
 
-func (t *Trace) startSpan(parent *Span, name string, attrs ...Attr) *Span {
+func (t *Trace) startSpan(parent int32, name string, attrs []Attr) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	sp := &Span{
-		tr: t, ID: t.seq, Name: name,
-		Start: t.src.Now(), wallStart: t.src.Stamp(), Attrs: attrs,
+	i := int32(len(t.spans))
+	r := spanRec{
+		id: int32(t.seq), parent: parent, name: t.add(name),
+		start: t.src.Now().UnixNano(), opened: int64(t.src.Since(t.stamp)),
 	}
-	if parent != nil {
-		sp.Parent = parent.ID
-		parent.children = append(parent.children, sp)
+	if parent >= 0 {
+		r.parentID = t.spans[parent].id
 	}
-	t.spans = append(t.spans, sp)
-	if t.root == nil {
-		t.root = sp
+	t.spans = append(t.spans, r)
+	for _, a := range attrs {
+		t.annotate(i, a.Key, a.Value)
 	}
 	t.open++
-	return sp
+	return &Span{t, i}
 }
 
 // Root returns the trace's root span.
-func (t *Trace) Root() *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root
-}
+func (t *Trace) Root() *Span { return &Span{t, 0} }
 
 // OpenSpans returns the number of spans started but not yet ended —
 // the leak detector the cancellation tests assert on.
@@ -313,24 +428,16 @@ func (t *Trace) OpenSpans() int {
 }
 
 // FindSpan returns the first span (in creation order) with the given
-// name, or nil.
+// name, or nil. Each call returns a fresh handle: compare spans by ID.
 func (t *Trace) FindSpan(name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, sp := range t.spans {
-		if sp.Name == name {
-			return sp
+	for i := range t.spans {
+		if string(t.bytes(t.spans[i].name)) == name {
+			return &Span{t, int32(i)}
 		}
 	}
 	return nil
-}
-
-// SpanWall returns a span's sim-accurate elapsed time under the trace
-// lock (End may race with a reader on another goroutine).
-func (t *Trace) SpanWall(sp *Span) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return sp.Wall
 }
 
 // spanRecord is the JSONL export schema: one line per span.
@@ -361,17 +468,18 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	enc := json.NewEncoder(w)
-	for _, sp := range t.spans {
+	for i := range t.spans {
+		sp := &t.spans[i]
 		rec := spanRecord{
-			Trace: t.ID, Op: t.Op, ID: sp.ID, Parent: sp.Parent, Name: sp.Name,
-			Start: sp.Start, WallUS: sp.Wall.Microseconds(),
-			Attrs: sp.Attrs,
+			Trace: t.ID, Op: t.Op, ID: int(sp.id), Parent: int(sp.parentID), Name: t.str(sp.name),
+			Start: t.instant(sp.start), WallUS: time.Duration(sp.wall).Microseconds(),
+			Attrs: t.attrsOf(int32(i)),
 		}
 		if sp.ended {
-			stop := sp.Stop
+			stop := t.instant(sp.stop)
 			rec.Stop = &stop
 		}
-		for _, ev := range t.renderAll(sp.events) {
+		for _, ev := range t.spanEvents(int32(i)) {
 			rec.Events = append(rec.Events, eventRecord{
 				Seq: ev.Seq, Name: ev.Name, At: ev.At,
 				DurUS: ev.Dur.Microseconds(), Attrs: ev.Attrs,
@@ -391,23 +499,22 @@ func (t *Trace) Tree() string {
 	defer t.mu.Unlock()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace #%d %s\n", t.ID, t.Op)
-	if t.root != nil {
-		t.renderSpan(&b, t.root, 0)
-	}
+	t.renderSpan(&b, 0, 0)
 	return b.String()
 }
 
-func (t *Trace) renderSpan(b *strings.Builder, sp *Span, depth int) {
+func (t *Trace) renderSpan(b *strings.Builder, i int32, depth int) {
+	sp := &t.spans[i]
 	indent := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%s%s #%d", indent, sp.Name, sp.ID)
+	fmt.Fprintf(b, "%s%s #%d", indent, t.str(sp.name), sp.id)
 	if sp.ended {
-		fmt.Fprintf(b, " [%s]", fmtSimDur(sp.Wall))
+		fmt.Fprintf(b, " [%s]", fmtSimDur(time.Duration(sp.wall)))
 	}
-	for _, a := range sp.Attrs {
+	for _, a := range t.attrsOf(i) {
 		fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
 	}
 	b.WriteByte('\n')
-	for _, ev := range t.renderAll(sp.events) {
+	for _, ev := range t.spanEvents(i) {
 		fmt.Fprintf(b, "%s  · %s", indent, ev.Name)
 		for _, a := range ev.Attrs {
 			fmt.Fprintf(b, " %s=%s", a.Key, a.Value)
@@ -417,8 +524,10 @@ func (t *Trace) renderSpan(b *strings.Builder, sp *Span, depth int) {
 		}
 		b.WriteByte('\n')
 	}
-	for _, child := range sp.children {
-		t.renderSpan(b, child, depth+1)
+	for j := i + 1; j < int32(len(t.spans)); j++ { // a child is created after its parent
+		if t.spans[j].parent == i {
+			t.renderSpan(b, j, depth+1)
+		}
 	}
 }
 
@@ -460,7 +569,7 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := parent.tr.startSpan(parent, name, attrs...)
+	sp := parent.tr.startSpan(parent.i, name, attrs)
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
@@ -491,7 +600,7 @@ func (s *Span) rpc(kind eventKind, msgType, category string, remote peer.ID, dur
 	defer t.mu.Unlock()
 	e := event{kind: kind, dur: int64(dur), aux: int32(attempt), typ: t.name(msgType), cat: t.name(category)}
 	if errStr != "" {
-		t.side = append(t.side, errStr)
+		t.side = append(t.side, t.add(errStr))
 		e.err = int32(len(t.side))
 	}
 	s.appendLocked(e, remote)
@@ -541,9 +650,10 @@ func (r *Recorder) StartTrace(ctx context.Context, op string, attrs ...Attr) (co
 	if SpanFrom(ctx) != nil {
 		return StartSpan(ctx, op, attrs...)
 	}
+	tr := newTrace(r.src, op, attrs) // nobody else sees it until it is in the ring
 	r.mu.Lock()
 	r.nextID++
-	tr := &Trace{Op: op, ID: r.nextID, src: r.src}
+	tr.ID = r.nextID
 	if r.ring == nil {
 		r.ring = make([]*Trace, traceRingCap)
 	}
@@ -555,7 +665,7 @@ func (r *Recorder) StartTrace(ctx context.Context, op string, attrs ...Attr) (co
 		r.head = (r.head + 1) % traceRingCap
 	}
 	r.mu.Unlock()
-	sp := tr.startSpan(nil, op, attrs...)
+	sp := tr.Root()
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 

@@ -103,3 +103,23 @@ func TestQuickAppendMatchesEncode(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzVarintDecode: whatever Decode accepts is the minimal encoding of
+// its value, so Append reproduces exactly the bytes it consumed.
+func FuzzVarintDecode(f *testing.F) {
+	for _, v := range []uint64{0, 1, 127, 128, 255, 256, 16383, 16384, 1<<32 - 1, 1 << 62, math.MaxInt64} {
+		f.Add(Encode(v))
+	}
+	for _, b := range [][]byte{{0x80, 0x00}, {0xff, 0x00}, {0x80}, bytes.Repeat([]byte{0xff}, 10), append(bytes.Repeat([]byte{0xff}, 8), 0x80)} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		v, n, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		if enc := Append(nil, v); !bytes.Equal(enc, buf[:n]) {
+			t.Fatalf("Decode(%x) = %d over %d bytes, but Append gives %x", buf, v, n, enc)
+		}
+	})
+}
