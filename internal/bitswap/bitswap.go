@@ -201,11 +201,10 @@ func (b *Bitswap) HandleMessage(_ context.Context, _ peer.ID, req wire.Message) 
 	return wire.ErrorMessage("bitswap: unhandled %s", req.Type)
 }
 
-// AskStats instruments one session-peer discovery (AskConnected).
+// AskStats instruments one session-peer discovery (AskConnected). Its
+// duration — the full opportunistic timeout on a broadcast miss, the
+// §6.2 "extra 1 s" — is the wall of the bitswap-ask span.
 type AskStats struct {
-	// Duration is the simulated time the discovery took (the full
-	// opportunistic timeout on a broadcast miss, the §6.2 "extra 1 s").
-	Duration time.Duration
 	// Routed reports that the winning peer came from the session
 	// router's candidates rather than the blind broadcast.
 	Routed bool
@@ -243,12 +242,11 @@ type askFlight struct {
 // deployed. Concurrent asks for the same CID join the in-flight
 // discovery instead of broadcasting twice.
 func (b *Bitswap) AskConnected(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, error) {
-	start := b.src.Stamp()
 	key := c.Key()
 	b.askMu.Lock()
 	if fl, ok := b.asks[key]; ok {
 		b.askMu.Unlock()
-		return b.joinAsk(ctx, c, fl, start)
+		return b.joinAsk(ctx, c, fl)
 	}
 	fl := &askFlight{done: make(chan struct{})}
 	b.asks[key] = fl
@@ -264,13 +262,16 @@ func (b *Bitswap) AskConnected(ctx context.Context, c cid.Cid) (wire.PeerInfo, A
 }
 
 // joinAsk waits on an in-flight discovery for the same CID instead of
-// launching a duplicate. The suppressed count is the fan-out the
+// launching a duplicate. The wait is a bitswap-ask span of its own,
+// annotated joined=true. The suppressed count is the fan-out the
 // duplicate would have sent — what the leader actually sent, targeted
 // or broadcast — so the accounting stays honest in routed setups.
-func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight, start time.Time) (wire.PeerInfo, AskStats, error) {
-	src := b.src
-	if err := simtime.AwaitClosed(ctx, src, fl.done); err != nil {
-		return wire.PeerInfo{}, AskStats{Duration: src.Since(start)}, err
+func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight) (wire.PeerInfo, AskStats, error) {
+	_, sp := telemetry.StartSpan(ctx, "bitswap-ask", telemetry.A("joined", "true"))
+	err := simtime.AwaitClosed(ctx, b.src, fl.done)
+	sp.End()
+	if err != nil {
+		return wire.PeerInfo{}, AskStats{}, err
 	}
 	if fl.cancelled && ctx.Err() == nil {
 		// The leader's caller cancelled mid-flight; this caller is
@@ -286,7 +287,6 @@ func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight, start t
 	b.dupsSuppressed += suppressed
 	b.statsMu.Unlock()
 	st := AskStats{
-		Duration:    src.Since(start),
 		Routed:      fl.st.Routed,
 		Broadcast:   fl.st.Broadcast,
 		Suppressed:  suppressed,
@@ -297,7 +297,6 @@ func (b *Bitswap) joinAsk(ctx context.Context, c cid.Cid, fl *askFlight, start t
 
 // ask runs one deduplicated session-peer discovery.
 func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, error) {
-	start := b.src.Stamp()
 	var st AskStats
 	ctx, asp := telemetry.StartSpan(ctx, "bitswap-ask")
 	defer func() {
@@ -321,7 +320,6 @@ func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, 
 
 	info, asked, ok := b.askWave(ctx, c, routed, broadcast, nil, &st)
 	if ok {
-		st.Duration = b.src.Since(start)
 		return info, st, nil
 	}
 	// Routed candidates all stale and the broadcast was skipped: fail
@@ -331,11 +329,9 @@ func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, 
 	// asked are excluded — they answered once.
 	if len(routed) > 0 && !broadcast {
 		if info, _, ok := b.askWave(ctx, c, nil, true, asked, &st); ok {
-			st.Duration = b.src.Since(start)
 			return info, st, nil
 		}
 	}
-	st.Duration = b.src.Since(start)
 	return wire.PeerInfo{}, st, ErrTimeout
 }
 
@@ -581,7 +577,7 @@ func (s *Session) Get(c cid.Cid) (block.Block, error) { return s.GetContext(s.ct
 // derived from the session's). The first remote fetch performs the
 // WANT-HAVE handshake unless discovery already confirmed the provider;
 // GetContext is safe for the concurrent sibling fetches of
-// merkledag.AssembleConcurrent.
+// merkledag.AssembleConcurrentOn.
 func (s *Session) GetContext(ctx context.Context, c cid.Cid) (block.Block, error) {
 	if blk, err := s.bs.store.Get(c); err == nil {
 		return blk, nil

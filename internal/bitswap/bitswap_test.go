@@ -20,6 +20,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -120,6 +121,15 @@ func withPeers(t *testing.T, n int, body func(ctx context.Context, ps []*testPee
 	})
 }
 
+// tracedAsk runs AskConnected under a trace on p's clock and returns
+// its outcome and the wall of its bitswap-ask span.
+func tracedAsk(ctx context.Context, p *testPeer, c cid.Cid) (wire.PeerInfo, AskStats, time.Duration, error) {
+	tctx, root := telemetry.NewRecorder(p.sw.Time()).StartTrace(ctx, "ask")
+	info, st, err := p.bs.AskConnected(tctx, c)
+	root.End()
+	return info, st, root.Descendants("bitswap-ask")[0].Wall(), err
+}
+
 func TestAskConnectedFindsHolder(t *testing.T) {
 	withPeers(t, 4, func(ctx context.Context, ps []*testPeer) {
 		requester := ps[0]
@@ -132,7 +142,7 @@ func TestAskConnectedFindsHolder(t *testing.T) {
 				return
 			}
 		}
-		info, st, err := requester.bs.AskConnected(ctx, blk.Cid())
+		info, st, took, err := tracedAsk(ctx, requester, blk.Cid())
 		if err != nil {
 			t.Error(err)
 			return
@@ -141,8 +151,8 @@ func TestAskConnectedFindsHolder(t *testing.T) {
 			t.Errorf("holder = %s", info.ID.Short())
 		}
 		// One same-region round trip, far inside the 1 s window.
-		if st.Duration <= 0 || st.Duration > 500*time.Millisecond {
-			t.Errorf("opportunistic hit took %v", st.Duration)
+		if took <= 0 || took > 500*time.Millisecond {
+			t.Errorf("opportunistic hit took %v", took)
 		}
 		if !st.Broadcast || st.Routed {
 			t.Errorf("stats = %+v, want a broadcast hit", st)
@@ -163,14 +173,14 @@ func TestAskConnectedTimesOut(t *testing.T) {
 			}
 		}
 		missing := cid.Sum(multicodec.Raw, []byte("nobody has this"))
-		_, st, err := requester.bs.AskConnected(ctx, missing)
+		_, _, took, err := tracedAsk(ctx, requester, missing)
 		if err != ErrTimeout {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 		// The full 1 s opportunistic timeout must elapse (§3.2), and on
 		// virtual time it is exactly that.
-		if st.Duration != DefaultOpportunisticTimeout {
-			t.Errorf("timeout took %v simulated, want exactly %v", st.Duration, DefaultOpportunisticTimeout)
+		if took != DefaultOpportunisticTimeout {
+			t.Errorf("timeout took %v simulated, want exactly %v", took, DefaultOpportunisticTimeout)
 		}
 	})
 }

@@ -52,9 +52,6 @@ type Config struct {
 	// OmitProviderAddrs forces retrievals through the second DHT walk
 	// (see dht.Config).
 	OmitProviderAddrs bool
-	// ProvideAfterRetrieve republishes a provider record for content we
-	// just fetched, making us a temporary provider (§3.1).
-	ProvideAfterRetrieve bool
 	// Routing selects the content-routing implementation: the baseline
 	// DHT walk (default), the accelerated one-hop client, the delegated
 	// indexer client, or the parallel composite racing all of them.
@@ -360,10 +357,15 @@ func (n *Node) Has(root cid.Cid) bool {
 	return err == nil
 }
 
-// PublishResult instruments one content publication (Figures 9a–c).
+// PublishResult instruments one content publication (Figures 9a–c):
+// the router's counts, and the phases publishPhases reads off the
+// publication's span tree, in simulated time.
 type PublishResult struct {
 	Cid cid.Cid
 	dht.ProvideResult
+	WalkDuration  time.Duration // DHT walk to the k closest peers (Fig 9b)
+	BatchDuration time.Duration // concurrent ADD_PROVIDER RPC batch (Fig 9c)
+	TotalDuration time.Duration // overall publication (Fig 9a)
 }
 
 // Publish pushes provider records for root through the configured
@@ -376,7 +378,6 @@ func (n *Node) Publish(ctx context.Context, root cid.Cid) (PublishResult, error)
 	}
 	ctx, sp := n.tel.StartTrace(ctx, "publish",
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
-	defer sp.End()
 	// The whole provide tree — walk queries included — is attributed to
 	// the publish budget category.
 	res, err := n.router.Provide(transport.WithRPCCategory(ctx, transport.CatPublish), root)
@@ -389,7 +390,10 @@ func (n *Node) Publish(ctx context.Context, root cid.Cid) (PublishResult, error)
 		reg.Counter("publish_failures", "router", n.router.Name()).Inc()
 		sp.Annotate("err", err.Error())
 	}
-	return PublishResult{Cid: root, ProvideResult: res}, err
+	sp.End()
+	out := PublishResult{Cid: root, ProvideResult: res}
+	publishPhases(sp, &out)
+	return out, err
 }
 
 // AddAndPublish imports data and publishes its provider record.
@@ -404,8 +408,7 @@ func (n *Node) AddAndPublish(ctx context.Context, data []byte) (PublishResult, e
 // PublishPeerRecord stores our signed address mapping on the DHT; done
 // at startup and on the 12 h republish cycle (§3.1).
 func (n *Node) PublishPeerRecord(ctx context.Context) error {
-	_, err := n.dht.PublishPeerRecord(ctx)
-	return err
+	return n.dht.PublishPeerRecord(ctx)
 }
 
 // Bootstrap joins the network via the canonical bootstrap peers (§2.2).

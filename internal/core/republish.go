@@ -98,7 +98,7 @@ func (n *Node) Republish(ctx context.Context) RepublishStats {
 	var st RepublishStats
 	st.Batch = n.RepublishRecords(ctx)
 	st.OK = st.Batch.Provided
-	if _, err := n.dht.PublishPeerRecord(ctx); err == nil {
+	if err := n.dht.PublishPeerRecord(ctx); err == nil {
 		st.PeerRecordOK = true
 		st.OK++
 	}

@@ -21,7 +21,8 @@ import (
 // RetrieveResult instruments one content retrieval with the phase
 // breakdown of §3.2 / Figure 9d–f: opportunistic Bitswap, the provider
 // lookup stream, connecting to the provider, and the content exchange.
-// All durations are simulated time.
+// All durations are simulated time, read off the retrieval's span tree
+// by retrievePhases.
 type RetrieveResult struct {
 	Cid   cid.Cid
 	Bytes int
@@ -31,18 +32,13 @@ type RetrieveResult struct {
 	BitswapHit    bool          // content resolved by the blind broadcast
 	RoutedSession bool          // session peer came from the router, broadcast skipped
 	// ProviderWalk is the time retrieval blocked on the provider stream
-	// before its first provider arrived — with streaming discovery the
-	// fetch starts here, while the lookup keeps running in background.
+	// for its first provider; the lookup keeps running in background.
 	ProviderWalk time.Duration
-	// FirstProvider is the time-to-first-provider: retrieval start to
-	// the first provider known (Bitswap hit or first streamed batch) —
-	// the §6.2 metric streaming discovery improves, because retrieval
-	// no longer waits on complete lookup results.
+	// FirstProvider is the time-to-first-provider (Bitswap hit or first
+	// streamed batch), the §6.2 metric streaming discovery improves.
 	FirstProvider time.Duration
-	// LookupFull is the provider stream's full duration, including the
-	// background draining for fail-over candidates after the first
-	// provider was already handed to Bitswap — what the old blocking
-	// lookup would have added to the critical path.
+	// LookupFull is the provider stream's full duration, background
+	// draining included: what a blocking lookup would have waited.
 	LookupFull time.Duration
 	// StreamCandidates counts extra providers the stream yielded after
 	// the first; they seed session fail-over without new routing RPCs.
@@ -228,20 +224,18 @@ func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) 
 // exchange over Bitswap.
 func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
-	src := n.src
-	start := src.Stamp()
 	ctx, trsp := n.tel.StartTrace(ctx, "retrieve",
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
 	defer func() {
 		trsp.Annotate("ok", fmt.Sprint(err == nil))
 		trsp.Annotate("bytes", fmt.Sprint(res.Bytes))
 		trsp.End()
+		retrievePhases(trsp, &res)
 		n.recordRetrieve(res, err)
 	}()
 
 	// Already local? Serve without network interaction.
 	if data, err := merkledag.Assemble(n.store, root); err == nil {
-		res.Total = src.Since(start)
 		res.Bytes = len(data)
 		trsp.Annotate("local", "true")
 		return data, res, nil
@@ -253,28 +247,23 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	provider, ps, err := n.discover(dctx, root, &res)
 	dsp.Annotate("routed", fmt.Sprint(res.RoutedSession))
 	dsp.Annotate("bitswap-hit", fmt.Sprint(res.BitswapHit))
+	if n.cfg.ParallelDiscovery {
+		dsp.Annotate("parallel", "true")
+	}
 	dsp.End()
-	// finish collects the stream's cost exactly once, whatever exit
-	// path the retrieval takes: the lookup RPCs (background draining
-	// included), the full lookup duration, and the candidate count.
-	finished := false
-	finish := func() {
-		if ps == nil || finished {
-			return
-		}
-		finished = true
-		info := ps.Finish()
-		res.LookupMsgs += routing.LookupMessages(info)
-		res.LookupFull = info.Duration
-		res.StreamCandidates = len(ps.Candidates())
+	if ps != nil {
+		// Whatever exit path the retrieval takes, the stream's cost is
+		// collected as it ends: the lookup RPCs (background draining
+		// included) and the candidate count.
+		defer func() {
+			res.LookupMsgs += routing.LookupMessages(ps.Finish())
+			res.StreamCandidates = len(ps.Candidates())
+		}()
 	}
 	if err != nil {
-		res.Total = src.Since(start)
-		finish()
 		return nil, res, err
 	}
 	res.Provider = provider.ID
-	res.FirstProvider = src.Since(start)
 
 	// Peer discovery + peer routing (§3.2 steps iii–iv): resolve the
 	// first provider's addresses and connect to it, as one trace phase.
@@ -290,12 +279,9 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 			provider.Addrs = addrs
 			res.UsedBook = true
 		} else {
-			info, walk, err := n.dht.FindPeer(fpctx, provider.ID)
-			res.PeerWalk = walk.Duration
+			info, _, err := n.dht.FindPeer(fpctx, provider.ID)
 			if err != nil {
-				res.Total = src.Since(start)
 				fpsp.End()
-				finish()
 				return nil, res, fmt.Errorf("%w: provider %s unresolvable: %v", ErrNotFound, provider.ID.Short(), err)
 			}
 			provider.Addrs = info.Addrs
@@ -304,14 +290,10 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	fpsp.Annotate("book", fmt.Sprint(res.UsedBook))
 
 	// Peer routing: connect to the provider.
-	_, dialDur, err := n.sw.Connect(fpctx, provider.ID, provider.Addrs)
-	if err != nil {
-		res.Total = src.Since(start)
+	if _, _, err := n.sw.Connect(fpctx, provider.ID, provider.Addrs); err != nil {
 		fpsp.End()
-		finish()
 		return nil, res, fmt.Errorf("%w: cannot connect to provider: %v", ErrNotFound, err)
 	}
-	res.Dial = dialDur
 	fpsp.End()
 
 	// Content exchange: fetch and verify the DAG via Bitswap, with
@@ -320,7 +302,6 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	// redundant handshake; a provider failing mid-session is replaced
 	// first from the stream's fail-over candidates (already paid for),
 	// then through the router.
-	fetchStart := src.Stamp()
 	fctx, fsp := telemetry.StartSpan(ctx, "fetch")
 	session := n.bswap.NewSession(fctx, provider).ForRoot(root)
 	if ps != nil {
@@ -329,31 +310,19 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	if res.BitswapHit || res.RoutedSession {
 		session.Confirm()
 	}
-	data, err = merkledag.AssembleConcurrentOn(fctx, src, session, root, 8)
+	data, err = merkledag.AssembleConcurrentOn(fctx, n.src, session, root, 8)
 	ss := session.Stats()
 	res.WantHaves += ss.WantHaves
 	res.WantBlocks += ss.WantBlocks
 	res.LookupMsgs += ss.RoutingMsgs
 	res.SessionFailovers += ss.Failovers
-	res.Fetch = src.Since(fetchStart)
-	res.Total = src.Since(start)
 	fsp.Annotate("blocks", fmt.Sprint(ss.WantBlocks))
 	fsp.Annotate("failovers", fmt.Sprint(ss.Failovers))
 	fsp.End()
-	finish()
 	if err != nil {
 		return nil, res, fmt.Errorf("%w: fetch failed: %v", ErrNotFound, err)
 	}
 	res.Bytes = len(data)
-
-	if n.cfg.ProvideAfterRetrieve {
-		// Having verified the content, we can serve it: publish a
-		// provider record pointing at ourselves (§3.1).
-		if _, err := n.router.Provide(ctx, root); err == nil {
-			// best effort
-			_ = err
-		}
-	}
 	return data, res, nil
 }
 
@@ -393,7 +362,6 @@ func (n *Node) discover(ctx context.Context, root cid.Cid, res *RetrieveResult) 
 	// router-known providers when the router has them, the blind
 	// broadcast otherwise — then the provider stream after its timeout.
 	info, ask, err := n.bswap.AskConnected(ctx, root)
-	res.BitswapPhase = ask.Duration
 	res.WantHaves += ask.WantHaves
 	res.SuppressedWants += ask.Suppressed
 	res.LookupMsgs += ask.RoutingMsgs
@@ -412,9 +380,7 @@ func (n *Node) discover(ctx context.Context, root cid.Cid, res *RetrieveResult) 
 		fctx = routing.WithSessionMiss(ctx, root)
 	}
 	ps := n.startProviderStream(fctx, root, simtime.NewSignal(n.src))
-	lookupStart := n.src.Stamp()
 	p, ok := ps.awaitFirst(ctx)
-	res.ProviderWalk = n.src.Since(lookupStart)
 	if ok {
 		// First provider in hand: Bitswap starts now, the stream keeps
 		// draining fail-over candidates in the background.
@@ -455,7 +421,6 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		sig.Notify()
 	})
 	ps := n.startProviderStream(ctx, root, sig)
-	lookupStart := src.Stamp()
 
 	chargeAsk := func(o askOutcome) {
 		res.WantHaves += o.ask.WantHaves
@@ -465,7 +430,6 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 	var firstErr error
 	askDone, streamDone := false, false
 	streamWin := func(p wire.PeerInfo) (wire.PeerInfo, *providerStream, error) {
-		res.ProviderWalk = src.Since(lookupStart)
 		acancel()
 		if !askDone {
 			// Drain the cancelled ask and charge its RPCs. It deposits
@@ -478,7 +442,6 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		return p, ps, nil
 	}
 	askWon := func(o askOutcome) (wire.PeerInfo, *providerStream, error) {
-		res.BitswapPhase = o.ask.Duration
 		res.BitswapHit = !o.ask.Routed
 		res.RoutedSession = o.ask.Routed
 		// The stream lost the race but keeps feeding fail-over

@@ -17,6 +17,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -191,9 +192,22 @@ func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source,
 
 		var res RetrieveResult
 		start := src.Stamp()
-		got, ps, err := getter.discoverParallel(ctx, root, &res)
+		tctx, tsp := getter.Telemetry().StartTrace(ctx, "retrieve")
+		dctx, dsp := telemetry.StartSpan(tctx, "discover")
+		got, ps, err := getter.discoverParallel(dctx, root, &res)
+		dsp.Annotate("routed", fmt.Sprint(res.RoutedSession))
+		dsp.Annotate("bitswap-hit", fmt.Sprint(res.BitswapHit))
+		dsp.Annotate("parallel", "true")
+		dsp.End()
 		took := src.Since(start)
+		if err == nil {
+			// Retrieve's next phase opens as discovery returns.
+			_, fpsp := telemetry.StartSpan(tctx, "first-provider")
+			fpsp.End()
+		}
 		info := ps.Finish()
+		tsp.End()
+		retrievePhases(tsp, &res)
 
 		switch {
 		case tc.wantErr != nil:
@@ -218,8 +232,14 @@ func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source,
 		if tc.took > 0 && took != tc.took {
 			t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
 		}
-		if res.ProviderWalk != tc.walk {
-			t.Errorf("%s: ProviderWalk = %v, want exactly %v", tc.name, res.ProviderWalk, tc.walk)
+		// The winner's phase is the race's length; a loser, or a
+		// racer that failed, reports no phase.
+		var ask time.Duration
+		if tc.hit {
+			ask = took
+		}
+		if res.ProviderWalk != tc.walk || res.BitswapPhase != ask {
+			t.Errorf("%s: ProviderWalk, BitswapPhase = %v, %v, want exactly %v, %v", tc.name, res.ProviderWalk, res.BitswapPhase, tc.walk, ask)
 		}
 	}
 }

@@ -16,8 +16,29 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
+
+// traced runs op under a fresh trace on d's clock and returns the
+// ended root span, whose subtree holds op's phases.
+func traced(ctx context.Context, d *DHT, op func(context.Context)) *telemetry.Span {
+	tctx, root := telemetry.NewRecorder(d.src).StartTrace(ctx, "op")
+	op(tctx)
+	root.End()
+	return root
+}
+
+// findProviders walks for c's provider records, stopping at the first
+// record-holding response as a retrieval does (§3.2).
+func findProviders(ctx context.Context, d *DHT, c cid.Cid) ([]wire.PeerInfo, error) {
+	var provs []wire.PeerInfo
+	d.FindProvidersStream(ctx, c, func(batch []wire.PeerInfo) bool { provs = batch; return false })
+	if len(provs) == 0 {
+		return nil, ErrNoProviders
+	}
+	return provs, nil
+}
 
 // testNet is a miniature seeded DHT network over the simulator.
 type testNet struct {
@@ -105,15 +126,19 @@ func TestProvideStoresOnClosestPeers(t *testing.T) {
 		publisher := tn.nodes[0]
 		c := cid.Sum(multicodec.Raw, []byte("published content"))
 
-		res, err := publisher.Provide(ctx, c)
+		var res ProvideResult
+		var err error
+		root := traced(ctx, publisher, func(ctx context.Context) { res, err = publisher.Provide(ctx, c) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.StoreOK == 0 || res.StoreAttempts == 0 {
 			t.Fatalf("res = %+v", res)
 		}
-		if res.WalkDuration <= 0 || res.TotalDuration < res.WalkDuration {
-			t.Errorf("durations: walk=%v total=%v", res.WalkDuration, res.TotalDuration)
+		// The publication is its walk, then its store batch.
+		walk, batch := root.Descendants("dht-walk")[0].Wall(), root.Descendants("store-batch")[0].Wall()
+		if walk <= 0 || batch <= 0 || root.Wall() != walk+batch {
+			t.Errorf("durations: walk=%v batch=%v total=%v", walk, batch, root.Wall())
 		}
 
 		// The record must land on (most of) the k XOR-closest nodes.
@@ -185,7 +210,9 @@ func TestFindProvidersAfterProvide(t *testing.T) {
 		if _, err := publisher.Provide(ctx, c); err != nil {
 			t.Fatal(err)
 		}
-		provs, info, err := requester.FindProviders(ctx, c)
+		var provs []wire.PeerInfo
+		var err error
+		root := traced(ctx, requester, func(ctx context.Context) { provs, err = findProviders(ctx, requester, c) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +225,7 @@ func TestFindProvidersAfterProvide(t *testing.T) {
 		if !found {
 			t.Error("publisher not among providers")
 		}
-		if info.Duration <= 0 {
+		if root.Descendants("dht-walk")[0].Wall() <= 0 {
 			t.Error("walk duration not recorded")
 		}
 	})
@@ -208,7 +235,7 @@ func TestFindProvidersUnknownCid(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
 		tn := buildNet(s, 20, nil)
 		c := cid.Sum(multicodec.Raw, []byte("never published"))
-		_, _, err := tn.nodes[3].FindProviders(ctx, c)
+		_, err := findProviders(ctx, tn.nodes[3], c)
 		if err != ErrNoProviders {
 			t.Errorf("err = %v, want ErrNoProviders", err)
 		}
@@ -219,7 +246,7 @@ func TestPublishAndFindPeerRecord(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
 		tn := buildNet(s, 40, nil)
 		publisher, requester := tn.nodes[2], tn.nodes[30]
-		if _, err := publisher.PublishPeerRecord(ctx); err != nil {
+		if err := publisher.PublishPeerRecord(ctx); err != nil {
 			t.Fatal(err)
 		}
 		info, walk, err := requester.FindPeer(ctx, publisher.ident.ID)
@@ -269,7 +296,7 @@ func TestWalkToleratesDeadPeers(t *testing.T) {
 			t.Error("expected some failed queries with 25% dead peers")
 		}
 		// Retrieval still works from another live node.
-		provs, _, err := tn.nodes[1].FindProviders(ctx, c)
+		provs, err := findProviders(ctx, tn.nodes[1], c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,17 +316,15 @@ func TestDeadPeersLengthenPublication(t *testing.T) {
 			return simnet.Normal
 		})
 		c := cid.Sum(multicodec.Raw, []byte("timing probe"))
-		resClean, err := clean.nodes[0].Provide(ctx, c)
-		if err != nil {
-			t.Fatal(err)
+		var errClean, errDirty error
+		resClean := traced(ctx, clean.nodes[0], func(ctx context.Context) { _, errClean = clean.nodes[0].Provide(ctx, c) })
+		resDirty := traced(ctx, dirty.nodes[0], func(ctx context.Context) { _, errDirty = dirty.nodes[0].Provide(ctx, c) })
+		if errClean != nil || errDirty != nil {
+			t.Fatal(errClean, errDirty)
 		}
-		resDirty, err := dirty.nodes[0].Provide(ctx, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resDirty.TotalDuration <= resClean.TotalDuration {
+		if resDirty.Wall() <= resClean.Wall() {
 			t.Errorf("dead peers should slow publication: clean=%v dirty=%v",
-				resClean.TotalDuration, resDirty.TotalDuration)
+				resClean.Wall(), resDirty.Wall())
 		}
 	})
 }

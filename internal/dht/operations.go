@@ -12,6 +12,8 @@ import (
 	"repro/internal/peer"
 	"repro/internal/record"
 	"repro/internal/simtime"
+	"repro/internal/swarm"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -28,11 +30,10 @@ var (
 const storeRPCTimeout = 60 * time.Second
 
 // ProvideResult instruments one content publication (Figure 3 steps
-// 2–3, measured in Figures 9a–c). Durations are in simulated time.
+// 2–3, measured in Figures 9a–c). Its phases are spans: the dht-walk to
+// the k closest peers (Fig 9b) and the store-batch of concurrent
+// ADD_PROVIDER RPCs (Fig 9c).
 type ProvideResult struct {
-	WalkDuration  time.Duration // DHT walk to find the k closest peers (Fig 9b)
-	BatchDuration time.Duration // concurrent ADD_PROVIDER RPC batch (Fig 9c)
-	TotalDuration time.Duration // overall publication (Fig 9a)
 	Walk          WalkInfo
 	StoreAttempts int
 	StoreOK       int
@@ -50,14 +51,11 @@ type ProvideResult struct {
 // RPCs (§3.1).
 func (d *DHT) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	src := d.src
-	start := src.Stamp()
 	key := c.Bytes()
 	target := kbucket.KeyForBytes(key)
 
 	closest, winfo, err := d.WalkClosest(ctx, target, key)
 	res.Walk = winfo
-	res.WalkDuration = winfo.Duration
 	if err != nil {
 		return res, err
 	}
@@ -69,65 +67,15 @@ func (d *DHT) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	if !d.cfg.OmitProviderAddrs {
 		provInfo.Addrs = d.sw.Addrs()
 	}
-	req := wire.Message{
-		Type:      wire.TAddProvider,
-		Key:       key,
-		Providers: []wire.PeerInfo{provInfo},
-	}
-
-	batchStart := src.Stamp()
+	req := wire.Message{Type: wire.TAddProvider, Key: key, Providers: []wire.PeerInfo{provInfo}, Peers: d.selfInfo()}
 	res.StoreTargets = closest
-	g := simtime.NewGroup(src)
-	var mu sync.Mutex
-	for _, info := range closest {
-		info := info
-		res.StoreAttempts++
-		g.Go(ctx, func(gctx context.Context) {
-			rctx, cancel := src.WithTimeout(gctx, storeRPCTimeout)
-			defer cancel()
-			r := req
-			r.Peers = d.selfInfo()
-			resp, err := d.sw.Request(rctx, info.ID, info.Addrs, r)
-			if err == nil && resp.Type == wire.TAck {
-				mu.Lock()
-				res.StoreOK++
-				res.AckedTargets = append(res.AckedTargets, info)
-				mu.Unlock()
-			}
-		})
-	}
-	g.Wait(ctx)
-	res.BatchDuration = src.Since(batchStart)
-	res.TotalDuration = src.Since(start)
+	res.StoreAttempts = len(closest)
+	res.AckedTargets = StoreBatch(ctx, d.sw, storeRPCTimeout, closest, req)
+	res.StoreOK = len(res.AckedTargets)
 	if res.StoreOK == 0 {
 		return res, fmt.Errorf("dht: provide %s: all %d store RPCs failed", c, res.StoreAttempts)
 	}
 	return res, nil
-}
-
-// FindProviders walks the DHT for provider records of c, terminating at
-// the first record-holding response (§3.2: the retrieval walk ends
-// "after the discovery of a single record-hosting node").
-func (d *DHT) FindProviders(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, WalkInfo, error) {
-	key := c.Bytes()
-	target := kbucket.KeyForBytes(key)
-	_, final, info := d.walk(ctx, target,
-		func() wire.Message { return wire.Message{Type: wire.TGetProviders, Key: key} },
-		func(resp wire.Message) bool { return len(resp.Providers) > 0 })
-	if final == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, info, err
-		}
-		return nil, info, ErrNoProviders
-	}
-	providers := make([]wire.PeerInfo, 0, len(final.Providers))
-	for _, p := range final.Providers {
-		if addrs, ok := d.sw.Book().Get(p.ID); ok && len(p.Addrs) == 0 {
-			p.Addrs = addrs
-		}
-		providers = append(providers, p)
-	}
-	return providers, info, nil
 }
 
 // FindProvidersStream walks the DHT for provider records of c, calling
@@ -185,49 +133,18 @@ func (d *DHT) FindPeer(ctx context.Context, id peer.ID) (wire.PeerInfo, WalkInfo
 // PublishPeerRecord signs and stores the local peer record on the k
 // closest peers to our PeerID — "publication of the peer record follows
 // the same CID-to-PeerID procedure" (§3.1).
-func (d *DHT) PublishPeerRecord(ctx context.Context) (ProvideResult, error) {
-	var res ProvideResult
-	src := d.src
-	start := src.Stamp()
+func (d *DHT) PublishPeerRecord(ctx context.Context) error {
 	key := []byte(d.ident.ID)
-	target := kbucket.KeyForBytes(key)
-	closest, winfo, err := d.WalkClosest(ctx, target, key)
-	res.Walk = winfo
-	res.WalkDuration = winfo.Duration
+	closest, _, err := d.WalkClosest(ctx, kbucket.KeyForBytes(key), key)
 	if err != nil {
-		return res, err
+		return err
 	}
 	rec := record.NewPeerRecord(d.ident, d.sw.Addrs(), d.nextSeq(), d.src.Now())
-
-	batchStart := src.Stamp()
-	g := simtime.NewGroup(src)
-	var mu sync.Mutex
-	for _, info := range closest {
-		info := info
-		res.StoreAttempts++
-		g.Go(ctx, func(gctx context.Context) {
-			rctx, cancel := src.WithTimeout(gctx, storeRPCTimeout)
-			defer cancel()
-			resp, err := d.sw.Request(rctx, info.ID, info.Addrs, wire.Message{
-				Type:    wire.TPutPeerRecord,
-				Key:     key,
-				PeerRec: &rec,
-				Peers:   d.selfInfo(),
-			})
-			if err == nil && resp.Type == wire.TAck {
-				mu.Lock()
-				res.StoreOK++
-				mu.Unlock()
-			}
-		})
+	acked := StoreBatch(ctx, d.sw, storeRPCTimeout, closest, wire.Message{Type: wire.TPutPeerRecord, Key: key, PeerRec: &rec, Peers: d.selfInfo()})
+	if len(acked) == 0 && len(closest) > 0 {
+		return fmt.Errorf("dht: peer record: all %d store RPCs failed", len(closest))
 	}
-	g.Wait(ctx)
-	res.BatchDuration = src.Since(batchStart)
-	res.TotalDuration = src.Since(start)
-	if res.StoreOK == 0 && res.StoreAttempts > 0 {
-		return res, fmt.Errorf("dht: peer record: all %d store RPCs failed", res.StoreAttempts)
-	}
-	return res, nil
+	return nil
 }
 
 // PutIPNS stores an IPNS record (an opaque signed payload, §3.3) on the
@@ -238,33 +155,39 @@ func (d *DHT) PutIPNS(ctx context.Context, key []byte, data []byte) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	src := d.src
+	acked := StoreBatch(ctx, d.sw, storeRPCTimeout, closest, wire.Message{Type: wire.TPutIPNS, Key: key, IPNSData: data, Peers: d.selfInfo()})
+	if len(acked) == 0 {
+		return 0, fmt.Errorf("dht: put ipns: all stores failed")
+	}
+	return len(acked), nil
+}
+
+// StoreBatch pushes req to every target with concurrent fire-and-forget
+// RPCs, each bounded by timeout — the §3.1 record-store fan-out every
+// publication shares — as one "store-batch" span, and returns the
+// targets that acknowledged.
+func StoreBatch(ctx context.Context, sw *swarm.Swarm, timeout time.Duration, targets []wire.PeerInfo, req wire.Message) []wire.PeerInfo {
+	ctx, sp := telemetry.StartSpan(ctx, "store-batch")
+	defer sp.End()
+	src := sw.Time()
 	g := simtime.NewGroup(src)
 	var mu sync.Mutex
-	ok := 0
-	for _, info := range closest {
+	var acked []wire.PeerInfo
+	for _, info := range targets {
 		info := info
 		g.Go(ctx, func(gctx context.Context) {
-			rctx, cancel := src.WithTimeout(gctx, storeRPCTimeout)
+			rctx, cancel := src.WithTimeout(gctx, timeout)
 			defer cancel()
-			resp, err := d.sw.Request(rctx, info.ID, info.Addrs, wire.Message{
-				Type:     wire.TPutIPNS,
-				Key:      key,
-				IPNSData: data,
-				Peers:    d.selfInfo(),
-			})
+			resp, err := sw.Request(rctx, info.ID, info.Addrs, req)
 			if err == nil && resp.Type == wire.TAck {
 				mu.Lock()
-				ok++
+				acked = append(acked, info)
 				mu.Unlock()
 			}
 		})
 	}
 	g.Wait(ctx)
-	if ok == 0 {
-		return 0, fmt.Errorf("dht: put ipns: all stores failed")
-	}
-	return ok, nil
+	return acked
 }
 
 // GetIPNS retrieves an IPNS record for key, returning the first

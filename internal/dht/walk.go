@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/kbucket"
 	"repro/internal/peer"
@@ -13,14 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
-// WalkInfo summarizes one DHT walk (§3.2: "multi-round iterative
-// lookups"), in simulated time.
+// WalkInfo counts one DHT walk's queries (§3.2: "multi-round iterative
+// lookups"); its duration is the wall of its dht-walk span.
 type WalkInfo struct {
-	Duration time.Duration // total walk time
-	Queried  int           // peers successfully queried
-	Failed   int           // peers that timed out or refused
-	Launched int           // RPCs issued, including ones abandoned at early stop
-	Depth    int           // longest discovery chain from the seeds
+	Queried  int // peers successfully queried
+	Failed   int // peers that timed out or refused
+	Launched int // RPCs issued, including ones abandoned at early stop
 }
 
 type candState int
@@ -63,7 +60,6 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	// derived contexts, and every completed query adds a "hop" event.
 	ctx, wsp := telemetry.StartSpan(ctx, "dht-walk")
 	src := d.src
-	start := src.Stamp()
 	cands := make(map[peer.ID]*candidate)
 
 	addCandidate := func(info wire.PeerInfo, depth int) {
@@ -134,10 +130,11 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	defer cancel()
 
 	var info WalkInfo
+	depth := 0 // the longest discovery chain from the seeds
 	defer func() {
 		wsp.Annotate("queried", strconv.Itoa(info.Queried))
 		wsp.Annotate("failed", strconv.Itoa(info.Failed))
-		wsp.Annotate("depth", strconv.Itoa(info.Depth))
+		wsp.Annotate("depth", strconv.Itoa(depth))
 		wsp.End()
 	}()
 	inflight := 0
@@ -173,7 +170,6 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	for inflight > 0 {
 		res, ok := simtime.Recv(ctx, src, results)
 		if !ok {
-			info.Duration = src.Since(start)
 			info.Launched = launched
 			return d.closestSeen(cands), final, info
 		}
@@ -189,9 +185,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			info.Queried++
 			d.table.Insert(res.id, kbucket.XOR(c.dist, target)) // dist = key XOR target
 			wsp.Hop(res.id, true, c.depth+1)
-			if c.depth+1 > info.Depth {
-				info.Depth = c.depth + 1
-			}
+			depth = max(depth, c.depth+1)
 			for _, pi := range res.resp.Peers {
 				if len(pi.Addrs) > 0 {
 					d.sw.Book().Add(pi.ID, pi.Addrs)
@@ -209,7 +203,6 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 		launch()
 	}
 	cancel()
-	info.Duration = src.Since(start)
 	info.Launched = launched
 	return d.closestSeen(cands), final, info
 }

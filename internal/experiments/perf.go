@@ -104,7 +104,7 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 			res.Regions[r] = newRegionPerf()
 			// Each vantage publishes its peer record once, as a node
 			// joining the network does.
-			if _, err := vantages[r].DHT().PublishPeerRecord(ctx); err != nil {
+			if err := vantages[r].DHT().PublishPeerRecord(ctx); err != nil {
 				res.Failures++
 			}
 		}

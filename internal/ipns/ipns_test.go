@@ -1,6 +1,7 @@
 package ipns
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,4 +133,27 @@ func TestQuickRoundTripValidate(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzIPNSUnmarshal feeds arbitrary bytes to the record parser: it
+// never panics, and whatever it accepts marshals back to the same
+// bytes.
+func FuzzIPNSUnmarshal(f *testing.F) {
+	for i, v := range []cid.Cid{cid.Sum(multicodec.DagPB, []byte("website v1")), cid.Sum(multicodec.Raw, []byte("x"))} {
+		good := NewRecord(testIdentity(int64(i+1)), v, uint64(i+3), epoch, 0).Marshal()
+		f.Add(good)
+		for _, cut := range []int{0, 1, 5, len(good) / 2, len(good) - 1} {
+			f.Add(good[:cut])
+		}
+		f.Add(append(good, 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if back := r.Marshal(); !bytes.Equal(back, data) {
+			t.Fatalf("Unmarshal(%x) marshals back to %x", data, back)
+		}
+	})
 }

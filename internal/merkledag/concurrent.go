@@ -9,15 +9,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// AssembleConcurrent reassembles the DAG rooted at root like Assemble,
-// but fetches sibling subtrees with up to workers concurrent fetches —
-// how Bitswap sessions overlap block requests in practice. Output
-// ordering is preserved; every block is checked against the CID that
-// named it, and the result is the caller's own allocation.
-func AssembleConcurrent(f Fetcher, root cid.Cid, workers int) ([]byte, error) {
-	return AssembleConcurrentOn(context.Background(), nil, f, root, workers)
-}
-
 // ContextFetcher is a Fetcher whose fetches wait on the network.
 // AssembleConcurrentOn hands GetContext the context of the worker
 // goroutine the fetch runs on — under a scheduler that context carries
@@ -28,13 +19,17 @@ type ContextFetcher interface {
 	GetContext(ctx context.Context, c cid.Cid) (block.Block, error)
 }
 
-// AssembleConcurrentOn is AssembleConcurrent running its fetches on the
-// given time source: workers spawn through src.Go and both the
-// worker-slot waits and the sibling joins are instrumented, so a
-// discrete-event scheduler can advance virtual time while fetches park
-// inside simulated RPCs. ctx must be the caller's (it carries the
-// scheduler lease in simulated runs); a nil src is the wall clock,
-// i.e. plain goroutines.
+// AssembleConcurrentOn reassembles the DAG rooted at root like
+// Assemble, but fetches sibling subtrees with up to workers concurrent
+// fetches — how Bitswap sessions overlap block requests in practice.
+// Output ordering is preserved; every block is checked against the CID
+// that named it, and the result is the caller's own allocation. The
+// fetches run on the given time source: workers spawn through src.Go
+// and both the worker-slot waits and the sibling joins are
+// instrumented, so a discrete-event scheduler can advance virtual time
+// while fetches park inside simulated RPCs. ctx must be the caller's
+// (it carries the scheduler lease in simulated runs); a nil src is the
+// wall clock, i.e. plain goroutines.
 func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	if workers <= 1 {
 		return Assemble(f, root)

@@ -2,6 +2,7 @@ package merkledag
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ func TestAssembleConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		got, err := AssembleConcurrent(store, root, workers)
+		got, err := AssembleConcurrentOn(context.Background(), nil, store, root, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -56,7 +57,7 @@ func TestAssembleConcurrentRespectsWorkerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := &countingFetcher{inner: store}
-	if _, err := AssembleConcurrent(cf, root, 4); err != nil {
+	if _, err := AssembleConcurrentOn(context.Background(), nil, cf, root, 4); err != nil {
 		t.Fatal(err)
 	}
 	if cf.maxSeen > 4 {
@@ -87,7 +88,7 @@ func TestAssembleConcurrentPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := &failingFetcher{inner: store, fail: cids[len(cids)-1]}
-	if _, err := AssembleConcurrent(ff, root, 8); err == nil {
+	if _, err := AssembleConcurrentOn(context.Background(), nil, ff, root, 8); err == nil {
 		t.Error("injected failure should propagate")
 	}
 }
@@ -111,7 +112,7 @@ func TestQuickConcurrentAssembleRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := AssembleConcurrent(store, root, 6)
+		got, err := AssembleConcurrentOn(context.Background(), nil, store, root, 6)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -137,7 +138,7 @@ func TestAssembleResultIsCallersCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := AssembleConcurrent(store, root, workers)
+			out, err := AssembleConcurrentOn(context.Background(), nil, store, root, workers)
 			if err != nil || !bytes.Equal(out, data) {
 				t.Fatalf("size=%d workers=%d: assemble: %v", size, workers, err)
 			}
@@ -191,8 +192,8 @@ func TestWalkRefusesBlockForAnotherCid(t *testing.T) {
 	if _, err := Assemble(sf, root); err == nil {
 		t.Error("Assemble accepted a block for another CID")
 	}
-	if _, err := AssembleConcurrent(sf, root, 8); err == nil {
-		t.Error("AssembleConcurrent accepted a block for another CID")
+	if _, err := AssembleConcurrentOn(context.Background(), nil, sf, root, 8); err == nil {
+		t.Error("AssembleConcurrentOn accepted a block for another CID")
 	}
 	if err := Walk(sf, root, func(cid.Cid, *Node) error { return nil }); err == nil {
 		t.Error("Walk accepted a block for another CID")

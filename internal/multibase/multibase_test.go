@@ -140,3 +140,34 @@ func TestQuickAllRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzMultibaseDecode feeds arbitrary strings to Decode: it never
+// panics, and whatever it accepts re-encodes to a string that decodes
+// to the same encoding and payload and re-encodes unchanged.
+func FuzzMultibaseDecode(f *testing.F) {
+	for _, e := range allEncodings {
+		for _, p := range [][]byte{nil, {0}, {0, 0, 1}, []byte("hello multibase"), bytes.Repeat([]byte{0xff}, 40)} {
+			f.Add(MustEncode(e, p))
+		}
+	}
+	for _, s := range []string{"", "?abc", "z0OIl", "fzz", "z16UwLL9Risc3QfPqBUvKofHmBQ7wMtjvM", "bAFY", "fABCD", "mAB==", "uA-_"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, data, err := Decode(s)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(e, data)
+		if err != nil {
+			t.Fatalf("Decode(%q) gave encoding %s, which Encode refuses: %v", s, e.Name(), err)
+		}
+		e2, back, err := Decode(enc)
+		if err != nil || e2 != e || !bytes.Equal(back, data) {
+			t.Fatalf("Decode(%q) = %s %x, but its encoding %q decodes to %s %x, %v", s, e.Name(), data, enc, e2.Name(), back, err)
+		}
+		if again := MustEncode(e2, back); again != enc {
+			t.Fatalf("%q re-encodes to %q", enc, again)
+		}
+	})
+}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cid"
 	"repro/internal/crawler"
+	"repro/internal/dht"
 	"repro/internal/kbucket"
 	"repro/internal/simtime"
 	"repro/internal/swarm"
@@ -208,12 +209,11 @@ func (r *AcceleratedRouter) closest(key []byte) []wire.PeerInfo {
 }
 
 // Provide implements Router: store the provider record directly on the
-// K snapshot peers closest to the key — no walk, so WalkDuration stays
-// zero. All targets failing (a fully stale neighbourhood) falls back to
-// the iterative walk.
+// K snapshot peers closest to the key — no walk, only a store-batch.
+// All targets failing (a fully stale neighbourhood) falls back to the
+// iterative walk.
 func (r *AcceleratedRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	start := r.src.Stamp()
 	key := c.Bytes()
 	closest := r.closest(key)
 	if len(closest) == 0 {
@@ -228,16 +228,13 @@ func (r *AcceleratedRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResu
 		Key:       key,
 		Providers: []wire.PeerInfo{{ID: r.sw.Local(), Addrs: r.sw.Addrs()}},
 	}
-	var acked []wire.PeerInfo
 	res.StoreTargets = closest
-	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.src, r.cfg.RPCTimeout, closest, req)
-	res.StoreOK = len(acked)
-	res.AckedTargets = acked
-	for _, t := range acked {
+	res.StoreAttempts = len(closest)
+	res.AckedTargets = dht.StoreBatch(ctx, r.sw, r.cfg.RPCTimeout, closest, req)
+	res.StoreOK = len(res.AckedTargets)
+	for _, t := range res.AckedTargets {
 		r.ledger.Confirm(t, c.Key())
 	}
-	res.BatchDuration = r.src.Since(start)
-	res.TotalDuration = res.BatchDuration
 	if res.StoreOK == 0 {
 		return provideFallback(ctx, r.fallback, c, res,
 			fmt.Errorf("routing: accelerated provide %s: all %d direct stores failed", c, res.StoreAttempts))
@@ -292,7 +289,6 @@ func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerI
 		sp.End()
 	}()
 	src := r.src
-	start := src.Stamp()
 	key := c.Bytes()
 	closest := r.closest(key)
 
@@ -347,12 +343,9 @@ func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerI
 		}
 		cancel()
 		if winner != nil {
-			info.Duration = src.Since(start)
-			info.Depth = 1
 			return fillAddrs(r.sw, winner.Providers), info, nil
 		}
 	}
-	info.Duration = src.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, info, err
 	}

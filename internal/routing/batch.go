@@ -351,7 +351,6 @@ func runBatch(ctx context.Context, sw *swarm.Swarm, src simtime.Source, timeout 
 // provided count. targetsOf supplies each CID's target set (walk
 // result, snapshot neighbourhood, or indexer set).
 func provideManyGrouped(ctx context.Context, sw *swarm.Swarm, src simtime.Source, timeout time.Duration, ledger *Ledger, cids []cid.Cid, targetsOf func(c cid.Cid) []wire.PeerInfo) (ProvideManyResult, map[string]bool) {
-	start := src.Stamp()
 	var res ProvideManyResult
 	res.CIDs = len(cids)
 	plan := planBatch(ledger, cids, targetsOf)
@@ -368,7 +367,6 @@ func provideManyGrouped(ctx context.Context, sw *swarm.Swarm, src simtime.Source
 			res.Provided++
 		}
 	}
-	res.Duration = src.Since(start)
 	return res, provided
 }
 

@@ -52,8 +52,6 @@ func (r *DHTRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, erro
 // ADD_PROVIDER RPC per distinct target — the O(CIDs × walk) republish
 // collapsed to O(distinct target peers).
 func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error) {
-	src := r.d.Time()
-	start := src.Stamp()
 	walks := 0
 	var walkInfo LookupInfo
 	targetsOf := func(c cid.Cid) []wire.PeerInfo {
@@ -73,7 +71,7 @@ func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideMan
 		r.ledger.SetTargets(key, closest)
 		return closest
 	}
-	res, provided := provideManyGrouped(ctx, r.d.Swarm(), src, storeTimeout, r.ledger, cids, targetsOf)
+	res, provided := provideManyGrouped(ctx, r.d.Swarm(), r.d.Time(), storeTimeout, r.ledger, cids, targetsOf)
 	res.Walks = walks
 	res.Walk = walkInfo
 	// Re-walk CIDs whose remembered target set failed to ack a single
@@ -94,7 +92,6 @@ func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideMan
 			res.Provided++
 		}
 	}
-	res.Duration = src.Since(start)
 	if res.Provided == 0 && res.CIDs > 0 {
 		if err := ctx.Err(); err != nil {
 			return res, err

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cid"
+	"repro/internal/dht"
 	"repro/internal/peer"
 	"repro/internal/record"
 	"repro/internal/simtime"
@@ -346,13 +347,6 @@ func (r *IndexerRouter) Name() string { return string(KindIndexer) }
 // Ledger exposes the republish ack ledger.
 func (r *IndexerRouter) Ledger() *Ledger { return r.ledger }
 
-// SetIndexers replaces the indexer set (e.g. after discovery).
-func (r *IndexerRouter) SetIndexers(indexers []wire.PeerInfo) {
-	r.mu.Lock()
-	r.indexers = append([]wire.PeerInfo(nil), indexers...)
-	r.mu.Unlock()
-}
-
 // SetIndexerSet installs a shard topology: every Provide / lookup is
 // routed to the owning shard's replica group instead of the flat list.
 // Passing nil reverts to flat routing.
@@ -360,12 +354,6 @@ func (r *IndexerRouter) SetIndexerSet(set *IndexerSet) {
 	r.mu.Lock()
 	r.set = set
 	r.mu.Unlock()
-}
-
-func (r *IndexerRouter) shardSet() *IndexerSet {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.set
 }
 
 func (r *IndexerRouter) targets() []wire.PeerInfo {
@@ -401,7 +389,6 @@ func (r *IndexerRouter) targetsFor(c cid.Cid) []wire.PeerInfo {
 // accepts it, fall back to the DHT walk so the record is never lost.
 func (r *IndexerRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	var res ProvideResult
-	start := r.src.Stamp()
 	targets := r.targetsFor(c)
 	if len(targets) == 0 {
 		if r.fallback != nil {
@@ -414,16 +401,13 @@ func (r *IndexerRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, 
 		Key:       c.Bytes(),
 		Providers: []wire.PeerInfo{{ID: r.sw.Local(), Addrs: r.sw.Addrs()}},
 	}
-	var acked []wire.PeerInfo
 	res.StoreTargets = targets
-	res.StoreAttempts, acked = storeBatch(ctx, r.sw, r.src, r.cfg.RPCTimeout, targets, req)
-	res.StoreOK = len(acked)
-	res.AckedTargets = acked
-	for _, t := range acked {
+	res.StoreAttempts = len(targets)
+	res.AckedTargets = dht.StoreBatch(ctx, r.sw, r.cfg.RPCTimeout, targets, req)
+	res.StoreOK = len(res.AckedTargets)
+	for _, t := range res.AckedTargets {
 		r.ledger.Confirm(t, c.Key())
 	}
-	res.BatchDuration = r.src.Since(start)
-	res.TotalDuration = res.BatchDuration
 	if res.StoreOK == 0 {
 		return provideFallback(ctx, r.fallback, c, res,
 			fmt.Errorf("routing: indexer provide %s: all %d indexer stores failed", c, res.StoreAttempts))
@@ -463,7 +447,7 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			return
 		}
 		var info LookupInfo
-		start := r.src.Stamp()
+		sctx, sp := telemetry.StartSpan(ctx, "indexer-direct")
 		key := c.Bytes()
 		seen := make(map[peer.ID]bool)
 		yielded := false
@@ -471,12 +455,12 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			if ctx.Err() != nil {
 				break
 			}
-			rctx, cancel := r.src.WithTimeout(ctx, r.cfg.RPCTimeout)
+			rctx, cancel := r.src.WithTimeout(sctx, r.cfg.RPCTimeout)
 			resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
 			cancel()
 			if err != nil || resp.Type != wire.TProviders {
 				info.Failed++
-				telemetry.SpanFrom(ctx).Event("replica-failover", telemetry.A("indexer", ix.ID.String()))
+				sp.Event("replica-failover", telemetry.A("indexer", ix.ID.String()))
 				continue
 			}
 			info.Queried++
@@ -484,13 +468,14 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			if len(batch) == 0 {
 				continue
 			}
-			info.Depth = 1
 			yielded = true
 			if !yield(batch) {
 				break
 			}
 		}
-		info.Duration = r.src.Since(start)
+		sp.Annotate("queried", strconv.Itoa(info.Queried))
+		sp.Annotate("failed", strconv.Itoa(info.Failed))
+		sp.End()
 		if yielded {
 			st.set(info, nil)
 			return
@@ -527,7 +512,6 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 		sp.Annotate("failed", strconv.Itoa(info.Failed))
 		sp.End()
 	}()
-	start := r.src.Stamp()
 	key := c.Bytes()
 	for _, ix := range r.targetsFor(c) {
 		if ctx.Err() != nil {
@@ -543,12 +527,9 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 		}
 		info.Queried++
 		if len(resp.Providers) > 0 {
-			info.Duration = r.src.Since(start)
-			info.Depth = 1
 			return fillAddrs(r.sw, resp.Providers), info, nil
 		}
 	}
-	info.Duration = r.src.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, info, err
 	}

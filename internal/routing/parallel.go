@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cid"
 	"repro/internal/peer"
@@ -62,6 +61,7 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 	type outcome struct {
 		res ProvideResult
 		err error
+		sp  *telemetry.Span
 	}
 	pctx, cancel := r.src.WithCancel(ctx)
 	defer cancel()
@@ -75,7 +75,7 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 		r.src.Go(mctx, func(gctx context.Context) {
 			res, err := m.Provide(gctx, c)
 			sp.End()
-			ch <- outcome{res: res, err: err}
+			ch <- outcome{res: res, err: err, sp: sp}
 		})
 	}
 	// Every racer deposits exactly once into the buffered channel, so
@@ -90,6 +90,7 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 		}
 		if o.err == nil {
 			cancel()
+			o.sp.Annotate("won", "true") // the publication's phases are the winner's
 			// Drain the cancelled losers (they return promptly once the
 			// context falls) and charge the RPCs they managed to launch.
 			for j := i + 1; j < len(r.members); j++ {
@@ -307,7 +308,6 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 		}
 		finished := 0
 		var agg LookupInfo
-		var maxDur time.Duration
 		var firstErr error
 		// The consumer must join every member (their infos carry the RPC
 		// accounting), so the wait runs detached from pctx: cancelled
@@ -322,21 +322,13 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 			for len(done) > 0 {
 				mst := <-done
 				finished++
-				info := mst.Info()
-				if info.Duration > maxDur {
-					maxDur = info.Duration
-				}
-				agg = mergeLookup(agg, info)
+				agg = mergeLookup(agg, mst.Info())
 				if err := mst.Err(); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
 		}
 		drain() // batches deposited between the last wake and the last join
-		// Members ran concurrently, so the combined duration is the
-		// slowest member's, not mergeLookup's sequential sum; the race
-		// costs messages, not time.
-		agg.Duration = maxDur
 		var err error
 		if !emitted {
 			if err = firstErr; err == nil {

@@ -24,20 +24,17 @@
 // target peers) instead of O(CIDs × walk). Discovery is stream-first:
 // FindProvidersStream yields providers as lookup responses arrive, so
 // a retrieval can hand the first provider to Bitswap immediately while
-// later ones become fail-over candidates; the package-level
-// FindProviders adapter keeps the legacy blocking slice shape.
+// later ones become fail-over candidates.
 package routing
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/cid"
 	"repro/internal/dht"
 	"repro/internal/peer"
-	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -59,8 +56,8 @@ const (
 )
 
 // ProvideResult aliases the DHT's publication instrumentation so every
-// router reports the phase breakdown core.PublishResult expects. One-hop
-// routers leave the walk fields zero — that is the saving they exist to
+// router reports the same counts. One-hop routers leave the walk fields
+// zero and record no dht-walk span — that is the saving they exist to
 // demonstrate.
 type ProvideResult = dht.ProvideResult
 
@@ -124,9 +121,8 @@ type ProvideManyResult struct {
 	Acked          int // store RPCs acknowledged
 	// Walks counts full WalkClosest lookups paid for CIDs with no
 	// remembered target set (first publication through this router).
-	Walks    int
-	Walk     LookupInfo // aggregate cost of those walks
-	Duration time.Duration
+	Walks int
+	Walk  LookupInfo // aggregate cost of those walks
 }
 
 // Msgs counts the routing RPCs the batch issued: walk queries plus
@@ -144,9 +140,6 @@ func (r ProvideManyResult) merge(o ProvideManyResult) ProvideManyResult {
 	r.Acked += o.Acked
 	r.Walks += o.Walks
 	r.Walk = mergeLookup(r.Walk, o.Walk)
-	if o.Duration > r.Duration {
-		r.Duration = o.Duration
-	}
 	return r
 }
 
@@ -326,43 +319,10 @@ func ProvideMessages(res ProvideResult) int {
 // path's, so a miss-then-fallback lookup reports its full message cost.
 func mergeLookup(direct, fallback LookupInfo) LookupInfo {
 	return LookupInfo{
-		Duration: direct.Duration + fallback.Duration,
 		Queried:  direct.Queried + fallback.Queried,
 		Failed:   direct.Failed + fallback.Failed,
 		Launched: LookupMessages(direct) + LookupMessages(fallback),
-		Depth:    max(direct.Depth, fallback.Depth),
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// storeBatch pushes req to every target with concurrent fire-and-forget
-// RPCs — the §3.1 record-store fan-out the one-hop routers share — and
-// returns the targets that acknowledged.
-func storeBatch(ctx context.Context, sw *swarm.Swarm, src simtime.Source, timeout time.Duration, targets []wire.PeerInfo, req wire.Message) (attempts int, ackedTargets []wire.PeerInfo) {
-	g := simtime.NewGroup(src)
-	var mu sync.Mutex
-	for _, info := range targets {
-		info := info
-		attempts++
-		g.Go(ctx, func(gctx context.Context) {
-			rctx, cancel := src.WithTimeout(gctx, timeout)
-			defer cancel()
-			resp, err := sw.Request(rctx, info.ID, info.Addrs, req)
-			if err == nil && resp.Type == wire.TAck {
-				mu.Lock()
-				ackedTargets = append(ackedTargets, info)
-				mu.Unlock()
-			}
-		})
-	}
-	g.Wait(ctx)
-	return attempts, ackedTargets
 }
 
 // provideFallback routes a fully-failed one-hop batch through the
@@ -374,7 +334,6 @@ func provideFallback(ctx context.Context, fallback Router, c cid.Cid, direct Pro
 	}
 	fres, err := fallback.Provide(ctx, c)
 	fres.StoreAttempts += direct.StoreAttempts
-	fres.TotalDuration += direct.TotalDuration
 	return fres, err
 }
 

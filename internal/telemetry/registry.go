@@ -394,7 +394,7 @@ func FirstHopShare(traces []*Trace) float64 {
 			continue
 		}
 		n++
-		if tr.lookupRPCs(sp) <= 1 {
+		if sp.RPCs("lookup") <= 1 {
 			oneHop++
 		}
 	}
@@ -402,26 +402,4 @@ func FirstHopShare(traces []*Trace) float64 {
 		return math.NaN()
 	}
 	return float64(oneHop) / float64(n)
-}
-
-// lookupRPCs counts lookup-category RPC events in sp's subtree, in
-// one pass: a parent is created before its children, so membership is
-// known by the time a span is reached.
-func (t *Trace) lookupRPCs(sp *Span) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	in := make([]bool, len(t.spans))
-	in[sp.i] = true
-	for j := sp.i + 1; j < int32(len(t.spans)); j++ {
-		if p := t.spans[j].parent; p >= 0 && in[p] {
-			in[j] = true
-		}
-	}
-	n := 0
-	for k := range t.events {
-		if e := &t.events[k]; in[e.span] && e.kind == evRPC && string(t.bytes(t.names[e.cat])) == "lookup" {
-			n++
-		}
-	}
-	return n
 }

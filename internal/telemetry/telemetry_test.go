@@ -58,6 +58,27 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 		t.Error("FindSpan(want-wave) did not return the span")
 	}
 
+	// The read API walks a subtree in creation order.
+	names := func(spans []*Span) (out []string) {
+		for _, sp := range spans {
+			out = append(out, sp.Name())
+		}
+		return out
+	}
+	if got := names(root.Children()); strings.Join(got, ",") != "discover,fetch" {
+		t.Errorf("root children = %v, want discover, fetch", got)
+	}
+	if got := root.Descendants("want-wave"); len(got) != 1 || got[0].ID() != wave.ID() {
+		t.Errorf("Descendants(want-wave) = %v", names(got))
+	}
+	if len(discover.Descendants("fetch")) != 0 || len(wave.Children()) != 0 {
+		t.Error("a span's subtree reaches outside it")
+	}
+	if root.RPCs("lookup") != 1 || root.RPCs("want") != 1 || discover.RPCs("want") != 0 || fetch.RPCs("want") != 0 {
+		t.Errorf("RPCs: root lookup %d, want %d; discover want %d; fetch want %d (its RPC went to the root's context)",
+			root.RPCs("lookup"), root.RPCs("want"), discover.RPCs("want"), fetch.RPCs("want"))
+	}
+
 	tree := tr.Tree()
 	for _, want := range []string{"retrieve #1 [0µs] cid=bafy1", "  discover #2 [0µs]", "· rpc type=GET_PROVIDERS cat=lookup peer=" + peer.ID("peerA").String() + " [40.0ms]", "    · have peer=peerB", "  fetch #"} {
 		if !strings.Contains(tree, want) {
@@ -70,6 +91,32 @@ func TestTraceSpanTreeAndContext(t *testing.T) {
 // durations are virtual, so the full renders — the tree with its
 // durations, the JSONL with its sequence numbers and latencies — are
 // the same bytes on every run, concurrent event arrivals included.
+// TestSpanOffsets pins Offsets on virtual time: a span's open and end
+// are offsets from the trace's start, and an open span ends where it
+// opened.
+func TestSpanOffsets(t *testing.T) {
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		ctx, root := NewRecorder(s).StartTrace(ctx, "retrieve")
+		s.Sleep(ctx, 10*time.Millisecond)
+		_, child := StartSpan(ctx, "discover")
+		s.Sleep(ctx, 20*time.Millisecond)
+		if open, end := child.Offsets(); open != 10*time.Millisecond || end != open {
+			t.Errorf("running child offsets = %v, %v, want 10ms, 10ms", open, end)
+		}
+		child.End()
+		s.Sleep(ctx, 5*time.Millisecond)
+		root.End()
+		for _, c := range []struct {
+			sp                *Span
+			wantOpen, wantEnd time.Duration
+		}{{root, 0, 35 * time.Millisecond}, {child, 10 * time.Millisecond, 30 * time.Millisecond}} {
+			if open, end := c.sp.Offsets(); open != c.wantOpen || end != c.wantEnd || end-open != c.sp.Wall() {
+				t.Errorf("%s offsets = %v, %v (wall %v), want %v, %v", c.sp.Name(), open, end, c.sp.Wall(), c.wantOpen, c.wantEnd)
+			}
+		}
+	})
+}
+
 func TestStableRendersAreDeterministic(t *testing.T) {
 	build := func() *Trace {
 		var tr *Trace
@@ -130,6 +177,9 @@ func TestUntracedContextIsNoop(t *testing.T) {
 	sp.End()
 	sp.Annotate("k", "v")
 	sp.Event("ev")
+	if sp.Children() != nil || sp.Descendants("x") != nil || sp.RPCs("lookup") != 0 {
+		t.Error("reading a nil span must find nothing")
+	}
 	RPC(ctx, "PING", "other", "p", time.Millisecond, "")
 	var rec *Recorder
 	rctx, rsp := rec.StartTrace(ctx, "retrieve")

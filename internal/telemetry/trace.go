@@ -150,14 +150,11 @@ func (s *Span) Annotate(key, value string) {
 	s.tr.mu.Unlock()
 }
 
-// Event records a structured event on the span.
-func (s *Span) Event(name string, attrs ...Attr) { s.EventDur(name, 0, attrs...) }
-
-// EventDur records an event carrying a measured sim-accurate duration.
-// Events may be appended from concurrent goroutines. The per-RPC events
-// have typed recorders (RPC, RPCDrop, Hop, Have) that format nothing;
-// this is for the occasional one that has none.
-func (s *Span) EventDur(name string, dur time.Duration, attrs ...Attr) {
+// Event records a structured event on the span. Events may be appended
+// from concurrent goroutines. The per-RPC events have typed recorders
+// (RPC, RPCDrop, Hop, Have) that format nothing; this is for the
+// occasional one that has none.
+func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
@@ -167,7 +164,7 @@ func (s *Span) EventDur(name string, dur time.Duration, attrs ...Attr) {
 	for _, a := range attrs {
 		t.annotate(^int32(len(t.events)), a.Key, a.Value)
 	}
-	s.appendLocked(event{kind: evGeneric, dur: int64(dur), typ: t.name(name)}, "")
+	s.appendLocked(event{kind: evGeneric, typ: t.name(name)}, "")
 }
 
 // Hop records one answered (or failed) query of a DHT walk: the peer
@@ -239,9 +236,6 @@ func (s *Span) Name() string {
 	return s.tr.str(s.tr.spans[s.i].name)
 }
 
-// Start returns the trace-clock instant the span opened.
-func (s *Span) Start() time.Time { return s.tr.instant(s.rec().start) }
-
 // Stop returns the trace-clock instant End ran, zero while open.
 func (s *Span) Stop() time.Time {
 	if r := s.rec(); r.ended {
@@ -253,11 +247,86 @@ func (s *Span) Stop() time.Time {
 // Wall returns the span's sim-accurate elapsed time, zero while open.
 func (s *Span) Wall() time.Duration { return time.Duration(s.rec().wall) }
 
+// Offsets returns the instants s opened and ended as monotonic offsets
+// from the trace's start, so phases of one trace subtract exactly on
+// either clock; end is open while s runs.
+func (s *Span) Offsets() (open, end time.Duration) {
+	r := s.rec()
+	return time.Duration(r.opened), time.Duration(r.opened + r.wall)
+}
+
 // Attrs returns the span's annotations in the order they were added.
 func (s *Span) Attrs() []Attr {
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
 	return s.tr.attrsOf(s.i)
+}
+
+// Children returns the spans opened directly under s, in creation
+// order.
+func (s *Span) Children() []*Span {
+	return s.collect(false, func(t *Trace, j int32) bool { return t.spans[j].parent == s.i })
+}
+
+// Descendants returns the spans named name anywhere under s, in
+// creation order.
+func (s *Span) Descendants(name string) []*Span {
+	return s.collect(true, func(t *Trace, j int32) bool { return string(t.bytes(t.spans[j].name)) == name })
+}
+
+// collect returns the spans after s, in creation order, that keep
+// accepts: only those of s's subtree when deep.
+func (s *Span) collect(deep bool, keep func(t *Trace, j int32) bool) []*Span {
+	if s == nil {
+		return nil
+	}
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var in []bool
+	if deep {
+		in = t.subtree(s.i)
+	}
+	var out []*Span
+	for j := s.i + 1; j < int32(len(t.spans)); j++ {
+		if (in == nil || in[j]) && keep(t, j) {
+			out = append(out, &Span{t, j})
+		}
+	}
+	return out
+}
+
+// RPCs counts the answered-or-failed RPC events of the given budget
+// category recorded anywhere in s's subtree (drops excluded).
+func (s *Span) RPCs(category string) int {
+	if s == nil {
+		return 0
+	}
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	in := t.subtree(s.i)
+	n := 0
+	for k := range t.events {
+		if e := &t.events[k]; in[e.span] && e.kind == evRPC && string(t.bytes(t.names[e.cat])) == category {
+			n++
+		}
+	}
+	return n
+}
+
+// subtree marks span i and its descendants in one pass: a parent is
+// created before its children, so membership is known by the time a
+// span is reached.
+func (t *Trace) subtree(i int32) []bool {
+	in := make([]bool, len(t.spans))
+	in[i] = true
+	for j := i + 1; j < int32(len(t.spans)); j++ {
+		if p := t.spans[j].parent; p >= 0 && in[p] {
+			in[j] = true
+		}
+	}
+	return in
 }
 
 // Trace is one operation's span tree. At rest it is a few tables of

@@ -10,6 +10,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
+	"repro/internal/wire"
 )
 
 func TestBuildTopology(t *testing.T) {
@@ -100,10 +101,8 @@ func TestLookupsConvergeAcrossKeyspace(t *testing.T) {
 				t.Fatalf("publish %d: %v", i, err)
 			}
 			requester := tn.Nodes[(i*53+11)%len(tn.Nodes)]
-			provs, _, err := requester.DHT().FindProviders(ctx, pub.Cid)
-			if err != nil {
-				t.Fatalf("find %d: %v", i, err)
-			}
+			var provs []wire.PeerInfo
+			requester.DHT().FindProvidersStream(ctx, pub.Cid, func(b []wire.PeerInfo) bool { provs = b; return false })
 			if len(provs) == 0 {
 				t.Fatalf("no providers for key %d", i)
 			}
