@@ -34,10 +34,6 @@ type Config struct {
 	// Region locates the node for the latency model (informational on
 	// real transports).
 	Region geo.Region
-	// ChunkSize for content import (256 KiB).
-	ChunkSize int
-	// Fanout for the Merkle DAG builder (174).
-	Fanout int
 	// K, Alpha, QueryTimeout configure the DHT (20 / 3 / 10 s).
 	K            int
 	Alpha        int
@@ -125,7 +121,7 @@ func New(ident peer.Identity, ep transport.Endpoint, cfg Config) *Node {
 		dht:     d,
 		bswap:   bs,
 		store:   store,
-		builder: merkledag.NewBuilder(store, cfg.ChunkSize, cfg.Fanout),
+		builder: merkledag.NewBuilder(store, 0, 0),
 		tel:     telemetry.NewRecorder(src),
 	}
 	if p, ok := store.(block.Pinner); ok {

@@ -195,8 +195,8 @@ func TestWalkRefusesBlockForAnotherCid(t *testing.T) {
 	if _, err := AssembleConcurrentOn(context.Background(), nil, sf, root, 8); err == nil {
 		t.Error("AssembleConcurrentOn accepted a block for another CID")
 	}
-	if err := Walk(sf, root, func(cid.Cid, *Node) error { return nil }); err == nil {
-		t.Error("Walk accepted a block for another CID")
+	if _, err := AllCids(sf, root); err == nil {
+		t.Error("AllCids accepted a block for another CID")
 	}
 	zero := fetcherFunc(func(cid.Cid) (block.Block, error) { return block.Block{}, nil })
 	if _, err := Assemble(zero, root); err == nil {

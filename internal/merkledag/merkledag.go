@@ -11,7 +11,6 @@
 package merkledag
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -85,7 +84,8 @@ func (n *Node) Encode() []byte {
 	return append(out, n.Data...)
 }
 
-// DecodeNode parses a serialized node.
+// DecodeNode parses a serialized node. It accepts only what Encode
+// writes (no inner node without links), so a node has one CID.
 func DecodeNode(raw []byte) (*Node, error) {
 	if len(raw) < 2 || raw[0] != nodeMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)
@@ -109,6 +109,9 @@ func DecodeNode(raw []byte) (*Node, error) {
 		nlinks, used, err := varint.Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
+		if nlinks == 0 {
+			return nil, fmt.Errorf("%w: inner node without links", ErrMalformed)
 		}
 		raw = raw[used:]
 		for i := uint64(0); i < nlinks; i++ {
@@ -227,45 +230,17 @@ type Fetcher interface {
 	Get(c cid.Cid) (block.Block, error)
 }
 
-// Assemble walks the DAG rooted at root depth-first, checking every
-// block against the CID that named it, and returns the reassembled
-// content in one allocation of exactly its size. The result is always
-// the caller's own: it never aliases a block's bytes, which stores and
-// other nodes share.
-func Assemble(f Fetcher, root cid.Cid) ([]byte, error) {
-	var leaves [][]byte
-	err := Walk(f, root, func(c cid.Cid, n *Node) error {
-		if len(n.Links) == 0 {
-			leaves = append(leaves, n.Data)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concat(leaves), nil
-}
-
-// concat copies the leaves, in order, into one new buffer: the only
-// payload copy an assembly makes, and the allocation the caller gets to
-// keep. It is sized from the leaves held, never from a link's declared
-// Size, which is remote input. (bytes.Join rather than slices.Concat:
-// it does not zero the megabytes it is about to overwrite.)
-func concat(leaves [][]byte) []byte {
-	return bytes.Join(leaves, nil)
-}
-
-// fetchNode gets the block for c from f and decodes it. A block.Block
-// can only come from a constructor that hashed its bytes against its
-// CID, so the check here is that the fetcher answered with the block
-// asked for, not a hash: a valid block for another CID (or the zero
-// Block) is refused, and the bytes are not hashed a second time.
-func fetchNode(f Fetcher, c cid.Cid) (*Node, error) {
+// Fetch gets the block for c from f and decodes it: the one way a DAG
+// node is read. A block.Block only comes from a constructor that hashed
+// it, so the check is that f answered with the block asked for: a valid
+// block for another CID, or the zero Block, is refused without hashing
+// again. The Node's Data aliases the block and must not be written.
+func Fetch(f Fetcher, c cid.Cid) (*Node, error) {
 	blk, err := f.Get(c)
 	return decodeFetched(c, blk, err)
 }
 
-// decodeFetched is fetchNode past the Get.
+// decodeFetched is Fetch past the Get.
 func decodeFetched(c cid.Cid, blk block.Block, err error) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrMissing, c, err)
@@ -274,77 +249,4 @@ func decodeFetched(c cid.Cid, blk block.Block, err error) (*Node, error) {
 		return nil, fmt.Errorf("merkledag: block %s failed verification", c)
 	}
 	return DecodeNode(blk.Data())
-}
-
-// Walk visits every node of the DAG rooted at root in depth-first
-// pre-order, invoking fn for each. Blocks are checked against the CIDs
-// that named them as they are fetched (see fetchNode); a Node's Data
-// aliases its block and must not be written.
-func Walk(f Fetcher, root cid.Cid, fn func(cid.Cid, *Node) error) error {
-	n, err := fetchNode(f, root)
-	if err != nil {
-		return err
-	}
-	if err := fn(root, n); err != nil {
-		return err
-	}
-	for _, l := range n.Links {
-		if err := Walk(f, l.Cid, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AllCids returns every CID in the DAG rooted at root, root first.
-func AllCids(f Fetcher, root cid.Cid) ([]cid.Cid, error) {
-	var out []cid.Cid
-	err := Walk(f, root, func(c cid.Cid, _ *Node) error {
-		out = append(out, c)
-		return nil
-	})
-	return out, err
-}
-
-// Stat summarizes a DAG.
-type Stat struct {
-	Blocks      int    // total DAG nodes
-	Leaves      int    // leaf nodes
-	ContentSize uint64 // reassembled payload bytes
-	Depth       int    // tree height (1 for a single leaf)
-}
-
-// Statistics walks the DAG and reports its shape.
-func Statistics(f Fetcher, root cid.Cid) (Stat, error) {
-	var st Stat
-	var depth func(c cid.Cid) (int, error)
-	depth = func(c cid.Cid) (int, error) {
-		n, err := fetchNode(f, c)
-		if err != nil {
-			return 0, err
-		}
-		st.Blocks++
-		if len(n.Links) == 0 {
-			st.Leaves++
-			st.ContentSize += uint64(len(n.Data))
-			return 1, nil
-		}
-		max := 0
-		for _, l := range n.Links {
-			d, err := depth(l.Cid)
-			if err != nil {
-				return 0, err
-			}
-			if d > max {
-				max = d
-			}
-		}
-		return max + 1, nil
-	}
-	d, err := depth(root)
-	if err != nil {
-		return Stat{}, err
-	}
-	st.Depth = d
-	return st, nil
 }

@@ -2,6 +2,7 @@ package merkledag
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,19 +39,44 @@ func TestNodeEncodeDecodeInner(t *testing.T) {
 	}
 }
 
+// malformedNodes are encodings DecodeNode must refuse; FuzzDecodeNode
+// starts from them too.
+var malformedNodes = [][]byte{
+	nil,
+	{0x00},
+	{0xDA, 0x99, 0x00},
+	{0xDA, 0x00, 0x05, 0x01},       // claims 5 data bytes, has 1
+	{0xDA, 0x01, 0x01, 0x02, 0x01}, // truncated link cid
+	{0xDA, 0x01, 0x00, 0x00},       // inner marker, zero links: the leaf da 00 00 spelled twice
+}
+
 func TestDecodeNodeErrors(t *testing.T) {
-	bad := [][]byte{
-		nil,
-		{0x00},
-		{0xDA, 0x99, 0x00},
-		{0xDA, 0x00, 0x05, 0x01},       // claims 5 data bytes, has 1
-		{0xDA, 0x01, 0x01, 0x02, 0x01}, // truncated link cid
-	}
-	for i, raw := range bad {
-		if _, err := DecodeNode(raw); err == nil {
-			t.Errorf("case %d should fail", i)
+	for i, raw := range malformedNodes {
+		if _, err := DecodeNode(raw); !errors.Is(err, ErrMalformed) {
+			t.Errorf("case %d: err = %v, want ErrMalformed", i, err)
 		}
 	}
+}
+
+// FuzzDecodeNode: DecodeNode never panics, and whatever it accepts is
+// the one encoding of its node, so no two CIDs name one node.
+func FuzzDecodeNode(f *testing.F) {
+	for _, raw := range malformedNodes {
+		f.Add(raw)
+	}
+	named := &Node{Links: []Link{{Cid: cid.Sum(multicodec.DagPB, []byte("a")), Size: 10, Name: "réadme.md"}}, Data: []byte("dir")}
+	for _, n := range []*Node{{}, {Data: []byte("leaf payload")}, named} {
+		f.Add(n.Encode())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n, err := DecodeNode(raw)
+		if err != nil {
+			return
+		}
+		if enc := n.Encode(); !bytes.Equal(enc, raw) {
+			t.Fatalf("%x decodes, but re-encodes as %x", raw, enc)
+		}
+	})
 }
 
 func TestAddSingleChunk(t *testing.T) {
@@ -88,19 +114,49 @@ func TestAddMultiLevel(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Error("Assemble mismatch on multi-level DAG")
 	}
-	st, err := Statistics(store, root)
+	cids, err := AllCids(store, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Leaves != 16 {
-		t.Errorf("Leaves = %d, want 16", st.Leaves)
+	leaves, size := 0, 0
+	for _, c := range cids {
+		n, err := Fetch(store, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.Links) == 0 {
+			leaves++
+			size += len(n.Data)
+		}
 	}
-	if st.ContentSize != uint64(len(data)) {
-		t.Errorf("ContentSize = %d, want %d", st.ContentSize, len(data))
+	if leaves != 16 {
+		t.Errorf("leaves = %d, want 16", leaves)
 	}
-	// 16 leaves with fanout 2: depth = 1 + ceil(log2(16)) = 5.
-	if st.Depth != 5 {
-		t.Errorf("Depth = %d, want 5", st.Depth)
+	if size != len(data) {
+		t.Errorf("leaf bytes = %d, want %d", size, len(data))
+	}
+	// 16 leaves with fanout 2: depth = 1 + ceil(log2(16)) = 5. The
+	// builder stacks whole levels, so the first and last paths down
+	// are as long as every other.
+	for _, last := range []bool{false, true} {
+		depth, c := 0, root
+		for {
+			n, err := Fetch(store, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			depth++
+			if len(n.Links) == 0 {
+				break
+			}
+			c = n.Links[0].Cid
+			if last {
+				c = n.Links[len(n.Links)-1].Cid
+			}
+		}
+		if depth != 5 {
+			t.Errorf("depth (last=%v) = %d, want 5", last, depth)
+		}
 	}
 }
 
@@ -114,18 +170,28 @@ func TestDeduplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Statistics(store, root)
+	// AllCids lists a shared block once per link to it: the logical
+	// nodes.
+	cids, err := AllCids(store, root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Leaves != 8 {
-		t.Errorf("logical leaves = %d, want 8", st.Leaves)
+	leaves := 0
+	for _, c := range cids {
+		if n, err := Fetch(store, c); err != nil {
+			t.Fatal(err)
+		} else if len(n.Links) == 0 {
+			leaves++
+		}
+	}
+	if leaves != 8 {
+		t.Errorf("logical leaves = %d, want 8", leaves)
 	}
 	// Physically: 1 unique leaf + interior nodes. 8 links/fanout 4 = 2
 	// inner (identical → dedup to... they have identical links so also 1)
 	// + root. Just assert far fewer blocks than logical nodes.
-	if store.Len() >= st.Blocks {
-		t.Errorf("store holds %d blocks for %d logical nodes; expected de-duplication", store.Len(), st.Blocks)
+	if store.Len() >= len(cids) {
+		t.Errorf("store holds %d blocks for %d logical nodes; expected de-duplication", store.Len(), len(cids))
 	}
 	got, err := Assemble(store, root)
 	if err != nil {

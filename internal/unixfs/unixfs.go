@@ -70,7 +70,7 @@ func MakeDirectory(store block.Store, entries []Entry) (cid.Cid, error) {
 
 // List returns a directory's entries in name order.
 func List(f merkledag.Fetcher, dir cid.Cid) ([]Entry, error) {
-	n, err := fetchNode(f, dir)
+	n, err := merkledag.Fetch(f, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func Resolve(f merkledag.Fetcher, root cid.Cid, path string) (cid.Cid, error) {
 		if seg == "" {
 			continue
 		}
-		n, err := fetchNode(f, cur)
+		n, err := merkledag.Fetch(f, cur)
 		if err != nil {
 			return cid.Cid{}, err
 		}
@@ -115,20 +115,34 @@ func Resolve(f merkledag.Fetcher, root cid.Cid, path string) (cid.Cid, error) {
 }
 
 // ReadFile resolves path under root and reassembles the file content.
+// The target is fetched once: the directory check and the assembly both
+// read that block, each through merkledag.Fetch's check.
 func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
 	c, err := Resolve(f, root, path)
 	if err != nil {
 		return nil, err
 	}
-	n, err := fetchNode(f, c)
+	blk, getErr := f.Get(c)
+	held := fetcherFunc(func(k cid.Cid) (block.Block, error) {
+		if k.Equal(c) {
+			return blk, getErr
+		}
+		return f.Get(k)
+	})
+	n, err := merkledag.Fetch(held, c)
 	if err != nil {
 		return nil, err
 	}
 	if IsDirectory(n) {
 		return nil, fmt.Errorf("%w: %q is a directory", ErrNotDirectory, path)
 	}
-	return merkledag.Assemble(f, c)
+	return merkledag.Assemble(held, c)
 }
+
+// fetcherFunc adapts a function to merkledag.Fetcher.
+type fetcherFunc func(cid.Cid) (block.Block, error)
+
+func (f fetcherFunc) Get(c cid.Cid) (block.Block, error) { return f(c) }
 
 // AddTree imports a map of path -> content as a directory tree rooted
 // at a single CID; intermediate directories are created as needed.
@@ -188,12 +202,4 @@ func AddTree(store block.Store, b *merkledag.Builder, files map[string][]byte) (
 	}
 	c, _, err := build(root)
 	return c, err
-}
-
-func fetchNode(f merkledag.Fetcher, c cid.Cid) (*merkledag.Node, error) {
-	blk, err := f.Get(c)
-	if err != nil {
-		return nil, err
-	}
-	return merkledag.DecodeNode(blk.Data())
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/cid"
 	"repro/internal/merkledag"
 )
 
@@ -124,6 +125,85 @@ func TestResolveErrors(t *testing.T) {
 	fileCid, _ := b.Add([]byte("plain"))
 	if _, err := List(store, fileCid); err == nil {
 		t.Error("List on a file should fail")
+	}
+}
+
+// swappingFetcher answers a request for one CID with a valid block for
+// another.
+type swappingFetcher struct {
+	inner    merkledag.Fetcher
+	ask, got cid.Cid
+}
+
+func (f swappingFetcher) Get(c cid.Cid) (block.Block, error) {
+	if c.Equal(f.ask) {
+		return f.inner.Get(f.got)
+	}
+	return f.inner.Get(c)
+}
+
+// TestReadersRefuseBlockForAnotherCid: every UnixFS read checks each
+// block against the CID that named it, so a fetcher answering with a
+// well-formed block for another CID — directory z for directory a, both
+// holding an x, or one file for another — is caught, not served.
+func TestReadersRefuseBlockForAnotherCid(t *testing.T) {
+	store, b := setup()
+	root, err := AddTree(store, b, map[string][]byte{"a/x": []byte("ax"), "z/x": []byte("zx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := Resolve(store, root, "a")
+	z, _ := Resolve(store, root, "z")
+	x, _ := Resolve(store, root, "a/x")
+	zx, _ := Resolve(store, root, "z/x")
+	dirs := swappingFetcher{inner: store, ask: a, got: z}
+	if ents, err := List(dirs, a); err == nil {
+		t.Errorf("List answered %v from another directory's block", ents)
+	}
+	if c, err := Resolve(dirs, root, "a/x"); err == nil {
+		t.Errorf("Resolve answered %s through another directory's block", c)
+	}
+	if got, err := ReadFile(dirs, root, "a/x"); err == nil {
+		t.Errorf("ReadFile answered %q through another directory's block", got)
+	}
+	if got, err := ReadFile(swappingFetcher{inner: store, ask: x, got: zx}, root, "a/x"); err == nil {
+		t.Errorf("ReadFile answered %q from another file's block", got)
+	}
+}
+
+// countingFetcher counts the Gets for each CID.
+type countingFetcher struct {
+	inner merkledag.Fetcher
+	gets  map[string]int
+}
+
+func (f countingFetcher) Get(c cid.Cid) (block.Block, error) {
+	f.gets[c.Key()]++
+	return f.inner.Get(c)
+}
+
+// TestReadFileFetchesEachBlockOnce: the directory check on the target
+// and its assembly share one fetch.
+func TestReadFileFetchesEachBlockOnce(t *testing.T) {
+	store, b := setup()
+	data := bytes.Repeat([]byte("0123456789"), 500) // 5 chunks under one inner node
+	root, err := AddTree(store, b, map[string][]byte{"d/f": data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := countingFetcher{inner: store, gets: map[string]int{}}
+	got, err := ReadFile(cf, root, "d/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	for k, n := range cf.gets {
+		if n != 1 {
+			t.Errorf("block %x fetched %d times", k, n)
+		}
+	}
+	// root, d, the file's inner node and its 5 leaves.
+	if len(cf.gets) != 8 {
+		t.Errorf("%d blocks fetched, want 8", len(cf.gets))
 	}
 }
 
