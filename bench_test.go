@@ -1,9 +1,12 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation (see DESIGN.md §3), plus
-// the DESIGN.md §5 ablations and micro-benchmarks of the hot data
-// structures. Benchmarks report the headline simulated metric of each
-// experiment via b.ReportMetric so a -bench run doubles as a shape
-// check against the paper.
+// Package repro's root benchmark harness: the layer benchmarks, one per
+// layer a retrieval or a publication crosses — CID hashing, DAG import
+// and assembly, the wire codec and its TCP framing, routing-table
+// selection, the DHT walk, scheduler dispatch, the pack store's Delete,
+// the provider store, trace recording, a 2 000-peer network build and
+// a whole TCP retrieve. Each has a real b.N and runs in CI's layer-bench
+// step with allocations reported. The paper's tables and figures are
+// not benchmarks: they are seeded simulations, pinned exactly by the
+// golden and replay tests of internal/experiments.
 package repro
 
 import (
@@ -19,547 +22,19 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/cid"
-	"repro/internal/experiments"
-	"repro/internal/gateway"
 	"repro/internal/geo"
-	"repro/internal/gwload"
 	"repro/internal/kbucket"
 	"repro/internal/merkledag"
 	"repro/internal/multicodec"
 	"repro/internal/multihash"
 	"repro/internal/peer"
 	"repro/internal/record"
-	"repro/internal/routing"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
-	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/ipfs"
 )
-
-// benchPerf runs a small §4.3 experiment; reused by the Table 1/4 and
-// Fig 9/10 benchmarks with distinct reporting.
-func benchPerf(b *testing.B, report func(*testing.B, *experiments.PerfResults)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunPerformance(experiments.PerfConfig{
-			NetworkSize: 250, IterationsPer: 1, Seed: 42,
-		})
-		report(b, res)
-	}
-}
-
-func combinedSample(res *experiments.PerfResults, pick func(*experiments.RegionPerf) *stats.Sample) *stats.Sample {
-	all := stats.NewSample()
-	for _, rp := range res.Regions {
-		for _, v := range pick(rp).Values() {
-			all.Add(v)
-		}
-	}
-	return all
-}
-
-// BenchmarkTable1PublishRetrieve regenerates Table 1 (operation counts).
-func BenchmarkTable1PublishRetrieve(b *testing.B) {
-	benchPerf(b, func(b *testing.B, res *experiments.PerfResults) {
-		b.ReportMetric(float64(res.Successes), "ops")
-		if res.Table1() == "" {
-			b.Fatal("empty table")
-		}
-	})
-}
-
-// BenchmarkTable4LatencyPercentiles regenerates Table 4.
-func BenchmarkTable4LatencyPercentiles(b *testing.B) {
-	benchPerf(b, func(b *testing.B, res *experiments.PerfResults) {
-		pub := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.PubOverall })
-		retr := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrOverall })
-		b.ReportMetric(pub.Percentile(50), "pub-p50-s")
-		b.ReportMetric(retr.Percentile(50), "retr-p50-s")
-	})
-}
-
-// BenchmarkFig9Publication regenerates Fig 9a–c (publication CDFs).
-func BenchmarkFig9Publication(b *testing.B) {
-	benchPerf(b, func(b *testing.B, res *experiments.PerfResults) {
-		walk := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.PubWalk })
-		batch := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.PubBatch })
-		b.ReportMetric(walk.Percentile(50), "walk-p50-s")
-		b.ReportMetric(batch.Percentile(50), "batch-p50-s")
-	})
-}
-
-// BenchmarkFig9Retrieval regenerates Fig 9d–f (retrieval CDFs).
-func BenchmarkFig9Retrieval(b *testing.B) {
-	benchPerf(b, func(b *testing.B, res *experiments.PerfResults) {
-		walks := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrWalks })
-		fetch := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrFetch })
-		b.ReportMetric(walks.Percentile(50), "walks-p50-s")
-		b.ReportMetric(fetch.Percentile(50), "fetch-p50-s")
-	})
-}
-
-// BenchmarkFig10Stretch regenerates Fig 10 (stretch CDFs).
-func BenchmarkFig10Stretch(b *testing.B) {
-	benchPerf(b, func(b *testing.B, res *experiments.PerfResults) {
-		st := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.Stretch })
-		stNB := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.StretchNoBitswap })
-		b.ReportMetric(st.Percentile(50), "stretch-p50")
-		b.ReportMetric(stNB.Percentile(50), "stretch-nobitswap-p50")
-	})
-}
-
-// benchDeploy runs a small §5 analysis.
-func benchDeploy(b *testing.B, report func(*testing.B, *experiments.DeployResults)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunDeployment(experiments.DeployConfig{
-			PopulationSize: 6000, CrawlNetworkSize: 200, CrawlEpochs: 3,
-			Seed: 7,
-		})
-		report(b, res)
-	}
-}
-
-// BenchmarkTable2ASConcentration regenerates Table 2.
-func BenchmarkTable2ASConcentration(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		b.ReportMetric(100*res.Pop.AS.TopShare(10), "top10-AS-%")
-		if res.Table2() == "" {
-			b.Fatal("empty table")
-		}
-	})
-}
-
-// BenchmarkTable3CloudShare regenerates Table 3.
-func BenchmarkTable3CloudShare(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		b.ReportMetric(100*res.Pop.CloudShare(), "cloud-%")
-	})
-}
-
-// BenchmarkFig4aCrawlTimeSeries regenerates Fig 4a.
-func BenchmarkFig4aCrawlTimeSeries(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		last := res.Epochs[len(res.Epochs)-1]
-		b.ReportMetric(float64(last.Dialable), "dialable")
-		b.ReportMetric(float64(last.Undialable), "undialable")
-	})
-}
-
-// BenchmarkFig5PeerGeo regenerates Fig 5.
-func BenchmarkFig5PeerGeo(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		counts := res.Pop.CountryCounts()
-		b.ReportMetric(100*float64(counts["US"])/float64(len(res.Pop.Peers)), "US-%")
-	})
-}
-
-// BenchmarkFig7aReliable regenerates Fig 7a.
-func BenchmarkFig7aReliable(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		reliable := 0
-		for _, p := range res.Pop.Peers {
-			if p.Reliable {
-				reliable++
-			}
-		}
-		b.ReportMetric(100*float64(reliable)/float64(len(res.Pop.Peers)), "reliable-%")
-	})
-}
-
-// BenchmarkFig7bUnreachable regenerates Fig 7b.
-func BenchmarkFig7bUnreachable(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		unreachable := 0
-		for _, p := range res.Pop.Peers {
-			if !p.Dialable {
-				unreachable++
-			}
-		}
-		b.ReportMetric(100*float64(unreachable)/float64(len(res.Pop.Peers)), "unreachable-%")
-	})
-}
-
-// BenchmarkFig7cPeerIDClustering regenerates Fig 7c.
-func BenchmarkFig7cPeerIDClustering(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		perIP := res.Pop.PeersPerIP()
-		singles := 0
-		for _, n := range perIP {
-			if n == 1 {
-				singles++
-			}
-		}
-		b.ReportMetric(100*float64(singles)/float64(len(perIP)), "single-peer-IPs-%")
-	})
-}
-
-// BenchmarkFig7dASDistribution regenerates Fig 7d.
-func BenchmarkFig7dASDistribution(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		byRank := res.Pop.IPsPerASRank()
-		b.ReportMetric(float64(byRank[1]), "rank1-IPs")
-	})
-}
-
-// BenchmarkFig8ChurnCDF regenerates Fig 8.
-func BenchmarkFig8ChurnCDF(b *testing.B) {
-	benchDeploy(b, func(b *testing.B, res *experiments.DeployResults) {
-		obs := res.Timeline.SessionObservations()
-		s := stats.NewSample()
-		for _, o := range obs {
-			s.Add(o.Uptime.Hours())
-		}
-		b.ReportMetric(100*s.FractionBelow(8), "under-8h-%")
-	})
-}
-
-// benchGateway runs a small §6.3 experiment.
-func benchGateway(b *testing.B, report func(*testing.B, *experiments.GatewayResults)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunGateway(experiments.GatewayConfig{
-			NetworkSize: 40, Objects: 120, Requests: 1200, TraceOnly: 30000,
-			Seed: 17,
-		})
-		report(b, res)
-	}
-}
-
-// BenchmarkTable5GatewayTiers regenerates Table 5.
-func BenchmarkTable5GatewayTiers(b *testing.B) {
-	benchGateway(b, func(b *testing.B, res *experiments.GatewayResults) {
-		var total, nginx, node int
-		for tier, s := range res.Tiers {
-			total += s.Requests
-			switch tier {
-			case gateway.TierNginx:
-				nginx = s.Requests
-			case gateway.TierNodeStore:
-				node = s.Requests
-			}
-		}
-		b.ReportMetric(100*float64(nginx)/float64(total), "nginx-hit-%")
-		b.ReportMetric(100*float64(nginx+node)/float64(total), "combined-hit-%")
-	})
-}
-
-// BenchmarkFig4bDiurnal regenerates Fig 4b.
-func BenchmarkFig4bDiurnal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cat := gwload.NewCatalog(gwload.CatalogConfig{NumObjects: 200, Seed: 17})
-		reqs := gwload.GenerateTrace(cat, gwload.TraceConfig{NumRequests: 50000, Seed: 18})
-		var byHour [24]int
-		for _, r := range reqs {
-			byHour[r.Time.UTC().Hour()]++
-		}
-		min, max := byHour[0], byHour[0]
-		for _, c := range byHour {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		b.ReportMetric(float64(max)/float64(min), "peak-to-trough")
-	}
-}
-
-// BenchmarkFig6UserGeo regenerates Fig 6.
-func BenchmarkFig6UserGeo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cat := gwload.NewCatalog(gwload.CatalogConfig{NumObjects: 200, Seed: 17})
-		reqs := gwload.GenerateTrace(cat, gwload.TraceConfig{NumRequests: 50000, Seed: 19})
-		us := 0
-		for _, r := range reqs {
-			if r.Country == "US" {
-				us++
-			}
-		}
-		b.ReportMetric(100*float64(us)/float64(len(reqs)), "US-%")
-	}
-}
-
-// BenchmarkFig11GatewayDistributions regenerates Fig 11a.
-func BenchmarkFig11GatewayDistributions(b *testing.B) {
-	benchGateway(b, func(b *testing.B, res *experiments.GatewayResults) {
-		lat := stats.NewSample()
-		for _, e := range res.Log {
-			if !e.Err() {
-				lat.Add(e.Latency.Seconds())
-			}
-		}
-		b.ReportMetric(100*lat.FractionBelow(0.25), "under-250ms-%")
-	})
-}
-
-// BenchmarkFig11CacheTimeline regenerates Fig 11b.
-func BenchmarkFig11CacheTimeline(b *testing.B) {
-	benchGateway(b, func(b *testing.B, res *experiments.GatewayResults) {
-		if res.Fig11b() == "" {
-			b.Fatal("empty series")
-		}
-	})
-}
-
-// --- DESIGN.md §5 ablations ---
-
-// BenchmarkAblationReplication sweeps the replication factor k.
-func BenchmarkAblationReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunReplicationSweep(
-			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Seed: 23},
-			[]int{5, 20}, 0.5)
-		b.ReportMetric(pts[len(pts)-1].SurvivalRate*100, "k20-survival-%")
-	}
-}
-
-// BenchmarkAblationAlpha sweeps lookup concurrency.
-func BenchmarkAblationAlpha(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunAlphaSweep(
-			experiments.AblationConfig{NetworkSize: 200, Iterations: 3, Seed: 23},
-			[]int{1, 3})
-		b.ReportMetric(pts[0].RetrMedian.Seconds(), "alpha1-retr-s")
-		b.ReportMetric(pts[1].RetrMedian.Seconds(), "alpha3-retr-s")
-	}
-}
-
-// BenchmarkAblationParallelDiscovery compares serial and parallel
-// Bitswap/DHT discovery (§6.2).
-func BenchmarkAblationParallelDiscovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunParallelDiscovery(
-			experiments.AblationConfig{NetworkSize: 200, Iterations: 2, Seed: 23})
-		b.ReportMetric(pts[0].RetrMedian.Seconds(), "serial-retr-s")
-		b.ReportMetric(pts[1].RetrMedian.Seconds(), "parallel-retr-s")
-	}
-}
-
-// BenchmarkAblationClientServerSplit compares the post-v0.5 DHT
-// client/server split against polluted routing tables (§6.4).
-func BenchmarkAblationClientServerSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunClientServerSplit(
-			experiments.AblationConfig{NetworkSize: 180, Iterations: 3, Seed: 23})
-		for _, p := range pts {
-			if p.SplitEnabled {
-				b.ReportMetric(p.PubMedian.Seconds(), "split-pub-s")
-			} else {
-				b.ReportMetric(p.PubMedian.Seconds(), "nosplit-pub-s")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationGatewayCacheSize sweeps the nginx cache size.
-func BenchmarkAblationGatewayCacheSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunGatewayCacheSweep(
-			experiments.AblationConfig{Seed: 23},
-			[]int64{4 << 20, 32 << 20})
-		b.ReportMetric(100*pts[len(pts)-1].NginxHit, "bigcache-hit-%")
-	}
-}
-
-// --- content-routing subsystem ---
-
-// BenchmarkRoutingComparison races the four content routers on one
-// simulated network under the churn timeline, reporting per-retrieval
-// routing message counts and latency for the baseline walk vs the
-// accelerated one-hop client.
-func BenchmarkRoutingComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour, Seed: 42,
-		})
-		dht := res.Router(routing.KindDHT)
-		accel := res.Router(routing.KindAccelerated)
-		b.ReportMetric(dht.RetrMsgs.Mean(), "dht-retr-msgs")
-		b.ReportMetric(accel.RetrMsgs.Mean(), "accel-retr-msgs")
-		b.ReportMetric(dht.RetrLatency.Percentile(50), "dht-retr-p50-s")
-		b.ReportMetric(accel.RetrLatency.Percentile(50), "accel-retr-p50-s")
-		b.ReportMetric(dht.RetrWantHaves.Mean(), "dht-want-haves")
-		b.ReportMetric(accel.RetrWantHaves.Mean(), "accel-want-haves")
-		b.ReportMetric(dht.RetrTTFP.Percentile(50), "dht-time-to-first-provider-s")
-		b.ReportMetric(accel.RetrTTFP.Percentile(50), "accel-time-to-first-provider-s")
-	}
-}
-
-// BenchmarkSessionRoutingUnderChurn compares broadcast-vs-routed
-// Bitswap sessions under a heavier churn timeline: WANT-HAVE fan-out,
-// how many sessions the router fed directly, the mid-session fail-overs
-// that replaced churned providers, and the network-wide RPC budget by
-// category (so background republish/refresh traffic lands in the
-// uploaded BENCH_PR.json next to the per-lookup metrics). The indexer
-// runs as a sharded 2×2 replica fleet, so the budget carries its
-// gossip traffic, and a second small run with each shard's primary
-// taken down mid-window reports the indexer-loss fail-over cost.
-func BenchmarkSessionRoutingUnderChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour,
-			ChurnAmplitude: 3, IndexerShards: 2, IndexerReplicas: 2,
-			Seed: 11,
-		})
-		dht := res.Router(routing.KindDHT)
-		accel := res.Router(routing.KindAccelerated)
-		b.ReportMetric(dht.RetrWantHaves.Mean(), "dht-want-haves")
-		b.ReportMetric(accel.RetrWantHaves.Mean(), "accel-want-haves")
-		b.ReportMetric(float64(accel.RoutedSessions), "routed-sessions")
-		b.ReportMetric(accel.FallbackRate(), "accel-fallback-rate")
-		b.ReportMetric(float64(dht.Failures+accel.Failures), "failures")
-		// Batched republish: RPCs per cycle stay bounded by the distinct
-		// target-peer count instead of CIDs x (walk + store fan-out).
-		b.ReportMetric(dht.RepubRPCs.Mean(), "dht-republish-rpcs-per-cycle")
-		ix := res.Router(routing.KindIndexer)
-		b.ReportMetric(ix.RepubRPCs.Mean(), "indexer-republish-rpcs-per-cycle")
-		// Streaming discovery: the walk baseline's time-to-first-provider
-		// vs the full-lookup wait retrieval used to block on.
-		b.ReportMetric(dht.RetrTTFP.Percentile(50), "dht-time-to-first-provider-s")
-		b.ReportMetric(dht.RetrLookupFull.Percentile(50), "dht-blocking-lookup-s")
-		// Span-derived discovery tail across every router's traced
-		// retrievals — the delay-decomposition headline the telemetry
-		// subsystem adds, gated by benchdiff against the baseline.
-		b.ReportMetric(telemetry.DiscoverP99(res.Traces).Seconds(), "discover-p99-s")
-		b.ReportMetric(float64(res.Budget.Requests), "rpc-total")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatLookup)), "rpc-lookup")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatPublish)), "rpc-publish")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatRepublish)), "rpc-republish")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatRefresh)), "rpc-refresh")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatWant)), "rpc-want")
-		b.ReportMetric(float64(res.Budget.Category(transport.CatGossip)), "rpc-gossip")
-
-		// Indexer-loss fail-over cost: same churn amplitude, each shard's
-		// primary replica offline from mid-window — the replica groups
-		// must keep the hit rate up, at the price of one extra (failed)
-		// hop per lookup that lands on a dead primary.
-		fo := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: 150, Objects: 3, Ticks: 2, Window: 8 * time.Hour,
-			ChurnAmplitude: 3, IndexerShards: 2, IndexerReplicas: 2,
-			IndexerOutageAt: 2 * time.Hour,
-			Kinds:           []routing.Kind{routing.KindIndexer},
-			NoRepublish:     true, NoRefresh: true,
-			Seed: 11,
-		})
-		foIx := fo.Router(routing.KindIndexer)
-		foLast := foIx.Ticks[len(foIx.Ticks)-1]
-		b.ReportMetric(foLast.IndexerHit, "ix-hit-after-outage")
-		b.ReportMetric(foIx.RetrMsgs.Mean(), "ix-failover-retr-msgs")
-		b.ReportMetric(float64(foIx.Failures), "ix-failover-failures")
-	}
-}
-
-// BenchmarkScenario20kChurnEventDriven replays a paper-scale churn
-// scenario — 20k DHT servers, an 8 h simulated window, per-peer session
-// transitions — on the discrete-event scheduler, and reports the wall
-// clock one scenario costs as scenario-wall-ms: the headline metric
-// benchdiff gates so the engine cannot quietly regress back toward
-// a cost per tick. scenario-setup-ms and scenario-run-ms (ungated) split
-// it into building the network — 20 000 ed25519 identities, most of the
-// total — and the scheduler run. Stalls must report zero (every wait on the
-// workload path instrumented) for the run to be trustworthy; -short
-// shrinks the population for quick local sweeps.
-func BenchmarkScenario20kChurnEventDriven(b *testing.B) {
-	n := 20000
-	if testing.Short() {
-		n = 2000
-	}
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: n, Objects: 2, Ticks: 2, Window: 8 * time.Hour,
-			ChurnAmplitude: 2,
-			Kinds:          []routing.Kind{routing.KindDHT, routing.KindIndexer},
-			NoRefresh:      true,
-			Seed:           77,
-		})
-		b.ReportMetric(float64(time.Since(start).Milliseconds()), "scenario-wall-ms")
-		b.ReportMetric(float64(res.SetupWall.Milliseconds()), "scenario-setup-ms")
-		b.ReportMetric(float64(res.RunWall.Milliseconds()), "scenario-run-ms")
-		b.ReportMetric(float64(res.SchedEvents), "sched-events")
-		b.ReportMetric(float64(res.SchedStalls), "sched-stalls")
-		b.ReportMetric(float64(res.Budget.Requests), "rpc-total-20k")
-	}
-}
-
-// BenchmarkLossDegradation replays the adversarial loss sweep (four
-// retrieval ticks raising the per-transit loss rate 0% -> 30%) on the
-// event-driven scheduler and reports the hit rate at the sweep's
-// endpoints, averaged across the four routers, plus the RPC budget's
-// drop/retry totals. loss30-hit-rate is the degradation headline
-// benchdiff gates (higher-is-better): a routing change that gets worse
-// at absorbing loss fails the gate even if the lossless numbers hold.
-func BenchmarkLossDegradation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.LossSweepScenario(42)
-		var first, last, n float64
-		for _, rp := range res.Routers {
-			if len(rp.Ticks) == 0 {
-				continue
-			}
-			first += rp.Ticks[0].HitRate()
-			last += rp.Ticks[len(rp.Ticks)-1].HitRate()
-			n++
-		}
-		b.ReportMetric(first/n, "loss0-hit-rate")
-		b.ReportMetric(last/n, "loss30-hit-rate")
-		b.ReportMetric(float64(res.Budget.Dropped), "rpc-dropped-total")
-		b.ReportMetric(float64(res.Budget.Retried), "rpc-retried-total")
-		b.ReportMetric(float64(res.SchedStalls), "sched-stalls-loss")
-	}
-}
-
-// BenchmarkGatewayFleetFlashCrowd replays the viral-CID flash crowd
-// (one CID at 100x the steady request rate) through the gateway fleet
-// — consistent-hash placement, shared cache tier, admission control —
-// on the event-driven scheduler, with the origin host on a pack-engine
-// blockstore. Three headline metrics are benchdiff-gated:
-// fleet-p99-ttfb-ms is the steady phase's p99 time-to-first-byte (the
-// steady phase exercises the full retrieval cascade; the viral phase's
-// p99 is cache-dominated and would gate nothing), fleet-cache-hit-rate
-// is the whole-run fleet hit rate (higher-is-better), and
-// fleet-origin-rpc-amp is the viral phase's origin-RPC rate as a
-// multiple of steady — the sub-linear amplification the fleet exists
-// to deliver.
-func BenchmarkGatewayFleetFlashCrowd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFleetScenario(experiments.FleetScenarioConfig{
-			OriginDir: b.TempDir(),
-		})
-		if res.SchedStalls != 0 {
-			b.Fatalf("scheduler stalled %d times; run untrustworthy", res.SchedStalls)
-		}
-		steady := res.Phases[0]
-		b.ReportMetric(steady.TTFB.Percentile(99)*1000, "fleet-p99-ttfb-ms")
-		b.ReportMetric(res.Stats.CacheHitRate(), "fleet-cache-hit-rate")
-		b.ReportMetric(res.OriginRPCAmp, "fleet-origin-rpc-amp")
-		b.ReportMetric(res.RequestAmp, "fleet-request-amp")
-		b.ReportMetric(float64(res.Stats.Shed), "fleet-shed-total")
-	}
-}
-
-// BenchmarkAcceleratedLookup measures one-hop lookups against a
-// converged snapshot (near-zero churn amplitude): the best case the
-// accelerated client buys. The reported metric comes from the same
-// runs the loop times.
-func BenchmarkAcceleratedLookup(b *testing.B) {
-	msgs := 0.0
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunRoutingComparison(experiments.RoutingConfig{
-			NetworkSize: 150, Objects: 2, Ticks: 1, Window: 2 * time.Hour,
-			ChurnAmplitude: 0.01, Seed: int64(7 + i),
-		})
-		msgs = res.Router(routing.KindAccelerated).RetrMsgs.Mean()
-	}
-	b.ReportMetric(msgs, "retr-msgs")
-}
-
-// --- micro-benchmarks of the hot paths ---
 
 // BenchmarkCidSum measures CID computation over 256 KiB chunks.
 func BenchmarkCidSum(b *testing.B) {
@@ -598,73 +73,6 @@ func BenchmarkDagAssemble(b *testing.B) {
 		if _, err := merkledag.Assemble(store, root); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPackStoreServe loads the pack blockstore with a million
-// small blocks — the regime the gateway serves from (§5: many tiny
-// objects, random access) — and measures put throughput and random-Get
-// latency. A scaled-down FSStore run rides along for comparison: one
-// file per block cannot hold a million blocks in CI, which is exactly
-// the gap the pack engine closes.
-func BenchmarkPackStoreServe(b *testing.B) {
-	const (
-		packBlocks = 1_000_000
-		fsBlocks   = 20_000
-		blockSize  = 256
-		getOps     = 50_000
-	)
-	fill := func(s block.Store, n int) ([]cid.Cid, float64) {
-		cids := make([]cid.Cid, n)
-		buf := make([]byte, blockSize)
-		start := time.Now()
-		for j := range cids {
-			buf[0], buf[1], buf[2], buf[3] = byte(j), byte(j>>8), byte(j>>16), byte(j>>24)
-			blk := block.New(multicodec.Raw, buf)
-			if err := s.Put(blk); err != nil {
-				b.Fatal(err)
-			}
-			cids[j] = blk.Cid()
-		}
-		mbps := float64(n*blockSize) / time.Since(start).Seconds() / 1e6
-		return cids, mbps
-	}
-	randomGets := func(s block.Store, cids []cid.Cid) *stats.Sample {
-		rng := rand.New(rand.NewSource(42))
-		sample := stats.NewSample()
-		for k := 0; k < getOps; k++ {
-			c := cids[rng.Intn(len(cids))]
-			start := time.Now()
-			if _, err := s.Get(c); err != nil {
-				b.Fatal(err)
-			}
-			sample.Add(float64(time.Since(start).Microseconds()))
-		}
-		return sample
-	}
-	for i := 0; i < b.N; i++ {
-		ps, err := block.NewPackStore(b.TempDir(), block.PackConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cids, putMbps := fill(ps, packBlocks)
-		if err := ps.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		sample := randomGets(ps, cids)
-		b.ReportMetric(putMbps, "pack-put-mbps")
-		b.ReportMetric(sample.Percentile(50), "pack-get-p50-us")
-		b.ReportMetric(sample.Percentile(99), "pack-get-p99-us")
-		ps.Close()
-
-		fs, err := block.NewFSStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fsCids, fsMbps := fill(fs, fsBlocks)
-		fsSample := randomGets(fs, fsCids)
-		b.ReportMetric(fsMbps, "fs-put-mbps")
-		b.ReportMetric(fsSample.Percentile(99), "fs-get-p99-us")
 	}
 }
 
@@ -1149,21 +557,3 @@ func BenchmarkTCPRetrieve1MiB(b *testing.B) {
 		b.Fatalf("retrieved object differs from the one added: %v", err)
 	}
 }
-
-// BenchmarkRetrieveEndToEnd measures one simulated retrieval.
-func BenchmarkRetrieveEndToEnd(b *testing.B) {
-	res := experiments.RunPerformance(experiments.PerfConfig{
-		NetworkSize: 200, IterationsPer: 1, Seed: 5,
-	})
-	retr := combinedSample(res, func(rp *experiments.RegionPerf) *stats.Sample { return rp.RetrOverall })
-	b.ReportMetric(retr.Median(), "retr-p50-s")
-	// The end-to-end loop itself:
-	ctxEnsureUsed()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.RunPerformance(experiments.PerfConfig{
-			NetworkSize: 120, IterationsPer: 1, Seed: int64(5 + i),
-		})
-	}
-}
-
-func ctxEnsureUsed() context.Context { return context.Background() }

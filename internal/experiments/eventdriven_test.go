@@ -76,6 +76,13 @@ func TestEventDrivenScenarioDeterminism20k(t *testing.T) {
 	if a.SchedEvents != b.SchedEvents {
 		t.Errorf("seeded runs dispatched different event counts: %d vs %d", a.SchedEvents, b.SchedEvents)
 	}
+	// The run's cost in events and RPCs is fixed by construction: a
+	// scenario that slides back toward work per tick or per peer fires
+	// more of either.
+	const wantEvents, wantRPCs = 58136, 347
+	if a.SchedEvents != wantEvents || a.Budget.Requests != wantRPCs {
+		t.Errorf("run dispatched %d events and spent %d RPCs, want %d and %d", a.SchedEvents, a.Budget.Requests, wantEvents, wantRPCs)
+	}
 	if len(a.Phases) == 0 {
 		t.Fatal("no phases ran")
 	}

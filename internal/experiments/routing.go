@@ -247,10 +247,6 @@ type RoutingResults struct {
 	// Scheduler holds the dispatcher's counters as simtime_* gauges:
 	// marks by cause, parked and polled set sizes, stale ready entries.
 	Scheduler telemetry.MetricsSnapshot
-	// SetupWall / RunWall split the wall clock the comparison cost into
-	// building the network (identities, routing tables, vantage nodes)
-	// and running the scenario on the scheduler.
-	SetupWall, RunWall time.Duration
 
 	// corrupt counts retrievals that returned bytes which do not rebuild
 	// their root CID; each is a failure too.
@@ -284,7 +280,6 @@ type routerPair struct {
 // run against an increasingly stale one-hop view — the hard case.
 func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 	cfg = cfg.withDefaults()
-	wallStart := time.Now()
 	tn := testnet.Build(testnet.Config{
 		N:              cfg.NetworkSize,
 		Seed:           cfg.Seed,
@@ -517,10 +512,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		})
 	}
 
-	runStart := time.Now()
-	res.SetupWall = runStart.Sub(wallStart)
 	res.Phases = sc.Run(context.Background())
-	res.RunWall = time.Since(runStart)
 	res.Budget = tn.Net.Budget()
 	res.SchedStalls = tn.Sched.Stalls()
 	res.SchedEvents = tn.Sched.Dispatched()

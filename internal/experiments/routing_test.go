@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/routing"
+	"repro/internal/telemetry"
 )
 
 // TestRoutingComparison runs a small four-router comparison and checks
@@ -71,4 +75,35 @@ func TestRoutingComparison(t *testing.T) {
 			t.Errorf("render missing router rows:\n%s", render)
 		}
 	}
+}
+
+// TestSessionRoutingHeadlineGolden pins the routing comparison's
+// headline figures exactly, on a 200-peer network under a churn
+// timeline at amplitude 3 with the indexer as a sharded 2×2 replica
+// fleet: the network-wide RPC budget, the batched republish cost per
+// cycle of the DHT and the indexer, the DHT walk's streaming
+// time-to-first-provider and the span-derived discovery tail. The run
+// is seeded and event-driven, so each is a fixed number: one extra RPC
+// anywhere in the scenario shows as a golden diff.
+func TestSessionRoutingHeadlineGolden(t *testing.T) {
+	res := RunRoutingComparison(RoutingConfig{
+		NetworkSize: 200, Objects: 3, Ticks: 2, Window: 8 * time.Hour,
+		ChurnAmplitude: 3, IndexerShards: 2, IndexerReplicas: 2,
+		Seed: 11,
+	})
+	if res.SchedStalls != 0 {
+		t.Fatalf("scheduler stalled %d times: an uninstrumented wait forfeits deterministic replay", res.SchedStalls)
+	}
+	dht, ix := res.Router(routing.KindDHT), res.Router(routing.KindIndexer)
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	fmt.Fprintf(&b, "Session routing under churn: %d peers, %d objects, %d ticks, window %s, amplitude %.1f, %dx%d indexer shards, seed %d\n",
+		res.Cfg.NetworkSize, res.Cfg.Objects, res.Cfg.Ticks, res.Cfg.Window, res.Cfg.ChurnAmplitude,
+		res.Cfg.IndexerShards, res.Cfg.IndexerReplicas, res.Cfg.Seed)
+	fmt.Fprintf(&b, "rpc-total                         %d\n", res.Budget.Requests)
+	fmt.Fprintf(&b, "dht-republish-rpcs-per-cycle      %s\n", num(dht.RepubRPCs.Mean()))
+	fmt.Fprintf(&b, "indexer-republish-rpcs-per-cycle  %s\n", num(ix.RepubRPCs.Mean()))
+	fmt.Fprintf(&b, "dht-time-to-first-provider-s      %s\n", num(dht.RetrTTFP.Percentile(50)))
+	fmt.Fprintf(&b, "discover-p99-s                    %s\n", num(telemetry.DiscoverP99(res.Traces).Seconds()))
+	goldenCompare(t, "session_routing.golden", b.String()+res.BudgetReport())
 }

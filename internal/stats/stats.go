@@ -263,43 +263,3 @@ func (h *Histogram) Bins() []int {
 	sort.Ints(out)
 	return out
 }
-
-// Total returns the summed weight across every bin.
-func (h *Histogram) Total() float64 {
-	var sum float64
-	for _, w := range h.Counts {
-		sum += w
-	}
-	return sum
-}
-
-// Render formats the histogram as text: one "[lo,hi) count bar" line
-// per bin from the lowest to the highest occupied bin (empty bins in
-// between render as zero), bars scaled so the fullest bin spans width
-// characters. The latency registry's debug renders use it.
-func (h *Histogram) Render(width int) string {
-	bins := h.Bins()
-	if len(bins) == 0 {
-		return "(empty)\n"
-	}
-	if width <= 0 {
-		width = 40
-	}
-	var maxW float64
-	for _, w := range h.Counts {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	var b strings.Builder
-	for bin := bins[0]; bin <= bins[len(bins)-1]; bin++ {
-		lo := float64(bin) * h.BinWidth
-		w := h.Counts[bin]
-		bar := ""
-		if maxW > 0 {
-			bar = strings.Repeat("#", int(math.Round(w/maxW*float64(width))))
-		}
-		fmt.Fprintf(&b, "[%8.3f, %8.3f) %8.0f %s\n", lo, lo+h.BinWidth, w, bar)
-	}
-	return b.String()
-}
