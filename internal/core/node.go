@@ -58,12 +58,10 @@ type Config struct {
 	// the node's registry; one implementing io.Closer is closed with
 	// the node.
 	Store block.Store
-	// Indexers are the delegated-routing indexer nodes the indexer and
-	// parallel routers publish to and query.
-	Indexers []wire.PeerInfo
-	// IndexerSet, when non-nil, installs a sharded indexer topology on
-	// the indexer router: each CID routes to its shard's replica group
-	// instead of the flat Indexers list.
+	// IndexerSet is the indexer topology the indexer and parallel
+	// routers publish to and query: each CID routes to its shard's
+	// replica group (one indexer is one shard of one replica). The
+	// parallel router races an indexer member iff it is non-nil.
 	IndexerSet *routing.IndexerSet
 	// Time is the node's one time source: the swarm is built over it and
 	// every subsystem (DHT, Bitswap, routers, telemetry) reads it from
@@ -158,13 +156,9 @@ func (n *Node) buildRouter() routing.Router {
 		return n.accel
 	}
 	newIndexer := func(fallback routing.Router) *routing.IndexerRouter {
-		r := routing.NewIndexerRouter(n.sw, n.cfg.Indexers, fallback, routing.IndexerRouterConfig{
+		return routing.NewIndexerRouter(n.sw, n.cfg.IndexerSet, fallback, routing.IndexerRouterConfig{
 			RPCTimeout: n.cfg.QueryTimeout,
 		})
-		if n.cfg.IndexerSet != nil {
-			r.SetIndexerSet(n.cfg.IndexerSet)
-		}
-		return r
 	}
 	switch n.cfg.Routing {
 	case routing.KindAccelerated:
@@ -175,7 +169,7 @@ func (n *Node) buildRouter() routing.Router {
 		// Members race without their own DHT fallbacks: the base member
 		// already walks, and a doubled walk would waste RPCs.
 		members := []routing.Router{base, newAccel(nil)}
-		if len(n.cfg.Indexers) > 0 || n.cfg.IndexerSet != nil {
+		if n.cfg.IndexerSet != nil {
 			members = append(members, newIndexer(nil))
 		}
 		return routing.NewParallel(n.src, members...)

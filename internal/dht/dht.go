@@ -173,45 +173,15 @@ func (d *DHT) HandleMessage(ctx context.Context, from peer.ID, req wire.Message)
 		return wire.Message{Type: wire.TNodes, Peers: d.closestInfos(req.Key)}
 
 	case wire.TAddProvider:
-		// One RPC may carry a whole record batch (Key plus Keys) — the
-		// multi-record shape batched republish groups per target peer.
-		if len(req.Providers) == 0 {
-			return wire.ErrorMessage("no provider supplied")
-		}
-		prov := req.Providers[0]
-		stored := 0
-		for _, key := range req.AllKeys() {
-			c, err := cid.FromBytes(key)
-			if err != nil {
-				return wire.ErrorMessage("bad cid: %v", err)
-			}
-			d.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: d.src.Now()})
-			stored++
-		}
-		if stored == 0 {
-			return wire.ErrorMessage("no record keys supplied")
-		}
-		if len(prov.Addrs) > 0 {
-			d.sw.Book().Add(prov.ID, prov.Addrs)
-		}
-		return wire.Message{Type: wire.TAck}
+		return AddProviders(d.providers, d.sw.Book(), d.src.Now(), req)
 
 	case wire.TGetProviders:
 		c, err := cid.FromBytes(req.Key)
 		if err != nil {
 			return wire.ErrorMessage("bad cid: %v", err)
 		}
-		resp := wire.Message{Type: wire.TProviders, Peers: d.closestInfos(req.Key)}
-		for _, pr := range d.providers.Get(c) {
-			// "together with the peer's Multiaddress (if they have
-			// it)" — §3.2.
-			info := wire.PeerInfo{ID: pr.Provider}
-			if addrs, ok := d.sw.Book().Get(pr.Provider); ok {
-				info.Addrs = addrs
-			}
-			resp.Providers = append(resp.Providers, info)
-		}
-		return resp
+		closest := d.closestInfos(req.Key)
+		return wire.Message{Type: wire.TProviders, Peers: closest, Providers: ProviderInfos(d.providers, d.sw.Book(), c)}
 
 	case wire.TPutPeerRecord:
 		if req.PeerRec == nil {
@@ -264,6 +234,51 @@ func (d *DHT) HandleMessage(ctx context.Context, from peer.ID, req wire.Message)
 		return wire.Message{Type: wire.TNodes, Peers: infos}
 	}
 	return wire.ErrorMessage("unhandled dht message %s", req.Type)
+}
+
+// AddProviders serves an ADD_PROVIDER request against a provider-record
+// store: every key the request carries gets a record for its first
+// provider, published now, and the provider's addresses go into book.
+// One RPC may carry a whole record batch (Key plus Keys) — the
+// multi-record shape batched republish groups per target peer. It
+// returns the ack, or the error reply to a malformed request. DHT
+// servers and indexers both serve ADD_PROVIDER through it.
+func AddProviders(store *record.ProviderStore, book *swarm.AddressBook, now time.Time, req wire.Message) wire.Message {
+	if len(req.Providers) == 0 {
+		return wire.ErrorMessage("no provider supplied")
+	}
+	prov := req.Providers[0]
+	stored := 0
+	for _, key := range req.AllKeys() {
+		c, err := cid.FromBytes(key)
+		if err != nil {
+			return wire.ErrorMessage("bad cid: %v", err)
+		}
+		store.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: now})
+		stored++
+	}
+	if stored == 0 {
+		return wire.ErrorMessage("no record keys supplied")
+	}
+	if len(prov.Addrs) > 0 {
+		book.Add(prov.ID, prov.Addrs)
+	}
+	return wire.Message{Type: wire.TAck}
+}
+
+// ProviderInfos is the provider list of a GET_PROVIDERS answer: c's
+// providers "together with the peer's Multiaddress (if they have it)"
+// (§3.2), the addresses read from book.
+func ProviderInfos(store *record.ProviderStore, book *swarm.AddressBook, c cid.Cid) []wire.PeerInfo {
+	var out []wire.PeerInfo
+	for _, pr := range store.Get(c) {
+		info := wire.PeerInfo{ID: pr.Provider}
+		if addrs, ok := book.Get(pr.Provider); ok {
+			info.Addrs = addrs
+		}
+		out = append(out, info)
+	}
+	return out
 }
 
 // closestInfos returns the k closest known peers to key, with

@@ -302,7 +302,6 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 	// One indexer keeps the classic deployment; shards/replicas > 1
 	// build a gossiping fleet the scenario engine observes per shard.
 	fleet := tn.AddIndexerSet(cfg.Seed+7, cfg.IndexerShards, cfg.IndexerReplicas, cfg.IndexerTTL)
-	sharded := cfg.IndexerShards > 1 || cfg.IndexerReplicas > 1
 
 	sc := NewScenarioRunner(tn, ScenarioConfig{
 		Window:    cfg.Window,
@@ -312,16 +311,10 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		// the transport enforces their unreachability.
 		NATSessions: cfg.ReachabilityMix,
 	})
-	if sharded {
+	if cfg.IndexerShards > 1 || cfg.IndexerReplicas > 1 {
 		sc.ObserveIndexerFleet(fleet.Set, fleet.Nodes()...)
 	} else {
 		sc.ObserveIndexer(fleet.Replica(0, 0))
-	}
-	addVantage := func(region geo.Region, seed int64, kind routing.Kind) *core.Node {
-		if sharded {
-			return tn.AddVantageSharded(region, seed, kind, fleet.Set)
-		}
-		return tn.AddVantageRouting(region, seed, kind, fleet.Set.All())
 	}
 
 	res := &RoutingResults{Cfg: cfg}
@@ -332,8 +325,8 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		p := &routerPair{
 			rp:        rp,
 			kind:      kind,
-			publisher: addVantage(geo.EuCentral1, cfg.Seed+int64(100+i), kind),
-			getter:    addVantage(geo.UsWest1, cfg.Seed+int64(200+i), kind),
+			publisher: tn.AddVantageRouting(geo.EuCentral1, cfg.Seed+int64(100+i), kind, fleet.Set),
+			getter:    tn.AddVantageRouting(geo.UsWest1, cfg.Seed+int64(200+i), kind, fleet.Set),
 			prng:      rand.New(rand.NewSource(cfg.Seed + int64(1000*i))),
 		}
 		rp.Name = p.publisher.Router().Name()

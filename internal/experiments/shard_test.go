@@ -114,7 +114,7 @@ func TestScenarioTickGCBoundsIndexerStore(t *testing.T) {
 	sc := NewScenarioRunner(tn, ScenarioConfig{Window: 8 * time.Hour, Seed: 11})
 	sc.ObserveIndexer(ix)
 
-	vantage := tn.AddVantageRouting("DE", 5, routing.KindIndexer, fleet.Set.All())
+	vantage := tn.AddVantageRouting("DE", 5, routing.KindIndexer, fleet.Set)
 	const perTick, ticks = 20, 9
 	published := 0
 	for i := 0; i < ticks; i++ {

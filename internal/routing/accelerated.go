@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cid"
 	"repro/internal/crawler"
-	"repro/internal/dht"
 	"repro/internal/kbucket"
 	"repro/internal/simtime"
 	"repro/internal/swarm"
@@ -27,9 +26,10 @@ type AcceleratedConfig struct {
 	Parallelism int
 	// RPCTimeout bounds one direct RPC (default 10 s).
 	RPCTimeout time.Duration
-	// CrawlWorkers bounds the snapshot crawl's concurrency (default 64).
-	CrawlWorkers int
 }
+
+// crawlWorkers bounds the snapshot crawl's concurrency.
+const crawlWorkers = 64
 
 func (c AcceleratedConfig) withDefaults() AcceleratedConfig {
 	if c.K <= 0 {
@@ -40,9 +40,6 @@ func (c AcceleratedConfig) withDefaults() AcceleratedConfig {
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 10 * time.Second
-	}
-	if c.CrawlWorkers <= 0 {
-		c.CrawlWorkers = 64
 	}
 	return c
 }
@@ -62,11 +59,8 @@ type snapEntry struct {
 // are skipped, and when every direct path fails the router falls back
 // to the iterative walk.
 type AcceleratedRouter struct {
-	cfg      AcceleratedConfig
-	sw       *swarm.Swarm
-	src      simtime.Source // the swarm's
-	fallback Router         // nil disables fallback (tests); usually a DHTRouter
-	ledger   *Ledger
+	oneHop
+	cfg AcceleratedConfig
 
 	mu   sync.RWMutex
 	snap []snapEntry
@@ -76,23 +70,17 @@ type AcceleratedRouter struct {
 // on the swarm's time source. fallback handles keys the snapshot cannot
 // serve; pass nil to fail instead.
 func NewAccelerated(sw *swarm.Swarm, fallback Router, cfg AcceleratedConfig) *AcceleratedRouter {
-	src := sw.Time()
-	return &AcceleratedRouter{cfg: cfg.withDefaults(), sw: sw, src: src, fallback: fallback, ledger: NewLedger(src.Now)}
+	cfg = cfg.withDefaults()
+	return &AcceleratedRouter{oneHop: newOneHop(KindAccelerated, sw, cfg.RPCTimeout, fallback), cfg: cfg}
 }
-
-// Name implements Router.
-func (r *AcceleratedRouter) Name() string { return string(KindAccelerated) }
-
-// Ledger exposes the republish ack ledger.
-func (r *AcceleratedRouter) Ledger() *Ledger { return r.ledger }
 
 // Refresh crawls the network from the bootstrap peers and replaces the
 // snapshot with every dialable peer found. It returns the snapshot
 // size.
 func (r *AcceleratedRouter) Refresh(ctx context.Context, bootstrap []wire.PeerInfo) (int, error) {
 	cr := crawler.New(r.sw, crawler.Config{
-		Workers:        r.cfg.CrawlWorkers,
-		ConnectTimeout: r.cfg.RPCTimeout,
+		Workers:        crawlWorkers,
+		ConnectTimeout: r.timeout,
 	})
 	rep := cr.Crawl(ctx, bootstrap)
 	if err := ctx.Err(); err != nil {
@@ -209,53 +197,18 @@ func (r *AcceleratedRouter) closest(key []byte) []wire.PeerInfo {
 }
 
 // Provide implements Router: store the provider record directly on the
-// K snapshot peers closest to the key — no walk, only a store-batch.
-// All targets failing (a fully stale neighbourhood) falls back to the
-// iterative walk.
+// K snapshot peers closest to the key — no walk, only a store-batch —
+// falling back to the walk when every target fails.
 func (r *AcceleratedRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
-	var res ProvideResult
-	key := c.Bytes()
-	closest := r.closest(key)
-	if len(closest) == 0 {
-		if r.fallback != nil {
-			return r.fallback.Provide(ctx, c)
-		}
-		return res, fmt.Errorf("routing: accelerated provide %s: empty snapshot", c)
-	}
-
-	req := wire.Message{
-		Type:      wire.TAddProvider,
-		Key:       key,
-		Providers: []wire.PeerInfo{{ID: r.sw.Local(), Addrs: r.sw.Addrs()}},
-	}
-	res.StoreTargets = closest
-	res.StoreAttempts = len(closest)
-	res.AckedTargets = dht.StoreBatch(ctx, r.sw, r.cfg.RPCTimeout, closest, req)
-	res.StoreOK = len(res.AckedTargets)
-	for _, t := range res.AckedTargets {
-		r.ledger.Confirm(t, c.Key())
-	}
-	if res.StoreOK == 0 {
-		return provideFallback(ctx, r.fallback, c, res,
-			fmt.Errorf("routing: accelerated provide %s: all %d direct stores failed", c, res.StoreAttempts))
-	}
-	return res, nil
+	return r.provide(ctx, c, r.closest(c.Bytes()))
 }
 
 // ProvideMany implements Router: batch the CIDs against the snapshot's
-// K-closest sets — group by target peer, one multi-record RPC per
-// distinct peer, ack-ledger skips — and retry CIDs the snapshot could
-// not land anywhere through the fallback walk.
+// K-closest sets and retry CIDs the snapshot could not land anywhere
+// through the fallback walk.
 func (r *AcceleratedRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error) {
-	if r.SnapshotSize() == 0 {
-		if r.fallback != nil {
-			return r.fallback.ProvideMany(ctx, cids)
-		}
-		return ProvideManyResult{CIDs: len(cids)}, fmt.Errorf("routing: accelerated provide batch of %d: empty snapshot", len(cids))
-	}
-	res, provided := provideManyGrouped(ctx, r.sw, r.src, r.cfg.RPCTimeout, r.ledger, cids,
+	return r.provideMany(ctx, cids, r.SnapshotSize() > 0,
 		func(c cid.Cid) []wire.PeerInfo { return r.closest(c.Bytes()) })
-	return provideManyFallback(ctx, r.fallback, res, unprovided(cids, provided))
 }
 
 // FindProvidersStream implements Router: the one-hop snapshot lookup,
@@ -272,10 +225,6 @@ func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) 
 func (r *AcceleratedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
 	return sessionFromDirect(ctx, r.direct, c, n)
 }
-
-// WantBroadcast implements Router: the snapshot names the record
-// holders directly, so the opportunistic broadcast is skipped.
-func (r *AcceleratedRouter) WantBroadcast() bool { return false }
 
 // direct runs the one-hop lookup against the snapshot neighbourhood,
 // returning ErrNoProviders when the neighbourhood is exhausted without
@@ -314,7 +263,7 @@ func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerI
 		for _, pi := range wave {
 			pi := pi
 			src.Go(wctx, func(gctx context.Context) {
-				rctx, rcancel := src.WithTimeout(gctx, r.cfg.RPCTimeout)
+				rctx, rcancel := src.WithTimeout(gctx, r.timeout)
 				defer rcancel()
 				resp, err := r.sw.Request(rctx, pi.ID, pi.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
 				ch <- result{resp: resp, err: err}

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -380,30 +379,4 @@ func unprovided(cids []cid.Cid, provided map[string]bool) []cid.Cid {
 		}
 	}
 	return out
-}
-
-// provideManyFallback retries a batch's failed CIDs through the
-// fallback router, merging the fallback's cost into res. The provided
-// count stays consistent: the fallback's successes are added on top.
-func provideManyFallback(ctx context.Context, fallback Router, res ProvideManyResult, failed []cid.Cid) (ProvideManyResult, error) {
-	if len(failed) == 0 {
-		return res, nil
-	}
-	if fallback == nil || ctx.Err() != nil {
-		if res.Provided == 0 && res.CIDs > 0 {
-			err := ctx.Err()
-			if err == nil {
-				err = fmt.Errorf("routing: provide batch of %d: no records stored", res.CIDs)
-			}
-			return res, err
-		}
-		return res, nil
-	}
-	fres, err := fallback.ProvideMany(ctx, failed)
-	res = res.merge(fres)
-	res.Provided += fres.Provided
-	if res.Provided == 0 && res.CIDs > 0 && err != nil {
-		return res, err
-	}
-	return res, nil
 }

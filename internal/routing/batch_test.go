@@ -58,7 +58,7 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 					tn.AddIndexer("US", 722).Info(),
 					tn.AddIndexer("DE", 723).Info(),
 				}
-				return routing.NewIndexerRouter(node.Swarm(), indexers, nil,
+				return routing.NewIndexerRouter(node.Swarm(), oneShard(indexers...), nil,
 					routing.IndexerRouterConfig{})
 			},
 			targets: 2,

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -217,29 +216,7 @@ func (ix *Indexer) handle(ctx context.Context, from peer.ID, req wire.Message) w
 		return wire.Message{Type: wire.TNodes, Peers: []wire.PeerInfo{ix.Info()}}
 
 	case wire.TAddProvider:
-		// A bulk announce carries a whole record batch (Key plus Keys) in
-		// one RPC — how ProvideMany refreshes every record at this
-		// indexer for the cost of a single request.
-		if len(req.Providers) == 0 {
-			return wire.ErrorMessage("no provider supplied")
-		}
-		prov := req.Providers[0]
-		stored := 0
-		for _, key := range req.AllKeys() {
-			c, err := cid.FromBytes(key)
-			if err != nil {
-				return wire.ErrorMessage("bad cid: %v", err)
-			}
-			ix.providers.Add(record.ProviderRecord{Cid: c, Provider: prov.ID, Published: ix.src.Now()})
-			stored++
-		}
-		if stored == 0 {
-			return wire.ErrorMessage("no record keys supplied")
-		}
-		if len(prov.Addrs) > 0 {
-			ix.sw.Book().Add(prov.ID, prov.Addrs)
-		}
-		return wire.Message{Type: wire.TAck}
+		return dht.AddProviders(ix.providers, ix.sw.Book(), ix.src.Now(), req)
 
 	case wire.TGossip:
 		// Anti-entropy push from a replica-group peer: adopt each record
@@ -280,15 +257,7 @@ func (ix *Indexer) handle(ctx context.Context, from peer.ID, req wire.Message) w
 		if err != nil {
 			return wire.ErrorMessage("bad cid: %v", err)
 		}
-		resp := wire.Message{Type: wire.TProviders}
-		for _, pr := range ix.providers.Get(c) {
-			info := wire.PeerInfo{ID: pr.Provider}
-			if addrs, ok := ix.sw.Book().Get(pr.Provider); ok {
-				info.Addrs = addrs
-			}
-			resp.Providers = append(resp.Providers, info)
-		}
-		return resp
+		return wire.Message{Type: wire.TProviders, Providers: dht.ProviderInfos(ix.providers, ix.sw.Book(), c)}
 	}
 	return wire.ErrorMessage("indexer: unhandled message %s", req.Type)
 }
@@ -306,139 +275,62 @@ func (c IndexerRouterConfig) withDefaults() IndexerRouterConfig {
 	return c
 }
 
-// IndexerRouter is the delegated-routing client. Against a flat
-// indexer list it publishes provider records to every indexer and
-// answers lookups from the first indexer that knows the key; against a
-// sharded IndexerSet it routes each CID to its shard's replica group —
-// publications land on every replica, lookups run down the replica
-// list (fail-over past offline owners) with provider batches merged
-// across replicas. Misses fall back to the DHT either way (the
+// IndexerRouter is the delegated-routing client. It routes each CID
+// through an IndexerSet to its shard's replica group (a flat indexer
+// list is one shard): publications land on every replica, lookups run
+// down the replica list (fail-over past offline owners) with provider
+// batches merged across replicas. Misses fall back to the DHT (the
 // production deployment's behaviour — the indexer accelerates the
 // common case, the DHT stays authoritative).
 type IndexerRouter struct {
-	cfg      IndexerRouterConfig
-	sw       *swarm.Swarm
-	src      simtime.Source // the swarm's
-	fallback Router         // nil disables fallback (tests)
-	ledger   *Ledger
-
-	mu       sync.RWMutex
-	indexers []wire.PeerInfo
-	set      *IndexerSet // non-nil selects sharded routing
+	oneHop
+	set *IndexerSet
 }
 
-// NewIndexerRouter creates a client talking to the given indexers,
-// running on the swarm's time source.
-func NewIndexerRouter(sw *swarm.Swarm, indexers []wire.PeerInfo, fallback Router, cfg IndexerRouterConfig) *IndexerRouter {
-	src := sw.Time()
-	return &IndexerRouter{
-		cfg:      cfg.withDefaults(),
-		sw:       sw,
-		src:      src,
-		fallback: fallback,
-		ledger:   NewLedger(src.Now),
-		indexers: append([]wire.PeerInfo(nil), indexers...),
+// NewIndexerRouter creates a client routing through the indexer set,
+// running on the swarm's time source. A nil set owns no key, so every
+// call goes to the fallback.
+func NewIndexerRouter(sw *swarm.Swarm, set *IndexerSet, fallback Router, cfg IndexerRouterConfig) *IndexerRouter {
+	if set == nil {
+		set = NewIndexerSet(nil)
 	}
+	return &IndexerRouter{oneHop: newOneHop(KindIndexer, sw, cfg.withDefaults().RPCTimeout, fallback), set: set}
 }
 
-// Name implements Router.
-func (r *IndexerRouter) Name() string { return string(KindIndexer) }
-
-// Ledger exposes the republish ack ledger.
-func (r *IndexerRouter) Ledger() *Ledger { return r.ledger }
-
-// SetIndexerSet installs a shard topology: every Provide / lookup is
-// routed to the owning shard's replica group instead of the flat list.
-// Passing nil reverts to flat routing.
-func (r *IndexerRouter) SetIndexerSet(set *IndexerSet) {
-	r.mu.Lock()
-	r.set = set
-	r.mu.Unlock()
-}
-
-func (r *IndexerRouter) targets() []wire.PeerInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.set != nil {
-		return r.set.All()
-	}
-	return append([]wire.PeerInfo(nil), r.indexers...)
-}
-
-// targetsFor returns the indexers responsible for c: the owning
-// shard's replica group under a sharded topology, every configured
-// indexer otherwise. A shardless set owns nothing — callers fall
-// through to their fallback.
+// targetsFor returns the replica group of the shard owning c. A
+// shardless set owns nothing — callers fall through to their fallback.
 func (r *IndexerRouter) targetsFor(c cid.Cid) []wire.PeerInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.set != nil {
-		sh := r.set.ShardOf(c)
-		if sh < 0 {
-			return nil
-		}
-		return r.set.Replicas(sh)
+	sh := r.set.ShardOf(c)
+	if sh < 0 {
+		return nil
 	}
-	return append([]wire.PeerInfo(nil), r.indexers...)
+	return r.set.Replicas(sh)
 }
 
-// Provide implements Router: push the record to every indexer
-// responsible for c — the whole flat list, or the owning shard's
-// replica group — in one hop each. Replicas that are offline simply
-// miss the push; the group's gossip repairs them later. If no indexer
+// Provide implements Router: push the record to every replica of the
+// owning shard in one hop each. Replicas that are offline simply miss
+// the push; the group's gossip repairs them later. If no replica
 // accepts it, fall back to the DHT walk so the record is never lost.
 func (r *IndexerRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
-	var res ProvideResult
-	targets := r.targetsFor(c)
-	if len(targets) == 0 {
-		if r.fallback != nil {
-			return r.fallback.Provide(ctx, c)
-		}
-		return res, fmt.Errorf("routing: indexer provide %s: no indexers configured", c)
-	}
-	req := wire.Message{
-		Type:      wire.TAddProvider,
-		Key:       c.Bytes(),
-		Providers: []wire.PeerInfo{{ID: r.sw.Local(), Addrs: r.sw.Addrs()}},
-	}
-	res.StoreTargets = targets
-	res.StoreAttempts = len(targets)
-	res.AckedTargets = dht.StoreBatch(ctx, r.sw, r.cfg.RPCTimeout, targets, req)
-	res.StoreOK = len(res.AckedTargets)
-	for _, t := range res.AckedTargets {
-		r.ledger.Confirm(t, c.Key())
-	}
-	if res.StoreOK == 0 {
-		return provideFallback(ctx, r.fallback, c, res,
-			fmt.Errorf("routing: indexer provide %s: all %d indexer stores failed", c, res.StoreAttempts))
-	}
-	return res, nil
+	return r.provide(ctx, c, r.targetsFor(c))
 }
 
-// ProvideMany implements Router: one bulk announce per responsible
-// indexer — under a sharded topology the batch is split per shard and
-// each replica receives only its shard's record keys in a single
-// multi-record ADD_PROVIDER RPC — with ack-ledger skips, and a
-// fallback retry for the CIDs no indexer accepted.
+// ProvideMany implements Router: the batch is split per shard, and each
+// replica receives only its shard's record keys in a single
+// multi-record ADD_PROVIDER RPC, with ack-ledger skips and a fallback
+// retry for the CIDs no indexer accepted.
 func (r *IndexerRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error) {
-	if len(r.targets()) == 0 {
-		if r.fallback != nil {
-			return r.fallback.ProvideMany(ctx, cids)
-		}
-		return ProvideManyResult{CIDs: len(cids)}, fmt.Errorf("routing: indexer provide batch of %d: no indexers configured", len(cids))
-	}
-	res, provided := provideManyGrouped(ctx, r.sw, r.src, r.cfg.RPCTimeout, r.ledger, cids, r.targetsFor)
-	return provideManyFallback(ctx, r.fallback, res, unprovided(cids, provided))
+	return r.provideMany(ctx, cids, len(r.set.All()) > 0, r.targetsFor)
 }
 
-// FindProvidersStream implements Router: ask the indexers responsible
-// for c in replica order, yielding each replica's provider batch as it
-// arrives (deduplicated across replicas, so a consumer that keeps the
-// stream open merges the whole replica group's knowledge). An offline
-// shard owner just costs one failed RPC before the next replica
-// answers — the fail-over path under churn. A full miss chains into
-// the DHT fallback's stream with the indexer RPCs included in the
-// reported message count.
+// FindProvidersStream implements Router: ask the replicas of c's shard
+// in order, yielding each replica's provider batch as it arrives
+// (deduplicated across replicas, so a consumer that keeps the stream
+// open merges the whole replica group's knowledge). An offline shard
+// owner just costs one failed RPC before the next replica answers —
+// the fail-over path under churn. A full miss chains into the DHT
+// fallback's stream with the indexer RPCs included in the reported
+// message count.
 func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
 	st := &StreamInfo{}
 	seq := func(yield func([]wire.PeerInfo) bool) {
@@ -446,36 +338,11 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 			streamFallback(ctx, r.fallback, c, LookupInfo{}, yield, st)
 			return
 		}
-		var info LookupInfo
-		sctx, sp := telemetry.StartSpan(ctx, "indexer-direct")
-		key := c.Bytes()
-		seen := make(map[peer.ID]bool)
 		yielded := false
-		for _, ix := range r.targetsFor(c) {
-			if ctx.Err() != nil {
-				break
-			}
-			rctx, cancel := r.src.WithTimeout(sctx, r.cfg.RPCTimeout)
-			resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
-			cancel()
-			if err != nil || resp.Type != wire.TProviders {
-				info.Failed++
-				sp.Event("replica-failover", telemetry.A("indexer", ix.ID.String()))
-				continue
-			}
-			info.Queried++
-			batch := dedupProviders(seen, fillAddrs(r.sw, resp.Providers))
-			if len(batch) == 0 {
-				continue
-			}
+		info := r.askReplicas(ctx, c, func(batch []wire.PeerInfo) bool {
 			yielded = true
-			if !yield(batch) {
-				break
-			}
-		}
-		sp.Annotate("queried", strconv.Itoa(info.Queried))
-		sp.Annotate("failed", strconv.Itoa(info.Failed))
-		sp.End()
+			return yield(batch)
+		})
 		if yielded {
 			st.set(info, nil)
 			return
@@ -489,22 +356,35 @@ func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pro
 	return seq, st
 }
 
-// SessionPeers implements Router: one RPC to the first indexer that
-// knows the key, without the DHT fallback — a session candidate miss
-// leaves the caller on the broadcast/walk path.
+// SessionPeers implements Router: the replica lookup stopped at the
+// first replica that knows the key, without the DHT fallback — a
+// session candidate miss leaves the caller on the broadcast/walk path.
 func (r *IndexerRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
 	return sessionFromDirect(ctx, r.direct, c, n)
 }
 
-// WantBroadcast implements Router: the indexer names the providers
-// directly, so the opportunistic broadcast is skipped.
-func (r *IndexerRouter) WantBroadcast() bool { return false }
-
-// direct queries the indexers responsible for c in turn — replica
-// order under a sharded topology, so a dead primary costs one failed
-// RPC before the next replica answers — returning ErrNoProviders when
-// every responsible indexer misses or is unreachable.
+// direct is the replica lookup stopped at the first non-empty batch,
+// returning ErrNoProviders when every replica misses or is unreachable.
 func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, LookupInfo, error) {
+	var first []wire.PeerInfo
+	info := r.askReplicas(ctx, c, func(batch []wire.PeerInfo) bool {
+		first = batch
+		return false
+	})
+	if first != nil {
+		return first, info, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, info, err
+	}
+	return nil, info, ErrNoProviders
+}
+
+// askReplicas queries the replicas of c's shard in order, passing each
+// answer's providers not yet seen to yield until it returns false. A
+// dead replica costs one failed RPC, marked on the span as a
+// replica-failover event, before the next one is asked.
+func (r *IndexerRouter) askReplicas(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
 	var info LookupInfo
 	ctx, sp := telemetry.StartSpan(ctx, "indexer-direct")
 	defer func() {
@@ -513,11 +393,12 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 		sp.End()
 	}()
 	key := c.Bytes()
+	seen := make(map[peer.ID]bool)
 	for _, ix := range r.targetsFor(c) {
 		if ctx.Err() != nil {
 			break
 		}
-		rctx, cancel := r.src.WithTimeout(ctx, r.cfg.RPCTimeout)
+		rctx, cancel := r.src.WithTimeout(ctx, r.timeout)
 		resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
 		cancel()
 		if err != nil || resp.Type != wire.TProviders {
@@ -526,12 +407,9 @@ func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo,
 			continue
 		}
 		info.Queried++
-		if len(resp.Providers) > 0 {
-			return fillAddrs(r.sw, resp.Providers), info, nil
+		if batch := dedupProviders(seen, fillAddrs(r.sw, resp.Providers)); len(batch) > 0 && !yield(batch) {
+			break
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, info, err
-	}
-	return nil, info, ErrNoProviders
+	return info
 }

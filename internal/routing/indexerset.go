@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cid"
 	"repro/internal/kbucket"
-	"repro/internal/peer"
 	"repro/internal/wire"
 )
 
@@ -77,24 +76,4 @@ func (s *IndexerSet) Replicas(i int) []wire.PeerInfo {
 // All returns every indexer in the set, shard-major.
 func (s *IndexerSet) All() []wire.PeerInfo {
 	return append([]wire.PeerInfo(nil), s.all...)
-}
-
-// Group returns the replica group serving peer id's shard minus id
-// itself — the gossip neighbours of one indexer — or nil when id is
-// not in the set.
-func (s *IndexerSet) Group(id peer.ID) []wire.PeerInfo {
-	for _, g := range s.groups {
-		for _, pi := range g {
-			if pi.ID == id {
-				var out []wire.PeerInfo
-				for _, other := range g {
-					if other.ID != id {
-						out = append(out, other)
-					}
-				}
-				return out
-			}
-		}
-	}
-	return nil
 }

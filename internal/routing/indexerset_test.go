@@ -20,8 +20,8 @@ import (
 // TestIndexerSetPartition pins the shard map's contract: every CID
 // lands in exactly one shard, the partition is deterministic across
 // independently-built sets (publishers and getters must agree with no
-// coordination), a multi-shard split actually uses more than one
-// shard, and Group returns a member's replica neighbours minus itself.
+// coordination), and a multi-shard split actually uses more than one
+// shard.
 func TestIndexerSetPartition(t *testing.T) {
 	groups := [][]wire.PeerInfo{
 		{{ID: peer.ID("a1")}, {ID: peer.ID("a2")}},
@@ -50,13 +50,6 @@ func TestIndexerSetPartition(t *testing.T) {
 	}
 	if got := set.All(); len(got) != 5 {
 		t.Errorf("All() returned %d indexers, want 5", len(got))
-	}
-	group := set.Group(peer.ID("a2"))
-	if len(group) != 1 || group[0].ID != peer.ID("a1") {
-		t.Errorf("Group(a2) = %v, want just a1", group)
-	}
-	if set.Group(peer.ID("zz")) != nil {
-		t.Error("Group of a non-member should be nil")
 	}
 }
 
@@ -103,9 +96,7 @@ func newShardedHarness(src *simtime.Scheduler, shards, replicas int, ttl time.Du
 }
 
 func (h *shardedHarness) router(sw *swarm.Swarm, fallback routing.Router) *routing.IndexerRouter {
-	r := routing.NewIndexerRouter(sw, nil, fallback, routing.IndexerRouterConfig{})
-	r.SetIndexerSet(h.set)
-	return r
+	return routing.NewIndexerRouter(sw, h.set, fallback, routing.IndexerRouterConfig{})
 }
 
 // holders returns which indexers hold a record for c, as shard/replica
@@ -225,8 +216,21 @@ func TestGossipRepairsReplicaAndRespectsTTL(t *testing.T) {
 // shard's primary going offline mid-window costs the lookup exactly
 // one extra (failed) hop before the surviving replica answers, pinned
 // against the simulator's budget — requests only reach the replica,
-// the dead primary shows up as a failed dial.
+// the dead primary shows up as a failed dial. The provider stream and
+// the session consult walk the same replica loop, so both pay the same.
 func TestShardFailoverExtraRPCsPinned(t *testing.T) {
+	lookups := []struct {
+		name string
+		find func(context.Context, *routing.IndexerRouter, cid.Cid) ([]wire.PeerInfo, int, error)
+	}{
+		{"FindProvidersStream", func(ctx context.Context, r *routing.IndexerRouter, c cid.Cid) ([]wire.PeerInfo, int, error) {
+			providers, info, err := findProviders(ctx, r, c)
+			return providers, routing.LookupMessages(info), err
+		}},
+		{"SessionPeers", func(ctx context.Context, r *routing.IndexerRouter, c cid.Cid) ([]wire.PeerInfo, int, error) {
+			return r.SessionPeers(ctx, c, 1)
+		}},
+	}
 	cases := []struct {
 		name          string
 		primaryDown   bool
@@ -239,34 +243,38 @@ func TestShardFailoverExtraRPCsPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
-				h := newShardedHarness(s, 1, 2, 0)
-				pub, get := h.router(h.pubSw, nil), h.router(h.getSw, nil)
+			for _, lk := range lookups {
+				t.Run(lk.name, func(t *testing.T) {
+					simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+						h := newShardedHarness(s, 1, 2, 0)
+						pub, get := h.router(h.pubSw, nil), h.router(h.getSw, nil)
 
-				c := testCid("failover content")
-				if _, err := pub.Provide(ctx, c); err != nil {
-					t.Fatalf("Provide: %v", err)
-				}
-				if tc.primaryDown {
-					h.net.SetOnline(h.groups[0][0].ID(), false)
-				}
-				before := h.net.Budget()
-				providers, info, err := findProviders(ctx, get, c)
-				if err != nil {
-					t.Fatalf("FindProviders: %v", err)
-				}
-				if len(providers) == 0 || providers[0].ID != h.pubSw.Local() {
-					t.Fatalf("providers = %v, want the publisher via a live replica", providers)
-				}
-				if got := routing.LookupMessages(info); got != tc.wantMsgs {
-					t.Errorf("lookup reports %d RPCs, want %d", got, tc.wantMsgs)
-				}
-				d := h.net.Budget().Sub(before)
-				if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
-					t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",
-						d.Requests, d.DialFailures, tc.wantRequests, tc.wantDialFails)
-				}
-			})
+						c := testCid("failover content")
+						if _, err := pub.Provide(ctx, c); err != nil {
+							t.Fatalf("Provide: %v", err)
+						}
+						if tc.primaryDown {
+							h.net.SetOnline(h.groups[0][0].ID(), false)
+						}
+						before := h.net.Budget()
+						providers, msgs, err := lk.find(ctx, get, c)
+						if err != nil {
+							t.Fatalf("%s: %v", lk.name, err)
+						}
+						if len(providers) == 0 || providers[0].ID != h.pubSw.Local() {
+							t.Fatalf("providers = %v, want the publisher via a live replica", providers)
+						}
+						if msgs != tc.wantMsgs {
+							t.Errorf("lookup reports %d RPCs, want %d", msgs, tc.wantMsgs)
+						}
+						d := h.net.Budget().Sub(before)
+						if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
+							t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",
+								d.Requests, d.DialFailures, tc.wantRequests, tc.wantDialFails)
+						}
+					})
+				})
+			}
 		})
 	}
 }
@@ -282,8 +290,7 @@ func TestEmptyIndexerSetFallsThrough(t *testing.T) {
 		}
 		h := newShardedHarness(s, 1, 1, 0)
 		fb := &countingRouter{inner: &fakeRouter{src: s, name: "fb", provider: peer.ID("via-fallback"), delay: time.Millisecond}}
-		r := routing.NewIndexerRouter(h.getSw, nil, fb, routing.IndexerRouterConfig{})
-		r.SetIndexerSet(set)
+		r := routing.NewIndexerRouter(h.getSw, set, fb, routing.IndexerRouterConfig{})
 
 		providers, _, err := findProviders(ctx, r, testCid("unowned"))
 		if err != nil || len(providers) == 0 || providers[0].ID != peer.ID("via-fallback") {

@@ -1,0 +1,114 @@
+package routing
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"repro/internal/cid"
+	"repro/internal/dht"
+	"repro/internal/simtime"
+	"repro/internal/swarm"
+	"repro/internal/wire"
+)
+
+// oneHop is the body the one-hop routers share. Each knows, per key,
+// the peers its record belongs on — the snapshot's K closest, or the
+// owning shard's replicas — and stores there in one hop, falling back
+// to the walk when no target acks. A router embedding it adds only its
+// targets and its lookup.
+type oneHop struct {
+	kind     Kind
+	sw       *swarm.Swarm
+	src      simtime.Source // the swarm's
+	timeout  time.Duration  // bounds one direct RPC
+	fallback Router         // nil disables fallback (tests); usually a DHTRouter
+	ledger   *Ledger
+}
+
+func newOneHop(kind Kind, sw *swarm.Swarm, timeout time.Duration, fallback Router) oneHop {
+	src := sw.Time()
+	return oneHop{kind: kind, sw: sw, src: src, timeout: timeout, fallback: fallback, ledger: NewLedger(src.Now)}
+}
+
+// Name implements Router.
+func (h *oneHop) Name() string { return string(h.kind) }
+
+// Ledger exposes the republish ack ledger.
+func (h *oneHop) Ledger() *Ledger { return h.ledger }
+
+// WantBroadcast implements Router: a one-hop router names the record
+// holders directly, so the opportunistic broadcast is skipped.
+func (h *oneHop) WantBroadcast() bool { return false }
+
+// provide stores c's provider record on targets, one store-batch and no
+// walk. With no targets the fallback publishes instead. When every
+// store fails (a fully stale neighbourhood, every replica offline) the
+// fallback retries, with the wasted direct RPCs charged onto its
+// result, so the record is never lost and the cost covers both paths.
+func (h *oneHop) provide(ctx context.Context, c cid.Cid, targets []wire.PeerInfo) (ProvideResult, error) {
+	if len(targets) == 0 {
+		if h.fallback != nil {
+			return h.fallback.Provide(ctx, c)
+		}
+		return ProvideResult{}, fmt.Errorf("routing: %s provide %s: no targets", h.kind, c)
+	}
+	req := wire.Message{
+		Type:      wire.TAddProvider,
+		Key:       c.Bytes(),
+		Providers: []wire.PeerInfo{{ID: h.sw.Local(), Addrs: h.sw.Addrs()}},
+	}
+	res := ProvideResult{StoreTargets: targets, StoreAttempts: len(targets)}
+	res.AckedTargets = dht.StoreBatch(ctx, h.sw, h.timeout, targets, req)
+	res.StoreOK = len(res.AckedTargets)
+	for _, t := range res.AckedTargets {
+		h.ledger.Confirm(t, c.Key())
+	}
+	if res.StoreOK > 0 {
+		return res, nil
+	}
+	err := fmt.Errorf("routing: %s provide %s: all %d direct stores failed", h.kind, c, res.StoreAttempts)
+	if h.fallback == nil || ctx.Err() != nil {
+		return res, err
+	}
+	fres, err := h.fallback.Provide(ctx, c)
+	fres.StoreAttempts += res.StoreAttempts
+	return fres, err
+}
+
+// provideMany batches cids against targetsOf — one multi-record RPC per
+// distinct target, ack-ledger skips — and retries through the fallback
+// the CIDs no target accepted, merging the fallback's cost and adding
+// its successes to the provided count. known reports whether the
+// router has any target at all; without one the fallback takes the
+// whole batch.
+func (h *oneHop) provideMany(ctx context.Context, cids []cid.Cid, known bool, targetsOf func(cid.Cid) []wire.PeerInfo) (ProvideManyResult, error) {
+	if !known {
+		if h.fallback != nil {
+			return h.fallback.ProvideMany(ctx, cids)
+		}
+		return ProvideManyResult{CIDs: len(cids)}, fmt.Errorf("routing: %s provide batch of %d: no targets", h.kind, len(cids))
+	}
+	res, provided := provideManyGrouped(ctx, h.sw, h.src, h.timeout, h.ledger, cids, targetsOf)
+	failed := unprovided(cids, provided)
+	if len(failed) == 0 {
+		return res, nil
+	}
+	if h.fallback == nil || ctx.Err() != nil {
+		if res.Provided == 0 && res.CIDs > 0 {
+			err := ctx.Err()
+			if err == nil {
+				err = fmt.Errorf("routing: provide batch of %d: no records stored", res.CIDs)
+			}
+			return res, err
+		}
+		return res, nil
+	}
+	fres, err := h.fallback.ProvideMany(ctx, failed)
+	res = res.merge(fres)
+	res.Provided += fres.Provided
+	if res.Provided == 0 && res.CIDs > 0 && err != nil {
+		return res, err
+	}
+	return res, nil
+}

@@ -61,56 +61,76 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 	type outcome struct {
 		res ProvideResult
 		err error
-		sp  *telemetry.Span
 	}
-	pctx, cancel := r.src.WithCancel(ctx)
+	outs, won := race(ctx, r.src, r.members, func(gctx context.Context, m Router) outcome {
+		res, err := m.Provide(gctx, c)
+		return outcome{res: res, err: err}
+	}, func(o outcome) bool { return o.err == nil })
+	var firstErr error
+	loserMsgs := 0
+	for i, o := range outs {
+		if i == won {
+			continue
+		}
+		loserMsgs += ProvideMessages(o.v.res)
+		if firstErr == nil {
+			firstErr = o.v.err
+		}
+	}
+	if won < 0 {
+		// Every member failed: the race's RPCs still went out, so they are
+		// returned in the result rather than vanishing from the accounting.
+		return ProvideResult{Walk: LookupInfo{Launched: loserMsgs}}, firstErr
+	}
+	outs[won].sp.Annotate("won", "true") // the publication's phases are the winner's
+	res := outs[won].v.res
+	res.Walk.Launched = LookupMessages(res.Walk) + loserMsgs
+	return res, nil
+}
+
+// raced is one racer's outcome and the span it ran under.
+type raced[T any] struct {
+	v  T
+	sp *telemetry.Span
+}
+
+// race runs call on every member concurrently, each under its own
+// "race:<member>" span, and cancels the others once an outcome wins.
+// It joins every racer before returning — detached from ctx, since each
+// deposits exactly once into the buffered channel and cancelled losers
+// unwind promptly — so the losers' RPCs can still be charged. It
+// returns the outcomes in arrival order and the winner's index, -1
+// when none won.
+func race[T any](ctx context.Context, src simtime.Source, members []Router, call func(context.Context, Router) T, wins func(T) bool) ([]raced[T], int) {
+	pctx, cancel := src.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan outcome, len(r.members))
-	for _, m := range r.members {
+	ch := make(chan raced[T], len(members))
+	for _, m := range members {
 		// The race spans open serially here (deterministic IDs) and are
 		// closed by the racers themselves — cancelled losers included —
 		// before they deposit, so no span is open once the race is joined.
 		mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
 		m := m
-		r.src.Go(mctx, func(gctx context.Context) {
-			res, err := m.Provide(gctx, c)
+		src.Go(mctx, func(gctx context.Context) {
+			v := call(gctx, m)
 			sp.End()
-			ch <- outcome{res: res, err: err, sp: sp}
+			ch <- raced[T]{v: v, sp: sp}
 		})
 	}
-	// Every racer deposits exactly once into the buffered channel, so
-	// the collect loop drains detached from ctx — cancelled losers
-	// unwind promptly and still get their RPCs charged.
-	var firstErr error
-	loserMsgs := 0
-	for i := 0; i < len(r.members); i++ {
-		o, ok := simtime.Recv(simtime.Detach(ctx), r.src, ch)
+	var outs []raced[T]
+	won := -1
+	for range members {
+		o, ok := simtime.Recv(simtime.Detach(ctx), src, ch)
 		if !ok {
 			break
 		}
-		if o.err == nil {
+		if won < 0 && wins(o.v) {
+			won = len(outs)
 			cancel()
-			o.sp.Annotate("won", "true") // the publication's phases are the winner's
-			// Drain the cancelled losers (they return promptly once the
-			// context falls) and charge the RPCs they managed to launch.
-			for j := i + 1; j < len(r.members); j++ {
-				lo, ok := simtime.Recv(simtime.Detach(ctx), r.src, ch)
-				if !ok {
-					break
-				}
-				loserMsgs += ProvideMessages(lo.res)
-			}
-			o.res.Walk.Launched = LookupMessages(o.res.Walk) + loserMsgs
-			return o.res, nil
 		}
-		loserMsgs += ProvideMessages(o.res)
-		if firstErr == nil {
-			firstErr = o.err
-		}
+		outs = append(outs, o)
 	}
-	// Every member failed: the race's RPCs still went out, so they are
-	// returned in the result rather than vanishing from the accounting.
-	return ProvideResult{Walk: LookupInfo{Launched: loserMsgs}}, firstErr
+	return outs, won
 }
 
 // ProvideMany implements Router: the batch fans out to every member
@@ -176,39 +196,18 @@ func (r *ParallelRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]
 		msgs  int
 		err   error
 	}
-	pctx, cancel := r.src.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, len(r.members))
-	for _, m := range r.members {
-		mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
-		m := m
-		r.src.Go(mctx, func(gctx context.Context) {
-			peers, msgs, err := m.SessionPeers(gctx, c, n)
-			sp.End()
-			ch <- outcome{peers: peers, msgs: msgs, err: err}
-		})
-	}
+	outs, won := race(ctx, r.src, r.members, func(gctx context.Context, m Router) outcome {
+		peers, msgs, err := m.SessionPeers(gctx, c, n)
+		return outcome{peers: peers, msgs: msgs, err: err}
+	}, func(o outcome) bool { return o.err == nil && len(o.peers) > 0 })
 	msgs := 0
-	for i := 0; i < len(r.members); i++ {
-		o, ok := simtime.Recv(simtime.Detach(ctx), r.src, ch)
-		if !ok {
-			break
-		}
-		msgs += o.msgs
-		if o.err == nil && len(o.peers) > 0 {
-			cancel()
-			// Drain the cancelled losers and charge their RPCs.
-			for j := i + 1; j < len(r.members); j++ {
-				lo, ok := simtime.Recv(simtime.Detach(ctx), r.src, ch)
-				if !ok {
-					break
-				}
-				msgs += lo.msgs
-			}
-			return o.peers, msgs, nil
-		}
+	for _, o := range outs {
+		msgs += o.v.msgs
 	}
-	return nil, msgs, ErrNoSessionPeers
+	if won < 0 {
+		return nil, msgs, ErrNoSessionPeers
+	}
+	return outs[won].v.peers, msgs, nil
 }
 
 // WantBroadcast implements Router: the composite broadcasts when any

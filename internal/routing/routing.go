@@ -325,18 +325,6 @@ func mergeLookup(direct, fallback LookupInfo) LookupInfo {
 	}
 }
 
-// provideFallback routes a fully-failed one-hop batch through the
-// fallback router, charging the wasted direct RPCs onto the fallback's
-// result so the reported cost covers both paths.
-func provideFallback(ctx context.Context, fallback Router, c cid.Cid, direct ProvideResult, directErr error) (ProvideResult, error) {
-	if fallback == nil || ctx.Err() != nil {
-		return direct, directErr
-	}
-	fres, err := fallback.Provide(ctx, c)
-	fres.StoreAttempts += direct.StoreAttempts
-	return fres, err
-}
-
 // fillAddrs backfills provider addresses from the local address book —
 // §3.2's "check whether they already have an address" shortcut.
 func fillAddrs(sw *swarm.Swarm, providers []wire.PeerInfo) []wire.PeerInfo {

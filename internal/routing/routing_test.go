@@ -93,6 +93,12 @@ func (f *fakeRouter) WantBroadcast() bool { return f.broadcast }
 
 func testCid(s string) cid.Cid { return cid.Sum(multicodec.Raw, []byte(s)) }
 
+// oneShard is the indexer set of a flat indexer list: one shard whose
+// replicas are the indexers, in order.
+func oneShard(indexers ...wire.PeerInfo) *routing.IndexerSet {
+	return routing.NewIndexerSet([][]wire.PeerInfo{indexers})
+}
+
 // findProviders reads r's provider stream the way a blocking lookup
 // would: it stops at the first provider-carrying response and returns
 // that batch — the §3.2 "terminate on the first record-hosting node"
@@ -218,10 +224,10 @@ func TestIndexerRoundTrip(t *testing.T) {
 
 		pubSw, getSw := newSwarm(), newSwarm()
 		cfg := routing.IndexerRouterConfig{}
-		pub := routing.NewIndexerRouter(pubSw, []wire.PeerInfo{ix.Info()}, nil, cfg)
+		pub := routing.NewIndexerRouter(pubSw, oneShard(ix.Info()), nil, cfg)
 		// The getter's fallback must never fire on a hit.
 		fb := &countingRouter{inner: &fakeRouter{src: s, name: "fb", err: errors.New("unused")}}
-		get := routing.NewIndexerRouter(getSw, []wire.PeerInfo{ix.Info()}, fb, cfg)
+		get := routing.NewIndexerRouter(getSw, oneShard(ix.Info()), fb, cfg)
 
 		c := testCid("indexed content")
 		res, err := pub.Provide(ctx, c)
@@ -277,7 +283,7 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 		ix := tn.AddIndexer("US", 901)
 		getter := tn.AddVantage("US", 902)
 		fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
-		r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
+		r := routing.NewIndexerRouter(getter.Swarm(), oneShard(ix.Info()), fb,
 			routing.IndexerRouterConfig{})
 
 		providers, info, err := findProviders(ctx, r, pub.Cid)
@@ -401,15 +407,18 @@ func TestConfigRoutingSelector(t *testing.T) {
 	ix := tn.AddIndexer("US", 930)
 	cases := []struct {
 		kind routing.Kind
+		set  *routing.IndexerSet
 		want string
 	}{
-		{routing.KindDHT, "dht"},
-		{routing.KindAccelerated, "accelerated"},
-		{routing.KindIndexer, "indexer"},
-		{routing.KindParallel, "parallel(dht+accelerated+indexer)"},
+		{routing.KindDHT, oneShard(ix.Info()), "dht"},
+		{routing.KindAccelerated, oneShard(ix.Info()), "accelerated"},
+		{routing.KindIndexer, oneShard(ix.Info()), "indexer"},
+		{routing.KindParallel, oneShard(ix.Info()), "parallel(dht+accelerated+indexer)"},
+		// Without an indexer set the race has no indexer member.
+		{routing.KindParallel, nil, "parallel(dht+accelerated)"},
 	}
 	for i, tc := range cases {
-		node := tn.AddVantageRouting("DE", int64(940+i), tc.kind, []wire.PeerInfo{ix.Info()})
+		node := tn.AddVantageRouting("DE", int64(940+i), tc.kind, tc.set)
 		if got := node.Router().Name(); got != tc.want {
 			t.Errorf("kind %q built router %q, want %q", tc.kind, got, tc.want)
 		}
@@ -490,7 +499,7 @@ func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 		ix := tn.AddIndexer("US", 980)
 
 		publisher := tn.AddVantage("DE", 981)
-		pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ix.Info()}, nil,
+		pubR := routing.NewIndexerRouter(publisher.Swarm(), oneShard(ix.Info()), nil,
 			routing.IndexerRouterConfig{})
 		pub, err := publisher.AddAndPublish(ctx, []byte("indexed session content"))
 		if err != nil {
@@ -502,7 +511,7 @@ func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 
 		getter := tn.AddVantage("US", 982)
 		fb := &countingRouter{inner: routing.NewDHT(getter.DHT())}
-		r := routing.NewIndexerRouter(getter.Swarm(), []wire.PeerInfo{ix.Info()}, fb,
+		r := routing.NewIndexerRouter(getter.Swarm(), oneShard(ix.Info()), fb,
 			routing.IndexerRouterConfig{})
 
 		peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 2)

@@ -56,7 +56,7 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 		ixMiss := tn.AddIndexer("DE", 811)
 		node := tn.AddVantage("US", 812)
 		mkRouter := func(ix wire.PeerInfo) routing.Router {
-			return routing.NewIndexerRouter(node.Swarm(), []wire.PeerInfo{ix}, nil,
+			return routing.NewIndexerRouter(node.Swarm(), oneShard(ix), nil,
 				routing.IndexerRouterConfig{})
 		}
 		hit := mkRouter(ixHit.Info())
@@ -64,7 +64,7 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 
 		c := testCid("raced content")
 		publisher := tn.AddVantage("DE", 813)
-		pubR := routing.NewIndexerRouter(publisher.Swarm(), []wire.PeerInfo{ixHit.Info()}, nil,
+		pubR := routing.NewIndexerRouter(publisher.Swarm(), oneShard(ixHit.Info()), nil,
 			routing.IndexerRouterConfig{})
 		if _, err := pubR.Provide(ctx, c); err != nil {
 			t.Fatalf("seed provide: %v", err)

@@ -56,13 +56,6 @@ type Config struct {
 	// Routing selects the content router for every built node (vantage
 	// routers can be overridden per node with AddVantageRouting).
 	Routing routing.Kind
-	// Indexers configures the delegated-routing indexer set, typically
-	// from AddIndexer.
-	Indexers []wire.PeerInfo
-	// IndexerSet, when non-nil, installs a sharded indexer topology
-	// (typically from AddIndexerSet) on every built node's indexer
-	// router.
-	IndexerSet *routing.IndexerSet
 
 	// EventDriven is accepted and ignored: every testnet is built on a
 	// discrete-event scheduler. The field stays only because the frozen
@@ -181,8 +174,6 @@ func Build(cfg Config) *Testnet {
 			OmitProviderAddrs: cfg.OmitProviderAddrs,
 			ParallelDiscovery: cfg.ParallelDiscovery,
 			Routing:           cfg.Routing,
-			Indexers:          cfg.Indexers,
-			IndexerSet:        cfg.IndexerSet,
 			Time:              sched,
 		})
 		tn.Nodes[i] = node
@@ -272,29 +263,25 @@ func (tn *Testnet) OnlineNodes() []*core.Node {
 // AddVantage attaches an instrumented measurement node in the given
 // region (one of the §4.3 AWS VMs) with a seeded routing table.
 func (tn *Testnet) AddVantage(region geo.Region, seed int64) *core.Node {
-	return tn.addVantage(region, seed, tn.Cfg.Routing, tn.Cfg.Indexers, tn.Cfg.IndexerSet, nil)
+	return tn.addVantage(region, seed, tn.Cfg.Routing, nil, nil)
 }
 
 // AddVantageStore attaches a vantage node backed by a specific block
 // store (e.g. a PackStore) instead of the default in-memory store.
 func (tn *Testnet) AddVantageStore(region geo.Region, seed int64, store block.Store) *core.Node {
-	return tn.addVantage(region, seed, tn.Cfg.Routing, tn.Cfg.Indexers, tn.Cfg.IndexerSet, store)
+	return tn.addVantage(region, seed, tn.Cfg.Routing, nil, store)
 }
 
 // AddVantageRouting attaches a vantage node using a specific content
 // router — the routing-comparison experiment puts vantages with
-// different routers on the same network.
-func (tn *Testnet) AddVantageRouting(region geo.Region, seed int64, kind routing.Kind, indexers []wire.PeerInfo) *core.Node {
-	return tn.addVantage(region, seed, kind, indexers, nil, nil)
+// different routers on the same network. set is the indexer topology
+// the indexer and parallel routers use (from AddIndexerSet, or
+// routing.NewIndexerSet over one group); nil means no indexers.
+func (tn *Testnet) AddVantageRouting(region geo.Region, seed int64, kind routing.Kind, set *routing.IndexerSet) *core.Node {
+	return tn.addVantage(region, seed, kind, set, nil)
 }
 
-// AddVantageSharded attaches a vantage node whose indexer router
-// routes through a sharded indexer topology (from AddIndexerSet).
-func (tn *Testnet) AddVantageSharded(region geo.Region, seed int64, kind routing.Kind, set *routing.IndexerSet) *core.Node {
-	return tn.addVantage(region, seed, kind, set.All(), set, nil)
-}
-
-func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, indexers []wire.PeerInfo, set *routing.IndexerSet, store block.Store) *core.Node {
+func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, set *routing.IndexerSet, store block.Store) *core.Node {
 	rng := rand.New(rand.NewSource(seed))
 	ident := peer.MustNewIdentity(rng)
 	ep := tn.Net.AddNode(ident.ID, simnet.NodeOpts{
@@ -312,7 +299,6 @@ func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, 
 		OmitProviderAddrs: tn.Cfg.OmitProviderAddrs,
 		ParallelDiscovery: tn.Cfg.ParallelDiscovery,
 		Routing:           kind,
-		Indexers:          indexers,
 		IndexerSet:        set,
 		Store:             store,
 		Time:              tn.Sched,
@@ -388,12 +374,11 @@ func (f *IndexerFleet) Replica(s, i int) *routing.Indexer { return f.Groups[s][i
 // AddIndexerSet attaches shards×replicas indexer nodes spread across
 // the AWS regions, wires each shard's replica group for gossip, and
 // returns the fleet. ttl <= 0 selects the 24 h record TTL default.
-// Pass fleet.Set into Config.IndexerSet / AddVantageSharded so clients
-// route by the same shard map the indexers replicate within. The
-// builder consumes seeds seed..seed+shards×replicas-1 (identities
-// derive from the seed, and a reused seed silently replaces the
-// earlier peer on the simulator) — keep later vantage seeds outside
-// that range.
+// Pass fleet.Set into AddVantageRouting so clients route by the same
+// shard map the indexers replicate within. The builder consumes seeds
+// seed..seed+shards×replicas-1 (identities derive from the seed, and a
+// reused seed silently replaces the earlier peer on the simulator) —
+// keep later vantage seeds outside that range.
 func (tn *Testnet) AddIndexerSet(seed int64, shards, replicas int, ttl time.Duration) *IndexerFleet {
 	if shards <= 0 {
 		shards = 1

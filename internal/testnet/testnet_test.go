@@ -208,13 +208,4 @@ func TestAddIndexerSetWiring(t *testing.T) {
 			}
 		}
 	}
-	// The replicas of one shard own the same CIDs: the set's partition
-	// maps each indexer to exactly one shard.
-	for s := range fleet.Groups {
-		for _, pi := range fleet.Set.Replicas(s) {
-			if got := fleet.Set.Group(pi.ID); len(got) != 1 {
-				t.Errorf("Group(%s) = %d peers, want 1", pi.ID.Short(), len(got))
-			}
-		}
-	}
 }

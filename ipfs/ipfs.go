@@ -177,9 +177,14 @@ func (s *SimNetwork) AddNode(region Region, seed int64) *Node {
 }
 
 // AddNodeRouting attaches a fresh node using the given content router;
-// indexers may be nil for kinds that do not use them.
+// indexers may be nil for kinds that do not use them. A non-empty list
+// is one shard whose replicas the node publishes to and asks in order.
 func (s *SimNetwork) AddNodeRouting(region Region, seed int64, kind RoutingKind, indexers []PeerInfo) *Node {
-	return s.tn.AddVantageRouting(region, seed, kind, indexers)
+	var set *IndexerSet
+	if len(indexers) > 0 {
+		set = routing.NewIndexerSet([][]PeerInfo{indexers})
+	}
+	return s.tn.AddVantageRouting(region, seed, kind, set)
 }
 
 // AddIndexer attaches a delegated-routing indexer node; pass its Info
@@ -199,7 +204,7 @@ func (s *SimNetwork) AddIndexerSet(seed int64, shards, replicas int) *IndexerFle
 // AddNodeSharded attaches a fresh node whose indexer router routes
 // through the fleet's shard topology.
 func (s *SimNetwork) AddNodeSharded(region Region, seed int64, kind RoutingKind, fleet *IndexerFleet) *Node {
-	return s.tn.AddVantageSharded(region, seed, kind, fleet.Set)
+	return s.tn.AddVantageRouting(region, seed, kind, fleet.Set)
 }
 
 // Testnet exposes the underlying builder for advanced use.

@@ -150,3 +150,36 @@ func TestAddNodeJoins(t *testing.T) {
 		}
 	})
 }
+
+// TestAddNodeRoutingIndexer publishes through nodes wired to one
+// indexer by a flat list — one shard — and retrieves with a single
+// indexer RPC.
+func TestAddNodeRoutingIndexer(t *testing.T) {
+	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 40, Clean: true, Seed: 8})
+	ix := net.AddIndexer("US", 200)
+	indexers := []ipfs.PeerInfo{ix.Info()}
+	publisher := net.AddNodeRouting("DE", 201, ipfs.RoutingIndexer, indexers)
+	getter := net.AddNodeRouting("US", 202, ipfs.RoutingIndexer, indexers)
+	content := []byte("routed by the indexer")
+	net.Run(func(ctx context.Context) {
+		pub, err := publisher.AddAndPublish(ctx, content)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !ix.HasProvider(pub.Cid) {
+			t.Error("the indexer holds no record after the publish")
+		}
+		got, res, err := getter.Retrieve(ctx, pub.Cid)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) || res.Provider != publisher.ID() {
+			t.Errorf("retrieved %q from %s, want the content from the publisher", got, res.Provider.Short())
+		}
+		if res.LookupMsgs != 1 || !res.RoutedSession {
+			t.Errorf("retrieve spent %d routing RPCs (routed session %v), want 1 indexer RPC", res.LookupMsgs, res.RoutedSession)
+		}
+	})
+}
