@@ -47,8 +47,8 @@ func main() {
 		bootstrap = flag.String("bootstrap", "", "comma-separated bootstrap multiaddrs")
 		cacheMB   = flag.Int64("cache-mb", 256, "nginx-style LRU cache size in MiB (per instance in fleet mode)")
 		pins      = flag.String("pin", "", "comma-separated files to pin into the node store")
-		storeKind = flag.String("blockstore", "mem", "blockstore backend: mem | fs | pack")
-		storeDir  = flag.String("blockstore-dir", "", "directory for the fs/pack blockstores")
+		storeKind = flag.String("blockstore", "mem", "blockstore backend: mem | pack")
+		storeDir  = flag.String("blockstore-dir", "", "directory for the pack blockstore")
 
 		fleetN      = flag.Int("fleet", 1, "gateway fleet size; >1 serves through consistent-hash placement, a shared cache tier and load shedding")
 		sharedMB    = flag.Int64("fleet-shared-mb", 256, "fleet-shared object cache size in MiB")

@@ -45,8 +45,8 @@ func main() {
 		client    = flag.Bool("client", false, "join as a DHT client (unreachable peers)")
 		timeout   = flag.Duration("timeout", 60*time.Second, "operation timeout")
 		debugHTTP = flag.String("debug-http", "", "daemon-mode introspection listen address (/healthz, /debug/metrics, /debug/trace/last)")
-		storeKind = flag.String("blockstore", "mem", "blockstore backend: mem | fs | pack")
-		storeDir  = flag.String("blockstore-dir", "", "directory for the fs/pack blockstores")
+		storeKind = flag.String("blockstore", "mem", "blockstore backend: mem | pack")
+		storeDir  = flag.String("blockstore-dir", "", "directory for the pack blockstore")
 	)
 	flag.Parse()
 	args := flag.Args()

@@ -11,13 +11,12 @@
 // layer that is handed a Block checks which CID it carries instead of
 // hashing it again.
 //
-// Four Store implementations cover the deployment spectrum:
+// Three Store implementations cover the deployment spectrum:
 //
 //   - MemStore: unbounded in-memory map, the simulator default.
 //   - LRUStore: byte-capped in-memory store with least-recently-used
 //     eviction (an adapter over internal/lru) — the node store of a
 //     fleet's edge gateways.
-//   - FSStore (fsstore.go): file-per-block flatfs layout.
 //   - PackStore (packstore.go): the pack-engine store — append-only
 //     pack volumes, an in-memory CID index rebuilt from volume scans,
 //     and background compaction reclaiming deleted space.
@@ -144,7 +143,6 @@ var (
 	_ Store   = (*MemStore)(nil)
 	_ Pinner  = (*MemStore)(nil)
 	_ Clearer = (*MemStore)(nil)
-	_ Store   = (*FSStore)(nil)
 	_ Store   = (*LRUStore)(nil)
 )
 

@@ -20,13 +20,6 @@ func TestStoreConformance(t *testing.T) {
 		{"mem", func(t *testing.T) Store { return NewMemStore() }},
 		// Capped far above what the suite stores, so nothing is evicted.
 		{"lru", func(t *testing.T) Store { return NewLRUStore(1 << 20) }},
-		{"fs", func(t *testing.T) Store {
-			s, err := NewFSStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
 		{"pack", func(t *testing.T) Store {
 			s, err := NewPackStore(t.TempDir(), PackConfig{DisableBackground: true})
 			if err != nil {

@@ -20,8 +20,8 @@ import (
 // blocks append sequentially to large volume files under per-record
 // headers, an in-memory index maps cid -> (volume, offset, len), and
 // Delete only writes a tombstone — background compaction rewrites
-// volumes whose dead-byte ratio crosses a threshold. Compared to the
-// file-per-block FSStore this turns a million small blocks into a
+// volumes whose dead-byte ratio crosses a threshold. Compared to a
+// file-per-block layout this turns a million small blocks into a
 // handful of large files: one pread per Get, no inode churn. Writes are
 // group-committed twice over: records collect in an in-memory append
 // buffer and reach the volume in one pwrite per buffer, and the volume

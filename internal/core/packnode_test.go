@@ -100,24 +100,20 @@ func TestNodeDefaultStoreIsMem(t *testing.T) {
 	}
 }
 
-// TestFSBackedNodeNoopPinner: FSStore has no pin surface; the node
-// must fall back to a no-op pinner rather than panic.
-func TestFSBackedNodeNoopPinner(t *testing.T) {
-	fs, err := block.NewFSStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPinlessStoreNodeNoopPinner: LRUStore has no pin surface; the
+// node must fall back to a no-op pinner rather than panic.
+func TestPinlessStoreNodeNoopPinner(t *testing.T) {
 	tn := buildSmallNet(t, 10)
-	node := tn.AddVantageStore(geo.UsWest1, 904, fs)
+	node := tn.AddVantageStore(geo.UsWest1, 904, block.NewLRUStore(1<<20))
 	c := cid.Sum(multicodec.Raw, []byte("unpinnable"))
 	node.Pinner().Pin(c) // must not panic
 	if node.Pinner().Pinned(c) {
 		t.Error("no-op pinner reported a pin")
 	}
-	if _, err := node.Add([]byte("fs-backed block")); err != nil {
+	if _, err := node.Add([]byte("lru-backed block")); err != nil {
 		t.Fatal(err)
 	}
 	if node.Store().Len() == 0 {
-		t.Error("Add did not land in the fs store")
+		t.Error("Add did not land in the lru store")
 	}
 }

@@ -115,21 +115,11 @@ func (n *Node) Republish(ctx context.Context) RepublishStats {
 // (<= 0 selects the 12 h default) until ctx is cancelled. The first
 // cycle is delayed by a per-peer deterministic jitter so republish
 // cycles across a fleet desynchronize instead of thundering-herding
-// the same ticks. The loop is a self-rearming timer on the node's time
-// source — one queue event per cycle under the event scheduler, and
-// leak-free on cancellation (the old time.After variant leaked a real
-// timer per jitter wait).
+// the same ticks.
 func (n *Node) StartRepublisher(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = record.DefaultRepublishInterval
 	}
 	jitter := simtime.Jitter(string(n.ident.ID)+"#republish", interval)
-	var cycle func(context.Context)
-	cycle = func(cctx context.Context) {
-		n.Republish(cctx)
-		if cctx.Err() == nil {
-			n.src.AfterFunc(cctx, interval, cycle)
-		}
-	}
-	n.src.AfterFunc(ctx, jitter+interval, cycle)
+	simtime.Every(ctx, n.src, jitter+interval, interval, func(ctx context.Context) { n.Republish(ctx) })
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kbucket"
+	"repro/internal/simtime"
 )
 
 // Refresh performs random-key lookups to repopulate the routing table:
@@ -37,22 +38,15 @@ func (d *DHT) Refresh(ctx context.Context, nKeys int, seed int64) int {
 // StartMaintenance runs the periodic housekeeping loop: bucket
 // refreshes and provider-record garbage collection (expired records
 // are dropped so the node never serves stale mappings, §3.1). interval
-// is simulated time; <= 0 selects 1 h. The loop is a self-rearming
-// timer on the node's time source, so under the event scheduler each
-// cycle is one queue event and the node sleeps between cycles.
+// is simulated time; <= 0 selects 1 h.
 func (d *DHT) StartMaintenance(ctx context.Context, interval time.Duration, seed int64) {
 	if interval <= 0 {
 		interval = time.Hour
 	}
-	var cycle func(context.Context)
 	i := int64(0)
-	cycle = func(cctx context.Context) {
-		d.Refresh(cctx, 2, seed+i)
+	simtime.Every(ctx, d.src, interval, interval, func(ctx context.Context) {
+		d.Refresh(ctx, 2, seed+i)
 		d.providers.GC()
 		i++
-		if cctx.Err() == nil {
-			d.src.AfterFunc(cctx, interval, cycle)
-		}
-	}
-	d.src.AfterFunc(ctx, interval, cycle)
+	})
 }

@@ -51,8 +51,9 @@ type provEntry struct {
 	expiry time.Time
 }
 
-// NewSharedCache builds the shared tier (Config.withDefaults holds the
-// default sizes and TTLs); reg may be nil for an unmetered cache.
+// NewSharedCache builds the shared tier (Config.withDefaults and
+// providerTTL hold the default sizes and TTLs); reg may be nil for an
+// unmetered cache.
 func NewSharedCache(capacityBytes int64, negTTL, provTTL time.Duration, src simtime.Source, reg *telemetry.Registry) *SharedCache {
 	return &SharedCache{
 		src:       src,

@@ -43,14 +43,15 @@ var ErrKnownMissing = errors.New("gwfleet: CID known missing (negative cache)")
 // ErrShed marks a request rejected by admission control.
 var ErrShed = errors.New("gwfleet: shed (fleet over capacity)")
 
+// spill is how many ring successors a request may overflow to when
+// the owning instance is shedding.
+const spill = 1
+
+// providerTTL bounds the shared provider-record cache.
+const providerTTL = 10 * time.Minute
+
 // Config tunes a Fleet.
 type Config struct {
-	// VNodes is the virtual-node count per instance on the placement
-	// ring (default DefaultVNodes).
-	VNodes int
-	// Spill is how many ring successors a request may overflow to when
-	// the owning instance is shedding (default 1; 0 disables spill).
-	Spill int
 	// LocalCacheBytes bounds each instance's nginx cache (default 64 MiB).
 	LocalCacheBytes int64
 	// SharedCacheBytes bounds the fleet-shared object cache (default 256 MiB).
@@ -58,8 +59,6 @@ type Config struct {
 	// NegativeTTL bounds how long a known-missing CID is refused without
 	// consulting the origin (default 1 min).
 	NegativeTTL time.Duration
-	// ProviderTTL bounds the shared provider-record cache (default 10 min).
-	ProviderTTL time.Duration
 	// MaxInflight is the per-instance concurrent-request bound; requests
 	// beyond it count as queued (default 32).
 	MaxInflight int
@@ -78,15 +77,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.Spill == 0 {
-		c.Spill = 1
-	}
-	if c.Spill < 0 {
-		c.Spill = 0
-	}
 	if c.LocalCacheBytes <= 0 {
 		c.LocalCacheBytes = 64 << 20
 	}
@@ -95,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegativeTTL <= 0 {
 		c.NegativeTTL = time.Minute
-	}
-	if c.ProviderTTL <= 0 {
-		c.ProviderTTL = 10 * time.Minute
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 32
@@ -177,10 +164,10 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 	}
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
-	shared := NewSharedCache(cfg.SharedCacheBytes, cfg.NegativeTTL, cfg.ProviderTTL, cfg.Time, reg)
+	shared := NewSharedCache(cfg.SharedCacheBytes, cfg.NegativeTTL, providerTTL, cfg.Time, reg)
 	f := &Fleet{
 		cfg:    cfg,
-		ring:   NewRing(len(nodes), cfg.VNodes),
+		ring:   NewRing(len(nodes), DefaultVNodes),
 		shared: shared,
 		tierHits: map[gateway.Tier]*telemetry.Counter{
 			gateway.TierNginx:     reg.Counter("gwfleet_served", "tier", "nginx"),
@@ -216,11 +203,11 @@ func (f *Fleet) Shared() *SharedCache { return f.shared }
 func (f *Fleet) Gateway(i int) *gateway.Gateway { return f.insts[i].gw }
 
 // Fetch serves one request: the CID's ring owner first, spilling to up
-// to Config.Spill ring successors while the owner sheds, rejecting with
+// to spill ring successors while the owner sheds, rejecting with
 // Shed when every candidate is over its watermarks.
 func (f *Fleet) Fetch(ctx context.Context, req gateway.Request) Response {
 	f.nReq.Add(1)
-	candidates := f.ring.Successors(req.Key(), 1+f.cfg.Spill)
+	candidates := f.ring.Successors(req.Key(), 1+spill)
 	for hop, gwIdx := range candidates {
 		inst := f.insts[gwIdx]
 		release, ok := f.admit(inst)

@@ -241,7 +241,7 @@ func TestServeHTTPShed(t *testing.T) {
 		cfg:    cfg,
 		ring:   NewRing(2, 16),
 		insts:  []*instance{{}, {}},
-		shared: NewSharedCache(1<<20, cfg.NegativeTTL, cfg.ProviderTTL, cfg.Time, nil),
+		shared: NewSharedCache(1<<20, cfg.NegativeTTL, providerTTL, cfg.Time, nil),
 	}
 	// Saturate both instances past the high watermark and latch them.
 	for _, inst := range f.insts {

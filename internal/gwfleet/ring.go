@@ -10,7 +10,7 @@ import (
 )
 
 // Ring is a consistent-hash ring placing CIDs onto gateway instances.
-// Each instance projects VNodes virtual points onto a 64-bit circle
+// Each instance projects vnodes virtual points onto a 64-bit circle
 // (SHA-256 of "name#replica", the same construction every participant
 // computes independently), and a CID lands on the first point at or
 // clockwise-after its own hash. Virtual nodes smooth the per-instance

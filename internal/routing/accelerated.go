@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/kbucket"
 	"repro/internal/simtime"
 	"repro/internal/swarm"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -109,23 +107,13 @@ func (r *AcceleratedRouter) Refresh(ctx context.Context, bootstrap []wire.PeerIn
 // cancelled. bootstrap supplies fresh seeds per round (the caller's
 // routing table contents, typically). The first crawl is delayed by a
 // per-peer deterministic jitter so a fleet of clients started together
-// does not thundering-herd the network on the same ticks. The loop is
-// a self-rearming timer on the router's time source: cancellable,
-// leak-free (the old time.After variant leaked a real timer per jitter
-// wait), and a single queue event per cycle under the event scheduler.
+// does not thundering-herd the network on the same ticks.
 func (r *AcceleratedRouter) StartRefresher(ctx context.Context, interval time.Duration, bootstrap func() []wire.PeerInfo) {
 	if interval <= 0 {
 		interval = time.Hour
 	}
 	jitter := simtime.Jitter(string(r.sw.Local())+"#refresh", interval)
-	var cycle func(context.Context)
-	cycle = func(cctx context.Context) {
-		r.Refresh(cctx, bootstrap())
-		if cctx.Err() == nil {
-			r.src.AfterFunc(cctx, interval, cycle)
-		}
-	}
-	r.src.AfterFunc(ctx, jitter+interval, cycle)
+	simtime.Every(ctx, r.src, jitter+interval, interval, func(ctx context.Context) { r.Refresh(ctx, bootstrap()) })
 }
 
 // SetSnapshot installs a snapshot directly — testnet builders use it to
@@ -215,7 +203,7 @@ func (r *AcceleratedRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Pr
 // yielding the winning response's providers, chained into the fallback
 // walk's stream when the snapshot neighbourhood is exhausted.
 func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
-	return streamWithFallback(ctx, r.direct, r.fallback, c)
+	return streamWithFallback(ctx, r.lookup, r.fallback, c)
 }
 
 // SessionPeers implements Router: the same one-hop snapshot lookup as
@@ -223,80 +211,17 @@ func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) 
 // costs Bitswap nothing but the direct RPCs, and the caller decides
 // whether to broadcast or walk next.
 func (r *AcceleratedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
-	return sessionFromDirect(ctx, r.direct, c, n)
+	return sessionFromLookup(ctx, r.lookup, c, n)
 }
 
-// direct runs the one-hop lookup against the snapshot neighbourhood,
-// returning ErrNoProviders when the neighbourhood is exhausted without
-// a provider-carrying response.
-func (r *AcceleratedRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, LookupInfo, error) {
-	var info LookupInfo
-	ctx, sp := telemetry.StartSpan(ctx, "accel-direct")
-	defer func() {
-		sp.Annotate("queried", strconv.Itoa(info.Queried))
-		sp.Annotate("failed", strconv.Itoa(info.Failed))
-		sp.End()
-	}()
-	src := r.src
-	key := c.Bytes()
-	closest := r.closest(key)
-
-	type result struct {
-		resp wire.Message
-		err  error
-	}
-	// The snapshot tells us exactly which peers a one-hop provide
-	// stored on, so the closest peer alone answers the common case: the
-	// first wave is a single RPC, widening to Parallelism only when the
-	// neighbourhood turns out stale.
-	waveSize := 1
-	for len(closest) > 0 && ctx.Err() == nil {
-		wave := closest
-		if len(wave) > waveSize {
-			wave = wave[:waveSize]
-		}
-		closest = closest[len(wave):]
-		waveSize = r.cfg.Parallelism
-
-		ch := make(chan result, len(wave))
-		wctx, cancel := src.WithCancel(ctx)
-		for _, pi := range wave {
-			pi := pi
-			src.Go(wctx, func(gctx context.Context) {
-				rctx, rcancel := src.WithTimeout(gctx, r.timeout)
-				defer rcancel()
-				resp, err := r.sw.Request(rctx, pi.ID, pi.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
-				ch <- result{resp: resp, err: err}
-			})
-		}
-		var winner *wire.Message
-		// Every wave member deposits exactly once (the channel is
-		// buffered to the wave), so the drain runs detached from ctx:
-		// cancelled members unwind fast and still get counted.
-		for i := 0; i < len(wave); i++ {
-			res, ok := simtime.Recv(simtime.Detach(ctx), src, ch)
-			if !ok {
-				break
-			}
-			if res.err != nil || res.resp.Type == wire.TError {
-				info.Failed++
-				continue
-			}
-			info.Queried++
-			if winner == nil && len(res.resp.Providers) > 0 {
-				winner = &res.resp
-				// Cancel the rest of the wave; drain continues so the
-				// goroutines can exit.
-				cancel()
-			}
-		}
-		cancel()
-		if winner != nil {
-			return fillAddrs(r.sw, winner.Providers), info, nil
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, info, err
-	}
-	return nil, info, ErrNoProviders
+// lookup asks the snapshot neighbourhood and stops at the first
+// provider batch. The snapshot tells exactly which peers a one-hop
+// provide stored on, so the closest peer alone answers the common
+// case; the lookup widens to Parallelism peers a wave only when the
+// neighbourhood turns out stale.
+func (r *AcceleratedRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
+	return r.ask(ctx, "accel-direct", c, r.closest(c.Bytes()), r.cfg.Parallelism, func(batch []wire.PeerInfo) bool {
+		yield(batch)
+		return false
+	})
 }

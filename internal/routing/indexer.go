@@ -2,7 +2,6 @@ package routing
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"time"
 
@@ -31,7 +30,6 @@ type Indexer struct {
 	providers *record.ProviderStore
 	src       simtime.Source
 	ttl       time.Duration
-	timeout   time.Duration
 	gossip    *Ledger // per-group-peer ack dedup for anti-entropy rounds
 	tel       *telemetry.Recorder
 
@@ -43,8 +41,6 @@ type Indexer struct {
 type IndexerConfig struct {
 	// RecordTTL expires provider records (default 24 h, as the DHT's).
 	RecordTTL time.Duration
-	// RPCTimeout bounds one gossip RPC (default 10 s).
-	RPCTimeout time.Duration
 	// Time is the time source the indexer's swarm is built over — its
 	// record stamps, TTLs and gossip timeouts all run on it; nil is the
 	// wall clock.
@@ -57,9 +53,6 @@ func NewIndexer(ident peer.Identity, ep transport.Endpoint, cfg IndexerConfig) *
 	if cfg.RecordTTL <= 0 {
 		cfg.RecordTTL = record.DefaultExpireInterval
 	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 10 * time.Second
-	}
 	sw := swarm.New(ident, ep, cfg.Time)
 	src := sw.Time()
 	ix := &Indexer{
@@ -68,7 +61,6 @@ func NewIndexer(ident peer.Identity, ep transport.Endpoint, cfg IndexerConfig) *
 		providers: record.NewProviderStore(cfg.RecordTTL, src.Now),
 		src:       src,
 		ttl:       cfg.RecordTTL,
-		timeout:   cfg.RPCTimeout,
 		gossip:    NewAckLedger(src.Now),
 		tel:       telemetry.NewRecorder(src),
 	}
@@ -141,6 +133,9 @@ type GossipStats struct {
 // gossipBatchMax bounds one GOSSIP message to the codec's record cap.
 const gossipBatchMax = 2048
 
+// gossipTimeout bounds one GOSSIP RPC.
+const gossipTimeout = 10 * time.Second
+
 // Gossip runs one anti-entropy round: every unexpired provider record
 // not yet confirmed at a group peer this cycle is pushed to it in
 // batched GOSSIP RPCs, and acks land in the indexer's ledger so the
@@ -188,7 +183,7 @@ func (ix *Indexer) Gossip(ctx context.Context) GossipStats {
 			}
 			st.RPCs++
 			st.Records += end - off
-			rctx, cancel := ix.src.WithTimeout(ctx, ix.timeout)
+			rctx, cancel := ix.src.WithTimeout(ctx, gossipTimeout)
 			resp, err := ix.sw.Request(rctx, target.ID, target.Addrs, wire.Message{Type: wire.TGossip, Records: entries[off:end]})
 			cancel()
 			if err != nil || resp.Type != wire.TAck {
@@ -332,84 +327,17 @@ func (r *IndexerRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provid
 // fallback's stream with the indexer RPCs included in the reported
 // message count.
 func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
-	st := &StreamInfo{}
-	seq := func(yield func([]wire.PeerInfo) bool) {
-		if sessionMissed(ctx, c) {
-			streamFallback(ctx, r.fallback, c, LookupInfo{}, yield, st)
-			return
-		}
-		yielded := false
-		info := r.askReplicas(ctx, c, func(batch []wire.PeerInfo) bool {
-			yielded = true
-			return yield(batch)
-		})
-		if yielded {
-			st.set(info, nil)
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			st.set(info, err)
-			return
-		}
-		streamFallback(ctx, r.fallback, c, info, yield, st)
-	}
-	return seq, st
+	return streamWithFallback(ctx, r.lookup, r.fallback, c)
 }
 
 // SessionPeers implements Router: the replica lookup stopped at the
 // first replica that knows the key, without the DHT fallback — a
 // session candidate miss leaves the caller on the broadcast/walk path.
 func (r *IndexerRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
-	return sessionFromDirect(ctx, r.direct, c, n)
+	return sessionFromLookup(ctx, r.lookup, c, n)
 }
 
-// direct is the replica lookup stopped at the first non-empty batch,
-// returning ErrNoProviders when every replica misses or is unreachable.
-func (r *IndexerRouter) direct(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, LookupInfo, error) {
-	var first []wire.PeerInfo
-	info := r.askReplicas(ctx, c, func(batch []wire.PeerInfo) bool {
-		first = batch
-		return false
-	})
-	if first != nil {
-		return first, info, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, info, err
-	}
-	return nil, info, ErrNoProviders
-}
-
-// askReplicas queries the replicas of c's shard in order, passing each
-// answer's providers not yet seen to yield until it returns false. A
-// dead replica costs one failed RPC, marked on the span as a
-// replica-failover event, before the next one is asked.
-func (r *IndexerRouter) askReplicas(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
-	var info LookupInfo
-	ctx, sp := telemetry.StartSpan(ctx, "indexer-direct")
-	defer func() {
-		sp.Annotate("queried", strconv.Itoa(info.Queried))
-		sp.Annotate("failed", strconv.Itoa(info.Failed))
-		sp.End()
-	}()
-	key := c.Bytes()
-	seen := make(map[peer.ID]bool)
-	for _, ix := range r.targetsFor(c) {
-		if ctx.Err() != nil {
-			break
-		}
-		rctx, cancel := r.src.WithTimeout(ctx, r.timeout)
-		resp, err := r.sw.Request(rctx, ix.ID, ix.Addrs, wire.Message{Type: wire.TGetProviders, Key: key})
-		cancel()
-		if err != nil || resp.Type != wire.TProviders {
-			info.Failed++
-			sp.Event("replica-failover", telemetry.A("indexer", ix.ID.String()))
-			continue
-		}
-		info.Queried++
-		if batch := dedupProviders(seen, fillAddrs(r.sw, resp.Providers)); len(batch) > 0 && !yield(batch) {
-			break
-		}
-	}
-	return info
+// lookup asks the replicas of c's shard one at a time, in order.
+func (r *IndexerRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
+	return r.ask(ctx, "indexer-direct", c, r.targetsFor(c), 1, yield)
 }

@@ -3,20 +3,24 @@ package routing
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cid"
 	"repro/internal/dht"
+	"repro/internal/peer"
 	"repro/internal/simtime"
 	"repro/internal/swarm"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
 // oneHop is the body the one-hop routers share. Each knows, per key,
 // the peers its record belongs on — the snapshot's K closest, or the
 // owning shard's replicas — and stores there in one hop, falling back
-// to the walk when no target acks. A router embedding it adds only its
-// targets and its lookup.
+// to the walk when no target acks, and asks there in one hop, falling
+// back to the walk when no target knows a provider. A router embedding
+// it adds only its targets and how wide its lookup waves are.
 type oneHop struct {
 	kind     Kind
 	sw       *swarm.Swarm
@@ -111,4 +115,94 @@ func (h *oneHop) provideMany(ctx context.Context, cids []cid.Cid, known bool, ta
 		return res, err
 	}
 	return res, nil
+}
+
+// ask is the one-hop GET_PROVIDERS lookup, run under a span named
+// span. It asks targets in order, in waves: the first target alone,
+// then the next widen targets at a time, asked concurrently. A
+// wave is cancelled at its first answer that carries providers, then
+// drained so every RPC is counted (a member cut short counts as
+// failed); the providers its answers brought that no earlier answer
+// did are yielded, one answer at a time in arrival order, until yield
+// returns false. A wave without providers moves on to the next. A
+// lookup that never widens asks one peer at a time, inline; a
+// widening one spawns every wave, its first included.
+func (h *oneHop) ask(ctx context.Context, span string, c cid.Cid, targets []wire.PeerInfo, widen int, yield func([]wire.PeerInfo) bool) LookupInfo {
+	var info LookupInfo
+	ctx, sp := telemetry.StartSpan(ctx, span)
+	defer func() {
+		sp.Annotate("queried", strconv.Itoa(info.Queried))
+		sp.Annotate("failed", strconv.Itoa(info.Failed))
+		sp.End()
+	}()
+	req := wire.Message{Type: wire.TGetProviders, Key: c.Bytes()}
+	seen := make(map[peer.ID]bool)
+	size := 1
+	for len(targets) > 0 && ctx.Err() == nil {
+		wave := targets[:min(size, len(targets))]
+		targets = targets[len(wave):]
+		size = widen
+		var answers [][]wire.PeerInfo
+		h.askWave(ctx, wave, req, widen == 1, func(resp wire.Message, err error) bool {
+			if err != nil || resp.Type != wire.TProviders {
+				info.Failed++
+				return true
+			}
+			info.Queried++
+			answers = append(answers, resp.Providers)
+			return len(resp.Providers) == 0
+		})
+		for _, providers := range answers {
+			if batch := dedupProviders(seen, fillAddrs(h.sw, providers)); len(batch) > 0 && !yield(batch) {
+				return info
+			}
+		}
+	}
+	return info
+}
+
+// askWave sends req to every peer of wave and hands each answer to
+// onAnswer in arrival order. Once onAnswer returns false the rest of
+// the wave is cancelled; their answers — mostly the cancellation's
+// errors — are still handed over. inline asks the peers one after
+// another on the calling goroutine instead, never starting the rest.
+func (h *oneHop) askWave(ctx context.Context, wave []wire.PeerInfo, req wire.Message, inline bool, onAnswer func(wire.Message, error) bool) {
+	request := func(ctx context.Context, pi wire.PeerInfo) (wire.Message, error) {
+		rctx, cancel := h.src.WithTimeout(ctx, h.timeout)
+		defer cancel()
+		return h.sw.Request(rctx, pi.ID, pi.Addrs, req)
+	}
+	if inline {
+		for _, pi := range wave {
+			if !onAnswer(request(ctx, pi)) {
+				return
+			}
+		}
+		return
+	}
+	type answer struct {
+		resp wire.Message
+		err  error
+	}
+	ch := make(chan answer, len(wave))
+	wctx, cancel := h.src.WithCancel(ctx)
+	defer cancel()
+	for _, pi := range wave {
+		h.src.Go(wctx, func(gctx context.Context) {
+			resp, err := request(gctx, pi)
+			ch <- answer{resp, err}
+		})
+	}
+	// Every member deposits exactly once (the channel is buffered to the
+	// wave), so the drain runs detached from ctx: cancelled members
+	// unwind fast and still get counted.
+	for range wave {
+		a, ok := simtime.Recv(simtime.Detach(ctx), h.src, ch)
+		if !ok {
+			return
+		}
+		if !onAnswer(a.resp, a.err) {
+			cancel()
+		}
+	}
 }

@@ -95,7 +95,8 @@ type raced[T any] struct {
 }
 
 // race runs call on every member concurrently, each under its own
-// "race:<member>" span, and cancels the others once an outcome wins.
+// "race:<member>" span, and cancels the others once an outcome wins;
+// with a wins that never fires every member runs to the end.
 // It joins every racer before returning — detached from ctx, since each
 // deposits exactly once into the buffered channel and cancelled losers
 // unwind promptly — so the losers' RPCs can still be charged. It
@@ -148,32 +149,20 @@ func (r *ParallelRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provi
 		res ProvideManyResult
 		err error
 	}
-	ch := make(chan outcome, len(r.members))
-	for _, m := range r.members {
-		mctx, sp := telemetry.StartSpan(ctx, "race:"+m.Name())
-		m := m
-		r.src.Go(mctx, func(gctx context.Context) {
-			res, err := m.ProvideMany(gctx, cids)
-			sp.End()
-			ch <- outcome{res: res, err: err}
-		})
-	}
+	outs, _ := race(ctx, r.src, r.members, func(gctx context.Context, m Router) outcome {
+		res, err := m.ProvideMany(gctx, cids)
+		return outcome{res: res, err: err}
+	}, func(outcome) bool { return false })
 	res := ProvideManyResult{CIDs: len(cids)}
 	var firstErr error
 	ok := false
-	for i := 0; i < len(r.members); i++ {
-		o, got := simtime.Recv(simtime.Detach(ctx), r.src, ch)
-		if !got {
-			break
-		}
-		res = res.merge(o.res)
-		if o.res.Provided > res.Provided {
-			res.Provided = o.res.Provided
-		}
-		if o.err == nil {
+	for _, o := range outs {
+		res = res.merge(o.v.res)
+		res.Provided = max(res.Provided, o.v.res.Provided)
+		if o.v.err == nil {
 			ok = true
 		} else if firstErr == nil {
-			firstErr = o.err
+			firstErr = o.v.err
 		}
 	}
 	if !ok {

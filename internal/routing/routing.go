@@ -238,30 +238,34 @@ func sessionMissed(ctx context.Context, c cid.Cid) bool {
 	return k != "" && k == c.Key()
 }
 
-// directFn is a router's one-hop lookup (snapshot neighbourhood or
-// indexer query), returning ErrNoProviders on a miss.
-type directFn func(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, LookupInfo, error)
+// lookupFn is a one-hop router's lookup (snapshot neighbourhood or
+// shard replicas): it yields provider batches until yield returns
+// false or its targets are exhausted, and returns what it spent.
+type lookupFn func(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo
 
 // streamWithFallback is the shared direct-then-fallback streaming
-// control flow of the one-hop routers: yield the direct path's batch,
-// or chain into the fallback router's stream with the wasted direct
-// RPCs merged into the reported cost. A session-consult miss recorded
-// on the context skips the direct probe entirely — those RPCs went out
-// (and were charged) during the consult.
-func streamWithFallback(ctx context.Context, direct directFn, fallback Router, c cid.Cid) (ProviderSeq, *StreamInfo) {
+// control flow of the one-hop routers: yield the direct lookup's
+// batches, or, when it yields none, chain into the fallback router's
+// stream with the wasted direct RPCs merged into the reported cost. A
+// session-consult miss recorded on the context skips the direct probe
+// entirely — those RPCs went out (and were charged) during the consult.
+func streamWithFallback(ctx context.Context, lookup lookupFn, fallback Router, c cid.Cid) (ProviderSeq, *StreamInfo) {
 	st := &StreamInfo{}
 	seq := func(yield func([]wire.PeerInfo) bool) {
 		if sessionMissed(ctx, c) {
 			streamFallback(ctx, fallback, c, LookupInfo{}, yield, st)
 			return
 		}
-		providers, info, err := direct(ctx, c)
-		if err == nil {
+		yielded := false
+		info := lookup(ctx, c, func(batch []wire.PeerInfo) bool {
+			yielded = true
+			return yield(batch)
+		})
+		if yielded {
 			st.set(info, nil)
-			yield(providers)
 			return
 		}
-		if ctx.Err() != nil {
+		if err := ctx.Err(); err != nil {
 			st.set(info, err)
 			return
 		}
@@ -290,16 +294,20 @@ func streamFallback(ctx context.Context, fallback Router, c cid.Cid, direct Look
 	st.set(mergeLookup(direct, fst.Info()), fst.Err())
 }
 
-// sessionFromDirect is the shared SessionPeers body of the one-hop
-// routers: the direct lookup capped to n candidates, with a miss
-// mapped to ErrNoSessionPeers so the caller keeps its broadcast/walk
-// fallback.
-func sessionFromDirect(ctx context.Context, direct directFn, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
-	providers, info, err := direct(ctx, c)
-	if err != nil {
+// sessionFromLookup is the shared SessionPeers body of the one-hop
+// routers: the lookup's first batch capped to n candidates, with a
+// miss mapped to ErrNoSessionPeers so the caller keeps its
+// broadcast/walk fallback.
+func sessionFromLookup(ctx context.Context, lookup lookupFn, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+	var first []wire.PeerInfo
+	info := lookup(ctx, c, func(batch []wire.PeerInfo) bool {
+		first = batch
+		return false
+	})
+	if first == nil {
 		return nil, LookupMessages(info), ErrNoSessionPeers
 	}
-	return capPeers(providers, n), LookupMessages(info), nil
+	return capPeers(first, n), LookupMessages(info), nil
 }
 
 // LookupMessages counts the routing RPCs one lookup issued. Walk-based

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cid"
+	"repro/internal/kbucket"
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/routing"
@@ -639,4 +640,95 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 			t.Errorf("fallback-less handoff lookup issued %d RPCs, want 0", a4-b4)
 		}
 	})
+}
+
+// TestAcceleratedWaveSchedulePinned is the accelerated counterpart of
+// TestShardFailoverExtraRPCsPinned: the one-hop lookup's first wave is
+// the single snapshot peer nearest the key, so a fresh snapshot
+// answers in one RPC; with that peer offline the lookup pays its
+// failed dial and then one wave of α (Parallelism) peers, cancelled at
+// the first provider-carrying answer. The provider stream and the
+// session consult run the same lookup, so both pay the same.
+func TestAcceleratedWaveSchedulePinned(t *testing.T) {
+	lookups := []struct {
+		name  string
+		split bool // the lookup reports answered and failed RPCs apart
+		find  func(context.Context, *routing.AcceleratedRouter, cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error)
+	}{
+		{"FindProvidersStream", true, func(ctx context.Context, r *routing.AcceleratedRouter, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
+			return findProviders(ctx, r, c)
+		}},
+		{"SessionPeers", false, func(ctx context.Context, r *routing.AcceleratedRouter, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
+			providers, msgs, err := r.SessionPeers(ctx, c, 1)
+			return providers, routing.LookupInfo{Launched: msgs}, err
+		}},
+	}
+	cases := []struct {
+		name        string
+		nearestDown bool
+		// The RPCs the lookup reports: the offline peer's failed dial
+		// plus the α wave's two members cancelled by the winner count
+		// as failed.
+		wantQueried, wantFailed int
+		wantRequests            int64 // requests the network actually carried
+		wantDialFails           int64
+	}{
+		{name: "fresh snapshot", wantQueried: 1, wantFailed: 0, wantRequests: 1, wantDialFails: 0},
+		{name: "nearest peer offline", nearestDown: true, wantQueried: 1, wantFailed: 3, wantRequests: 1, wantDialFails: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, lk := range lookups {
+				t.Run(lk.name, func(t *testing.T) {
+					tn := buildCleanNet(t, 120, 47)
+					simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+						var infos []wire.PeerInfo
+						for _, n := range tn.Nodes {
+							infos = append(infos, n.Info())
+						}
+						pubNode, getNode := tn.AddVantage("DE", 960), tn.AddVantage("US", 961)
+						pub := routing.NewAccelerated(pubNode.Swarm(), nil, routing.AcceleratedConfig{})
+						get := routing.NewAccelerated(getNode.Swarm(), nil, routing.AcceleratedConfig{})
+						pub.SetSnapshot(infos)
+						get.SetSnapshot(infos)
+
+						c := testCid("wave schedule content")
+						if _, err := pub.Provide(ctx, c); err != nil {
+							t.Fatalf("Provide: %v", err)
+						}
+						if tc.nearestDown {
+							target := kbucket.KeyForBytes(c.Bytes())
+							nearest := infos[0]
+							for _, pi := range infos[1:] {
+								if kbucket.Less(kbucket.XOR(kbucket.KeyForPeer(pi.ID), target), kbucket.XOR(kbucket.KeyForPeer(nearest.ID), target)) {
+									nearest = pi
+								}
+							}
+							tn.SetOnline(nearest.ID, false)
+						}
+						before := tn.Net.Budget()
+						providers, info, err := lk.find(ctx, get, c)
+						if err != nil {
+							t.Fatalf("%s: %v", lk.name, err)
+						}
+						if len(providers) == 0 || providers[0].ID != pubNode.ID() {
+							t.Fatalf("providers = %v, want the publisher", providers)
+						}
+						d := tn.Net.Budget().Sub(before)
+						if got, want := routing.LookupMessages(info), tc.wantQueried+tc.wantFailed; got != want {
+							t.Errorf("lookup reports %d RPCs, want %d", got, want)
+						}
+						if lk.split && (info.Queried != tc.wantQueried || info.Failed != tc.wantFailed) {
+							t.Errorf("lookup reports %d answered / %d failed RPCs, want %d / %d",
+								info.Queried, info.Failed, tc.wantQueried, tc.wantFailed)
+						}
+						if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
+							t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",
+								d.Requests, d.DialFailures, tc.wantRequests, tc.wantDialFails)
+						}
+					})
+				})
+			}
+		})
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -174,4 +175,81 @@ func TestParallelStreamKeepsLosersPartialResults(t *testing.T) {
 			t.Error("slow member not cancelled after the consumer stopped")
 		}
 	})
+}
+
+// batchMember scripts a member's ProvideMany: after the fakeRouter's
+// delay it returns res, and the fakeRouter's err.
+type batchMember struct {
+	*fakeRouter
+	res routing.ProvideManyResult
+}
+
+func (b *batchMember) ProvideMany(ctx context.Context, _ []cid.Cid) (routing.ProvideManyResult, error) {
+	err := b.wait(ctx)
+	return b.res, err
+}
+
+// TestParallelProvideManyFansOut pins the batch fan-out: every member
+// runs to the end, a failing member does not fail the batch, the RPC
+// counts are summed over every member, Provided is the best member's,
+// an all-fail batch returns the first error to arrive, and no race
+// span is left open.
+func TestParallelProvideManyFansOut(t *testing.T) {
+	cids := batchCids(10, "fan-out ")
+	member := func(s *simtime.Scheduler, name string, delay time.Duration, err error, res routing.ProvideManyResult) *batchMember {
+		res.CIDs = len(cids)
+		return &batchMember{fakeRouter: &fakeRouter{src: s, name: name, delay: delay, err: err}, res: res}
+	}
+	cases := []struct {
+		name    string
+		members func(s *simtime.Scheduler) []*batchMember
+		want    routing.ProvideManyResult
+		wantErr string
+	}{
+		{"one member fails", func(s *simtime.Scheduler) []*batchMember {
+			return []*batchMember{
+				member(s, "walk", 3*time.Second, nil, routing.ProvideManyResult{Provided: 6, Targets: 4, StoreRPCs: 4, Acked: 3, Walks: 2, Walk: routing.LookupInfo{Queried: 9}}),
+				member(s, "snapshot", time.Second, nil, routing.ProvideManyResult{Provided: 9, Targets: 2, StoreRPCs: 2, Acked: 2}),
+				member(s, "indexer", 2*time.Second, errors.New("indexer down"), routing.ProvideManyResult{Targets: 1, StoreRPCs: 1}),
+			}
+		}, routing.ProvideManyResult{CIDs: 10, Provided: 9, Targets: 7, StoreRPCs: 7, Acked: 5, Walks: 2, Walk: routing.LookupInfo{Queried: 9, Launched: 9}}, ""},
+		{"every member fails", func(s *simtime.Scheduler) []*batchMember {
+			return []*batchMember{
+				member(s, "walk", 2*time.Second, errors.New("walk failed"), routing.ProvideManyResult{Targets: 3, StoreRPCs: 3}),
+				member(s, "indexer", time.Second, errors.New("indexer down"), routing.ProvideManyResult{Targets: 1, StoreRPCs: 1}),
+			}
+		}, routing.ProvideManyResult{CIDs: 10, Targets: 4, StoreRPCs: 4}, "indexer down"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+				ctx, root := telemetry.NewRecorder(s).StartTrace(ctx, "republish")
+				tr := telemetry.TraceFrom(ctx)
+				members := tc.members(s)
+				routers := make([]routing.Router, len(members))
+				for i, m := range members {
+					routers[i] = m
+				}
+				res, err := routing.NewParallel(s, routers...).ProvideMany(ctx, cids)
+				if tc.wantErr == "" && err != nil {
+					t.Errorf("ProvideMany: %v, want the batch to succeed", err)
+				}
+				if tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
+					t.Errorf("ProvideMany err = %v, want %q", err, tc.wantErr)
+				}
+				if res != tc.want {
+					t.Errorf("result = %+v, want %+v", res, tc.want)
+				}
+				for _, m := range members {
+					if m.calls.Load() != 1 || m.cancelled.Load() {
+						t.Errorf("member %s: %d calls, cancelled %v; want one call run to the end", m.name, m.calls.Load(), m.cancelled.Load())
+					}
+				}
+				root.End()
+				if open := tr.OpenSpans(); open != 0 {
+					t.Errorf("OpenSpans = %d after root.End, want 0", open)
+				}
+			})
+		})
+	}
 }

@@ -146,3 +146,18 @@ func Jitter(seed string, interval time.Duration) time.Duration {
 	}
 	return time.Duration(h % uint64(interval))
 }
+
+// Every runs fn first after the simulated delay first, then again an
+// interval after each run returns, until ctx is cancelled. The loop is
+// a self-rearming timer on src: one queue event per cycle under the
+// event scheduler, and nothing left behind on cancellation.
+func Every(ctx context.Context, src Source, first, interval time.Duration, fn func(context.Context)) {
+	var cycle func(context.Context)
+	cycle = func(ctx context.Context) {
+		fn(ctx)
+		if ctx.Err() == nil {
+			src.AfterFunc(ctx, interval, cycle)
+		}
+	}
+	src.AfterFunc(ctx, first, cycle)
+}

@@ -40,12 +40,6 @@ type Config struct {
 	FracSlow     float64
 	FracWSBroken float64
 
-	// NeighborLinks seeds each routing table with this many keyspace
-	// neighbours on each side (gives lookup convergence); RandomLinks
-	// adds long-range contacts.
-	NeighborLinks int
-	RandomLinks   int
-
 	// Node behaviour knobs passed through to core.Config.
 	K                 int
 	Alpha             int
@@ -53,9 +47,6 @@ type Config struct {
 	BitswapTimeout    time.Duration
 	OmitProviderAddrs bool
 	ParallelDiscovery bool
-	// Routing selects the content router for every built node (vantage
-	// routers can be overridden per node with AddVantageRouting).
-	Routing routing.Kind
 
 	// EventDriven is accepted and ignored: every testnet is built on a
 	// discrete-event scheduler. The field stays only because the frozen
@@ -82,14 +73,16 @@ func (c Config) withDefaults() Config {
 	if c.FracDead == 0 && c.FracSlow == 0 && c.FracWSBroken == 0 {
 		c.FracDead, c.FracSlow, c.FracWSBroken = 0.15, 0.08, 0.02
 	}
-	if c.NeighborLinks <= 0 {
-		c.NeighborLinks = 24
-	}
-	if c.RandomLinks <= 0 {
-		c.RandomLinks = 40
-	}
 	return c
 }
+
+// Every routing table is seeded with neighborLinks keyspace neighbours
+// on each side (gives lookup convergence) plus randomLinks long-range
+// contacts.
+const (
+	neighborLinks = 24
+	randomLinks   = 40
+)
 
 // DefaultEpoch is where every testnet's virtual clock starts (the start
 // of the paper's measurement campaign week).
@@ -143,7 +136,7 @@ func Build(cfg Config) *Testnet {
 			tn.Classes[i] = simnet.WSBroken
 		}
 	}
-	links := make([]int, n*cfg.RandomLinks)
+	links := make([]int, n*randomLinks)
 	for i := range links {
 		links[i] = rng.Intn(n)
 	}
@@ -173,7 +166,6 @@ func Build(cfg Config) *Testnet {
 			BitswapTimeout:    cfg.BitswapTimeout,
 			OmitProviderAddrs: cfg.OmitProviderAddrs,
 			ParallelDiscovery: cfg.ParallelDiscovery,
-			Routing:           cfg.Routing,
 			Time:              sched,
 		})
 		tn.Nodes[i] = node
@@ -189,7 +181,7 @@ func Build(cfg Config) *Testnet {
 // long-range contacts (so lookups make exponential progress), the shape
 // a converged Kademlia network has. Dead peers are seeded like everyone
 // else: they are exactly the stale entries real tables accumulate.
-// links holds node i's random contacts at [i*RandomLinks, (i+1)*RandomLinks).
+// links holds node i's random contacts at [i*randomLinks, (i+1)*randomLinks).
 func (tn *Testnet) seedTables(infos []wire.PeerInfo, links []int) {
 	n := len(tn.Nodes)
 	order := make([]int, n)
@@ -207,11 +199,11 @@ func (tn *Testnet) seedTables(infos []wire.PeerInfo, links []int) {
 	forEachNode(n, func(i int) {
 		seed := func(j int) { tn.Nodes[i].DHT().Seed(infos[j], tn.keys[j]) }
 		p := pos[i]
-		for d := 1; d <= tn.Cfg.NeighborLinks; d++ {
+		for d := 1; d <= neighborLinks; d++ {
 			seed(order[(p+d)%n])
 			seed(order[(p-d%n+n)%n])
 		}
-		for _, j := range links[i*tn.Cfg.RandomLinks : (i+1)*tn.Cfg.RandomLinks] {
+		for _, j := range links[i*randomLinks : (i+1)*randomLinks] {
 			seed(j)
 		}
 	})
@@ -263,13 +255,13 @@ func (tn *Testnet) OnlineNodes() []*core.Node {
 // AddVantage attaches an instrumented measurement node in the given
 // region (one of the §4.3 AWS VMs) with a seeded routing table.
 func (tn *Testnet) AddVantage(region geo.Region, seed int64) *core.Node {
-	return tn.addVantage(region, seed, tn.Cfg.Routing, nil, nil)
+	return tn.addVantage(region, seed, routing.KindDHT, nil, nil)
 }
 
 // AddVantageStore attaches a vantage node backed by a specific block
 // store (e.g. a PackStore) instead of the default in-memory store.
 func (tn *Testnet) AddVantageStore(region geo.Region, seed int64, store block.Store) *core.Node {
-	return tn.addVantage(region, seed, tn.Cfg.Routing, nil, store)
+	return tn.addVantage(region, seed, routing.KindDHT, nil, store)
 }
 
 // AddVantageRouting attaches a vantage node using a specific content
@@ -304,7 +296,7 @@ func (tn *Testnet) addVantage(region geo.Region, seed int64, kind routing.Kind, 
 		Time:              tn.Sched,
 	})
 	// Seed with keyspace-spread contacts like a bootstrapped node.
-	for r := 0; r < tn.Cfg.NeighborLinks+tn.Cfg.RandomLinks; r++ {
+	for r := 0; r < neighborLinks+randomLinks; r++ {
 		j := rng.Intn(len(tn.Nodes))
 		node.DHT().Seed(tn.Nodes[j].Info(), tn.keys[j])
 	}

@@ -20,7 +20,7 @@ func TestBuildTopology(t *testing.T) {
 	}
 	// Every routing table is seeded with neighbours + random links.
 	for i, node := range tn.Nodes {
-		if node.DHT().Table().Len() < 2*tn.Cfg.NeighborLinks/2 {
+		if node.DHT().Table().Len() < neighborLinks {
 			t.Errorf("node %d table has only %d peers", i, node.DHT().Table().Len())
 		}
 	}

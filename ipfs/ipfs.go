@@ -176,35 +176,23 @@ func (s *SimNetwork) AddNode(region Region, seed int64) *Node {
 	return s.tn.AddVantage(region, seed)
 }
 
-// AddNodeRouting attaches a fresh node using the given content router;
-// indexers may be nil for kinds that do not use them. A non-empty list
-// is one shard whose replicas the node publishes to and asks in order.
-func (s *SimNetwork) AddNodeRouting(region Region, seed int64, kind RoutingKind, indexers []PeerInfo) *Node {
-	var set *IndexerSet
-	if len(indexers) > 0 {
-		set = routing.NewIndexerSet([][]PeerInfo{indexers})
-	}
-	return s.tn.AddVantageRouting(region, seed, kind, set)
-}
-
-// AddIndexer attaches a delegated-routing indexer node; pass its Info
-// to nodes created with RoutingIndexer or RoutingParallel.
-func (s *SimNetwork) AddIndexer(region Region, seed int64) *Indexer {
-	return s.tn.AddIndexer(region, seed)
-}
-
 // AddIndexerSet attaches a sharded indexer fleet — shards × replicas
-// indexer nodes with gossip-wired replica groups — and returns it.
-// Wire nodes to it with AddNodeSharded. The fleet consumes seeds
+// indexer nodes with gossip-wired replica groups — and returns it; one
+// indexer is AddIndexerSet(seed, 1, 1). The fleet consumes seeds
 // seed..seed+shards×replicas-1; pick node seeds outside that range.
 func (s *SimNetwork) AddIndexerSet(seed int64, shards, replicas int) *IndexerFleet {
 	return s.tn.AddIndexerSet(seed, shards, replicas, 0)
 }
 
-// AddNodeSharded attaches a fresh node whose indexer router routes
-// through the fleet's shard topology.
-func (s *SimNetwork) AddNodeSharded(region Region, seed int64, kind RoutingKind, fleet *IndexerFleet) *Node {
-	return s.tn.AddVantageRouting(region, seed, kind, fleet.Set)
+// AddNodeRouting attaches a fresh node using the given content router.
+// fleet, from AddIndexerSet, is the indexer deployment the indexer and
+// parallel routers publish to and ask; nil for kinds that use none.
+func (s *SimNetwork) AddNodeRouting(region Region, seed int64, kind RoutingKind, fleet *IndexerFleet) *Node {
+	var set *IndexerSet
+	if fleet != nil {
+		set = fleet.Set
+	}
+	return s.tn.AddVantageRouting(region, seed, kind, set)
 }
 
 // Testnet exposes the underlying builder for advanced use.
@@ -254,24 +242,18 @@ type TCPNodeConfig struct {
 }
 
 // NewBlockStore builds a blockstore by kind: "mem" (or "") is the
-// in-memory store, "fs" the file-per-block flatfs store, "pack" the
-// pack-engine store. dir is required for the persistent kinds.
+// in-memory store, "pack" the pack-engine store, which needs dir.
 func NewBlockStore(kind, dir string) (BlockStore, error) {
 	switch kind {
 	case "", "mem":
 		return block.NewMemStore(), nil
-	case "fs":
-		if dir == "" {
-			return nil, fmt.Errorf("ipfs: blockstore kind %q needs a directory", kind)
-		}
-		return block.NewFSStore(dir)
 	case "pack":
 		if dir == "" {
 			return nil, fmt.Errorf("ipfs: blockstore kind %q needs a directory", kind)
 		}
 		return block.NewPackStore(dir, block.PackConfig{})
 	default:
-		return nil, fmt.Errorf("ipfs: unknown blockstore kind %q (want mem, fs or pack)", kind)
+		return nil, fmt.Errorf("ipfs: unknown blockstore kind %q (want mem or pack)", kind)
 	}
 }
 

@@ -3,6 +3,9 @@ package ipfs_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,6 +99,41 @@ func TestNewTCPNodeDeterministicSeed(t *testing.T) {
 	}
 }
 
+func TestNewBlockStore(t *testing.T) {
+	for _, tc := range []struct {
+		kind, dir string
+		want      string // the store's type, or "" when the call must fail
+		errHas    string // what the error must say
+	}{
+		{"", "", "*block.MemStore", ""},
+		{"mem", "", "*block.MemStore", ""},
+		{"pack", t.TempDir(), "*block.PackStore", ""},
+		{"pack", "", "", "needs a directory"},
+		{"fs", t.TempDir(), "", "mem or pack"},
+		{"bogus", "", "", "mem or pack"},
+	} {
+		s, err := ipfs.NewBlockStore(tc.kind, tc.dir)
+		if tc.want == "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Errorf("NewBlockStore(%q, %q) = %v, want an error naming %q", tc.kind, tc.dir, err, tc.errHas)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("NewBlockStore(%q, %q): %v", tc.kind, tc.dir, err)
+			continue
+		}
+		if got := fmt.Sprintf("%T", s); got != tc.want {
+			t.Errorf("NewBlockStore(%q) built a %s, want %s", tc.kind, got, tc.want)
+		}
+		if c, ok := s.(io.Closer); ok {
+			if err := c.Close(); err != nil {
+				t.Errorf("closing the %q store: %v", tc.kind, err)
+			}
+		}
+	}
+}
+
 func TestFacadeGateway(t *testing.T) {
 	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 30, Clean: true, Seed: 4})
 	gw := net.NewGateway("US", 8<<20, 11)
@@ -151,15 +189,14 @@ func TestAddNodeJoins(t *testing.T) {
 	})
 }
 
-// TestAddNodeRoutingIndexer publishes through nodes wired to one
-// indexer by a flat list — one shard — and retrieves with a single
-// indexer RPC.
+// TestAddNodeRoutingIndexer publishes through nodes wired to a 1×1
+// indexer fleet and retrieves with a single indexer RPC.
 func TestAddNodeRoutingIndexer(t *testing.T) {
 	net := ipfs.NewSimNetwork(ipfs.SimConfig{Peers: 40, Clean: true, Seed: 8})
-	ix := net.AddIndexer("US", 200)
-	indexers := []ipfs.PeerInfo{ix.Info()}
-	publisher := net.AddNodeRouting("DE", 201, ipfs.RoutingIndexer, indexers)
-	getter := net.AddNodeRouting("US", 202, ipfs.RoutingIndexer, indexers)
+	fleet := net.AddIndexerSet(200, 1, 1)
+	ix := fleet.Replica(0, 0)
+	publisher := net.AddNodeRouting("DE", 201, ipfs.RoutingIndexer, fleet)
+	getter := net.AddNodeRouting("US", 202, ipfs.RoutingIndexer, fleet)
 	content := []byte("routed by the indexer")
 	net.Run(func(ctx context.Context) {
 		pub, err := publisher.AddAndPublish(ctx, content)
