@@ -550,7 +550,7 @@ func (s *PackStore) Get(c cid.Cid) (Block, error) {
 	}
 	reg := s.reg.Load()
 	reg.Counter("blockstore_gets", "store", "pack").Inc()
-	reg.Histogram("pack_read_seconds", 0.0005).ObserveDuration(time.Since(start))
+	reg.Histogram("pack_read_seconds").ObserveDuration(time.Since(start))
 	return blk, nil
 }
 

@@ -343,9 +343,9 @@ func (n *Node) recordRetrieve(res RetrieveResult, err error) {
 	reg.Counter("suppressed_wants").Add(float64(res.SuppressedWants))
 	reg.Counter("stream_candidates_drained").Add(float64(res.StreamCandidates))
 	reg.Counter("session_failovers").Add(float64(res.SessionFailovers))
-	reg.Histogram("retrieve_seconds", 0.25, "router", router).ObserveDuration(res.Total)
-	reg.Histogram("discover_seconds", 0.25, "router", router).ObserveDuration(res.Discover())
-	reg.Histogram("lookup_msgs", 5, "router", router).Observe(float64(res.LookupMsgs))
+	reg.Histogram("retrieve_seconds", "router", router).ObserveDuration(res.Total)
+	reg.Histogram("discover_seconds", "router", router).ObserveDuration(res.Discover())
+	reg.Histogram("lookup_msgs", "router", router).Observe(float64(res.LookupMsgs))
 }
 
 // discover locates a provider for root: the session-routed (or

@@ -37,7 +37,6 @@ type Config struct {
 	K            int           // replication factor / bucket size (20)
 	Alpha        int           // lookup concurrency (3)
 	QueryTimeout time.Duration // per-RPC budget during walks (10 s)
-	RecordTTL    time.Duration // provider/peer record expiry (24 h)
 	// OmitProviderAddrs publishes provider records without our
 	// multiaddresses, forcing requestors through the second (peer
 	// discovery) walk. The §4.3 experiments enable it to model the
@@ -55,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 10 * time.Second
-	}
-	if c.RecordTTL <= 0 {
-		c.RecordTTL = record.DefaultExpireInterval
 	}
 	return c
 }
@@ -97,8 +93,8 @@ func New(ident peer.Identity, sw *swarm.Swarm, mode Mode, cfg Config) *DHT {
 		sw:        sw,
 		src:       src,
 		table:     kbucket.NewTable(ident.ID, cfg.K),
-		providers: record.NewProviderStore(cfg.RecordTTL, src.Now),
-		peerRecs:  record.NewPeerStore(cfg.RecordTTL, src.Now),
+		providers: record.NewProviderStore(record.DefaultExpireInterval, src.Now),
+		peerRecs:  record.NewPeerStore(record.DefaultExpireInterval, src.Now),
 		ipns:      make(map[string][]byte),
 	}
 	d.mode.Store(int32(mode))

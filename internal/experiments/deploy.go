@@ -32,10 +32,11 @@ type DeployConfig struct {
 	// (default 12 epochs, 30 simulated minutes apart as in §4.1).
 	CrawlEpochs   int
 	CrawlInterval time.Duration
-	// Window is the churn observation window (default 24 h).
-	Window time.Duration
-	Seed   int64
+	Seed          int64
 }
+
+// deployWindow is the churn observation window.
+const deployWindow = 24 * time.Hour
 
 func (c DeployConfig) withDefaults() DeployConfig {
 	if c.PopulationSize <= 0 {
@@ -49,9 +50,6 @@ func (c DeployConfig) withDefaults() DeployConfig {
 	}
 	if c.CrawlInterval <= 0 {
 		c.CrawlInterval = 30 * time.Minute
-	}
-	if c.Window <= 0 {
-		c.Window = 24 * time.Hour
 	}
 	if c.Seed == 0 {
 		c.Seed = 7
@@ -71,7 +69,7 @@ type CrawlEpoch struct {
 type DeployResults struct {
 	Cfg      DeployConfig
 	Pop      *geo.Population
-	Timeline *churn.Timeline // Window-long: Fig 4a / Fig 8
+	Timeline *churn.Timeline // deployWindow-long: Fig 4a / Fig 8
 	Epochs   []CrawlEpoch    // Fig 4a
 }
 
@@ -85,7 +83,7 @@ func RunDeployment(cfg DeployConfig) *DeployResults {
 
 	epochStart := testnet.DefaultEpoch
 	tl := churn.GenerateTimeline(pop, churn.TimelineConfig{
-		Start: epochStart, Duration: cfg.Window, Seed: cfg.Seed + 1,
+		Start: epochStart, Duration: deployWindow, Seed: cfg.Seed + 1,
 	})
 	res := &DeployResults{Cfg: cfg, Pop: pop, Timeline: tl}
 

@@ -9,11 +9,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/routing"
 	"repro/internal/stats"
 )
 
@@ -96,16 +94,6 @@ func (r *RoutingResults) Phase(name string) *PhaseSample {
 		}
 	}
 	return nil
-}
-
-// TickHitRate returns router kind's hit rate at retrieval tick i (in
-// tick order), or NaN when the router or tick is missing.
-func (r *RoutingResults) TickHitRate(kind routing.Kind, i int) float64 {
-	rp := r.Router(kind)
-	if rp == nil || i < 0 || i >= len(rp.Ticks) {
-		return math.NaN()
-	}
-	return rp.Ticks[i].HitRate()
 }
 
 // DegradationTable renders the scenario pack's headline view: one row

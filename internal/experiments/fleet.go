@@ -24,76 +24,45 @@ import (
 // and admission control, hit first by a steady Zipf workload and then
 // by one CID at Multiplier times the steady request rate.
 type FleetScenarioConfig struct {
-	NetworkSize int // DHT servers backing the origin (default 120)
-	Gateways    int // fleet size (default 4)
-	Objects     int // catalog size (default 150)
-	MaxObject   int // object size cap (default 128 KiB)
-
-	// SteadyRPS is the steady-state fleet-wide arrival rate; SteadyLen
-	// and BurstLen bound the measured phases; Multiplier scales the
-	// viral CID's arrival rate (defaults 1 rps, 3 min, 40 s, 100x).
-	SteadyRPS  float64
-	SteadyLen  time.Duration
-	BurstLen   time.Duration
-	Multiplier float64
+	Gateways   int     // fleet size (default 4)
+	Multiplier float64 // viral CID's arrival rate over the steady rate (default 100x)
 
 	// OriginDir, when non-empty, backs the origin content host with a
 	// pack-engine PackStore rooted there instead of an in-memory store.
 	OriginDir string
-	// LocalCacheBytes and GatewayStoreBytes bound each edge instance's
-	// nginx cache and LRU block store (defaults 256 KiB / 512 KiB — small
-	// edges, so repeat traffic demonstrably falls through to the
-	// fleet-shared tier instead of being absorbed per instance).
-	LocalCacheBytes   int64
-	GatewayStoreBytes int64
-
-	// Admission control per gateway instance (defaults 4 / 4 / 1 — a
-	// deliberately small inflight bound so the 100x burst visibly sheds
-	// instead of herding the origin).
-	MaxInflight, QueueHigh, QueueLow int
 
 	Seed int64
 }
 
+// The flash crowd's fixed shape: a 120-server origin network, a
+// 150-object catalog of objects up to 128 KiB, and a 1 rps steady
+// fleet-wide arrival rate measured over 3 min, then a 40 s burst.
+const (
+	fleetNetworkSize = 120
+	fleetObjects     = 150
+	fleetMaxObject   = 128 << 10
+	fleetSteadyRPS   = 1
+	fleetSteadyLen   = 3 * time.Minute
+	fleetBurstLen    = 40 * time.Second
+
+	// Small edges — a 256 KiB nginx cache and a 512 KiB LRU block store
+	// per instance — so repeat traffic demonstrably falls through to the
+	// fleet-shared tier instead of being absorbed per instance.
+	fleetLocalCacheBytes   = 256 << 10
+	fleetGatewayStoreBytes = 512 << 10
+
+	// Admission control per gateway instance: a deliberately small
+	// inflight bound so the 100x burst visibly sheds instead of herding
+	// the origin.
+	fleetMaxInflight, fleetQueueHigh, fleetQueueLow = 4, 4, 1
+)
+
 func (c FleetScenarioConfig) withDefaults() FleetScenarioConfig {
-	if c.NetworkSize <= 0 {
-		c.NetworkSize = 120
-	}
 	if c.Gateways <= 0 {
 		c.Gateways = 4
 	}
-	if c.Objects <= 0 {
-		c.Objects = 150
-	}
-	if c.MaxObject <= 0 {
-		c.MaxObject = 128 << 10
-	}
-	if c.SteadyRPS <= 0 {
-		c.SteadyRPS = 1
-	}
-	if c.SteadyLen <= 0 {
-		c.SteadyLen = 3 * time.Minute
-	}
-	if c.BurstLen <= 0 {
-		c.BurstLen = 40 * time.Second
-	}
 	if c.Multiplier <= 0 {
 		c.Multiplier = 100
-	}
-	if c.LocalCacheBytes <= 0 {
-		c.LocalCacheBytes = 256 << 10
-	}
-	if c.GatewayStoreBytes <= 0 {
-		c.GatewayStoreBytes = 512 << 10
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = 4
-	}
-	if c.QueueLow <= 0 {
-		c.QueueLow = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 23
@@ -144,11 +113,11 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	cfg = cfg.withDefaults()
 
 	cat := gwload.NewCatalog(gwload.CatalogConfig{
-		NumObjects: cfg.Objects, Seed: cfg.Seed, MaxSize: cfg.MaxObject,
+		NumObjects: fleetObjects, Seed: cfg.Seed, MaxSize: fleetMaxObject,
 	})
 
 	tn := testnet.Build(testnet.Config{
-		N: cfg.NetworkSize, Seed: cfg.Seed + 1,
+		N: fleetNetworkSize, Seed: cfg.Seed + 1,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 
@@ -168,20 +137,20 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	// The fleet: small edge instances (bounded nginx cache + bounded LRU
 	// block store each) over the big fleet-shared tier.
 	gwNodes := tn.AddGatewayFleet(cfg.Gateways, cfg.Seed+10, func(int) block.Store {
-		return block.NewLRUStore(cfg.GatewayStoreBytes)
+		return block.NewLRUStore(fleetGatewayStoreBytes)
 	})
 	reg := telemetry.NewRegistry()
 	fleet := gwfleet.New(gwNodes, gwfleet.Config{
-		LocalCacheBytes: cfg.LocalCacheBytes,
-		MaxInflight:     cfg.MaxInflight,
-		QueueHigh:       cfg.QueueHigh,
-		QueueLow:        cfg.QueueLow,
+		LocalCacheBytes: fleetLocalCacheBytes,
+		MaxInflight:     fleetMaxInflight,
+		QueueHigh:       fleetQueueHigh,
+		QueueLow:        fleetQueueLow,
 		Time:            tn.Sched,
 		Registry:        reg,
 	})
 
 	res := &FleetScenarioResults{Cfg: cfg, Fleet: fleet}
-	cids := make([]cid.Cid, cfg.Objects)
+	cids := make([]cid.Cid, fleetObjects)
 
 	sc := NewScenarioRunner(tn, ScenarioConfig{
 		Window: 20 * time.Minute,
@@ -250,17 +219,17 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 	// Phase 1, +2m: steady-state Zipf traffic warms the cache tiers.
 	measure("steady", 2*time.Minute, func(start time.Time) []gwload.Request {
 		return gwload.GenerateFlashCrowd(cat, gwload.FlashCrowdConfig{
-			Start: start, Duration: cfg.SteadyLen, SteadyRPS: cfg.SteadyRPS,
+			Start: start, Duration: fleetSteadyLen, SteadyRPS: fleetSteadyRPS,
 			BurstMultiplier: 1, Seed: cfg.Seed + 5,
 		})
 	})
 
 	// Phase 2: one CID at Multiplier x the steady fleet-wide rate, on
 	// top of the steady background.
-	measure("viral", 2*time.Minute+cfg.SteadyLen+time.Minute, func(start time.Time) []gwload.Request {
+	measure("viral", 2*time.Minute+fleetSteadyLen+time.Minute, func(start time.Time) []gwload.Request {
 		return gwload.GenerateFlashCrowd(cat, gwload.FlashCrowdConfig{
-			Start: start, Duration: cfg.BurstLen, SteadyRPS: cfg.SteadyRPS,
-			BurstStart: time.Second, BurstDuration: cfg.BurstLen - time.Second,
+			Start: start, Duration: fleetBurstLen, SteadyRPS: fleetSteadyRPS,
+			BurstStart: time.Second, BurstDuration: fleetBurstLen - time.Second,
 			BurstMultiplier: cfg.Multiplier, ViralObject: viral,
 			Seed: cfg.Seed + 6,
 		})
@@ -268,10 +237,10 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 
 	// Phase 3: steady traffic again — the crowd is gone, the caches are
 	// hot.
-	measure("cooldown", 2*time.Minute+cfg.SteadyLen+time.Minute+cfg.BurstLen+time.Minute,
+	measure("cooldown", 2*time.Minute+fleetSteadyLen+time.Minute+fleetBurstLen+time.Minute,
 		func(start time.Time) []gwload.Request {
 			return gwload.GenerateFlashCrowd(cat, gwload.FlashCrowdConfig{
-				Start: start, Duration: cfg.SteadyLen / 3, SteadyRPS: cfg.SteadyRPS,
+				Start: start, Duration: fleetSteadyLen / 3, SteadyRPS: fleetSteadyRPS,
 				BurstMultiplier: 1, Seed: cfg.Seed + 7,
 			})
 		})
@@ -283,8 +252,8 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 
 	if len(res.Phases) >= 2 {
 		steady, burst := res.Phases[0], res.Phases[1]
-		steadySecs := cfg.SteadyLen.Seconds()
-		burstSecs := cfg.BurstLen.Seconds()
+		steadySecs := fleetSteadyLen.Seconds()
+		burstSecs := fleetBurstLen.Seconds()
 		if steady.Stats.Requests > 0 && steadySecs > 0 && burstSecs > 0 {
 			res.RequestAmp = (float64(burst.Stats.Requests) / burstSecs) /
 				(float64(steady.Stats.Requests) / steadySecs)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -18,14 +17,11 @@ import (
 
 // GatewayConfig tunes the §6.3 gateway experiment.
 type GatewayConfig struct {
-	NetworkSize int     // DHT servers backing unpinned content (default 60)
-	Objects     int     // catalog size (default 1000)
-	Requests    int     // requests replayed through the gateway (default 4000)
-	TraceOnly   int     // extra statistical trace size for Figs 4b/6 (default 200000)
-	CacheBytes  int64   // nginx cache size (default 64 MiB)
-	MaxObject   int     // object size cap (default 1 MiB)
-	ZipfS       float64 // popularity skew (default 0.9)
-	PinnedFrac  float64 // pinned-object fraction (default 0.5)
+	NetworkSize int   // DHT servers backing unpinned content (default 60)
+	Objects     int   // catalog size (default 1000)
+	Requests    int   // requests replayed through the gateway (default 4000)
+	TraceOnly   int   // extra statistical trace size for Figs 4b/6 (default 200000)
+	CacheBytes  int64 // nginx cache size (default 64 MiB)
 	Seed        int64
 }
 
@@ -44,15 +40,6 @@ func (c GatewayConfig) withDefaults() GatewayConfig {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 0.9
-	}
-	if c.PinnedFrac == 0 {
-		c.PinnedFrac = 0.5
-	}
-	if c.MaxObject <= 0 {
-		c.MaxObject = 1 << 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 17
@@ -78,9 +65,11 @@ func RunGateway(cfg GatewayConfig) *GatewayResults {
 	cfg = cfg.withDefaults()
 	day := time.Date(2022, 1, 2, 0, 0, 0, 0, time.UTC)
 
+	// Objects up to 1 MiB, Zipf skew 0.9, half of them pinned: not
+	// gwload's production-trace defaults.
 	cat := gwload.NewCatalog(gwload.CatalogConfig{
-		NumObjects: cfg.Objects, Seed: cfg.Seed, MaxSize: cfg.MaxObject,
-		ZipfS: cfg.ZipfS, PinnedFraction: cfg.PinnedFrac,
+		NumObjects: cfg.Objects, Seed: cfg.Seed, MaxSize: 1 << 20,
+		ZipfS: 0.9, PinnedFraction: 0.5,
 	})
 
 	tn := testnet.Build(testnet.Config{
@@ -172,14 +161,10 @@ func (r *GatewayResults) Table5() string {
 
 // Fig4b renders the diurnal request count (5-minute bins).
 func (r *GatewayResults) Fig4b() string {
-	h := stats.NewHistogram(5 * 60) // seconds
-	for _, req := range r.Trace {
-		h.Observe(req.Time.Sub(r.Day).Seconds(), 1)
-	}
 	var b strings.Builder
 	b.WriteString("Figure 4b: gateway request count by time of day (5-min bins, gateway timezone)\n")
-	for _, bin := range h.Bins() {
-		b.WriteString(fmt.Sprintf("%02d:%02d %d\n", bin*5/60, (bin*5)%60, int(h.Counts[bin])))
+	for _, bin := range stats.Bins(r.Trace, 5*60, func(req gwload.Request) float64 { return req.Time.Sub(r.Day).Seconds() }) {
+		b.WriteString(fmt.Sprintf("%02d:%02d %d\n", bin.Index*5/60, (bin.Index*5)%60, len(bin.Items)))
 	}
 	return b.String()
 }
@@ -239,37 +224,27 @@ func sizeLatencyCorrelation(log []gateway.LogEntry) float64 {
 
 // Fig11b renders cached vs non-cached traffic per 30-minute bin.
 func (r *GatewayResults) Fig11b() string {
-	type bin struct{ cached, total float64 }
-	bins := make(map[int]*bin)
+	var served []gateway.LogEntry
 	for _, e := range r.Log {
-		if e.Err() {
-			continue
-		}
-		k := int(e.Time.Sub(r.Day).Minutes()) / 30
-		bn := bins[k]
-		if bn == nil {
-			bn = &bin{}
-			bins[k] = bn
-		}
-		bn.total += float64(e.Bytes)
-		if e.Tier != gateway.TierNetwork {
-			bn.cached += float64(e.Bytes)
+		if !e.Err() {
+			served = append(served, e)
 		}
 	}
-	keys := make([]int, 0, len(bins))
-	for k := range bins {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	var b strings.Builder
 	b.WriteString("Figure 11b: cached vs non-cached traffic share per 30-min bin\n")
-	for _, k := range keys {
-		bn := bins[k]
-		frac := 0.0
-		if bn.total > 0 {
-			frac = bn.cached / bn.total
+	for _, bin := range stats.Bins(served, 30, func(e gateway.LogEntry) float64 { return e.Time.Sub(r.Day).Minutes() }) {
+		var cached, total float64
+		for _, e := range bin.Items {
+			total += float64(e.Bytes)
+			if e.Tier != gateway.TierNetwork {
+				cached += float64(e.Bytes)
+			}
 		}
-		b.WriteString(fmt.Sprintf("%02d:%02d cached=%.3f\n", k/2, (k%2)*30, frac))
+		frac := 0.0
+		if total > 0 {
+			frac = cached / total
+		}
+		b.WriteString(fmt.Sprintf("%02d:%02d cached=%.3f\n", bin.Index/2, (bin.Index%2)*30, frac))
 	}
 	return b.String()
 }

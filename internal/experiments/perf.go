@@ -19,15 +19,16 @@ import (
 // PerfConfig tunes the §4.3 performance experiment: six vantage nodes
 // publish 0.5 MB objects and retrieve each other's publications.
 type PerfConfig struct {
-	NetworkSize     int // DHT servers in the simulated network (default 600)
-	IterationsPer   int // publications per region (paper: ~547; default 8)
-	ObjectSizeBytes int // 0.5 MB
-	Seed            int64
+	NetworkSize   int // DHT servers in the simulated network (default 600)
+	IterationsPer int // publications per region (paper: ~547; default 8)
+	Seed          int64
 	// Ablation knobs.
-	K                 int
 	Alpha             int
 	ParallelDiscovery bool
 }
+
+// perfObjectSize is the §4.3 object size, 0.5 MB.
+const perfObjectSize = 512 * 1024
 
 func (c PerfConfig) withDefaults() PerfConfig {
 	if c.NetworkSize <= 0 {
@@ -35,9 +36,6 @@ func (c PerfConfig) withDefaults() PerfConfig {
 	}
 	if c.IterationsPer <= 0 {
 		c.IterationsPer = 8
-	}
-	if c.ObjectSizeBytes <= 0 {
-		c.ObjectSizeBytes = 512 * 1024
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -86,7 +84,6 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 	tn := testnet.Build(testnet.Config{
 		N:     cfg.NetworkSize,
 		Seed:  cfg.Seed,
-		K:     cfg.K,
 		Alpha: cfg.Alpha,
 		// The live network keeps stale entries, slow peers and broken
 		// websocket transports (Fig 9c's spikes).
@@ -110,7 +107,7 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 		}
 		live := tn.LiveNodes()
 
-		payload := make([]byte, cfg.ObjectSizeBytes)
+		payload := make([]byte, perfObjectSize)
 		for iter := 0; iter < cfg.IterationsPer; iter++ {
 			for _, pubRegion := range geo.AWSRegions {
 				publisher := vantages[pubRegion]
@@ -145,7 +142,7 @@ func RunPerformance(cfg PerfConfig) *PerfResults {
 					gr := res.Regions[getRegion]
 					gr.Retrievals++
 					data, rres, err := getter.Retrieve(ctx, pub.Cid)
-					if err != nil || len(data) != cfg.ObjectSizeBytes {
+					if err != nil || len(data) != perfObjectSize {
 						res.Failures++
 						continue
 					}

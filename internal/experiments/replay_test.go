@@ -92,3 +92,10 @@ func TestPerfTable4Golden(t *testing.T) {
 func TestGatewayTable5Golden(t *testing.T) {
 	goldenCompare(t, "gateway_table5.golden", gatewayResults(t).Table5())
 }
+
+// TestGatewayFigsGolden pins Figure 4b's diurnal request series and
+// Figure 11b's cached share per bin of the small §6.3 run.
+func TestGatewayFigsGolden(t *testing.T) {
+	res := gatewayResults(t)
+	goldenCompare(t, "gateway_figs.golden", res.Fig4b()+"\n"+res.Fig11b())
+}

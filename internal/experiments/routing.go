@@ -28,9 +28,8 @@ import (
 // refresh crawls, republishes and routed Bitswap sessions all face the
 // same session arrivals and departures.
 type RoutingConfig struct {
-	NetworkSize     int // DHT servers (default 300)
-	Objects         int // publications per router (default 5)
-	ObjectSizeBytes int // default 64 KiB, small so routing dominates
+	NetworkSize int // DHT servers (default 300)
+	Objects     int // publications per router (default 5)
 
 	// Window is the simulated span the churn timeline covers (default
 	// 24 h); Ticks spreads that many retrieval/sampling phases evenly
@@ -94,15 +93,16 @@ type RoutingConfig struct {
 	Seed int64
 }
 
+// routingObjectSize is each publication's size, small so routing
+// dominates.
+const routingObjectSize = 64 * 1024
+
 func (c RoutingConfig) withDefaults() RoutingConfig {
 	if c.NetworkSize <= 0 {
 		c.NetworkSize = 300
 	}
 	if c.Objects <= 0 {
 		c.Objects = 5
-	}
-	if c.ObjectSizeBytes <= 0 {
-		c.ObjectSizeBytes = 64 * 1024
 	}
 	if c.Window <= 0 {
 		c.Window = 24 * time.Hour
@@ -311,11 +311,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 		// the transport enforces their unreachability.
 		NATSessions: cfg.ReachabilityMix,
 	})
-	if cfg.IndexerShards > 1 || cfg.IndexerReplicas > 1 {
-		sc.ObserveIndexerFleet(fleet.Set, fleet.Nodes()...)
-	} else {
-		sc.ObserveIndexer(fleet.Replica(0, 0))
-	}
+	sc.ObserveIndexers(fleet)
 
 	res := &RoutingResults{Cfg: cfg}
 	var pairs []*routerPair
@@ -385,7 +381,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 	// whatever the timeline has online at the window start.
 	sc.Schedule("publish", 0, func(ctx context.Context, _ PhaseInfo) PhaseOutcome {
 		var out PhaseOutcome
-		payload := make([]byte, cfg.ObjectSizeBytes)
+		payload := make([]byte, routingObjectSize)
 		for _, p := range pairs {
 			// The peer record is part of publication traffic; tag it so
 			// the budget does not misfile it under foreground lookups
@@ -477,7 +473,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 						res.corrupt++
 						err = fmt.Errorf("retrieved bytes do not hash to %s", root)
 					}
-					if err != nil || len(data) != cfg.ObjectSizeBytes {
+					if err != nil || len(data) != routingObjectSize {
 						p.rp.Failures++
 						tick.Failures++
 						out.Failures++

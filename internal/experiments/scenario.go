@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/cid"
-	"repro/internal/peer"
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/telemetry"
@@ -72,7 +71,7 @@ type PhaseSample struct {
 	IndexerHit float64
 	// ShardHits is the per-shard indexer hit rate at the tick: for each
 	// shard, the fraction of its tracked roots covered by an online
-	// replica. Nil when no sharded fleet is observed; NaN entries mark
+	// replica. Nil when a lone indexer is observed; NaN entries mark
 	// shards with no tracked roots.
 	ShardHits []float64
 	// ReplicaUp is the fraction of observed indexer replicas currently
@@ -107,7 +106,7 @@ type PhaseSample struct {
 }
 
 // ShardHitMean averages the per-shard hit rates, skipping shards with
-// no tracked roots; NaN when no sharded fleet is observed.
+// no tracked roots; NaN when a lone indexer is observed.
 func (ps PhaseSample) ShardHitMean() float64 {
 	sum, n := 0.0, 0
 	for _, h := range ps.ShardHits {
@@ -140,9 +139,8 @@ type ScenarioRunner struct {
 	Start time.Time
 
 	accels   []*routing.AcceleratedRouter
-	ixSet    *routing.IndexerSet
-	indexers []*routing.Indexer
-	ixShard  map[peer.ID]int // observed indexer -> shard it serves
+	ixFleet  *testnet.IndexerFleet
+	indexers []*routing.Indexer // ixFleet's replicas, shard-major
 	roots    []cid.Cid
 	recs     []*telemetry.Recorder
 	traces   []*telemetry.Trace
@@ -154,9 +152,6 @@ type ScenarioRunner struct {
 // NewScenarioRunner generates a churn timeline for the testnet's
 // population, starting at the testnet's current virtual instant.
 func NewScenarioRunner(tn *testnet.Testnet, cfg ScenarioConfig) *ScenarioRunner {
-	if cfg.Window <= 0 {
-		cfg.Window = 24 * time.Hour
-	}
 	start := tn.Sched.Now()
 	tl := churn.GenerateTimeline(tn.Pop, churn.TimelineConfig{
 		Start: start,
@@ -181,31 +176,14 @@ func (s *ScenarioRunner) ObserveAccelerated(rs ...*routing.AcceleratedRouter) {
 	}
 }
 
-// ObserveIndexer registers an indexer whose record coverage the
-// per-tick health sample reports, and which the runner GCs and
-// gossips every tick while it is online.
-func (s *ScenarioRunner) ObserveIndexer(ix *routing.Indexer) {
-	if ix != nil {
-		s.indexers = append(s.indexers, ix)
-	}
-}
-
-// ObserveIndexerFleet registers a sharded indexer deployment: the
-// topology clients route by plus its indexer nodes. Health samples
-// then report per-shard hit rates and replica availability, and a
-// root only counts as covered when an online replica of its own shard
-// holds the record.
-func (s *ScenarioRunner) ObserveIndexerFleet(set *routing.IndexerSet, nodes ...*routing.Indexer) {
-	s.ixSet = set
-	s.ixShard = make(map[peer.ID]int)
-	for sh := 0; sh < set.Shards(); sh++ {
-		for _, pi := range set.Replicas(sh) {
-			s.ixShard[pi.ID] = sh
-		}
-	}
-	for _, ix := range nodes {
-		s.ObserveIndexer(ix)
-	}
+// ObserveIndexers registers an indexer fleet: the shard map clients
+// route by plus every replica. The runner GCs and gossips each online
+// replica at every tick, health samples report replica availability,
+// and a root only counts as covered when an online replica of its own
+// shard holds the record.
+func (s *ScenarioRunner) ObserveIndexers(f *testnet.IndexerFleet) {
+	s.ixFleet = f
+	s.indexers = f.Nodes()
 }
 
 // TrackRoots adds published roots to the indexer hit-rate denominator.
@@ -387,20 +365,10 @@ func (s *ScenarioRunner) IndexerHitRate() float64 {
 	return float64(hits) / float64(len(s.roots))
 }
 
-// rootCovered reports whether some online observed indexer responsible
-// for c's shard holds an unexpired record for it. Without a sharded
-// fleet every observed indexer is responsible for every root.
+// rootCovered reports whether some online replica of c's shard holds
+// an unexpired record for it.
 func (s *ScenarioRunner) rootCovered(c cid.Cid) bool {
-	shard := -1
-	if s.ixSet != nil {
-		shard = s.ixSet.ShardOf(c)
-	}
-	for _, ix := range s.indexers {
-		if shard >= 0 {
-			if sh, ok := s.ixShard[ix.ID()]; !ok || sh != shard {
-				continue
-			}
-		}
+	for _, ix := range s.ixFleet.Groups[s.ixFleet.Set.ShardOf(c)] {
 		if s.TN.Net.Online(ix.ID()) && ix.HasProvider(c) {
 			return true
 		}
@@ -409,22 +377,23 @@ func (s *ScenarioRunner) rootCovered(c cid.Cid) bool {
 }
 
 // ShardHitRates returns the per-shard hit rate over tracked roots, or
-// nil when no sharded fleet is observed. Shards with no tracked roots
-// report NaN.
+// nil when fewer than two indexers (or no roots) are observed. Shards
+// with no tracked roots report NaN.
 func (s *ScenarioRunner) ShardHitRates() []float64 {
-	if s.ixSet == nil || s.ixSet.Shards() == 0 || len(s.roots) == 0 || len(s.indexers) == 0 {
+	if len(s.indexers) < 2 || len(s.roots) == 0 {
 		return nil
 	}
-	hits := make([]int, s.ixSet.Shards())
-	counts := make([]int, s.ixSet.Shards())
+	shards := len(s.ixFleet.Groups)
+	hits := make([]int, shards)
+	counts := make([]int, shards)
 	for _, c := range s.roots {
-		sh := s.ixSet.ShardOf(c)
+		sh := s.ixFleet.Set.ShardOf(c)
 		counts[sh]++
 		if s.rootCovered(c) {
 			hits[sh]++
 		}
 	}
-	out := make([]float64, s.ixSet.Shards())
+	out := make([]float64, shards)
 	for i := range out {
 		if counts[i] == 0 {
 			out[i] = math.NaN()

@@ -112,7 +112,7 @@ func TestScenarioTickGCBoundsIndexerStore(t *testing.T) {
 	ix := fleet.Replica(0, 0)
 
 	sc := NewScenarioRunner(tn, ScenarioConfig{Window: 8 * time.Hour, Seed: 11})
-	sc.ObserveIndexer(ix)
+	sc.ObserveIndexers(fleet)
 
 	vantage := tn.AddVantageRouting("DE", 5, routing.KindIndexer, fleet.Set)
 	const perTick, ticks = 20, 9
@@ -147,5 +147,52 @@ func TestScenarioTickGCBoundsIndexerStore(t *testing.T) {
 	}
 	if ix.Len() >= published {
 		t.Errorf("store grew to the full publish stream (%d records): GC never ran", ix.Len())
+	}
+}
+
+// TestShardHitColumnPerFleetShape pins which fleet shapes report a
+// per-shard hit rate: a lone indexer reports none (the time series
+// prints "-"), every larger fleet one rate per shard, and the indexer
+// hit rate is sampled whatever the shape.
+func TestShardHitColumnPerFleetShape(t *testing.T) {
+	cases := []struct {
+		name             string
+		shards, replicas int
+	}{
+		{"1x1", 1, 1},
+		{"1x2", 1, 2},
+		{"2x1", 2, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := RunRoutingComparison(RoutingConfig{
+				NetworkSize: 60, Objects: 2, Ticks: 2, Window: 4 * time.Hour,
+				Kinds:         []routing.Kind{routing.KindIndexer},
+				IndexerShards: tc.shards, IndexerReplicas: tc.replicas,
+				BitswapTimeout: 30 * time.Second, QueryTimeout: 30 * time.Second,
+				Seed: 31,
+			})
+			if len(res.Phases) < 2 {
+				t.Fatalf("phase samples = %d, want publish plus later ticks", len(res.Phases))
+			}
+			// The publish tick samples before any root is tracked, so it
+			// has neither rate; every later tick has both.
+			if first := res.Phases[0]; !math.IsNaN(first.IndexerHit) || first.ShardHits != nil {
+				t.Errorf("phase %s: hit %v, per-shard %v before any root is tracked",
+					first.Phase, first.IndexerHit, first.ShardHits)
+			}
+			for _, ps := range res.Phases[1:] {
+				if math.IsNaN(ps.IndexerHit) {
+					t.Errorf("phase %s: indexer hit rate not sampled", ps.Phase)
+				}
+				if tc.shards == 1 && tc.replicas == 1 {
+					if ps.ShardHits != nil {
+						t.Errorf("phase %s: lone indexer reported per-shard rates %v", ps.Phase, ps.ShardHits)
+					}
+				} else if len(ps.ShardHits) != tc.shards {
+					t.Errorf("phase %s: per-shard rates = %v, want %d", ps.Phase, ps.ShardHits, tc.shards)
+				}
+			}
+		})
 	}
 }

@@ -89,6 +89,7 @@ type LogEntry struct {
 	Bytes    int
 	Latency  time.Duration
 	Tier     Tier
+	failed   bool // the fetch returned an error
 }
 
 // ErrMiss is what a CacheTier's Get returns to pass the request on to
@@ -259,6 +260,7 @@ func (g *Gateway) append(req Request, resp Response) {
 		Bytes:    resp.Bytes,
 		Latency:  resp.Latency,
 		Tier:     resp.Tier,
+		failed:   resp.Err != nil,
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -367,7 +369,7 @@ func Summarize(log []LogEntry) map[Tier]TierStats {
 }
 
 // Err reports whether the entry recorded a failed fetch.
-func (e LogEntry) Err() bool { return e.Bytes == 0 && e.Tier == TierNetwork }
+func (e LogEntry) Err() bool { return e.failed }
 
 func medianDuration(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {

@@ -141,6 +141,44 @@ func TestFetchMissingContent(t *testing.T) {
 	})
 }
 
+// TestZeroByteNetworkFetchIsSummarized: an empty object served from
+// the network is a served request, not a failure — the log entry
+// records the fetch's error, not a guess from its size and tier.
+func TestZeroByteNetworkFetchIsSummarized(t *testing.T) {
+	g, tn := buildGateway(t, 1<<20)
+	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
+		publisher := tn.Nodes[0]
+		pub, err := publisher.AddAndPublish(ctx, []byte{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		publisher.PublishPeerRecord(ctx)
+
+		r := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, UserID: "u7"})
+		if r.Tier != TierNetwork || r.Bytes != 0 || r.Err != nil {
+			t.Fatalf("empty-object fetch = %+v, want a network hit of 0 bytes", r)
+		}
+		missing := cid.Sum(multicodec.Raw, []byte("404"))
+		mctx, cancel := tn.Sched.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if r := g.Fetch(mctx, Request{Cid: missing, Time: day, UserID: "u8"}); r.Err == nil {
+			t.Fatal("missing content should error")
+		}
+
+		log := g.Log()
+		if len(log) != 2 || log[0].Err() || !log[1].Err() {
+			t.Fatalf("log = %+v, want the empty fetch served and the missing one failed", log)
+		}
+		sum := Summarize(log)
+		if got := sum[TierNetwork]; got.Requests != 1 || got.Bytes != 0 {
+			t.Errorf("network tier = %+v, want 1 request of 0 bytes", got)
+		}
+		if len(sum) != 1 {
+			t.Errorf("summary = %+v, want only the network tier", sum)
+		}
+	})
+}
+
 func TestCacheEviction(t *testing.T) {
 	g, tn := buildGateway(t, 40*1024) // small nginx cache
 	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {

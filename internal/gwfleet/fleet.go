@@ -178,7 +178,7 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 		negCtr:   reg.Counter("gwfleet_served", "tier", "negative"),
 		spillCtr: reg.Counter("gwfleet_spills"),
 		shedCtr:  reg.Counter("gwfleet_shed_total"),
-		ttfbHist: reg.Histogram("gwfleet_ttfb_seconds", 0.25),
+		ttfbHist: reg.Histogram("gwfleet_ttfb_seconds"),
 	}
 	reg.Gauge("gwfleet_gateways").Set(float64(len(nodes)))
 	for i, n := range nodes {

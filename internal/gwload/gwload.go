@@ -126,13 +126,16 @@ type TraceConfig struct {
 	NumUsers    int
 	Day         time.Time // start of the 24 h window
 	Seed        int64
-	// ReferredFraction is the share of traffic arriving via third-party
-	// websites (§6.3: 51.8 %).
-	ReferredFraction float64
-	// NumReferrerSites is the size of the semi-popular referrer pool
-	// (§6.3: 72 sites carry 70.6 % of referred traffic).
-	NumReferrerSites int
 }
+
+const (
+	// referredFraction is the share of traffic arriving via third-party
+	// websites (§6.3: 51.8 %).
+	referredFraction = 0.518
+	// numReferrerSites is the size of the semi-popular referrer pool
+	// (§6.3: 72 sites carry 70.6 % of referred traffic).
+	numReferrerSites = 72
+)
 
 func (c TraceConfig) withDefaults() TraceConfig {
 	if c.NumRequests <= 0 {
@@ -146,12 +149,6 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	}
 	if c.Day.IsZero() {
 		c.Day = time.Date(2022, 1, 2, 0, 0, 0, 0, time.UTC)
-	}
-	if c.ReferredFraction == 0 {
-		c.ReferredFraction = 0.518
-	}
-	if c.NumReferrerSites <= 0 {
-		c.NumReferrerSites = 72
 	}
 	return c
 }
@@ -209,11 +206,11 @@ func GenerateTrace(cat *Catalog, cfg TraceConfig) []Request {
 			Add(time.Duration(rng.Int63n(int64(time.Hour))))
 		user := rng.Intn(cfg.NumUsers)
 		ref := ""
-		if rng.Float64() < cfg.ReferredFraction {
+		if rng.Float64() < referredFraction {
 			// 70.6 % of referred traffic comes from the semi-popular
 			// pool; the rest from a long random tail.
 			if rng.Float64() < 0.706 {
-				ref = fmt.Sprintf("https://site-%02d.example", rng.Intn(cfg.NumReferrerSites))
+				ref = fmt.Sprintf("https://site-%02d.example", rng.Intn(numReferrerSites))
 			} else {
 				ref = fmt.Sprintf("https://longtail-%05d.example", rng.Intn(50000))
 			}

@@ -35,10 +35,7 @@ type FlashCrowdConfig struct {
 	// ViralObject is the catalog index that goes viral (default: the
 	// most popular unpinned object, falling back to index 0).
 	ViralObject int
-	// NumUsers sizes the requesting population (default: enough for one
-	// request per user at steady state, 100x distinct users in a burst).
-	NumUsers int
-	Seed     int64
+	Seed        int64
 }
 
 func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
@@ -56,9 +53,6 @@ func (c FlashCrowdConfig) withDefaults() FlashCrowdConfig {
 	}
 	if c.BurstMultiplier <= 0 {
 		c.BurstMultiplier = 100
-	}
-	if c.NumUsers <= 0 {
-		c.NumUsers = int(c.SteadyRPS*c.Duration.Seconds()) + 1
 	}
 	return c
 }
@@ -86,7 +80,10 @@ func GenerateFlashCrowd(cat *Catalog, cfg FlashCrowdConfig) []Request {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	userCountry := make([]geo.Region, cfg.NumUsers)
+	// The requesting population: enough for one request per user at
+	// steady state.
+	numUsers := int(cfg.SteadyRPS*cfg.Duration.Seconds()) + 1
+	userCountry := make([]geo.Region, numUsers)
 	for i := range userCountry {
 		userCountry[i] = geo.SampleGatewayUserCountry(rng)
 	}
@@ -95,7 +92,7 @@ func GenerateFlashCrowd(cat *Catalog, cfg FlashCrowdConfig) []Request {
 	steadyN := int(cfg.SteadyRPS * cfg.Duration.Seconds())
 	for i := 0; i < steadyN; i++ {
 		ts := cfg.Start.Add(time.Duration(float64(i) / cfg.SteadyRPS * float64(time.Second)))
-		user := rng.Intn(cfg.NumUsers)
+		user := rng.Intn(numUsers)
 		reqs = append(reqs, Request{
 			Time:    ts,
 			Object:  cat.SampleObject(rng),
@@ -111,7 +108,7 @@ func GenerateFlashCrowd(cat *Catalog, cfg FlashCrowdConfig) []Request {
 			Add(time.Duration(float64(i) / burstRate * float64(time.Second)))
 		// Flash-crowd users are overwhelmingly new: draw from a 10x wider
 		// synthetic pool so the crowd is distinct users, not retries.
-		user := cfg.NumUsers + rng.Intn(10*cfg.NumUsers)
+		user := numUsers + rng.Intn(10*numUsers)
 		reqs = append(reqs, Request{
 			Time:    ts,
 			Object:  cfg.ViralObject,

@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/multibase"
 	"repro/internal/varint"
 )
 
@@ -364,10 +363,4 @@ func FromBytes(raw []byte) (Multiaddr, error) {
 // of Figure 2.
 func ForPeer(ip string, port int, peerID string) Multiaddr {
 	return MustParse(fmt.Sprintf("/ip4/%s/tcp/%d/p2p/%s", ip, port, peerID))
-}
-
-// Multibase renders the binary form in the given multibase, used when
-// embedding addresses in records.
-func (m Multiaddr) Multibase(e multibase.Encoding) string {
-	return multibase.MustEncode(e, m.Bytes())
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cid"
 	"repro/internal/multibase"
-	"repro/internal/multicodec"
 	"repro/internal/multihash"
 )
 
@@ -143,8 +142,3 @@ func ParseID(s string) (ID, error) {
 	}
 	return ID(raw), nil
 }
-
-// IPNSKeyCid returns the CID form of the peer's public key hash used by
-// IPNS ("the CID of the publisher's public key", §3.3). It uses the
-// libp2p-key codec.
-func (id ID) IPNSKeyCid() multicodec.Code { return multicodec.Libp2pKey }

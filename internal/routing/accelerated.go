@@ -10,7 +10,6 @@ import (
 	"repro/internal/cid"
 	"repro/internal/crawler"
 	"repro/internal/kbucket"
-	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/wire"
 )
@@ -101,19 +100,6 @@ func (r *AcceleratedRouter) Refresh(ctx context.Context, bootstrap []wire.PeerIn
 	r.snap = snap
 	r.mu.Unlock()
 	return len(snap), nil
-}
-
-// StartRefresher re-crawls on the given simulated interval until ctx is
-// cancelled. bootstrap supplies fresh seeds per round (the caller's
-// routing table contents, typically). The first crawl is delayed by a
-// per-peer deterministic jitter so a fleet of clients started together
-// does not thundering-herd the network on the same ticks.
-func (r *AcceleratedRouter) StartRefresher(ctx context.Context, interval time.Duration, bootstrap func() []wire.PeerInfo) {
-	if interval <= 0 {
-		interval = time.Hour
-	}
-	jitter := simtime.Jitter(string(r.sw.Local())+"#refresh", interval)
-	simtime.Every(ctx, r.src, jitter+interval, interval, func(ctx context.Context) { r.Refresh(ctx, bootstrap()) })
 }
 
 // SetSnapshot installs a snapshot directly — testnet builders use it to

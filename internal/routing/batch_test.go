@@ -178,9 +178,9 @@ func TestLedgerFreshnessExpiresWithClock(t *testing.T) {
 	}
 }
 
-// TestJitterDesynchronizesCycles pins the StartRepublisher /
-// StartRefresher jitter helper: deterministic per seed, bounded by the
-// interval, and spread across distinct peers.
+// TestJitterDesynchronizesCycles pins StartRepublisher's jitter
+// helper: deterministic per seed, bounded by the interval, and spread
+// across distinct peers.
 func TestJitterDesynchronizesCycles(t *testing.T) {
 	interval := 12 * time.Hour
 	seen := make(map[time.Duration]bool)

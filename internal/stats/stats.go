@@ -237,29 +237,26 @@ func FormatCDF(name string, pts []CDFPoint) string {
 	return b.String()
 }
 
-// Histogram counts observations into fixed-width bins, used for the
-// diurnal request series of Figure 4b / 11b.
-type Histogram struct {
-	BinWidth float64
-	Counts   map[int]float64
+// Bin is one non-empty fixed-width bin: Index is floor(key/width) and
+// Items are the inputs that landed in it, in input order.
+type Bin[T any] struct {
+	Index int
+	Items []T
 }
 
-// NewHistogram creates a histogram with the given bin width.
-func NewHistogram(binWidth float64) *Histogram {
-	return &Histogram{BinWidth: binWidth, Counts: make(map[int]float64)}
-}
-
-// Observe adds weight to the bin containing x.
-func (h *Histogram) Observe(x, weight float64) {
-	h.Counts[int(math.Floor(x/h.BinWidth))] += weight
-}
-
-// Bins returns the bin indices in ascending order.
-func (h *Histogram) Bins() []int {
-	out := make([]int, 0, len(h.Counts))
-	for b := range h.Counts {
-		out = append(out, b)
+// Bins groups xs into fixed-width bins by key and returns the
+// non-empty bins in ascending index order — the per-bin series of
+// Figures 4b and 11b.
+func Bins[T any](xs []T, width float64, key func(T) float64) []Bin[T] {
+	byIndex := make(map[int][]T)
+	for _, x := range xs {
+		i := int(math.Floor(key(x) / width))
+		byIndex[i] = append(byIndex[i], x)
 	}
-	sort.Ints(out)
+	out := make([]Bin[T], 0, len(byIndex))
+	for i, items := range byIndex {
+		out = append(out, Bin[T]{Index: i, Items: items})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
 	return out
 }

@@ -126,19 +126,15 @@ func TestFormatCDF(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(5)
-	h.Observe(1, 1)
-	h.Observe(4.9, 1)
-	h.Observe(5, 2)
-	h.Observe(12, 1)
-	bins := h.Bins()
+	// 5 is observed with weight 2, so it is two items.
+	bins := Bins([]float64{1, 4.9, 5, 5, 12}, 5, func(x float64) float64 { return x })
 	if len(bins) != 3 {
 		t.Fatalf("bins = %v", bins)
 	}
-	if h.Counts[0] != 2 || h.Counts[1] != 2 || h.Counts[2] != 1 {
-		t.Errorf("counts = %v", h.Counts)
+	if len(bins[0].Items) != 2 || len(bins[1].Items) != 2 || len(bins[2].Items) != 1 {
+		t.Errorf("counts = %v", bins)
 	}
-	if !sort.IntsAreSorted(bins) {
+	if !sort.SliceIsSorted(bins, func(a, b int) bool { return bins[a].Index < bins[b].Index }) {
 		t.Error("Bins must be sorted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Registry is a node's labeled metrics registry: counters, gauges and
-// latency histograms keyed by name plus sorted "k=v" labels. Metric
+// latency metrics keyed by name plus sorted "k=v" labels. Metric
 // handles are cheap to re-request, so call sites fetch by name at the
 // observation point instead of threading handles through layers.
 type Registry struct {
@@ -101,13 +101,11 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Hist is a latency metric combining an exact sample (percentiles via
-// stats.Sample) with a fixed-bucket stats.Histogram for the bucketed
-// debug-endpoint view.
+// Hist is a latency metric: an exact sample of its observations, so
+// percentiles, and their merge across registries, are exact.
 type Hist struct {
 	mu     sync.Mutex
 	sample *stats.Sample
-	hist   *stats.Histogram
 }
 
 // Observe records one observation.
@@ -117,7 +115,6 @@ func (h *Hist) Observe(x float64) {
 	}
 	h.mu.Lock()
 	h.sample.Add(x)
-	h.hist.Observe(x, 1)
 	h.mu.Unlock()
 }
 
@@ -157,9 +154,9 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating on first use) the latency histogram for
-// name + labels; binWidth fixes the bucket width on first creation.
-func (r *Registry) Histogram(name string, binWidth float64, labels ...string) *Hist {
+// Histogram returns (creating on first use) the latency metric for
+// name + labels.
+func (r *Registry) Histogram(name string, labels ...string) *Hist {
 	if r == nil {
 		return nil
 	}
@@ -168,7 +165,7 @@ func (r *Registry) Histogram(name string, binWidth float64, labels ...string) *H
 	defer r.mu.Unlock()
 	h := r.hists[key]
 	if h == nil {
-		h = &Hist{sample: stats.NewSample(), hist: stats.NewHistogram(binWidth)}
+		h = &Hist{sample: stats.NewSample()}
 		r.hists[key] = h
 	}
 	return h
@@ -181,14 +178,13 @@ func (r *Registry) RecordScheduler(s *simtime.Scheduler) {
 	s.Counters(func(name string, v float64) { r.Gauge("simtime_" + name).Set(v) })
 }
 
-// LatencySnapshot is the exported view of one latency histogram.
+// LatencySnapshot is the exported view of one latency metric.
 type LatencySnapshot struct {
-	Count   int                `json:"count"`
-	Mean    float64            `json:"mean"`
-	P50     float64            `json:"p50"`
-	P90     float64            `json:"p90"`
-	P99     float64            `json:"p99"`
-	Buckets map[string]float64 `json:"buckets,omitempty"`
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
 }
 
 // MetricsSnapshot is a point-in-time export of a registry (or an
@@ -200,7 +196,7 @@ type MetricsSnapshot struct {
 	Latencies map[string]LatencySnapshot `json:"latencies"`
 }
 
-func latencySnapshot(sample *stats.Sample, hist *stats.Histogram) LatencySnapshot {
+func latencySnapshot(sample *stats.Sample) LatencySnapshot {
 	ls := LatencySnapshot{Count: sample.Len()}
 	if ls.Count > 0 {
 		ls.Mean = sample.Mean()
@@ -208,57 +204,15 @@ func latencySnapshot(sample *stats.Sample, hist *stats.Histogram) LatencySnapsho
 		ls.P90 = sample.Percentile(90)
 		ls.P99 = sample.Percentile(99)
 	}
-	if len(hist.Counts) > 0 {
-		ls.Buckets = make(map[string]float64, len(hist.Counts))
-		for _, bin := range hist.Bins() {
-			lo := float64(bin) * hist.BinWidth
-			ls.Buckets[fmt.Sprintf("[%g,%g)", lo, lo+hist.BinWidth)] = hist.Counts[bin]
-		}
-	}
 	return ls
 }
 
 // Snapshot exports the registry's current state.
-func (r *Registry) Snapshot() MetricsSnapshot {
-	snap := MetricsSnapshot{
-		Counters:  make(map[string]float64),
-		Gauges:    make(map[string]float64),
-		Latencies: make(map[string]LatencySnapshot),
-	}
-	if r == nil {
-		return snap
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, g := range r.gauges {
-		gauges[k] = g
-	}
-	hists := make(map[string]*Hist, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	r.mu.Unlock()
-	for k, c := range counters {
-		snap.Counters[k] = c.Value()
-	}
-	for k, g := range gauges {
-		snap.Gauges[k] = g.Value()
-	}
-	for k, h := range hists {
-		h.mu.Lock()
-		snap.Latencies[k] = latencySnapshot(h.sample, h.hist)
-		h.mu.Unlock()
-	}
-	return snap
-}
+func (r *Registry) Snapshot() MetricsSnapshot { return AggregateRegistries(r) }
 
 // AggregateRegistries merges per-node registries into one network-wide
-// snapshot: counters and gauges sum, latency histograms merge their
-// raw observations so the aggregated percentiles are exact.
+// snapshot: counters and gauges sum, latency metrics merge their raw
+// observations so the aggregated percentiles are exact.
 func AggregateRegistries(regs ...*Registry) MetricsSnapshot {
 	snap := MetricsSnapshot{
 		Counters:  make(map[string]float64),
@@ -266,7 +220,6 @@ func AggregateRegistries(regs ...*Registry) MetricsSnapshot {
 		Latencies: make(map[string]LatencySnapshot),
 	}
 	samples := make(map[string]*stats.Sample)
-	hists := make(map[string]*stats.Histogram)
 	for _, r := range regs {
 		if r == nil {
 			continue
@@ -297,19 +250,15 @@ func AggregateRegistries(regs ...*Registry) MetricsSnapshot {
 			if merged == nil {
 				merged = stats.NewSample()
 				samples[k] = merged
-				hists[k] = stats.NewHistogram(h.hist.BinWidth)
 			}
 			for _, x := range h.sample.Values() {
 				merged.Add(x)
-			}
-			for bin, w := range h.hist.Counts {
-				hists[k].Counts[bin] += w
 			}
 			h.mu.Unlock()
 		}
 	}
 	for k, merged := range samples {
-		snap.Latencies[k] = latencySnapshot(merged, hists[k])
+		snap.Latencies[k] = latencySnapshot(merged)
 	}
 	return snap
 }

@@ -13,7 +13,7 @@
 // across runs of the same seed and can be golden-pinned.
 //
 // The whole surface is nil-safe: methods on a nil *Registry return nil
-// metrics, and methods on nil *Counter/*Gauge/*Histogram no-op, so
+// metrics, and methods on nil *Counter/*Gauge/*Hist no-op, so
 // instrumented code never guards on whether telemetry is wired. The
 // debug endpoints (debug.go) expose the registry at /debug/metrics and
 // the most recent trace tree at /debug/trace/last.
