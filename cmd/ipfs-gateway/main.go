@@ -90,8 +90,8 @@ func main() {
 	// consistent-hash ring.
 	var content http.Handler
 	var pinner *ipfs.Gateway // where -pin files go: the (first) instance's node store
+	nodes := []*ipfs.Node{node}
 	if *fleetN > 1 {
-		nodes := []*ipfs.Node{node}
 		for i := 1; i < *fleetN; i++ {
 			var s int64
 			if *seed != 0 {
@@ -164,6 +164,13 @@ func main() {
 
 	sctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Every node the daemon runs keeps its records alive (§3.1): the
+	// 12 h republish and the hourly table refresh and record GC run
+	// until the daemon is signalled.
+	for i, n := range nodes {
+		n.StartRepublisher(sctx, 0)
+		n.DHT().StartMaintenance(sctx, 0, *seed+int64(i))
+	}
 	select {
 	case err := <-errCh:
 		fatal(err)

@@ -97,6 +97,13 @@ func main() {
 		for _, a := range node.Addrs() {
 			fmt.Println("Listening:", a)
 		}
+		sctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		// A long-lived node keeps its records alive (§3.1): the 12 h
+		// republish and the hourly table refresh and record GC run until
+		// the daemon is signalled, not under the operation timeout.
+		node.StartRepublisher(sctx, 0)
+		node.DHT().StartMaintenance(sctx, 0, *seed)
 		var srv *http.Server
 		if *debugHTTP != "" {
 			mux := http.NewServeMux()
@@ -113,8 +120,6 @@ func main() {
 			fmt.Printf("introspection on http://%s/debug/metrics\n", *debugHTTP)
 		}
 		fmt.Println("daemon running; ^C to stop")
-		sctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
 		<-sctx.Done()
 		if srv != nil {
 			shctx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)

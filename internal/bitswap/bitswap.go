@@ -22,6 +22,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -40,7 +41,7 @@ const DefaultSessionPeerTarget = 3
 // multi-hop walk, and WantBroadcast is the policy deciding whether the
 // opportunistic broadcast still runs alongside routed candidates.
 type SessionRouting interface {
-	SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error)
+	SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error)
 	WantBroadcast() bool
 }
 
@@ -69,9 +70,6 @@ type Bitswap struct {
 	src   simtime.Source // the swarm's: the ask waves run and are measured on it
 	store block.Store
 
-	mu       sync.Mutex
-	wantlist map[string]struct{} // CID keys currently wanted
-
 	routingMu sync.RWMutex
 	routing   SessionRouting
 
@@ -83,7 +81,6 @@ type Bitswap struct {
 	blocksRecv     int
 	bytesSent      int64
 	bytesRecv      int64
-	havesServed    int
 	wantHavesSent  int
 	dupsSuppressed int
 }
@@ -98,12 +95,11 @@ var (
 // on the swarm's time source.
 func New(sw *swarm.Swarm, store block.Store, cfg Config) *Bitswap {
 	return &Bitswap{
-		cfg:      cfg.withDefaults(),
-		sw:       sw,
-		src:      sw.Time(),
-		store:    store,
-		wantlist: make(map[string]struct{}),
-		asks:     make(map[string]*askFlight),
+		cfg:   cfg.withDefaults(),
+		sw:    sw,
+		src:   sw.Time(),
+		store: store,
+		asks:  make(map[string]*askFlight),
 	}
 }
 
@@ -124,29 +120,6 @@ func (b *Bitswap) sessionRouting() SessionRouting {
 	b.routingMu.RLock()
 	defer b.routingMu.RUnlock()
 	return b.routing
-}
-
-// Wantlist returns the CID keys currently wanted, for diagnostics.
-func (b *Bitswap) Wantlist() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.wantlist))
-	for k := range b.wantlist {
-		out = append(out, k)
-	}
-	return out
-}
-
-func (b *Bitswap) addWant(c cid.Cid) {
-	b.mu.Lock()
-	b.wantlist[c.Key()] = struct{}{}
-	b.mu.Unlock()
-}
-
-func (b *Bitswap) dropWant(c cid.Cid) {
-	b.mu.Lock()
-	delete(b.wantlist, c.Key())
-	b.mu.Unlock()
 }
 
 // Stats reports cumulative exchange counters.
@@ -181,9 +154,6 @@ func (b *Bitswap) HandleMessage(_ context.Context, _ peer.ID, req wire.Message) 
 	switch req.Type {
 	case wire.TWantHave:
 		if b.store.Has(c) {
-			b.statsMu.Lock()
-			b.havesServed++
-			b.statsMu.Unlock()
 			return wire.Message{Type: wire.THave, Key: req.Key}
 		}
 		return wire.Message{Type: wire.TDontHave, Key: req.Key}
@@ -210,10 +180,8 @@ type AskStats struct {
 	Routed bool
 	// Broadcast reports that the opportunistic broadcast ran.
 	Broadcast bool
-	// RoutingMsgs counts the routing RPCs the SessionPeers consult
-	// issued (0 for the walk-based baseline, which declines for free).
-	RoutingMsgs int
-	// WantHaves counts WANT-HAVE messages this discovery sent.
+	// WantHaves counts WANT-HAVE messages this discovery sent: the
+	// fan-out a joining duplicate ask reports as suppressed.
 	WantHaves int
 	// Suppressed counts the duplicate broadcast fan-out this call
 	// avoided by joining an in-flight ask for the same CID.
@@ -308,8 +276,7 @@ func (b *Bitswap) ask(ctx context.Context, c cid.Cid) (wire.PeerInfo, AskStats, 
 	var routed []wire.PeerInfo
 	broadcast := true
 	if r := b.sessionRouting(); r != nil {
-		peers, msgs, err := r.SessionPeers(ctx, c, b.cfg.SessionPeerTarget)
-		st.RoutingMsgs = msgs
+		peers, err := r.SessionPeers(ctx, c, b.cfg.SessionPeerTarget)
 		if err == nil && len(peers) > 0 {
 			routed = peers
 			broadcast = r.WantBroadcast()
@@ -373,6 +340,7 @@ func (b *Bitswap) askWave(ctx context.Context, c cid.Cid, routed []wire.PeerInfo
 	}
 	st.WantHaves += len(targets)
 	b.countWantHaves(len(targets))
+	transport.MeterOf(ctx).Add(wire.TWantHave, len(targets))
 
 	// The wave is one trace phase; the per-target WANT-HAVE RPCs attach
 	// as events through the derived contexts.
@@ -418,24 +386,11 @@ func (b *Bitswap) askWave(ctx context.Context, c cid.Cid, routed []wire.PeerInfo
 	return wire.PeerInfo{}, seen, false
 }
 
-// FetchBlock retrieves one block from a specific peer using the full
-// WANT-HAVE / IHAVE / WANT-BLOCK / BLOCK exchange, verifies it against
-// its CID and stores it locally.
-func (b *Bitswap) FetchBlock(ctx context.Context, from wire.PeerInfo, c cid.Cid) (block.Block, error) {
-	b.addWant(c)
-	defer b.dropWant(c)
-
-	if err := b.wantHave(ctx, from, c); err != nil {
-		return block.Block{}, err
-	}
-	return b.fetchDirect(ctx, from, c)
-}
-
 // wantHave runs the WANT-HAVE handshake against one peer: ErrNotFound
-// unless it answers HAVE. Shared by FetchBlock and session fetches so
-// the protocol sequence and the message counting live in one place.
+// unless it answers HAVE.
 func (b *Bitswap) wantHave(ctx context.Context, from wire.PeerInfo, c cid.Cid) error {
 	b.countWantHaves(1)
+	transport.MeterOf(ctx).Add(wire.TWantHave, 1)
 	resp, err := b.sw.Request(ctx, from.ID, from.Addrs, wire.Message{Type: wire.TWantHave, Key: c.Bytes()})
 	if err != nil {
 		return err
@@ -449,6 +404,7 @@ func (b *Bitswap) wantHave(ctx context.Context, from wire.PeerInfo, c cid.Cid) e
 // fetchDirect sends WANT-BLOCK without the preceding WANT-HAVE, used
 // for the remaining blocks of a DAG once the session is established.
 func (b *Bitswap) fetchDirect(ctx context.Context, from wire.PeerInfo, c cid.Cid) (block.Block, error) {
+	transport.MeterOf(ctx).Add(wire.TWantBlock, 1)
 	resp, err := b.sw.Request(ctx, from.ID, from.Addrs, wire.Message{Type: wire.TWantBlock, Key: c.Bytes()})
 	if err != nil {
 		return block.Block{}, err
@@ -476,14 +432,11 @@ func (b *Bitswap) fetchDirect(ctx context.Context, from wire.PeerInfo, c cid.Cid
 	return blk, nil
 }
 
-// SessionStats counts one session's Bitswap message usage, the
-// per-session accounting core.RetrieveResult surfaces next to the
-// routing lookup messages.
+// SessionStats counts one session's block transfers and provider
+// switches, which core.Retrieve annotates its fetch span with.
 type SessionStats struct {
-	WantHaves   int // WANT-HAVE handshakes this session sent
-	WantBlocks  int // WANT-BLOCK transfer messages
-	RoutingMsgs int // routing RPCs spent discovering fail-over providers
-	Failovers   int // provider switches after mid-session failures
+	WantBlocks int // WANT-BLOCK transfer messages
+	Failovers  int // provider switches after mid-session failures
 }
 
 // Session binds Bitswap to one providing peer and implements
@@ -552,20 +505,11 @@ func (s *Session) ForRoot(root cid.Cid) *Session {
 	return s
 }
 
-// Stats returns the session's message accounting so far.
+// Stats returns the session's counts so far.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-func (s *Session) addStats(d SessionStats) {
-	s.mu.Lock()
-	s.stats.WantHaves += d.WantHaves
-	s.stats.WantBlocks += d.WantBlocks
-	s.stats.RoutingMsgs += d.RoutingMsgs
-	s.stats.Failovers += d.Failovers
-	s.mu.Unlock()
 }
 
 // Get implements merkledag.Fetcher under the session's own context:
@@ -582,8 +526,6 @@ func (s *Session) GetContext(ctx context.Context, c cid.Cid) (block.Block, error
 	if blk, err := s.bs.store.Get(c); err == nil {
 		return blk, nil
 	}
-	s.bs.addWant(c)
-	defer s.bs.dropWant(c)
 
 	s.mu.Lock()
 	if !s.anchorSet {
@@ -602,15 +544,16 @@ func (s *Session) GetContext(ctx context.Context, c cid.Cid) (block.Block, error
 }
 
 // fetch runs one block exchange against a specific provider, counting
-// the session's messages.
+// the session's block transfers.
 func (s *Session) fetch(ctx context.Context, from wire.PeerInfo, c cid.Cid, handshake bool) (block.Block, error) {
 	if handshake {
-		s.addStats(SessionStats{WantHaves: 1})
 		if err := s.bs.wantHave(ctx, from, c); err != nil {
 			return block.Block{}, err
 		}
 	}
-	s.addStats(SessionStats{WantBlocks: 1})
+	s.mu.Lock()
+	s.stats.WantBlocks++
+	s.mu.Unlock()
 	return s.bs.fetchDirect(ctx, from, c)
 }
 
@@ -660,8 +603,7 @@ func (s *Session) failover(ctx context.Context, c cid.Cid, failed wire.PeerInfo,
 	if r == nil {
 		return block.Block{}, cause
 	}
-	peers, msgs, err := r.SessionPeers(fctx, anchor, s.bs.cfg.SessionPeerTarget)
-	s.addStats(SessionStats{RoutingMsgs: msgs})
+	peers, err := r.SessionPeers(fctx, anchor, s.bs.cfg.SessionPeerTarget)
 	if err != nil {
 		return block.Block{}, cause
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -79,9 +80,14 @@ func TestFetchBlockFullExchange(t *testing.T) {
 		blk := block.New(multicodec.Raw, []byte("wanted block"))
 		holder.store.Put(blk)
 
-		got, err := requester.bs.FetchBlock(ctx, holder.info, blk.Cid())
+		mctx, meter := transport.WithMeter(ctx)
+		got, err := requester.bs.NewSession(mctx, holder.info).Get(blk.Cid())
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The full exchange: one WANT-HAVE handshake, one WANT-BLOCK.
+		if wh, wb := meter.Count(wire.TWantHave), meter.Count(wire.TWantBlock); wh != 1 || wb != 1 {
+			t.Errorf("metered WANT-HAVE, WANT-BLOCK = %d, %d, want 1, 1", wh, wb)
 		}
 		if !bytes.Equal(got.Data(), blk.Data()) {
 			t.Error("data mismatch")
@@ -105,7 +111,7 @@ func TestFetchBlockNotHeld(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
 		_, ps := buildPeers(s, 2)
 		missing := cid.Sum(multicodec.Raw, []byte("nope"))
-		if _, err := ps[1].bs.FetchBlock(ctx, ps[0].info, missing); err != ErrNotFound {
+		if _, err := ps[1].bs.NewSession(ctx, ps[0].info).Get(missing); err != ErrNotFound {
 			t.Errorf("err = %v, want ErrNotFound", err)
 		}
 	})
@@ -244,7 +250,7 @@ func TestCorruptBlockRejected(t *testing.T) {
 		vBs := New(vSw, block.NewMemStore(), Config{})
 
 		want := cid.Sum(multicodec.Raw, []byte("the real content"))
-		_, err := vBs.FetchBlock(ctx, wire.PeerInfo{ID: evil.ID, Addrs: evilEp.Addrs()}, want)
+		_, err := vBs.NewSession(ctx, wire.PeerInfo{ID: evil.ID, Addrs: evilEp.Addrs()}).Get(want)
 		if err == nil {
 			t.Fatal("corrupt block accepted")
 		}
@@ -255,28 +261,27 @@ func TestCorruptBlockRejected(t *testing.T) {
 type fakeRouting struct {
 	mu        sync.Mutex
 	peers     []wire.PeerInfo
-	msgs      int
 	err       error
 	broadcast bool
 	onlyKey   string // when set, only this CID key has session peers
 	consults  int
 }
 
-func (f *fakeRouting) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (f *fakeRouting) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.consults++
 	if f.err != nil {
-		return nil, f.msgs, f.err
+		return nil, f.err
 	}
 	if f.onlyKey != "" && c.Key() != f.onlyKey {
-		return nil, f.msgs, errors.New("fakeRouting: no session peers for that cid")
+		return nil, errors.New("fakeRouting: no session peers for that cid")
 	}
 	peers := f.peers
 	if n > 0 && len(peers) > n {
 		peers = peers[:n]
 	}
-	return peers, f.msgs, nil
+	return peers, nil
 }
 
 func (f *fakeRouting) WantBroadcast() bool { return f.broadcast }
@@ -308,7 +313,7 @@ func TestAskConnectedRoutedSkipsBroadcast(t *testing.T) {
 		}
 		// The router knows the (unconnected) holder; policy skips broadcast.
 		bs := ownEngine(requester)
-		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{holder.info}, msgs: 1})
+		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{holder.info}})
 
 		info, st, err := bs.AskConnected(ctx, blk.Cid())
 		if err != nil {
@@ -322,9 +327,6 @@ func TestAskConnectedRoutedSkipsBroadcast(t *testing.T) {
 		}
 		if st.WantHaves != 1 {
 			t.Errorf("routed ask sent %d WANT-HAVEs, want exactly 1 (the candidate)", st.WantHaves)
-		}
-		if st.RoutingMsgs != 1 {
-			t.Errorf("routing msgs = %d, want the consult's RPC", st.RoutingMsgs)
 		}
 	})
 }
@@ -370,7 +372,7 @@ func TestAskConnectedStaleRoutedPeersFallBackToBroadcast(t *testing.T) {
 		// The router's only candidate has departed (churn).
 		net.SetOnline(stale.ident.ID, false)
 		bs := ownEngine(requester)
-		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{stale.info}, msgs: 1})
+		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{stale.info}})
 
 		info, st, err := bs.AskConnected(ctx, blk.Cid())
 		if err != nil {
@@ -445,7 +447,8 @@ func TestConfirmedSessionSkipsHandshake(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		session := requester.bs.NewSession(ctx, holder.info).Confirm()
+		mctx, meter := transport.WithMeter(ctx)
+		session := requester.bs.NewSession(mctx, holder.info).Confirm()
 		got, err := merkledag.Assemble(session, root)
 		if err != nil {
 			t.Fatal(err)
@@ -454,11 +457,12 @@ func TestConfirmedSessionSkipsHandshake(t *testing.T) {
 			t.Error("assembled content mismatch")
 		}
 		st := session.Stats()
-		if st.WantHaves != 0 {
-			t.Errorf("confirmed session sent %d WANT-HAVEs, want 0 (discovery already shook hands)", st.WantHaves)
+		if wh := meter.Count(wire.TWantHave); wh != 0 {
+			t.Errorf("confirmed session sent %d WANT-HAVEs, want 0 (discovery already shook hands)", wh)
 		}
-		if st.WantBlocks == 0 {
-			t.Error("session should count its WANT-BLOCK transfers")
+		if st.WantBlocks == 0 || meter.Count(wire.TWantBlock) != st.WantBlocks {
+			t.Errorf("session counted %d WANT-BLOCK transfers, meter %d: want the same, nonzero",
+				st.WantBlocks, meter.Count(wire.TWantBlock))
 		}
 	})
 }
@@ -495,9 +499,6 @@ func TestSessionFailsOverViaRouter(t *testing.T) {
 		if st.Failovers != 1 {
 			t.Errorf("failovers = %d, want exactly 1 switch to the backup", st.Failovers)
 		}
-		if len(requester.bs.Wantlist()) != 0 {
-			t.Error("wantlist should drain after the session completes")
-		}
 	})
 }
 
@@ -518,7 +519,7 @@ func TestSessionFailoverAnchorsOnRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The root block is already local; its children are not.
-		if _, err := requester.bs.FetchBlock(ctx, primary.info, root); err != nil {
+		if _, err := requester.bs.NewSession(ctx, primary.info).Get(root); err != nil {
 			t.Fatal(err)
 		}
 		// The router only knows providers for the root CID.
@@ -553,23 +554,6 @@ func TestSessionFailoverWithoutRouterStillFails(t *testing.T) {
 	})
 }
 
-func TestWantlistTracking(t *testing.T) {
-	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
-		_, ps := buildPeers(s, 2)
-		if len(ps[0].bs.Wantlist()) != 0 {
-			t.Error("wantlist should start empty")
-		}
-		blk := block.New(multicodec.Raw, []byte("tracked"))
-		ps[1].store.Put(blk)
-		if _, err := ps[0].bs.FetchBlock(ctx, ps[1].info, blk.Cid()); err != nil {
-			t.Fatal(err)
-		}
-		if len(ps[0].bs.Wantlist()) != 0 {
-			t.Error("wantlist should be empty after a completed fetch")
-		}
-	})
-}
-
 // TestAskStatsConsultMiss checks the consult-outcome flag callers hand
 // forward to skip the duplicate one-hop FindProviders probe: set on a
 // consult miss (error or zero candidates), clear when the router fed
@@ -598,7 +582,7 @@ func TestAskStatsConsultMiss(t *testing.T) {
 		}
 
 		// Router feeds the holder: no miss.
-		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{holder.info}, msgs: 1})
+		bs.SetRouting(&fakeRouting{peers: []wire.PeerInfo{holder.info}})
 		if _, st, err := bs.AskConnected(ctx, blk.Cid()); err != nil || st.ConsultMiss {
 			t.Errorf("feeding router: err=%v stats=%+v, want a routed hit without ConsultMiss", err, st)
 		}
@@ -615,8 +599,8 @@ func TestSessionFailsOverViaStreamedCandidates(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
 		// Fail-over candidates supplied by the streaming provider lookup are
 		// tried before (and here, instead of) a router consult: no session
-		// routing is installed at all, and the switch must cost zero routing
-		// RPCs.
+		// routing is installed at all, and the switch costs one WANT-HAVE
+		// handshake with the candidate.
 		net, ps := buildPeers(s, 3)
 		primary, backup, requester := ps[0], ps[1], ps[2]
 		data := bytes.Repeat([]byte("streamed dag "), 3000)
@@ -628,7 +612,8 @@ func TestSessionFailsOverViaStreamedCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		session := requester.bs.NewSession(ctx, primary.info).
+		mctx, meter := transport.WithMeter(ctx)
+		session := requester.bs.NewSession(mctx, primary.info).
 			WithCandidates(func() []wire.PeerInfo { return []wire.PeerInfo{backup.info} })
 		if _, err := session.Get(root); err != nil {
 			t.Fatalf("first block: %v", err)
@@ -646,8 +631,8 @@ func TestSessionFailsOverViaStreamedCandidates(t *testing.T) {
 		if st.Failovers != 1 {
 			t.Errorf("failovers = %d, want 1 switch to the streamed candidate", st.Failovers)
 		}
-		if st.RoutingMsgs != 0 {
-			t.Errorf("routing msgs = %d, want 0 — the candidate was already paid for", st.RoutingMsgs)
+		if wh := meter.Count(wire.TWantHave); wh != 2 {
+			t.Errorf("session sent %d WANT-HAVEs, want 2: the primary's handshake and the candidate's", wh)
 		}
 	})
 }

@@ -58,14 +58,14 @@ func TestCorruptBlockRejectedOverTCP(t *testing.T) {
 	bs := New(swarm.New(victim, victimEp, nil), store, Config{})
 	from := wire.PeerInfo{ID: server.ID, Addrs: serverEp.Addrs()}
 	ctx := context.Background()
-	if _, err := bs.FetchBlock(ctx, from, want.Cid()); !errors.Is(err, block.ErrHashMismatch) {
+	if _, err := bs.NewSession(ctx, from).Get(want.Cid()); !errors.Is(err, block.ErrHashMismatch) {
 		t.Fatalf("corrupt block over TCP: err = %v, want ErrHashMismatch", err)
 	}
 	if store.Len() != 0 {
 		t.Fatal("a block that failed its hash was stored")
 	}
 	lie.Store(false)
-	got, err := bs.FetchBlock(ctx, from, want.Cid())
+	got, err := bs.NewSession(ctx, from).Get(want.Cid())
 	if err != nil || !got.Cid().Equal(want.Cid()) || !store.Has(want.Cid()) {
 		t.Fatalf("honest block over TCP: %v", err)
 	}

@@ -30,15 +30,15 @@ func (s *stubFallback) ProvideMany(_ context.Context, cids []cid.Cid) (routing.P
 	return routing.ProvideManyResult{CIDs: len(cids)}, routing.ErrNoProviders
 }
 
-func (s *stubFallback) FindProvidersStream(context.Context, cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
-	return routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
+func (s *stubFallback) FindProvidersStream(context.Context, cid.Cid) routing.ProviderSeq {
+	return routing.LazyStream(func() ([]wire.PeerInfo, error) {
 		s.finds.Add(1)
-		return nil, routing.LookupInfo{}, routing.ErrNoProviders
+		return nil, routing.ErrNoProviders
 	})
 }
 
-func (s *stubFallback) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, int, error) {
-	return nil, 0, routing.ErrNoSessionPeers
+func (s *stubFallback) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, error) {
+	return nil, routing.ErrNoSessionPeers
 }
 
 func (s *stubFallback) WantBroadcast() bool { return true }

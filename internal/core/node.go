@@ -348,11 +348,15 @@ func (n *Node) Has(root cid.Cid) bool {
 }
 
 // PublishResult instruments one content publication (Figures 9a–c):
-// the router's counts, and the phases publishPhases reads off the
-// publication's span tree, in simulated time.
+// the router's store counts, the requests read off the publication's
+// meter, and the phases publishPhases reads off its span tree, in
+// simulated time.
 type PublishResult struct {
 	Cid cid.Cid
 	dht.ProvideResult
+	// RPCs counts the routing requests the publication launched: walk
+	// queries and record stores, every raced member's included.
+	RPCs          int
 	WalkDuration  time.Duration // DHT walk to the k closest peers (Fig 9b)
 	BatchDuration time.Duration // concurrent ADD_PROVIDER RPC batch (Fig 9c)
 	TotalDuration time.Duration // overall publication (Fig 9a)
@@ -370,7 +374,8 @@ func (n *Node) Publish(ctx context.Context, root cid.Cid) (PublishResult, error)
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
 	// The whole provide tree — walk queries included — is attributed to
 	// the publish budget category.
-	res, err := n.router.Provide(transport.WithRPCCategory(ctx, transport.CatPublish), root)
+	mctx, meter := transport.WithMeter(transport.WithRPCCategory(ctx, transport.CatPublish))
+	res, err := n.router.Provide(mctx, root)
 	reg := n.tel.Registry()
 	reg.Counter("publishes_total", "router", n.router.Name()).Inc()
 	if err == nil {
@@ -381,7 +386,7 @@ func (n *Node) Publish(ctx context.Context, root cid.Cid) (PublishResult, error)
 		sp.Annotate("err", err.Error())
 	}
 	sp.End()
-	out := PublishResult{Cid: root, ProvideResult: res}
+	out := PublishResult{Cid: root, ProvideResult: res, RPCs: meter.Count(wire.TFindNode, wire.TAddProvider)}
 	publishPhases(sp, &out)
 	return out, err
 }

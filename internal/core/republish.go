@@ -13,6 +13,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // republisher tracks the CIDs this node provides so their records can
@@ -57,11 +58,11 @@ type RepublishStats struct {
 	// target peer, one multi-record RPC per distinct target, with
 	// ack-ledger skips for records confirmed earlier in the cycle.
 	Batch routing.ProvideManyResult
+	// RPCs counts the routing requests the batch launched, read off its
+	// meter: walks for CIDs with no remembered targets, and stores.
+	RPCs int
 	// PeerRecordOK reports the node's peer-record refresh succeeded.
 	PeerRecordOK bool
-	// OK is the legacy success count: provided CIDs plus the peer
-	// record.
-	OK int
 }
 
 // RepublishRecords refreshes the provider records of every tracked CID
@@ -96,11 +97,11 @@ func (n *Node) Republish(ctx context.Context) RepublishStats {
 	defer sp.End()
 	ctx = transport.WithRPCCategory(ctx, transport.CatRepublish)
 	var st RepublishStats
-	st.Batch = n.RepublishRecords(ctx)
-	st.OK = st.Batch.Provided
+	mctx, meter := transport.WithMeter(ctx)
+	st.Batch = n.RepublishRecords(mctx)
+	st.RPCs = meter.Count(wire.TFindNode, wire.TAddProvider)
 	if err := n.dht.PublishPeerRecord(ctx); err == nil {
 		st.PeerRecordOK = true
-		st.OK++
 	}
 	routing.AdvanceCycle(n.router)
 	reg := n.tel.Registry()

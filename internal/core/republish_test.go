@@ -50,15 +50,16 @@ func TestRepublishBatchesPerTargetPeer(t *testing.T) {
 		// record, grouped per target peer — no walks, and the republish
 		// budget stays at or below the distinct target count P.
 		before := tn.Net.Budget()
-		res := publisher.RepublishRecords(ctx)
+		mctx, meter := transport.WithMeter(ctx)
+		res := publisher.RepublishRecords(mctx)
 		spent := tn.Net.Budget().Sub(before)
 
 		p := res.Targets
 		if p == 0 || p >= m*20 {
 			t.Fatalf("distinct targets = %d, want a real per-peer grouping (m=%d, k=20)", p, m)
 		}
-		if res.Walks != 0 {
-			t.Errorf("republish paid %d walks, want 0 (target sets remembered by the ledger)", res.Walks)
+		if walks := meter.Count(wire.TFindNode); walks != 0 {
+			t.Errorf("republish sent %d walk queries, want 0 (target sets remembered by the ledger)", walks)
 		}
 		if res.StoreRPCs > p {
 			t.Errorf("republish sent %d store RPCs for %d distinct targets, want <= P", res.StoreRPCs, p)
@@ -76,11 +77,10 @@ func TestRepublishBatchesPerTargetPeer(t *testing.T) {
 
 		// The records actually landed: another node resolves each CID.
 		for _, c := range cids {
-			seq, st := routing.NewDHT(tn.Nodes[1].DHT()).FindProvidersStream(ctx, c)
 			found := false
-			seq(func([]wire.PeerInfo) bool { found = true; return false })
+			err := routing.NewDHT(tn.Nodes[1].DHT()).FindProvidersStream(ctx, c)(func([]wire.PeerInfo) bool { found = true; return false })
 			if !found {
-				t.Fatalf("no providers for %s after batched republish: %v", c, st.Err())
+				t.Fatalf("no providers for %s after batched republish: %v", c, err)
 			}
 		}
 	})

@@ -15,6 +15,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -43,15 +44,17 @@ type RetrieveResult struct {
 	// StreamCandidates counts extra providers the stream yielded after
 	// the first; they seed session fail-over without new routing RPCs.
 	StreamCandidates int
-	LookupMsgs       int           // routing RPCs across discovery, session consults, fail-over
 	PeerWalk         time.Duration // second DHT walk (peer discovery)
 	UsedBook         bool          // address book supplied the addresses
 	Dial             time.Duration // peer routing: connect to the provider
 	Fetch            time.Duration // content exchange (Bitswap transfer)
 
-	// Per-session Bitswap message accounting, alongside LookupMsgs.
-	WantHaves        int // WANT-HAVE messages sent (discovery + session handshakes)
-	WantBlocks       int // WANT-BLOCK transfer messages
+	// The requests the retrieval launched, read off its meter once it
+	// ends: every raced member, cancelled loser and fail-over included.
+	LookupMsgs int // GET_PROVIDERS: discovery, session consults, fail-over
+	WantHaves  int // WANT-HAVE: discovery waves and session handshakes
+	WantBlocks int // WANT-BLOCK transfers
+
 	SuppressedWants  int // duplicate broadcast fan-out suppressed by deduplication
 	SessionFailovers int // provider switches the session made under churn
 
@@ -90,9 +93,9 @@ var ErrNotFound = errors.New("core: content not found")
 
 // providerStream runs a router's provider stream on its own goroutine:
 // the first discovered provider is delivered on first, later ones
-// accumulate as session fail-over candidates, and the stream's message
-// cost is collected once at Finish. Depositing the first provider and
-// winding down each notify sig, which discovery waits on.
+// accumulate as session fail-over candidates, and Finish joins the
+// stream. Depositing the first provider and winding down each notify
+// sig, which discovery waits on.
 type providerStream struct {
 	cancel context.CancelFunc
 	src    simtime.Source
@@ -100,7 +103,7 @@ type providerStream struct {
 	sig    *simtime.Signal
 	first  chan wire.PeerInfo
 	done   chan struct{}
-	st     *routing.StreamInfo // set by the stream's goroutine; read once done is closed
+	err    error // the stream's terminal error; set by its goroutine, read once done is closed
 
 	mu     sync.Mutex
 	extras []wire.PeerInfo
@@ -126,10 +129,8 @@ func (n *Node) startProviderStream(ctx context.Context, root cid.Cid, sig *simti
 	n.src.Go(sctx, func(gctx context.Context) {
 		defer sig.Notify()
 		defer close(ps.done)
-		var seq routing.ProviderSeq
-		seq, ps.st = n.router.FindProvidersStream(gctx, root)
 		count := 0
-		seq(func(batch []wire.PeerInfo) bool {
+		ps.err = n.router.FindProvidersStream(gctx, root)(func(batch []wire.PeerInfo) bool {
 			for _, p := range batch {
 				if count == 0 {
 					ps.first <- p
@@ -166,17 +167,14 @@ func (ps *providerStream) Candidates() []wire.PeerInfo {
 	return append([]wire.PeerInfo(nil), ps.extras...)
 }
 
-// Finish cancels any remaining lookup work, waits for the stream to
-// wind down, and returns its accumulated statistics. The join is
-// instrumented under the scheduler (the cancelled stream unwinds on
-// virtual time) via the stream context's lease, detached so the
-// already-fallen cancellation cannot cut the join short.
-func (ps *providerStream) Finish() routing.LookupInfo {
+// Finish cancels any remaining lookup work and waits for the stream to
+// wind down. The join is instrumented under the scheduler (the
+// cancelled stream unwinds on virtual time) via the stream context's
+// lease, detached so the already-fallen cancellation cannot cut the
+// join short. A scheduler shutting down under the stream ends the wait.
+func (ps *providerStream) Finish() {
 	ps.cancel()
-	if simtime.AwaitClosed(simtime.Detach(ps.sctx), ps.src, ps.done) != nil {
-		return routing.LookupInfo{} // the scheduler shut down under the stream
-	}
-	return ps.st.Info()
+	simtime.AwaitClosed(simtime.Detach(ps.sctx), ps.src, ps.done)
 }
 
 // lookupErr is the wound-down stream's terminal error; nil while the
@@ -186,7 +184,7 @@ func (ps *providerStream) lookupErr() error {
 	if !ps.woundDown() {
 		return nil
 	}
-	return ps.st.Err()
+	return ps.err
 }
 
 // woundDown reports, without blocking, whether the stream has ended.
@@ -224,9 +222,15 @@ func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) 
 // exchange over Bitswap.
 func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
+	ctx, meter := transport.WithMeter(ctx)
 	ctx, trsp := n.tel.StartTrace(ctx, "retrieve",
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
 	defer func() {
+		// Runs last, after the provider stream is joined: every request
+		// the retrieval launched is counted.
+		res.LookupMsgs = meter.Count(wire.TGetProviders)
+		res.WantHaves = meter.Count(wire.TWantHave)
+		res.WantBlocks = meter.Count(wire.TWantBlock)
 		trsp.Annotate("ok", fmt.Sprint(err == nil))
 		trsp.Annotate("bytes", fmt.Sprint(res.Bytes))
 		trsp.End()
@@ -252,11 +256,10 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	}
 	dsp.End()
 	if ps != nil {
-		// Whatever exit path the retrieval takes, the stream's cost is
-		// collected as it ends: the lookup RPCs (background draining
-		// included) and the candidate count.
+		// Whatever exit path the retrieval takes, the stream is joined as
+		// it ends and its candidates are counted.
 		defer func() {
-			res.LookupMsgs += routing.LookupMessages(ps.Finish())
+			ps.Finish()
 			res.StreamCandidates = len(ps.Candidates())
 		}()
 	}
@@ -312,9 +315,6 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	}
 	data, err = merkledag.AssembleConcurrentOn(fctx, n.src, session, root, 8)
 	ss := session.Stats()
-	res.WantHaves += ss.WantHaves
-	res.WantBlocks += ss.WantBlocks
-	res.LookupMsgs += ss.RoutingMsgs
 	res.SessionFailovers += ss.Failovers
 	fsp.Annotate("blocks", fmt.Sprint(ss.WantBlocks))
 	fsp.Annotate("failovers", fmt.Sprint(ss.Failovers))
@@ -328,7 +328,7 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 
 // recordRetrieve folds one retrieval's instrumentation into the node's
 // metrics registry: per-router counters, the §6.2 latency histograms
-// and the walk/stream message accounting.
+// and the lookup request count.
 func (n *Node) recordRetrieve(res RetrieveResult, err error) {
 	reg := n.tel.Registry()
 	router := n.router.Name()
@@ -362,9 +362,7 @@ func (n *Node) discover(ctx context.Context, root cid.Cid, res *RetrieveResult) 
 	// router-known providers when the router has them, the blind
 	// broadcast otherwise — then the provider stream after its timeout.
 	info, ask, err := n.bswap.AskConnected(ctx, root)
-	res.WantHaves += ask.WantHaves
 	res.SuppressedWants += ask.Suppressed
-	res.LookupMsgs += ask.RoutingMsgs
 	if err == nil {
 		res.BitswapHit = !ask.Routed
 		res.RoutedSession = ask.Routed
@@ -402,8 +400,8 @@ func wrapDiscoveryErr(err error, root cid.Cid) error {
 
 // discoverParallel races the Bitswap ask against the provider stream —
 // the §6.2 optimization trading extra requests for latency. Whichever
-// loses is cancelled and its RPCs are charged (the ask's here, the
-// stream's at Finish).
+// loses is cancelled: the ask is drained here, the stream joined at
+// Finish.
 func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *RetrieveResult) (wire.PeerInfo, *providerStream, error) {
 	src := n.src
 	actx, acancel := src.WithCancel(ctx)
@@ -422,21 +420,16 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 	})
 	ps := n.startProviderStream(ctx, root, sig)
 
-	chargeAsk := func(o askOutcome) {
-		res.WantHaves += o.ask.WantHaves
-		res.SuppressedWants += o.ask.Suppressed
-		res.LookupMsgs += o.ask.RoutingMsgs
-	}
 	var firstErr error
 	askDone, streamDone := false, false
 	streamWin := func(p wire.PeerInfo) (wire.PeerInfo, *providerStream, error) {
 		acancel()
 		if !askDone {
-			// Drain the cancelled ask and charge its RPCs. It deposits
-			// into the buffered channel unconditionally, so the drain
-			// runs detached from the just-fallen context.
+			// Drain the cancelled ask. It deposits into the buffered
+			// channel unconditionally, so the drain runs detached from
+			// the just-fallen context.
 			if o, ok := simtime.Recv(simtime.Detach(ctx), src, askCh); ok {
-				chargeAsk(o)
+				res.SuppressedWants += o.ask.Suppressed
 			}
 		}
 		return p, ps, nil
@@ -445,8 +438,7 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		res.BitswapHit = !o.ask.Routed
 		res.RoutedSession = o.ask.Routed
 		// The stream lost the race but keeps feeding fail-over
-		// candidates while the fetch runs; its RPCs are charged at
-		// Finish.
+		// candidates while the fetch runs; Finish joins it.
 		return o.info, ps, nil
 	}
 	// Merge the two racers: park until the ask outcome, the stream's
@@ -467,7 +459,7 @@ func (n *Node) discoverParallel(ctx context.Context, root cid.Cid, res *Retrieve
 		if !askDone && len(askCh) > 0 {
 			o := <-askCh
 			askDone = true
-			chargeAsk(o)
+			res.SuppressedWants += o.ask.Suppressed
 			if o.err == nil {
 				return askWon(o)
 			}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -70,26 +71,29 @@ func (r *scriptRouter) Provide(context.Context, cid.Cid) (routing.ProvideResult,
 func (r *scriptRouter) ProvideMany(context.Context, []cid.Cid) (routing.ProvideManyResult, error) {
 	return routing.ProvideManyResult{}, errors.New("script router does not publish")
 }
-func (r *scriptRouter) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, int, error) {
-	return nil, 0, routing.ErrNoSessionPeers
+func (r *scriptRouter) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, error) {
+	return nil, routing.ErrNoSessionPeers
 }
-func (r *scriptRouter) FindProvidersStream(ctx context.Context, _ cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
-	end, st := routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
-		info := routing.LookupInfo{Queried: 7}
+
+// FindProvidersStream scripts the stream's batches and, as its final
+// act, counts 7 lookup requests into the operation's meter: a count
+// the caller can read only once the stream is joined.
+func (r *scriptRouter) FindProvidersStream(ctx context.Context, _ cid.Cid) routing.ProviderSeq {
+	end := routing.LazyStream(func() ([]wire.PeerInfo, error) {
+		transport.MeterOf(ctx).Add(wire.TGetProviders, 7)
 		if err := r.src.Sleep(ctx, r.endAfter); err != nil {
-			return nil, info, err
+			return nil, err
 		}
-		return r.last, info, r.err
+		return r.last, r.err
 	})
-	seq := func(yield func([]wire.PeerInfo) bool) {
+	return func(yield func([]wire.PeerInfo) bool) error {
 		for _, s := range r.steps {
 			if r.src.Sleep(ctx, s.after) != nil || !yield(s.peers) {
 				break
 			}
 		}
-		end(yield)
+		return end(yield)
 	}
-	return seq, st
 }
 
 // TestAwaitFirst pins the one wait the serial discovery blocks on —
@@ -117,16 +121,17 @@ func testAwaitFirst(t *testing.T, ctx context.Context, src simtime.Source, u tim
 		r.src = src
 		n.SetRouter(&r)
 		start := src.Stamp()
-		ps := n.startProviderStream(ctx, cid.Sum(multicodec.Raw, []byte(tc.name)), simtime.NewSignal(src))
+		mctx, meter := transport.WithMeter(ctx)
+		ps := n.startProviderStream(mctx, cid.Sum(multicodec.Raw, []byte(tc.name)), simtime.NewSignal(src))
 		got, ok := ps.awaitFirst(ctx)
 		took := src.Since(start)
-		info := ps.Finish()
+		ps.Finish()
 
 		if ok != tc.ok || (ok && got.ID != "provider") {
 			t.Errorf("%s: awaitFirst = %q, %v; want ok=%v", tc.name, got.ID, ok, tc.ok)
 		}
-		if info.Queried != 7 {
-			t.Errorf("%s: Finish reports %d lookup RPCs, want the stream's 7", tc.name, info.Queried)
+		if lookups := meter.Count(wire.TGetProviders); lookups != 7 {
+			t.Errorf("%s: %d lookup RPCs counted once Finish returned, want the stream's 7", tc.name, lookups)
 		}
 		if simtime.SchedulerOf(src) != nil && took != tc.took {
 			t.Errorf("%s: took %v of virtual time, want exactly %v", tc.name, took, tc.took)
@@ -137,7 +142,7 @@ func testAwaitFirst(t *testing.T, ctx context.Context, src simtime.Source, u tim
 // TestDiscoverParallel pins the §6.2 race of the Bitswap ask against
 // the provider stream on the scheduler and on the wall clock: whichever
 // answers first wins, the loser is called off with its RPCs still
-// charged, and when both fail the error is the one that arrived first.
+// counted, and when both fail the error is the one that arrived first.
 // The neighbour sits on a simulated network, so on the wall clock its
 // one round trip is some real milliseconds: the scripted stream keeps
 // tens of units clear of it.
@@ -192,7 +197,8 @@ func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source,
 
 		var res RetrieveResult
 		start := src.Stamp()
-		tctx, tsp := getter.Telemetry().StartTrace(ctx, "retrieve")
+		mctx, meter := transport.WithMeter(ctx)
+		tctx, tsp := getter.Telemetry().StartTrace(mctx, "retrieve")
 		dctx, dsp := telemetry.StartSpan(tctx, "discover")
 		got, ps, err := getter.discoverParallel(dctx, root, &res)
 		dsp.Annotate("routed", fmt.Sprint(res.RoutedSession))
@@ -205,7 +211,7 @@ func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source,
 			_, fpsp := telemetry.StartSpan(tctx, "first-provider")
 			fpsp.End()
 		}
-		info := ps.Finish()
+		ps.Finish()
 		tsp.End()
 		retrievePhases(tsp, &res)
 
@@ -221,10 +227,10 @@ func testDiscoverParallel(t *testing.T, ctx context.Context, src simtime.Source,
 		case !tc.hit && (got.ID != "far" || res.BitswapHit || res.ProviderWalk <= 0):
 			t.Errorf("%s: provider %q (bitswap hit %v, walk %v), want the streamed one", tc.name, got.ID, res.BitswapHit, res.ProviderWalk)
 		}
-		// The loser's RPCs: the ask's WANT-HAVE lands on the result
-		// here, the stream's lookup messages are Finish's to report.
-		if res.WantHaves != tc.wantHaves || info.Queried != 7 {
-			t.Errorf("%s: charged %d WANT-HAVEs and %d lookup RPCs, want %d and 7", tc.name, res.WantHaves, info.Queried, tc.wantHaves)
+		// The loser's RPCs count too: the ask's WANT-HAVE and, once
+		// Finish has joined it, the stream's lookup messages.
+		if wh, lookups := meter.Count(wire.TWantHave), meter.Count(wire.TGetProviders); wh != tc.wantHaves || lookups != 7 {
+			t.Errorf("%s: counted %d WANT-HAVEs and %d lookup RPCs, want %d and 7", tc.name, wh, lookups, tc.wantHaves)
 		}
 		if simtime.SchedulerOf(src) == nil {
 			continue

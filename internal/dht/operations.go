@@ -14,6 +14,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -84,10 +85,10 @@ func (d *DHT) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 // batch reproduces the §3.2 single-response termination exactly);
 // returning true keeps the walk going toward convergence, so later
 // responses become fail-over candidates instead of being discarded.
-func (d *DHT) FindProvidersStream(ctx context.Context, c cid.Cid, emit func([]wire.PeerInfo) bool) WalkInfo {
+func (d *DHT) FindProvidersStream(ctx context.Context, c cid.Cid, emit func([]wire.PeerInfo) bool) {
 	key := c.Bytes()
 	target := kbucket.KeyForBytes(key)
-	_, _, info := d.walk(ctx, target,
+	d.walk(ctx, target,
 		func() wire.Message { return wire.Message{Type: wire.TGetProviders, Key: key} },
 		func(resp wire.Message) bool {
 			if len(resp.Providers) == 0 {
@@ -102,7 +103,6 @@ func (d *DHT) FindProvidersStream(ctx context.Context, c cid.Cid, emit func([]wi
 			}
 			return !emit(providers)
 		})
-	return info
 }
 
 // FindPeer resolves a PeerID to its signed peer record via a second DHT
@@ -169,6 +169,7 @@ func (d *DHT) PutIPNS(ctx context.Context, key []byte, data []byte) (int, error)
 func StoreBatch(ctx context.Context, sw *swarm.Swarm, timeout time.Duration, targets []wire.PeerInfo, req wire.Message) []wire.PeerInfo {
 	ctx, sp := telemetry.StartSpan(ctx, "store-batch")
 	defer sp.End()
+	transport.MeterOf(ctx).Add(req.Type, len(targets))
 	src := sw.Time()
 	g := simtime.NewGroup(src)
 	var mu sync.Mutex

@@ -9,6 +9,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -139,6 +140,7 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 	}()
 	inflight := 0
 	launched := 0
+	meter := transport.MeterOf(ctx)
 
 	launch := func() {
 		for inflight < d.cfg.Alpha && launched < maxWalkQueries {
@@ -149,6 +151,9 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			c.state = stateInflight
 			inflight++
 			launched++
+			req := mkReq()
+			req.Peers = d.selfInfo()
+			meter.Add(req.Type, 1)
 			// Snapshot the candidate's info on this goroutine: the main
 			// loop keeps mutating candidates (addCandidate backfills
 			// Addrs on responses), and the query goroutine must not read
@@ -157,8 +162,6 @@ func (d *DHT) walk(ctx context.Context, target kbucket.Key, mkReq func() wire.Me
 			src.Go(walkCtx, func(gctx context.Context) {
 				qctx, qcancel := src.WithTimeout(gctx, d.cfg.QueryTimeout)
 				defer qcancel()
-				req := mkReq()
-				req.Peers = d.selfInfo()
 				resp, err := d.sw.Request(qctx, pi.ID, pi.Addrs, req)
 				results <- queryResult{id: pi.ID, resp: resp, err: err}
 			})

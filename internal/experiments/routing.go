@@ -401,7 +401,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 				}
 				p.roots = append(p.roots, pub.Cid)
 				p.rp.PubLatency.AddDuration(pub.TotalDuration)
-				p.rp.PubMsgs.Add(float64(routing.ProvideMessages(pub.ProvideResult)))
+				p.rp.PubMsgs.Add(float64(pub.RPCs))
 				if p.kind == routing.KindIndexer {
 					sc.TrackRoots(pub.Cid)
 				}
@@ -441,7 +441,7 @@ func RunRoutingComparison(cfg RoutingConfig) *RoutingResults {
 					out.Failures++
 				}
 				p.rp.RepubCIDs = st.Batch.CIDs
-				p.rp.RepubRPCs.Add(float64(st.Batch.Msgs()))
+				p.rp.RepubRPCs.Add(float64(st.RPCs))
 			}
 			return out
 		})

@@ -107,3 +107,15 @@ func TestSessionRoutingHeadlineGolden(t *testing.T) {
 	fmt.Fprintf(&b, "discover-p99-s                    %s\n", num(telemetry.DiscoverP99(res.Traces).Seconds()))
 	goldenCompare(t, "session_routing.golden", b.String()+res.BudgetReport())
 }
+
+// TestRoutingTableGolden pins the routing comparison's rendered table
+// and summary on a small four-router run: the per-router message
+// columns (publication, retrieval and WANT-HAVE counts, republish RPCs
+// per cycle) that no other golden holds, including the parallel
+// router's race, whose losers' requests count toward its publication.
+func TestRoutingTableGolden(t *testing.T) {
+	res := RunRoutingComparison(RoutingConfig{
+		NetworkSize: 120, Objects: 3, Ticks: 2, Window: 8 * time.Hour, ChurnAmplitude: 3, Seed: 7,
+	})
+	goldenCompare(t, "routing_table.golden", res.Table()+res.Summary())
+}

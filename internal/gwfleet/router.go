@@ -51,40 +51,38 @@ func (r *CachingRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (routin
 // yields the cached records as a single batch without any RPC; a miss
 // streams from the inner router while teeing every yielded batch into
 // the cache.
-func (r *CachingRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
+func (r *CachingRouter) FindProvidersStream(ctx context.Context, c cid.Cid) routing.ProviderSeq {
 	if cached := r.shared.Providers(c); len(cached) > 0 {
-		return routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
-			return cached, routing.LookupInfo{}, nil
-		})
+		return routing.LazyStream(func() ([]wire.PeerInfo, error) { return cached, nil })
 	}
-	seq, st := r.inner.FindProvidersStream(ctx, c)
-	tee := func(yield func([]wire.PeerInfo) bool) {
+	seq := r.inner.FindProvidersStream(ctx, c)
+	return func(yield func([]wire.PeerInfo) bool) error {
 		var learned []wire.PeerInfo
-		seq(func(batch []wire.PeerInfo) bool {
+		err := seq(func(batch []wire.PeerInfo) bool {
 			learned = append(learned, batch...)
 			return yield(batch)
 		})
 		if len(learned) > 0 {
 			r.shared.PutProviders(c, learned)
 		}
+		return err
 	}
-	return tee, st
 }
 
 // SessionPeers implements routing.Router: cached providers answer for
 // free; misses delegate and cache the inner router's answer.
-func (r *CachingRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (r *CachingRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	if cached := r.shared.Providers(c); len(cached) > 0 {
 		if len(cached) > n {
 			cached = cached[:n]
 		}
-		return cached, 0, nil
+		return cached, nil
 	}
-	infos, rpcs, err := r.inner.SessionPeers(ctx, c, n)
+	infos, err := r.inner.SessionPeers(ctx, c, n)
 	if err == nil {
 		r.shared.PutProviders(c, infos)
 	}
-	return infos, rpcs, err
+	return infos, err
 }
 
 // WantBroadcast implements routing.Router by delegating: the broadcast

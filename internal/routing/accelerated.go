@@ -188,7 +188,7 @@ func (r *AcceleratedRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Pr
 // FindProvidersStream implements Router: the one-hop snapshot lookup,
 // yielding the winning response's providers, chained into the fallback
 // walk's stream when the snapshot neighbourhood is exhausted.
-func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
+func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) ProviderSeq {
 	return streamWithFallback(ctx, r.lookup, r.fallback, c)
 }
 
@@ -196,7 +196,7 @@ func (r *AcceleratedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) 
 // FindProviders, without the walk fallback — a session candidate miss
 // costs Bitswap nothing but the direct RPCs, and the caller decides
 // whether to broadcast or walk next.
-func (r *AcceleratedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (r *AcceleratedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	return sessionFromLookup(ctx, r.lookup, c, n)
 }
 
@@ -205,8 +205,8 @@ func (r *AcceleratedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) 
 // provide stored on, so the closest peer alone answers the common
 // case; the lookup widens to Parallelism peers a wave only when the
 // neighbourhood turns out stale.
-func (r *AcceleratedRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
-	return r.ask(ctx, "accel-direct", c, r.closest(c.Bytes()), r.cfg.Parallelism, func(batch []wire.PeerInfo) bool {
+func (r *AcceleratedRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) {
+	r.ask(ctx, "accel-direct", c, r.closest(c.Bytes()), r.cfg.Parallelism, func(batch []wire.PeerInfo) bool {
 		yield(batch)
 		return false
 	})

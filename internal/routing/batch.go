@@ -11,6 +11,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/slab"
 	"repro/internal/swarm"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -316,6 +317,7 @@ func runBatch(ctx context.Context, sw *swarm.Swarm, src simtime.Source, timeout 
 	self := wire.PeerInfo{ID: sw.Local(), Addrs: sw.Addrs()}
 	g := simtime.NewGroup(src)
 	var mu sync.Mutex
+	transport.MeterOf(ctx).Add(wire.TAddProvider, len(plan.sends))
 	for _, bs := range plan.sends {
 		bs := bs
 		rpcs++

@@ -10,6 +10,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -69,12 +70,13 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 			tn := buildCleanNet(t, 60, 71)
 			r := tc.build(tn)
 			simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
-				before, _, _ := tn.Net.Stats()
-				res, err := r.ProvideMany(ctx, cids)
+				before := tn.Net.Budget().Requests
+				mctx, meter := transport.WithMeter(ctx)
+				res, err := r.ProvideMany(mctx, cids)
 				if err != nil {
 					t.Fatalf("ProvideMany: %v", err)
 				}
-				after, _, _ := tn.Net.Stats()
+				after := tn.Net.Budget().Requests
 				if res.Targets != tc.targets {
 					t.Errorf("Targets = %d, want %d", res.Targets, tc.targets)
 				}
@@ -87,8 +89,8 @@ func TestProvideManyOneRPCPerDistinctTarget(t *testing.T) {
 				if res.Provided != len(cids) {
 					t.Errorf("Provided = %d, want %d", res.Provided, len(cids))
 				}
-				if res.Walks != 0 {
-					t.Errorf("Walks = %d, want 0 for one-hop batching", res.Walks)
+				if walks := meter.Count(wire.TFindNode); walks != 0 {
+					t.Errorf("batch sent %d walk queries, want 0 for one-hop batching", walks)
 				}
 			})
 		})
@@ -118,12 +120,12 @@ func TestProvideManyAckLedgerSkipsConfirmedTargets(t *testing.T) {
 		}
 
 		// Same cycle: everything is ledger-fresh, the batch sends nothing.
-		before, _, _ := tn.Net.Stats()
+		before := tn.Net.Budget().Requests
 		res, err := r.ProvideMany(ctx, cids)
 		if err != nil {
 			t.Fatalf("ProvideMany (fresh): %v", err)
 		}
-		after, _, _ := tn.Net.Stats()
+		after := tn.Net.Budget().Requests
 		if res.StoreRPCs != 0 || after != before {
 			t.Errorf("fresh batch sent %d RPCs (network saw %d), want 0 — the acks were confirmed this cycle", res.StoreRPCs, after-before)
 		}
@@ -136,12 +138,12 @@ func TestProvideManyAckLedgerSkipsConfirmedTargets(t *testing.T) {
 
 		// Next cycle: the acks are stale, every target is re-pushed once.
 		routing.AdvanceCycle(r)
-		before, _, _ = tn.Net.Stats()
+		before = tn.Net.Budget().Requests
 		res, err = r.ProvideMany(ctx, cids)
 		if err != nil {
 			t.Fatalf("ProvideMany (next cycle): %v", err)
 		}
-		after, _, _ = tn.Net.Stats()
+		after = tn.Net.Budget().Requests
 		if res.StoreRPCs != 6 || int(after-before) != 6 {
 			t.Errorf("next-cycle batch sent %d RPCs (network saw %d), want 6 — one per distinct target", res.StoreRPCs, after-before)
 		}
@@ -220,11 +222,12 @@ func TestProvideManyRewalksDeadRememberedTargets(t *testing.T) {
 		}
 		r.Ledger().SetTargets(c.Key(), dead)
 
-		res, err := r.ProvideMany(ctx, []cid.Cid{c})
+		mctx, meter := transport.WithMeter(ctx)
+		res, err := r.ProvideMany(mctx, []cid.Cid{c})
 		if err != nil {
 			t.Fatalf("ProvideMany: %v", err)
 		}
-		if res.Walks == 0 {
+		if meter.Count(wire.TFindNode) == 0 {
 			t.Error("dead remembered targets did not trigger a re-walk")
 		}
 		if res.Provided != 1 {

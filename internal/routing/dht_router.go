@@ -52,8 +52,6 @@ func (r *DHTRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, erro
 // ADD_PROVIDER RPC per distinct target — the O(CIDs × walk) republish
 // collapsed to O(distinct target peers).
 func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error) {
-	walks := 0
-	var walkInfo LookupInfo
 	targetsOf := func(c cid.Cid) []wire.PeerInfo {
 		key := c.Key()
 		if targets := r.ledger.Targets(key); len(targets) > 0 {
@@ -62,9 +60,7 @@ func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideMan
 		if ctx.Err() != nil {
 			return nil
 		}
-		closest, winfo, err := r.d.WalkClosest(ctx, kbucket.KeyForBytes(c.Bytes()), c.Bytes())
-		walks++
-		walkInfo = mergeLookup(walkInfo, winfo)
+		closest, _, err := r.d.WalkClosest(ctx, kbucket.KeyForBytes(c.Bytes()), c.Bytes())
 		if err != nil || len(closest) == 0 {
 			return nil
 		}
@@ -72,8 +68,6 @@ func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideMan
 		return closest
 	}
 	res, provided := provideManyGrouped(ctx, r.d.Swarm(), r.d.Time(), storeTimeout, r.ledger, cids, targetsOf)
-	res.Walks = walks
-	res.Walk = walkInfo
 	// Re-walk CIDs whose remembered target set failed to ack a single
 	// record — the §3.1 point of republish is reassigning records when
 	// holders churn away, so a dead target set must not pin a CID to
@@ -84,8 +78,6 @@ func (r *DHTRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideMan
 			break
 		}
 		pres, err := r.Provide(ctx, c)
-		res.Walks++
-		res.Walk = mergeLookup(res.Walk, pres.Walk)
 		res.StoreRPCs += pres.StoreAttempts
 		res.Acked += pres.StoreOK
 		if err == nil {
@@ -110,12 +102,11 @@ const storeTimeout = 60 * time.Second
 // The consumer stopping at the first batch reproduces the deployed
 // terminate-on-first-record behaviour; draining further turns later
 // responses into fail-over candidates.
-func (r *DHTRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
-	st := &StreamInfo{}
-	seq := func(yield func([]wire.PeerInfo) bool) {
+func (r *DHTRouter) FindProvidersStream(ctx context.Context, c cid.Cid) ProviderSeq {
+	return func(yield func([]wire.PeerInfo) bool) error {
 		emitted := false
 		seen := make(map[peer.ID]bool)
-		info := r.d.FindProvidersStream(ctx, c, func(batch []wire.PeerInfo) bool {
+		r.d.FindProvidersStream(ctx, c, func(batch []wire.PeerInfo) bool {
 			batch = dedupProviders(seen, batch)
 			if len(batch) == 0 {
 				return true // all duplicates; keep walking
@@ -123,23 +114,22 @@ func (r *DHTRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Provide
 			emitted = true
 			return yield(batch)
 		})
-		var err error
-		if !emitted {
-			if err = ctx.Err(); err == nil {
-				err = ErrNoProviders
-			}
+		if emitted {
+			return nil
 		}
-		st.set(info, err)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return ErrNoProviders
 	}
-	return seq, st
 }
 
 // SessionPeers implements Router. The walk-based client has no provider
 // knowledge short of the multi-hop lookup, so it declines: Bitswap
 // keeps today's opportunistic broadcast and the walk stays the
 // FindProviders fallback.
-func (r *DHTRouter) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, int, error) {
-	return nil, 0, ErrNoSessionPeers
+func (r *DHTRouter) SessionPeers(context.Context, cid.Cid, int) ([]wire.PeerInfo, error) {
+	return nil, ErrNoSessionPeers
 }
 
 // WantBroadcast implements Router: the deployed client broadcasts.

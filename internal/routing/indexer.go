@@ -324,20 +324,19 @@ func (r *IndexerRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provid
 // open merges the whole replica group's knowledge). An offline shard
 // owner just costs one failed RPC before the next replica answers —
 // the fail-over path under churn. A full miss chains into the DHT
-// fallback's stream with the indexer RPCs included in the reported
-// message count.
-func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
+// fallback's stream.
+func (r *IndexerRouter) FindProvidersStream(ctx context.Context, c cid.Cid) ProviderSeq {
 	return streamWithFallback(ctx, r.lookup, r.fallback, c)
 }
 
 // SessionPeers implements Router: the replica lookup stopped at the
 // first replica that knows the key, without the DHT fallback — a
 // session candidate miss leaves the caller on the broadcast/walk path.
-func (r *IndexerRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (r *IndexerRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	return sessionFromLookup(ctx, r.lookup, c, n)
 }
 
 // lookup asks the replicas of c's shard one at a time, in order.
-func (r *IndexerRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo {
-	return r.ask(ctx, "indexer-direct", c, r.targetsFor(c), 1, yield)
+func (r *IndexerRouter) lookup(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) {
+	r.ask(ctx, "indexer-direct", c, r.targetsFor(c), 1, yield)
 }

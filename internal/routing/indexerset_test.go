@@ -14,6 +14,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -224,17 +225,16 @@ func TestShardFailoverExtraRPCsPinned(t *testing.T) {
 		find func(context.Context, *routing.IndexerRouter, cid.Cid) ([]wire.PeerInfo, int, error)
 	}{
 		{"FindProvidersStream", func(ctx context.Context, r *routing.IndexerRouter, c cid.Cid) ([]wire.PeerInfo, int, error) {
-			providers, info, err := findProviders(ctx, r, c)
-			return providers, routing.LookupMessages(info), err
+			return findProviders(ctx, r, c)
 		}},
 		{"SessionPeers", func(ctx context.Context, r *routing.IndexerRouter, c cid.Cid) ([]wire.PeerInfo, int, error) {
-			return r.SessionPeers(ctx, c, 1)
+			return sessionPeers(ctx, r, c)
 		}},
 	}
 	cases := []struct {
 		name          string
 		primaryDown   bool
-		wantMsgs      int   // routing RPCs the lookup reports
+		wantMsgs      int   // routing RPCs the lookup counts
 		wantRequests  int64 // requests the network actually carried
 		wantDialFails int64
 	}{
@@ -265,7 +265,7 @@ func TestShardFailoverExtraRPCsPinned(t *testing.T) {
 							t.Fatalf("providers = %v, want the publisher via a live replica", providers)
 						}
 						if msgs != tc.wantMsgs {
-							t.Errorf("lookup reports %d RPCs, want %d", msgs, tc.wantMsgs)
+							t.Errorf("lookup counted %d RPCs, want %d", msgs, tc.wantMsgs)
 						}
 						d := h.net.Budget().Sub(before)
 						if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
@@ -365,18 +365,18 @@ func TestShardedStreamMergesReplicas(t *testing.T) {
 		sw := swarm.New(ident, ep, h.src)
 		get := h.router(sw, nil)
 
-		seq, st := get.FindProvidersStream(ctx, c)
+		mctx, meter := transport.WithMeter(ctx)
 		seen := make(map[peer.ID]int)
 		batches := 0
-		seq(func(batch []wire.PeerInfo) bool {
+		err := get.FindProvidersStream(mctx, c)(func(batch []wire.PeerInfo) bool {
 			batches++
 			for _, p := range batch {
 				seen[p.ID]++
 			}
 			return true
 		})
-		if st.Err() != nil {
-			t.Fatalf("stream error: %v", st.Err())
+		if err != nil {
+			t.Fatalf("stream error: %v", err)
 		}
 		if len(seen) != 2 {
 			t.Fatalf("merged stream saw providers %v, want both publishers", seen)
@@ -389,8 +389,8 @@ func TestShardedStreamMergesReplicas(t *testing.T) {
 		if batches != 2 {
 			t.Errorf("stream yielded %d batches, want one per answering replica", batches)
 		}
-		if st.Info().Queried != 2 {
-			t.Errorf("stream queried %d replicas, want 2", st.Info().Queried)
+		if q := meter.Count(wire.TGetProviders); q != 2 {
+			t.Errorf("stream queried %d replicas, want 2", q)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -25,8 +26,10 @@ type timedBatch struct {
 
 // scriptedMember is a race member whose provider stream yields scripted
 // batches at scripted instants on src and then ends with err (an
-// exhausted lookup when nil). A deaf member never observes cancellation:
-// it keeps sleeping and yielding after the race was called off.
+// exhausted lookup when nil), counting one lookup request into the
+// operation's meter as its final act. A deaf member never observes
+// cancellation: it keeps sleeping and yielding after the race was
+// called off.
 type scriptedMember struct {
 	*fakeRouter
 	src     simtime.Source
@@ -35,14 +38,15 @@ type scriptedMember struct {
 	deaf    bool
 }
 
-func (m *scriptedMember) FindProvidersStream(ctx context.Context, _ cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
+func (m *scriptedMember) FindProvidersStream(ctx context.Context, _ cid.Cid) routing.ProviderSeq {
 	if m.deaf {
 		ctx = context.WithoutCancel(ctx)
 	}
-	end, st := routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
-		return nil, routing.LookupInfo{Queried: 1}, m.err
+	end := routing.LazyStream(func() ([]wire.PeerInfo, error) {
+		transport.MeterOf(ctx).Add(wire.TGetProviders, 1)
+		return nil, m.err
 	})
-	seq := func(yield func([]wire.PeerInfo) bool) {
+	return func(yield func([]wire.PeerInfo) bool) error {
 		for _, b := range m.batches {
 			if m.src.Sleep(ctx, b.after) != nil {
 				break
@@ -55,15 +59,14 @@ func (m *scriptedMember) FindProvidersStream(ctx context.Context, _ cid.Cid) (ro
 				break
 			}
 		}
-		end(yield)
+		return end(yield)
 	}
-	return seq, st
 }
 
 // TestParallelStreamMerge pins the one merge FindProvidersStream is
 // written on, with the same outcome on the scheduler and on the wall
 // clock: the winner's batch
-// first, duplicates dropped, every member joined (its RPCs charged, its
+// first, duplicates dropped, every member joined (its RPCs counted, its
 // race span closed) before the stream returns, and nothing accepted from
 // a member after the race was called off. On the scheduler the virtual
 // duration is exact.
@@ -120,11 +123,11 @@ func testParallelStreamMerge(t *testing.T, ctx context.Context, src simtime.Sour
 			members[i] = &m
 		}
 		tctx, root := telemetry.NewRecorder(src).StartTrace(ctx, "retrieve")
+		mctx, meter := transport.WithMeter(tctx)
 		start := src.Stamp()
-		seq, st := routing.NewParallel(src, members...).FindProvidersStream(tctx, testCid(tc.name))
 		var got []peer.ID
 		batches := 0
-		seq(func(batch []wire.PeerInfo) bool {
+		err := routing.NewParallel(src, members...).FindProvidersStream(mctx, testCid(tc.name))(func(batch []wire.PeerInfo) bool {
 			for _, p := range batch {
 				got = append(got, p.ID)
 			}
@@ -136,11 +139,11 @@ func testParallelStreamMerge(t *testing.T, ctx context.Context, src simtime.Sour
 		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", tc.want) {
 			t.Errorf("%s: providers = %q, want %q", tc.name, got, tc.want)
 		}
-		if err := st.Err(); !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
+		if !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
 			t.Errorf("%s: stream error = %v, want %v", tc.name, err, tc.err)
 		}
-		if q := st.Info().Queried; q != len(members) {
-			t.Errorf("%s: %d members' lookups charged, want all %d", tc.name, q, len(members))
+		if q := meter.Count(wire.TGetProviders); q != len(members) {
+			t.Errorf("%s: %d members' lookups counted, want all %d", tc.name, q, len(members))
 		}
 		// Only the root may still be open: every racer ended its span
 		// before the merge could see it finished.

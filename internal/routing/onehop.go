@@ -12,6 +12,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -48,8 +49,8 @@ func (h *oneHop) WantBroadcast() bool { return false }
 // provide stores c's provider record on targets, one store-batch and no
 // walk. With no targets the fallback publishes instead. When every
 // store fails (a fully stale neighbourhood, every replica offline) the
-// fallback retries, with the wasted direct RPCs charged onto its
-// result, so the record is never lost and the cost covers both paths.
+// fallback retries, with the wasted direct stores added to its store
+// attempts, so the record is never lost.
 func (h *oneHop) provide(ctx context.Context, c cid.Cid, targets []wire.PeerInfo) (ProvideResult, error) {
 	if len(targets) == 0 {
 		if h.fallback != nil {
@@ -82,7 +83,7 @@ func (h *oneHop) provide(ctx context.Context, c cid.Cid, targets []wire.PeerInfo
 
 // provideMany batches cids against targetsOf — one multi-record RPC per
 // distinct target, ack-ledger skips — and retries through the fallback
-// the CIDs no target accepted, merging the fallback's cost and adding
+// the CIDs no target accepted, merging the fallback's result and adding
 // its successes to the provided count. known reports whether the
 // router has any target at all; without one the fallback takes the
 // whole batch.
@@ -121,18 +122,19 @@ func (h *oneHop) provideMany(ctx context.Context, cids []cid.Cid, known bool, ta
 // span. It asks targets in order, in waves: the first target alone,
 // then the next widen targets at a time, asked concurrently. A
 // wave is cancelled at its first answer that carries providers, then
-// drained so every RPC is counted (a member cut short counts as
-// failed); the providers its answers brought that no earlier answer
-// did are yielded, one answer at a time in arrival order, until yield
-// returns false. A wave without providers moves on to the next. A
-// lookup that never widens asks one peer at a time, inline; a
-// widening one spawns every wave, its first included.
-func (h *oneHop) ask(ctx context.Context, span string, c cid.Cid, targets []wire.PeerInfo, widen int, yield func([]wire.PeerInfo) bool) LookupInfo {
-	var info LookupInfo
+// drained, so the span's answered and failed counts cover every
+// member (one cut short counts as failed); the providers its answers
+// brought that no earlier answer did are yielded, one answer at a
+// time in arrival order, until yield returns false. A wave without
+// providers moves on to the next. A lookup that never widens asks one
+// peer at a time, inline; a widening one spawns every wave, its first
+// included.
+func (h *oneHop) ask(ctx context.Context, span string, c cid.Cid, targets []wire.PeerInfo, widen int, yield func([]wire.PeerInfo) bool) {
+	queried, failed := 0, 0
 	ctx, sp := telemetry.StartSpan(ctx, span)
 	defer func() {
-		sp.Annotate("queried", strconv.Itoa(info.Queried))
-		sp.Annotate("failed", strconv.Itoa(info.Failed))
+		sp.Annotate("queried", strconv.Itoa(queried))
+		sp.Annotate("failed", strconv.Itoa(failed))
 		sp.End()
 	}()
 	req := wire.Message{Type: wire.TGetProviders, Key: c.Bytes()}
@@ -145,23 +147,23 @@ func (h *oneHop) ask(ctx context.Context, span string, c cid.Cid, targets []wire
 		var answers [][]wire.PeerInfo
 		h.askWave(ctx, wave, req, widen == 1, func(resp wire.Message, err error) bool {
 			if err != nil || resp.Type != wire.TProviders {
-				info.Failed++
+				failed++
 				return true
 			}
-			info.Queried++
+			queried++
 			answers = append(answers, resp.Providers)
 			return len(resp.Providers) == 0
 		})
 		for _, providers := range answers {
 			if batch := dedupProviders(seen, fillAddrs(h.sw, providers)); len(batch) > 0 && !yield(batch) {
-				return info
+				return
 			}
 		}
 	}
-	return info
 }
 
-// askWave sends req to every peer of wave and hands each answer to
+// askWave sends req to every peer of wave, counting each request into
+// the operation's meter as it launches, and hands each answer to
 // onAnswer in arrival order. Once onAnswer returns false the rest of
 // the wave is cancelled; their answers — mostly the cancellation's
 // errors — are still handed over. inline asks the peers one after
@@ -172,8 +174,10 @@ func (h *oneHop) askWave(ctx context.Context, wave []wire.PeerInfo, req wire.Mes
 		defer cancel()
 		return h.sw.Request(rctx, pi.ID, pi.Addrs, req)
 	}
+	meter := transport.MeterOf(ctx)
 	if inline {
 		for _, pi := range wave {
+			meter.Add(req.Type, 1)
 			if !onAnswer(request(ctx, pi)) {
 				return
 			}
@@ -184,6 +188,7 @@ func (h *oneHop) askWave(ctx context.Context, wave []wire.PeerInfo, req wire.Mes
 		resp wire.Message
 		err  error
 	}
+	meter.Add(req.Type, len(wave))
 	ch := make(chan answer, len(wave))
 	wctx, cancel := h.src.WithCancel(ctx)
 	defer cancel()
@@ -195,7 +200,7 @@ func (h *oneHop) askWave(ctx context.Context, wave []wire.PeerInfo, req wire.Mes
 	}
 	// Every member deposits exactly once (the channel is buffered to the
 	// wave), so the drain runs detached from ctx: cancelled members
-	// unwind fast and still get counted.
+	// unwind fast and every answer is handed over.
 	for range wave {
 		a, ok := simtime.Recv(simtime.Detach(ctx), h.src, ch)
 		if !ok {

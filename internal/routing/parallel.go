@@ -49,11 +49,11 @@ func (r *ParallelRouter) Members() []Router { return r.members }
 // members push records to disjoint places (DHT neighbourhood, snapshot
 // neighbourhood, indexer store), the winner alone satisfies the §3.1
 // contract; the extra replicas the losers managed before cancellation
-// are a bonus, never a correctness requirement. Every member's RPCs —
-// winners, cancelled losers, and outright failures — are charged onto
-// the returned result so the race's extra-requests-for-latency
-// trade-off shows up in the message accounting even when the whole
-// race fails.
+// are a bonus, never a correctness requirement. The result is the
+// winner's; every member's requests — winners, cancelled losers and
+// outright failures — count into the operation's meter, so the race's
+// extra-requests-for-latency trade-off shows in the publication's
+// request count even when the whole race fails.
 func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult, error) {
 	if len(r.members) == 0 {
 		return ProvideResult{}, fmt.Errorf("routing: parallel provide %s: no members", c)
@@ -66,26 +66,15 @@ func (r *ParallelRouter) Provide(ctx context.Context, c cid.Cid) (ProvideResult,
 		res, err := m.Provide(gctx, c)
 		return outcome{res: res, err: err}
 	}, func(o outcome) bool { return o.err == nil })
-	var firstErr error
-	loserMsgs := 0
-	for i, o := range outs {
-		if i == won {
-			continue
-		}
-		loserMsgs += ProvideMessages(o.v.res)
-		if firstErr == nil {
-			firstErr = o.v.err
-		}
-	}
 	if won < 0 {
-		// Every member failed: the race's RPCs still went out, so they are
-		// returned in the result rather than vanishing from the accounting.
-		return ProvideResult{Walk: LookupInfo{Launched: loserMsgs}}, firstErr
+		var err error // every member failed: report the first to finish
+		if len(outs) > 0 {
+			err = outs[0].v.err
+		}
+		return ProvideResult{}, err
 	}
 	outs[won].sp.Annotate("won", "true") // the publication's phases are the winner's
-	res := outs[won].v.res
-	res.Walk.Launched = LookupMessages(res.Walk) + loserMsgs
-	return res, nil
+	return outs[won].v.res, nil
 }
 
 // raced is one racer's outcome and the span it ran under.
@@ -99,9 +88,8 @@ type raced[T any] struct {
 // with a wins that never fires every member runs to the end.
 // It joins every racer before returning — detached from ctx, since each
 // deposits exactly once into the buffered channel and cancelled losers
-// unwind promptly — so the losers' RPCs can still be charged. It
-// returns the outcomes in arrival order and the winner's index, -1
-// when none won.
+// unwind promptly — so no racer outlives the call. It returns the
+// outcomes in arrival order and the winner's index, -1 when none won.
 func race[T any](ctx context.Context, src simtime.Source, members []Router, call func(context.Context, Router) T, wins func(T) bool) ([]raced[T], int) {
 	pctx, cancel := src.WithCancel(ctx)
 	defer cancel()
@@ -139,8 +127,8 @@ func race[T any](ctx context.Context, src simtime.Source, members []Router, call
 // record store (DHT neighbourhood, snapshot neighbourhood, indexer),
 // so a republish cannot race-and-cancel the way Provide does without
 // letting the losers' replicas decay. The aggregated result sums every
-// member's RPCs; Provided is the best member's count (a CID is
-// reachable if any member landed it).
+// member's targets and stores; Provided is the best member's count (a
+// CID is reachable if any member landed it).
 func (r *ParallelRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error) {
 	if len(r.members) == 0 {
 		return ProvideManyResult{}, fmt.Errorf("routing: parallel provide batch of %d: no members", len(cids))
@@ -172,31 +160,25 @@ func (r *ParallelRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (Provi
 }
 
 // SessionPeers implements Router: members race their cheap candidate
-// lookups and the first non-empty answer wins, with losers cancelled
-// and their RPCs charged onto the reported message count. Members with
-// no session knowledge (the walk baseline) decline instantly, so the
-// race degenerates to the one-hop members.
-func (r *ParallelRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+// lookups and the first non-empty answer wins, with losers cancelled.
+// Members with no session knowledge (the walk baseline) decline
+// instantly, so the race degenerates to the one-hop members.
+func (r *ParallelRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	if len(r.members) == 0 {
-		return nil, 0, fmt.Errorf("routing: parallel session peers %s: no members", c)
+		return nil, fmt.Errorf("routing: parallel session peers %s: no members", c)
 	}
 	type outcome struct {
 		peers []wire.PeerInfo
-		msgs  int
 		err   error
 	}
 	outs, won := race(ctx, r.src, r.members, func(gctx context.Context, m Router) outcome {
-		peers, msgs, err := m.SessionPeers(gctx, c, n)
-		return outcome{peers: peers, msgs: msgs, err: err}
+		peers, err := m.SessionPeers(gctx, c, n)
+		return outcome{peers: peers, err: err}
 	}, func(o outcome) bool { return o.err == nil && len(o.peers) > 0 })
-	msgs := 0
-	for _, o := range outs {
-		msgs += o.v.msgs
-	}
 	if won < 0 {
-		return nil, msgs, ErrNoSessionPeers
+		return nil, ErrNoSessionPeers
 	}
-	return outs[won].v.peers, msgs, nil
+	return outs[won].v.peers, nil
 }
 
 // WantBroadcast implements Router: the composite broadcasts when any
@@ -217,33 +199,29 @@ func (r *ParallelRouter) WantBroadcast() bool {
 // yielded (deduplicated) in arrival order — the first batch from any
 // member is the race winner, and slower members' partial results
 // become fail-over candidates instead of being discarded with the
-// losers. The aggregated statistics charge every member's RPCs,
-// cancelled losers included.
+// losers.
 //
 // Member streams deposit batches into a mutex-guarded queue — producers
 // never block, which keeps the scheduler's quiescence detection sound —
 // and the single consumer parks until a batch or a member completion is
 // available. Under the scheduler arrival order is the event order, so
 // seeded runs replay the same merge.
-func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo) {
-	st := &StreamInfo{}
-	seq := func(yield func([]wire.PeerInfo) bool) {
+func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) ProviderSeq {
+	return func(yield func([]wire.PeerInfo) bool) error {
 		if len(r.members) == 0 {
-			st.set(LookupInfo{}, fmt.Errorf("routing: parallel find %s: no members", c))
-			return
+			return fmt.Errorf("routing: parallel find %s: no members", c)
 		}
 		pctx, cancel := r.src.WithCancel(ctx)
 		defer cancel()
 		var mu sync.Mutex
 		var pending [][]wire.PeerInfo
-		done := make(chan *StreamInfo, len(r.members))
+		done := make(chan error, len(r.members))
 		sig := simtime.NewSignal(r.src)
 		for _, m := range r.members {
 			mctx, sp := telemetry.StartSpan(pctx, "race:"+m.Name())
 			m := m
 			r.src.Go(mctx, func(gctx context.Context) {
-				mseq, mst := m.FindProvidersStream(gctx, c)
-				mseq(func(batch []wire.PeerInfo) bool {
+				err := m.FindProvidersStream(gctx, c)(func(batch []wire.PeerInfo) bool {
 					if gctx.Err() != nil {
 						return false
 					}
@@ -256,7 +234,7 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 				// The span ends before the completion is visible, so none
 				// is open once the consumer has joined every member.
 				sp.End()
-				done <- mst
+				done <- err
 				sig.Notify()
 			})
 		}
@@ -295,12 +273,10 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 			}
 		}
 		finished := 0
-		var agg LookupInfo
 		var firstErr error
-		// The consumer must join every member (their infos carry the RPC
-		// accounting), so the wait runs detached from pctx: cancelled
-		// members unwind promptly and deposit into the buffered done
-		// channel.
+		// The consumer joins every member, so the wait runs detached from
+		// pctx: cancelled members unwind promptly and deposit into the
+		// buffered done channel.
 		dctx := simtime.Detach(pctx)
 		for finished < len(r.members) {
 			if err := sig.Wait(dctx, func() bool { return queued() > 0 || len(done) > 0 }); err != nil {
@@ -308,22 +284,19 @@ func (r *ParallelRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (Pr
 			}
 			drain()
 			for len(done) > 0 {
-				mst := <-done
 				finished++
-				agg = mergeLookup(agg, mst.Info())
-				if err := mst.Err(); err != nil && firstErr == nil {
+				if err := <-done; err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
 		}
 		drain() // batches deposited between the last wake and the last join
-		var err error
-		if !emitted {
-			if err = firstErr; err == nil {
-				err = ErrNoProviders
-			}
+		if emitted {
+			return nil
 		}
-		st.set(agg, err)
+		if firstErr != nil {
+			return firstErr
+		}
+		return ErrNoProviders
 	}
-	return seq, st
 }

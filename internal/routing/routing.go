@@ -30,7 +30,6 @@ package routing
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"repro/internal/cid"
 	"repro/internal/dht"
@@ -56,53 +55,21 @@ const (
 )
 
 // ProvideResult aliases the DHT's publication instrumentation so every
-// router reports the same counts. One-hop routers leave the walk fields
-// zero and record no dht-walk span — that is the saving they exist to
-// demonstrate.
+// router reports the same store counts. One-hop routers leave the walk
+// fields zero and record no dht-walk span — that is the saving they
+// exist to demonstrate. A publication's request count is not here: it
+// is read off the operation's transport.Meter.
 type ProvideResult = dht.ProvideResult
-
-// LookupInfo aliases the DHT's walk statistics; non-walking routers fill
-// Queried/Failed with their direct RPC counts so message accounting
-// stays comparable across implementations.
-type LookupInfo = dht.WalkInfo
 
 // ProviderSeq is a push iterator over provider batches: one yield per
 // record-carrying lookup response, in arrival order. yield returning
 // false stops the underlying lookup. The sequence runs synchronously
 // inside the call — run it on its own goroutine to consume the first
-// batch while the lookup keeps producing fail-over candidates.
-type ProviderSeq func(yield func([]wire.PeerInfo) bool)
-
-// StreamInfo carries a streaming lookup's statistics and terminal
-// error; both are final once the ProviderSeq invocation returns (it is
-// safe to read them from another goroutine after that).
-type StreamInfo struct {
-	mu   sync.Mutex
-	info LookupInfo
-	err  error
-}
-
-func (s *StreamInfo) set(info LookupInfo, err error) {
-	s.mu.Lock()
-	s.info, s.err = info, err
-	s.mu.Unlock()
-}
-
-// Info returns the lookup statistics accumulated by the stream.
-func (s *StreamInfo) Info() LookupInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.info
-}
-
-// Err returns the lookup's terminal error: nil when at least one
-// provider batch was yielded, ErrNoProviders on an exhausted lookup, or
-// the context error.
-func (s *StreamInfo) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+// batch while the lookup keeps producing fail-over candidates. It
+// returns the lookup's terminal error: nil when at least one provider
+// batch was yielded, ErrNoProviders on an exhausted lookup, or the
+// context error.
+type ProviderSeq func(yield func([]wire.PeerInfo) bool) error
 
 // ProvideManyResult instruments one batched publication: a whole CID
 // batch grouped by target peer and pushed with one multi-record
@@ -119,16 +86,6 @@ type ProvideManyResult struct {
 	// ledger had every one of their records confirmed this cycle.
 	SkippedTargets int
 	Acked          int // store RPCs acknowledged
-	// Walks counts full WalkClosest lookups paid for CIDs with no
-	// remembered target set (first publication through this router).
-	Walks int
-	Walk  LookupInfo // aggregate cost of those walks
-}
-
-// Msgs counts the routing RPCs the batch issued: walk queries plus
-// store RPCs.
-func (r ProvideManyResult) Msgs() int {
-	return LookupMessages(r.Walk) + r.StoreRPCs
 }
 
 // merge folds another batch result (a fallback's, or a parallel
@@ -138,8 +95,6 @@ func (r ProvideManyResult) merge(o ProvideManyResult) ProvideManyResult {
 	r.StoreRPCs += o.StoreRPCs
 	r.SkippedTargets += o.SkippedTargets
 	r.Acked += o.Acked
-	r.Walks += o.Walks
-	r.Walk = mergeLookup(r.Walk, o.Walk)
 	return r
 }
 
@@ -162,17 +117,15 @@ type Router interface {
 	// whole batch failed to land a single record.
 	ProvideMany(ctx context.Context, cids []cid.Cid) (ProvideManyResult, error)
 	// FindProvidersStream starts a provider lookup for c and returns an
-	// iterator yielding provider batches as responses arrive, plus the
-	// accessor for the lookup's statistics and terminal error (valid
-	// once the iterator returns). Implementations end the stream when
-	// their lookup is exhausted or the consumer's yield returns false.
-	FindProvidersStream(ctx context.Context, c cid.Cid) (ProviderSeq, *StreamInfo)
+	// iterator yielding provider batches as responses arrive.
+	// Implementations end the stream when their lookup is exhausted or
+	// the consumer's yield returns false.
+	FindProvidersStream(ctx context.Context, c cid.Cid) ProviderSeq
 	// SessionPeers returns up to n candidate peers believed to hold c
-	// without paying a multi-hop walk, plus the routing RPCs spent
-	// learning them. Routers with no cheap provider knowledge (the
-	// baseline walk) return ErrNoSessionPeers, keeping Bitswap on its
-	// opportunistic broadcast.
-	SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error)
+	// without paying a multi-hop walk. Routers with no cheap provider
+	// knowledge (the baseline walk) return ErrNoSessionPeers, keeping
+	// Bitswap on its opportunistic broadcast.
+	SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error)
 	// WantBroadcast reports whether Bitswap's opportunistic WANT-HAVE
 	// broadcast should still run alongside routed session candidates.
 	// One-hop routers answer false — they know the providers, so the
@@ -185,19 +138,17 @@ type Router interface {
 // surface: the lookup runs when the sequence is invoked and its result
 // is yielded as a single batch. Custom Router implementations built on
 // one-shot lookups use it to satisfy FindProvidersStream.
-func LazyStream(lookup func() ([]wire.PeerInfo, LookupInfo, error)) (ProviderSeq, *StreamInfo) {
-	st := &StreamInfo{}
-	seq := func(yield func([]wire.PeerInfo) bool) {
-		providers, info, err := lookup()
+func LazyStream(lookup func() ([]wire.PeerInfo, error)) ProviderSeq {
+	return func(yield func([]wire.PeerInfo) bool) error {
+		providers, err := lookup()
 		if err == nil && len(providers) == 0 {
 			err = ErrNoProviders
 		}
-		st.set(info, err)
 		if err == nil {
 			yield(providers)
 		}
+		return err
 	}
-	return seq, st
 }
 
 // ErrNoProviders is returned when a lookup exhausts every path without
@@ -240,97 +191,56 @@ func sessionMissed(ctx context.Context, c cid.Cid) bool {
 
 // lookupFn is a one-hop router's lookup (snapshot neighbourhood or
 // shard replicas): it yields provider batches until yield returns
-// false or its targets are exhausted, and returns what it spent.
-type lookupFn func(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool) LookupInfo
+// false or its targets are exhausted.
+type lookupFn func(ctx context.Context, c cid.Cid, yield func([]wire.PeerInfo) bool)
 
 // streamWithFallback is the shared direct-then-fallback streaming
 // control flow of the one-hop routers: yield the direct lookup's
 // batches, or, when it yields none, chain into the fallback router's
-// stream with the wasted direct RPCs merged into the reported cost. A
-// session-consult miss recorded on the context skips the direct probe
-// entirely — those RPCs went out (and were charged) during the consult.
-func streamWithFallback(ctx context.Context, lookup lookupFn, fallback Router, c cid.Cid) (ProviderSeq, *StreamInfo) {
-	st := &StreamInfo{}
-	seq := func(yield func([]wire.PeerInfo) bool) {
-		if sessionMissed(ctx, c) {
-			streamFallback(ctx, fallback, c, LookupInfo{}, yield, st)
-			return
+// stream. A session-consult miss recorded on the context skips the
+// direct probe entirely — those RPCs went out during the consult.
+func streamWithFallback(ctx context.Context, lookup lookupFn, fallback Router, c cid.Cid) ProviderSeq {
+	return func(yield func([]wire.PeerInfo) bool) error {
+		if !sessionMissed(ctx, c) {
+			yielded := false
+			lookup(ctx, c, func(batch []wire.PeerInfo) bool {
+				yielded = true
+				return yield(batch)
+			})
+			if yielded {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		yielded := false
-		info := lookup(ctx, c, func(batch []wire.PeerInfo) bool {
-			yielded = true
-			return yield(batch)
-		})
-		if yielded {
-			st.set(info, nil)
-			return
+		if fallback == nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return ErrNoProviders
 		}
-		if err := ctx.Err(); err != nil {
-			st.set(info, err)
-			return
-		}
-		streamFallback(ctx, fallback, c, info, yield, st)
+		// Mark the hand-off on the trace: everything the fallback does
+		// from here attributes to the same parent span.
+		telemetry.SpanFrom(ctx).Event("fallback", telemetry.A("to", fallback.Name()))
+		return fallback.FindProvidersStream(ctx, c)(yield)
 	}
-	return seq, st
-}
-
-// streamFallback runs the fallback router's provider stream, charging
-// the wasted direct-path cost onto the reported statistics. A nil
-// fallback ends the stream with ErrNoProviders.
-func streamFallback(ctx context.Context, fallback Router, c cid.Cid, direct LookupInfo, yield func([]wire.PeerInfo) bool, st *StreamInfo) {
-	if fallback == nil {
-		err := ctx.Err()
-		if err == nil {
-			err = ErrNoProviders
-		}
-		st.set(direct, err)
-		return
-	}
-	// Mark the hand-off on the trace: everything the fallback does from
-	// here attributes to the same parent span.
-	telemetry.SpanFrom(ctx).Event("fallback", telemetry.A("to", fallback.Name()))
-	seq, fst := fallback.FindProvidersStream(ctx, c)
-	seq(yield)
-	st.set(mergeLookup(direct, fst.Info()), fst.Err())
 }
 
 // sessionFromLookup is the shared SessionPeers body of the one-hop
 // routers: the lookup's first batch capped to n candidates, with a
 // miss mapped to ErrNoSessionPeers so the caller keeps its
 // broadcast/walk fallback.
-func sessionFromLookup(ctx context.Context, lookup lookupFn, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func sessionFromLookup(ctx context.Context, lookup lookupFn, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	var first []wire.PeerInfo
-	info := lookup(ctx, c, func(batch []wire.PeerInfo) bool {
+	lookup(ctx, c, func(batch []wire.PeerInfo) bool {
 		first = batch
 		return false
 	})
 	if first == nil {
-		return nil, LookupMessages(info), ErrNoSessionPeers
+		return nil, ErrNoSessionPeers
 	}
-	return capPeers(first, n), LookupMessages(info), nil
-}
-
-// LookupMessages counts the routing RPCs one lookup issued. Walk-based
-// lookups report every launched query (including ones abandoned at
-// early stop); one-hop routers fill Queried/Failed directly.
-func LookupMessages(info LookupInfo) int {
-	return max(info.Launched, info.Queried+info.Failed)
-}
-
-// ProvideMessages counts the routing RPCs one publication issued: the
-// walk queries plus the record-store batch.
-func ProvideMessages(res ProvideResult) int {
-	return LookupMessages(res.Walk) + res.StoreAttempts
-}
-
-// mergeLookup accumulates a fallback path's statistics onto the direct
-// path's, so a miss-then-fallback lookup reports its full message cost.
-func mergeLookup(direct, fallback LookupInfo) LookupInfo {
-	return LookupInfo{
-		Queried:  direct.Queried + fallback.Queried,
-		Failed:   direct.Failed + fallback.Failed,
-		Launched: LookupMessages(direct) + LookupMessages(fallback),
-	}
+	return capPeers(first, n), nil
 }
 
 // fillAddrs backfills provider addresses from the local address book —

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,25 +19,28 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
+	"repro/internal/telemetry"
 	"repro/internal/testnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // fakeRouter scripts a Router for composite tests: it waits delay on
-// src (or a cancelled context), then returns its canned outcome.
+// src (or a cancelled context), then returns its canned outcome. Like a
+// real router it counts its requests into the operation's meter as it
+// launches them, before the wait: a lookup or a session consult one
+// GET_PROVIDERS, a publication provideSpend FIND_NODEs.
 type fakeRouter struct {
-	src       simtime.Source
-	name      string
-	delay     time.Duration
-	err       error
-	provider  peer.ID
-	broadcast bool
-	// provideRes is what a failing Provide still spent — the accounting
-	// tests assert it survives an all-fail race.
-	provideRes routing.ProvideResult
-	cancelled  atomic.Bool
-	calls      atomic.Int32
-	sessions   atomic.Int32
+	src          simtime.Source
+	name         string
+	delay        time.Duration
+	err          error
+	provider     peer.ID
+	broadcast    bool
+	provideSpend int
+	cancelled    atomic.Bool
+	calls        atomic.Int32
+	sessions     atomic.Int32
 }
 
 func (f *fakeRouter) Name() string { return f.name }
@@ -51,8 +55,9 @@ func (f *fakeRouter) wait(ctx context.Context) error {
 }
 
 func (f *fakeRouter) Provide(ctx context.Context, c cid.Cid) (routing.ProvideResult, error) {
+	transport.MeterOf(ctx).Add(wire.TFindNode, f.provideSpend)
 	if err := f.wait(ctx); err != nil {
-		return f.provideRes, err
+		return routing.ProvideResult{}, err
 	}
 	return routing.ProvideResult{StoreAttempts: 1, StoreOK: 1}, nil
 }
@@ -66,28 +71,26 @@ func (f *fakeRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (routing.P
 	}, nil
 }
 
-func (f *fakeRouter) findProviders(ctx context.Context, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
-	if err := f.wait(ctx); err != nil {
-		return nil, routing.LookupInfo{}, err
-	}
-	return []wire.PeerInfo{{ID: f.provider}}, routing.LookupInfo{Queried: 1}, nil
-}
-
-func (f *fakeRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
-	return routing.LazyStream(func() ([]wire.PeerInfo, routing.LookupInfo, error) {
-		return f.findProviders(ctx, c)
+func (f *fakeRouter) FindProvidersStream(ctx context.Context, c cid.Cid) routing.ProviderSeq {
+	return routing.LazyStream(func() ([]wire.PeerInfo, error) {
+		transport.MeterOf(ctx).Add(wire.TGetProviders, 1)
+		if err := f.wait(ctx); err != nil {
+			return nil, err
+		}
+		return []wire.PeerInfo{{ID: f.provider}}, nil
 	})
 }
 
-func (f *fakeRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (f *fakeRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	f.sessions.Add(1)
+	transport.MeterOf(ctx).Add(wire.TGetProviders, 1)
 	if err := f.wait(ctx); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if f.provider == "" {
-		return nil, 0, routing.ErrNoSessionPeers
+		return nil, routing.ErrNoSessionPeers
 	}
-	return []wire.PeerInfo{{ID: f.provider}}, 1, nil
+	return []wire.PeerInfo{{ID: f.provider}}, nil
 }
 
 func (f *fakeRouter) WantBroadcast() bool { return f.broadcast }
@@ -103,22 +106,31 @@ func oneShard(indexers ...wire.PeerInfo) *routing.IndexerSet {
 // findProviders reads r's provider stream the way a blocking lookup
 // would: it stops at the first provider-carrying response and returns
 // that batch — the §3.2 "terminate on the first record-hosting node"
-// semantics and message cost.
-func findProviders(ctx context.Context, r routing.Router, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
-	seq, st := r.FindProvidersStream(ctx, c)
+// semantics — and the lookup requests the stream launched, read off a
+// meter opened for it.
+func findProviders(ctx context.Context, r routing.Router, c cid.Cid) ([]wire.PeerInfo, int, error) {
+	mctx, meter := transport.WithMeter(ctx)
 	var out []wire.PeerInfo
-	seq(func(batch []wire.PeerInfo) bool {
+	err := r.FindProvidersStream(mctx, c)(func(batch []wire.PeerInfo) bool {
 		out = append(out, batch...)
 		return false
 	})
+	lookups := meter.Count(wire.TGetProviders)
 	if len(out) > 0 {
-		return out, st.Info(), nil
+		return out, lookups, nil
 	}
-	err := st.Err()
 	if err == nil {
 		err = routing.ErrNoProviders
 	}
-	return nil, st.Info(), err
+	return nil, lookups, err
+}
+
+// sessionPeers runs r's session consult for one candidate and returns
+// the lookup requests it launched, read off a meter opened for it.
+func sessionPeers(ctx context.Context, r routing.Router, c cid.Cid) ([]wire.PeerInfo, int, error) {
+	mctx, meter := transport.WithMeter(ctx)
+	peers, err := r.SessionPeers(mctx, c, 1)
+	return peers, meter.Count(wire.TGetProviders), err
 }
 
 func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
@@ -127,15 +139,15 @@ func TestParallelFirstWinnerCancelsLosers(t *testing.T) {
 		slow := &fakeRouter{src: s, name: "slow", delay: time.Minute, provider: peer.ID("loser")}
 		r := routing.NewParallel(s, fast, slow)
 
-		providers, info, err := findProviders(ctx, r, testCid("race"))
+		providers, lookups, err := findProviders(ctx, r, testCid("race"))
 		if err != nil {
 			t.Fatalf("FindProviders: %v", err)
 		}
 		if len(providers) != 1 || providers[0].ID != peer.ID("winner") {
 			t.Fatalf("providers = %v, want the fast member's", providers)
 		}
-		if info.Queried != 1 {
-			t.Errorf("winner lookup info not propagated: %+v", info)
+		if lookups != 2 {
+			t.Errorf("race counted %d lookup requests, want the winner's and the cancelled loser's", lookups)
 		}
 		// The slow member must have observed cancellation rather than run
 		// out its full delay: the race lasted exactly the winner's 1 ms.
@@ -197,12 +209,12 @@ func (c *countingRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (routi
 	return c.inner.ProvideMany(ctx, cids)
 }
 
-func (c *countingRouter) FindProvidersStream(ctx context.Context, id cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
+func (c *countingRouter) FindProvidersStream(ctx context.Context, id cid.Cid) routing.ProviderSeq {
 	c.finds.Add(1)
 	return c.inner.FindProvidersStream(ctx, id)
 }
 
-func (c *countingRouter) SessionPeers(ctx context.Context, id cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (c *countingRouter) SessionPeers(ctx context.Context, id cid.Cid, n int) ([]wire.PeerInfo, error) {
 	c.sessions.Add(1)
 	return c.inner.SessionPeers(ctx, id, n)
 }
@@ -242,7 +254,7 @@ func TestIndexerRoundTrip(t *testing.T) {
 			t.Fatalf("indexer holds %d records, want 1", ix.Len())
 		}
 
-		providers, info, err := findProviders(ctx, get, c)
+		providers, lookups, err := findProviders(ctx, get, c)
 		if err != nil {
 			t.Fatalf("FindProviders: %v", err)
 		}
@@ -252,8 +264,8 @@ func TestIndexerRoundTrip(t *testing.T) {
 		if len(providers[0].Addrs) == 0 {
 			t.Error("provider addrs missing: the indexer should return its address book entry")
 		}
-		if got := routing.LookupMessages(info); got != 1 {
-			t.Errorf("lookup used %d messages, want exactly 1 (one-hop)", got)
+		if lookups != 1 {
+			t.Errorf("lookup used %d messages, want exactly 1 (one-hop)", lookups)
 		}
 		if fb.finds.Load() != 0 {
 			t.Error("fallback consulted despite an indexer hit")
@@ -287,7 +299,7 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 		r := routing.NewIndexerRouter(getter.Swarm(), oneShard(ix.Info()), fb,
 			routing.IndexerRouterConfig{})
 
-		providers, info, err := findProviders(ctx, r, pub.Cid)
+		providers, lookups, err := findProviders(ctx, r, pub.Cid)
 		if err != nil {
 			t.Fatalf("FindProviders after indexer miss: %v", err)
 		}
@@ -297,10 +309,10 @@ func TestIndexerMissFallsBackToDHT(t *testing.T) {
 		if fb.finds.Load() != 1 {
 			t.Errorf("fallback consulted %d times, want exactly 1", fb.finds.Load())
 		}
-		// The reported message count must include both the wasted indexer
-		// RPC and the fallback walk.
-		if got := routing.LookupMessages(info); got < 2 {
-			t.Errorf("lookup reports %d messages, want the indexer miss plus the walk", got)
+		// The count must include both the wasted indexer RPC and the
+		// fallback walk.
+		if lookups < 2 {
+			t.Errorf("lookup counted %d messages, want the indexer miss plus the walk", lookups)
 		}
 	})
 }
@@ -340,7 +352,7 @@ func TestAcceleratedOneHopLookup(t *testing.T) {
 			return
 		}
 
-		providers, info, err := findProviders(ctx, getter.Router(), pub.Cid)
+		providers, lookups, err := findProviders(ctx, getter.Router(), pub.Cid)
 		if err != nil {
 			t.Errorf("FindProviders: %v", err)
 			return
@@ -349,8 +361,8 @@ func TestAcceleratedOneHopLookup(t *testing.T) {
 			t.Errorf("providers = %v, want publisher", providers)
 			return
 		}
-		if got := routing.LookupMessages(info); got > 6 {
-			t.Errorf("accelerated lookup used %d messages, want a single small wave", got)
+		if lookups > 6 {
+			t.Errorf("accelerated lookup used %d messages, want a single small wave", lookups)
 		}
 
 		// End-to-end retrieval through the node API.
@@ -441,9 +453,11 @@ func TestDHTRouterDeclinesSessionPeers(t *testing.T) {
 	tn := buildCleanNet(t, 30, 41)
 	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
 		r := routing.NewDHT(tn.AddVantage("DE", 960).DHT())
-		peers, msgs, err := r.SessionPeers(ctx, testCid("x"), 3)
-		if !errors.Is(err, routing.ErrNoSessionPeers) || len(peers) != 0 || msgs != 0 {
-			t.Errorf("dht session peers = (%v, %d, %v), want a free decline", peers, msgs, err)
+		before := tn.Net.Budget()
+		peers, err := r.SessionPeers(ctx, testCid("x"), 3)
+		spent := tn.Net.Budget().Sub(before).Requests
+		if !errors.Is(err, routing.ErrNoSessionPeers) || len(peers) != 0 || spent != 0 {
+			t.Errorf("dht session peers = (%v, %v) for %d requests, want a free decline", peers, err, spent)
 		}
 		if !r.WantBroadcast() {
 			t.Error("dht router must keep the opportunistic broadcast")
@@ -473,7 +487,8 @@ func TestAcceleratedSessionPeersOneHop(t *testing.T) {
 		if r.WantBroadcast() {
 			t.Error("accelerated router should skip the broadcast")
 		}
-		peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 3)
+		mctx, meter := transport.WithMeter(ctx)
+		peers, err := r.SessionPeers(mctx, pub.Cid, 3)
 		if err != nil {
 			t.Fatalf("SessionPeers: %v", err)
 		}
@@ -483,12 +498,12 @@ func TestAcceleratedSessionPeersOneHop(t *testing.T) {
 		if len(peers) > 3 {
 			t.Errorf("session peers not capped: %d", len(peers))
 		}
-		if msgs == 0 || msgs > 6 {
+		if msgs := meter.Count(wire.TGetProviders); msgs == 0 || msgs > 6 {
 			t.Errorf("session lookup spent %d RPCs, want a single small wave", msgs)
 		}
 
 		// An unpublished key must decline without walking.
-		if _, _, err := r.SessionPeers(ctx, testCid("never published"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
+		if _, err := r.SessionPeers(ctx, testCid("never published"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
 			t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
 		}
 	})
@@ -515,16 +530,17 @@ func TestIndexerSessionPeersNoDHTFallback(t *testing.T) {
 		r := routing.NewIndexerRouter(getter.Swarm(), oneShard(ix.Info()), fb,
 			routing.IndexerRouterConfig{})
 
-		peers, msgs, err := r.SessionPeers(ctx, pub.Cid, 2)
+		mctx, meter := transport.WithMeter(ctx)
+		peers, err := r.SessionPeers(mctx, pub.Cid, 2)
 		if err != nil || len(peers) == 0 || peers[0].ID != publisher.ID() {
 			t.Fatalf("session peers = (%v, %v), want the publisher", peers, err)
 		}
-		if msgs != 1 {
+		if msgs := meter.Count(wire.TGetProviders); msgs != 1 {
 			t.Errorf("session lookup spent %d RPCs, want exactly 1", msgs)
 		}
 		// A miss must decline instead of walking the DHT: session candidates
 		// are advisory, the broadcast/walk fallback belongs to the caller.
-		if _, _, err := r.SessionPeers(ctx, testCid("not indexed"), 2); !errors.Is(err, routing.ErrNoSessionPeers) {
+		if _, err := r.SessionPeers(ctx, testCid("not indexed"), 2); !errors.Is(err, routing.ErrNoSessionPeers) {
 			t.Errorf("miss err = %v, want ErrNoSessionPeers", err)
 		}
 		if fb.finds.Load() != 0 || fb.sessions.Load() != 0 {
@@ -540,15 +556,16 @@ func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
 		decline := &fakeRouter{src: s, name: "decline", delay: time.Millisecond, broadcast: true}
 		r := routing.NewParallel(s, decline, fast, slow)
 
-		peers, msgs, err := r.SessionPeers(ctx, testCid("race"), 3)
+		mctx, meter := transport.WithMeter(ctx)
+		peers, err := r.SessionPeers(mctx, testCid("race"), 3)
 		if err != nil {
 			t.Fatalf("SessionPeers: %v", err)
 		}
 		if len(peers) != 1 || peers[0].ID != peer.ID("winner") {
 			t.Fatalf("peers = %v, want the fast member's", peers)
 		}
-		if msgs < 1 {
-			t.Errorf("msgs = %d, want the winner's RPC charged", msgs)
+		if msgs := meter.Count(wire.TGetProviders); msgs != 3 {
+			t.Errorf("race counted %d consults, want every member's (3), the cancelled loser's included", msgs)
 		}
 		if !slow.cancelled.Load() {
 			t.Error("slow member was not cancelled after the fast one won")
@@ -567,7 +584,7 @@ func TestParallelSessionPeersRaceAndPolicy(t *testing.T) {
 
 		// All members declining yields ErrNoSessionPeers.
 		d2 := &fakeRouter{src: s, name: "d2", delay: time.Millisecond}
-		if _, _, err := routing.NewParallel(s, d2).SessionPeers(ctx, testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
+		if _, err := routing.NewParallel(s, d2).SessionPeers(ctx, testCid("none"), 3); !errors.Is(err, routing.ErrNoSessionPeers) {
 			t.Errorf("all-decline err = %v, want ErrNoSessionPeers", err)
 		}
 	})
@@ -592,11 +609,11 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 		c := testCid("unpublished content")
 		// Plain miss: the direct one-hop wave probes the K closest snapshot
 		// peers before the fallback runs.
-		before, _, _ := tn.Net.Stats()
+		before := tn.Net.Budget().Requests
 		if _, _, err := findProviders(ctx, accel, c); !errors.Is(err, routing.ErrNoProviders) {
 			t.Fatalf("plain miss err = %v, want ErrNoProviders", err)
 		}
-		mid, _, _ := tn.Net.Stats()
+		mid := tn.Net.Budget().Requests
 		probed := mid - before
 		if probed == 0 {
 			t.Fatal("direct path issued no RPCs; test setup broken")
@@ -610,7 +627,7 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 		if _, _, err := findProviders(routing.WithSessionMiss(ctx, c), accel, c); !errors.Is(err, routing.ErrNoProviders) {
 			t.Fatalf("handoff miss err = %v, want ErrNoProviders", err)
 		}
-		after, _, _ := tn.Net.Stats()
+		after := tn.Net.Budget().Requests
 		if d := after - mid; d != 0 {
 			t.Errorf("handoff lookup issued %d RPCs, want 0 (the consult already probed the neighbourhood; plain miss cost %d)", d, probed)
 		}
@@ -620,9 +637,9 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 
 		// The hint is keyed to the CID: lookups for other keys still probe
 		// the snapshot directly.
-		b3, _, _ := tn.Net.Stats()
+		b3 := tn.Net.Budget().Requests
 		findProviders(routing.WithSessionMiss(ctx, c), accel, testCid("different key"))
-		a3, _, _ := tn.Net.Stats()
+		a3 := tn.Net.Budget().Requests
 		if a3 == b3 {
 			t.Error("a hint for one CID suppressed the direct probe of another")
 		}
@@ -631,11 +648,11 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 		// instead of re-probing.
 		bare := routing.NewAccelerated(node.Swarm(), nil, routing.AcceleratedConfig{})
 		bare.SetSnapshot(infos)
-		b4, _, _ := tn.Net.Stats()
+		b4 := tn.Net.Budget().Requests
 		if _, _, err := findProviders(routing.WithSessionMiss(ctx, c), bare, c); !errors.Is(err, routing.ErrNoProviders) {
 			t.Fatalf("bare handoff err = %v, want ErrNoProviders", err)
 		}
-		a4, _, _ := tn.Net.Stats()
+		a4 := tn.Net.Budget().Requests
 		if a4 != b4 {
 			t.Errorf("fallback-less handoff lookup issued %d RPCs, want 0", a4-b4)
 		}
@@ -651,24 +668,18 @@ func TestSessionMissHandoffSkipsDirectProbe(t *testing.T) {
 // session consult run the same lookup, so both pay the same.
 func TestAcceleratedWaveSchedulePinned(t *testing.T) {
 	lookups := []struct {
-		name  string
-		split bool // the lookup reports answered and failed RPCs apart
-		find  func(context.Context, *routing.AcceleratedRouter, cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error)
+		name string
+		find func(context.Context, routing.Router, cid.Cid) ([]wire.PeerInfo, int, error)
 	}{
-		{"FindProvidersStream", true, func(ctx context.Context, r *routing.AcceleratedRouter, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
-			return findProviders(ctx, r, c)
-		}},
-		{"SessionPeers", false, func(ctx context.Context, r *routing.AcceleratedRouter, c cid.Cid) ([]wire.PeerInfo, routing.LookupInfo, error) {
-			providers, msgs, err := r.SessionPeers(ctx, c, 1)
-			return providers, routing.LookupInfo{Launched: msgs}, err
-		}},
+		{"FindProvidersStream", findProviders},
+		{"SessionPeers", sessionPeers},
 	}
 	cases := []struct {
 		name        string
 		nearestDown bool
-		// The RPCs the lookup reports: the offline peer's failed dial
-		// plus the α wave's two members cancelled by the winner count
-		// as failed.
+		// The RPCs the lookup launches, and how its accel-direct span
+		// splits them: the offline peer's failed dial plus the α wave's
+		// two members cancelled by the winner count as failed.
 		wantQueried, wantFailed int
 		wantRequests            int64 // requests the network actually carried
 		wantDialFails           int64
@@ -707,7 +718,9 @@ func TestAcceleratedWaveSchedulePinned(t *testing.T) {
 							tn.SetOnline(nearest.ID, false)
 						}
 						before := tn.Net.Budget()
-						providers, info, err := lk.find(ctx, get, c)
+						tctx, root := telemetry.NewRecorder(tn.Sched).StartTrace(ctx, "retrieve")
+						providers, msgs, err := lk.find(tctx, get, c)
+						root.End()
 						if err != nil {
 							t.Fatalf("%s: %v", lk.name, err)
 						}
@@ -715,12 +728,16 @@ func TestAcceleratedWaveSchedulePinned(t *testing.T) {
 							t.Fatalf("providers = %v, want the publisher", providers)
 						}
 						d := tn.Net.Budget().Sub(before)
-						if got, want := routing.LookupMessages(info), tc.wantQueried+tc.wantFailed; got != want {
-							t.Errorf("lookup reports %d RPCs, want %d", got, want)
+						if want := tc.wantQueried + tc.wantFailed; msgs != want {
+							t.Errorf("lookup counted %d RPCs, want %d", msgs, want)
 						}
-						if lk.split && (info.Queried != tc.wantQueried || info.Failed != tc.wantFailed) {
-							t.Errorf("lookup reports %d answered / %d failed RPCs, want %d / %d",
-								info.Queried, info.Failed, tc.wantQueried, tc.wantFailed)
+						attrs := map[string]string{}
+						for _, a := range telemetry.TraceFrom(tctx).FindSpan("accel-direct").Attrs() {
+							attrs[a.Key] = a.Value
+						}
+						if q, f := attrs["queried"], attrs["failed"]; q != strconv.Itoa(tc.wantQueried) || f != strconv.Itoa(tc.wantFailed) {
+							t.Errorf("accel-direct span reports %s answered / %s failed RPCs, want %d / %d",
+								q, f, tc.wantQueried, tc.wantFailed)
 						}
 						if d.Requests != tc.wantRequests || d.DialFailures != tc.wantDialFails {
 							t.Errorf("budget delta = %d requests / %d failed dials, want %d / %d",

@@ -12,6 +12,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -31,21 +32,21 @@ func (d detachedRouter) ProvideMany(ctx context.Context, cids []cid.Cid) (routin
 	return d.inner.ProvideMany(context.WithoutCancel(ctx), cids)
 }
 
-func (d detachedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
+func (d detachedRouter) FindProvidersStream(ctx context.Context, c cid.Cid) routing.ProviderSeq {
 	return d.inner.FindProvidersStream(context.WithoutCancel(ctx), c)
 }
 
-func (d detachedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, int, error) {
+func (d detachedRouter) SessionPeers(ctx context.Context, c cid.Cid, n int) ([]wire.PeerInfo, error) {
 	return d.inner.SessionPeers(context.WithoutCancel(ctx), c, n)
 }
 
 func (d detachedRouter) WantBroadcast() bool { return d.inner.WantBroadcast() }
 
 // TestParallelRaceChargesLosersAgainstBudget is the regression test
-// for raced-RPC under-counting: the message totals a ParallelRouter
-// reports — for the winner path and the all-fail path, lookup and
-// publication alike — must match what the simulated network actually
-// saw in simnet's budget.
+// for raced-RPC under-counting: the requests an operation's meter
+// counts through a ParallelRouter — for the winner path and the
+// all-fail path, lookup and publication alike — must match what the
+// simulated network actually saw in simnet's budget.
 func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 	tn := buildCleanNet(t, 40, 81)
 	simtest.RunOn(t, tn.Sched, func(ctx context.Context) {
@@ -76,13 +77,13 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 		// Winner path: the hit member answers in one RPC, the cancelled
 		// loser's RPC must still be charged and must equal the budget.
 		before := tn.Net.Budget()
-		_, info, err := findProviders(ctx, r, c)
+		_, got, err := findProviders(ctx, r, c)
 		if err != nil {
 			t.Fatalf("FindProviders: %v", err)
 		}
 		spent := tn.Net.Budget().Sub(before).Requests
-		if got := routing.LookupMessages(info); int64(got) != spent {
-			t.Errorf("race reported %d lookup msgs, network saw %d — losers under-counted", got, spent)
+		if int64(got) != spent {
+			t.Errorf("race counted %d lookup msgs, network saw %d — losers under-counted", got, spent)
 		}
 		if spent != 2 {
 			t.Errorf("network saw %d requests, want 2 (winner + detached loser)", spent)
@@ -92,45 +93,43 @@ func TestParallelRaceChargesLosersAgainstBudget(t *testing.T) {
 		// cover every raced RPC instead of vanishing with the error.
 		missCid := testCid("never published")
 		before = tn.Net.Budget()
-		_, info, err = findProviders(ctx, r, missCid)
+		_, got, err = findProviders(ctx, r, missCid)
 		if !errors.Is(err, routing.ErrNoProviders) {
 			t.Fatalf("miss err = %v, want ErrNoProviders", err)
 		}
 		spent = tn.Net.Budget().Sub(before).Requests
-		if got := routing.LookupMessages(info); int64(got) != spent || spent != 2 {
-			t.Errorf("all-fail race reported %d msgs, network saw %d, want 2", got, spent)
+		if int64(got) != spent || spent != 2 {
+			t.Errorf("all-fail race counted %d msgs, network saw %d, want 2", got, spent)
 		}
 
 		// Provide winner path: both members store one record each; the
 		// drained loser's store is charged.
 		pc := testCid("raced publication")
 		before = tn.Net.Budget()
-		res, err := r.Provide(ctx, pc)
-		if err != nil {
+		mctx, meter := transport.WithMeter(ctx)
+		if _, err := r.Provide(mctx, pc); err != nil {
 			t.Fatalf("Provide: %v", err)
 		}
 		spent = tn.Net.Budget().Sub(before).Requests
-		if got := routing.ProvideMessages(res); int64(got) != spent || spent != 2 {
-			t.Errorf("raced provide reported %d msgs, network saw %d, want 2", got, spent)
+		if got := meter.Count(wire.TFindNode, wire.TAddProvider); int64(got) != spent || spent != 2 {
+			t.Errorf("raced provide counted %d msgs, network saw %d, want 2", got, spent)
 		}
 	})
 }
 
 // TestParallelProvideAllFailKeepsCost pins the all-fail Provide
-// accounting fix: when every raced member fails, the RPCs they spent
-// still appear in the returned result.
+// accounting: when every raced member fails, the RPCs they spent still
+// count in the publication's meter.
 func TestParallelProvideAllFailKeepsCost(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
-		failCost := routing.ProvideResult{StoreAttempts: 2, Walk: routing.LookupInfo{Queried: 3}}
-		a := &fakeRouter{src: s, name: "a", delay: time.Millisecond, err: errors.New("a down"), provideRes: failCost}
-		b := &fakeRouter{src: s, name: "b", delay: 2 * time.Millisecond, err: errors.New("b down"), provideRes: failCost}
-		res, err := routing.NewParallel(s, a, b).Provide(ctx, testCid("x"))
-		if err == nil {
+		a := &fakeRouter{src: s, name: "a", delay: time.Millisecond, err: errors.New("a down"), provideSpend: 5}
+		b := &fakeRouter{src: s, name: "b", delay: 2 * time.Millisecond, err: errors.New("b down"), provideSpend: 5}
+		mctx, meter := transport.WithMeter(ctx)
+		if _, err := routing.NewParallel(s, a, b).Provide(mctx, testCid("x")); err == nil {
 			t.Fatal("want error when every member fails")
 		}
-		if got := routing.ProvideMessages(res); got != 2*routing.ProvideMessages(failCost) {
-			t.Errorf("all-fail provide reports %d msgs, want %d (both members' spend)",
-				got, 2*routing.ProvideMessages(failCost))
+		if got := meter.Count(wire.TFindNode); got != 10 {
+			t.Errorf("all-fail provide counted %d msgs, want 10 (both members' spend)", got)
 		}
 	})
 }
@@ -145,27 +144,23 @@ func TestParallelStreamKeepsLosersPartialResults(t *testing.T) {
 		slow := &fakeRouter{src: s, name: "slow", delay: 20 * time.Millisecond, provider: peer.ID("straggler")}
 		r := routing.NewParallel(s, fast, slow)
 
-		seq, st := r.FindProvidersStream(ctx, testCid("merge"))
 		var got []peer.ID
-		seq(func(batch []wire.PeerInfo) bool {
+		err := r.FindProvidersStream(ctx, testCid("merge"))(func(batch []wire.PeerInfo) bool {
 			for _, p := range batch {
 				got = append(got, p.ID)
 			}
 			return true // keep draining: the straggler's result must arrive
 		})
-		if err := st.Err(); err != nil {
+		if err != nil {
 			t.Fatalf("stream err = %v", err)
 		}
 		if len(got) != 2 || got[0] != peer.ID("winner") || got[1] != peer.ID("straggler") {
 			t.Fatalf("streamed providers = %v, want winner then straggler", got)
 		}
-		if msgs := routing.LookupMessages(st.Info()); msgs < 2 {
-			t.Errorf("aggregated stream reports %d msgs, want both members charged", msgs)
-		}
 
 		// Stopping at the first batch cancels the straggler instead.
 		slow2 := &fakeRouter{src: s, name: "slow2", delay: time.Minute, provider: peer.ID("late")}
-		seq, _ = routing.NewParallel(s, fast, slow2).FindProvidersStream(ctx, testCid("merge2"))
+		seq := routing.NewParallel(s, fast, slow2).FindProvidersStream(ctx, testCid("merge2"))
 		start := s.Stamp()
 		seq(func([]wire.PeerInfo) bool { return false })
 		if took := s.Since(start); took != time.Millisecond {
@@ -208,11 +203,11 @@ func TestParallelProvideManyFansOut(t *testing.T) {
 	}{
 		{"one member fails", func(s *simtime.Scheduler) []*batchMember {
 			return []*batchMember{
-				member(s, "walk", 3*time.Second, nil, routing.ProvideManyResult{Provided: 6, Targets: 4, StoreRPCs: 4, Acked: 3, Walks: 2, Walk: routing.LookupInfo{Queried: 9}}),
+				member(s, "walk", 3*time.Second, nil, routing.ProvideManyResult{Provided: 6, Targets: 4, StoreRPCs: 4, Acked: 3}),
 				member(s, "snapshot", time.Second, nil, routing.ProvideManyResult{Provided: 9, Targets: 2, StoreRPCs: 2, Acked: 2}),
 				member(s, "indexer", 2*time.Second, errors.New("indexer down"), routing.ProvideManyResult{Targets: 1, StoreRPCs: 1}),
 			}
-		}, routing.ProvideManyResult{CIDs: 10, Provided: 9, Targets: 7, StoreRPCs: 7, Acked: 5, Walks: 2, Walk: routing.LookupInfo{Queried: 9, Launched: 9}}, ""},
+		}, routing.ProvideManyResult{CIDs: 10, Provided: 9, Targets: 7, StoreRPCs: 7, Acked: 5}, ""},
 		{"every member fails", func(s *simtime.Scheduler) []*batchMember {
 			return []*batchMember{
 				member(s, "walk", 2*time.Second, errors.New("walk failed"), routing.ProvideManyResult{Targets: 3, StoreRPCs: 3}),

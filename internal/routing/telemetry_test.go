@@ -23,13 +23,13 @@ import (
 // to the parent trace via the race span it ran under.
 type rpcRouter struct{ *fakeRouter }
 
-func (r *rpcRouter) FindProvidersStream(ctx context.Context, c cid.Cid) (routing.ProviderSeq, *routing.StreamInfo) {
-	seq, st := r.fakeRouter.FindProvidersStream(ctx, c)
-	wrapped := func(yield func([]wire.PeerInfo) bool) {
-		seq(yield)
+func (r *rpcRouter) FindProvidersStream(ctx context.Context, c cid.Cid) routing.ProviderSeq {
+	seq := r.fakeRouter.FindProvidersStream(ctx, c)
+	return func(yield func([]wire.PeerInfo) bool) error {
+		err := seq(yield)
 		telemetry.RPC(ctx, "GET_PROVIDERS", "lookup", r.provider, time.Millisecond, "cancelled")
+		return err
 	}
-	return wrapped, st
 }
 
 // TestParallelStreamClosesCancelledRacerSpans races a fast and a slow
@@ -49,13 +49,12 @@ func TestParallelStreamClosesCancelledRacerSpans(t *testing.T) {
 		slow := &rpcRouter{&fakeRouter{src: s, name: "slow", delay: time.Minute, provider: peer.ID("loser")}}
 		r := routing.NewParallel(s, fast, slow)
 
-		seq, st := r.FindProvidersStream(ctx, testCid("race"))
 		var got []wire.PeerInfo
-		seq(func(batch []wire.PeerInfo) bool {
+		err := r.FindProvidersStream(ctx, testCid("race"))(func(batch []wire.PeerInfo) bool {
 			got = append(got, batch...)
 			return false // stop after the winner's batch — cancels the loser
 		})
-		if err := st.Err(); err != nil {
+		if err != nil {
 			t.Fatalf("stream error: %v", err)
 		}
 		if len(got) != 1 || got[0].ID != peer.ID("winner") {
@@ -115,7 +114,7 @@ func TestParallelSessionPeersRaceSpansClose(t *testing.T) {
 
 		fast := &fakeRouter{src: s, name: "fast", delay: time.Millisecond, provider: peer.ID("winner")}
 		slow := &fakeRouter{src: s, name: "slow", delay: time.Minute, provider: peer.ID("loser")}
-		peers, _, err := routing.NewParallel(s, fast, slow).SessionPeers(ctx, testCid("sess"), 2)
+		peers, err := routing.NewParallel(s, fast, slow).SessionPeers(ctx, testCid("sess"), 2)
 		if err != nil {
 			t.Fatalf("SessionPeers: %v", err)
 		}
@@ -156,13 +155,12 @@ func TestStreamFallbackHandoffKeepsTrace(t *testing.T) {
 		sw := swarm.New(ident, simnet.New(simnet.Config{}).AddNode(ident.ID, simnet.NodeOpts{}), nil)
 		accel := routing.NewAccelerated(sw, fb, routing.AcceleratedConfig{})
 
-		seq, st := accel.FindProvidersStream(dctx, testCid("handoff"))
 		var got []wire.PeerInfo
-		seq(func(batch []wire.PeerInfo) bool {
+		err := accel.FindProvidersStream(dctx, testCid("handoff"))(func(batch []wire.PeerInfo) bool {
 			got = append(got, batch...)
 			return true
 		})
-		if err := st.Err(); err != nil {
+		if err != nil {
 			t.Fatalf("stream error: %v", err)
 		}
 		if len(got) != 1 || got[0].ID != peer.ID("via-fallback") {

@@ -41,18 +41,17 @@ func TestEveryRequestTypeHasACategory(t *testing.T) {
 
 func TestCategorizeContextTagWins(t *testing.T) {
 	ctx := context.Background()
-	if got := categorize(ctx, wire.TFindNode); got != transport.CatLookup {
+	if got := transport.CategorizeRPC(ctx, wire.TFindNode); got != transport.CatLookup {
 		t.Errorf("untagged TFindNode = %q, want lookup", got)
 	}
 	tagged := transport.WithRPCCategory(ctx, transport.CatRepublish)
-	if got := categorize(tagged, wire.TFindNode); got != transport.CatRepublish {
+	if got := transport.CategorizeRPC(tagged, wire.TFindNode); got != transport.CatRepublish {
 		t.Errorf("tagged TFindNode = %q, want republish", got)
 	}
-	// The shared mapping and the simulator's classifier must agree on
-	// untagged requests.
+	// An untagged request classifies by the shared type mapping.
 	for typ := wire.Type(1); typ < wire.TAck; typ++ {
-		if got, want := categorize(ctx, typ), transport.CategoryForType(typ); got != want {
-			t.Errorf("categorize(%s) = %q, CategoryForType = %q", typ, got, want)
+		if got, want := transport.CategorizeRPC(ctx, typ), transport.CategoryForType(typ); got != want {
+			t.Errorf("CategorizeRPC(%s) = %q, CategoryForType = %q", typ, got, want)
 		}
 	}
 }

@@ -220,20 +220,6 @@ func (n *Network) Online(id peer.ID) bool {
 	return nd.online
 }
 
-// Len returns the number of attached peers.
-func (n *Network) Len() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.nodes)
-}
-
-// Stats returns cumulative counters: total requests, dials, failures.
-func (n *Network) Stats() (requests, dials, failures int64) {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.requests, n.dials, n.failures
-}
-
 // BudgetCategories is the render order of the budget breakdown.
 var BudgetCategories = []transport.RPCCategory{
 	transport.CatLookup, transport.CatPublish, transport.CatRepublish,
@@ -354,14 +340,6 @@ func (n *Network) Budget() Budget {
 		b.DroppedByCategory[cat] = v
 	}
 	return b
-}
-
-// categorize attributes one request: an explicit context tag wins (so
-// a republish cycle's walk and store RPCs all land under "republish"),
-// untagged requests classify by message type. The mapping itself lives
-// in transport so the TCP path and the attribution tests share it.
-func categorize(ctx context.Context, t wire.Type) transport.RPCCategory {
-	return transport.CategorizeRPC(ctx, t)
 }
 
 func (n *Network) countRequest(cat transport.RPCCategory) {
@@ -577,7 +555,7 @@ func (c *conn) Request(ctx context.Context, req wire.Message) (wire.Message, err
 		return wire.Message{}, transport.ErrClosed
 	}
 	src := c.net.cfg.Time
-	cat := categorize(ctx, req.Type)
+	cat := transport.CategorizeRPC(ctx, req.Type)
 	c.net.countRequest(cat)
 
 	// A partition between the two regions silently eats the message: no

@@ -56,9 +56,8 @@ func TestDialAndRequest(t *testing.T) {
 		if resp.Type != wire.TAck || resp.ErrMsg != "b" {
 			t.Errorf("resp = %+v", resp)
 		}
-		reqs, dials, failures := net.Stats()
-		if reqs != 1 || dials != 1 || failures != 0 {
-			t.Errorf("stats = %d/%d/%d", reqs, dials, failures)
+		if b := net.Budget(); b.Requests != 1 || b.Dials != 1 || b.DialFailures != 0 {
+			t.Errorf("budget = %d requests / %d dials / %d failed dials, want 1/1/0", b.Requests, b.Dials, b.DialFailures)
 		}
 	})
 }
@@ -347,12 +346,8 @@ func budgetCategoriesSum(t *testing.T, sched int64) {
 		g.Wait(ctx)
 
 		budget := net.Budget()
-		reqs, _, _ := net.Stats()
 		if budget.Requests != int64(len(kinds)*perKind) {
 			t.Fatalf("budget.Requests = %d, want %d", budget.Requests, len(kinds)*perKind)
-		}
-		if budget.Requests != reqs {
-			t.Fatalf("budget total %d != legacy stats total %d", budget.Requests, reqs)
 		}
 		var sum int64
 		for _, v := range budget.ByCategory {

@@ -8,6 +8,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 
 	"repro/internal/multiaddr"
 	"repro/internal/peer"
@@ -113,6 +114,50 @@ func WithRPCCategory(ctx context.Context, cat RPCCategory) context.Context {
 func RPCCategoryOf(ctx context.Context) RPCCategory {
 	v, _ := ctx.Value(rpcCategoryKey{}).(RPCCategory)
 	return v
+}
+
+// Meter counts the requests one operation launches, by message type.
+// An operation (a retrieval, a publication, a republish batch) opens
+// one on its context and reads it once, when it ends. Each site that
+// commits to a request counts it here, once, on the goroutine that
+// launches it and before the request is spawned or sent, so a request
+// still in flight when the operation ends is already counted, and no
+// layer in between adds counts up by hand.
+type Meter struct {
+	n [wire.TAck]atomic.Int64 // by request type: every request type is below TAck, the first response
+}
+
+// meterKey carries a *Meter on the context.
+type meterKey struct{}
+
+// WithMeter opens a meter on ctx: requests launched under the returned
+// context are counted into it.
+func WithMeter(ctx context.Context) (context.Context, *Meter) {
+	m := &Meter{}
+	return context.WithValue(ctx, meterKey{}, m), m
+}
+
+// MeterOf returns the meter ctx carries, or nil when none is open. A
+// nil meter counts nothing.
+func MeterOf(ctx context.Context) *Meter {
+	m, _ := ctx.Value(meterKey{}).(*Meter)
+	return m
+}
+
+// Add counts n launched requests of type t.
+func (m *Meter) Add(t wire.Type, n int) {
+	if m != nil {
+		m.n[t].Add(int64(n))
+	}
+}
+
+// Count returns how many requests of the given types were launched.
+func (m *Meter) Count(types ...wire.Type) int {
+	total := 0
+	for _, t := range types {
+		total += int(m.n[t].Load())
+	}
+	return total
 }
 
 // freshDialKey marks dials that must not reuse NAT mappings.

@@ -99,6 +99,28 @@ func TestNewTCPNodeDeterministicSeed(t *testing.T) {
 	}
 }
 
+// TestTCPNodeRepublishesOnTheWallClock runs the republish loop the
+// daemons start on a real-time node: with a 100 ms interval the first
+// cycle fires after its jitter plus one interval, at most 200 ms in.
+func TestTCPNodeRepublishesOnTheWallClock(t *testing.T) {
+	node, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	node.StartRepublisher(ctx, 100*time.Millisecond)
+	cycles := node.Telemetry().Registry().Counter("republish_cycles")
+	deadline := time.Now().Add(10 * time.Second)
+	for cycles.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no republish cycle within 10 s of a 100 ms interval")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestNewBlockStore(t *testing.T) {
 	for _, tc := range []struct {
 		kind, dir string
