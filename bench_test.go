@@ -1,10 +1,10 @@
 // Package repro's root benchmark harness: the layer benchmarks, one per
 // layer a retrieval or a publication crosses — CID hashing, DAG import
 // and assembly, the wire codec and its TCP framing, routing-table
-// selection, the DHT walk, scheduler dispatch, the pack store's Delete,
-// the provider store, trace recording, a 2 000-peer network build and
-// a whole TCP retrieve. Each has a real b.N and runs in CI's layer-bench
-// step with allocations reported. The paper's tables and figures are
+// selection, the DHT walk, scheduler dispatch, the pack store's Get and
+// Delete, the provider store, trace recording, a 2 000-peer network
+// build and a whole TCP retrieve. Each has a real b.N and runs in CI's
+// layer-bench step with allocations reported. The paper's tables and figures are
 // not benchmarks: they are seeded simulations, pinned exactly by the
 // golden and replay tests of internal/experiments.
 package repro
@@ -182,6 +182,49 @@ func BenchmarkPackStoreDelete(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPackStoreGet measures one Get of a 4 KiB block from a sealed
+// pack volume: the index lookup under the shared lock, the copy out of
+// the volume's mapping and the SHA-256 check that certifies the bytes.
+// The blocks read span two sealed volumes, each read once before the
+// timer starts, so ns/op is the Get's own cost, not a page fault's.
+func BenchmarkPackStoreGet(b *testing.B) {
+	ps, err := block.NewPackStore(b.TempDir(), block.PackConfig{VolumeSizeCap: 64 << 10, DisableBackground: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ps.Close()
+	data := make([]byte, 4<<10)
+	cids := make([]cid.Cid, 64)
+	for i := range cids {
+		data[0] = byte(i)
+		blk := block.New(multicodec.Raw, data)
+		if err := ps.Put(blk); err != nil {
+			b.Fatal(err)
+		}
+		cids[i] = blk.Cid()
+	}
+	if err := ps.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if n := ps.VolumeCount(); n < 4 {
+		b.Fatalf("set-up: %d volumes, want >= 4 so the first 32 blocks are sealed", n)
+	}
+	sealed := cids[:32]
+	for _, c := range sealed {
+		if _, err := ps.Get(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := ps.Get(sealed[i%len(sealed)])
+		if err != nil || len(blk.Data()) != len(data) {
+			b.Fatalf("Get = %d bytes, %v", len(blk.Data()), err)
+		}
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,10 +25,12 @@ import (
 // Delete only writes a tombstone — background compaction rewrites
 // volumes whose dead-byte ratio crosses a threshold. Compared to a
 // file-per-block layout this turns a million small blocks into a
-// handful of large files: one pread per Get, no inode churn. Writes are
-// group-committed twice over: records collect in an in-memory append
-// buffer and reach the volume in one pwrite per buffer, and the volume
-// is fsynced once per flush interval, not once per Put.
+// handful of large files and no inode churn. Every volume is read
+// through one read-only shared mapping of its file, so a Get is one
+// memory copy, not a pread. Writes are group-committed twice over:
+// records collect in an in-memory append buffer and reach the volume in
+// one pwrite per buffer, and the volume is fsynced once per flush
+// interval, not once per Put.
 //
 // The buffer is written out when the next record would not fit, by
 // Flush before its fsync (the background group commit and every
@@ -61,11 +66,13 @@ type PackStore struct {
 	// mu guards the index, the volumes map, each volume's tombs and
 	// stale sets, staleRefs, the pin set and where the append buffer
 	// sits (packVolume.buf and bufOff). Readers hold it (shared) across
-	// the pread or the copy out of the buffer, so the compactor — which
-	// takes it exclusively before dropping a volume from the map — can
-	// never close a file under an in-flight read, and a write-out cannot
-	// recycle the buffer under one.
-	mu       sync.RWMutex
+	// their copy out of a volume's mapping or out of the buffer, so the
+	// compactor — which takes it exclusively before dropping a volume
+	// from the map — can never unmap a volume under an in-flight read,
+	// and a write-out cannot recycle the buffer under one.
+	mu sync.RWMutex
+	// index is nil once the store is closed: a closed store holds
+	// nothing, and no lookup can reach a released mapping.
 	index    map[string]packLoc
 	volumes  map[int]*packVolume
 	pins     map[string]struct{}
@@ -168,6 +175,12 @@ type packVolume struct {
 	id   int
 	path string
 	f    *os.File
+	// m maps f read-only and shared: max(VolumeSizeCap, file size)
+	// bytes, grown only when a record larger than the cap lands in the
+	// empty volume. It is set at open and replaced or released (nil)
+	// only under mu held exclusively, or after the volume has left the
+	// volumes map.
+	m    []byte
 	size atomic.Int64 // accounted bytes; append offset for the active volume
 	dead atomic.Int64 // bytes of overwritten/deleted records + tombstones
 	// buf is the store's append buffer while this volume is active (nil
@@ -215,6 +228,7 @@ func NewPackStore(dir string, cfg PackConfig) (*PackStore, error) {
 		kick:      make(chan struct{}, 1),
 	}
 	if err := s.open(); err != nil {
+		s.releaseVolumes()
 		return nil, err
 	}
 	if !cfg.DisableBackground {
@@ -228,19 +242,73 @@ func packVolumePath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("pack-%06d.vol", id))
 }
 
-func (s *PackStore) openVolume(id int) (*packVolume, error) {
+// openVolume opens (creating if needed) volume id and maps it,
+// returning the volume and its file's size.
+func (s *PackStore) openVolume(id int) (*packVolume, int64, error) {
 	path := packVolumePath(s.dir, id)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("block: packstore: %w", err)
+		return nil, 0, fmt.Errorf("block: packstore: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("block: packstore: %w", err)
+	}
+	m, err := mapVolume(f, max(s.cfg.VolumeSizeCap, st.Size()))
+	if err != nil {
+		f.Close()
+		return nil, 0, err
 	}
 	return &packVolume{
 		id:    id,
 		path:  path,
 		f:     f,
+		m:     m,
 		tombs: make(map[string]struct{}),
 		stale: make(map[string]struct{}),
-	}, nil
+	}, st.Size(), nil
+}
+
+// release unmaps v and closes its file. Caller holds mu exclusively,
+// or v has left the volumes map, so no reader can be copying out of
+// the mapping.
+func (v *packVolume) release() {
+	if v.m != nil {
+		unmapVolume(v.m)
+		v.m = nil
+	}
+	v.f.Close()
+}
+
+// releaseVolumes releases every volume in the map. Caller holds mu
+// exclusively (or, at a failed open, the store was never shared).
+func (s *PackStore) releaseVolumes() {
+	for _, v := range s.volumes {
+		v.release()
+	}
+}
+
+// readMapped copies m[off:off+len(dst)] into dst. A fault on a mapped
+// page — the file truncated under the store, or an I/O error paging it
+// in — becomes the returned error instead of crashing the process; any
+// other panic goes on.
+func readMapped(dst, m []byte, off int64) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface {
+				runtime.Error
+				Addr() uintptr
+			})
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("memory fault at %#x in the volume mapping", fault.Addr())
+		}
+	}()
+	copy(dst, m[off:])
+	return nil
 }
 
 // open replays every volume in id order. The highest-numbered volume
@@ -260,30 +328,26 @@ func (s *PackStore) open() error {
 	}
 	sort.Ints(ids)
 	for i, id := range ids {
-		v, err := s.openVolume(id)
+		v, size, err := s.openVolume(id)
 		if err != nil {
 			return err
 		}
 		s.volumes[id] = v
-		st, err := v.f.Stat()
-		if err != nil {
-			return fmt.Errorf("block: packstore: %w", err)
-		}
-		valid := s.scanVolume(v, st.Size())
+		valid := s.scanVolume(v, size)
 		if i == len(ids)-1 {
-			if st.Size() > valid {
+			if size > valid {
 				if err := v.f.Truncate(valid); err != nil {
 					return fmt.Errorf("block: packstore: %w", err)
 				}
 			}
 			s.active, s.activeID = v, id
-		} else if st.Size() > valid {
-			v.size.Store(st.Size())
-			v.dead.Add(st.Size() - valid)
+		} else if size > valid {
+			v.size.Store(size)
+			v.dead.Add(size - valid)
 		}
 	}
 	if s.active == nil {
-		v, err := s.openVolume(0)
+		v, _, err := s.openVolume(0)
 		if err != nil {
 			return err
 		}
@@ -298,12 +362,14 @@ func (s *PackStore) open() error {
 // scanVolume replays v's records into the index, stopping at the first
 // record that fails a header sanity check or its checksum, or would run
 // past the file's size bytes, and returns the length of the valid
-// prefix.
+// prefix. It reads through v's mapping, as Get does; open runs before
+// the store is shared, so it takes no lock.
 func (s *PackStore) scanVolume(v *packVolume, size int64) int64 {
 	var off int64
-	hdr := make([]byte, packHeaderLen)
-	for {
-		if _, err := v.f.ReadAt(hdr, off); err != nil {
+	var hdr [packHeaderLen]byte
+	var payload []byte // one buffer, reused for every record's cid || data
+	for off+packHeaderLen <= size {
+		if readMapped(hdr[:], v.m, off) != nil {
 			break
 		}
 		magic := binary.BigEndian.Uint32(hdr[0:4])
@@ -317,8 +383,8 @@ func (s *PackStore) scanVolume(v *packVolume, size int64) int64 {
 			off+int64(packHeaderLen+cidLen+dataLen) > size {
 			break
 		}
-		payload := make([]byte, cidLen+dataLen)
-		if _, err := v.f.ReadAt(payload, off+packHeaderLen); err != nil {
+		payload = slices.Grow(payload[:0], cidLen+dataLen)[:cidLen+dataLen]
+		if readMapped(payload, v.m, off+packHeaderLen) != nil {
 			break
 		}
 		if crc32.Checksum(payload, packCRC) != sum {
@@ -417,8 +483,21 @@ func (s *PackStore) appendLocked(kind byte, key string, data []byte) (*packVolum
 		if _, err := v.f.WriteAt(appendRecord(nil, kind, key, data), off); err != nil {
 			return nil, 0, s.failLocked(err)
 		}
+		// Only a record larger than the cap, landing in the empty
+		// volume, runs past the mapping.
+		var m []byte
+		if off+n > int64(len(v.m)) {
+			var err error
+			if m, err = mapVolume(v.f, off+n); err != nil {
+				return nil, 0, s.failLocked(err)
+			}
+		}
 		s.mu.Lock()
 		v.bufOff = off + n
+		if m != nil {
+			unmapVolume(v.m)
+			v.m = m
+		}
 		s.mu.Unlock()
 	} else {
 		p := off - v.bufOff
@@ -474,7 +553,7 @@ func (s *PackStore) rotateLocked() (*packVolume, error) {
 		return nil, s.failLocked(err)
 	}
 	s.dirty = false
-	v, err := s.openVolume(s.activeID + 1)
+	v, _, err := s.openVolume(s.activeID + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -517,15 +596,20 @@ func (s *PackStore) Put(b Block) error {
 	return nil
 }
 
-// Get implements Store: one pread under the shared lock — or, for a
-// record still in the append buffer, one copy out of it — then
-// self-certification so on-disk corruption surfaces as an error.
+// Get implements Store: one copy under the shared lock, out of the
+// volume's mapping or, for a record still in the append buffer, out of
+// the buffer — then self-certification so on-disk corruption surfaces
+// as an error. After Close it returns an error.
 func (s *PackStore) Get(c cid.Cid) (Block, error) {
 	start := time.Now()
 	s.mu.RLock()
 	loc, ok := s.index[c.Key()]
 	if !ok {
+		closed := s.index == nil
 		s.mu.RUnlock()
+		if closed {
+			return Block{}, fmt.Errorf("block: packstore: get %s: %w", c, errPackClosed)
+		}
 		return Block{}, ErrNotFound
 	}
 	v := s.volumes[loc.vol]
@@ -538,7 +622,7 @@ func (s *PackStore) Get(c cid.Cid) (Block, error) {
 	if v.buf != nil && loc.off >= v.bufOff {
 		copy(data, v.buf[loc.off-v.bufOff:])
 	} else {
-		_, err = v.f.ReadAt(data, loc.off)
+		err = readMapped(data, v.m, loc.off)
 	}
 	s.mu.RUnlock()
 	if err != nil {
@@ -749,8 +833,8 @@ func (s *PackStore) CompactNow() error {
 // the order the index saw, and a reopen brings back nothing a Delete
 // returned from. Writers wait for one record's copy at a time. Readers
 // wait only for the index swap: they hold mu shared across their
-// preads, and the file is closed only after the index no longer
-// references the volume.
+// copies, and the volume is unmapped only after it has left the
+// volumes map, which happens once the index no longer references it.
 func (s *PackStore) compactVolume(v *packVolume) error {
 	type liveRec struct {
 		key string
@@ -819,7 +903,7 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 	}
 	delete(s.volumes, v.id)
 	s.mu.Unlock()
-	v.f.Close()
+	v.release()
 	rmErr := os.Remove(v.path)
 	s.reg.Load().Counter("pack_compactions", "store", "pack").Inc()
 	s.publishGauges()
@@ -831,19 +915,22 @@ func (s *PackStore) compactVolume(v *packVolume) error {
 
 // moveRecord re-appends the record compactVolume found at loc in v and
 // points the index at the copy, unless the key was deleted since the
-// snapshot. It holds wmu throughout (see compactVolume). v is sealed,
-// so rotation has already written all of it to the file.
+// snapshot. It holds wmu throughout (see compactVolume), and mu shared
+// across the check and the copy out of v's mapping, so Close cannot
+// release the mapping under it. v is sealed, so rotation has already
+// written all of it to the file.
 func (s *PackStore) moveRecord(v *packVolume, key string, loc packLoc) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.RLock()
-	cur, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok || cur != loc {
+	if cur, ok := s.index[key]; !ok || cur != loc {
+		s.mu.RUnlock()
 		return nil // deleted (and perhaps re-put) since the snapshot
 	}
 	data := make([]byte, loc.n)
-	if _, err := v.f.ReadAt(data, loc.off); err != nil {
+	err := readMapped(data, v.m, loc.off)
+	s.mu.RUnlock()
+	if err != nil {
 		return fmt.Errorf("block: packstore: compact %s: %w", v.path, err)
 	}
 	nv, off, err := s.appendLocked(recPut, key, data)
@@ -875,8 +962,9 @@ func (s *PackStore) background() {
 	}
 }
 
-// Close stops the background worker, flushes the active volume and
-// closes every volume file. Put and Delete fail after Close.
+// Close stops the background worker, flushes the active volume, drops
+// the index and releases every volume's mapping and file. After Close,
+// Put and Get fail, Delete deletes nothing and Has reports false.
 func (s *PackStore) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -886,9 +974,8 @@ func (s *PackStore) Close() error {
 		s.failLocked(errPackClosed)
 		s.wmu.Unlock()
 		s.mu.Lock()
-		for _, v := range s.volumes {
-			v.f.Close()
-		}
+		s.index = nil
+		s.releaseVolumes()
 		s.mu.Unlock()
 	})
 	return s.closeErr

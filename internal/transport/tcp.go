@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/multiaddr"
@@ -288,26 +289,26 @@ type tcpConn struct {
 	r      *bufio.Reader
 	remote peer.ID
 
-	mu     sync.Mutex
-	closed bool
+	mu     sync.Mutex // held across one Request's write and read
+	closed atomic.Bool
 }
 
 func (c *tcpConn) RemotePeer() peer.ID { return c.remote }
 
+// Close closes the socket without waiting for the request lock, so a
+// Request blocked on a silent peer fails at once instead of holding up
+// the swarm's drop and the node's shutdown.
 func (c *tcpConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
 	return c.nc.Close()
 }
 
 func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return wire.Message{}, ErrClosed
 	}
 	// On the real transport the measured wall latency IS the simulated

@@ -60,6 +60,49 @@ func TestTCPDialRequest(t *testing.T) {
 	}
 }
 
+// TestTCPCloseDoesNotWaitForARequest: Close returns at once while a
+// Request on the connection waits on a peer that never answers, and
+// that Request then fails.
+func TestTCPCloseDoesNotWaitForARequest(t *testing.T) {
+	a, b := newTCPPair(t)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // before the endpoints close
+	arrived := make(chan struct{}, 1)
+	b.SetHandler(func(context.Context, peer.ID, wire.Message) wire.Message {
+		arrived <- struct{}{}
+		<-release
+		return wire.Message{Type: wire.TAck}
+	})
+	conn, err := a.Dial(context.Background(), b.LocalPeer(), b.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqErr := make(chan error, 1)
+	go func() {
+		_, err := conn.Request(context.Background(), wire.Message{Type: wire.TPing})
+		reqErr <- err
+	}()
+	<-arrived
+	closed := make(chan struct{})
+	go func() {
+		conn.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked behind the in-flight Request after 2s")
+	}
+	select {
+	case err := <-reqErr:
+		if err == nil {
+			t.Error("Request on a closed connection = nil error")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Request still blocked 2s after Close")
+	}
+}
+
 func TestTCPIdentityMismatch(t *testing.T) {
 	a, b := newTCPPair(t)
 	b.SetHandler(func(_ context.Context, _ peer.ID, _ wire.Message) wire.Message {
