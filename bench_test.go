@@ -3,7 +3,7 @@
 // and assembly, the wire codec and its TCP framing, routing-table
 // selection, the DHT walk, scheduler dispatch, the pack store's Get and
 // Delete, the provider store, trace recording, a 2 000-peer network
-// build and a whole TCP retrieve. Each has a real b.N and runs in CI's
+// build, a whole TCP retrieve and a gateway GET over loopback HTTP. Each has a real b.N and runs in CI's
 // layer-bench step with allocations reported. The paper's tables and figures are
 // not benchmarks: they are seeded simulations, pinned exactly by the
 // golden and replay tests of internal/experiments.
@@ -14,8 +14,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -598,5 +601,75 @@ func BenchmarkTCPRetrieve1MiB(b *testing.B) {
 	b.StopTimer()
 	if got, _, err := requester.Retrieve(ctx, root); err != nil || !bytes.Equal(got, data) {
 		b.Fatalf("retrieved object differs from the one added: %v", err)
+	}
+}
+
+// BenchmarkGatewayServeHTTP measures one GET of a 64 KiB object through
+// the gateway's HTTP face over a loopback socket, client included, for
+// each serving tier: an nginx cache hit; a node-store hit, with an
+// nginx cache too small to keep the object; and a network miss, from a
+// gateway node whose store keeps no block either, streamed from a
+// connected TCP origin over Bitswap.
+func BenchmarkGatewayServeHTTP(b *testing.B) {
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(5)).Read(data)
+	origin, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer origin.Close()
+	root, err := origin.Add(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, tier string // tier: the X-Ipfs-Gateway-Tier every timed answer must carry
+		nginx      int64  // nginx cache bytes
+		store      block.Store
+		pin        bool
+	}{
+		{"nginx", "nginx cache", 1 << 20, nil, false},
+		{"nodestore", "IPFS node store", 1, nil, true},
+		{"network", "Non Cached", 1, block.NewLRUStore(1), false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			node, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: 2, Store: c.store})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer node.Close()
+			if _, _, err := node.Swarm().Connect(context.Background(), origin.ID(), origin.Addrs()); err != nil {
+				b.Fatal(err)
+			}
+			gw := ipfs.NewTCPGateway(node, c.nginx)
+			if c.pin {
+				if _, err := gw.Pin(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			srv := httptest.NewServer(gw)
+			defer srv.Close()
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1, DisableCompression: true}}
+			defer client.CloseIdleConnections()
+			url := srv.URL + "/ipfs/" + root.String()
+			get := func(i int, want string) {
+				resp, err := client.Get(url)
+				if err != nil {
+					b.Fatalf("GET %d: %v", i, err)
+				}
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if tier := resp.Header.Get("X-Ipfs-Gateway-Tier"); err != nil || n != int64(len(data)) || tier != want && want != "" {
+					b.Fatalf("GET %d: %d bytes from %q, %v; want %d from %q", i, n, tier, err, len(data), want)
+				}
+			}
+			get(-1, "") // warm: fills the nginx cache, opens the connection
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get(i, c.tier)
+			}
+		})
 	}
 }

@@ -521,7 +521,7 @@ func (s *Session) Get(c cid.Cid) (block.Block, error) { return s.GetContext(s.ct
 // derived from the session's). The first remote fetch performs the
 // WANT-HAVE handshake unless discovery already confirmed the provider;
 // GetContext is safe for the concurrent sibling fetches of
-// merkledag.AssembleConcurrentOn.
+// merkledag.Walk.
 func (s *Session) GetContext(ctx context.Context, c cid.Cid) (block.Block, error) {
 	if blk, err := s.bs.store.Get(c); err == nil {
 		return blk, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -219,9 +220,31 @@ func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) 
 // straight to Bitswap while the stream keeps yielding fail-over
 // candidates in the background — (iii) peer discovery via the address
 // book or a second walk, (iv) peer routing (connect), and (v) content
-// exchange over Bitswap.
-func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res RetrieveResult, err error) {
+// exchange over Bitswap. The content comes back as one slice the
+// caller owns, copied once from the verified leaves (see RetrieveTo).
+func (n *Node) Retrieve(ctx context.Context, root cid.Cid) ([]byte, RetrieveResult, error) {
+	var leaves [][]byte
+	res, err := n.RetrieveTo(ctx, root, merkledag.AppendLeaves(&leaves))
+	if err != nil {
+		return nil, res, err
+	}
+	return bytes.Join(leaves, nil), res, nil
+}
+
+// RetrieveTo is Retrieve handing the DAG to visit as the walk verifies
+// it (see merkledag.Walk), so a caller can pass content on before the
+// last block has arrived. Local content is collected whole before visit
+// sees it: a partial DAG in the store still falls through to the
+// network without visit having seen any of it.
+func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Visitor) (res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
+	size := 0 // the leaves visited; res.Bytes once the walk succeeds
+	count := func(c cid.Cid, nd *merkledag.Node) error {
+		if len(nd.Links) == 0 {
+			size += len(nd.Data)
+		}
+		return visit(c, nd)
+	}
 	ctx, meter := transport.WithMeter(ctx)
 	ctx, trsp := n.tel.StartTrace(ctx, "retrieve",
 		telemetry.A("cid", root.String()), telemetry.A("router", n.router.Name()))
@@ -238,11 +261,23 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 		n.recordRetrieve(res, err)
 	}()
 
-	// Already local? Serve without network interaction.
-	if data, err := merkledag.Assemble(n.store, root); err == nil {
-		res.Bytes = len(data)
-		trsp.Annotate("local", "true")
-		return data, res, nil
+	// Already local? Serve without network interaction. A missing root
+	// is the common case and is answered without a walk.
+	if n.store.Has(root) {
+		var local []visited
+		if merkledag.Walk(ctx, nil, n.store, root, 1, func(c cid.Cid, nd *merkledag.Node) error {
+			local = append(local, visited{c, nd})
+			return nil
+		}) == nil {
+			for _, v := range local {
+				if err := count(v.c, v.n); err != nil {
+					return res, err
+				}
+			}
+			res.Bytes = size
+			trsp.Annotate("local", "true")
+			return res, nil
+		}
 	}
 
 	// Content discovery (§3.2 steps i–ii): the routed/opportunistic
@@ -264,7 +299,7 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 		}()
 	}
 	if err != nil {
-		return nil, res, err
+		return res, err
 	}
 	res.Provider = provider.ID
 
@@ -285,7 +320,7 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 			info, _, err := n.dht.FindPeer(fpctx, provider.ID)
 			if err != nil {
 				fpsp.End()
-				return nil, res, fmt.Errorf("%w: provider %s unresolvable: %v", ErrNotFound, provider.ID.Short(), err)
+				return res, fmt.Errorf("%w: provider %s unresolvable: %v", ErrNotFound, provider.ID.Short(), err)
 			}
 			provider.Addrs = info.Addrs
 		}
@@ -295,7 +330,7 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	// Peer routing: connect to the provider.
 	if _, _, err := n.sw.Connect(fpctx, provider.ID, provider.Addrs); err != nil {
 		fpsp.End()
-		return nil, res, fmt.Errorf("%w: cannot connect to provider: %v", ErrNotFound, err)
+		return res, fmt.Errorf("%w: cannot connect to provider: %v", ErrNotFound, err)
 	}
 	fpsp.End()
 
@@ -313,17 +348,24 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) (data []byte, res Ret
 	if res.BitswapHit || res.RoutedSession {
 		session.Confirm()
 	}
-	data, err = merkledag.AssembleConcurrentOn(fctx, n.src, session, root, 8)
+	err = merkledag.Walk(fctx, n.src, session, root, 8, count)
 	ss := session.Stats()
 	res.SessionFailovers += ss.Failovers
 	fsp.Annotate("blocks", fmt.Sprint(ss.WantBlocks))
 	fsp.Annotate("failovers", fmt.Sprint(ss.Failovers))
 	fsp.End()
 	if err != nil {
-		return nil, res, fmt.Errorf("%w: fetch failed: %v", ErrNotFound, err)
+		return res, fmt.Errorf("%w: fetch failed: %v", ErrNotFound, err)
 	}
-	res.Bytes = len(data)
-	return data, res, nil
+	res.Bytes = size
+	return res, nil
+}
+
+// visited is one node of a local walk, held until the walk is known to
+// be whole.
+type visited struct {
+	c cid.Cid
+	n *merkledag.Node
 }
 
 // recordRetrieve folds one retrieval's instrumentation into the node's

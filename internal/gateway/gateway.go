@@ -1,18 +1,21 @@
 // Package gateway implements the HTTP entry point of §3.4: a bridge
 // between plain HTTP clients and the P2P network.
 //
-// Every request is served by FetchData walking one ordered list of
-// CacheTier values: the nginx-style LRU web cache, the IPFS node store
-// holding pinned content (the Web3/NFT Storage uploads), any tiers the
-// caller of New slots in (internal/gwfleet's shared object and negative
-// caches), and last a full P2P retrieval. The first tier that answers
-// wins and the tiers above it are filled. That walk is also the one
-// place a request is accounted: it names the answering tier and appends
-// the access-log entry (the §4.2 dataset's fields, in a bounded ring)
-// that Summarize turns into Table 5.
+// Every request, over HTTP or not, is served by one walk over an
+// ordered list of CacheTier values: the nginx-style LRU web cache, the
+// IPFS node store holding pinned content (the Web3/NFT Storage
+// uploads), any tiers the caller of New slots in (internal/gwfleet's
+// shared object and negative caches), and last a full P2P retrieval,
+// which streams a miss to the client as it verifies. The first tier
+// that answers wins and the tiers above it are filled with the Object,
+// never a copy. That walk is also the one place a request is accounted:
+// it names the answering tier and appends the access-log entry (the
+// §4.2 dataset's fields, in a bounded ring) that Summarize turns into
+// Table 5.
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -29,6 +32,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/merkledag"
 	"repro/internal/simtime"
+	"repro/internal/unixfs"
 )
 
 // Tier identifies which storage layer served a request (Table 5).
@@ -92,11 +96,24 @@ type LogEntry struct {
 	failed   bool // the fetch returned an error
 }
 
+// Object is a served object as its leaves' data in link order: slices
+// of verified blocks, shared with the node store and never written.
+type Object [][]byte
+
+// Len is the object's size in bytes.
+func (o Object) Len() int {
+	n := 0
+	for _, leaf := range o {
+		n += len(leaf)
+	}
+	return n
+}
+
 // ErrMiss is what a CacheTier's Get returns to pass the request on to
 // the next tier of the cascade.
 var ErrMiss = errors.New("gateway: tier miss")
 
-// CacheTier is one stage of the serving cascade. FetchData asks the
+// CacheTier is one stage of the serving cascade. The cascade asks the
 // tiers in order; the first whose Get does not return ErrMiss answers
 // the request, and every tier above it is then offered the object.
 type CacheTier interface {
@@ -105,9 +122,10 @@ type CacheTier interface {
 	// Get answers the request with the object and the retrieval delay,
 	// returns ErrMiss to ask the next tier, or returns a terminal error
 	// (a negative-cache entry, a failed retrieval) that ends the walk.
-	Get(ctx context.Context, req Request) (data []byte, latency time.Duration, err error)
+	// out is the HTTP response, if any; only the network tier writes it.
+	Get(ctx context.Context, req Request, out *Stream) (obj Object, latency time.Duration, err error)
 	// Put offers the tier an object a lower tier produced.
-	Put(req Request, data []byte)
+	Put(req Request, obj Object)
 }
 
 // logCap bounds the access log: a long-running daemon keeps the most
@@ -131,7 +149,7 @@ type Gateway struct {
 // fleet's shared caches; none for a single gateway) and finally the P2P
 // network. HTTP requests are stamped on src.
 func New(node *core.Node, cacheBytes int64, src simtime.Source, mid ...CacheTier) *Gateway {
-	tiers := []CacheTier{nginxTier{lru.New[[]byte](cacheBytes)}, storeTier{node}}
+	tiers := []CacheTier{nginxTier{lru.New[Object](cacheBytes)}, storeTier{node}}
 	tiers = append(tiers, mid...)
 	return &Gateway{node: node, src: src, tiers: append(tiers, networkTier{node})}
 }
@@ -156,31 +174,50 @@ func (r Request) Key() string { return r.Cid.Key() + "\x00" + r.Path }
 
 // Fetch serves one request through the tier cascade.
 func (g *Gateway) Fetch(ctx context.Context, req Request) Response {
-	resp, _ := g.FetchData(ctx, req)
+	resp, _ := g.serve(ctx, req, nil)
 	return resp
 }
 
-// FetchData serves one request through the tier cascade and also
-// returns the object: the first tier to answer is named in the
-// response, the tiers above it are filled in order, and exactly one log
-// entry is written.
+// FetchObject is Fetch returning the object too.
+func (g *Gateway) FetchObject(ctx context.Context, req Request) (Response, Object) {
+	return g.serve(ctx, req, nil)
+}
+
+// FetchData is FetchObject with the object in one slice: a single-leaf
+// object is its shared leaf, which nobody may write; a larger one is
+// copied once.
 func (g *Gateway) FetchData(ctx context.Context, req Request) (Response, []byte) {
+	switch resp, obj := g.serve(ctx, req, nil); len(obj) {
+	case 0:
+		return resp, nil
+	case 1:
+		return resp, obj[0]
+	default:
+		return resp, bytes.Join(obj, nil)
+	}
+}
+
+// serve is the cascade: the first tier to answer is named in the
+// response and its object sent to out, the tiers above are filled in
+// order, and exactly one log entry is written.
+func (g *Gateway) serve(ctx context.Context, req Request, out *Stream) (Response, Object) {
 	for i, t := range g.tiers {
-		data, latency, err := t.Get(ctx, req)
+		obj, latency, err := t.Get(ctx, req, out)
 		if errors.Is(err, ErrMiss) {
 			continue
 		}
 		resp := Response{Tier: t.Tier(), Latency: latency, Err: err}
 		if err != nil {
-			data = nil
+			obj = nil
 		} else {
-			resp.Bytes = len(data)
+			resp.Bytes = obj.Len()
+			out.send(resp.Tier, obj)
 			for _, above := range g.tiers[:i] {
-				above.Put(req, data)
+				above.Put(req, obj)
 			}
 		}
 		g.append(req, resp)
-		return resp, data
+		return resp, obj
 	}
 	panic("gateway: the network tier reported a miss")
 }
@@ -188,18 +225,18 @@ func (g *Gateway) FetchData(ctx context.Context, req Request) (Response, []byte)
 // nginxTier is the "default nginx web cache, with a Least Recently
 // Used replacement strategy" (§3.4). Hits have a retrieval delay of 0
 // (§6.3).
-type nginxTier struct{ cache *lru.Cache[[]byte] }
+type nginxTier struct{ cache *lru.Cache[Object] }
 
 func (nginxTier) Tier() Tier { return TierNginx }
 
-func (t nginxTier) Get(_ context.Context, req Request) ([]byte, time.Duration, error) {
-	if data, ok := t.cache.Get(req.Key()); ok {
-		return data, 0, nil
+func (t nginxTier) Get(_ context.Context, req Request, _ *Stream) (Object, time.Duration, error) {
+	if obj, ok := t.cache.Get(req.Key()); ok {
+		return obj, 0, nil
 	}
 	return nil, 0, ErrMiss
 }
 
-func (t nginxTier) Put(req Request, data []byte) { t.cache.Put(req.Key(), data, int64(len(data))) }
+func (t nginxTier) Put(req Request, obj Object) { t.cache.Put(req.Key(), obj, int64(obj.Len())) }
 
 // storeTier is the gateway's own IPFS node store (pinned content),
 // "resulting consistently in a delay below 24 ms". It is filled by
@@ -208,46 +245,59 @@ type storeTier struct{ node *core.Node }
 
 func (storeTier) Tier() Tier { return TierNodeStore }
 
-func (t storeTier) Get(_ context.Context, req Request) ([]byte, time.Duration, error) {
-	data, err := assembleLocal(t.node, req)
-	if err != nil {
+func (t storeTier) Get(_ context.Context, req Request, _ *Stream) (Object, time.Duration, error) {
+	// Has answers a missing root without a walk, whose failure would
+	// format an error nobody reads; a partial DAG still misses below.
+	if !t.node.Store().Has(req.Cid) {
 		return nil, 0, ErrMiss
 	}
-	return data, NodeStoreLatency, nil
+	if obj, err := localObject(t.node, req); err == nil {
+		return obj, NodeStoreLatency, nil
+	}
+	return nil, 0, ErrMiss
 }
 
-func (storeTier) Put(Request, []byte) {}
+func (storeTier) Put(Request, Object) {}
 
 // networkTier is the end of every cascade: a full P2P retrieval of the
 // root DAG through the co-located node. A path-less request is answered
-// with the object Retrieve assembled — one walk, and no dependence on
-// the node store still holding every block afterwards; a path resolves
-// locally once the DAG is in. It never misses; a failed retrieval is
-// terminal.
+// with the leaves the retrieval verified, streamed to an HTTP client as
+// they verify — one walk, and no dependence on the node store still
+// holding every block afterwards; a path resolves locally once the DAG
+// is in. It never misses; a failed retrieval is terminal.
 type networkTier struct{ node *core.Node }
 
 func (networkTier) Tier() Tier { return TierNetwork }
 
-func (t networkTier) Get(ctx context.Context, req Request) ([]byte, time.Duration, error) {
-	data, res, err := t.node.Retrieve(ctx, req.Cid)
+func (t networkTier) Get(ctx context.Context, req Request, out *Stream) (Object, time.Duration, error) {
+	var obj Object
+	res, err := t.node.RetrieveTo(ctx, req.Cid, func(_ cid.Cid, n *merkledag.Node) error {
+		if len(n.Links) == 0 {
+			obj = append(obj, n.Data)
+		}
+		if out != nil && req.Path == "" {
+			return out.visit(n)
+		}
+		return nil
+	})
 	if err == nil && req.Path != "" {
-		data, err = t.node.CatPath(req.Cid, req.Path)
+		obj, err = localObject(t.node, req)
 	}
 	if err != nil {
 		return nil, res.Total, err
 	}
-	return data, res.Total, nil
+	return obj, res.Total, nil
 }
 
-func (networkTier) Put(Request, []byte) {}
+func (networkTier) Put(Request, Object) {}
 
-// assembleLocal serves a request from the node store alone: the raw
-// DAG for path-less requests, or the file beneath the UnixFS path.
-func assembleLocal(node *core.Node, req Request) ([]byte, error) {
+// localObject serves a request from the node store alone: the raw DAG
+// for path-less requests, or the file beneath the UnixFS path.
+func localObject(node *core.Node, req Request) (Object, error) {
 	if req.Path == "" {
-		return merkledag.Assemble(node.Store(), req.Cid)
+		return merkledag.Leaves(node.Store(), req.Cid)
 	}
-	return node.CatPath(req.Cid, req.Path)
+	return unixfs.FileLeaves(node.Store(), req.Cid, req.Path)
 }
 
 func (g *Gateway) append(req Request, resp Response) {
@@ -314,28 +364,83 @@ func ParseRequest(w http.ResponseWriter, r *http.Request, now time.Time) (Reques
 }
 
 // WriteResponse writes a fetch outcome: 404 for a failed one, otherwise
-// the object with the answering tier in X-Ipfs-Gateway-Tier. The object
-// is whole in hand, so the response declares its length rather than
-// being sent chunked.
-func WriteResponse(w http.ResponseWriter, resp Response, data []byte) {
+// the object.
+func WriteResponse(w http.ResponseWriter, resp Response, obj Object) {
 	if resp.Err != nil {
 		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("X-Ipfs-Gateway-Tier", resp.Tier.String())
-	w.Write(data)
+	(&Stream{w: w}).send(resp.Tier, obj)
 }
 
-// ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path].
+// ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path]. A
+// request failing after its header went out is aborted
+// (http.ErrAbortHandler): its client sees a short body, not a 200.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, ok := ParseRequest(w, r, g.src.Now())
 	if !ok {
 		return
 	}
-	resp, data := g.FetchData(r.Context(), req)
-	WriteResponse(w, resp, data)
+	out := &Stream{w: w}
+	if resp, _ := g.serve(r.Context(), req, out); resp.Err != nil {
+		if out.started {
+			panic(http.ErrAbortHandler)
+		}
+		WriteResponse(w, resp, nil)
+	}
+}
+
+// Stream is a request's HTTP response while the cascade answers it. Its
+// header declares the length, so the body is never chunked: that of
+// the object a tier returned, or, when the network tier streams a miss,
+// the size the verified root declares. visit refuses a leaf that would
+// overrun that size, or reach it before the walk's last leaf, so a
+// failed walk never leaves its client a whole body.
+type Stream struct {
+	w          http.ResponseWriter
+	started    bool
+	size, sent uint64
+	pending    int // nodes the walk has yet to visit
+}
+
+func (s *Stream) header(t Tier, size uint64) {
+	h := s.w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.FormatUint(size, 10))
+	h.Set("X-Ipfs-Gateway-Tier", t.String())
+	s.w.WriteHeader(http.StatusOK)
+	s.started, s.size, s.pending = true, size, 1
+}
+
+// send writes an object a tier returned whole, unless there is no
+// client or it has the object already. A client gone mid-body is not
+// the object's failure.
+func (s *Stream) send(t Tier, obj Object) {
+	if s != nil && !s.started {
+		s.header(t, uint64(obj.Len()))
+		for _, leaf := range obj {
+			s.w.Write(leaf)
+		}
+	}
+}
+
+// visit writes a network miss as the walk verifies it: the header at
+// the root, then each leaf.
+func (s *Stream) visit(n *merkledag.Node) error {
+	if !s.started {
+		s.header(TierNetwork, n.TotalSize())
+	}
+	s.pending += len(n.Links) - 1
+	if len(n.Links) > 0 {
+		return nil
+	}
+	end := s.sent + uint64(len(n.Data))
+	if end > s.size || (end == s.size) != (s.pending == 0) {
+		return fmt.Errorf("gateway: leaves do not sum to the %d bytes the root declares", s.size)
+	}
+	s.sent = end
+	_, err := s.w.Write(n.Data)
+	return err
 }
 
 // TierStats aggregates the access log into the Table 5 summary.

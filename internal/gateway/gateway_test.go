@@ -8,16 +8,21 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/cid"
+	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/merkledag"
 	"repro/internal/multicodec"
+	"repro/internal/peer"
 	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
+	"repro/internal/transport"
 )
 
 var day = time.Date(2022, 1, 2, 0, 0, 0, 0, time.UTC)
@@ -370,15 +375,15 @@ type fakeTier struct {
 
 func (f *fakeTier) Tier() Tier { return f.tier }
 
-func (f *fakeTier) Get(context.Context, Request) ([]byte, time.Duration, error) {
+func (f *fakeTier) Get(context.Context, Request, *Stream) (Object, time.Duration, error) {
 	f.gets++
 	if f.data != nil {
-		return f.data, time.Duration(f.tier+1) * time.Millisecond, nil
+		return Object{f.data}, time.Duration(f.tier+1) * time.Millisecond, nil
 	}
 	return nil, time.Second, f.err
 }
 
-func (f *fakeTier) Put(_ Request, data []byte) { f.puts = append(f.puts, data) }
+func (f *fakeTier) Put(_ Request, obj Object) { f.puts = append(f.puts, bytes.Join(obj, nil)) }
 
 // TestCascadeOrder pins the walk itself, on the fleet's five-stage
 // shape (local, local, shared, negative, origin): tiers are asked in
@@ -458,5 +463,220 @@ func TestLogIsBoundedRing(t *testing.T) {
 		if want := day.Add(time.Duration(i+extra) * time.Second); !e.Time.Equal(want) {
 			t.Fatalf("Log()[%d].Time = %v, want %v (the first %d requests dropped, order kept)", i, e.Time, want, extra)
 		}
+	}
+}
+
+// tcpGateway returns a wall-clock gateway over loopback TCP, its node
+// connected to an origin node that keeps its blocks in originStore (nil:
+// a fresh MemStore). Both nodes close with the test.
+func tcpGateway(t testing.TB, originStore block.Store) (*Gateway, *core.Node) {
+	t.Helper()
+	node := func(seed int64, store block.Store) *core.Node {
+		ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
+		ep, err := transport.ListenTCP(ident, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := core.New(ident, ep, core.Config{Mode: dht.ModeServer, Store: store})
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	origin, gw := node(1, originStore), node(2, nil)
+	if _, _, err := gw.Swarm().Connect(context.Background(), origin.ID(), origin.Addrs()); err != nil {
+		t.Fatal(err)
+	}
+	return New(gw, 4<<20, gw.Swarm().Time()), origin
+}
+
+// get fetches url and reads the whole body, returning the read error
+// (nil for a body that ended where its Content-Length said).
+func get(t *testing.T, url string) (*http.Response, []byte, error) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp, body, err
+}
+
+// TestServeHTTPEachTierWholeObject: a 1 MiB object (four leaves and a
+// root) comes back byte-identical with its Content-Length from each
+// tier — streamed from the network on the miss, then whole from the
+// nginx cache — and likewise from the node store; a path beneath a
+// root the network supplies still resolves.
+func TestServeHTTPEachTierWholeObject(t *testing.T) {
+	g, origin := tcpGateway(t, nil)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	object := func(seed int64) []byte {
+		data := make([]byte, 1<<20)
+		rand.New(rand.NewSource(seed)).Read(data)
+		return data
+	}
+	remote, pinned, file := object(1), object(2), object(3)
+	remoteRoot, err := origin.Add(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinnedRoot, err := g.Pin(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := origin.AddTree(map[string][]byte{"dir/file.bin": file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		tier Tier
+		want []byte
+	}{
+		{remoteRoot.String(), TierNetwork, remote},
+		{remoteRoot.String(), TierNginx, remote},
+		{pinnedRoot.String(), TierNodeStore, pinned},
+		{tree.String() + "/dir/file.bin", TierNetwork, file},
+	} {
+		resp, body, err := get(t, srv.URL+"/ipfs/"+c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Ipfs-Gateway-Tier") != c.tier.String() {
+			t.Errorf("%s: status %d from %q, want 200 from %q", c.path, resp.StatusCode, resp.Header.Get("X-Ipfs-Gateway-Tier"), c.tier)
+		}
+		if resp.ContentLength != int64(len(c.want)) || !bytes.Equal(body, c.want) {
+			t.Errorf("%s from %v: Content-Length %d, %d bytes back, equal %v; want %d", c.path, c.tier,
+				resp.ContentLength, len(body), bytes.Equal(body, c.want), len(c.want))
+		}
+	}
+}
+
+// swapStore answers Get for one CID with another block: a provider
+// whose copy of that block fails its hash at the receiver.
+type swapStore struct {
+	block.Store
+	bad  cid.Cid
+	with block.Block
+}
+
+func (s *swapStore) Get(c cid.Cid) (block.Block, error) {
+	if c.Equal(s.bad) {
+		return s.with, nil
+	}
+	return s.Store.Get(c)
+}
+
+// putRoot stores, beside the leaves it links, a root whose links
+// declare the given sizes — a DAG whose root lies about its content.
+func putRoot(t *testing.T, store block.Store, leaves [][]byte, sizes []uint64) cid.Cid {
+	t.Helper()
+	root := &merkledag.Node{}
+	for i, data := range leaves {
+		leaf := block.New(multicodec.DagPB, (&merkledag.Node{Data: data}).Encode())
+		if err := store.Put(leaf); err != nil {
+			t.Fatal(err)
+		}
+		root.Links = append(root.Links, merkledag.Link{Cid: leaf.Cid(), Size: sizes[i]})
+	}
+	blk := block.New(multicodec.DagPB, root.Encode())
+	if err := store.Put(blk); err != nil {
+		t.Fatal(err)
+	}
+	return blk.Cid()
+}
+
+// TestServeHTTPAbortsFailedStream: once a streamed miss has sent its
+// header, a failure reaches the client as a cut connection, never as a
+// complete 200 — whether the origin's second leaf fails its hash or
+// the leaves do not sum to what the root declares (short, over, or a
+// root declaring 1 TiB). The log entry is marked failed and the nginx
+// cache is not filled.
+func TestServeHTTPAbortsFailedStream(t *testing.T) {
+	store := &swapStore{Store: block.NewMemStore()}
+	g, origin := tcpGateway(t, store)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(7)).Read(data)
+	corrupt, err := origin.Add(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cids, err := merkledag.AllCids(store, corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.bad = cids[2] // the second leaf, after the root and the first
+	if store.with, err = store.Store.Get(cids[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := bytes.Repeat([]byte{'a'}, 3000), bytes.Repeat([]byte{'b'}, 5000)
+	for _, c := range []struct {
+		name string
+		root cid.Cid
+		size int64 // the Content-Length the root declares
+	}{
+		{"second leaf fails its hash", corrupt, 1 << 20},
+		{"leaves short of the declared size", putRoot(t, store, [][]byte{a, b}, []uint64{3000, 6000}), 9000},
+		{"leaves over the declared size", putRoot(t, store, [][]byte{a, b}, []uint64{3000, 4000}), 7000},
+		{"declared size reached before the last leaf", putRoot(t, store, [][]byte{a, b}, []uint64{3000, 0}), 3000},
+		{"root declaring 1 TiB", putRoot(t, store, [][]byte{a}, []uint64{1 << 40}), 1 << 40},
+	} {
+		// The walk stores what it verified: clear it, so every request
+		// here is a network miss.
+		g.Node().ClearStore()
+		resp, body, err := get(t, srv.URL+"/ipfs/"+c.root.String())
+		if err == nil {
+			t.Errorf("%s: status %d and %d bytes read to a clean end; want the response cut short", c.name, resp.StatusCode, len(body))
+		} else if resp != nil && (resp.StatusCode != http.StatusOK || resp.ContentLength != c.size || int64(len(body)) >= c.size) {
+			t.Errorf("%s: status %d, Content-Length %d, %d bytes before %v; want 200 declaring %d, cut short",
+				c.name, resp.StatusCode, resp.ContentLength, len(body), err, c.size)
+		}
+		log := g.Log()
+		if last := log[len(log)-1]; !last.Err() || last.Tier != TierNetwork || !last.Cid.Equal(c.root) {
+			t.Errorf("%s: log entry %+v, want a failed network fetch of the root", c.name, last)
+		}
+		if g.Node().ClearStore(); abort(g, c.root) != http.ErrAbortHandler {
+			t.Errorf("%s: ServeHTTP returned; want it to panic with http.ErrAbortHandler", c.name)
+		}
+	}
+	if n := g.tiers[0].(nginxTier).cache.Len(); n != 0 {
+		t.Errorf("nginx cache holds %d objects after failed fetches, want none", n)
+	}
+}
+
+// abort serves root straight through ServeHTTP and returns what the
+// handler panicked with.
+func abort(g *Gateway, root cid.Cid) (p any) {
+	defer func() { p = recover() }()
+	g.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ipfs/"+root.String(), nil))
+	return nil
+}
+
+// TestOversizedRootAllocatesFromLeaves: a root declaring 1 TiB over one
+// 3000-byte leaf costs what the leaf does, served over HTTP or through
+// FetchData: no buffer is sized from a declared length.
+func TestOversizedRootAllocatesFromLeaves(t *testing.T) {
+	store := block.NewMemStore()
+	g, _ := tcpGateway(t, store)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	root := putRoot(t, store, [][]byte{bytes.Repeat([]byte{'a'}, 3000)}, []uint64{1 << 40})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, body, err := get(t, srv.URL+"/ipfs/"+root.String()); err == nil || len(body) > 3000 {
+		t.Errorf("HTTP: %d bytes, err %v; want at most the 3000-byte leaf, then a cut", len(body), err)
+	}
+	resp, data := g.FetchData(context.Background(), Request{Cid: root})
+	if resp.Err != nil || len(data) != 3000 {
+		t.Errorf("FetchData: %d bytes, %v; want the 3000 the leaf holds", len(data), resp.Err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("serving a 3000-byte object that declares 1 TiB allocated %d bytes", alloc)
 	}
 }

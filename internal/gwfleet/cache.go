@@ -17,8 +17,9 @@ import (
 // consults between its own nginx cache and the P2P origin. It holds
 // three maps with distinct jobs:
 //
-//   - objects: a byte-bounded LRU over assembled responses, so a fetch
-//     paid by one instance serves the whole fleet;
+//   - objects: a byte-bounded LRU over served objects (leaf lists
+//     shared with the node store), so a fetch paid by one instance
+//     serves the whole fleet;
 //   - providers: provider records learned by past retrievals, with a
 //     TTL, so repeat retrievals skip the routing lookup entirely (the
 //     lookup half of origin RPC amplification);
@@ -32,7 +33,7 @@ import (
 type SharedCache struct {
 	src simtime.Source
 
-	objects *lru.Cache[[]byte]
+	objects *lru.Cache[gateway.Object]
 
 	mu        sync.Mutex
 	negative  map[string]time.Time // CID key -> expiry
@@ -57,7 +58,7 @@ type provEntry struct {
 func NewSharedCache(capacityBytes int64, negTTL, provTTL time.Duration, src simtime.Source, reg *telemetry.Registry) *SharedCache {
 	return &SharedCache{
 		src:       src,
-		objects:   lru.New[[]byte](capacityBytes),
+		objects:   lru.New[gateway.Object](capacityBytes),
 		negative:  make(map[string]time.Time),
 		providers: make(map[string]provEntry),
 		negTTL:    negTTL,
@@ -163,8 +164,8 @@ type objectTier struct{ c *SharedCache }
 
 func (objectTier) Tier() gateway.Tier { return gateway.TierShared }
 
-func (t objectTier) Get(ctx context.Context, req gateway.Request) ([]byte, time.Duration, error) {
-	data, ok := t.c.objects.Get(req.Key())
+func (t objectTier) Get(ctx context.Context, req gateway.Request, _ *gateway.Stream) (gateway.Object, time.Duration, error) {
+	obj, ok := t.c.objects.Get(req.Key())
 	if !ok {
 		t.c.objMisses.Inc()
 		return nil, 0, gateway.ErrMiss
@@ -173,11 +174,11 @@ func (t objectTier) Get(ctx context.Context, req gateway.Request) ([]byte, time.
 	// The hop is spent here, before the cascade fills the instance's
 	// nginx cache: until it has elapsed the object is not local.
 	spend(ctx, t.c.src, SharedCacheLatency)
-	return data, SharedCacheLatency, nil
+	return obj, SharedCacheLatency, nil
 }
 
-func (t objectTier) Put(req gateway.Request, data []byte) {
-	t.c.objects.Put(req.Key(), data, int64(len(data)))
+func (t objectTier) Put(req gateway.Request, obj gateway.Object) {
+	t.c.objects.Put(req.Key(), obj, int64(obj.Len()))
 }
 
 // negativeTier is the negative cache as the last stage before the P2P
@@ -188,14 +189,14 @@ type negativeTier struct{ c *SharedCache }
 
 func (negativeTier) Tier() gateway.Tier { return gateway.TierNetwork }
 
-func (t negativeTier) Get(_ context.Context, req gateway.Request) ([]byte, time.Duration, error) {
+func (t negativeTier) Get(_ context.Context, req gateway.Request, _ *gateway.Stream) (gateway.Object, time.Duration, error) {
 	if t.c.KnownMissing(req.Cid) {
 		return nil, 0, ErrKnownMissing
 	}
 	return nil, 0, gateway.ErrMiss
 }
 
-func (negativeTier) Put(gateway.Request, []byte) {}
+func (negativeTier) Put(gateway.Request, gateway.Object) {}
 
 // spend parks for a modelled latency, on a simulated clock only: a
 // daemon on the wall clock reports the model in Response.Latency

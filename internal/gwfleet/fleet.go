@@ -8,7 +8,7 @@
 // The fleet has no serving cascade of its own. It contributes two
 // gateway.CacheTier values, the shared object cache and the negative
 // cache, to each instance's gateway, which walks them between its node
-// store and the P2P origin; Fleet.serve is one FetchData call plus the
+// store and the P2P origin; Fleet.serve is one FetchObject call plus the
 // fleet's tally. The provider cache sits below the cascade, behind
 // CachingRouter.
 //
@@ -121,8 +121,8 @@ type Response struct {
 	Shed bool
 	// RetryAfter is the advisory backoff attached when Shed.
 	RetryAfter time.Duration
-	// Data is the assembled object for successful responses.
-	Data []byte
+	// Object is the served object for successful responses.
+	Object gateway.Object
 }
 
 // instance is one gateway plus its admission-control state.
@@ -258,7 +258,7 @@ func (f *Fleet) admit(inst *instance) (release func(), ok bool) {
 // P2P origin) and tallies the outcome under the tier the cascade named.
 func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gateway.Request) Response {
 	inst.requests.Inc()
-	resp, data := inst.gw.FetchData(ctx, req)
+	resp, obj := inst.gw.FetchObject(ctx, req)
 	switch {
 	case errors.Is(resp.Err, ErrKnownMissing):
 		f.nNeg.Add(1)
@@ -282,7 +282,7 @@ func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gatewa
 		f.tierHits[resp.Tier].Inc()
 		f.ttfbHist.ObserveDuration(resp.Latency)
 	}
-	return Response{Response: resp, GW: gwIdx, Data: data}
+	return Response{Response: resp, GW: gwIdx, Object: obj}
 }
 
 // Stats is a point-in-time tally of fleet behaviour.
@@ -359,5 +359,5 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if resp.Err == nil {
 		w.Header().Set("X-Ipfs-Fleet-Gw", fmt.Sprint(resp.GW))
 	}
-	gateway.WriteResponse(w, resp.Response, resp.Data)
+	gateway.WriteResponse(w, resp.Response, resp.Object)
 }

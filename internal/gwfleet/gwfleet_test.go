@@ -171,14 +171,14 @@ func TestFleetTierOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := gateway.Request{Cid: root}
-	objectTier{f.shared}.Put(req, data)
+	objectTier{f.shared}.Put(req, gateway.Object{data})
 	f.shared.NoteMissing(root)
 	if resp := f.Fetch(ctx, req); resp.Tier != gateway.TierNodeStore || resp.Err != nil {
 		t.Errorf("pinned + shared + negative: served by %v (err %v), want the node store", resp.Tier, resp.Err)
 	}
 
 	onlyShared := gateway.Request{Cid: cid.SumV0([]byte("shared and known missing"))}
-	objectTier{f.shared}.Put(onlyShared, []byte("shared and known missing"))
+	objectTier{f.shared}.Put(onlyShared, gateway.Object{[]byte("shared and known missing")})
 	f.shared.NoteMissing(onlyShared.Cid)
 	if resp := f.Fetch(ctx, onlyShared); resp.Tier != gateway.TierShared || resp.Err != nil {
 		t.Errorf("shared + negative: served by %v (err %v), want the shared cache", resp.Tier, resp.Err)
@@ -215,7 +215,7 @@ func TestWallClockFleetDoesNotSleepModelledLatency(t *testing.T) {
 	}
 
 	shared := gateway.Request{Cid: cid.SumV0([]byte("held by the fleet"))}
-	objectTier{f.shared}.Put(shared, []byte("held by the fleet"))
+	objectTier{f.shared}.Put(shared, gateway.Object{[]byte("held by the fleet")})
 	resp = f.Fetch(ctx, shared)
 	if resp.Err != nil || resp.Tier != gateway.TierShared || resp.Latency != SharedCacheLatency {
 		t.Errorf("shared fetch = %+v, want a shared-cache hit reporting %v", resp.Response, SharedCacheLatency)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/cid"
@@ -223,6 +225,86 @@ func TestEncodeAllocatesExactSize(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(10, func() { n.Encode() }); a != 1 {
 			t.Errorf("Encode allocates %v times, want 1", a)
+		}
+	}
+}
+
+// TestWalkVisitsLeafBeforeLaterSiblingsArrive: a leaf reaches the
+// visitor as soon as it and the siblings before it have verified, while
+// later siblings are still being fetched — here the last leaf's fetch
+// waits until the first leaf has been visited. Visits stay in
+// pre-order, and AllCids' order is the walk's.
+func TestWalkVisitsLeafBeforeLaterSiblingsArrive(t *testing.T) {
+	store := block.NewMemStore()
+	data := make([]byte, 1024) // eight distinct leaves
+	rand.New(rand.NewSource(8)).Read(data)
+	root, err := NewBuilder(store, 128, 16).Add(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cids, err := AllCids(store, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSeen := make(chan struct{})
+	last := cids[len(cids)-1]
+	gated := fetcherFunc(func(c cid.Cid) (block.Block, error) {
+		if c.Equal(last) {
+			select {
+			case <-firstSeen:
+			case <-time.After(10 * time.Second):
+				return block.Block{}, errors.New("the first leaf was not visited while the last was in flight")
+			}
+		}
+		return store.Get(c)
+	})
+	var order []cid.Cid
+	var content []byte
+	err = Walk(context.Background(), nil, gated, root, 4, func(c cid.Cid, n *Node) error {
+		if len(order) == 1 {
+			close(firstSeen)
+		}
+		order = append(order, c)
+		if len(n.Links) == 0 {
+			content = append(content, n.Data...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(content, data) || len(order) != len(cids) {
+		t.Fatalf("visited %d nodes and %d bytes, want %d and %d", len(order), len(content), len(cids), len(data))
+	}
+	for i := range cids {
+		if !order[i].Equal(cids[i]) {
+			t.Fatalf("visit %d is %s, AllCids has %s", i, order[i], cids[i])
+		}
+	}
+}
+
+// TestWalkStopsAtVisitorError: the visitor's error is the walk's, and
+// no leaf after the refused one is visited.
+func TestWalkStopsAtVisitorError(t *testing.T) {
+	store := block.NewMemStore()
+	root, err := NewBuilder(store, 64, 8).Add(bytes.Repeat([]byte{3}, 6*64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := errors.New("client gone")
+	for _, workers := range []int{1, 8} {
+		leaves := 0
+		err := Walk(context.Background(), nil, store, root, workers, func(_ cid.Cid, n *Node) error {
+			if len(n.Links) > 0 {
+				return nil
+			}
+			if leaves++; leaves == 2 {
+				return refuse
+			}
+			return nil
+		})
+		if !errors.Is(err, refuse) || leaves != 2 {
+			t.Errorf("workers=%d: walk returned %v after %d leaves, want the visitor's error after 2", workers, err, leaves)
 		}
 	}
 }

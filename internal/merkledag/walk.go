@@ -3,6 +3,7 @@ package merkledag
 import (
 	"bytes"
 	"context"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/cid"
@@ -17,6 +18,29 @@ type ContextFetcher interface {
 	GetContext(ctx context.Context, c cid.Cid) (block.Block, error)
 }
 
+// Visitor is handed each verified node of a DAG, one call at a time, in
+// depth-first pre-order; the leaves' Data in that order is the content.
+// Its error ends the walk. The Node aliases a shared block: never write
+// it.
+type Visitor func(c cid.Cid, n *Node) error
+
+// AppendLeaves returns a Visitor appending each leaf's Data to *leaves.
+func AppendLeaves(leaves *[][]byte) Visitor {
+	return func(_ cid.Cid, n *Node) error {
+		if len(n.Links) == 0 {
+			*leaves = append(*leaves, n.Data)
+		}
+		return nil
+	}
+}
+
+// Leaves is AppendLeaves over a walk with one worker.
+func Leaves(f Fetcher, root cid.Cid) ([][]byte, error) {
+	var leaves [][]byte
+	err := Walk(context.Background(), nil, f, root, 1, AppendLeaves(&leaves))
+	return leaves, err
+}
+
 // Assemble reassembles the DAG rooted at root with one fetch at a time
 // on the caller's goroutine, through f.Get (see AssembleConcurrentOn).
 func Assemble(f Fetcher, root cid.Cid) ([]byte, error) {
@@ -25,41 +49,37 @@ func Assemble(f Fetcher, root cid.Cid) ([]byte, error) {
 
 // AssembleConcurrentOn reassembles the DAG rooted at root, fetching up
 // to workers blocks at a time as Bitswap sessions do, on src (nil: the
-// wall clock) under the caller's ctx. The result is one allocation of
-// exactly the content's size and the caller's own: it never aliases a
-// block's bytes, which stores and other nodes share.
+// wall clock) under the caller's ctx. The result is the caller's own:
+// one allocation of the verified leaves' size, not of a declared one.
 func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int) ([]byte, error) {
 	var leaves [][]byte
-	err := walk(ctx, src, f, root, workers, func(_ cid.Cid, n *Node) {
-		if len(n.Links) == 0 {
-			leaves = append(leaves, n.Data)
-		}
-	})
-	if err != nil {
+	if err := Walk(ctx, src, f, root, workers, AppendLeaves(&leaves)); err != nil {
 		return nil, err
 	}
-	// The one payload copy, sized from the leaves held, not from remote
-	// link Sizes; bytes.Join, unlike slices.Concat, does not zero it.
+	// bytes.Join, unlike slices.Concat, does not zero the copy.
 	return bytes.Join(leaves, nil), nil
 }
 
 // AllCids returns every CID in the DAG rooted at root, root first.
 func AllCids(f Fetcher, root cid.Cid) ([]cid.Cid, error) {
 	var out []cid.Cid
-	err := walk(context.Background(), nil, f, root, 1, func(c cid.Cid, _ *Node) {
+	err := Walk(context.Background(), nil, f, root, 1, func(c cid.Cid, _ *Node) error {
 		out = append(out, c)
+		return nil
 	})
 	return out, err
 }
 
-// walk visits the DAG rooted at root in depth-first pre-order, calling
-// visit on the caller's goroutine. At an interior node it fetches all
-// the children, at most workers at a time, then visits them in link
-// order. One worker fetches with f.Get on the caller's goroutine: a
-// Bitswap session's Get waits under the session's own context. More
-// spawn one simtime.Group per interior node, in link order, joined
-// before the descent; a worker holds a slot only across its fetch.
-func walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int, visit func(cid.Cid, *Node)) error {
+// Walk visits the DAG rooted at root in depth-first pre-order. At an
+// interior node it fetches all the children, at most workers at a time,
+// then descends into them in link order; a leaf child is visited as
+// soon as it and the siblings before it have verified, on a worker's
+// goroutine. One worker fetches with f.Get on the
+// caller's goroutine: a Bitswap session's Get waits under the session's
+// own context. More spawn one simtime.Group per interior node, in link
+// order, joined before the descent; a worker holds a slot only across
+// its fetch.
+func Walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int, visit Visitor) error {
 	fetch := func(_ context.Context, c cid.Cid) (*Node, error) { return Fetch(f, c) }
 	if workers > 1 {
 		src = simtime.OrWall(src)
@@ -84,32 +104,55 @@ func walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, work
 	}
 	var descend func(c cid.Cid, n *Node) error
 	descend = func(c cid.Cid, n *Node) error {
-		visit(c, n)
-		if len(n.Links) == 0 {
-			return nil
+		if err := visit(c, n); err != nil || len(n.Links) == 0 {
+			return err
 		}
+		// Guarded by mu: the children fetched, the first failure by link
+		// index, a fetch's or a visit's, the leaf children already
+		// visited, kids[:next], and whether a goroutine is visiting. The
+		// visit itself runs unlocked; the one goroutine visiting takes
+		// over the leaves that arrive meanwhile.
 		kids := make([]*Node, len(n.Links))
-		errs := make([]error, len(n.Links))
+		var mu sync.Mutex
+		next, failAt, visiting := 0, len(kids), false
+		var failed error
+		get := func(ctx context.Context, i int) error {
+			kid, err := fetch(ctx, n.Links[i].Cid)
+			mu.Lock()
+			defer mu.Unlock()
+			if kids[i] = kid; err != nil && i < failAt {
+				failAt, failed = i, err
+			}
+			for !visiting && next < failAt && kids[next] != nil && len(kids[next].Links) == 0 {
+				j := next
+				visiting = true
+				mu.Unlock()
+				err := visit(n.Links[j].Cid, kids[j])
+				mu.Lock()
+				if visiting, next = false, j+1; err != nil && j < failAt {
+					failAt, failed = j, err
+				}
+			}
+			return failed
+		}
 		if workers > 1 {
 			g := simtime.NewGroup(src)
-			for i, l := range n.Links {
-				g.Go(ctx, func(gctx context.Context) { kids[i], errs[i] = fetch(gctx, l.Cid) })
+			for i := range n.Links {
+				g.Go(ctx, func(gctx context.Context) { get(gctx, i) })
 			}
 			g.Wait(ctx)
 		} else {
-			for i, l := range n.Links {
-				if kids[i], errs[i] = fetch(ctx, l.Cid); errs[i] != nil {
+			for i := range n.Links {
+				if get(ctx, i) != nil {
 					break
 				}
 			}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if failed != nil {
+			return failed
 		}
-		for i, l := range n.Links {
-			if err := descend(l.Cid, kids[i]); err != nil {
+		for i := next; i < len(kids); i++ {
+			if err := descend(n.Links[i].Cid, kids[i]); err != nil {
 				return err
 			}
 		}

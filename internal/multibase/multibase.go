@@ -9,7 +9,6 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"fmt"
-	"math/big"
 	"strings"
 )
 
@@ -139,53 +138,103 @@ func wrapErr(err error) error {
 	return nil
 }
 
+// base58 is arithmetic on fixed-width limbs: the number lives in
+// uint32 limbs, least significant first, of five base-58 digits each
+// when encoding (58^5 < 2^30) and of 32 bits each when decoding. Every
+// step multiplies all limbs by at most 2^32 or 58^5 and adds a carry,
+// so each product fits a uint64 and no math/big is needed.
+const (
+	b58Digits = 5
+	b58Limb   = 58 * 58 * 58 * 58 * 58 // 58^b58Digits
+)
+
+// base58Encode renders data in the Bitcoin alphabet, each leading zero
+// byte as a leading '1'.
 func base58Encode(data []byte) string {
-	if len(data) == 0 {
-		return ""
-	}
-	// Count leading zero bytes: they map to leading '1' characters.
 	zeros := 0
 	for zeros < len(data) && data[zeros] == 0 {
 		zeros++
 	}
-	x := new(big.Int).SetBytes(data)
-	radix := big.NewInt(58)
-	mod := new(big.Int)
-	var out []byte
-	for x.Sign() > 0 {
-		x.DivMod(x, radix, mod)
-		out = append(out, btcAlphabet[mod.Int64()])
+	var buf [16]uint32 // a 34-byte peer ID needs 10 limbs
+	limbs := buf[:0]
+	for rest := data[zeros:]; len(rest) > 0; {
+		// The first word takes the odd bytes, so the rest are whole.
+		k := (len(rest)-1)%4 + 1
+		var carry uint64
+		for _, b := range rest[:k] {
+			carry = carry<<8 | uint64(b)
+		}
+		rest = rest[k:]
+		for i, l := range limbs {
+			t := uint64(l)<<(8*k) + carry
+			limbs[i], carry = uint32(t%b58Limb), t/b58Limb
+		}
+		for ; carry > 0; carry /= b58Limb {
+			limbs = append(limbs, uint32(carry%b58Limb))
+		}
 	}
-	for i := 0; i < zeros; i++ {
+	var obuf [64]byte
+	out := obuf[:0]
+	if n := zeros + len(limbs)*b58Digits; n > len(obuf) {
+		out = make([]byte, 0, n)
+	}
+	for range zeros {
 		out = append(out, '1')
 	}
-	// Reverse.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	for i := len(limbs) - 1; i >= 0; i-- {
+		var d [b58Digits]byte
+		for j, l := b58Digits-1, limbs[i]; j >= 0; j, l = j-1, l/58 {
+			d[j] = btcAlphabet[l%58]
+		}
+		top := 0
+		if i == len(limbs)-1 { // the number's first digit is not a zero
+			for d[top] == '1' {
+				top++
+			}
+		}
+		out = append(out, d[top:]...)
 	}
 	return string(out)
 }
 
+// base58Decode inverts base58Encode.
 func base58Decode(s string) ([]byte, error) {
-	if len(s) == 0 {
-		return nil, nil
-	}
 	zeros := 0
 	for zeros < len(s) && s[zeros] == '1' {
 		zeros++
 	}
-	x := new(big.Int)
-	radix := big.NewInt(58)
-	for i := zeros; i < len(s); i++ {
-		d := btcIndex[s[i]]
-		if d < 0 {
-			return nil, fmt.Errorf("invalid base58 character %q", s[i])
+	var buf [16]uint32
+	limbs := buf[:0]
+	for rest := s[zeros:]; len(rest) > 0; {
+		k := (len(rest)-1)%b58Digits + 1
+		var carry, mul uint64 = 0, 1
+		for i := 0; i < k; i++ {
+			d := btcIndex[rest[i]]
+			if d < 0 {
+				return nil, fmt.Errorf("invalid base58 character %q", rest[i])
+			}
+			carry, mul = carry*58+uint64(d), mul*58
 		}
-		x.Mul(x, radix)
-		x.Add(x, big.NewInt(int64(d)))
+		rest = rest[k:]
+		for i, l := range limbs {
+			t := uint64(l)*mul + carry
+			limbs[i], carry = uint32(t), t>>32
+		}
+		for ; carry > 0; carry >>= 32 {
+			limbs = append(limbs, uint32(carry))
+		}
 	}
-	body := x.Bytes()
-	out := make([]byte, zeros+len(body))
-	copy(out[zeros:], body)
+	body := 4 * len(limbs)
+	if len(limbs) > 0 { // the number's first byte is not a zero
+		for top := limbs[len(limbs)-1]; top < 1<<24; top <<= 8 {
+			body--
+		}
+	}
+	out := make([]byte, zeros+body)
+	for i, l := range limbs {
+		for j := 0; j < 4 && 4*i+j < body; j, l = j+1, l>>8 {
+			out[len(out)-1-4*i-j] = byte(l)
+		}
+	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package multibase
 
 import (
 	"bytes"
+	"fmt"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -170,4 +172,103 @@ func FuzzMultibaseDecode(f *testing.F) {
 			t.Fatalf("%q re-encodes to %q", enc, again)
 		}
 	})
+}
+
+// refBase58Encode and refBase58Decode are the math/big conversion the
+// limb arithmetic replaced, kept as its reference: one DivMod per
+// output digit.
+func refBase58Encode(data []byte) string {
+	zeros := 0
+	for zeros < len(data) && data[zeros] == 0 {
+		zeros++
+	}
+	x := new(big.Int).SetBytes(data)
+	radix := big.NewInt(58)
+	mod := new(big.Int)
+	var out []byte
+	for x.Sign() > 0 {
+		x.DivMod(x, radix, mod)
+		out = append(out, btcAlphabet[mod.Int64()])
+	}
+	for i := 0; i < zeros; i++ {
+		out = append(out, '1')
+	}
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return string(out)
+}
+
+func refBase58Decode(s string) ([]byte, error) {
+	zeros := 0
+	for zeros < len(s) && s[zeros] == '1' {
+		zeros++
+	}
+	x := new(big.Int)
+	radix := big.NewInt(58)
+	for i := zeros; i < len(s); i++ {
+		d := btcIndex[s[i]]
+		if d < 0 {
+			return nil, fmt.Errorf("invalid base58 character %q", s[i])
+		}
+		x.Mul(x, radix)
+		x.Add(x, big.NewInt(int64(d)))
+	}
+	body := x.Bytes()
+	out := make([]byte, zeros+len(body))
+	copy(out[zeros:], body)
+	return out, nil
+}
+
+// FuzzBase58 holds the limb arithmetic to the math/big reference: the
+// same text for any bytes, the same bytes or the same error for the
+// text, and decode inverts encode.
+func FuzzBase58(f *testing.F) {
+	for _, p := range [][]byte{nil, {0}, {0, 0, 1}, {0xff}, []byte("hello multibase"), bytes.Repeat([]byte{0xff}, 40), bytes.Repeat([]byte{0}, 5)} {
+		f.Add(p)
+	}
+	f.Add([]byte("16UwLL9Risc3QfPqBUvKofHmBQ7wMtjvM"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 { // both conversions are quadratic; identifiers are far shorter
+			return
+		}
+		enc := base58Encode(data)
+		if want := refBase58Encode(data); enc != want {
+			t.Fatalf("base58Encode(%x) = %q, reference %q", data, enc, want)
+		}
+		if back, err := base58Decode(enc); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("base58Decode(%q) = %x, %v; want %x", enc, back, err, data)
+		}
+		// The same bytes read as text: most are not base58.
+		got, err := base58Decode(string(data))
+		want, werr := refBase58Decode(string(data))
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !bytes.Equal(got, want) {
+			t.Fatalf("base58Decode(%q) = %x, %v; reference %x, %v", data, got, err, want, werr)
+		}
+	})
+}
+
+// BenchmarkBase58PeerID is one peer ID's trip to text and back, by the
+// limb arithmetic and by the math/big reference.
+func BenchmarkBase58PeerID(b *testing.B) {
+	id := append([]byte{0x12, 0x20}, bytes.Repeat([]byte{0xa7, 0x3c}, 16)...)
+	text := base58Encode(id)
+	for _, impl := range []struct {
+		name string
+		enc  func([]byte) string
+		dec  func(string) ([]byte, error)
+	}{{"limbs", base58Encode, base58Decode}, {"big", refBase58Encode, refBase58Decode}} {
+		b.Run(impl.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.enc(id)
+			}
+		})
+		b.Run(impl.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.dec(text)
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@
 package unixfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -115,9 +116,19 @@ func Resolve(f merkledag.Fetcher, root cid.Cid, path string) (cid.Cid, error) {
 }
 
 // ReadFile resolves path under root and reassembles the file content.
-// The target is fetched once: the directory check and the assembly both
-// read that block, each through merkledag.Fetch's check.
 func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
+	leaves, err := FileLeaves(f, root, path)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(leaves, nil), nil
+}
+
+// FileLeaves resolves path under root and returns the file content as
+// merkledag.Leaves does: slices of the verified blocks. The target is
+// fetched once: the directory check and the walk both read that block,
+// each through merkledag.Fetch's check.
+func FileLeaves(f merkledag.Fetcher, root cid.Cid, path string) ([][]byte, error) {
 	c, err := Resolve(f, root, path)
 	if err != nil {
 		return nil, err
@@ -136,7 +147,7 @@ func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
 	if IsDirectory(n) {
 		return nil, fmt.Errorf("%w: %q is a directory", ErrNotDirectory, path)
 	}
-	return merkledag.Assemble(held, c)
+	return merkledag.Leaves(held, c)
 }
 
 // fetcherFunc adapts a function to merkledag.Fetcher.
