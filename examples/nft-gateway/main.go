@@ -53,7 +53,7 @@ func serve(ctx context.Context, net *ipfs.SimNetwork) {
 
 	// Browser clients hit the gateway.
 	fetch := func(label string, c ipfs.Cid) {
-		resp := gw.Fetch(ctx, ipfs.GatewayRequest{Cid: c, Time: time.Now(), Country: "US", UserID: "browser-1"})
+		resp, _ := gw.Fetch(ctx, ipfs.GatewayRequest{Cid: c, Time: time.Now(), Country: "US", UserID: "browser-1"})
 		if resp.Err != nil {
 			log.Fatalf("%s: %v", label, resp.Err)
 		}

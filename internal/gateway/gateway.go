@@ -6,7 +6,7 @@
 // IPFS node store holding pinned content (the Web3/NFT Storage
 // uploads), any tiers the caller of New slots in (internal/gwfleet's
 // shared object and negative caches), and last a full P2P retrieval,
-// which streams a miss to the client as it verifies. The first tier
+// which streams a miss to an HTTP client as it verifies. The first tier
 // that answers wins and the tiers above it are filled with the Object,
 // never a copy. That walk is also the one place a request is accounted:
 // it names the answering tier and appends the access-log entry (the
@@ -113,17 +113,17 @@ func (o Object) Len() int {
 // the next tier of the cascade.
 var ErrMiss = errors.New("gateway: tier miss")
 
-// CacheTier is one stage of the serving cascade. The cascade asks the
-// tiers in order; the first whose Get does not return ErrMiss answers
-// the request, and every tier above it is then offered the object.
+// CacheTier is one stage of the serving cascade above the network. The
+// cascade asks the tiers in order; the first whose Get does not return
+// ErrMiss answers the request, else the network does, and every tier
+// above the one that answered is then offered the object.
 type CacheTier interface {
 	// Tier names the stage in responses, log entries and HTTP headers.
 	Tier() Tier
 	// Get answers the request with the object and the retrieval delay,
 	// returns ErrMiss to ask the next tier, or returns a terminal error
-	// (a negative-cache entry, a failed retrieval) that ends the walk.
-	// out is the HTTP response, if any; only the network tier writes it.
-	Get(ctx context.Context, req Request, out *Stream) (obj Object, latency time.Duration, err error)
+	// (a negative-cache entry) that ends the walk.
+	Get(ctx context.Context, req Request) (obj Object, latency time.Duration, err error)
 	// Put offers the tier an object a lower tier produced.
 	Put(req Request, obj Object)
 }
@@ -137,7 +137,7 @@ const logCap = 1 << 16
 type Gateway struct {
 	node  *core.Node
 	src   simtime.Source
-	tiers []CacheTier
+	tiers []CacheTier // the cascade above the network
 
 	mu      sync.Mutex
 	log     []LogEntry // a ring once it holds logCap entries
@@ -150,8 +150,7 @@ type Gateway struct {
 // network. HTTP requests are stamped on src.
 func New(node *core.Node, cacheBytes int64, src simtime.Source, mid ...CacheTier) *Gateway {
 	tiers := []CacheTier{nginxTier{lru.New[Object](cacheBytes)}, storeTier{node}}
-	tiers = append(tiers, mid...)
-	return &Gateway{node: node, src: src, tiers: append(tiers, networkTier{node})}
+	return &Gateway{node: node, src: src, tiers: append(tiers, mid...)}
 }
 
 // Node returns the backing node (the "DHT server" half of the bridge).
@@ -172,54 +171,49 @@ func (g *Gateway) Pin(data []byte) (cid.Cid, error) {
 // object caches index by and a fleet's ring places by.
 func (r Request) Key() string { return r.Cid.Key() + "\x00" + r.Path }
 
-// Fetch serves one request through the tier cascade.
-func (g *Gateway) Fetch(ctx context.Context, req Request) Response {
-	resp, _ := g.serve(ctx, req, nil)
-	return resp
-}
-
-// FetchObject is Fetch returning the object too.
-func (g *Gateway) FetchObject(ctx context.Context, req Request) (Response, Object) {
+// Fetch serves one request through the tier cascade. The object is
+// shared with the caches and the node store: read it, never write it.
+func (g *Gateway) Fetch(ctx context.Context, req Request) (Response, Object) {
 	return g.serve(ctx, req, nil)
 }
 
-// FetchData is FetchObject with the object in one slice: a single-leaf
-// object is its shared leaf, which nobody may write; a larger one is
-// copied once.
+// FetchData is Fetch with the object copied into one slice the caller
+// owns; nil for a failed fetch.
 func (g *Gateway) FetchData(ctx context.Context, req Request) (Response, []byte) {
-	switch resp, obj := g.serve(ctx, req, nil); len(obj) {
-	case 0:
+	resp, obj := g.serve(ctx, req, nil)
+	if resp.Err != nil {
 		return resp, nil
-	case 1:
-		return resp, obj[0]
-	default:
-		return resp, bytes.Join(obj, nil)
 	}
+	return resp, bytes.Join(obj, nil)
 }
 
-// serve is the cascade: the first tier to answer is named in the
-// response and its object sent to out, the tiers above are filled in
-// order, and exactly one log entry is written.
+// serve is the cascade: the first tier to answer, or else the network,
+// is named in the response and its object sent to out, the tiers above
+// are filled in order, and exactly one log entry is written.
 func (g *Gateway) serve(ctx context.Context, req Request, out *Stream) (Response, Object) {
-	for i, t := range g.tiers {
-		obj, latency, err := t.Get(ctx, req, out)
-		if errors.Is(err, ErrMiss) {
-			continue
+	resp, i := Response{Tier: TierNetwork}, 0
+	var obj Object
+	for ; i < len(g.tiers); i++ {
+		var err error
+		if obj, resp.Latency, err = g.tiers[i].Get(ctx, req); !errors.Is(err, ErrMiss) {
+			resp.Tier, resp.Err = g.tiers[i].Tier(), err
+			break
 		}
-		resp := Response{Tier: t.Tier(), Latency: latency, Err: err}
-		if err != nil {
-			obj = nil
-		} else {
-			resp.Bytes = obj.Len()
-			out.send(resp.Tier, obj)
-			for _, above := range g.tiers[:i] {
-				above.Put(req, obj)
-			}
-		}
-		g.append(req, resp)
-		return resp, obj
 	}
-	panic("gateway: the network tier reported a miss")
+	if i == len(g.tiers) {
+		obj, resp.Latency, resp.Err = g.retrieve(ctx, req, out)
+	}
+	if resp.Err != nil {
+		obj = nil
+	} else {
+		resp.Bytes = obj.Len()
+		out.send(resp.Tier, obj)
+		for _, above := range g.tiers[:i] {
+			above.Put(req, obj)
+		}
+	}
+	g.append(req, resp)
+	return resp, obj
 }
 
 // nginxTier is the "default nginx web cache, with a Least Recently
@@ -229,7 +223,7 @@ type nginxTier struct{ cache *lru.Cache[Object] }
 
 func (nginxTier) Tier() Tier { return TierNginx }
 
-func (t nginxTier) Get(_ context.Context, req Request, _ *Stream) (Object, time.Duration, error) {
+func (t nginxTier) Get(_ context.Context, req Request) (Object, time.Duration, error) {
 	if obj, ok := t.cache.Get(req.Key()); ok {
 		return obj, 0, nil
 	}
@@ -245,7 +239,7 @@ type storeTier struct{ node *core.Node }
 
 func (storeTier) Tier() Tier { return TierNodeStore }
 
-func (t storeTier) Get(_ context.Context, req Request, _ *Stream) (Object, time.Duration, error) {
+func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, error) {
 	// Has answers a missing root without a walk, whose failure would
 	// format an error nobody reads; a partial DAG still misses below.
 	if !t.node.Store().Has(req.Cid) {
@@ -259,19 +253,15 @@ func (t storeTier) Get(_ context.Context, req Request, _ *Stream) (Object, time.
 
 func (storeTier) Put(Request, Object) {}
 
-// networkTier is the end of every cascade: a full P2P retrieval of the
+// retrieve is the end of every cascade: a full P2P retrieval of the
 // root DAG through the co-located node. A path-less request is answered
-// with the leaves the retrieval verified, streamed to an HTTP client as
+// with the leaves the retrieval verified, streamed to out (if any) as
 // they verify — one walk, and no dependence on the node store still
 // holding every block afterwards; a path resolves locally once the DAG
-// is in. It never misses; a failed retrieval is terminal.
-type networkTier struct{ node *core.Node }
-
-func (networkTier) Tier() Tier { return TierNetwork }
-
-func (t networkTier) Get(ctx context.Context, req Request, out *Stream) (Object, time.Duration, error) {
+// is in. A failed retrieval is terminal.
+func (g *Gateway) retrieve(ctx context.Context, req Request, out *Stream) (Object, time.Duration, error) {
 	var obj Object
-	res, err := t.node.RetrieveTo(ctx, req.Cid, func(_ cid.Cid, n *merkledag.Node) error {
+	res, err := g.node.RetrieveTo(ctx, req.Cid, func(_ cid.Cid, n *merkledag.Node) error {
 		if len(n.Links) == 0 {
 			obj = append(obj, n.Data)
 		}
@@ -281,15 +271,13 @@ func (t networkTier) Get(ctx context.Context, req Request, out *Stream) (Object,
 		return nil
 	})
 	if err == nil && req.Path != "" {
-		obj, err = localObject(t.node, req)
+		obj, err = localObject(g.node, req)
 	}
 	if err != nil {
 		return nil, res.Total, err
 	}
 	return obj, res.Total, nil
 }
-
-func (networkTier) Put(Request, Object) {}
 
 // localObject serves a request from the node store alone: the raw DAG
 // for path-less requests, or the file beneath the UnixFS path.
@@ -375,14 +363,17 @@ func WriteResponse(w http.ResponseWriter, resp Response, obj Object) {
 
 // ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path]. A
 // request failing after its header went out is aborted
-// (http.ErrAbortHandler): its client sees a short body, not a 200.
+// (http.ErrAbortHandler): its client sees a short body, not a 200. A
+// client that goes away cancels nothing: the request is served to its
+// end, bounded by the retrieval's own timeouts, so the caches still
+// fill and the log records the object's outcome, not the client's.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, ok := ParseRequest(w, r, g.src.Now())
 	if !ok {
 		return
 	}
 	out := &Stream{w: w}
-	if resp, _ := g.serve(r.Context(), req, out); resp.Err != nil {
+	if resp, _ := g.serve(context.WithoutCancel(r.Context()), req, out); resp.Err != nil {
 		if out.started {
 			panic(http.ErrAbortHandler)
 		}
@@ -392,10 +383,14 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Stream is a request's HTTP response while the cascade answers it. Its
 // header declares the length, so the body is never chunked: that of
-// the object a tier returned, or, when the network tier streams a miss,
-// the size the verified root declares. visit refuses a leaf that would
+// the object a tier returned, or, when the network streams a miss, the
+// content the verified root declares — a leaf's Data, or the sum of its
+// links' Sizes (an interior node's own Data, such as a UnixFS
+// directory's marker, is not content). visit refuses a leaf that would
 // overrun that size, or reach it before the walk's last leaf, so a
-// failed walk never leaves its client a whole body.
+// failed walk never leaves its client a whole body. A client gone
+// mid-body is not the object's failure: the write's error is dropped
+// (later writes fail at once) and the walk goes on.
 type Stream struct {
 	w          http.ResponseWriter
 	started    bool
@@ -413,8 +408,7 @@ func (s *Stream) header(t Tier, size uint64) {
 }
 
 // send writes an object a tier returned whole, unless there is no
-// client or it has the object already. A client gone mid-body is not
-// the object's failure.
+// client or it has the object already.
 func (s *Stream) send(t Tier, obj Object) {
 	if s != nil && !s.started {
 		s.header(t, uint64(obj.Len()))
@@ -428,7 +422,11 @@ func (s *Stream) send(t Tier, obj Object) {
 // the root, then each leaf.
 func (s *Stream) visit(n *merkledag.Node) error {
 	if !s.started {
-		s.header(TierNetwork, n.TotalSize())
+		size := n.TotalSize()
+		if len(n.Links) > 0 {
+			size -= uint64(len(n.Data))
+		}
+		s.header(TierNetwork, size)
 	}
 	s.pending += len(n.Links) - 1
 	if len(n.Links) > 0 {
@@ -439,8 +437,8 @@ func (s *Stream) visit(n *merkledag.Node) error {
 		return fmt.Errorf("gateway: leaves do not sum to the %d bytes the root declares", s.size)
 	}
 	s.sent = end
-	_, err := s.w.Write(n.Data)
-	return err
+	s.w.Write(n.Data)
+	return nil
 }
 
 // TierStats aggregates the access log into the Table 5 summary.

@@ -1,11 +1,14 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -49,7 +52,7 @@ func TestFetchFromNodeStoreThenNginx(t *testing.T) {
 		}
 
 		// First hit: node store (pinned content), ~8ms latency.
-		r1 := g.Fetch(ctx, Request{Cid: root, Time: day, Country: "US", UserID: "u1"})
+		r1, _ := g.Fetch(ctx, Request{Cid: root, Time: day, Country: "US", UserID: "u1"})
 		if r1.Tier != TierNodeStore || r1.Err != nil {
 			t.Fatalf("first fetch = %+v", r1)
 		}
@@ -61,7 +64,7 @@ func TestFetchFromNodeStoreThenNginx(t *testing.T) {
 		}
 
 		// Second hit: nginx cache with zero delay (§6.3).
-		r2 := g.Fetch(ctx, Request{Cid: root, Time: day.Add(time.Minute), Country: "US", UserID: "u2"})
+		r2, _ := g.Fetch(ctx, Request{Cid: root, Time: day.Add(time.Minute), Country: "US", UserID: "u2"})
 		if r2.Tier != TierNginx || r2.Latency != 0 {
 			t.Errorf("second fetch = %+v", r2)
 		}
@@ -79,7 +82,7 @@ func TestFetchFromNetwork(t *testing.T) {
 		}
 		publisher.PublishPeerRecord(ctx)
 
-		r := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u3"})
+		r, _ := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u3"})
 		if r.Tier != TierNetwork || r.Err != nil {
 			t.Fatalf("network fetch = %+v", r)
 		}
@@ -87,7 +90,7 @@ func TestFetchFromNetwork(t *testing.T) {
 			t.Errorf("network latency = %v, suspiciously fast", r.Latency)
 		}
 		// Now cached: next request is an nginx hit.
-		r2 := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u4"})
+		r2, _ := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, Country: "CN", UserID: "u4"})
 		if r2.Tier != TierNginx {
 			t.Errorf("second fetch tier = %v", r2.Tier)
 		}
@@ -135,7 +138,7 @@ func TestFetchMissingContent(t *testing.T) {
 		missing := cid.Sum(multicodec.Raw, []byte("404"))
 		ctx, cancel := tn.Sched.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		r := g.Fetch(ctx, Request{Cid: missing, Time: day, UserID: "u5"})
+		r, _ := g.Fetch(ctx, Request{Cid: missing, Time: day, UserID: "u5"})
 		if r.Err == nil {
 			t.Error("missing content should error")
 		}
@@ -159,14 +162,14 @@ func TestZeroByteNetworkFetchIsSummarized(t *testing.T) {
 		}
 		publisher.PublishPeerRecord(ctx)
 
-		r := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, UserID: "u7"})
+		r, _ := g.Fetch(ctx, Request{Cid: pub.Cid, Time: day, UserID: "u7"})
 		if r.Tier != TierNetwork || r.Bytes != 0 || r.Err != nil {
 			t.Fatalf("empty-object fetch = %+v, want a network hit of 0 bytes", r)
 		}
 		missing := cid.Sum(multicodec.Raw, []byte("404"))
 		mctx, cancel := tn.Sched.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		if r := g.Fetch(mctx, Request{Cid: missing, Time: day, UserID: "u8"}); r.Err == nil {
+		if r, _ := g.Fetch(mctx, Request{Cid: missing, Time: day, UserID: "u8"}); r.Err == nil {
 			t.Fatal("missing content should error")
 		}
 
@@ -199,7 +202,7 @@ func TestCacheEviction(t *testing.T) {
 		}
 		g.Fetch(ctx, Request{Cid: ra, Time: day})
 		g.Fetch(ctx, Request{Cid: rb, Time: day}) // evicts a from nginx
-		r := g.Fetch(ctx, Request{Cid: ra, Time: day})
+		r, _ := g.Fetch(ctx, Request{Cid: ra, Time: day})
 		if r.Tier != TierNodeStore {
 			t.Errorf("evicted object should come from the node store, got %v", r.Tier)
 		}
@@ -356,7 +359,7 @@ func TestServeHTTPWithPath(t *testing.T) {
 			t.Errorf("missing path status = %d", resp.StatusCode)
 		}
 		// Path requests are cached separately per (cid, path).
-		r2 := g.Fetch(ctx, Request{Cid: root, Path: "index.html", Time: day})
+		r2, _ := g.Fetch(ctx, Request{Cid: root, Path: "index.html", Time: day})
 		if r2.Tier != TierNginx {
 			t.Errorf("second path fetch tier = %v, want nginx", r2.Tier)
 		}
@@ -375,7 +378,7 @@ type fakeTier struct {
 
 func (f *fakeTier) Tier() Tier { return f.tier }
 
-func (f *fakeTier) Get(context.Context, Request, *Stream) (Object, time.Duration, error) {
+func (f *fakeTier) Get(context.Context, Request) (Object, time.Duration, error) {
 	f.gets++
 	if f.data != nil {
 		return Object{f.data}, time.Duration(f.tier+1) * time.Millisecond, nil
@@ -504,8 +507,10 @@ func get(t *testing.T, url string) (*http.Response, []byte, error) {
 // TestServeHTTPEachTierWholeObject: a 1 MiB object (four leaves and a
 // root) comes back byte-identical with its Content-Length from each
 // tier — streamed from the network on the miss, then whole from the
-// nginx cache — and likewise from the node store; a path beneath a
-// root the network supplies still resolves.
+// nginx cache — and likewise from the node store. A UnixFS tree's root,
+// a directory whose own Data is not content, comes back as its files'
+// concatenated leaves with the same Content-Length streamed and cached;
+// a path beneath a root the network supplies still resolves.
 func TestServeHTTPEachTierWholeObject(t *testing.T) {
 	g, origin := tcpGateway(t, nil)
 	srv := httptest.NewServer(g)
@@ -515,7 +520,8 @@ func TestServeHTTPEachTierWholeObject(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		return data
 	}
-	remote, pinned, file := object(1), object(2), object(3)
+	remote, pinned, file, small := object(1), object(2), object(3), []byte("small file")
+	files := append(append([]byte(nil), small...), file...) // the tree's leaves in link order
 	remoteRoot, err := origin.Add(remote)
 	if err != nil {
 		t.Fatal(err)
@@ -524,20 +530,26 @@ func TestServeHTTPEachTierWholeObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := origin.AddTree(map[string][]byte{"dir/file.bin": file})
+	tree, err := origin.AddTree(map[string][]byte{"a.txt": small, "dir/file.bin": file})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		path string
-		tier Tier
-		want []byte
+		path  string
+		tier  Tier
+		want  []byte
+		clear bool // drop the gateway's unpinned blocks first
 	}{
-		{remoteRoot.String(), TierNetwork, remote},
-		{remoteRoot.String(), TierNginx, remote},
-		{pinnedRoot.String(), TierNodeStore, pinned},
-		{tree.String() + "/dir/file.bin", TierNetwork, file},
+		{remoteRoot.String(), TierNetwork, remote, false},
+		{remoteRoot.String(), TierNginx, remote, false},
+		{pinnedRoot.String(), TierNodeStore, pinned, false},
+		{tree.String(), TierNetwork, files, false},
+		{tree.String(), TierNginx, files, false},
+		{tree.String() + "/dir/file.bin", TierNetwork, file, true},
 	} {
+		if c.clear {
+			g.Node().ClearStore()
+		}
 		resp, body, err := get(t, srv.URL+"/ipfs/"+c.path)
 		if err != nil {
 			t.Fatalf("%s: %v", c.path, err)
@@ -678,5 +690,52 @@ func TestOversizedRootAllocatesFromLeaves(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 		t.Errorf("serving a 3000-byte object that declares 1 TiB allocated %d bytes", alloc)
+	}
+}
+
+// TestServeHTTPClientGone: a client that disconnects once the header
+// is in fails nothing, whether the object is streamed from the network
+// or written whole from the nginx cache. The retrieval completes and
+// is counted a success, the nginx cache is filled, and each request
+// leaves a successful log entry for the whole object.
+func TestServeHTTPClientGone(t *testing.T) {
+	g, origin := tcpGateway(t, nil)
+	data := make([]byte, 1<<20)
+	rand.New(rand.NewSource(9)).Read(data)
+	root, err := origin.Add(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tier := range []Tier{TierNetwork, TierNginx} {
+		srv := httptest.NewServer(g)
+		t.Cleanup(srv.Close)
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "GET /ipfs/%s HTTP/1.1\r\nHost: gw\r\n\r\n", root)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-Ipfs-Gateway-Tier"); resp.StatusCode != http.StatusOK || got != tier.String() {
+			t.Fatalf("request %d: status %d from %q, want 200 from %q", i, resp.StatusCode, got, tier)
+		}
+		conn.Close()
+		srv.Close() // waits for the handler, which outlives its client
+		log := g.Log()
+		if len(log) != i+1 {
+			t.Fatalf("request %d: %d log entries, want %d", i, len(log), i+1)
+		}
+		if e := log[i]; e.Err() || e.Tier != tier || e.Bytes != len(data) {
+			t.Errorf("request %d: log entry %+v, want a successful %v fetch of %d bytes", i, e, tier, len(data))
+		}
+	}
+	reg, router := g.Node().Telemetry().Registry(), g.Node().Router().Name()
+	if all, failed := reg.Counter("retrieves_total", "router", router).Value(), reg.Counter("retrieve_failures", "router", router).Value(); all != 1 || failed != 0 {
+		t.Errorf("node counted %v retrievals, %v failed; want 1, none failed", all, failed)
+	}
+	if n := g.tiers[0].(nginxTier).cache.Len(); n != 1 {
+		t.Errorf("nginx cache holds %d objects, want the one served", n)
 	}
 }

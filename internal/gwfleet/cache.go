@@ -164,7 +164,7 @@ type objectTier struct{ c *SharedCache }
 
 func (objectTier) Tier() gateway.Tier { return gateway.TierShared }
 
-func (t objectTier) Get(ctx context.Context, req gateway.Request, _ *gateway.Stream) (gateway.Object, time.Duration, error) {
+func (t objectTier) Get(ctx context.Context, req gateway.Request) (gateway.Object, time.Duration, error) {
 	obj, ok := t.c.objects.Get(req.Key())
 	if !ok {
 		t.c.objMisses.Inc()
@@ -189,7 +189,7 @@ type negativeTier struct{ c *SharedCache }
 
 func (negativeTier) Tier() gateway.Tier { return gateway.TierNetwork }
 
-func (t negativeTier) Get(_ context.Context, req gateway.Request, _ *gateway.Stream) (gateway.Object, time.Duration, error) {
+func (t negativeTier) Get(_ context.Context, req gateway.Request) (gateway.Object, time.Duration, error) {
 	if t.c.KnownMissing(req.Cid) {
 		return nil, 0, ErrKnownMissing
 	}

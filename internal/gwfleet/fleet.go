@@ -8,7 +8,7 @@
 // The fleet has no serving cascade of its own. It contributes two
 // gateway.CacheTier values, the shared object cache and the negative
 // cache, to each instance's gateway, which walks them between its node
-// store and the P2P origin; Fleet.serve is one FetchObject call plus the
+// store and the P2P origin; Fleet.serve is one Fetch call plus the
 // fleet's tally. The provider cache sits below the cascade, behind
 // CachingRouter.
 //
@@ -258,7 +258,7 @@ func (f *Fleet) admit(inst *instance) (release func(), ok bool) {
 // P2P origin) and tallies the outcome under the tier the cascade named.
 func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gateway.Request) Response {
 	inst.requests.Inc()
-	resp, obj := inst.gw.FetchObject(ctx, req)
+	resp, obj := inst.gw.Fetch(ctx, req)
 	switch {
 	case errors.Is(resp.Err, ErrKnownMissing):
 		f.nNeg.Add(1)
@@ -344,13 +344,14 @@ func (f *Fleet) Stats() Stats {
 
 // ServeHTTP implements the fleet's public HTTP face — the same
 // GET /ipfs/{CID}[/path] surface as a single gateway, with shed
-// requests answered 503 + Retry-After.
+// requests answered 503 + Retry-After. As there, a client that goes
+// away cancels nothing.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, ok := gateway.ParseRequest(w, r, f.cfg.Time.Now())
 	if !ok {
 		return
 	}
-	resp := f.Fetch(r.Context(), req)
+	resp := f.Fetch(context.WithoutCancel(r.Context()), req)
 	if resp.Shed {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(resp.RetryAfter.Seconds()+0.5)))
 		http.Error(w, "fleet over capacity, retry later", http.StatusServiceUnavailable)

@@ -165,7 +165,7 @@ func TestFacadeGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Run(func(ctx context.Context) {
-		resp := gw.Fetch(ctx, ipfs.GatewayRequest{Cid: root, Time: time.Now(), UserID: "t"})
+		resp, _ := gw.Fetch(ctx, ipfs.GatewayRequest{Cid: root, Time: time.Now(), UserID: "t"})
 		if resp.Err != nil || resp.Bytes != len(data) {
 			t.Errorf("resp = %+v", resp)
 		}
