@@ -266,7 +266,7 @@ func (g *Gateway) retrieve(ctx context.Context, req Request, out *Stream) (Objec
 			obj = append(obj, n.Data)
 		}
 		if out != nil && req.Path == "" {
-			return out.visit(n)
+			out.visit(n)
 		}
 		return nil
 	})
@@ -384,18 +384,16 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Stream is a request's HTTP response while the cascade answers it. Its
 // header declares the length, so the body is never chunked: that of
 // the object a tier returned, or, when the network streams a miss, the
-// content the verified root declares — a leaf's Data, or the sum of its
-// links' Sizes (an interior node's own Data, such as a UnixFS
-// directory's marker, is not content). visit refuses a leaf that would
-// overrun that size, or reach it before the walk's last leaf, so a
-// failed walk never leaves its client a whole body. A client gone
-// mid-body is not the object's failure: the write's error is dropped
-// (later writes fail at once) and the walk goes on.
+// verified root's ContentSize, which the walk holds every child to. A
+// streamed miss writes each leaf as it verifies but holds its final
+// byte back until the cascade reports success (send), so a failure
+// after the header, whatever its cause, leaves the client short. A
+// client gone mid-body is not the object's failure: the write's error
+// is dropped (later writes fail at once) and the walk goes on.
 type Stream struct {
-	w          http.ResponseWriter
-	started    bool
-	size, sent uint64
-	pending    int // nodes the walk has yet to visit
+	w       http.ResponseWriter
+	started bool
+	held    []byte // a streamed miss's last byte so far
 }
 
 func (s *Stream) header(t Tier, size uint64) {
@@ -404,41 +402,37 @@ func (s *Stream) header(t Tier, size uint64) {
 	h.Set("Content-Length", strconv.FormatUint(size, 10))
 	h.Set("X-Ipfs-Gateway-Tier", t.String())
 	s.w.WriteHeader(http.StatusOK)
-	s.started, s.size, s.pending = true, size, 1
+	s.started = true
 }
 
-// send writes an object a tier returned whole, unless there is no
-// client or it has the object already.
+// send completes a served request: it writes an object a tier returned
+// whole, or a streamed miss's held byte. Without a client it does
+// nothing.
 func (s *Stream) send(t Tier, obj Object) {
-	if s != nil && !s.started {
-		s.header(t, uint64(obj.Len()))
-		for _, leaf := range obj {
-			s.w.Write(leaf)
-		}
+	if s == nil {
+		return
+	}
+	if s.started {
+		s.w.Write(s.held)
+		return
+	}
+	s.header(t, uint64(obj.Len()))
+	for _, leaf := range obj {
+		s.w.Write(leaf)
 	}
 }
 
 // visit writes a network miss as the walk verifies it: the header at
-// the root, then each leaf.
-func (s *Stream) visit(n *merkledag.Node) error {
+// the root, then each leaf, holding back the last byte so far.
+func (s *Stream) visit(n *merkledag.Node) {
 	if !s.started {
-		size := n.TotalSize()
-		if len(n.Links) > 0 {
-			size -= uint64(len(n.Data))
-		}
-		s.header(TierNetwork, size)
+		s.header(TierNetwork, n.ContentSize())
 	}
-	s.pending += len(n.Links) - 1
-	if len(n.Links) > 0 {
-		return nil
+	if len(n.Links) == 0 && len(n.Data) > 0 {
+		s.w.Write(s.held)
+		s.w.Write(n.Data[:len(n.Data)-1])
+		s.held = n.Data[len(n.Data)-1:]
 	}
-	end := s.sent + uint64(len(n.Data))
-	if end > s.size || (end == s.size) != (s.pending == 0) {
-		return fmt.Errorf("gateway: leaves do not sum to the %d bytes the root declares", s.size)
-	}
-	s.sent = end
-	s.w.Write(n.Data)
-	return nil
 }
 
 // TierStats aggregates the access log into the Table 5 summary.

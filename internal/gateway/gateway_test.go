@@ -26,6 +26,7 @@ import (
 	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
 	"repro/internal/transport"
+	"repro/internal/unixfs"
 )
 
 var day = time.Date(2022, 1, 2, 0, 0, 0, 0, time.UTC)
@@ -509,8 +510,9 @@ func get(t *testing.T, url string) (*http.Response, []byte, error) {
 // tier — streamed from the network on the miss, then whole from the
 // nginx cache — and likewise from the node store. A UnixFS tree's root,
 // a directory whose own Data is not content, comes back as its files'
-// concatenated leaves with the same Content-Length streamed and cached;
-// a path beneath a root the network supplies still resolves.
+// concatenated leaves with the same Content-Length streamed and cached,
+// also when its last file in link order is empty; a path beneath a
+// root the network supplies still resolves.
 func TestServeHTTPEachTierWholeObject(t *testing.T) {
 	g, origin := tcpGateway(t, nil)
 	srv := httptest.NewServer(g)
@@ -534,6 +536,11 @@ func TestServeHTTPEachTierWholeObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := object(4)
+	emptyLast, err := origin.AddTree(map[string][]byte{"a.bin": last, "b.txt": {}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		path  string
 		tier  Tier
@@ -545,6 +552,8 @@ func TestServeHTTPEachTierWholeObject(t *testing.T) {
 		{pinnedRoot.String(), TierNodeStore, pinned, false},
 		{tree.String(), TierNetwork, files, false},
 		{tree.String(), TierNginx, files, false},
+		{emptyLast.String(), TierNetwork, last, false},
+		{emptyLast.String(), TierNginx, last, false},
 		{tree.String() + "/dir/file.bin", TierNetwork, file, true},
 	} {
 		if c.clear {
@@ -669,8 +678,8 @@ func abort(g *Gateway, root cid.Cid) (p any) {
 }
 
 // TestOversizedRootAllocatesFromLeaves: a root declaring 1 TiB over one
-// 3000-byte leaf costs what the leaf does, served over HTTP or through
-// FetchData: no buffer is sized from a declared length.
+// 3000-byte leaf costs what the leaf does, and fails, served over HTTP
+// or through FetchData: no buffer is sized from a declared length.
 func TestOversizedRootAllocatesFromLeaves(t *testing.T) {
 	store := block.NewMemStore()
 	g, _ := tcpGateway(t, store)
@@ -683,13 +692,42 @@ func TestOversizedRootAllocatesFromLeaves(t *testing.T) {
 	if _, body, err := get(t, srv.URL+"/ipfs/"+root.String()); err == nil || len(body) > 3000 {
 		t.Errorf("HTTP: %d bytes, err %v; want at most the 3000-byte leaf, then a cut", len(body), err)
 	}
-	resp, data := g.FetchData(context.Background(), Request{Cid: root})
-	if resp.Err != nil || len(data) != 3000 {
-		t.Errorf("FetchData: %d bytes, %v; want the 3000 the leaf holds", len(data), resp.Err)
+	if resp, data := g.FetchData(context.Background(), Request{Cid: root}); resp.Err == nil {
+		t.Errorf("FetchData: %d bytes from %v; want the root refused", len(data), resp.Tier)
 	}
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 		t.Errorf("serving a 3000-byte object that declares 1 TiB allocated %d bytes", alloc)
+	}
+}
+
+// TestLyingDAGRefusedByEveryReader: a DAG whose root declares only its
+// first leaf, pinned in the gateway's own store, is refused by every
+// reader: HTTP, FetchData, the node's Cat and unixfs.ReadFile. None
+// answers from the node store.
+func TestLyingDAGRefusedByEveryReader(t *testing.T) {
+	g, _ := tcpGateway(t, nil)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	store := g.Node().Store()
+	root := putRoot(t, store, [][]byte{bytes.Repeat([]byte{'a'}, 3000), bytes.Repeat([]byte{'b'}, 5000)}, []uint64{3000, 0})
+	g.Node().Pinner().Pin(root)
+	if resp, body, err := get(t, srv.URL+"/ipfs/"+root.String()); err == nil && resp.StatusCode == http.StatusOK {
+		t.Errorf("HTTP answered 200 with %d bytes from %q", len(body), resp.Header.Get("X-Ipfs-Gateway-Tier"))
+	}
+	if resp, data := g.FetchData(context.Background(), Request{Cid: root}); resp.Err == nil {
+		t.Errorf("FetchData answered %d bytes from %v", len(data), resp.Tier)
+	}
+	if data, err := g.Node().Cat(root); err == nil {
+		t.Errorf("Cat answered %d bytes", len(data))
+	}
+	if data, err := unixfs.ReadFile(store, root, ""); err == nil {
+		t.Errorf("unixfs.ReadFile answered %d bytes", len(data))
+	}
+	for _, e := range g.Log() {
+		if !e.Err() || e.Tier == TierNodeStore {
+			t.Errorf("log entry %+v, want every fetch failed, none from the node store", e)
+		}
 	}
 }
 

@@ -14,6 +14,15 @@ import (
 	"repro/internal/cid"
 )
 
+// assemble is Assemble over a walk with the given number of workers.
+func assemble(f Fetcher, root cid.Cid, workers int) ([]byte, error) {
+	var leaves [][]byte
+	if err := Walk(context.Background(), nil, f, root, workers, AppendLeaves(&leaves)); err != nil {
+		return nil, err
+	}
+	return bytes.Join(leaves, nil), nil
+}
+
 func TestAssembleConcurrentMatchesSequential(t *testing.T) {
 	store := block.NewMemStore()
 	data := bytes.Repeat([]byte("concurrent assembly test "), 4000)
@@ -22,7 +31,7 @@ func TestAssembleConcurrentMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		got, err := AssembleConcurrentOn(context.Background(), nil, store, root, workers)
+		got, err := assemble(store, root, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -59,7 +68,7 @@ func TestAssembleConcurrentRespectsWorkerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := &countingFetcher{inner: store}
-	if _, err := AssembleConcurrentOn(context.Background(), nil, cf, root, 4); err != nil {
+	if _, err := assemble(cf, root, 4); err != nil {
 		t.Fatal(err)
 	}
 	if cf.maxSeen > 4 {
@@ -90,7 +99,7 @@ func TestAssembleConcurrentPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ff := &failingFetcher{inner: store, fail: cids[len(cids)-1]}
-	if _, err := AssembleConcurrentOn(context.Background(), nil, ff, root, 8); err == nil {
+	if _, err := assemble(ff, root, 8); err == nil {
 		t.Error("injected failure should propagate")
 	}
 }
@@ -114,7 +123,7 @@ func TestQuickConcurrentAssembleRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := AssembleConcurrentOn(context.Background(), nil, store, root, 6)
+		got, err := assemble(store, root, 6)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -129,32 +138,30 @@ func TestQuickConcurrentAssembleRoundTrip(t *testing.T) {
 // object.
 func TestAssembleResultIsCallersCopy(t *testing.T) {
 	for _, size := range []int{25, 5 * 64} {
-		for _, workers := range []int{1, 8} {
-			store := block.NewMemStore()
-			data := bytes.Repeat([]byte{0x5a}, size)
-			root, err := NewBuilder(store, 64, 4).Add(data)
+		store := block.NewMemStore()
+		data := bytes.Repeat([]byte{0x5a}, size)
+		root, err := NewBuilder(store, 64, 4).Add(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cids, err := AllCids(store, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Assemble(store, root)
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("size=%d: assemble: %v", size, err)
+		}
+		for i := range out {
+			out[i] ^= 0xff
+		}
+		for _, c := range cids {
+			blk, err := store.Get(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cids, err := AllCids(store, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := AssembleConcurrentOn(context.Background(), nil, store, root, workers)
-			if err != nil || !bytes.Equal(out, data) {
-				t.Fatalf("size=%d workers=%d: assemble: %v", size, workers, err)
-			}
-			for i := range out {
-				out[i] ^= 0xff
-			}
-			for _, c := range cids {
-				blk, err := store.Get(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !c.Verify(blk.Data()) {
-					t.Errorf("size=%d workers=%d: writing the result corrupted stored block %s", size, workers, c)
-				}
+			if !c.Verify(blk.Data()) {
+				t.Errorf("size=%d: writing the result corrupted stored block %s", size, c)
 			}
 		}
 	}
@@ -194,8 +201,8 @@ func TestWalkRefusesBlockForAnotherCid(t *testing.T) {
 	if _, err := Assemble(sf, root); err == nil {
 		t.Error("Assemble accepted a block for another CID")
 	}
-	if _, err := AssembleConcurrentOn(context.Background(), nil, sf, root, 8); err == nil {
-		t.Error("AssembleConcurrentOn accepted a block for another CID")
+	if _, err := assemble(sf, root, 8); err == nil {
+		t.Error("an 8-worker walk accepted a block for another CID")
 	}
 	if _, err := AllCids(sf, root); err == nil {
 		t.Error("AllCids accepted a block for another CID")

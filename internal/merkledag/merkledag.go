@@ -13,6 +13,7 @@ package merkledag
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/block"
 	"repro/internal/chunker"
@@ -30,7 +31,7 @@ const DefaultFanout = 174
 // directories (see internal/unixfs).
 type Link struct {
 	Cid  cid.Cid
-	Size uint64 // cumulative size of the subtree under the child
+	Size uint64 // the child's ContentSize, which Walk holds it to
 	Name string
 }
 
@@ -159,14 +160,21 @@ func DecodeNode(raw []byte) (*Node, error) {
 	return nil, fmt.Errorf("%w: unknown marker 0x%x", ErrMalformed, marker)
 }
 
-// TotalSize returns the cumulative payload size the node covers: its own
-// data plus all linked subtrees.
-func (n *Node) TotalSize() uint64 {
-	s := uint64(len(n.Data))
-	for _, l := range n.Links {
-		s += l.Size
+// ContentSize is the content the node declares: a leaf's Data, or the
+// sum of an interior node's link Sizes (math.MaxUint64 if that
+// overflows, a size no walk can deliver). An interior node's own Data,
+// such as a UnixFS directory's marker, is never content.
+func (n *Node) ContentSize() uint64 {
+	if len(n.Links) == 0 {
+		return uint64(len(n.Data))
 	}
-	return s
+	var sum uint64
+	for _, l := range n.Links {
+		if sum += l.Size; sum < l.Size {
+			return math.MaxUint64
+		}
+	}
+	return sum
 }
 
 // Builder assembles balanced Merkle DAGs into a blockstore.
@@ -217,7 +225,7 @@ func (b *Builder) Add(data []byte) (cid.Cid, error) {
 			if err := b.store.Put(blk); err != nil {
 				return cid.Cid{}, fmt.Errorf("merkledag: storing inner node: %w", err)
 			}
-			next = append(next, Link{Cid: blk.Cid(), Size: inner.TotalSize()})
+			next = append(next, Link{Cid: blk.Cid(), Size: inner.ContentSize()})
 		}
 		level = next
 	}

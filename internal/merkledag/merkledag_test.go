@@ -34,8 +34,8 @@ func TestNodeEncodeDecodeInner(t *testing.T) {
 	if len(back.Links) != 2 || !back.Links[0].Cid.Equal(c1) || back.Links[1].Size != 20 {
 		t.Errorf("round trip = %+v", back)
 	}
-	if back.TotalSize() != 30 {
-		t.Errorf("TotalSize = %d", back.TotalSize())
+	if back.ContentSize() != 30 {
+		t.Errorf("ContentSize = %d", back.ContentSize())
 	}
 }
 

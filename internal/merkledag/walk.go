@@ -3,6 +3,7 @@ package merkledag
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/block"
@@ -42,18 +43,11 @@ func Leaves(f Fetcher, root cid.Cid) ([][]byte, error) {
 }
 
 // Assemble reassembles the DAG rooted at root with one fetch at a time
-// on the caller's goroutine, through f.Get (see AssembleConcurrentOn).
+// on the caller's goroutine, through f.Get. The result is the caller's
+// own: one allocation of the verified leaves' size.
 func Assemble(f Fetcher, root cid.Cid) ([]byte, error) {
-	return AssembleConcurrentOn(context.Background(), nil, f, root, 1)
-}
-
-// AssembleConcurrentOn reassembles the DAG rooted at root, fetching up
-// to workers blocks at a time as Bitswap sessions do, on src (nil: the
-// wall clock) under the caller's ctx. The result is the caller's own:
-// one allocation of the verified leaves' size, not of a declared one.
-func AssembleConcurrentOn(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int) ([]byte, error) {
-	var leaves [][]byte
-	if err := Walk(ctx, src, f, root, workers, AppendLeaves(&leaves)); err != nil {
+	leaves, err := Leaves(f, root)
+	if err != nil {
 		return nil, err
 	}
 	// bytes.Join, unlike slices.Concat, does not zero the copy.
@@ -74,11 +68,13 @@ func AllCids(f Fetcher, root cid.Cid) ([]cid.Cid, error) {
 // interior node it fetches all the children, at most workers at a time,
 // then descends into them in link order; a leaf child is visited as
 // soon as it and the siblings before it have verified, on a worker's
-// goroutine. One worker fetches with f.Get on the
-// caller's goroutine: a Bitswap session's Get waits under the session's
-// own context. More spawn one simtime.Group per interior node, in link
-// order, joined before the descent; a worker holds a slot only across
-// its fetch.
+// goroutine. A child whose ContentSize is not its link's Size is refused
+// before it is visited: by induction a walk that succeeds visits leaves
+// summing to the root's ContentSize, and one that fails no more. One
+// worker fetches with f.Get on the caller's goroutine: a Bitswap
+// session's Get waits under the session's own context. More spawn one
+// simtime.Group per interior node, in link order, joined before the
+// descent; a worker holds a slot only across its fetch.
 func Walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, workers int, visit Visitor) error {
 	fetch := func(_ context.Context, c cid.Cid) (*Node, error) { return Fetch(f, c) }
 	if workers > 1 {
@@ -118,6 +114,9 @@ func Walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, work
 		var failed error
 		get := func(ctx context.Context, i int) error {
 			kid, err := fetch(ctx, n.Links[i].Cid)
+			if l := n.Links[i]; err == nil && kid.ContentSize() != l.Size {
+				err = fmt.Errorf("merkledag: %s declares %d bytes, its parent's link %d", l.Cid, kid.ContentSize(), l.Size)
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if kids[i] = kid; err != nil && i < failAt {

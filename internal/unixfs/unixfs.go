@@ -7,6 +7,7 @@ package unixfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -43,7 +44,10 @@ func IsDirectory(n *merkledag.Node) bool {
 // MakeDirectory stores a directory node linking the given entries and
 // returns its CID. Entry names must be non-empty, slash-free and
 // unique; entries are sorted so identical directories share a CID
-// (the de-duplication property of §2.1).
+// (the de-duplication property of §2.1). An Entry's Size must be the
+// entry's content size (its root's merkledag ContentSize), as AddTree
+// fills it: the walk holds every link to its Size, so a wrong one makes
+// the directory unreadable without a path.
 func MakeDirectory(store block.Store, entries []Entry) (cid.Cid, error) {
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
@@ -126,34 +130,22 @@ func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
 
 // FileLeaves resolves path under root and returns the file content as
 // merkledag.Leaves does: slices of the verified blocks. The target is
-// fetched once: the directory check and the walk both read that block,
-// each through merkledag.Fetch's check.
+// fetched once, by the walk, whose first visit refuses a directory.
 func FileLeaves(f merkledag.Fetcher, root cid.Cid, path string) ([][]byte, error) {
 	c, err := Resolve(f, root, path)
 	if err != nil {
 		return nil, err
 	}
-	blk, getErr := f.Get(c)
-	held := fetcherFunc(func(k cid.Cid) (block.Block, error) {
-		if k.Equal(c) {
-			return blk, getErr
+	var leaves [][]byte
+	appendLeaf := merkledag.AppendLeaves(&leaves)
+	err = merkledag.Walk(context.Background(), nil, f, c, 1, func(k cid.Cid, n *merkledag.Node) error {
+		if k.Equal(c) && IsDirectory(n) {
+			return fmt.Errorf("%w: %q is a directory", ErrNotDirectory, path)
 		}
-		return f.Get(k)
+		return appendLeaf(k, n)
 	})
-	n, err := merkledag.Fetch(held, c)
-	if err != nil {
-		return nil, err
-	}
-	if IsDirectory(n) {
-		return nil, fmt.Errorf("%w: %q is a directory", ErrNotDirectory, path)
-	}
-	return merkledag.Leaves(held, c)
+	return leaves, err
 }
-
-// fetcherFunc adapts a function to merkledag.Fetcher.
-type fetcherFunc func(cid.Cid) (block.Block, error)
-
-func (f fetcherFunc) Get(c cid.Cid) (block.Block, error) { return f(c) }
 
 // AddTree imports a map of path -> content as a directory tree rooted
 // at a single CID; intermediate directories are created as needed.
