@@ -3,7 +3,8 @@
 // and assembly, the wire codec and its TCP framing, routing-table
 // selection, the DHT walk, scheduler dispatch, the pack store's Get and
 // Delete, the provider store, trace recording, a 2 000-peer network
-// build, a whole TCP retrieve and a gateway GET over loopback HTTP. Each has a real b.N and runs in CI's
+// build, a whole TCP retrieve, the join of a TCP mesh and a gateway GET
+// over loopback HTTP. Each has a real b.N and runs in CI's
 // layer-bench step with allocations reported. The paper's tables and figures are
 // not benchmarks: they are seeded simulations, pinned exactly by the
 // golden and replay tests of internal/experiments.
@@ -601,6 +602,47 @@ func BenchmarkTCPRetrieve1MiB(b *testing.B) {
 	b.StopTimer()
 	if got, _, err := requester.Retrieve(ctx, root); err != nil || !bytes.Equal(got, data) {
 		b.Fatalf("retrieved object differs from the one added: %v", err)
+	}
+}
+
+// BenchmarkTCPJoin measures the join of a 16-node TCP mesh in this
+// process, the shape of perfbench's tcp_pubret set-up: every node
+// bootstraps off the other 15 (dials, identity handshakes and one
+// self-walk each). Building and closing the nodes are not timed.
+func BenchmarkTCPJoin(b *testing.B) {
+	const n = 16
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nodes := make([]*ipfs.Node, n)
+		infos := make([]ipfs.PeerInfo, n)
+		for j := range nodes {
+			node, err := ipfs.NewTCPNode(ipfs.TCPNodeConfig{Seed: int64(j + 1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes[j], infos[j] = node, node.Info()
+		}
+		b.StartTimer()
+		for j, node := range nodes {
+			others := append(append([]ipfs.PeerInfo(nil), infos[:j]...), infos[j+1:]...)
+			if err := node.Bootstrap(ctx, others); err != nil {
+				b.Fatalf("bootstrap node %d: %v", j, err)
+			}
+		}
+		b.StopTimer()
+		for j, a := range nodes {
+			for k, info := range infos {
+				if j != k && !a.Swarm().Connected(info.ID) {
+					b.Fatalf("node %d is not connected to node %d", j, k)
+				}
+			}
+		}
+		for _, node := range nodes {
+			node.Close()
+		}
+		b.StartTimer()
 	}
 }
 

@@ -235,7 +235,9 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) ([]byte, RetrieveResu
 // it (see merkledag.Walk), so a caller can pass content on before the
 // last block has arrived. Local content is collected whole before visit
 // sees it: a partial DAG in the store still falls through to the
-// network without visit having seen any of it.
+// network without visit having seen any of it. An invalid one
+// (merkledag.ErrInvalid) is refused without asking the network, which
+// holds the same bytes under the same CIDs.
 func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Visitor) (res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
 	size := 0 // the leaves visited; res.Bytes once the walk succeeds
@@ -265,10 +267,14 @@ func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Vis
 	// is the common case and is answered without a walk.
 	if n.store.Has(root) {
 		var local []visited
-		if merkledag.Walk(ctx, nil, n.store, root, 1, func(c cid.Cid, nd *merkledag.Node) error {
+		err := merkledag.Walk(ctx, nil, n.store, root, 1, func(c cid.Cid, nd *merkledag.Node) error {
 			local = append(local, visited{c, nd})
 			return nil
-		}) == nil {
+		})
+		if errors.Is(err, merkledag.ErrInvalid) {
+			return res, err
+		}
+		if err == nil {
 			for _, v := range local {
 				if err := count(v.c, v.n); err != nil {
 					return res, err

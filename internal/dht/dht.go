@@ -292,15 +292,30 @@ func (d *DHT) closestInfos(key []byte) []wire.PeerInfo {
 	return infos
 }
 
-// Bootstrap connects to the given peers and performs a self-lookup to
-// populate the routing table, the join procedure of §2.2.
+// Bootstrap joins the network through the given peers, the join
+// procedure of §2.2. It dials them concurrently, at most K at a time, so
+// a join costs about its slowest dial and a dead seed one dial timeout
+// beside the others; then it inserts the seeds that connected into the
+// routing table and address book in seed order, and performs a
+// self-lookup to populate the table.
 func (d *DHT) Bootstrap(ctx context.Context, bootstrap []wire.PeerInfo) error {
-	for _, info := range bootstrap {
-		if _, _, err := d.sw.Connect(ctx, info.ID, info.Addrs); err != nil {
-			continue
+	connected := make([]bool, len(bootstrap))
+	var next atomic.Int64
+	g := simtime.NewGroup(d.src)
+	for w := 0; w < min(d.cfg.K, len(bootstrap)); w++ {
+		g.Go(ctx, func(gctx context.Context) {
+			for i := int(next.Add(1)) - 1; i < len(bootstrap); i = int(next.Add(1)) - 1 {
+				_, _, err := d.sw.Connect(gctx, bootstrap[i].ID, bootstrap[i].Addrs)
+				connected[i] = err == nil
+			}
+		})
+	}
+	g.Wait(ctx)
+	for i, info := range bootstrap {
+		if connected[i] {
+			d.table.Insert(info.ID, kbucket.KeyForPeer(info.ID))
+			d.sw.Book().Add(info.ID, info.Addrs)
 		}
-		d.table.Insert(info.ID, kbucket.KeyForPeer(info.ID))
-		d.sw.Book().Add(info.ID, info.Addrs)
 	}
 	_, _, err := d.WalkClosest(ctx, kbucket.KeyForPeer(d.ident.ID), []byte(d.ident.ID))
 	return err

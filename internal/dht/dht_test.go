@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cid"
 	"repro/internal/geo"
 	"repro/internal/kbucket"
+	"repro/internal/multiaddr"
 	"repro/internal/multicodec"
 	"repro/internal/peer"
 	"repro/internal/simnet"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/simtime/simtest"
 	"repro/internal/swarm"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -378,24 +382,132 @@ func TestGetIPNSMissing(t *testing.T) {
 	})
 }
 
+// addJoiner attaches a fresh DHT server, not yet in any table, to tn's
+// network. wrap, when non-nil, wraps the endpoint its swarm dials on.
+func addJoiner(tn *testNet, cfg Config, wrap func(transport.Endpoint) transport.Endpoint) *DHT {
+	ident := peer.MustNewIdentity(rand.New(rand.NewSource(4242)))
+	var ep transport.Endpoint = tn.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
+	if wrap != nil {
+		ep = wrap(ep)
+	}
+	d := New(ident, swarm.New(ident, ep, tn.net.Time()), ModeServer, cfg)
+	ep.SetHandler(d.HandleMessage)
+	return d
+}
+
+// seedInfo is the bootstrap entry for one of tn's nodes.
+func seedInfo(d *DHT) wire.PeerInfo {
+	return wire.PeerInfo{ID: d.ident.ID, Addrs: d.Swarm().Addrs()}
+}
+
 func TestBootstrapPopulatesTable(t *testing.T) {
 	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
 		tn := buildNet(s, 25, nil)
-		ident := peer.MustNewIdentity(rand.New(rand.NewSource(4242)))
-		ep := tn.net.AddNode(ident.ID, simnet.NodeOpts{Region: "DE", Dialable: true})
-		sw := swarm.New(ident, ep, tn.net.Time())
-		d := New(ident, sw, ModeServer, Config{})
-		ep.SetHandler(d.HandleMessage)
-
-		boot := []wire.PeerInfo{
-			{ID: tn.nodes[0].ident.ID, Addrs: tn.nodes[0].Swarm().Addrs()},
-			{ID: tn.nodes[1].ident.ID, Addrs: tn.nodes[1].Swarm().Addrs()},
-		}
-		if err := d.Bootstrap(ctx, boot); err != nil {
+		d := addJoiner(tn, Config{}, nil)
+		if err := d.Bootstrap(ctx, []wire.PeerInfo{seedInfo(tn.nodes[0]), seedInfo(tn.nodes[1])}); err != nil {
 			t.Fatal(err)
 		}
 		if d.Table().Len() < 10 {
 			t.Errorf("table has %d peers after bootstrap, want >= 10", d.Table().Len())
+		}
+	})
+}
+
+// serialBootstrap is the join done one dial after another: the
+// reference Bootstrap's concurrent dials must reproduce.
+func serialBootstrap(ctx context.Context, d *DHT, seeds []wire.PeerInfo) error {
+	for _, info := range seeds {
+		if _, _, err := d.sw.Connect(ctx, info.ID, info.Addrs); err == nil {
+			d.table.Insert(info.ID, kbucket.KeyForPeer(info.ID))
+			d.sw.Book().Add(info.ID, info.Addrs)
+		}
+	}
+	_, _, err := d.WalkClosest(ctx, kbucket.KeyForPeer(d.ident.ID), []byte(d.ident.ID))
+	return err
+}
+
+// TestBootstrapDialsSeedsConcurrently joins through a seed list with two
+// offline seeds among live ones. The offline seeds are in no routing
+// table, so only the join's own dials reach them. Dialed concurrently
+// they cost one dial timeout between them, not one each, and the join
+// leaves the routing table a serial join leaves.
+func TestBootstrapDialsSeedsConcurrently(t *testing.T) {
+	const dialTimeout = 5 * time.Second // simnet's default
+	join := func(bootstrap func(context.Context, *DHT, []wire.PeerInfo) error) (table []peer.ID, took time.Duration) {
+		simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+			tn := buildNet(s, 25, nil)
+			rng := rand.New(rand.NewSource(77))
+			dead := func() wire.PeerInfo {
+				id := peer.MustNewIdentity(rng).ID
+				ep := tn.net.AddNode(id, simnet.NodeOpts{Region: "US", Dialable: true})
+				tn.net.SetOnline(id, false)
+				return wire.PeerInfo{ID: id, Addrs: ep.Addrs()}
+			}
+			seeds := []wire.PeerInfo{seedInfo(tn.nodes[0]), dead(), seedInfo(tn.nodes[1]), seedInfo(tn.nodes[2]), dead(), seedInfo(tn.nodes[3])}
+			d := addJoiner(tn, Config{}, nil)
+			start := s.Now()
+			if err := bootstrap(ctx, d, seeds); err != nil {
+				t.Fatal(err)
+			}
+			took = s.Since(start)
+			table = d.Table().AllPeers()
+			slices.Sort(table)
+		})
+		return table, took
+	}
+	serialTable, serialTook := join(serialBootstrap)
+	table, took := join(func(ctx context.Context, d *DHT, seeds []wire.PeerInfo) error { return d.Bootstrap(ctx, seeds) })
+	if serialTook < 2*dialTimeout {
+		t.Fatalf("serial join took %v, want >= %v: the offline seeds did not cost a dial timeout each", serialTook, 2*dialTimeout)
+	}
+	if took >= 2*dialTimeout {
+		t.Errorf("Bootstrap took %v of simulated time, want < %v: the offline seeds' timeouts ran one after another", took, 2*dialTimeout)
+	}
+	if len(table) < 10 || !slices.Equal(table, serialTable) {
+		t.Errorf("Bootstrap's table holds %d peers, the serial join's %d; want the same peers, at least 10", len(table), len(serialTable))
+	}
+}
+
+// dialCounter is an endpoint that counts its dials in flight.
+type dialCounter struct {
+	transport.Endpoint
+	inFlight, peak atomic.Int32
+}
+
+func (e *dialCounter) Dial(ctx context.Context, target peer.ID, addrs []multiaddr.Multiaddr) (transport.Conn, error) {
+	n := e.inFlight.Add(1)
+	defer e.inFlight.Add(-1)
+	for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
+	}
+	return e.Endpoint.Dial(ctx, target, addrs)
+}
+
+// TestBootstrapBoundsDialsInFlightByK joins through three times K
+// seeds: K dials are in flight at once, never more, and every seed
+// connects.
+func TestBootstrapBoundsDialsInFlightByK(t *testing.T) {
+	const k = 4
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		tn := buildNet(s, 25, nil)
+		var seeds []wire.PeerInfo
+		for _, n := range tn.nodes[:3*k] {
+			seeds = append(seeds, seedInfo(n))
+		}
+		counter := &dialCounter{}
+		d := addJoiner(tn, Config{K: k}, func(ep transport.Endpoint) transport.Endpoint {
+			counter.Endpoint = ep
+			return counter
+		})
+		if err := d.Bootstrap(ctx, seeds); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter.peak.Load(); got != k {
+			t.Errorf("at most %d dials were in flight at once, want K = %d", got, k)
+		}
+		for i, info := range seeds {
+			if !d.Swarm().Connected(info.ID) {
+				t.Errorf("seed %d is not connected", i)
+			}
 		}
 	})
 }

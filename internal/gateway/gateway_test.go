@@ -731,6 +731,41 @@ func TestLyingDAGRefusedByEveryReader(t *testing.T) {
 	}
 }
 
+// TestInvalidLocalDAGAsksNoPeer: a DAG in the gateway's own store that
+// is invalid (a root lying about its leaves, or a root block that does
+// not decode) is refused by the readers that may reach the network —
+// HTTP, FetchData and the node's Retrieve — with merkledag.ErrInvalid,
+// and none of them sends a WANT_HAVE: the network holds the same bytes
+// under the same CIDs.
+func TestInvalidLocalDAGAsksNoPeer(t *testing.T) {
+	g, _ := tcpGateway(t, nil)
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	store := g.Node().Store()
+	undecodable := block.New(multicodec.DagPB, []byte("not a dag node"))
+	if err := store.Put(undecodable); err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []cid.Cid{
+		putRoot(t, store, [][]byte{bytes.Repeat([]byte{'a'}, 3000), bytes.Repeat([]byte{'b'}, 5000)}, []uint64{3000, 0}),
+		undecodable.Cid(),
+	} {
+		before, _ := g.Node().Bitswap().MsgStats()
+		if resp, _, err := get(t, srv.URL+"/ipfs/"+root.String()); err == nil && resp.StatusCode == http.StatusOK {
+			t.Errorf("%s: HTTP answered 200", root)
+		}
+		if resp, _ := g.FetchData(context.Background(), Request{Cid: root}); !errors.Is(resp.Err, merkledag.ErrInvalid) {
+			t.Errorf("%s: FetchData err = %v, want ErrInvalid", root, resp.Err)
+		}
+		if _, _, err := g.Node().Retrieve(context.Background(), root); !errors.Is(err, merkledag.ErrInvalid) {
+			t.Errorf("%s: Retrieve err = %v, want ErrInvalid", root, err)
+		}
+		if after, _ := g.Node().Bitswap().MsgStats(); after != before {
+			t.Errorf("%s: %d WANT_HAVEs sent, want none", root, after-before)
+		}
+	}
+}
+
 // TestServeHTTPClientGone: a client that disconnects once the header
 // is in fails nothing, whether the object is streamed from the network
 // or written whole from the nginx cache. The retrieval completes and

@@ -184,7 +184,8 @@ func (f *swappingFetcher) Get(c cid.Cid) (block.Block, error) {
 // TestWalkRefusesBlockForAnotherCid: the walk no longer re-hashes what a
 // constructor already hashed, so the comparison of the block's CID with
 // the one asked for is the check — a well-formed, self-consistent block
-// under the wrong CID must fail it, as must the zero Block.
+// under the wrong CID must fail it, as must the zero Block. That failure
+// is the copy's, not the DAG's, so it is not ErrInvalid.
 func TestWalkRefusesBlockForAnotherCid(t *testing.T) {
 	store := block.NewMemStore()
 	root, err := NewBuilder(store, 64, 4).Add(bytes.Repeat([]byte{7}, 5*64))
@@ -198,8 +199,8 @@ func TestWalkRefusesBlockForAnotherCid(t *testing.T) {
 	// Two distinct leaves would do; the last leaf answered with the
 	// root is the most different pair there is.
 	sf := &swappingFetcher{inner: store, ask: cids[len(cids)-1], got: root}
-	if _, err := Assemble(sf, root); err == nil {
-		t.Error("Assemble accepted a block for another CID")
+	if _, err := Assemble(sf, root); err == nil || errors.Is(err, ErrInvalid) {
+		t.Errorf("Assemble of a block for another CID: err %v, want a failure that is not ErrInvalid", err)
 	}
 	if _, err := assemble(sf, root, 8); err == nil {
 		t.Error("an 8-worker walk accepted a block for another CID")

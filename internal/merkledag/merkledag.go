@@ -42,10 +42,15 @@ type Node struct {
 	Data  []byte
 }
 
-// Errors returned by this package.
+// Errors returned by this package. ErrInvalid is a verified block that
+// contradicts its DAG: one that does not decode as a node, or a child
+// whose content is not the size its parent's link declares. Its CID
+// fixes those bytes, so no other copy, local or remote, can do better;
+// a block for another CID is not ErrInvalid.
 var (
 	ErrMalformed = errors.New("merkledag: malformed node")
 	ErrMissing   = errors.New("merkledag: block missing from store")
+	ErrInvalid   = errors.New("merkledag: invalid DAG")
 )
 
 const (
@@ -256,5 +261,9 @@ func decodeFetched(c cid.Cid, blk block.Block, err error) (*Node, error) {
 	if !blk.Cid().Equal(c) {
 		return nil, fmt.Errorf("merkledag: block %s failed verification", c)
 	}
-	return DecodeNode(blk.Data())
+	n, err := DecodeNode(blk.Data())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrInvalid, c, err)
+	}
+	return n, nil
 }

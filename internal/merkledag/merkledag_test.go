@@ -58,6 +58,25 @@ func TestDecodeNodeErrors(t *testing.T) {
 	}
 }
 
+// TestFetchInvalidNode: a block that hashes to the CID asked for but
+// does not decode is ErrInvalid (and still ErrMalformed); a missing one
+// is neither.
+func TestFetchInvalidNode(t *testing.T) {
+	store := block.NewMemStore()
+	for i, raw := range malformedNodes {
+		blk := block.New(multicodec.DagPB, raw)
+		if err := store.Put(blk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fetch(store, blk.Cid()); !errors.Is(err, ErrInvalid) || !errors.Is(err, ErrMalformed) {
+			t.Errorf("case %d: err = %v, want ErrInvalid and ErrMalformed", i, err)
+		}
+	}
+	if _, err := Fetch(store, cid.Sum(multicodec.DagPB, []byte("absent"))); !errors.Is(err, ErrMissing) || errors.Is(err, ErrInvalid) {
+		t.Errorf("missing block: err = %v, want ErrMissing alone", err)
+	}
+}
+
 // FuzzDecodeNode: DecodeNode never panics, and whatever it accepts is
 // the one encoding of its node, so no two CIDs name one node.
 func FuzzDecodeNode(f *testing.F) {

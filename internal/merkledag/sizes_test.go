@@ -3,6 +3,7 @@ package merkledag
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -37,7 +38,8 @@ func walkSizes(f Fetcher, root cid.Cid, workers int, limit uint64) (content []by
 
 // TestWalkHoldsChildrenToLinkSizes: a root whose links declare sizes
 // its children do not hold is refused, with one worker or eight, and
-// the refused child is never visited: short, over, reached before the
+// the refused child is never visited, and the walk fails ErrInvalid:
+// short, over, reached before the
 // last leaf, 1 TiB, and a sum that overflows. The root's own Data (a
 // directory marker) is not content.
 func TestWalkHoldsChildrenToLinkSizes(t *testing.T) {
@@ -61,7 +63,7 @@ func TestWalkHoldsChildrenToLinkSizes(t *testing.T) {
 		rc := put(t, store, root)
 		for _, workers := range []int{1, 8} {
 			content, over, err := walkSizes(store, rc, workers, root.ContentSize())
-			if (err == nil) != c.ok || over {
+			if (err == nil) != c.ok || over || (err != nil && !errors.Is(err, ErrInvalid)) {
 				t.Errorf("sizes %v, workers %d: err %v after %d bytes, over the declared %d: %v", c.sizes, workers, err, len(content), root.ContentSize(), over)
 			}
 			if want := append(append([]byte(nil), a...), b...); c.ok && !bytes.Equal(content, want) {

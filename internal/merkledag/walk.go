@@ -115,7 +115,7 @@ func Walk(ctx context.Context, src simtime.Source, f Fetcher, root cid.Cid, work
 		get := func(ctx context.Context, i int) error {
 			kid, err := fetch(ctx, n.Links[i].Cid)
 			if l := n.Links[i]; err == nil && kid.ContentSize() != l.Size {
-				err = fmt.Errorf("merkledag: %s declares %d bytes, its parent's link %d", l.Cid, kid.ContentSize(), l.Size)
+				err = fmt.Errorf("%w: %s declares %d bytes, its parent's link %d", ErrInvalid, l.Cid, kid.ContentSize(), l.Size)
 			}
 			mu.Lock()
 			defer mu.Unlock()
