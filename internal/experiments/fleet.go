@@ -190,7 +190,7 @@ func RunFleetScenario(cfg FleetScenarioConfig) *FleetScenarioResults {
 			UserID:   r.UserID,
 			Referrer: r.Referrer,
 		})
-		if resp.Shed || resp.Err != nil {
+		if resp.Err != nil {
 			return errFleetFetch
 		}
 		return nil

@@ -94,7 +94,7 @@ func TestFleetNegativeCache(t *testing.T) {
 		req := gateway.Request{Cid: root, Time: tn.Sched.Now()}
 
 		// First request: the whole fleet pays exactly one origin attempt.
-		var first gwfleet.Response
+		var first gateway.Response
 		cost := lookupsDuring(ctx, func() { first = fleet.Fetch(ctx, req) })
 		if first.Err == nil {
 			t.Error("fetch of unpublished CID succeeded")
@@ -109,7 +109,7 @@ func TestFleetNegativeCache(t *testing.T) {
 		// Every further request inside the TTL window fails fast from the
 		// shared negative cache: zero origin RPCs across the whole fleet.
 		for i := 0; i < 5; i++ {
-			var resp gwfleet.Response
+			var resp gateway.Response
 			cost := lookupsDuring(ctx, func() { resp = fleet.Fetch(ctx, req) })
 			if !errors.Is(resp.Err, gwfleet.ErrKnownMissing) {
 				t.Errorf("fetch %d inside TTL window: err = %v, want ErrKnownMissing", i, resp.Err)
@@ -124,7 +124,7 @@ func TestFleetNegativeCache(t *testing.T) {
 		if err := tn.Sched.Sleep(ctx, negTTL+time.Second); err != nil {
 			return
 		}
-		var again gwfleet.Response
+		var again gateway.Response
 		cost = lookupsDuring(ctx, func() { again = fleet.Fetch(ctx, req) })
 		if errors.Is(again.Err, gwfleet.ErrKnownMissing) {
 			t.Error("fetch after TTL expiry was a negative hit; want a fresh origin attempt")

@@ -81,6 +81,21 @@ func TestExperimentsReplayUnderScheduler(t *testing.T) {
 	}
 }
 
+// TestReplayCasesGolden pins each replay case's render as
+// testdata/replay_<case>.golden, so every table and figure the
+// experiments print — Tables 2 and 3 and Figures 4a, 5, 6, 7a–7d, 8, 9,
+// 10 and 11a among them — moves only as a reviewed diff.
+func TestReplayCasesGolden(t *testing.T) {
+	for _, tc := range replayCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name == "ablation-gateway-cache" {
+				t.Skip("the cache sweep's catalog is slow to hash under -short -race")
+			}
+			goldenCompare(t, "replay_"+tc.name+".golden", tc.render(t))
+		})
+	}
+}
+
 // TestPerfTable4Golden pins Table 1, Table 4 and the headline summary
 // of the small §4.3 run.
 func TestPerfTable4Golden(t *testing.T) {

@@ -351,34 +351,40 @@ func ParseRequest(w http.ResponseWriter, r *http.Request, now time.Time) (Reques
 	}, true
 }
 
-// WriteResponse writes a fetch outcome: 404 for a failed one, otherwise
-// the object.
-func WriteResponse(w http.ResponseWriter, resp Response, obj Object) {
-	if resp.Err != nil {
-		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
-		return
-	}
-	(&Stream{w: w}).send(resp.Tier, obj)
-}
-
-// ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path]. A
-// request failing after its header went out is aborted
-// (http.ErrAbortHandler): its client sees a short body, not a 200. A
-// client that goes away cancels nothing: the request is served to its
-// end, bounded by the retrieval's own timeouts, so the caches still
-// fill and the log records the object's outcome, not the client's.
+// ServeHTTP implements the public HTTP face: GET /ipfs/{CID}[/path],
+// answered by Serve. A client that goes away cancels nothing: the
+// request is served to its end, bounded by the retrieval's own
+// timeouts, so the caches still fill and the log records the object's
+// outcome, not the client's.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, ok := ParseRequest(w, r, g.src.Now())
 	if !ok {
 		return
 	}
-	out := &Stream{w: w}
-	if resp, _ := g.serve(context.WithoutCancel(r.Context()), req, out); resp.Err != nil {
-		if out.started {
-			panic(http.ErrAbortHandler)
-		}
-		WriteResponse(w, resp, nil)
+	if _, abort := g.Serve(context.WithoutCancel(r.Context()), w, req); abort {
+		panic(http.ErrAbortHandler)
 	}
+}
+
+// Serve answers a parsed request through the cascade. With a client (w
+// not nil) a Stream writes the answer as it comes: the object, a
+// network miss as it verifies, or a 404 for a fetch that failed before
+// anything was sent. abort reports a failure after the header went
+// out: the handler must then panic with http.ErrAbortHandler, so its
+// client sees a short body, not a 200. Without a client Serve only
+// fetches.
+func (g *Gateway) Serve(ctx context.Context, w http.ResponseWriter, req Request) (resp Response, abort bool) {
+	var out *Stream
+	if w != nil {
+		out = &Stream{w: w}
+	}
+	if resp, _ = g.serve(ctx, req, out); resp.Err == nil || out == nil {
+		return resp, false
+	}
+	if !out.started {
+		http.Error(w, fmt.Sprintf("not found: %v", resp.Err), http.StatusNotFound)
+	}
+	return resp, out.started
 }
 
 // Stream is a request's HTTP response while the cascade answers it. Its

@@ -299,8 +299,10 @@ func TestServeHTTPDeclaresLength(t *testing.T) {
 		t.Errorf("ContentLength = %d, TransferEncoding = %v; want 65536 and none", resp.ContentLength, resp.TransferEncoding)
 	}
 
+	// A cascade whose only tier ends the walk with a terminal error.
+	failing := &Gateway{src: g.src, tiers: []CacheTier{&fakeTier{tier: TierNginx, err: errors.New("no providers")}}}
 	rec := httptest.NewRecorder()
-	WriteResponse(rec, Response{Err: errors.New("no providers")}, nil)
+	failing.ServeHTTP(rec, httptest.NewRequest("GET", "/ipfs/"+root.String(), nil))
 	if rec.Code != http.StatusNotFound || rec.Body.String() != "not found: no providers\n" ||
 		rec.Header().Get("X-Ipfs-Gateway-Tier") != "" || rec.Header().Get("Content-Type") != "text/plain; charset=utf-8" {
 		t.Errorf("404 path: status %d, body %q, headers %v", rec.Code, rec.Body.String(), rec.Header())

@@ -8,9 +8,9 @@
 // The fleet has no serving cascade of its own. It contributes two
 // gateway.CacheTier values, the shared object cache and the negative
 // cache, to each instance's gateway, which walks them between its node
-// store and the P2P origin; Fleet.serve is one Fetch call plus the
-// fleet's tally. The provider cache sits below the cascade, behind
-// CachingRouter.
+// store and the P2P origin; Fleet.serve is one Gateway.Serve call,
+// over HTTP or not, plus the fleet's tally. The provider cache sits
+// below the cascade, behind CachingRouter.
 //
 // All fleet metrics report through the internal/telemetry registry; the
 // viral-CID scenario in internal/experiments measures the fleet against
@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +73,8 @@ type Config struct {
 	// Time is the unified time surface (the event scheduler in
 	// simulated scenarios). Nil selects real time.
 	Time simtime.Source
-	// Registry receives the fleet metrics; nil leaves them unmetered.
+	// Registry receives the fleet metrics, which Stats reads back; nil
+	// gives the fleet a registry of its own.
 	Registry *telemetry.Registry
 }
 
@@ -102,27 +104,10 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = time.Second
 	}
 	c.Time = simtime.OrWall(c.Time)
+	if c.Registry == nil {
+		c.Registry = telemetry.NewRegistry()
+	}
 	return c
-}
-
-// Response is the fleet-level serving outcome: the underlying gateway
-// response plus which instance served, whether the request spilled past
-// a shedding owner, and the shed verdict.
-type Response struct {
-	gateway.Response
-	// GW is the instance that served (or, when Shed, the owner that
-	// rejected last).
-	GW int
-	// Spilled marks a response served by a ring successor because the
-	// owner was shedding.
-	Spilled bool
-	// Shed marks a rejected request: every candidate instance was over
-	// its watermarks. HTTP callers get 503 with Retry-After.
-	Shed bool
-	// RetryAfter is the advisory backoff attached when Shed.
-	RetryAfter time.Duration
-	// Object is the served object for successful responses.
-	Object gateway.Object
 }
 
 // instance is one gateway plus its admission-control state.
@@ -143,15 +128,13 @@ type Fleet struct {
 	insts  []*instance
 	shared *SharedCache
 
+	// The fleet's one tally, which Stats reads back.
 	tierHits map[gateway.Tier]*telemetry.Counter
 	negCtr   *telemetry.Counter
+	failCtr  *telemetry.Counter
 	spillCtr *telemetry.Counter
 	shedCtr  *telemetry.Counter
 	ttfbHist *telemetry.Hist
-
-	// deterministic scenario-facing tallies (the registry mirrors them)
-	nReq, nShed, nSpill, nNeg, nNetFail atomic.Int64
-	served                              [gateway.TierShared + 1]atomic.Int64 // by answering Tier
 }
 
 // New builds a fleet over the given gateway nodes: each node gets a
@@ -176,6 +159,7 @@ func New(nodes []*core.Node, cfg Config) *Fleet {
 			gateway.TierNetwork:   reg.Counter("gwfleet_served", "tier", "origin"),
 		},
 		negCtr:   reg.Counter("gwfleet_served", "tier", "negative"),
+		failCtr:  reg.Counter("gwfleet_origin_failures"),
 		spillCtr: reg.Counter("gwfleet_spills"),
 		shedCtr:  reg.Counter("gwfleet_shed_total"),
 		ttfbHist: reg.Histogram("gwfleet_ttfb_seconds"),
@@ -202,36 +186,41 @@ func (f *Fleet) Shared() *SharedCache { return f.shared }
 // 5 style summaries, its Node is the instance's backing node.
 func (f *Fleet) Gateway(i int) *gateway.Gateway { return f.insts[i].gw }
 
-// Fetch serves one request: the CID's ring owner first, spilling to up
-// to spill ring successors while the owner sheds, rejecting with
-// Shed when every candidate is over its watermarks.
-func (f *Fleet) Fetch(ctx context.Context, req gateway.Request) Response {
-	f.nReq.Add(1)
-	candidates := f.ring.Successors(req.Key(), 1+spill)
-	for hop, gwIdx := range candidates {
+// Fetch serves one request without a client: the same placement,
+// admission, cascade and tally as ServeHTTP. A shed request fails with
+// ErrShed.
+func (f *Fleet) Fetch(ctx context.Context, req gateway.Request) gateway.Response {
+	resp, _ := f.serve(ctx, nil, req)
+	return resp
+}
+
+// serve hands a request, and its client w if any, to the CID's ring
+// owner, or to up to spill ring successors while the owner sheds, and
+// fails it with ErrShed when every candidate is over its watermarks.
+// The outcome is tallied and the admission slot released before serve
+// returns, so the abort Gateway.Serve reports is left to the caller.
+func (f *Fleet) serve(ctx context.Context, w http.ResponseWriter, req gateway.Request) (gateway.Response, bool) {
+	for hop, gwIdx := range f.ring.Successors(req.Key(), 1+spill) {
 		inst := f.insts[gwIdx]
 		release, ok := f.admit(inst)
 		if !ok {
 			inst.shed.Inc()
 			continue
 		}
-		resp := f.serve(ctx, inst, gwIdx, req)
+		inst.requests.Inc()
+		if w != nil {
+			w.Header().Set("X-Ipfs-Fleet-Gw", strconv.Itoa(gwIdx))
+		}
+		resp, abort := inst.gw.Serve(ctx, w, req)
+		f.tally(ctx, req, resp)
 		release()
-		resp.Spilled = hop > 0
-		if resp.Spilled {
-			f.nSpill.Add(1)
+		if hop > 0 {
 			f.spillCtr.Inc()
 		}
-		return resp
+		return resp, abort
 	}
-	f.nShed.Add(1)
 	f.shedCtr.Inc()
-	return Response{
-		Response:   gateway.Response{Err: ErrShed},
-		GW:         candidates[0],
-		Shed:       true,
-		RetryAfter: f.cfg.RetryAfter,
-	}
+	return gateway.Response{Err: ErrShed}, false
 }
 
 // admit applies the per-instance admission control: requests beyond
@@ -253,18 +242,14 @@ func (f *Fleet) admit(inst *instance) (release func(), ok bool) {
 	return func() { inst.inflight.Add(-1) }, true
 }
 
-// serve runs one admitted instance's cascade (its nginx cache and node
-// store, the fleet-shared object cache, the negative cache, then the
-// P2P origin) and tallies the outcome under the tier the cascade named.
-func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gateway.Request) Response {
-	inst.requests.Inc()
-	resp, obj := inst.gw.Fetch(ctx, req)
+// tally counts an admitted request under the tier its instance's
+// cascade named.
+func (f *Fleet) tally(ctx context.Context, req gateway.Request, resp gateway.Response) {
 	switch {
 	case errors.Is(resp.Err, ErrKnownMissing):
-		f.nNeg.Add(1)
 		f.negCtr.Inc()
 	case resp.Err != nil:
-		f.nNetFail.Add(1)
+		f.failCtr.Inc()
 		// Only a root-level origin failure is a definitive miss worth a
 		// negative window; a bad sub-path under a resolvable root is the
 		// client's problem, not the content's absence.
@@ -278,16 +263,14 @@ func (f *Fleet) serve(ctx context.Context, inst *instance, gwIdx int, req gatewa
 			// to the tier model and holds the admission slot as long.
 			spend(ctx, f.cfg.Time, resp.Latency)
 		}
-		f.served[resp.Tier].Add(1)
 		f.tierHits[resp.Tier].Inc()
 		f.ttfbHist.ObserveDuration(resp.Latency)
 	}
-	return Response{Response: resp, GW: gwIdx, Object: obj}
 }
 
 // Stats is a point-in-time tally of fleet behaviour.
 type Stats struct {
-	Requests     int64 // all Fetch calls
+	Requests     int64 // every request, over HTTP or through Fetch
 	Shed         int64 // rejected by admission control
 	Spilled      int64 // served by a ring successor
 	LocalHits    int64 // per-instance nginx hits
@@ -327,38 +310,46 @@ func (s Stats) CacheHitRate() float64 {
 	return float64(served-s.OriginFetch) / float64(served)
 }
 
-// Stats returns the current tallies.
+// Stats reads the fleet's registry counters.
 func (f *Fleet) Stats() Stats {
-	return Stats{
-		Requests:     f.nReq.Load(),
-		Shed:         f.nShed.Load(),
-		Spilled:      f.nSpill.Load(),
-		LocalHits:    f.served[gateway.TierNginx].Load(),
-		SharedHits:   f.served[gateway.TierShared].Load(),
-		NodeStore:    f.served[gateway.TierNodeStore].Load(),
-		OriginFetch:  f.served[gateway.TierNetwork].Load(),
-		OriginFail:   f.nNetFail.Load(),
-		NegativeHits: f.nNeg.Load(),
+	n := func(c *telemetry.Counter) int64 { return int64(c.Value()) }
+	st := Stats{
+		Shed:         n(f.shedCtr),
+		Spilled:      n(f.spillCtr),
+		LocalHits:    n(f.tierHits[gateway.TierNginx]),
+		SharedHits:   n(f.tierHits[gateway.TierShared]),
+		NodeStore:    n(f.tierHits[gateway.TierNodeStore]),
+		OriginFetch:  n(f.tierHits[gateway.TierNetwork]),
+		OriginFail:   n(f.failCtr),
+		NegativeHits: n(f.negCtr),
 	}
+	st.Requests = st.Shed
+	for _, inst := range f.insts {
+		st.Requests += n(inst.requests)
+	}
+	return st
 }
 
-// ServeHTTP implements the fleet's public HTTP face — the same
-// GET /ipfs/{CID}[/path] surface as a single gateway, with shed
-// requests answered 503 + Retry-After. As there, a client that goes
-// away cancels nothing.
+// ServeHTTP implements the fleet's public HTTP face: the same
+// GET /ipfs/{CID}[/path] surface as a single gateway, answered by the
+// admitted instance's Gateway.Serve, so a miss streams and a stream
+// that fails after its header is aborted alike. A shed request is
+// answered 503 + Retry-After. As there, a client that goes away
+// cancels nothing.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req, ok := gateway.ParseRequest(w, r, f.cfg.Time.Now())
 	if !ok {
 		return
 	}
-	resp := f.Fetch(context.WithoutCancel(r.Context()), req)
-	if resp.Shed {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(resp.RetryAfter.Seconds()+0.5)))
+	resp, abort := f.serve(context.WithoutCancel(r.Context()), w, req)
+	if errors.Is(resp.Err, ErrShed) {
+		// Rounded up: a hint of 0 s would invite the instant retry that
+		// shedding exists to stop.
+		secs := (f.cfg.RetryAfter + time.Second - 1) / time.Second
+		w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
 		http.Error(w, "fleet over capacity, retry later", http.StatusServiceUnavailable)
-		return
 	}
-	if resp.Err == nil {
-		w.Header().Set("X-Ipfs-Fleet-Gw", fmt.Sprint(resp.GW))
+	if abort {
+		panic(http.ErrAbortHandler)
 	}
-	gateway.WriteResponse(w, resp.Response, resp.Object)
 }

@@ -147,23 +147,24 @@ func (s *countingSource) Sleep(_ context.Context, d time.Duration) error {
 	return nil
 }
 
-// wallClockFleet builds a one-instance fleet over a small testnet, on a
-// countingSource.
-func wallClockFleet(t *testing.T) (*Fleet, *countingSource) {
+// wallClockFleet builds a fleet of n instances over a small testnet, on
+// a countingSource.
+func wallClockFleet(t *testing.T, n int, cfg Config) (*Fleet, *countingSource) {
 	t.Helper()
 	tn := testnet.Build(testnet.Config{
 		N: 20, Seed: 5,
 		FracDead: 1e-9, FracSlow: 1e-9, FracWSBroken: 1e-9,
 	})
 	src := &countingSource{Source: simtime.OrWall(nil)}
-	return New(tn.AddGatewayFleet(1, 900, nil), Config{Time: src}), src
+	cfg.Time = src
+	return New(tn.AddGatewayFleet(n, 900, nil), cfg), src
 }
 
 // TestFleetTierOrder pins where the fleet slots its two tiers: below
 // the instance's node store, the shared object cache above the
 // negative cache, both above the origin.
 func TestFleetTierOrder(t *testing.T) {
-	f, _ := wallClockFleet(t)
+	f, _ := wallClockFleet(t, 1, Config{})
 	ctx := context.Background()
 	data := []byte("pinned, shared and known missing all at once")
 	root, err := f.Gateway(0).Pin(data)
@@ -202,7 +203,7 @@ func TestFleetTierOrder(t *testing.T) {
 // shared-cache hit still report their modelled latency, and sleep none
 // of it.
 func TestWallClockFleetDoesNotSleepModelledLatency(t *testing.T) {
-	f, src := wallClockFleet(t)
+	f, src := wallClockFleet(t, 1, Config{})
 	ctx := context.Background()
 
 	pinned, err := f.Gateway(0).Pin([]byte("pinned at the edge"))
@@ -211,14 +212,14 @@ func TestWallClockFleetDoesNotSleepModelledLatency(t *testing.T) {
 	}
 	resp := f.Fetch(ctx, gateway.Request{Cid: pinned})
 	if resp.Err != nil || resp.Tier != gateway.TierNodeStore || resp.Latency != gateway.NodeStoreLatency {
-		t.Errorf("pinned fetch = %+v, want a node-store hit reporting %v", resp.Response, gateway.NodeStoreLatency)
+		t.Errorf("pinned fetch = %+v, want a node-store hit reporting %v", resp, gateway.NodeStoreLatency)
 	}
 
 	shared := gateway.Request{Cid: cid.SumV0([]byte("held by the fleet"))}
 	objectTier{f.shared}.Put(shared, gateway.Object{[]byte("held by the fleet")})
 	resp = f.Fetch(ctx, shared)
 	if resp.Err != nil || resp.Tier != gateway.TierShared || resp.Latency != SharedCacheLatency {
-		t.Errorf("shared fetch = %+v, want a shared-cache hit reporting %v", resp.Response, SharedCacheLatency)
+		t.Errorf("shared fetch = %+v, want a shared-cache hit reporting %v", resp, SharedCacheLatency)
 	}
 	if again := f.Fetch(ctx, shared); again.Tier != gateway.TierNginx {
 		t.Errorf("repeat fetch served from %v, want the nginx cache the shared hit filled", again.Tier)
@@ -234,32 +235,38 @@ func TestWallClockFleetDoesNotSleepModelledLatency(t *testing.T) {
 
 // TestServeHTTPShed drives the HTTP face of admission control: with
 // every candidate instance saturated, the fleet answers 503 with a
-// Retry-After hint instead of queueing without bound.
+// Retry-After hint, in whole seconds rounded up, instead of queueing
+// without bound.
 func TestServeHTTPShed(t *testing.T) {
-	cfg := Config{MaxInflight: 1, QueueHigh: 1, RetryAfter: 2 * time.Second}.withDefaults()
-	f := &Fleet{
-		cfg:    cfg,
-		ring:   NewRing(2, 16),
-		insts:  []*instance{{}, {}},
-		shared: NewSharedCache(1<<20, cfg.NegativeTTL, providerTTL, cfg.Time, nil),
-	}
+	f, _ := wallClockFleet(t, 2, Config{MaxInflight: 1, QueueHigh: 1})
 	// Saturate both instances past the high watermark and latch them.
 	for _, inst := range f.insts {
-		inst.inflight.Store(int64(cfg.MaxInflight + cfg.QueueHigh))
+		inst.inflight.Store(int64(f.cfg.MaxInflight + f.cfg.QueueHigh))
 		inst.shedding.Store(true)
 	}
 
 	c := cid.SumV0([]byte("hot content"))
-	rec := httptest.NewRecorder()
-	f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ipfs/"+c.String(), nil))
+	for _, tc := range []struct {
+		retryAfter time.Duration
+		want       string
+	}{
+		{2 * time.Second, "2"},
+		{300 * time.Millisecond, "1"},
+		{1500 * time.Millisecond, "2"},
+	} {
+		f.cfg.RetryAfter = tc.retryAfter
+		before := f.Stats()
+		rec := httptest.NewRecorder()
+		f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ipfs/"+c.String(), nil))
 
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want %d", rec.Code, http.StatusServiceUnavailable)
-	}
-	if got := rec.Header().Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After = %q, want %q", got, "2")
-	}
-	if st := f.Stats(); st.Shed != 1 || st.Requests != 1 {
-		t.Errorf("stats = %+v, want 1 request / 1 shed", st)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want %d", rec.Code, http.StatusServiceUnavailable)
+		}
+		if got := rec.Header().Get("Retry-After"); got != tc.want {
+			t.Errorf("RetryAfter %v: Retry-After = %q, want %q", tc.retryAfter, got, tc.want)
+		}
+		if st := f.Stats().Sub(before); st.Shed != 1 || st.Requests != 1 {
+			t.Errorf("stats = %+v, want 1 request / 1 shed", st)
+		}
 	}
 }
