@@ -89,7 +89,7 @@ func main() {
 	// The HTTP face: a single gateway, or a fleet of them behind the
 	// consistent-hash ring.
 	var content http.Handler
-	var pinner *ipfs.Gateway // where -pin files go: the (first) instance's node store
+	var pinners []*ipfs.Gateway // where -pin files go: every instance's node store
 	nodes := []*ipfs.Node{node}
 	if *fleetN > 1 {
 		for i := 1; i < *fleetN; i++ {
@@ -119,11 +119,16 @@ func main() {
 			RetryAfter:       *retryAfter,
 			Registry:         node.Telemetry().Registry(),
 		})
-		content, pinner = fleet, fleet.Gateway(0)
+		content = fleet
+		// The ring may place a file on any instance, and a shedding
+		// owner spills to its successors: each holds the pins.
+		for i := 0; i < fleet.Size(); i++ {
+			pinners = append(pinners, fleet.Gateway(i))
+		}
 		fmt.Printf("fleet of %d gateway instances, shared cache %d MiB\n", fleet.Size(), *sharedMB)
 	} else {
-		pinner = ipfs.NewTCPGateway(node, *cacheMB<<20)
-		content = pinner
+		gw := ipfs.NewTCPGateway(node, *cacheMB<<20)
+		content, pinners = gw, []*ipfs.Gateway{gw}
 	}
 
 	if *pins != "" {
@@ -132,9 +137,11 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			c, err := pinner.Pin(data)
-			if err != nil {
-				fatal(err)
+			var c ipfs.Cid
+			for _, gw := range pinners {
+				if c, err = gw.Pin(data); err != nil {
+					fatal(err)
+				}
 			}
 			fmt.Printf("pinned %s -> /ipfs/%s\n", f, c)
 		}

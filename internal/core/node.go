@@ -241,10 +241,6 @@ func (n *Node) handle(ctx context.Context, from peer.ID, req wire.Message) wire.
 		return n.bswap.HandleMessage(ctx, from, req)
 	case wire.TDialBack:
 		return n.sw.HandleDialBack(ctx, req)
-	case wire.TRelayReserve:
-		return n.sw.HandleRelayReserve(from, req)
-	case wire.TRelay:
-		return n.sw.HandleRelay(ctx, from, req)
 	case wire.TIdentify:
 		return wire.Message{Type: wire.TNodes, Peers: []wire.PeerInfo{{ID: n.ident.ID, Addrs: n.sw.Addrs()}}}
 	default:

@@ -19,6 +19,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/simtime/simtest"
 	"repro/internal/testnet"
+	"repro/internal/wire"
 )
 
 func buildSmallNet(t *testing.T, n int) *testnet.Testnet {
@@ -299,6 +300,35 @@ func TestCheckNATAndSetMode(t *testing.T) {
 		}
 		if mode := public.CheckNATAndSetMode(ctx); mode != dht.ModeServer {
 			t.Errorf("public node mode = %v, want server", mode)
+		}
+	})
+}
+
+// TestRetiredRelayCodesAnswerError: request codes 14 and 15 belonged to
+// a circuit relay no node serves any more. A node answers them through
+// the DHT's default branch with TError, however well-formed the request.
+func TestRetiredRelayCodesAnswerError(t *testing.T) {
+	simtest.Run(t, func(ctx context.Context, s *simtime.Scheduler) {
+		net := simnet.New(simnet.Config{Time: s, Seed: 5})
+		mk := func(seed int64) *core.Node {
+			ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
+			ep := net.AddNode(ident.ID, simnet.NodeOpts{Region: "US", Dialable: true})
+			return core.New(ident, ep, core.Config{Mode: dht.ModeServer, Time: net.Time(), Region: "US"})
+		}
+		server, client, target := mk(1), mk(2), mk(3)
+		for _, req := range []wire.Message{
+			// A reservation carrying the sender's own info.
+			{Type: wire.Type(14), Peers: []wire.PeerInfo{client.Info()}},
+			// A forward of a well-formed ping to a peer the server can dial.
+			{Type: wire.Type(15), Key: []byte(target.ID()), BlockData: wire.Message{Type: wire.TPing}.Marshal()},
+		} {
+			resp, err := client.Swarm().Request(ctx, server.ID(), server.Addrs(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "unhandled dht message " + req.Type.String(); resp.Type != wire.TError || resp.ErrMsg != want {
+				t.Errorf("code %d answered %s %q, want ERROR %q", uint8(req.Type), resp.Type, resp.ErrMsg, want)
+			}
 		}
 	})
 }

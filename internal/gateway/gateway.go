@@ -245,8 +245,14 @@ func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, e
 	if !t.node.Store().Has(req.Cid) {
 		return nil, 0, ErrMiss
 	}
-	if obj, err := localObject(t.node, req); err == nil {
+	obj, err := localObject(t.node, req)
+	switch {
+	case err == nil:
 		return obj, NodeStoreLatency, nil
+	case errors.Is(err, unixfs.ErrNotFound), errors.Is(err, unixfs.ErrNotDirectory):
+		// Read from verified directory bytes, which no other copy of
+		// the root can contradict: the path is missing for good.
+		return nil, NodeStoreLatency, err
 	}
 	return nil, 0, ErrMiss
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -367,6 +368,65 @@ func TestServeHTTPWithPath(t *testing.T) {
 			t.Errorf("second path fetch tier = %v, want nginx", r2.Tier)
 		}
 	})
+}
+
+// countingStore counts the blocks read from it.
+type countingStore struct {
+	block.Store
+	gets atomic.Int64
+}
+
+func (s *countingStore) Get(c cid.Cid) (block.Block, error) {
+	s.gets.Add(1)
+	return s.Store.Get(c)
+}
+
+// TestMissingPathUnderHeldRootIs404: a path missing under a directory
+// the gateway holds whole is missing for good. The node store answers
+// 404 from the root's own verified bytes: it reads the root block
+// alone, not the tree's other 20 blocks, and no retrieval runs.
+func TestMissingPathUnderHeldRootIs404(t *testing.T) {
+	store := &countingStore{Store: block.NewMemStore()}
+	ident := peer.MustNewIdentity(rand.New(rand.NewSource(3)))
+	ep, err := transport.ListenTCP(ident, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := core.New(ident, ep, core.Config{Mode: dht.ModeServer, Store: store})
+	t.Cleanup(func() { node.Close() })
+	files := make(map[string][]byte)
+	for i := 0; i < 20; i++ {
+		files[fmt.Sprintf("file%02d.txt", i)] = bytes.Repeat([]byte{byte(i)}, 1000)
+	}
+	root, err := node.AddTree(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Pinner().Pin(root)
+	g := New(node, 4<<20, node.Swarm().Time())
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+
+	gets, traces := store.gets.Load(), len(node.Telemetry().Traces())
+	resp, _, err := get(t, srv.URL+"/ipfs/"+root.String()+"/nope.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+	if n := store.gets.Load() - gets; n != 1 {
+		t.Errorf("%d blocks read, want the root alone", n)
+	}
+	if n := len(node.Telemetry().Traces()) - traces; n != 0 {
+		t.Errorf("%d traces recorded, want no retrieval", n)
+	}
+	if n := node.Telemetry().Registry().Counter("retrieves_total", "router", node.Router().Name()).Value(); n != 0 {
+		t.Errorf("retrieves_total = %v, want 0", n)
+	}
+	if log := g.Log(); len(log) != 1 || !log[0].Err() || log[0].Tier != TierNodeStore {
+		t.Errorf("log = %+v, want one failed node-store entry", log)
+	}
 }
 
 // fakeTier is a scripted cascade stage that records what it was asked

@@ -40,11 +40,6 @@ func TestRingPlacement(t *testing.T) {
 		}
 	}
 
-	c := cid.SumV0([]byte("some content"))
-	if r.PlaceCid(c) != r.Place(c.Key()) {
-		t.Error("PlaceCid disagrees with Place on the CID key")
-	}
-
 	succ := r.Successors("spill-key", 3)
 	if len(succ) != 3 {
 		t.Fatalf("Successors returned %d nodes, want 3", len(succ))

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-
-	"repro/internal/cid"
 )
 
 // Ring is a consistent-hash ring placing CIDs onto gateway instances.
@@ -62,9 +60,6 @@ func NewRing(n, vnodes int) *Ring {
 func (r *Ring) Place(key string) int {
 	return r.points[r.search(hash64(key))].node
 }
-
-// PlaceCid returns the owning instance for a CID.
-func (r *Ring) PlaceCid(c cid.Cid) int { return r.Place(c.Key()) }
 
 // Successors returns up to n distinct instances in ring order starting
 // at key's owner — the owner first, then the spill-over targets an

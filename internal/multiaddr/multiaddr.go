@@ -5,8 +5,9 @@
 //	/ip4/1.2.3.4/tcp/3333/p2p/QmZyWQ14...
 //
 // The extensible path syntax lets nodes know in advance whether they
-// share a transport with a remote peer, and supports relaying by
-// prefixing peer addresses (/p2p-circuit).
+// share a transport with a remote peer. A relayed address (a relay's
+// address, /p2p-circuit, then the target's /p2p) parses like any other;
+// no node dials through one.
 package multiaddr
 
 import (
@@ -278,20 +279,6 @@ func (m Multiaddr) Decapsulate(o Multiaddr) Multiaddr {
 		at = rest
 	}
 	return m
-}
-
-// Relay builds a relayed address: relay's address, /p2p-circuit, then
-// the target /p2p component — the prefixing construct §2.2 describes for
-// proxying messages to peers that cannot be contacted directly.
-func Relay(relay Multiaddr, targetPeer string) Multiaddr {
-	b := appendComponent([]byte(relay.b), protoByCode(CodeP2PCircuit), "")
-	return Multiaddr{b: string(appendComponent(b, protoByCode(CodeP2P), targetPeer))}
-}
-
-// IsRelay reports whether the address routes through a relay.
-func (m Multiaddr) IsRelay() bool {
-	_, ok := m.find(CodeP2PCircuit)
-	return ok
 }
 
 // DialInfo extracts the network ("tcp") and host:port a dialer should

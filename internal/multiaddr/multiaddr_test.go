@@ -85,17 +85,22 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 }
 
 func TestRelayPrefixing(t *testing.T) {
-	relay := MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay")
-	m := Relay(relay, "QmBrowserNode")
-	want := "/ip4/9.9.9.9/tcp/4001/p2p/QmRelay/p2p-circuit/p2p/QmBrowserNode"
+	// A relayed address a peer may advertise: the relay's own address,
+	// /p2p-circuit, then the target's /p2p component.
+	const want = "/ip4/9.9.9.9/tcp/4001/p2p/QmRelay/p2p-circuit/p2p/QmBrowserNode"
+	m := MustParse(want)
 	if m.String() != want {
-		t.Errorf("Relay = %s, want %s", m, want)
+		t.Errorf("String = %s, want %s", m, want)
 	}
-	if !m.IsRelay() {
-		t.Error("IsRelay should be true")
+	back, err := FromBytes(m.Bytes())
+	if err != nil || !back.Equal(m) {
+		t.Fatalf("FromBytes(Bytes()) = %s, %v", back, err)
 	}
-	if relay.IsRelay() {
-		t.Error("plain address should not be a relay")
+	if !m.Has("p2p-circuit") || MustParse("/ip4/9.9.9.9/tcp/4001").Has("p2p-circuit") {
+		t.Error("Has(p2p-circuit) is wrong")
+	}
+	if id, ok := m.PeerID(); !ok || id != "QmRelay" {
+		t.Errorf("PeerID = %q, %v; want the relay's id first", id, ok)
 	}
 }
 
@@ -205,10 +210,10 @@ func TestFromBytesAcceptsWhatParseAccepts(t *testing.T) {
 // TestScansDoNotAllocate: the per-RPC questions asked of a stored
 // address are answered from its bytes.
 func TestScansDoNotAllocate(t *testing.T) {
-	m := Relay(MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay"), "QmTarget")
+	m := MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay/p2p-circuit/p2p/QmTarget")
 	o := MustParse("/ip4/9.9.9.9/tcp/4001/p2p/QmRelay")
 	allocs := testing.AllocsPerRun(100, func() {
-		if !m.IsRelay() || o.IsRelay() || !m.Defined() || m.Equal(o) {
+		if !m.Has("p2p-circuit") || o.Has("p2p-circuit") || !m.Defined() || m.Equal(o) {
 			t.Fatal("wrong answer")
 		}
 		if id, ok := m.PeerID(); !ok || id != "QmRelay" {
@@ -219,7 +224,7 @@ func TestScansDoNotAllocate(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("IsRelay/PeerID/Value/Equal allocate %.0f times per call", allocs)
+		t.Errorf("Has/PeerID/Value/Equal allocate %.0f times per call", allocs)
 	}
 }
 
@@ -260,7 +265,7 @@ func FuzzMultiaddrFromBytes(f *testing.F) {
 		if len(comps) == 0 {
 			t.Fatalf("%q decoded to no components", m)
 		}
-		m.IsRelay()
+		m.Has("p2p-circuit")
 		m.PeerID()
 		m.DialInfo()
 		if v, ok := m.Value(comps[0].Name); !ok || v != comps[0].Value {

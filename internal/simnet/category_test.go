@@ -11,16 +11,14 @@ import (
 
 // catOtherAllowlist names the request types whose RPCs legitimately
 // land in CatOther: the connection machinery (ping, identify, AutoNAT
-// dial-backs, relays) belongs to no background duty. Every other
+// dial-backs) belongs to no background duty. Every other
 // request type must map to a real budget category — a new message
 // type added without a mapping fails this test instead of silently
 // polluting the "other" column of every budget report.
 var catOtherAllowlist = map[wire.Type]bool{
-	wire.TPing:         true,
-	wire.TIdentify:     true,
-	wire.TDialBack:     true,
-	wire.TRelayReserve: true,
-	wire.TRelay:        true,
+	wire.TPing:     true,
+	wire.TIdentify: true,
+	wire.TDialBack: true,
 }
 
 func TestEveryRequestTypeHasACategory(t *testing.T) {

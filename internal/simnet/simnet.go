@@ -137,8 +137,8 @@ type node struct {
 	closed  bool
 	// allowFrom holds peers whose dials succeed despite this node being
 	// undialable: when a NAT'd node dials out, the NAT mapping lets the
-	// remote end connect back (the mechanism relays and AutoNAT rely
-	// on, §2.2–2.3).
+	// remote end connect back. AutoNAT's dial-back (§2.3) is a fresh
+	// dial, which the mapping does not admit.
 	allowFrom map[peer.ID]bool
 }
 

@@ -88,9 +88,6 @@ type Swarm struct {
 	mu    sync.Mutex
 	conns map[peer.ID]transport.Conn
 	book  *AddressBook
-
-	relayOnce sync.Once
-	relay     *relayState
 }
 
 // New creates a swarm over the endpoint. src is the node's one time

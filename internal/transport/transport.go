@@ -63,13 +63,13 @@ const (
 	CatRefresh   RPCCategory = "refresh"   // snapshot / routing-table refresh crawls
 	CatWant      RPCCategory = "want"      // Bitswap WANT-HAVE / WANT-BLOCK traffic
 	CatGossip    RPCCategory = "gossip"    // inter-indexer anti-entropy replication
-	CatOther     RPCCategory = "other"     // identify, NAT, relay, ...
+	CatOther     RPCCategory = "other"     // identify, NAT dial-backs, ping
 )
 
 // CategoryForType classifies an untagged request by message type:
 // Bitswap wants, provider-record stores, routing queries, crawls and
 // indexer gossip each map to their duty's category; the connection
-// machinery (identify, NAT dial-backs, relays) stays CatOther. Both
+// machinery (ping, identify, NAT dial-backs) stays CatOther. Both
 // transports and the telemetry attribution tests share this single
 // mapping, so a new message type that should not pollute CatOther has
 // exactly one place to be added.

@@ -36,8 +36,8 @@ const (
 	TIdentify           // exchange listen addresses after connecting
 	TCrawl              // measurement: dump the peer's k-bucket contents (§4.1)
 	TDialBack           // AutoNAT: ask the peer to dial us back (§2.3)
-	TRelayReserve       // circuit relay: reserve a forwarding slot at the relay
-	TRelay              // circuit relay: forward the inner message (BlockData) to Key's peer
+	_                   // 14 and 15 were the circuit relay's, which no node serves;
+	_                   // they stay unused so the codes after them keep their bytes
 	TGossip             // indexer: anti-entropy push of provider records inside a replica group
 )
 
@@ -141,10 +141,6 @@ func (t Type) String() string {
 		return "CRAWL"
 	case TDialBack:
 		return "DIAL_BACK"
-	case TRelayReserve:
-		return "RELAY_RESERVE"
-	case TRelay:
-		return "RELAY"
 	case TGossip:
 		return "GOSSIP"
 	case TAck:
@@ -463,7 +459,7 @@ func Unmarshal(buf []byte) (Message, error) {
 // inlineBlockMax is the largest BlockData WriteFrame copies into the
 // frame's own buffer. Anything bigger (a served block) is cheaper to
 // describe to the kernel than to copy; anything smaller (a handshake
-// signature, a relayed request) is cheaper to copy than to describe.
+// signature, a small block) is cheaper to copy than to describe.
 const inlineBlockMax = 4 << 10
 
 // WriteFrame writes a length-prefixed message to w. A payload above
