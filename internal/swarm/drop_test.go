@@ -116,7 +116,7 @@ func TestFailedRequestClosesOnlyItsOwnConn(t *testing.T) {
 		t.Error("a sibling's failure closed the replacement connection")
 	}
 	s.mu.Lock()
-	registered := s.conns[remote]
+	registered := s.conns[remote].c
 	s.mu.Unlock()
 	if registered != transport.Conn(conns[1]) {
 		t.Errorf("registered connection = %v, want the replacement", registered)

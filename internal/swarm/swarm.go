@@ -7,6 +7,7 @@ package swarm
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -79,15 +80,32 @@ func (b *AddressBook) Clear() { b.peers.Clear() }
 // Len returns the number of peers in the book.
 func (b *AddressBook) Len() int { return b.peers.Len() }
 
-// Swarm multiplexes connections over a transport endpoint.
+// Swarm multiplexes connections over a transport endpoint: one
+// connection per peer. Over a Duplex endpoint (TCP) that connection
+// carries requests both ways, so the swarm also adopts a connection the
+// remote dialled, once it carries the remote's first request, and sends
+// its own requests over it. When both ends dial each other, the
+// connection dialled by the lower peer ID wins at both ends.
 type Swarm struct {
-	ident peer.Identity
-	ep    transport.Endpoint
-	src   simtime.Source
+	ident  peer.Identity
+	ep     transport.Endpoint
+	duplex transport.Duplex // ep, when its connections carry requests both ways
+	src    simtime.Source
 
 	mu    sync.Mutex
-	conns map[peer.ID]transport.Conn
+	conns map[peer.ID]*link
 	book  *AddressBook
+}
+
+// link is the swarm's connection to one peer.
+type link struct {
+	c       transport.Conn
+	dialled bool // this node dialled c; otherwise the swarm adopted it
+	// connected: Connect has returned this link, or the link it
+	// replaced. Connected and ConnectedPeers list only these, so an
+	// adopted connection joins the Bitswap broadcast set only once this
+	// node connects to its peer itself.
+	connected bool
 }
 
 // New creates a swarm over the endpoint. src is the node's one time
@@ -95,13 +113,18 @@ type Swarm struct {
 // everything built on the swarm (DHT, Bitswap, routers, crawler) reads
 // it back through Time. nil selects the wall clock.
 func New(ident peer.Identity, ep transport.Endpoint, src simtime.Source) *Swarm {
-	return &Swarm{
+	s := &Swarm{
 		ident: ident,
 		ep:    ep,
 		src:   simtime.OrWall(src),
-		conns: make(map[peer.ID]transport.Conn),
+		conns: make(map[peer.ID]*link),
 		book:  NewAddressBook(0),
 	}
+	if d, ok := ep.(transport.Duplex); ok {
+		s.duplex = d
+		d.Watch(s.adopt, s.gone)
+	}
+	return s
 }
 
 // Time returns the node's time source (never nil).
@@ -116,22 +139,26 @@ func (s *Swarm) Addrs() []multiaddr.Multiaddr { return s.ep.Addrs() }
 // Book returns the address book.
 func (s *Swarm) Book() *AddressBook { return s.book }
 
-// Connected reports whether a live connection to id exists.
+// Connected reports whether a live connection to id exists that this
+// node has connected.
 func (s *Swarm) Connected(id peer.ID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.conns[id]
-	return ok
+	l, ok := s.conns[id]
+	return ok && l.connected
 }
 
-// ConnectedPeers lists peers with live connections — the neighbours
-// Bitswap asks opportunistically (§3.2 step 4).
+// ConnectedPeers lists peers with live connections this node has
+// connected — the neighbours Bitswap asks opportunistically (§3.2 step
+// 4).
 func (s *Swarm) ConnectedPeers() []peer.ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]peer.ID, 0, len(s.conns))
-	for id := range s.conns {
-		out = append(out, id)
+	for id, l := range s.conns {
+		if l.connected {
+			out = append(out, id)
+		}
 	}
 	return out
 }
@@ -142,9 +169,10 @@ func (s *Swarm) ConnectedPeers() []peer.ID {
 // terms of the paper's stretch metric (Eq 2).
 func (s *Swarm) Connect(ctx context.Context, id peer.ID, addrs []multiaddr.Multiaddr) (transport.Conn, time.Duration, error) {
 	s.mu.Lock()
-	if c, ok := s.conns[id]; ok {
+	if l, ok := s.conns[id]; ok {
+		l.connected = true
 		s.mu.Unlock()
-		return c, 0, nil
+		return l.c, 0, nil
 	}
 	s.mu.Unlock()
 
@@ -162,29 +190,81 @@ func (s *Swarm) Connect(ctx context.Context, id peer.ID, addrs []multiaddr.Multi
 	s.book.Add(id, addrs)
 
 	s.mu.Lock()
-	if existing, ok := s.conns[id]; ok {
+	existing, ok := s.conns[id]
+	if ok && (existing.dialled || id < s.ident.ID) {
+		// Another Connect dialled first, or the remote, the lower ID,
+		// dialled too: close ours, which carried no request, so the
+		// remote never adopted it.
+		existing.connected = true
 		s.mu.Unlock()
 		c.Close()
-		return existing, dialDur, nil
+		return existing.c, dialDur, nil
 	}
-	s.conns[id] = c
+	// Ours, from the lower ID, beats any the remote dialled: the remote
+	// retires that one when our first request reaches it.
+	s.conns[id] = &link{c: c, dialled: true, connected: true}
 	s.mu.Unlock()
 	return c, dialDur, nil
 }
 
-// Request connects (or reuses) and performs one RPC.
-func (s *Swarm) Request(ctx context.Context, id peer.ID, addrs []multiaddr.Multiaddr, req wire.Message) (wire.Message, error) {
-	c, _, err := s.Connect(ctx, id, addrs)
-	if err != nil {
-		return wire.Message{}, err
+// adopt registers a verified connection the remote dialled, on its
+// first request (the Duplex endpoint's hook).
+func (s *Swarm) adopt(c transport.Conn) {
+	id := c.RemotePeer()
+	s.mu.Lock()
+	old, ok := s.conns[id]
+	if ok && old.dialled && s.ident.ID < id {
+		// Ours, from the lower ID, wins; the remote retires c once our
+		// first request on ours reaches it. Until then c serves.
+		s.mu.Unlock()
+		return
 	}
-	resp, err := c.Request(ctx, req)
-	if err != nil {
+	s.conns[id] = &link{c: c, connected: ok && old.connected}
+	s.mu.Unlock()
+	switch {
+	case !ok:
+	case old.dialled:
+		// The remote, the lower ID, dialled too: ours goes once the
+		// request it carries, if any, has its answer.
+		s.duplex.Retire(old.c)
+	default:
+		// The remote dialled again, so it has dropped the old one.
+		old.c.Close()
+	}
+}
+
+// gone forgets a connection whose reader has stopped (the Duplex
+// endpoint's hook), so the next Connect redials.
+func (s *Swarm) gone(c transport.Conn) {
+	id := c.RemotePeer()
+	s.mu.Lock()
+	if l, ok := s.conns[id]; ok && l.c == c {
+		delete(s.conns, id)
+	}
+	s.mu.Unlock()
+}
+
+// Request connects (or reuses) and performs one RPC. Over a Duplex
+// endpoint, a request that fails because its connection closed under
+// it (the remote disconnected, or a dial race retired the connection
+// before the request went out) is sent once more, on the connection
+// Connect then finds or dials.
+func (s *Swarm) Request(ctx context.Context, id peer.ID, addrs []multiaddr.Multiaddr, req wire.Message) (wire.Message, error) {
+	for retried := false; ; retried = true {
+		c, _, err := s.Connect(ctx, id, addrs)
+		if err != nil {
+			return wire.Message{}, err
+		}
+		resp, err := c.Request(ctx, req)
+		if err == nil {
+			return resp, nil
+		}
 		// Drop the broken connection so future attempts redial.
 		s.drop(id, c)
-		return wire.Message{}, err
+		if retried || s.duplex == nil || !errors.Is(err, transport.ErrClosed) {
+			return wire.Message{}, err
+		}
 	}
-	return resp, nil
 }
 
 // Disconnect closes and forgets the connection to id.
@@ -197,10 +277,10 @@ func (s *Swarm) Disconnect(id peer.ID) { s.drop(id, nil) }
 // open.
 func (s *Swarm) drop(id peer.ID, c transport.Conn) {
 	s.mu.Lock()
-	cur, ok := s.conns[id]
-	if ok && (c == nil || cur == c) {
+	l, ok := s.conns[id]
+	if ok && (c == nil || l.c == c) {
 		delete(s.conns, id)
-		c = cur
+		c = l.c
 	}
 	s.mu.Unlock()
 	if c != nil {
@@ -208,15 +288,16 @@ func (s *Swarm) drop(id peer.ID, c transport.Conn) {
 	}
 }
 
-// DisconnectAll closes every connection; the §4.3 experiment does this
-// between retrievals so Bitswap cannot shortcut the next lookup.
+// DisconnectAll closes every connection, adopted ones too; the §4.3
+// experiment does this between retrievals so Bitswap cannot shortcut
+// the next lookup.
 func (s *Swarm) DisconnectAll() {
 	s.mu.Lock()
 	conns := s.conns
-	s.conns = make(map[peer.ID]transport.Conn)
+	s.conns = make(map[peer.ID]*link)
 	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	for _, l := range conns {
+		l.c.Close()
 	}
 }
 

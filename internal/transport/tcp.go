@@ -5,8 +5,10 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,18 +24,20 @@ import (
 // handshake so each side verifies that the remote holds the private key
 // matching its claimed PeerID (§2.2: "the PeerID is used to verify that
 // the public key used to secure the channel is the same as the one used
-// to identify the peer").
+// to identify the peer"). After the handshake either end may send
+// requests on the connection, whichever end dialled it (Duplex).
 type TCPEndpoint struct {
 	ident peer.Identity
 	ln    net.Listener
 	addr  multiaddr.Multiaddr
 
-	mu      sync.RWMutex
-	handler Handler
-	closed  bool
-	conns   map[net.Conn]struct{}
+	mu          sync.RWMutex
+	handler     Handler
+	adopt, gone func(Conn) // the hooks Watch installs
+	closed      bool
+	conns       map[net.Conn]struct{} // every open socket, accepted or dialled
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the accept loop, and every connection's reader and server
 }
 
 // ListenTCP starts a TCP endpoint on hostport (e.g. "127.0.0.1:0").
@@ -69,7 +73,26 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 	e.mu.Unlock()
 }
 
-// Close implements Endpoint.
+// Watch implements Duplex.
+func (e *TCPEndpoint) Watch(adopt, gone func(Conn)) {
+	e.mu.Lock()
+	e.adopt, e.gone = adopt, gone
+	e.mu.Unlock()
+}
+
+// Retire implements Duplex. It waits for the connection's request lock
+// on a goroutine of its own, which ends when the request in flight does.
+func (e *TCPEndpoint) Retire(c Conn) {
+	tc := c.(*tcpConn)
+	go func() {
+		tc.mu.Lock()
+		tc.Close()
+		tc.mu.Unlock()
+	}()
+}
+
+// Close implements Endpoint. It closes every connection, dialled or
+// accepted, and waits for their readers and servers.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -86,8 +109,10 @@ func (e *TCPEndpoint) Close() error {
 	return err
 }
 
-// track registers an accepted connection for shutdown; it returns false
-// if the endpoint is already closed.
+// track registers a socket for shutdown and, with it, the goroutine
+// that will read it; it returns false if the endpoint is already
+// closed. Both happen under the lock Close takes first, so no reader
+// starts after Close has begun to wait.
 func (e *TCPEndpoint) track(c net.Conn) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -95,6 +120,7 @@ func (e *TCPEndpoint) track(c net.Conn) bool {
 		return false
 	}
 	e.conns[c] = struct{}{}
+	e.wg.Add(1)
 	return true
 }
 
@@ -104,6 +130,13 @@ func (e *TCPEndpoint) untrack(c net.Conn) {
 	e.mu.Unlock()
 }
 
+// hooks returns the handler and the swarm's hooks as installed now.
+func (e *TCPEndpoint) hooks() (Handler, func(Conn), func(Conn)) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.handler, e.adopt, e.gone
+}
+
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
@@ -111,11 +144,21 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return
 		}
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			e.serveConn(c)
-		}()
+		if !e.track(c) {
+			c.Close()
+			return
+		}
+		go e.serveConn(c)
+	}
+}
+
+// countHook, when a test sets it, sees every socket Dial opens
+// ("dial") and every handshake that verifies ("handshake").
+var countHook func(event string)
+
+func count(event string) {
+	if countHook != nil {
+		countHook(event)
 	}
 }
 
@@ -139,23 +182,31 @@ func newNonce() ([]byte, error) {
 // descriptor for ever. A variable only so tests can shorten it.
 var handshakeTimeout = 10 * time.Second
 
-// serveConn performs the listener half of the handshake, then serves
-// request frames until the peer disconnects. Responses are written
-// straight to the connection: every frame is one Write (or one writev),
-// so there is nothing for a write buffer to coalesce.
-func (e *TCPEndpoint) serveConn(c net.Conn) {
-	defer c.Close()
-	if !e.track(c) {
+// serveConn performs the listener half of the handshake on an accepted
+// socket, then becomes the connection's reader.
+func (e *TCPEndpoint) serveConn(nc net.Conn) {
+	r := bufio.NewReader(nc)
+	dialerID, ok := e.handshakeIn(nc, r)
+	if !ok {
+		nc.Close()
+		e.untrack(nc)
+		e.wg.Done()
 		return
 	}
-	defer e.untrack(c)
-	r := bufio.NewReader(c)
-	c.SetDeadline(time.Now().Add(handshakeTimeout))
+	count("handshake")
+	newTCPConn(e, nc, r, dialerID, false).read()
+}
+
+// handshakeIn answers the dialer's hello and verifies its proof. It
+// returns the dialer's verified identity.
+func (e *TCPEndpoint) handshakeIn(nc net.Conn, r *bufio.Reader) (peer.ID, bool) {
+	nc.SetDeadline(time.Now().Add(handshakeTimeout))
+	defer nc.SetDeadline(time.Time{})
 
 	// 1. Receive the dialer's hello with its challenge.
 	hello, err := wire.ReadFrame(r)
 	if err != nil || hello.Type != wire.TIdentify || len(hello.Peers) == 0 {
-		return
+		return "", false
 	}
 	dialerID := hello.Peers[0].ID
 	challenge := hello.Key
@@ -163,7 +214,7 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 	// 2. Answer with our identity proof and our own challenge.
 	myNonce, err := newNonce()
 	if err != nil {
-		return
+		return "", false
 	}
 	resp := wire.Message{
 		Type:      wire.TIdentify,
@@ -172,39 +223,19 @@ func (e *TCPEndpoint) serveConn(c net.Conn) {
 		IPNSData:  e.ident.Public,
 		BlockData: e.ident.Sign(challenge),
 	}
-	if err := wire.WriteFrame(c, resp); err != nil {
-		return
+	if err := wire.WriteFrame(nc, resp); err != nil {
+		return "", false
 	}
 
 	// 3. Verify the dialer's proof.
 	proof, err := wire.ReadFrame(r)
 	if err != nil || proof.Type != wire.TIdentify {
-		return
+		return "", false
 	}
 	if peer.Verify(dialerID, ed25519.PublicKey(proof.IPNSData), myNonce, proof.BlockData) != nil {
-		return
+		return "", false
 	}
-	c.SetDeadline(time.Time{})
-
-	// Serve requests.
-	for {
-		req, err := wire.ReadFrame(r)
-		if err != nil {
-			return
-		}
-		e.mu.RLock()
-		h := e.handler
-		e.mu.RUnlock()
-		var out wire.Message
-		if h == nil {
-			out = wire.ErrorMessage("no handler installed")
-		} else {
-			out = h(context.Background(), dialerID, req)
-		}
-		if err := wire.WriteFrame(c, out); err != nil {
-			return
-		}
-	}
+	return dialerID, true
 }
 
 // Dial implements Endpoint.
@@ -228,19 +259,26 @@ func (e *TCPEndpoint) Dial(ctx context.Context, target peer.ID, addrs []multiadd
 			lastErr = fmt.Errorf("%w: %v", ErrDialTimeout, err)
 			continue
 		}
+		count("dial")
 		conn, err := e.handshakeOut(nc, target)
 		if err != nil {
 			nc.Close()
 			lastErr = err
 			continue
 		}
+		if !e.track(nc) {
+			nc.Close()
+			return nil, ErrClosed
+		}
+		go conn.read()
 		return conn, nil
 	}
 	return nil, lastErr
 }
 
-// handshakeOut performs the dialer half of the handshake.
-func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
+// handshakeOut performs the dialer half of the handshake. The caller
+// starts the returned connection's reader.
+func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (*tcpConn, error) {
 	r := bufio.NewReader(nc)
 	nc.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer nc.SetDeadline(time.Time{})
@@ -278,19 +316,39 @@ func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (Conn, error) {
 	if err := wire.WriteFrame(nc, proof); err != nil {
 		return nil, err
 	}
-	return &tcpConn{nc: nc, r: r, remote: remoteID}, nil
+	return newTCPConn(e, nc, r, remoteID, true), nil
 }
 
-// tcpConn is a dialer-side connection; RPCs are serialized per
-// connection (the swarm keeps one connection per peer, and concurrent
-// walks query distinct peers).
-type tcpConn struct {
-	nc     net.Conn
-	r      *bufio.Reader
-	remote peer.ID
+// errOutOfTurn closes a connection whose peer sent a request before its
+// last one was answered, or an answer nobody asked for.
+var errOutOfTurn = errors.New("transport: frame out of turn")
 
-	mu     sync.Mutex // held across one Request's write and read
+// tcpConn is one verified connection, dialled or accepted. Requests go
+// both ways on it and need no IDs: mu serializes this end's requests,
+// as the remote's mu does its own, so at most one is in flight each way
+// (the swarm keeps one connection per peer, and concurrent walks query
+// distinct peers), and a frame's type tells a request (below wire.TAck)
+// from an answer.
+type tcpConn struct {
+	ep      *TCPEndpoint
+	nc      net.Conn
+	r       *bufio.Reader
+	remote  peer.ID
+	dialled bool // this end dialled the connection
+
+	mu   sync.Mutex        // held from one Request's write until its answer or failure
+	wmu  sync.Mutex        // one frame on the socket at a time: requests and answers share it
+	resp chan wire.Message // capacity 1: the answer to this end's request in flight
+	reqs chan wire.Message // capacity 1: the remote's request, for serve
+	done chan struct{}     // closed when the reader stops
+	err  error             // why the reader stopped; read only after done
+
 	closed atomic.Bool
+}
+
+func newTCPConn(e *TCPEndpoint, nc net.Conn, r *bufio.Reader, remote peer.ID, dialled bool) *tcpConn {
+	return &tcpConn{ep: e, nc: nc, r: r, remote: remote, dialled: dialled,
+		resp: make(chan wire.Message, 1), reqs: make(chan wire.Message, 1), done: make(chan struct{})}
 }
 
 func (c *tcpConn) RemotePeer() peer.ID { return c.remote }
@@ -305,6 +363,81 @@ func (c *tcpConn) Close() error {
 	return c.nc.Close()
 }
 
+// read is the connection's one reader, for its whole life. An answer
+// goes to the parked Request, a request to serve, and on an accepted
+// connection the first request also announces the connection to the
+// adopt hook. Neither hand-off blocks, since a well-behaved peer sends
+// its next request only after reading the answer to its last; a frame
+// that finds its slot still full closes the connection. So the reader
+// never waits on a handler or a write, and two ends that each answer a
+// large request cannot deadlock by both writing while neither reads.
+func (c *tcpConn) read() {
+	defer c.ep.wg.Done()
+	c.ep.wg.Add(1) // this reader holds the group above zero
+	go c.serve()
+	c.err = c.route()
+	c.Close()
+	close(c.done)
+	close(c.reqs)
+	c.ep.untrack(c.nc)
+	if _, _, gone := c.ep.hooks(); gone != nil {
+		gone(c)
+	}
+}
+
+// route reads and routes frames until the connection fails.
+func (c *tcpConn) route() error {
+	announced := c.dialled
+	for {
+		m, err := wire.ReadFrame(c.r)
+		if err != nil {
+			return err
+		}
+		slot := c.reqs
+		if m.Type >= wire.TAck {
+			slot = c.resp
+		} else if !announced {
+			announced = true
+			if _, adopt, _ := c.ep.hooks(); adopt != nil {
+				adopt(c)
+			}
+		}
+		select {
+		case slot <- m:
+		default:
+			return errOutOfTurn
+		}
+	}
+}
+
+// serve runs the handler for the remote's requests, one at a time, and
+// writes each answer.
+func (c *tcpConn) serve() {
+	defer c.ep.wg.Done()
+	for req := range c.reqs {
+		h, _, _ := c.ep.hooks()
+		var out wire.Message
+		if h == nil {
+			out = wire.ErrorMessage("no handler installed")
+		} else {
+			out = h(context.Background(), c.remote, req)
+		}
+		if err := c.write(out); err != nil {
+			c.Close() // the reader stops and closes reqs
+		}
+	}
+}
+
+// write sends one frame.
+func (c *tcpConn) write(m wire.Message) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return wire.WriteFrame(c.nc, m)
+}
+
+// Request implements Conn. It fails at ctx's deadline, closing the
+// connection, but does not abandon the request when ctx is cancelled
+// before it: the answer would arrive with no one to take it.
 func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -314,27 +447,47 @@ func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, 
 	// On the real transport the measured wall latency IS the simulated
 	// latency (the TCP path runs on the wall clock).
 	start := time.Now()
-	cat := CategorizeRPC(ctx, req.Type)
-	record := func(err error) {
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
-		}
-		telemetry.RPC(ctx, req.Type.String(), string(cat), c.remote, time.Since(start), errStr)
+	resp, err := c.roundTrip(ctx, req)
+	errStr := ""
+	if err != nil {
+		errStr = err.Error()
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		c.nc.SetDeadline(dl)
+	telemetry.RPC(ctx, req.Type.String(), string(CategorizeRPC(ctx, req.Type)), c.remote, time.Since(start), errStr)
+	return resp, err
+}
+
+// roundTrip writes req and waits for its answer; the caller holds mu.
+// ctx's deadline goes on the socket, bounding the write and the reader's
+// wait for the answer (a runtime timer per request measured slower on
+// loopback). When it passes, the reader stops and the connection
+// closes, so a late answer cannot reach the next request.
+func (c *tcpConn) roundTrip(ctx context.Context, req wire.Message) (wire.Message, error) {
+	if deadline, ok := ctx.Deadline(); ok {
+		c.nc.SetDeadline(deadline)
 		defer c.nc.SetDeadline(time.Time{})
 	}
-	if err := wire.WriteFrame(c.nc, req); err != nil {
-		record(err)
-		return wire.Message{}, err
+	if err := c.write(req); err != nil {
+		c.Close() // a frame cut short leaves the stream unreadable
+		return wire.Message{}, closedErr(err)
 	}
-	resp, err := wire.ReadFrame(c.r)
-	if err != nil {
-		record(err)
-		return wire.Message{}, err
+	select {
+	case resp := <-c.resp:
+		return resp, nil
+	case <-c.done:
+		select {
+		case resp := <-c.resp: // answered just before the reader stopped
+			return resp, nil
+		default:
+			return wire.Message{}, closedErr(c.err)
+		}
 	}
-	record(nil)
-	return resp, nil
+}
+
+// closedErr reports why a request failed: its deadline, or else the
+// connection's close, which the swarm may answer by sending it again.
+func closedErr(err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrClosed, err)
 }

@@ -23,7 +23,10 @@ type Handler func(ctx context.Context, from peer.ID, req wire.Message) wire.Mess
 type Conn interface {
 	// RemotePeer returns the verified identity of the other end.
 	RemotePeer() peer.ID
-	// Request performs one RPC. It honours ctx cancellation.
+	// Request performs one RPC. It fails once ctx's deadline passes.
+	// The simulated transport also gives up when ctx is cancelled
+	// earlier; TCP waits for the answer or the deadline, since an
+	// abandoned answer would arrive with no request to take it.
 	Request(ctx context.Context, req wire.Message) (wire.Message, error)
 	// Close releases the connection.
 	Close() error
@@ -43,6 +46,25 @@ type Endpoint interface {
 	Dial(ctx context.Context, target peer.ID, addrs []multiaddr.Multiaddr) (Conn, error)
 	// Close shuts the endpoint down.
 	Close() error
+}
+
+// Duplex is implemented by an endpoint whose connections carry
+// requests both ways (TCP): once a handshake verifies, either end may
+// send requests on the connection, whichever end dialled it. The swarm
+// learns through it of the connections the remote dialled. The
+// simulated endpoint does not implement it: there a connection carries
+// its dialler's requests only.
+type Duplex interface {
+	// Watch installs the swarm's hooks. adopt runs when a connection
+	// the remote dialled carries its first request: a connection that
+	// never carries one, like an AutoNAT dial-back, is never adopted.
+	// gone runs once for every connection, dialled or accepted, when
+	// its reader stops: a close at either end.
+	Watch(adopt, gone func(Conn))
+	// Retire closes a connection this end dialled once this end's
+	// request in flight on it, if any, has its answer. A request that
+	// then finds it closed fails with ErrClosed, unsent.
+	Retire(Conn)
 }
 
 // RPCCategory labels the network activity one request belongs to, for
