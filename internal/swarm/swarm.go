@@ -89,7 +89,7 @@ func (b *AddressBook) Len() int { return b.peers.Len() }
 type Swarm struct {
 	ident  peer.Identity
 	ep     transport.Endpoint
-	duplex transport.Duplex // ep, when its connections carry requests both ways
+	duplex bool // ep's connections carry requests both ways
 	src    simtime.Source
 
 	mu    sync.Mutex
@@ -121,7 +121,7 @@ func New(ident peer.Identity, ep transport.Endpoint, src simtime.Source) *Swarm 
 		book:  NewAddressBook(0),
 	}
 	if d, ok := ep.(transport.Duplex); ok {
-		s.duplex = d
+		s.duplex = true
 		d.Watch(s.adopt, s.gone)
 	}
 	return s
@@ -201,7 +201,7 @@ func (s *Swarm) Connect(ctx context.Context, id peer.ID, addrs []multiaddr.Multi
 		return existing.c, dialDur, nil
 	}
 	// Ours, from the lower ID, beats any the remote dialled: the remote
-	// retires that one when our first request reaches it.
+	// closes that one when our first request reaches it.
 	s.conns[id] = &link{c: c, dialled: true, connected: true}
 	s.mu.Unlock()
 	return c, dialDur, nil
@@ -214,21 +214,17 @@ func (s *Swarm) adopt(c transport.Conn) {
 	s.mu.Lock()
 	old, ok := s.conns[id]
 	if ok && old.dialled && s.ident.ID < id {
-		// Ours, from the lower ID, wins; the remote retires c once our
+		// Ours, from the lower ID, wins; the remote closes c once our
 		// first request on ours reaches it. Until then c serves.
 		s.mu.Unlock()
 		return
 	}
 	s.conns[id] = &link{c: c, connected: ok && old.connected}
 	s.mu.Unlock()
-	switch {
-	case !ok:
-	case old.dialled:
-		// The remote, the lower ID, dialled too: ours goes once the
-		// request it carries, if any, has its answer.
-		s.duplex.Retire(old.c)
-	default:
-		// The remote dialled again, so it has dropped the old one.
+	if ok {
+		// The remote, the lower ID, dialled too, or it dialled again and
+		// has dropped the old one. Request sends once more whatever
+		// request the close cuts, at either end.
 		old.c.Close()
 	}
 }
@@ -246,9 +242,9 @@ func (s *Swarm) gone(c transport.Conn) {
 
 // Request connects (or reuses) and performs one RPC. Over a Duplex
 // endpoint, a request that fails because its connection closed under
-// it (the remote disconnected, or a dial race retired the connection
-// before the request went out) is sent once more, on the connection
-// Connect then finds or dials.
+// it (the remote disconnected, or a dial race closed the connection) is
+// sent once more, on the connection Connect then finds or dials. This
+// is the one protection for a request a close cuts.
 func (s *Swarm) Request(ctx context.Context, id peer.ID, addrs []multiaddr.Multiaddr, req wire.Message) (wire.Message, error) {
 	for retried := false; ; retried = true {
 		c, _, err := s.Connect(ctx, id, addrs)
@@ -261,7 +257,7 @@ func (s *Swarm) Request(ctx context.Context, id peer.ID, addrs []multiaddr.Multi
 		}
 		// Drop the broken connection so future attempts redial.
 		s.drop(id, c)
-		if retried || s.duplex == nil || !errors.Is(err, transport.ErrClosed) {
+		if retried || !s.duplex || !errors.Is(err, transport.ErrClosed) {
 			return wire.Message{}, err
 		}
 	}

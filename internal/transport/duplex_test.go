@@ -421,3 +421,100 @@ func TestTCPNodesLeaveNothingBehind(t *testing.T) {
 		return runtime.NumGoroutine() <= baseG && openFDs() <= baseFD
 	})
 }
+
+// TestTCPDialRaceResendsTheLosersRequest: the higher-ID end has a
+// request in flight on the connection it dialled, held by the remote's
+// handler, when the lower-ID end's first request on its own connection
+// makes the higher-ID end adopt that one. The losing socket closes at
+// once at both ends, without waiting for the held request, which is
+// sent once more on the winner and succeeds.
+func TestTCPDialRaceResendsTheLosersRequest(t *testing.T) {
+	lo, loEp := newTCPSwarm(t, 1)
+	hi, hiEp := newTCPSwarm(t, 2)
+	if hi.Local() < lo.Local() {
+		lo, loEp, hi, hiEp = hi, hiEp, lo, loEp
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the swarms close
+	arrived := make(chan struct{}, 1)
+	var held atomic.Int32
+	loEp.SetHandler(func(ctx context.Context, from peer.ID, req wire.Message) wire.Message {
+		if string(req.Key) == "held" && held.Add(1) == 1 {
+			arrived <- struct{}{}
+			<-release
+		}
+		return echo(ctx, from, req)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// Each end dials the other before either sends a request, so
+	// neither has adopted the other's connection.
+	if _, _, err := lo.Connect(ctx, hi.Local(), hiEp.Addrs()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := hi.Connect(ctx, lo.Local(), loEp.Addrs()); err != nil {
+		t.Fatal(err)
+	}
+	heldErr := make(chan error, 1)
+	go func() { heldErr <- ping(ctx, hi, lo, loEp, "held") }()
+	<-arrived
+	if err := ping(ctx, lo, hi, hiEp, "first"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the losing socket to close at both ends while its request is held", func() bool {
+		return transport.OpenSockets(loEp) == 1 && transport.OpenSockets(hiEp) == 1
+	})
+	if err := <-heldErr; err != nil {
+		t.Fatalf("the held request: %v", err)
+	}
+	if n := held.Load(); n != 2 {
+		t.Errorf("the held request reached the handler %d times, want twice: once on each connection", n)
+	}
+	free()
+	cl, _, errL := lo.Connect(ctx, hi.Local(), nil)
+	ch, _, errH := hi.Connect(ctx, lo.Local(), nil)
+	if errL != nil || errH != nil || !sameSocket(cl, ch) {
+		t.Fatalf("the two ends do not share one connection (%v, %v)", errL, errH)
+	}
+	if l, h := transport.OpenSockets(loEp), transport.OpenSockets(hiEp); l != 1 || h != 1 {
+		t.Errorf("%d and %d sockets, want one at each end", l, h)
+	}
+}
+
+// TestTCPUnrequestedAnswerDisconnects: a peer that sends an answer
+// nobody asked for is disconnected, so the answer never reaches this
+// end's next request.
+func TestTCPUnrequestedAnswerDisconnects(t *testing.T) {
+	a, b := newTCPPair(t)
+	a.SetHandler(echo)
+	b.SetHandler(echo)
+	adopted := make(chan transport.Conn, 1)
+	b.Watch(func(c transport.Conn) { adopted <- c }, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ab, err := a.Dial(ctx, b.LocalPeer(), b.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ab.Request(ctx, wire.Message{Type: wire.TPing}); err != nil {
+		t.Fatal(err)
+	}
+	ba := <-adopted
+	if err := transport.SendFrame(ab, wire.Message{Type: wire.TNodes, Key: []byte("unrequested")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the listener to hang up on the unrequested answer", func() bool {
+		return transport.OpenSockets(b) == 0
+	})
+	resp, err := ba.Request(ctx, wire.Message{Type: wire.TFindNode, Key: []byte("asked")})
+	if err == nil {
+		t.Fatalf("the next request was answered %s %q, want the connection closed", resp.Type, resp.Key)
+	}
+	if !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("the next request: %v, want ErrClosed", err)
+	}
+	waitFor(t, "the dialler's socket to close", func() bool { return transport.OpenSockets(a) == 0 })
+}

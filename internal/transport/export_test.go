@@ -4,6 +4,8 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // Counts is what CountConns counts.
@@ -42,3 +44,7 @@ func SocketAddrs(c Conn) (local, remote net.Addr) {
 	tc := c.(*tcpConn)
 	return tc.nc.LocalAddr(), tc.nc.RemoteAddr()
 }
+
+// SendFrame writes m on a TCP connection's socket as it is, outside
+// any Request.
+func SendFrame(c Conn, m wire.Message) error { return c.(*tcpConn).write(m) }

@@ -4,13 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/ed25519"
 	"io"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/cid"
+	"repro/internal/ipns"
+	"repro/internal/multiaddr"
+	"repro/internal/multicodec"
 	"repro/internal/peer"
+	"repro/internal/record"
+	"repro/internal/varint"
 	"repro/internal/wire"
 )
 
@@ -155,6 +162,130 @@ func TestHandshakeChallengesDiffer(t *testing.T) {
 		}
 		if bytes.Equal(n[0], n[1]) {
 			t.Errorf("%s used challenge %x twice", side, n[0])
+		}
+	}
+}
+
+// forgery is a record an attacker wants signed by a victim's key.
+type forgery struct {
+	name   string
+	signed []byte                                        // the bytes the record's signature covers
+	valid  func(pub ed25519.PublicKey, sig []byte) error // nil if the record signed so validates
+}
+
+// forgeries are an IPNS record pointing victim's name at the attacker's
+// CID, with a huge sequence number and a year of validity, and a peer
+// record giving victim the attacker's address. Their signed bytes are
+// rebuilt here as the ipns and record packages lay them out.
+func forgeries(victim peer.ID) []forgery {
+	value := cid.Sum(multicodec.Raw, []byte("attacker's content"))
+	seq := uint64(1 << 40)
+	until := time.Now().Add(365 * 24 * time.Hour)
+	ipnsSigned := varint.Append([]byte("ipns-record:"), uint64(len(value.Bytes())))
+	ipnsSigned = append(ipnsSigned, value.Bytes()...)
+	ipnsSigned = varint.Append(ipnsSigned, seq)
+	ipnsSigned = varint.Append(ipnsSigned, uint64(until.UnixNano()))
+
+	addrs := []multiaddr.Multiaddr{multiaddr.MustParse("/ip4/203.0.113.7/tcp/4001")}
+	peerSigned := varint.Append(append([]byte("ipfs-peer-record:"), victim...), seq)
+	for _, a := range addrs {
+		peerSigned = varint.Append(peerSigned, uint64(len(a.Bytes())))
+		peerSigned = append(peerSigned, a.Bytes()...)
+	}
+	return []forgery{
+		{"IPNS record", ipnsSigned, func(pub ed25519.PublicKey, sig []byte) error {
+			r := ipns.Record{Value: value, Seq: seq, ValidUntil: until, PublicKey: pub, Signature: sig}
+			return ipns.ValidatorFor(nil)(ipns.Name(victim), r.Marshal())
+		}},
+		{"peer record", peerSigned, func(pub ed25519.PublicKey, sig []byte) error {
+			return record.PeerRecord{ID: victim, Addrs: addrs, Seq: seq, PublicKey: pub, Signature: sig}.Verify()
+		}},
+	}
+}
+
+// TestHandshakeSignsNoRecord: a peer that sends a record's signed bytes
+// as its handshake challenge gets back no signature that validates the
+// record, whether it dials the victim and reads the listener's answer,
+// or is dialled by the victim and reads the dialer's proof.
+func TestHandshakeSignsNoRecord(t *testing.T) {
+	ep := listenTest(t, 1)
+	victim := ep.ident
+	attacker := peer.MustNewIdentity(rand.New(rand.NewSource(2)))
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	for _, f := range forgeries(victim.ID) {
+		if err := f.valid(victim.Public, victim.Sign(f.signed)); err != nil {
+			t.Fatalf("%s: the victim's own signature does not validate it: %v", f.name, err)
+		}
+
+		// The listener's answer signs the dialer's challenge.
+		c := rawDial(t, ep)
+		hello := wire.Message{Type: wire.TIdentify, Key: f.signed, Peers: []wire.PeerInfo{{ID: attacker.ID}}}
+		if err := wire.WriteFrame(c, hello); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(bufio.NewReader(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if f.valid(resp.IPNSData, resp.BlockData) == nil {
+			t.Errorf("%s forged from the listener's answer validates", f.name)
+		}
+
+		// The dialer's proof signs the listener's challenge. The attacker
+		// answers the dialer's own challenge in each form a handshake
+		// might check, the bare challenge or the prefixed one, one dial
+		// each: the dialer proves itself only after the form it checks.
+		proofs := make(chan wire.Message, 1)
+		go func() {
+			for _, form := range []func([]byte) []byte{
+				func(ch []byte) []byte { return ch },
+				func(ch []byte) []byte { return append([]byte("ipfs-handshake:"), ch...) },
+			} {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				r := bufio.NewReader(c)
+				hello, err := wire.ReadFrame(r)
+				if err == nil {
+					wire.WriteFrame(c, wire.Message{
+						Type:      wire.TIdentify,
+						Key:       f.signed,
+						Peers:     []wire.PeerInfo{{ID: attacker.ID}},
+						IPNSData:  attacker.Public,
+						BlockData: attacker.Sign(form(hello.Key)),
+					})
+					if proof, err := wire.ReadFrame(r); err == nil {
+						proofs <- proof
+					}
+				}
+				c.Close()
+			}
+		}()
+		proved := 0
+		for i := 0; i < 2; i++ {
+			nc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep.handshakeOut(nc, ""); err == nil {
+				proof := <-proofs
+				proved++
+				if f.valid(proof.IPNSData, proof.BlockData) == nil {
+					t.Errorf("%s forged from the dialer's proof validates", f.name)
+				}
+			}
+			nc.Close()
+		}
+		if proved != 1 {
+			t.Fatalf("%s: the dialer proved itself after %d of the attacker's 2 answers, want 1", f.name, proved)
 		}
 	}
 }

@@ -80,17 +80,6 @@ func (e *TCPEndpoint) Watch(adopt, gone func(Conn)) {
 	e.mu.Unlock()
 }
 
-// Retire implements Duplex. It waits for the connection's request lock
-// on a goroutine of its own, which ends when the request in flight does.
-func (e *TCPEndpoint) Retire(c Conn) {
-	tc := c.(*tcpConn)
-	go func() {
-		tc.mu.Lock()
-		tc.Close()
-		tc.mu.Unlock()
-	}()
-}
-
 // Close implements Endpoint. It closes every connection, dialled or
 // accepted, and waits for their readers and servers.
 func (e *TCPEndpoint) Close() error {
@@ -164,7 +153,15 @@ func count(event string) {
 
 // handshake messages use the wire.Message container: Key carries the
 // challenge nonce, IPNSData the public key, BlockData the signature
-// over the peer's own nonce response.
+// over the handshakeProof of the peer's challenge.
+
+// handshakeProof returns what each end signs, and the other verifies,
+// to prove it holds its key: the peer's challenge behind a prefix that
+// no other signed format (IPNS and peer records) starts with, so a
+// peer cannot get a record signed by sending it as its challenge.
+func handshakeProof(challenge []byte) []byte {
+	return append([]byte("ipfs-handshake:"), challenge...)
+}
 
 // newNonce draws a handshake challenge from the system CSPRNG: the
 // signature over it proves possession of the key only if the challenge
@@ -221,7 +218,7 @@ func (e *TCPEndpoint) handshakeIn(nc net.Conn, r *bufio.Reader) (peer.ID, bool) 
 		Key:       myNonce,
 		Peers:     []wire.PeerInfo{{ID: e.ident.ID, Addrs: e.Addrs()}},
 		IPNSData:  e.ident.Public,
-		BlockData: e.ident.Sign(challenge),
+		BlockData: e.ident.Sign(handshakeProof(challenge)),
 	}
 	if err := wire.WriteFrame(nc, resp); err != nil {
 		return "", false
@@ -232,7 +229,7 @@ func (e *TCPEndpoint) handshakeIn(nc net.Conn, r *bufio.Reader) (peer.ID, bool) 
 	if err != nil || proof.Type != wire.TIdentify {
 		return "", false
 	}
-	if peer.Verify(dialerID, ed25519.PublicKey(proof.IPNSData), myNonce, proof.BlockData) != nil {
+	if peer.Verify(dialerID, ed25519.PublicKey(proof.IPNSData), handshakeProof(myNonce), proof.BlockData) != nil {
 		return "", false
 	}
 	return dialerID, true
@@ -304,14 +301,14 @@ func (e *TCPEndpoint) handshakeOut(nc net.Conn, target peer.ID) (*tcpConn, error
 	if target != "" && remoteID != target {
 		return nil, ErrIdentityMismatch
 	}
-	if peer.Verify(remoteID, ed25519.PublicKey(resp.IPNSData), challenge, resp.BlockData) != nil {
+	if peer.Verify(remoteID, ed25519.PublicKey(resp.IPNSData), handshakeProof(challenge), resp.BlockData) != nil {
 		return nil, ErrIdentityMismatch
 	}
 
 	proof := wire.Message{
 		Type:      wire.TIdentify,
 		IPNSData:  e.ident.Public,
-		BlockData: e.ident.Sign(resp.Key),
+		BlockData: e.ident.Sign(handshakeProof(resp.Key)),
 	}
 	if err := wire.WriteFrame(nc, proof); err != nil {
 		return nil, err
@@ -328,7 +325,8 @@ var errOutOfTurn = errors.New("transport: frame out of turn")
 // as the remote's mu does its own, so at most one is in flight each way
 // (the swarm keeps one connection per peer, and concurrent walks query
 // distinct peers), and a frame's type tells a request (below wire.TAck)
-// from an answer.
+// from an answer. Only the request on the wire may take an answer: a
+// peer that sends one nobody asked for is disconnected.
 type tcpConn struct {
 	ep      *TCPEndpoint
 	nc      net.Conn
@@ -336,19 +334,23 @@ type tcpConn struct {
 	remote  peer.ID
 	dialled bool // this end dialled the connection
 
-	mu   sync.Mutex        // held from one Request's write until its answer or failure
-	wmu  sync.Mutex        // one frame on the socket at a time: requests and answers share it
-	resp chan wire.Message // capacity 1: the answer to this end's request in flight
-	reqs chan wire.Message // capacity 1: the remote's request, for serve
-	done chan struct{}     // closed when the reader stops
-	err  error             // why the reader stopped; read only after done
+	mu      sync.Mutex        // held from one Request's write until its answer or failure
+	wmu     sync.Mutex        // one frame on the socket at a time: requests and answers share it
+	waiting atomic.Bool       // this end's request is on the wire; the reader clears it to hand over the answer
+	resp    chan result       // capacity 1: the answer to that request, or why the reader stopped
+	reqs    chan wire.Message // capacity 1: the remote's request, for serve
+}
 
-	closed atomic.Bool
+// result is what the reader hands a Request: the answer, or the error
+// that stopped the reader.
+type result struct {
+	m   wire.Message
+	err error
 }
 
 func newTCPConn(e *TCPEndpoint, nc net.Conn, r *bufio.Reader, remote peer.ID, dialled bool) *tcpConn {
 	return &tcpConn{ep: e, nc: nc, r: r, remote: remote, dialled: dialled,
-		resp: make(chan wire.Message, 1), reqs: make(chan wire.Message, 1), done: make(chan struct{})}
+		resp: make(chan result, 1), reqs: make(chan wire.Message, 1)}
 }
 
 func (c *tcpConn) RemotePeer() peer.ID { return c.remote }
@@ -356,28 +358,29 @@ func (c *tcpConn) RemotePeer() peer.ID { return c.remote }
 // Close closes the socket without waiting for the request lock, so a
 // Request blocked on a silent peer fails at once instead of holding up
 // the swarm's drop and the node's shutdown.
-func (c *tcpConn) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	return c.nc.Close()
-}
+func (c *tcpConn) Close() error { return c.nc.Close() }
 
 // read is the connection's one reader, for its whole life. An answer
 // goes to the parked Request, a request to serve, and on an accepted
 // connection the first request also announces the connection to the
 // adopt hook. Neither hand-off blocks, since a well-behaved peer sends
-// its next request only after reading the answer to its last; a frame
-// that finds its slot still full closes the connection. So the reader
-// never waits on a handler or a write, and two ends that each answer a
-// large request cannot deadlock by both writing while neither reads.
+// its next request only after reading the answer to its last, and
+// answers only the request on the wire; any other frame closes the
+// connection. So the reader never waits on a handler or a write, and
+// two ends that each answer a large request cannot deadlock by both
+// writing while neither reads. When it stops, the reader closes the
+// socket and leaves its error in the answer slot, unless an answer is
+// already there for its request.
 func (c *tcpConn) read() {
 	defer c.ep.wg.Done()
 	c.ep.wg.Add(1) // this reader holds the group above zero
 	go c.serve()
-	c.err = c.route()
+	err := c.route()
 	c.Close()
-	close(c.done)
+	select {
+	case c.resp <- result{err: err}:
+	default:
+	}
 	close(c.reqs)
 	c.ep.untrack(c.nc)
 	if _, _, gone := c.ep.hooks(); gone != nil {
@@ -393,17 +396,21 @@ func (c *tcpConn) route() error {
 		if err != nil {
 			return err
 		}
-		slot := c.reqs
 		if m.Type >= wire.TAck {
-			slot = c.resp
-		} else if !announced {
+			if !c.waiting.CompareAndSwap(true, false) {
+				return errOutOfTurn
+			}
+			c.resp <- result{m: m} // empty: its last answer was taken before this request went out
+			continue
+		}
+		if !announced {
 			announced = true
 			if _, adopt, _ := c.ep.hooks(); adopt != nil {
 				adopt(c)
 			}
 		}
 		select {
-		case slot <- m:
+		case c.reqs <- m:
 		default:
 			return errOutOfTurn
 		}
@@ -437,13 +444,11 @@ func (c *tcpConn) write(m wire.Message) error {
 
 // Request implements Conn. It fails at ctx's deadline, closing the
 // connection, but does not abandon the request when ctx is cancelled
-// before it: the answer would arrive with no one to take it.
+// before it: the answer would arrive with no one to take it. On a
+// closed connection it fails at its write, with ErrClosed.
 func (c *tcpConn) Request(ctx context.Context, req wire.Message) (wire.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return wire.Message{}, ErrClosed
-	}
 	// On the real transport the measured wall latency IS the simulated
 	// latency (the TCP path runs on the wall clock).
 	start := time.Now()
@@ -466,21 +471,16 @@ func (c *tcpConn) roundTrip(ctx context.Context, req wire.Message) (wire.Message
 		c.nc.SetDeadline(deadline)
 		defer c.nc.SetDeadline(time.Time{})
 	}
+	c.waiting.Store(true)
 	if err := c.write(req); err != nil {
 		c.Close() // a frame cut short leaves the stream unreadable
 		return wire.Message{}, closedErr(err)
 	}
-	select {
-	case resp := <-c.resp:
-		return resp, nil
-	case <-c.done:
-		select {
-		case resp := <-c.resp: // answered just before the reader stopped
-			return resp, nil
-		default:
-			return wire.Message{}, closedErr(c.err)
-		}
+	r := <-c.resp
+	if r.err != nil {
+		return wire.Message{}, closedErr(r.err)
 	}
+	return r.m, nil
 }
 
 // closedErr reports why a request failed: its deadline, or else the

@@ -51,9 +51,10 @@ type Endpoint interface {
 // Duplex is implemented by an endpoint whose connections carry
 // requests both ways (TCP): once a handshake verifies, either end may
 // send requests on the connection, whichever end dialled it. The swarm
-// learns through it of the connections the remote dialled. The
-// simulated endpoint does not implement it: there a connection carries
-// its dialler's requests only.
+// learns through it of the connections the remote dialled. A request a
+// close cuts, at either end, fails with ErrClosed, and the swarm sends
+// it once more. The simulated endpoint does not implement it: there a
+// connection carries its dialler's requests only.
 type Duplex interface {
 	// Watch installs the swarm's hooks. adopt runs when a connection
 	// the remote dialled carries its first request: a connection that
@@ -61,10 +62,6 @@ type Duplex interface {
 	// gone runs once for every connection, dialled or accepted, when
 	// its reader stops: a close at either end.
 	Watch(adopt, gone func(Conn))
-	// Retire closes a connection this end dialled once this end's
-	// request in flight on it, if any, has its answer. A request that
-	// then finds it closed fails with ErrClosed, unsent.
-	Retire(Conn)
 }
 
 // RPCCategory labels the network activity one request belongs to, for
