@@ -41,9 +41,6 @@ func retrievePhases(root *telemetry.Span, res *RetrieveResult) {
 	}
 	_, lastEnd := last.Offsets()
 	res.Total = lastEnd - start
-	if disc == nil {
-		return // served from the local store
-	}
 
 	var ask *telemetry.Span
 	var stream []*telemetry.Span

@@ -214,15 +214,18 @@ func (ps *providerStream) awaitFirst(ctx context.Context) (wire.PeerInfo, bool) 
 	return wire.PeerInfo{}, false
 }
 
-// Retrieve fetches the content behind root from the network, following
-// §3.2: (i) opportunistic Bitswap with a 1 s timeout, (ii) content
-// discovery via the router's provider stream — the first provider goes
-// straight to Bitswap while the stream keeps yielding fail-over
-// candidates in the background — (iii) peer discovery via the address
-// book or a second walk, (iv) peer routing (connect), and (v) content
-// exchange over Bitswap. The content comes back as one slice the
-// caller owns, copied once from the verified leaves (see RetrieveTo).
+// Retrieve returns the content behind root as one slice the caller
+// owns. A root whose whole DAG the store holds is served by Cat, and an
+// invalid one (merkledag.ErrInvalid) is refused there without asking
+// the network, which holds the same bytes under the same CIDs; neither
+// is recorded as a retrieval. Anything else is fetched by RetrieveTo.
 func (n *Node) Retrieve(ctx context.Context, root cid.Cid) ([]byte, RetrieveResult, error) {
+	if n.store.Has(root) {
+		data, err := n.Cat(root)
+		if err == nil || errors.Is(err, merkledag.ErrInvalid) {
+			return data, RetrieveResult{Cid: root, Bytes: len(data)}, err
+		}
+	}
 	var leaves [][]byte
 	res, err := n.RetrieveTo(ctx, root, merkledag.AppendLeaves(&leaves))
 	if err != nil {
@@ -231,13 +234,17 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) ([]byte, RetrieveResu
 	return bytes.Join(leaves, nil), res, nil
 }
 
-// RetrieveTo is Retrieve handing the DAG to visit as the walk verifies
+// RetrieveTo fetches the DAG behind root from the network, following
+// §3.2: (i) opportunistic Bitswap with a 1 s timeout, (ii) content
+// discovery via the router's provider stream — the first provider goes
+// straight to Bitswap while the stream keeps yielding fail-over
+// candidates in the background — (iii) peer discovery via the address
+// book or a second walk, (iv) peer routing (connect), and (v) content
+// exchange over Bitswap. It hands the DAG to visit as the walk verifies
 // it (see merkledag.Walk), so a caller can pass content on before the
-// last block has arrived. Local content is collected whole before visit
-// sees it: a partial DAG in the store still falls through to the
-// network without visit having seen any of it. An invalid one
-// (merkledag.ErrInvalid) is refused without asking the network, which
-// holds the same bytes under the same CIDs.
+// last block has arrived. The Bitswap session reads every block the
+// store already holds, so a partial DAG fetches only the blocks it
+// lacks.
 func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Visitor) (res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
 	size := 0 // the leaves visited; res.Bytes once the walk succeeds
@@ -262,29 +269,6 @@ func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Vis
 		retrievePhases(trsp, &res)
 		n.recordRetrieve(res, err)
 	}()
-
-	// Already local? Serve without network interaction. A missing root
-	// is the common case and is answered without a walk.
-	if n.store.Has(root) {
-		var local []visited
-		err := merkledag.Walk(ctx, nil, n.store, root, 1, func(c cid.Cid, nd *merkledag.Node) error {
-			local = append(local, visited{c, nd})
-			return nil
-		})
-		if errors.Is(err, merkledag.ErrInvalid) {
-			return res, err
-		}
-		if err == nil {
-			for _, v := range local {
-				if err := count(v.c, v.n); err != nil {
-					return res, err
-				}
-			}
-			res.Bytes = size
-			trsp.Annotate("local", "true")
-			return res, nil
-		}
-	}
 
 	// Content discovery (§3.2 steps i–ii): the routed/opportunistic
 	// Bitswap ask plus the provider stream, as one trace phase.
@@ -365,13 +349,6 @@ func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Vis
 	}
 	res.Bytes = size
 	return res, nil
-}
-
-// visited is one node of a local walk, held until the walk is known to
-// be whole.
-type visited struct {
-	c cid.Cid
-	n *merkledag.Node
 }
 
 // recordRetrieve folds one retrieval's instrumentation into the node's

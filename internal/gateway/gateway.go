@@ -197,6 +197,11 @@ func (g *Gateway) serve(ctx context.Context, req Request, out *Stream) (Response
 		var err error
 		if obj, resp.Latency, err = g.tiers[i].Get(ctx, req); !errors.Is(err, ErrMiss) {
 			resp.Tier, resp.Err = g.tiers[i].Tier(), err
+			if errors.Is(err, merkledag.ErrInvalid) {
+				// The network holds the same bytes under the same CIDs:
+				// the refusal is its verdict, found early.
+				resp.Tier = TierNetwork
+			}
 			break
 		}
 	}
@@ -234,7 +239,10 @@ func (t nginxTier) Put(req Request, obj Object) { t.cache.Put(req.Key(), obj, in
 
 // storeTier is the gateway's own IPFS node store (pinned content),
 // "resulting consistently in a delay below 24 ms". It is filled by
-// pinning and by the node's retrievals, never by the cascade.
+// pinning and by the node's retrievals, never by the cascade. Its walk
+// is the one a held root gets: a whole DAG is answered, an invalid one
+// (merkledag.ErrInvalid) and a path its verified directories lack are
+// refused for good, and a partial DAG misses to the network.
 type storeTier struct{ node *core.Node }
 
 func (storeTier) Tier() Tier { return TierNodeStore }
@@ -249,9 +257,9 @@ func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, e
 	switch {
 	case err == nil:
 		return obj, NodeStoreLatency, nil
-	case errors.Is(err, unixfs.ErrNotFound), errors.Is(err, unixfs.ErrNotDirectory):
-		// Read from verified directory bytes, which no other copy of
-		// the root can contradict: the path is missing for good.
+	case errors.Is(err, unixfs.ErrNotFound), errors.Is(err, unixfs.ErrNotDirectory), errors.Is(err, merkledag.ErrInvalid):
+		// Read from verified blocks, which no other copy of the root
+		// can contradict: the refusal is final.
 		return nil, NodeStoreLatency, err
 	}
 	return nil, 0, ErrMiss
@@ -260,11 +268,12 @@ func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, e
 func (storeTier) Put(Request, Object) {}
 
 // retrieve is the end of every cascade: a full P2P retrieval of the
-// root DAG through the co-located node. A path-less request is answered
-// with the leaves the retrieval verified, streamed to out (if any) as
-// they verify — one walk, and no dependence on the node store still
-// holding every block afterwards; a path resolves locally once the DAG
-// is in. A failed retrieval is terminal.
+// root DAG through the co-located node (core.RetrieveTo), whose session
+// reads the blocks the node store already holds. A path-less request is
+// answered with the leaves the retrieval verified, streamed to out (if
+// any) as they verify — one walk, and no dependence on the node store
+// still holding every block afterwards; a path resolves locally once
+// the DAG is in. A failed retrieval is terminal.
 func (g *Gateway) retrieve(ctx context.Context, req Request, out *Stream) (Object, time.Duration, error) {
 	var obj Object
 	res, err := g.node.RetrieveTo(ctx, req.Cid, func(_ cid.Cid, n *merkledag.Node) error {

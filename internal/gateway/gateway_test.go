@@ -429,6 +429,127 @@ func TestMissingPathUnderHeldRootIs404(t *testing.T) {
 	}
 }
 
+// TestNodeStoreWalkedOncePerRequest: a request walks the gateway's node
+// store at most once. A whole root is read once by the node-store tier;
+// an invalid one is refused there, with merkledag.ErrInvalid logged as
+// the network's verdict, without a second walk; a root held with a leaf
+// missing is walked by the node-store tier and then by the retrieval's
+// session, which reads the leaves the store holds and fetches the one it
+// lacks. The node's Retrieve answers and refuses held roots with one
+// walk and records no retrieval.
+func TestNodeStoreWalkedOncePerRequest(t *testing.T) {
+	store := &countingStore{Store: block.NewMemStore()}
+	node := func(seed int64, store block.Store) *core.Node {
+		ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
+		ep, err := transport.ListenTCP(ident, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := core.New(ident, ep, core.Config{Mode: dht.ModeServer, Store: store})
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	origin, gw := node(1, nil), node(2, store)
+	if _, _, err := gw.Swarm().Connect(context.Background(), origin.ID(), origin.Addrs()); err != nil {
+		t.Fatal(err)
+	}
+	g := New(gw, 4<<20, gw.Swarm().Time())
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	reads := func(do func()) int64 {
+		before := store.gets.Load()
+		do()
+		return store.gets.Load() - before
+	}
+	object := func(seed int64) []byte {
+		data := make([]byte, 1<<20) // a root over four leaves
+		rand.New(rand.NewSource(seed)).Read(data)
+		return data
+	}
+
+	pinned, err := g.Pin(object(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reads(func() {
+		if resp, _ := g.FetchData(context.Background(), Request{Cid: pinned}); resp.Err != nil || resp.Tier != TierNodeStore {
+			t.Errorf("pinned root: %v from %v, want the node store", resp.Err, resp.Tier)
+		}
+	}); n != 5 {
+		t.Errorf("pinned root: %d blocks read, want 5", n)
+	}
+
+	invalid := putRoot(t, store, [][]byte{bytes.Repeat([]byte{'a'}, 3000), bytes.Repeat([]byte{'b'}, 5000)}, []uint64{3000, 0})
+	if n := reads(func() {
+		if resp, _ := g.FetchData(context.Background(), Request{Cid: invalid}); !errors.Is(resp.Err, merkledag.ErrInvalid) {
+			t.Errorf("invalid root: FetchData err = %v, want ErrInvalid", resp.Err)
+		}
+	}); n != 3 {
+		t.Errorf("invalid root: FetchData read %d blocks, want 3", n)
+	}
+	if n := reads(func() {
+		if resp, _, err := get(t, srv.URL+"/ipfs/"+invalid.String()); err != nil || resp.StatusCode != http.StatusNotFound {
+			t.Errorf("invalid root: HTTP %v, %v; want 404", resp, err)
+		}
+	}); n != 3 {
+		t.Errorf("invalid root: HTTP read %d blocks, want 3", n)
+	}
+	for _, e := range g.Log()[1:] {
+		if !e.Err() || e.Tier != TierNetwork {
+			t.Errorf("invalid root: log entry %+v, want a failed network entry", e)
+		}
+	}
+
+	partial, err := origin.Add(object(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cids, err := merkledag.AllCids(origin.Store(), partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cids[:len(cids)-1] { // all but the last leaf
+		blk, err := origin.Store().Get(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := reads(func() {
+		resp, body, err := get(t, srv.URL+"/ipfs/"+partial.String())
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 1<<20 || resp.Header.Get("X-Ipfs-Gateway-Tier") != TierNetwork.String() {
+			t.Errorf("partial root: %v, %d bytes, %v; want 200 from the network", resp, len(body), err)
+		}
+	}); n != 10 {
+		t.Errorf("partial root: %d blocks read, want 10", n)
+	}
+
+	reg := gw.Telemetry().Registry()
+	retrieves, traces := reg.Counter("retrieves_total", "router", gw.Router().Name()).Value(), len(gw.Telemetry().Traces())
+	if n := reads(func() {
+		if _, _, err := gw.Retrieve(context.Background(), invalid); !errors.Is(err, merkledag.ErrInvalid) {
+			t.Errorf("Retrieve of the invalid root: err = %v, want ErrInvalid", err)
+		}
+	}); n != 3 {
+		t.Errorf("Retrieve of the invalid root: %d blocks read, want 3", n)
+	}
+	if n := reads(func() {
+		if data, _, err := gw.Retrieve(context.Background(), pinned); err != nil || !bytes.Equal(data, object(11)) {
+			t.Errorf("Retrieve of the pinned root: %d bytes, %v", len(data), err)
+		}
+	}); n != 5 {
+		t.Errorf("Retrieve of the pinned root: %d blocks read, want 5", n)
+	}
+	if n := reg.Counter("retrieves_total", "router", gw.Router().Name()).Value(); n != retrieves {
+		t.Errorf("retrieves_total %v → %v, want no retrieval recorded", retrieves, n)
+	}
+	if n := len(gw.Telemetry().Traces()); n != traces {
+		t.Errorf("%d traces → %d, want no retrieval recorded", traces, n)
+	}
+}
+
 // fakeTier is a scripted cascade stage that records what it was asked
 // and offered.
 type fakeTier struct {

@@ -956,7 +956,7 @@ type progRun struct {
 	chans [progSlots]chan int
 
 	mu      sync.Mutex // the log and the slots; never held across an engine call
-	log     []string
+	log     []wake
 	cancels [progSlots]context.CancelFunc
 	timers  [progSlots]func() bool
 }
@@ -969,10 +969,38 @@ func newProgRun(e engine) *progRun {
 	return p
 }
 
-// woke logs one wake: the virtual instant, the goroutine, and the cause.
-func (p *progRun) woke(id int, what string, err error) {
+// wake is one logged wake: the virtual instant, the goroutine, the
+// cause, what a recv or a stop returned, and the error's text. It is
+// compared as it is and formatted only to report a mismatch.
+type wake struct {
+	at    time.Duration
+	g     int
+	cause string
+	ok    bool
+	err   string
+}
+
+func (w wake) String() string {
+	return fmt.Sprintf("%v g%d %s %v %s", w.at, w.g, w.cause, w.ok, w.err)
+}
+
+// wakeAt formats log's wake i, or "none" past its end.
+func wakeAt(log []wake, i int) string {
+	if i >= len(log) {
+		return "none"
+	}
+	return log[i].String()
+}
+
+// woke logs one wake.
+func (p *progRun) woke(id int, cause string, ok bool, err error) {
+	w := wake{g: id, cause: cause, ok: ok, err: "<nil>"}
+	if err != nil {
+		w.err = err.Error()
+	}
 	p.mu.Lock()
-	p.log = append(p.log, fmt.Sprintf("%v g%d %s %v", p.e.Now().Sub(epoch), id, what, err))
+	w.at = p.e.Now().Sub(epoch)
+	p.log = append(p.log, w)
 	p.mu.Unlock()
 }
 
@@ -998,7 +1026,7 @@ func (p *progRun) setTimer(slot int, stop func() bool) {
 
 func (p *progRun) spawned(id int, body []op) func(context.Context) {
 	return func(ctx context.Context) {
-		p.woke(id, "spawn", nil)
+		p.woke(id, "spawn", false, nil)
 		p.exec(ctx, id, body)
 	}
 }
@@ -1009,7 +1037,7 @@ func (p *progRun) exec(ctx context.Context, id int, ops []op) {
 		o := o
 		switch o.kind {
 		case opSleep:
-			p.woke(id, "sleep", e.Sleep(ctx, o.d))
+			p.woke(id, "sleep", false, e.Sleep(ctx, o.d))
 		case opGo:
 			e.Go(ctx, p.spawned(o.id, o.body))
 		case opGroup:
@@ -1018,7 +1046,7 @@ func (p *progRun) exec(ctx context.Context, id int, ops []op) {
 				fns = append(fns, p.spawned(o.id+i, kid))
 			}
 			e.join(ctx, fns)
-			p.woke(id, "join", nil)
+			p.woke(id, "join", false, nil)
 		case opTimeout:
 			tctx, cancel := e.WithTimeout(ctx, o.d)
 			p.exec(tctx, id, o.body)
@@ -1033,15 +1061,15 @@ func (p *progRun) exec(ctx context.Context, id int, ops []op) {
 		case opCancel:
 			p.cancelSlot(o.slot)
 		case opWait:
-			p.woke(id, "wait", e.wait(o.slot, ctx, func() bool { return int(p.count[o.slot].Load()) >= o.n }))
+			p.woke(id, "wait", false, e.wait(o.slot, ctx, func() bool { return int(p.count[o.slot].Load()) >= o.n }))
 		case opNotify:
 			p.deposit(o.slot)
 		case opAwait:
-			p.woke(id, "await", e.Await(ctx, p.flags[o.slot].Load))
+			p.woke(id, "await", false, e.Await(ctx, p.flags[o.slot].Load))
 		case opSet:
 			p.flags[o.slot].Store(true)
 		case opRecv:
-			p.woke(id, fmt.Sprint("recv ", e.recv(ctx, p.chans[o.slot])), ctx.Err())
+			p.woke(id, "recv", e.recv(ctx, p.chans[o.slot]), ctx.Err())
 		case opSend:
 			select {
 			case p.chans[o.slot] <- id:
@@ -1065,7 +1093,7 @@ func (p *progRun) exec(ctx context.Context, id int, ops []op) {
 			stop := p.timers[o.slot]
 			p.mu.Unlock()
 			if stop != nil {
-				p.woke(id, fmt.Sprint("stop ", stop()), nil)
+				p.woke(id, "stop", stop(), nil)
 			}
 		}
 	}
@@ -1088,7 +1116,7 @@ func genProgram(seed int64) []op {
 // seed) pair must wake the same goroutines in the same order — a
 // perturbed failure is one that replays.
 func TestSchedulerProgramsConcurrent(t *testing.T) {
-	exec := func(seed, sched int64) []string {
+	exec := func(seed, sched int64) []wake {
 		prog := genProgram(seed)
 		var p *progRun
 		s := runUnder(t, sched, func(ctx context.Context, s *Scheduler) {
@@ -1166,16 +1194,11 @@ func matchReference(t *testing.T, seed, sched int64) {
 		t.Errorf("program seed %d, schedule seed %d: run ended at %v, reference at %v", seed, sched, s.Now().Sub(epoch), ref.now.Sub(epoch))
 	}
 	for i := 0; i < len(want.log) || i < len(got.log); i++ {
-		var w, g string
-		if i < len(want.log) {
-			w = want.log[i]
+		if i < len(want.log) && i < len(got.log) && want.log[i] == got.log[i] {
+			continue
 		}
-		if i < len(got.log) {
-			g = got.log[i]
-		}
-		if w != g {
-			t.Fatalf("program seed %d, schedule seed %d: wake %d of %d is %q, the reference's %d has %q", seed, sched, i, len(got.log), g, len(want.log), w)
-		}
+		t.Fatalf("program seed %d, schedule seed %d: wake %d of %d is %q, the reference's %d has %q",
+			seed, sched, i, len(got.log), wakeAt(got.log, i), len(want.log), wakeAt(want.log, i))
 	}
 	if len(ref.waiters) != 0 {
 		t.Fatalf("program seed %d, schedule seed %d: the generator left %d waiters parked forever on the reference", seed, sched, len(ref.waiters))
