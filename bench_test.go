@@ -3,9 +3,9 @@
 // and assembly, the wire codec and its TCP framing, routing-table
 // selection, the DHT walk, scheduler dispatch, the pack store's Get and
 // Delete, the provider store, trace recording, a 2 000-peer network
-// build, a whole TCP retrieve, the join of a TCP mesh and a gateway GET
-// over loopback HTTP. Each has a real b.N and runs in CI's
-// layer-bench step with allocations reported. The paper's tables and figures are
+// build, one TCP request round trip, a whole TCP retrieve, the join of
+// a TCP mesh and a gateway GET over loopback HTTP. Each has a real b.N
+// and runs in CI's layer-bench step with allocations reported. The paper's tables and figures are
 // not benchmarks: they are seeded simulations, pinned exactly by the
 // golden and replay tests of internal/experiments.
 package repro
@@ -36,6 +36,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/testnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/ipfs"
 )
@@ -602,6 +603,40 @@ func BenchmarkTCPRetrieve1MiB(b *testing.B) {
 	b.StopTimer()
 	if got, _, err := requester.Retrieve(ctx, root); err != nil || !bytes.Equal(got, data) {
 		b.Fatalf("retrieved object differs from the one added: %v", err)
+	}
+}
+
+// BenchmarkTCPRequest measures one PING round trip over one loopback
+// TCP connection between two bare transport endpoints: the frame codec,
+// the socket calls and the hand-offs between the connection's reader
+// and its requester, the unit cost under every TCP RPC a node makes.
+func BenchmarkTCPRequest(b *testing.B) {
+	listen := func(seed int64) *transport.TCPEndpoint {
+		ep, err := transport.ListenTCP(peer.MustNewIdentity(rand.New(rand.NewSource(seed))), "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ep
+	}
+	server, client := listen(1), listen(2)
+	defer server.Close()
+	defer client.Close()
+	server.SetHandler(func(context.Context, peer.ID, wire.Message) wire.Message {
+		return wire.Message{Type: wire.TAck}
+	})
+	ctx := context.Background()
+	conn, err := client.Dial(ctx, server.LocalPeer(), server.Addrs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	ping := wire.Message{Type: wire.TPing}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp, err := conn.Request(ctx, ping); err != nil || resp.Type != wire.TAck {
+			b.Fatalf("ping %d: %v, %v", i, resp.Type, err)
+		}
 	}
 }
 

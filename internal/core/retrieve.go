@@ -17,6 +17,7 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/unixfs"
 	"repro/internal/wire"
 )
 
@@ -227,25 +228,26 @@ func (n *Node) Retrieve(ctx context.Context, root cid.Cid) ([]byte, RetrieveResu
 		}
 	}
 	var leaves [][]byte
-	res, err := n.RetrieveTo(ctx, root, merkledag.AppendLeaves(&leaves))
+	res, err := n.RetrieveTo(ctx, root, "", merkledag.AppendLeaves(&leaves))
 	if err != nil {
 		return nil, res, err
 	}
 	return bytes.Join(leaves, nil), res, nil
 }
 
-// RetrieveTo fetches the DAG behind root from the network, following
-// §3.2: (i) opportunistic Bitswap with a 1 s timeout, (ii) content
-// discovery via the router's provider stream — the first provider goes
-// straight to Bitswap while the stream keeps yielding fail-over
-// candidates in the background — (iii) peer discovery via the address
-// book or a second walk, (iv) peer routing (connect), and (v) content
-// exchange over Bitswap. It hands the DAG to visit as the walk verifies
-// it (see merkledag.Walk), so a caller can pass content on before the
-// last block has arrived. The Bitswap session reads every block the
-// store already holds, so a partial DAG fetches only the blocks it
-// lacks.
-func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Visitor) (res RetrieveResult, err error) {
+// RetrieveTo fetches the DAG that path names under root ("" for root
+// itself) from the network, following §3.2: (i) opportunistic Bitswap
+// with a 1 s timeout, (ii) content discovery of root via the router's
+// provider stream — the first provider goes straight to Bitswap while
+// the stream keeps yielding fail-over candidates in the background —
+// (iii) peer discovery via the address book or a second walk, (iv) peer
+// routing (connect), and (v) content exchange over Bitswap: the session
+// resolves path through the directory blocks on it (a missing segment
+// is unixfs.ErrNotFound) and hands the target's DAG to visit as the
+// walk verifies it (see unixfs.Walk), so a caller can pass content on
+// before the last block arrived. The session reads every block the
+// store already holds, so a partial DAG fetches only what it lacks.
+func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, path string, visit merkledag.Visitor) (res RetrieveResult, err error) {
 	res = RetrieveResult{Cid: root}
 	size := 0 // the leaves visited; res.Bytes once the walk succeeds
 	count := func(c cid.Cid, nd *merkledag.Node) error {
@@ -338,14 +340,14 @@ func (n *Node) RetrieveTo(ctx context.Context, root cid.Cid, visit merkledag.Vis
 	if res.BitswapHit || res.RoutedSession {
 		session.Confirm()
 	}
-	err = merkledag.Walk(fctx, n.src, session, root, 8, count)
+	err = unixfs.Walk(fctx, n.src, session, root, path, 8, count)
 	ss := session.Stats()
 	res.SessionFailovers += ss.Failovers
 	fsp.Annotate("blocks", fmt.Sprint(ss.WantBlocks))
 	fsp.Annotate("failovers", fmt.Sprint(ss.Failovers))
 	fsp.End()
 	if err != nil {
-		return res, fmt.Errorf("%w: fetch failed: %v", ErrNotFound, err)
+		return res, fmt.Errorf("%w: fetch failed: %w", ErrNotFound, err)
 	}
 	res.Bytes = size
 	return res, nil

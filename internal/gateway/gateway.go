@@ -240,8 +240,8 @@ func (t nginxTier) Put(req Request, obj Object) { t.cache.Put(req.Key(), obj, in
 // storeTier is the gateway's own IPFS node store (pinned content),
 // "resulting consistently in a delay below 24 ms". It is filled by
 // pinning and by the node's retrievals, never by the cascade. Its walk
-// is the one a held root gets: a whole DAG is answered, an invalid one
-// (merkledag.ErrInvalid) and a path its verified directories lack are
+// (unixfs.FileLeaves) is the one a held root gets: a whole DAG is
+// answered, an invalid DAG or a path its verified directories lack is
 // refused for good, and a partial DAG misses to the network.
 type storeTier struct{ node *core.Node }
 
@@ -253,7 +253,7 @@ func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, e
 	if !t.node.Store().Has(req.Cid) {
 		return nil, 0, ErrMiss
 	}
-	obj, err := localObject(t.node, req)
+	obj, err := unixfs.FileLeaves(t.node.Store(), req.Cid, req.Path)
 	switch {
 	case err == nil:
 		return obj, NodeStoreLatency, nil
@@ -267,40 +267,23 @@ func (t storeTier) Get(_ context.Context, req Request) (Object, time.Duration, e
 
 func (storeTier) Put(Request, Object) {}
 
-// retrieve is the end of every cascade: a full P2P retrieval of the
-// root DAG through the co-located node (core.RetrieveTo), whose session
-// reads the blocks the node store already holds. A path-less request is
-// answered with the leaves the retrieval verified, streamed to out (if
-// any) as they verify — one walk, and no dependence on the node store
-// still holding every block afterwards; a path resolves locally once
-// the DAG is in. A failed retrieval is terminal.
+// retrieve is the end of every cascade: one P2P retrieval through the
+// co-located node (core.RetrieveTo), whose session resolves the path
+// (if any) and reads the blocks the node store already holds. The
+// request is answered with the leaves the retrieval verified, streamed
+// to out (if any) as they verify: one walk, and no dependence on the
+// node store still holding every block afterwards. A failed retrieval
+// is terminal.
 func (g *Gateway) retrieve(ctx context.Context, req Request, out *Stream) (Object, time.Duration, error) {
 	var obj Object
-	res, err := g.node.RetrieveTo(ctx, req.Cid, func(_ cid.Cid, n *merkledag.Node) error {
+	res, err := g.node.RetrieveTo(ctx, req.Cid, req.Path, func(_ cid.Cid, n *merkledag.Node) error {
 		if len(n.Links) == 0 {
 			obj = append(obj, n.Data)
 		}
-		if out != nil && req.Path == "" {
-			out.visit(n)
-		}
+		out.visit(n)
 		return nil
 	})
-	if err == nil && req.Path != "" {
-		obj, err = localObject(g.node, req)
-	}
-	if err != nil {
-		return nil, res.Total, err
-	}
-	return obj, res.Total, nil
-}
-
-// localObject serves a request from the node store alone: the raw DAG
-// for path-less requests, or the file beneath the UnixFS path.
-func localObject(node *core.Node, req Request) (Object, error) {
-	if req.Path == "" {
-		return merkledag.Leaves(node.Store(), req.Cid)
-	}
-	return unixfs.FileLeaves(node.Store(), req.Cid, req.Path)
+	return obj, res.Total, err
 }
 
 func (g *Gateway) append(req Request, resp Response) {
@@ -444,8 +427,12 @@ func (s *Stream) send(t Tier, obj Object) {
 }
 
 // visit writes a network miss as the walk verifies it: the header at
-// the root, then each leaf, holding back the last byte so far.
+// the target's root, then each leaf, holding back the last byte so far.
+// Without a client it does nothing.
 func (s *Stream) visit(n *merkledag.Node) {
+	if s == nil {
+		return
+	}
 	if !s.started {
 		s.header(TierNetwork, n.ContentSize())
 	}

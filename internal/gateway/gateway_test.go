@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -550,6 +551,141 @@ func TestNodeStoreWalkedOncePerRequest(t *testing.T) {
 	}
 }
 
+// putGate is a node store that, once armed with a CID, holds back the
+// Put of that block until open or for at most two seconds. The Put runs
+// on the worker whose Bitswap fetch brought the block in, after the
+// answer arrived: the other workers, and the connection they share with
+// the origin, go on, so every block before the held one in link order
+// still reaches the walk.
+type putGate struct {
+	block.Store
+	mu      sync.Mutex
+	hold    cid.Cid
+	release chan struct{} // non-nil while armed
+	late    bool          // the two seconds ran out before open
+}
+
+func (s *putGate) arm(c cid.Cid) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hold, s.release, s.late = c, make(chan struct{}), false
+}
+
+// open lets the armed block through and reports whether its Put had
+// waited the two seconds out.
+func (s *putGate) open() (late bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.release != nil {
+		close(s.release)
+		s.release = nil
+	}
+	return s.late
+}
+
+func (s *putGate) Put(b block.Block) error {
+	s.mu.Lock()
+	release := s.release
+	hold := release != nil && b.Cid().Equal(s.hold)
+	s.mu.Unlock()
+	if hold {
+		select {
+		case <-release:
+		case <-time.After(2 * time.Second):
+			s.mu.Lock()
+			s.late = true
+			s.mu.Unlock()
+		}
+	}
+	return s.Store.Put(b)
+}
+
+// TestPathResolvesThroughRetrieval: a path beneath a root the network
+// supplies is resolved by the retrieval's own session, on a node store
+// (a 512 KiB LRUStore) too small for the root's whole DAG, and streams
+// like any miss. small.txt costs the origin two block reads, the root
+// directory and its one leaf, and a missing a/none.bin one, the
+// directory a, before its 404; a/big.bin (2 MiB over eight leaves) comes
+// back byte for byte, and over HTTP its first body byte reaches the
+// client while the file's last leaf is held back from the walk (or has
+// not even arrived).
+func TestPathResolvesThroughRetrieval(t *testing.T) {
+	origin, store := &countingStore{Store: block.NewMemStore()}, &putGate{Store: block.NewLRUStore(512 << 10)}
+	on, gw := tcpNode(t, 1, origin), tcpNode(t, 2, store)
+	if _, _, err := gw.Swarm().Connect(context.Background(), on.ID(), on.Addrs()); err != nil {
+		t.Fatal(err)
+	}
+	// An nginx cache too small for either file: every request reaches
+	// the node.
+	g := New(gw, 1, gw.Swarm().Time())
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	big := make([]byte, 2<<20)
+	rand.New(rand.NewSource(56)).Read(big)
+	small := []byte("hello")
+	root, err := on.AddTree(map[string][]byte{"a/big.bin": big, "small.txt": small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigRoot, err := unixfs.Resolve(on.Store(), root, "a/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigCids, err := merkledag.AllCids(on.Store(), bigRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(path string, want []byte) {
+		t.Helper()
+		resp, body := g.FetchData(context.Background(), Request{Cid: root, Path: path})
+		if resp.Err != nil || resp.Tier != TierNetwork || !bytes.Equal(body, want) {
+			t.Errorf("FetchData %s: %v from %v, %d bytes, equal %v; want %d from the network",
+				path, resp.Err, resp.Tier, len(body), bytes.Equal(body, want), len(want))
+		}
+	}
+
+	gets := origin.gets.Load()
+	fetch("small.txt", small)
+	if n := origin.gets.Load() - gets; n != 2 {
+		t.Errorf("small.txt: the origin read %d blocks, want 2: the root directory and the leaf", n)
+	}
+	gets = origin.gets.Load()
+	if resp, _ := g.FetchData(context.Background(), Request{Cid: root, Path: "a/none.bin"}); !errors.Is(resp.Err, unixfs.ErrNotFound) {
+		t.Errorf("FetchData a/none.bin: %v, want unixfs.ErrNotFound", resp.Err)
+	}
+	if n := origin.gets.Load() - gets; n != 1 {
+		t.Errorf("a/none.bin: the origin read %d blocks, want 1: the directory a, under the root held since small.txt", n)
+	}
+
+	store.arm(bigCids[len(bigCids)-1])
+	resp, err := http.Get(srv.URL + "/ipfs/" + root.String() + "/a/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make([]byte, 1)
+	_, ferr := io.ReadFull(resp.Body, first)
+	late := store.open()
+	rest, rerr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ferr != nil || rerr != nil || resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(big)) ||
+		!bytes.Equal(append(first, rest...), big) {
+		t.Errorf("HTTP a/big.bin: status %d, Content-Length %d, %d bytes back (%v, %v); want %d byte for byte",
+			resp.StatusCode, resp.ContentLength, 1+len(rest), ferr, rerr, len(big))
+	}
+	if late {
+		t.Error("HTTP a/big.bin: the first body byte waited for the file's last leaf; want the path streamed")
+	}
+
+	resp, body, err := get(t, srv.URL+"/ipfs/"+root.String()+"/small.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, small) {
+		t.Errorf("HTTP small.txt: status %d, %q; want 200 and %q", resp.StatusCode, body, small)
+	}
+	fetch("a/big.bin", big)
+}
+
 // fakeTier is a scripted cascade stage that records what it was asked
 // and offered.
 type fakeTier struct {
@@ -653,22 +789,26 @@ func TestLogIsBoundedRing(t *testing.T) {
 	}
 }
 
+// tcpNode returns a wall-clock node on loopback TCP that keeps its
+// blocks in store (nil: a fresh MemStore) and closes with the test.
+func tcpNode(t testing.TB, seed int64, store block.Store) *core.Node {
+	t.Helper()
+	ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
+	ep, err := transport.ListenTCP(ident, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := core.New(ident, ep, core.Config{Mode: dht.ModeServer, Store: store})
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
 // tcpGateway returns a wall-clock gateway over loopback TCP, its node
 // connected to an origin node that keeps its blocks in originStore (nil:
 // a fresh MemStore). Both nodes close with the test.
 func tcpGateway(t testing.TB, originStore block.Store) (*Gateway, *core.Node) {
 	t.Helper()
-	node := func(seed int64, store block.Store) *core.Node {
-		ident := peer.MustNewIdentity(rand.New(rand.NewSource(seed)))
-		ep, err := transport.ListenTCP(ident, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := core.New(ident, ep, core.Config{Mode: dht.ModeServer, Store: store})
-		t.Cleanup(func() { n.Close() })
-		return n
-	}
-	origin, gw := node(1, originStore), node(2, nil)
+	origin, gw := tcpNode(t, 1, originStore), tcpNode(t, 2, nil)
 	if _, _, err := gw.Swarm().Connect(context.Background(), origin.ID(), origin.Addrs()); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cid"
 	"repro/internal/merkledag"
 	"repro/internal/multicodec"
+	"repro/internal/simtime"
 )
 
 // dirMarker tags a DAG node as a directory.
@@ -119,7 +120,7 @@ func Resolve(f merkledag.Fetcher, root cid.Cid, path string) (cid.Cid, error) {
 	return cur, nil
 }
 
-// ReadFile resolves path under root and reassembles the file content.
+// ReadFile reassembles the content FileLeaves returns.
 func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
 	leaves, err := FileLeaves(f, root, path)
 	if err != nil {
@@ -128,23 +129,33 @@ func ReadFile(f merkledag.Fetcher, root cid.Cid, path string) ([]byte, error) {
 	return bytes.Join(leaves, nil), nil
 }
 
-// FileLeaves resolves path under root and returns the file content as
-// merkledag.Leaves does: slices of the verified blocks. The target is
-// fetched once, by the walk, whose first visit refuses a directory.
+// FileLeaves is Walk with one worker, collecting the leaves as
+// merkledag.Leaves does: slices of the verified blocks in link order
+// (under an empty path, those of all a directory root's files).
 func FileLeaves(f merkledag.Fetcher, root cid.Cid, path string) ([][]byte, error) {
+	var leaves [][]byte
+	err := Walk(context.Background(), nil, f, root, path, 1, merkledag.AppendLeaves(&leaves))
+	return leaves, err
+}
+
+// Walk resolves path under root, reading only the directory blocks on
+// it, and hands the DAG it names to visit through merkledag.Walk. An
+// empty path walks root whole; a non-empty one that names a directory
+// is refused at the walk's first visit, so the target is fetched once.
+func Walk(ctx context.Context, src simtime.Source, f merkledag.Fetcher, root cid.Cid, path string, workers int, visit merkledag.Visitor) error {
+	if strings.Trim(path, "/") == "" {
+		return merkledag.Walk(ctx, src, f, root, workers, visit)
+	}
 	c, err := Resolve(f, root, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var leaves [][]byte
-	appendLeaf := merkledag.AppendLeaves(&leaves)
-	err = merkledag.Walk(context.Background(), nil, f, c, 1, func(k cid.Cid, n *merkledag.Node) error {
+	return merkledag.Walk(ctx, src, f, c, workers, func(k cid.Cid, n *merkledag.Node) error {
 		if k.Equal(c) && IsDirectory(n) {
 			return fmt.Errorf("%w: %q is a directory", ErrNotDirectory, path)
 		}
-		return appendLeaf(k, n)
+		return visit(k, n)
 	})
-	return leaves, err
 }
 
 // AddTree imports a map of path -> content as a directory tree rooted
