@@ -279,14 +279,14 @@ func RenderAblations(reps []ReplicationPoint, alphas []AlphaPoint, disc []Discov
 		for _, p := range reps {
 			t.AddRow(p.K, p.PubMedian, fmt.Sprintf("%.1f", p.StoreSuccesses), fmt.Sprintf("%.0f%%", 100*p.SurvivalRate))
 		}
-		b.WriteString("Ablation: replication factor k (paper default 20)\n" + t.String() + "\n")
+		b.WriteString("Ablation: replication factor k (" + cite("abl.k") + ")\n" + t.String() + "\n")
 	}
 	if len(alphas) > 0 {
 		t := stats.NewTable("alpha", "Retrieval median", "Publication median")
 		for _, p := range alphas {
 			t.AddRow(p.Alpha, p.RetrMedian, p.PubMedian)
 		}
-		b.WriteString("Ablation: lookup concurrency alpha (paper default 3)\n" + t.String() + "\n")
+		b.WriteString("Ablation: lookup concurrency alpha (" + cite("abl.alpha") + ")\n" + t.String() + "\n")
 	}
 	if len(disc) > 0 {
 		t := stats.NewTable("Parallel discovery", "Retrieval median", "Stretch p50")

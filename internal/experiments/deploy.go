@@ -182,8 +182,8 @@ func (r *DeployResults) Table2() string {
 			top10 += e.n
 		}
 	}
-	head := fmt.Sprintf("Table 2: ASes covering >50%% of found IPs (top-10 ASes hold %.1f%%; paper: 64.9%%)\n",
-		100*float64(top10)/float64(totalIPs))
+	head := fmt.Sprintf("Table 2: ASes covering >50%% of found IPs (top-10 ASes hold %.1f%%; %s)\n",
+		100*float64(top10)/float64(totalIPs), cite("t2.top10"))
 	return head + t.String()
 }
 
@@ -203,16 +203,16 @@ func (r *DeployResults) Table3() string {
 	}
 	nonCloud := len(r.Pop.Peers) - cloudTotal
 	t.AddRow("-", "Non-Cloud", nonCloud, fmt.Sprintf("%.2f%%", 100*float64(nonCloud)/float64(len(r.Pop.Peers))))
-	head := fmt.Sprintf("Table 3: cloud hosting (cloud share %.2f%%; paper: <2.3%%)\n",
-		100*float64(cloudTotal)/float64(len(r.Pop.Peers)))
+	head := fmt.Sprintf("Table 3: cloud hosting (cloud share %.2f%%; %s)\n",
+		100*float64(cloudTotal)/float64(len(r.Pop.Peers)), cite("t3.cloud"))
 	return head + t.String()
 }
 
 // Fig7a renders reliable peers (>90% uptime) by country. Reliability
-// is the population attribute planted at the paper's 1.4 % rate: the
-// paper's criterion spans a five-month measurement campaign, which a
-// 24 h churn window cannot re-derive (ordinary peers with one lucky
-// long session would dominate).
+// is the population attribute planted at the paper's rate (ledger row
+// f7a.reliable, an input): the paper's criterion spans a five-month
+// measurement campaign, which a 24 h churn window cannot re-derive
+// (ordinary peers with one lucky long session would dominate).
 func (r *DeployResults) Fig7a() string {
 	counts := make(map[geo.Region]int)
 	reliable := 0
@@ -223,8 +223,8 @@ func (r *DeployResults) Fig7a() string {
 		}
 	}
 	t := rankedCountryTable(counts, len(r.Pop.Peers), "permille")
-	head := fmt.Sprintf("Figure 7a: reliable peers by country (%.1f%% overall; paper: 1.4%%)\n",
-		100*float64(reliable)/float64(len(r.Pop.Peers)))
+	head := fmt.Sprintf("Figure 7a: reliable peers by country (%.1f%% overall; %s)\n",
+		100*float64(reliable)/float64(len(r.Pop.Peers)), cite("f7a.reliable"))
 	return head + t
 }
 
@@ -239,8 +239,8 @@ func (r *DeployResults) Fig7b() string {
 		}
 	}
 	t := rankedCountryTable(counts, len(r.Pop.Peers), "percent")
-	head := fmt.Sprintf("Figure 7b: unreachable peers by country (%.1f%% overall; paper: 33.1%%)\n",
-		100*float64(unreachable)/float64(len(r.Pop.Peers)))
+	head := fmt.Sprintf("Figure 7b: unreachable peers by country (%.1f%% overall; %s)\n",
+		100*float64(unreachable)/float64(len(r.Pop.Peers)), cite("f7b.unreachable"))
 	return head + t
 }
 

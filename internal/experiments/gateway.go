@@ -154,9 +154,8 @@ func (r *GatewayResults) Table5() string {
 			fmt.Sprintf("%.1f%%", 100*float64(s.Bytes)/float64(totalBytes)),
 			fmt.Sprintf("%.1f%%", 100*float64(s.Requests)/float64(totalReq)))
 	}
-	head := "Table 5: gateway traffic and latency by serving tier\n" +
-		"(paper: nginx 0s/46.4%/46.0%, node store 8ms/38.0%/40.2%, non-cached 4.04s/15.6%/13.8%)\n"
-	return head + t.String()
+	return "Table 5: gateway traffic and latency by serving tier\n(" +
+		cite("t5.nginx", "t5.store", "t5.origin") + ")\n" + t.String()
 }
 
 // Fig4b renders the diurnal request count (5-minute bins).
@@ -182,7 +181,7 @@ func (r *GatewayResults) Fig6() string {
 		}
 		t.AddRow(string(e.key), e.n, fmt.Sprintf("%.1f%%", 100*float64(e.n)/float64(len(r.Trace))))
 	}
-	return "Figure 6: geographical distribution of gateway users (paper: US 50.4%, CN 31.9%, HK 6.6%)\n" + t.String()
+	return "Figure 6: geographical distribution of gateway users (" + cite("f6.users") + ")\n" + t.String()
 }
 
 // Fig11a renders the latency and object-size distributions.
@@ -198,13 +197,10 @@ func (r *GatewayResults) Fig11a(points int) string {
 	}
 	var b strings.Builder
 	b.WriteString("Figure 11a: gateway response latency and object size distributions\n")
-	b.WriteString(fmt.Sprintf("# object size: median=%.1fKB above100KB=%.3f (paper: 664.6KB / 0.791)\n",
-		size.Median(), 1-size.FractionBelow(100)))
-	b.WriteString(fmt.Sprintf("# under 250ms: %.3f (paper: 0.76)\n", lat.FractionBelow(0.25)))
-	sizes, lats := size.Values(), lat.Values()
-	if len(sizes) == len(lats) {
-		b.WriteString(fmt.Sprintf("# size-latency Pearson r=%.3f (paper: 0.13)\n", sizeLatencyCorrelation(r.Log)))
-	}
+	b.WriteString(fmt.Sprintf("# object size: median=%.1fKB above100KB=%.3f (%s)\n",
+		size.Median(), 1-size.FractionBelow(100), cite("f11.size")))
+	b.WriteString(fmt.Sprintf("# under 250ms: %.3f (%s)\n", lat.FractionBelow(0.25), cite("f11.fast")))
+	b.WriteString(fmt.Sprintf("# size-latency Pearson r=%.3f (%s)\n", sizeLatencyCorrelation(r.Log), cite("f11.r")))
 	b.WriteString(stats.FormatCDF("fig11a latency seconds", lat.CDF(points)))
 	b.WriteString(stats.FormatCDF("fig11a size KB", size.CDF(points)))
 	return b.String()

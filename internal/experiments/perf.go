@@ -260,17 +260,15 @@ func (r *PerfResults) Summary() string {
 	stretch := r.combined(func(rp *RegionPerf) *stats.Sample { return rp.Stretch })
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "publication: p50=%.1fs p90=%.1fs p95=%.1fs (paper: 33.8 / 112.3 / 138.1)\n",
-		pub.Percentile(50), pub.Percentile(90), pub.Percentile(95))
+	fmt.Fprintf(&b, "publication: p50=%.1fs p90=%.1fs p95=%.1fs (%s)\n",
+		pub.Percentile(50), pub.Percentile(90), pub.Percentile(95), cite("t4.pub"))
 	if pub.Mean() > 0 {
-		fmt.Fprintf(&b, "walk share of publication delay: %.1f%% (paper: 87.9%%)\n", 100*walk.Mean()/pub.Mean())
+		fmt.Fprintf(&b, "walk share of publication delay: %.1f%% (%s)\n", 100*walk.Mean()/pub.Mean(), cite("t4.walk-share"))
 	}
-	fmt.Fprintf(&b, "retrieval: p50=%.2fs p90=%.2fs p95=%.2fs (paper: 2.90 / 4.34 / 4.74)\n",
-		retr.Percentile(50), retr.Percentile(90), retr.Percentile(95))
-	fmt.Fprintf(&b, "retrieval both-walks p50=%.2fs (paper: <2s for 50%%; single walk median 0.62s)\n",
-		rwalks.Percentile(50))
-	fmt.Fprintf(&b, "stretch p50=%.1f (paper: ~4.3)\n", stretch.Percentile(50))
-	fmt.Fprintf(&b, "operations: %d ok, %d failed (paper reports 100%% retrieval success)\n",
-		r.Successes, r.Failures)
+	fmt.Fprintf(&b, "retrieval: p50=%.2fs p90=%.2fs p95=%.2fs (%s)\n",
+		retr.Percentile(50), retr.Percentile(90), retr.Percentile(95), cite("t4.ret"))
+	fmt.Fprintf(&b, "retrieval both-walks p50=%.2fs (%s)\n", rwalks.Percentile(50), cite("t4.ret.walks"))
+	fmt.Fprintf(&b, "stretch p50=%.1f (%s)\n", stretch.Percentile(50), cite("t4.stretch"))
+	fmt.Fprintf(&b, "operations: %d ok, %d failed (%s)\n", r.Successes, r.Failures, cite("t4.success"))
 	return b.String()
 }

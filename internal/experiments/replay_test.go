@@ -60,10 +60,8 @@ var replayCases = []struct {
 
 // TestExperimentsReplayUnderScheduler: two runs of the same seed give
 // the same bytes, for every table and figure of every ported
-// experiment. The first two rows of the paper ledger — Tables 1 and 4
-// with the §6.1–6.2 headline summary, and Table 5 — are pinned as
-// goldens beside the routing ones, so a drift in a published latency is
-// a reviewable diff.
+// experiment. TestReplayCasesGolden pins the same renders, so a drift
+// in a published latency is a reviewable diff.
 func TestExperimentsReplayUnderScheduler(t *testing.T) {
 	for _, tc := range replayCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,23 +92,4 @@ func TestReplayCasesGolden(t *testing.T) {
 			goldenCompare(t, "replay_"+tc.name+".golden", tc.render(t))
 		})
 	}
-}
-
-// TestPerfTable4Golden pins Table 1, Table 4 and the headline summary
-// of the small §4.3 run.
-func TestPerfTable4Golden(t *testing.T) {
-	res := perfResults(t)
-	goldenCompare(t, "perf_table4.golden", res.Table1()+"\n"+res.Table4()+"\n"+res.Summary())
-}
-
-// TestGatewayTable5Golden pins Table 5 of the small §6.3 run.
-func TestGatewayTable5Golden(t *testing.T) {
-	goldenCompare(t, "gateway_table5.golden", gatewayResults(t).Table5())
-}
-
-// TestGatewayFigsGolden pins Figure 4b's diurnal request series and
-// Figure 11b's cached share per bin of the small §6.3 run.
-func TestGatewayFigsGolden(t *testing.T) {
-	res := gatewayResults(t)
-	goldenCompare(t, "gateway_figs.golden", res.Fig4b()+"\n"+res.Fig11b())
 }

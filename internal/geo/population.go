@@ -159,13 +159,6 @@ func DefaultPopulationConfig(n int) PopulationConfig {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Population is a generated peer population plus its models.
 type Population struct {
 	Peers []Peer
